@@ -21,7 +21,7 @@ use ixp_topology::{build_continent, ContinentSpec};
 use ixp_traffic::{DiurnalLoad, Shape};
 use std::sync::Arc;
 use std::time::Instant;
-use tslp_core::campaign::{measure_vp_links, stream_vp_links, CampaignConfig};
+use tslp_core::campaign::{stream_vp_links, CampaignConfig};
 
 /// Hub-and-branches substrate: `branches` interdomain links behind one hub,
 /// odd branches congested with a weekday plateau.
@@ -119,7 +119,7 @@ fn campaign_throughput(c: &mut Criterion) {
         cfg.threads = threads;
         let mut mean_ns = 0.0;
         g.bench_with_input(BenchmarkId::new("threads", threads), &cfg, |b, cfg| {
-            b.iter(|| measure_vp_links(&net, vp, &targets, cfg));
+            b.iter(|| stream_vp_links(&net, vp, &targets, cfg, None, || (), |_, _, _, s, sc| (s, sc)));
             mean_ns = b.mean_ns;
         });
         measured.push((threads, mean_ns));

@@ -12,7 +12,8 @@ use ixp_chgpt::DetectorScratch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tslp_core::campaign::pool_map_with;
+use ixp_obs::NoopRecorder;
+use tslp_core::campaign::pool_try_map;
 
 /// Global allocator wrapper counting allocation calls, so the bench can
 /// *prove* the scratch path is allocation-free after warm-up instead of
@@ -78,10 +79,17 @@ fn detect_throughput(c: &mut Criterion) {
     let mut pool_ns = 0.0;
     g.bench_function("scratch_parallel", |b| {
         b.iter(|| {
-            pool_map_with(0, &corpus, DetectorScratch::new, |sc, _, s| {
-                sc.detect_change_points(s, &cfg).len()
-            })
+            pool_try_map(
+                0,
+                &corpus,
+                DetectorScratch::new,
+                |sc, _, s| sc.detect_change_points(s, &cfg).len(),
+                &NoopRecorder,
+                "pool",
+                |i, _| i.to_string(),
+            )
             .into_iter()
+            .map(Result::unwrap)
             .sum::<usize>()
         });
         pool_ns = b.mean_ns;

@@ -30,7 +30,7 @@ fn campaign(from: SimTime, to: SimTime) -> CampaignConfig {
 fn measure_and_assess(s: &VpSubstrate, t: &TslpTarget, from: SimTime, to: SimTime) -> Assessment {
     // measure_link walks a fresh per-target ProbeCtx: no queue-state reset.
     let (series, _) = measure_link(&s.net, s.vp, t, &campaign(from, to));
-    assess_link(&series, &AssessConfig::default())
+    assess_link(&series, &AssessConfig::default(), &HealthReport::clean(), &mut DetectorScratch::new())
 }
 
 fn fig1_ghanatel_phase1(c: &mut Criterion) {

@@ -8,11 +8,12 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ixp_bench::detect_corpus;
 use ixp_chgpt::DetectorScratch;
+use ixp_obs::NoopRecorder;
 use ixp_simnet::prelude::{SimDuration, SimTime};
 use std::time::Duration;
-use tslp_core::campaign::pool_map_with;
-use tslp_core::detect::{assess_link_masked_with, assess_link_with, AssessConfig};
-use tslp_core::health::classify_link;
+use tslp_core::campaign::pool_try_map;
+use tslp_core::detect::{assess_link, AssessConfig};
+use tslp_core::health::{classify_link, HealthReport};
 use tslp_core::series::{LinkSeries, SeriesConfig};
 
 const LINKS: usize = 16;
@@ -79,13 +80,21 @@ fn health_overhead(c: &mut Criterion) {
     g.sample_size(2);
     g.measurement_time(Duration::from_secs(6));
 
+    let clean = HealthReport::clean();
     let mut plain_ns = 0.0;
     g.bench_function("assess_unmasked", |b| {
         b.iter(|| {
-            pool_map_with(0, &corpus, DetectorScratch::new, |sc, _, s| {
-                assess_link_with(s, &cfg, sc).events.len()
-            })
+            pool_try_map(
+                0,
+                &corpus,
+                DetectorScratch::new,
+                |sc, _, s| assess_link(s, &cfg, &clean, sc).events.len(),
+                &NoopRecorder,
+                "pool",
+                |i, _| i.to_string(),
+            )
             .into_iter()
+            .map(Result::unwrap)
             .sum::<usize>()
         });
         plain_ns = b.mean_ns;
@@ -94,12 +103,21 @@ fn health_overhead(c: &mut Criterion) {
     let mut masked_ns = 0.0;
     g.bench_function("classify_and_assess_masked", |b| {
         b.iter(|| {
-            pool_map_with(0, &corpus, DetectorScratch::new, |sc, _, s| {
-                let mask = classify_link(s, &cfg.health);
-                let a = assess_link_masked_with(s, &cfg, &mask, sc);
-                a.events.len() + a.artifacts.len()
-            })
+            pool_try_map(
+                0,
+                &corpus,
+                DetectorScratch::new,
+                |sc, _, s| {
+                    let mask = classify_link(s, &cfg.health);
+                    let a = assess_link(s, &cfg, &mask, sc);
+                    a.events.len() + a.artifacts.len()
+                },
+                &NoopRecorder,
+                "pool",
+                |i, _| i.to_string(),
+            )
             .into_iter()
+            .map(Result::unwrap)
             .sum::<usize>()
         });
         masked_ns = b.mean_ns;

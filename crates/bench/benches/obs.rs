@@ -1,8 +1,8 @@
 //! Telemetry overhead (DESIGN.md §5.14): the instrumentation layer promises
 //! near-zero cost when off (the no-op recorder monomorphizes away) and <3%
 //! when on (worker-local sheets, no hot-path contention). This bench runs
-//! the same campaign fan-out three ways — plain, no-op recorder, and a live
-//! [`MetricsRegistry`] — and writes the measured overhead to
+//! the same streaming campaign fan-out three ways — plain, no-op recorder,
+//! and a live [`MetricsRegistry`] — and writes the measured overhead to
 //! `BENCH_obs.json` at the repo root, where `scripts/bench_obs.sh` gates it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -11,7 +11,8 @@ use ixp_prober::tslp::TslpTarget;
 use ixp_simnet::prelude::*;
 use ixp_traffic::{DiurnalLoad, Shape};
 use std::sync::Arc;
-use tslp_core::campaign::{measure_vp_links, measure_vp_links_rec, CampaignConfig};
+use tslp_core::campaign::{stream_vp_links, stream_vp_links_rec, CampaignConfig};
+use tslp_core::series::LinkSeries;
 
 /// Hub-and-branches substrate (the campaign-bench workload): `branches`
 /// interdomain links behind one hub, odd branches congested with a weekday
@@ -73,11 +74,14 @@ fn obs_overhead(_c: &mut Criterion) {
     let mut cfg = CampaignConfig::exact(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 8));
     cfg.threads = 1; // sequential: isolates per-probe cost from pool scheduling noise
 
-    let run_plain = || black_box(measure_vp_links(&net, vp, &targets, &cfg));
-    let run_noop = || black_box(measure_vp_links_rec(&net, vp, &targets, &cfg, &NoopRecorder));
+    // Every variant hands each series back through the identity consumer.
+    let keep = |_: &mut (), _: usize, _: &TslpTarget, s: LinkSeries, sc: bool| (s, sc);
+    let run_plain = || black_box(stream_vp_links(&net, vp, &targets, &cfg, None, || (), keep));
+    let run_noop =
+        || black_box(stream_vp_links_rec(&net, vp, &targets, &cfg, None, &NoopRecorder, || (), keep));
     let run_live = || {
         let reg = MetricsRegistry::new();
-        black_box(measure_vp_links_rec(&net, vp, &targets, &cfg, &reg))
+        black_box(stream_vp_links_rec(&net, vp, &targets, &cfg, None, &reg, || (), keep))
     };
 
     // The three variants run the identical probe workload, so the measured
@@ -95,7 +99,7 @@ fn obs_overhead(_c: &mut Criterion) {
     }
     {
         let reg = MetricsRegistry::new();
-        measure_vp_links_rec(&net, vp, &targets, &cfg, &reg);
+        stream_vp_links_rec(&net, vp, &targets, &cfg, None, &reg, || (), keep);
         eprintln!("[obs] workload: {}", reg.snapshot().one_line());
     }
     const ROUNDS: usize = 101;

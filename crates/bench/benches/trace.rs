@@ -16,7 +16,7 @@ use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
 use ixp_obs::{FlightRecorder, LinkKey, NoopRecorder, Recorder};
 use ixp_simnet::prelude::SimTime;
 use std::sync::Arc;
-use tslp_core::detect::{assess_link_masked_rec, AssessConfig};
+use tslp_core::detect::{assess_link, record_assessment, AssessConfig};
 use tslp_core::health::{classify_link, HealthConfig};
 use tslp_core::series::{LinkSeries, SeriesConfig};
 
@@ -152,7 +152,8 @@ fn run_batch<R: Recorder>(corpus: &[LinkSeries], rec: &R) {
     let mut scratch = DetectorScratch::new();
     for (i, s) in corpus.iter().enumerate() {
         let mask = classify_link(s, &hcfg);
-        let a = assess_link_masked_rec(s, &cfg, &mask, &mut scratch, rec, LinkKey::new(i as u32, i as u32));
+        let a = assess_link(s, &cfg, &mask, &mut scratch);
+        record_assessment(rec, LinkKey::new(i as u32, i as u32), &a);
         black_box(a.congested);
     }
 }

@@ -4,11 +4,11 @@
 //! (§4). Replaying that literally against the simulator is ~10⁹ probe walks
 //! for the Liquid Telecom vantage point alone, so the runner supports an
 //! explicitly documented **screening pass** (see DESIGN.md): each link is
-//! first sampled coarsely (hourly); only links whose far-RTT spread could
-//! possibly clear the smallest Table 1 threshold get the full five-minute
-//! campaign. Links screened out keep their coarse series — which the
-//! detector handles like any other series and (by construction of the
-//! spread gate) can never flag. Disable screening to run paper-exact.
+//! first sampled coarsely (hourly); only links whose far-RTT excursions
+//! could possibly clear the smallest Table 1 threshold get the full
+//! five-minute campaign. Links screened out keep their coarse series — which
+//! the detector handles like any other series and (by construction of the
+//! excursion gate) can never flag. Disable screening to run paper-exact.
 
 use crate::checkpoint::CheckpointStore;
 use crate::series::{LinkSeries, SeriesConfig};
@@ -34,8 +34,11 @@ pub fn link_key(target: &TslpTarget) -> LinkKey {
 pub struct Screening {
     /// Coarse sampling interval.
     pub interval: SimDuration,
-    /// Full campaign is run only when the far spread (95th − 5th percentile)
-    /// reaches this many ms. Must stay below the smallest threshold swept.
+    /// Excursion gate, in ms: the full campaign runs only when at least four
+    /// coarse far samples sit more than this far above the coarse series
+    /// median ([`far_excursions`]). Must stay below the smallest threshold
+    /// swept. The name predates the excursion count; it stays because it is
+    /// serialized and bound into [`campaign_fingerprint`].
     pub spread_gate_ms: f64,
 }
 
@@ -58,8 +61,8 @@ pub struct CampaignConfig {
     pub tslp: TslpProbing,
     /// Optional screening pass; `None` = paper-exact probing for all links.
     pub screening: Option<Screening>,
-    /// Worker threads for [`measure_vp`]/[`measure_vp_links`] fan-out:
-    /// `0` = one per available core, `1` = sequential. Output is identical
+    /// Worker threads for the [`stream_vp_links`] fan-out: `0` = one per
+    /// available core, `1` = sequential. Output is identical
     /// at every thread count (each target's walk is an independent pure
     /// function of the shared substrate).
     pub threads: usize,
@@ -139,27 +142,6 @@ fn run_grid<P: Recorder>(
     series
 }
 
-/// Spread (95th − 5th percentile) of the finite far samples, in ms.
-pub fn far_spread_ms(series: &LinkSeries) -> f64 {
-    let (mut vals, _) = series.far_clean();
-    let n = vals.len();
-    if n < 8 {
-        return 0.0;
-    }
-    // Two percentiles, not a full sort: select the 5th, then the 95th within
-    // the upper partition the first selection leaves behind.
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN after clean");
-    let lo_i = (n as f64 * 0.05) as usize;
-    let hi_i = ((n as f64 * 0.95) as usize).min(n - 1);
-    let (_, &mut lo, upper) = vals.select_nth_unstable_by(lo_i, cmp);
-    let hi = if hi_i == lo_i {
-        lo
-    } else {
-        *upper.select_nth_unstable_by(hi_i - lo_i - 1, cmp).1
-    };
-    hi - lo
-}
-
 /// Number of far samples elevated at least `gate_ms` above the series
 /// median. This — not a percentile spread — is the screening statistic: a
 /// two-month congestion episode inside a 13-month campaign elevates only a
@@ -177,11 +159,11 @@ pub fn far_excursions(series: &LinkSeries, gate_ms: f64) -> usize {
     vals.iter().filter(|&&v| v > median + gate_ms).count()
 }
 
-/// The shared body of [`measure_link`]/[`measure_link_rec`], generic over
-/// the probe-event recorder so the uninstrumented path monomorphizes the
+/// The probing body of every measurement entry point, generic over the
+/// probe-event recorder so the uninstrumented path monomorphizes the
 /// telemetry calls away entirely. Also returns the total probe-round count
 /// (coarse + full) for the telemetry ledger.
-fn measure_link_impl<P: Recorder>(
+fn probe_link<P: Recorder>(
     net: &Network,
     ctx: &mut ProbeCtx,
     vp: NodeId,
@@ -193,9 +175,9 @@ fn measure_link_impl<P: Recorder>(
     // Rebase the caller's ctx onto this target's identity: the series is a
     // pure function of (net, vp, target, cfg), independent of which worker
     // thread runs it, in what order, or what the ctx measured before — the
-    // ordering guarantee measure_vp relies on. Rebasing is O(1); a worker
-    // reuses one ctx across every link it claims instead of rebuilding
-    // O(links + nodes) of state per link.
+    // ordering guarantee the campaign pool relies on. Rebasing is O(1); a
+    // worker reuses one ctx across every link it claims instead of
+    // rebuilding O(links + nodes) of state per link.
     ctx.rebase(
         net,
         mix(&[
@@ -250,56 +232,68 @@ pub fn measure_link_in(
     target: &TslpTarget,
     cfg: &CampaignConfig,
 ) -> (LinkSeries, bool) {
-    let (series, screened, _) = measure_link_impl(net, ctx, vp, target, cfg, &NoopRecorder);
-    (series, screened)
+    measure_link_with(net, ctx, vp, target, cfg, None, &NoopRecorder)
 }
 
-/// [`measure_link`] with telemetry: per-probe events (sent / answered /
-/// timed-out / retried / rate-limited) accumulate in a link-local
-/// [`LinkRecorder`] and fold into `rec` once, as a per-link
-/// [`ixp_obs::ProbeLedger`]. The near/far RTT histograms are derived from
-/// the retained series here, with one sequential scan per link — the probe
-/// loop itself only bumps counters. With a disabled recorder the measured
-/// series is bit-identical to [`measure_link`] — telemetry only observes.
-pub fn measure_link_rec<R: Recorder>(
-    net: &Network,
-    vp: NodeId,
-    target: &TslpTarget,
-    cfg: &CampaignConfig,
-    rec: &R,
-) -> (LinkSeries, bool) {
-    measure_link_rec_in(net, &mut ProbeCtx::default(), vp, target, cfg, rec)
-}
-
-/// [`measure_link_rec`] reusing a caller-owned [`ProbeCtx`] (see
-/// [`measure_link_in`]).
-pub fn measure_link_rec_in<R: Recorder>(
+/// [`measure_link_in`] through an optional [`CheckpointStore`] and with
+/// telemetry.
+///
+/// With a store, the series replays from disk when a checkpoint for this
+/// exact target + campaign config exists (the context is not touched);
+/// otherwise it is measured and persisted. A failed write is swallowed —
+/// persistence is an optimization, never a correctness requirement.
+///
+/// With an enabled recorder, per-probe events (sent / answered / timed-out /
+/// retried / rate-limited) accumulate in a link-local [`LinkRecorder`] and
+/// fold into `rec` once, as a per-link [`ixp_obs::ProbeLedger`]; the
+/// near/far RTT histograms are derived from the retained series with one
+/// sequential scan per link, so the probe loop itself only bumps counters.
+/// Checkpoint replays and persists land in the same ledger plus the
+/// `checkpoint_hits` / `checkpoint_writes` counters. Telemetry only
+/// observes: the series is bit-identical to [`measure_link`].
+pub fn measure_link_with<R: Recorder>(
     net: &Network,
     ctx: &mut ProbeCtx,
     vp: NodeId,
     target: &TslpTarget,
     cfg: &CampaignConfig,
+    store: Option<&CheckpointStore>,
     rec: &R,
 ) -> (LinkSeries, bool) {
-    if !rec.enabled() {
-        return measure_link_in(net, ctx, vp, target, cfg);
+    let ckpt = store.map(|st| (st, CheckpointStore::key_for(vp, target)));
+    if let Some(hit) = ckpt.and_then(|(st, key)| st.load(key)) {
+        rec.add("checkpoint_hits", 1);
+        rec.link_event(link_key(target), LinkEvent::CheckpointHit);
+        return hit;
     }
-    let lr = LinkRecorder::new();
-    let (series, screened, rounds) = measure_link_impl(net, ctx, vp, target, cfg, &lr);
-    lr.add_rounds(rounds);
-    if screened {
-        lr.screened_out();
-    }
-    lr.fold_into(rec, link_key(target));
-    let hist_of = |vals: &[f64]| {
-        let mut h = Histogram::new();
-        for &v in vals {
-            h.record(v); // NaN holes (missed rounds) carry no magnitude
+    let (series, screened) = if rec.enabled() {
+        let lr = LinkRecorder::new();
+        let (series, screened, rounds) = probe_link(net, ctx, vp, target, cfg, &lr);
+        lr.add_rounds(rounds);
+        if screened {
+            lr.screened_out();
         }
-        h
+        lr.fold_into(rec, link_key(target));
+        let hist_of = |vals: &[f64]| {
+            let mut h = Histogram::new();
+            for &v in vals {
+                h.record(v); // NaN holes (missed rounds) carry no magnitude
+            }
+            h
+        };
+        rec.merge_hist("tslp_near_rtt_ms", &hist_of(&series.near_ms));
+        rec.merge_hist("tslp_far_rtt_ms", &hist_of(&series.far_ms));
+        (series, screened)
+    } else {
+        let (series, screened, _) = probe_link(net, ctx, vp, target, cfg, &NoopRecorder);
+        (series, screened)
     };
-    rec.merge_hist("tslp_near_rtt_ms", &hist_of(&series.near_ms));
-    rec.merge_hist("tslp_far_rtt_ms", &hist_of(&series.far_ms));
+    if let Some((st, key)) = ckpt {
+        if st.store(key, &series, screened).is_ok() {
+            rec.add("checkpoint_writes", 1);
+            rec.link_event(link_key(target), LinkEvent::CheckpointWrite);
+        }
+    }
     (series, screened)
 }
 
@@ -326,73 +320,6 @@ pub fn campaign_fingerprint(cfg: &CampaignConfig) -> u64 {
     ])
 }
 
-/// [`measure_link`] through a [`CheckpointStore`]: replay the series from
-/// disk when a checkpoint for this exact target + campaign config exists,
-/// otherwise measure and persist. A failed write is swallowed — persistence
-/// is an optimization, never a correctness requirement.
-pub fn measure_link_checkpointed(
-    net: &Network,
-    vp: NodeId,
-    target: &TslpTarget,
-    cfg: &CampaignConfig,
-    store: &CheckpointStore,
-) -> (LinkSeries, bool) {
-    measure_link_checkpointed_rec(net, vp, target, cfg, store, &NoopRecorder)
-}
-
-/// [`measure_link_checkpointed`] with telemetry: checkpoint replays and
-/// persists are recorded as per-link ledger events plus the
-/// `checkpoint_hits` / `checkpoint_writes` counters.
-pub fn measure_link_checkpointed_rec<R: Recorder>(
-    net: &Network,
-    vp: NodeId,
-    target: &TslpTarget,
-    cfg: &CampaignConfig,
-    store: &CheckpointStore,
-    rec: &R,
-) -> (LinkSeries, bool) {
-    measure_link_checkpointed_rec_in(net, &mut ProbeCtx::default(), vp, target, cfg, store, rec)
-}
-
-/// [`measure_link_checkpointed_rec`] reusing a caller-owned [`ProbeCtx`]
-/// (see [`measure_link_in`]); a checkpoint hit never touches the context.
-pub fn measure_link_checkpointed_rec_in<R: Recorder>(
-    net: &Network,
-    ctx: &mut ProbeCtx,
-    vp: NodeId,
-    target: &TslpTarget,
-    cfg: &CampaignConfig,
-    store: &CheckpointStore,
-    rec: &R,
-) -> (LinkSeries, bool) {
-    let key = CheckpointStore::key_for(vp, target);
-    if let Some(hit) = store.load(key) {
-        rec.add("checkpoint_hits", 1);
-        rec.link_event(link_key(target), LinkEvent::CheckpointHit);
-        return hit;
-    }
-    let (series, screened) = measure_link_rec_in(net, ctx, vp, target, cfg, rec);
-    if store.store(key, &series, screened).is_ok() {
-        rec.add("checkpoint_writes", 1);
-        rec.link_event(link_key(target), LinkEvent::CheckpointWrite);
-    }
-    (series, screened)
-}
-
-/// [`measure_vp_links`] through an optional [`CheckpointStore`]: finished
-/// links replay from disk, the rest are measured (and checkpointed) by the
-/// worker pool. With the same config and substrate, a resumed run is
-/// bit-identical to an uninterrupted one.
-pub fn measure_vp_links_checkpointed(
-    net: &Network,
-    vp: NodeId,
-    targets: &[TslpTarget],
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-) -> Vec<(LinkSeries, bool)> {
-    measure_vp_links_checkpointed_rec(net, vp, targets, cfg, store, &NoopRecorder)
-}
-
 /// Per-worker pool state for telemetry runs: each worker accumulates into a
 /// private [`MetricSheet`](ixp_obs::MetricSheet) (no shared-state contention
 /// on the probe hot path) that folds into the campaign recorder exactly once
@@ -416,64 +343,32 @@ impl<R: Recorder> Drop for DrainSheet<'_, R> {
     }
 }
 
-/// [`measure_vp_links_checkpointed`] with telemetry (see
-/// [`measure_vp_links_rec`]); checkpoint replays and writes land in the
-/// per-link ledgers.
-pub fn measure_vp_links_checkpointed_rec<R: Recorder + Sync>(
-    net: &Network,
-    vp: NodeId,
-    targets: &[TslpTarget],
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-    rec: &R,
-) -> Vec<(LinkSeries, bool)> {
-    if !rec.enabled() {
-        // Off path: no worker sheets, no per-link recorders — the pool runs
-        // exactly as it did before telemetry existed.
-        return match store {
-            Some(st) => pool_map_with(cfg.threads, targets, ProbeCtx::default, |ctx, _, t| {
-                measure_link_checkpointed_rec_in(net, ctx, vp, t, cfg, st, &NoopRecorder)
-            }),
-            None => measure_vp_links(net, vp, targets, cfg),
-        };
-    }
-    match store {
-        Some(st) => pool_map_rec(
-            cfg.threads,
-            targets,
-            || (ProbeCtx::default(), DrainSheet::new(rec)),
-            |(ctx, ds), _, t| measure_link_checkpointed_rec_in(net, ctx, vp, t, cfg, st, &ds.local),
-            rec,
-            "campaign",
-            |_, t| link_key(t).label(),
-        ),
-        None => measure_vp_links_rec(net, vp, targets, cfg, rec),
-    }
-}
-
-/// The streaming campaign: measure each link and *consume* its series in
-/// the same worker pass.
+/// The VP-level campaign: measure each link and *consume* its series in the
+/// same worker pass, fanning targets out over `cfg.threads` workers.
 ///
-/// [`measure_vp_links_checkpointed_rec`] materializes every [`LinkSeries`]
-/// before anything downstream runs, so a continent-scale campaign (100k+
-/// links × a year of five-minute rounds) peaks at O(links × series length)
-/// resident memory. Here each worker measures a link (replaying its
-/// checkpoint shard when one exists), hands the series to `consume` — the
-/// detection/assessment stage — and drops it the moment the verdict is out:
-/// peak series memory is O(active windows), one series per live worker.
+/// Each worker measures a link (replaying its checkpoint shard when a store
+/// holds one), hands the series to `consume` — the detection/assessment
+/// stage — and drops it the moment the verdict is out: peak series memory
+/// is O(active windows), one series per live worker, so a continent-scale
+/// campaign (100k+ links × a year of five-minute rounds) never holds
+/// O(links × series length). A caller that wants every series back passes
+/// the identity consumer `|_, _, _, s, sc| (s, sc)`.
 ///
 /// `consume` runs under the same purity contract as the pool itself: a pure
 /// function of `(state, index, target, series, screened)` — so results come
 /// back in target order, bit-identical at any thread count, and a panic
 /// quarantines the link as a [`WorkerFailure`] (the caller can re-obtain
-/// the dropped series via [`measure_link_checkpointed`]: the measurement is
-/// a pure function, and with a store it replays from the shard the worker
-/// already wrote).
+/// the dropped series via [`measure_link_with`]: the measurement is a pure
+/// function, and with a store it replays from the shard the worker already
+/// wrote).
 ///
-/// On the telemetry path two gauges observe the streaming promise:
-/// `campaign_active_windows` (high-water mark of series alive at once) and
-/// `campaign_peak_rss_mb` (process peak RSS after the pass, where procfs
-/// exposes it). Gauges are observation-side and excluded from the
+/// With an enabled recorder every worker accumulates per-link probe
+/// ledgers, RTT histograms, and campaign counters into a private sheet,
+/// folded into `rec` once per worker; only the per-worker rows
+/// (`rec.worker`) depend on scheduling. Two gauges observe the streaming
+/// promise: `campaign_active_windows` (high-water mark of series alive at
+/// once) and `campaign_peak_rss_mb` (process peak RSS after the pass, where
+/// procfs exposes it). Gauges are observation-side and excluded from the
 /// deterministic manifest form.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_vp_links_rec<T, S, R>(
@@ -490,35 +385,29 @@ where
     T: Send,
     R: Recorder + Sync,
 {
+    let key_of = |_: usize, t: &TslpTarget| link_key(t).label();
     if !rec.enabled() {
-        return pool_try_map_rec(
+        // Off path: no worker sheets, no per-link recorders, no clock reads.
+        return pool_try_map(
             cfg.threads,
             targets,
             || (init(), ProbeCtx::default()),
             |(s, ctx), i, t| {
-                let (series, screened) = match store {
-                    Some(st) => {
-                        measure_link_checkpointed_rec_in(net, ctx, vp, t, cfg, st, &NoopRecorder)
-                    }
-                    None => measure_link_in(net, ctx, vp, t, cfg),
-                };
+                let (series, screened) = measure_link_with(net, ctx, vp, t, cfg, store, &NoopRecorder);
                 consume(s, i, t, series, screened)
             },
             &NoopRecorder,
             "campaign",
-            |_, t| link_key(t).label(),
+            key_of,
         );
     }
     let active = AtomicUsize::new(0);
-    let out = pool_try_map_rec(
+    let out = pool_try_map(
         cfg.threads,
         targets,
         || (init(), ProbeCtx::default(), DrainSheet::new(rec)),
         |(s, ctx, ds), i, t| {
-            let (series, screened) = match store {
-                Some(st) => measure_link_checkpointed_rec_in(net, ctx, vp, t, cfg, st, &ds.local),
-                None => measure_link_rec_in(net, ctx, vp, t, cfg, &ds.local),
-            };
+            let (series, screened) = measure_link_with(net, ctx, vp, t, cfg, store, &ds.local);
             let alive = active.fetch_add(1, Ordering::Relaxed) + 1;
             ds.local.gauge("campaign_active_windows", alive as f64);
             let r = consume(s, i, t, series, screened);
@@ -527,7 +416,7 @@ where
         },
         rec,
         "campaign",
-        |_, t| link_key(t).label(),
+        key_of,
     );
     if let Some(mb) = ixp_obs::peak_rss_mb() {
         rec.gauge("campaign_peak_rss_mb", mb);
@@ -606,30 +495,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the worker rebuilds state via `init` before its next item. Because each
 /// item is independent, quarantining one item cannot change any other
 /// item's result — the any-thread-count determinism guarantee holds for
-/// the `Ok` entries.
+/// the `Ok` entries. Callers that treat a panic as fatal unwrap the result.
+///
+/// Telemetry: each worker reports to `rec` how many items it processed and
+/// how long it stayed busy (`rec.worker`, under the `pool` name), panics
+/// bump the `pool_panics` counter, and a [`WorkerFailure`] carries the
+/// worker id and the item's `key_of` label. `key_of` is only evaluated on a
+/// panic — the happy path never pays for it — and with a disabled recorder
+/// the timing clock is never read.
 ///
 /// `threads = 1` (or a single item) runs inline on the calling thread with
 /// one state, no pool.
-pub fn pool_try_map_with<T, R, S>(
-    threads: usize,
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &T) -> R + Sync,
-) -> Vec<Result<R, WorkerFailure>>
-where
-    T: Sync,
-    R: Send,
-{
-    pool_try_map_rec(threads, items, init, f, &NoopRecorder, "pool", |i, _| i.to_string())
-}
-
-/// [`pool_try_map_with`] with telemetry: each worker reports how many items
-/// it processed and how long it stayed busy (`rec.worker`), panics bump the
-/// `pool_panics` counter, and a [`WorkerFailure`] carries the worker id and
-/// the item's `key_of` label. `key_of` is only evaluated on a panic — the
-/// happy path never pays for it. With a disabled recorder this is exactly
-/// [`pool_try_map_with`]: the timing clock is never read.
-pub fn pool_try_map_rec<T, R, S, Rec>(
+pub fn pool_try_map<T, R, S, Rec>(
     threads: usize,
     items: &[T],
     init: impl Fn() -> S + Sync,
@@ -709,110 +586,33 @@ where
         .collect()
 }
 
-/// [`pool_try_map_with`] for callers that treat a worker panic as fatal:
-/// the first failure (in item order) is re-raised on the calling thread.
-pub fn pool_map_with<T, R, S>(
-    threads: usize,
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    pool_map_rec(threads, items, init, f, &NoopRecorder, "pool", |i, _| i.to_string())
-}
-
-/// [`pool_try_map_rec`] with fatal panics: the first failure (in item
-/// order) is re-raised on the calling thread, carrying the worker id and
-/// item key alongside the original payload.
-pub fn pool_map_rec<T, R, S, Rec>(
-    threads: usize,
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &T) -> R + Sync,
-    rec: &Rec,
-    pool: &str,
-    key_of: impl Fn(usize, &T) -> String + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    Rec: Recorder + Sync,
-{
-    pool_try_map_rec(threads, items, init, f, rec, pool, key_of)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!(
-                "worker panicked on item {} (worker {}, key {}): {}",
-                e.index, e.worker, e.key, e.message
-            ),
-        })
-        .collect()
-}
-
-/// Measure a whole target list, fanning targets out over `cfg.threads`
-/// workers. Results come back in target order and are bit-identical to the
-/// sequential run at any thread count: each target owns a private
-/// [`ProbeCtx`] and the substrate is only read.
-pub fn measure_vp_links(
-    net: &Network,
-    vp: NodeId,
-    targets: &[TslpTarget],
-    cfg: &CampaignConfig,
-) -> Vec<(LinkSeries, bool)> {
-    pool_map_with(cfg.threads, targets, ProbeCtx::default, |ctx, _, t| {
-        measure_link_in(net, ctx, vp, t, cfg)
-    })
-}
-
-/// [`measure_vp_links`] with telemetry: every worker accumulates per-link
-/// probe ledgers, RTT histograms, and campaign counters into a private
-/// sheet, folded into `rec` once per worker ([`DrainSheet`]). Counters,
-/// ledgers, and histograms are identical at every thread count; only the
-/// per-worker rows (`rec.worker`) depend on scheduling.
-pub fn measure_vp_links_rec<R: Recorder + Sync>(
-    net: &Network,
-    vp: NodeId,
-    targets: &[TslpTarget],
-    cfg: &CampaignConfig,
-    rec: &R,
-) -> Vec<(LinkSeries, bool)> {
-    if !rec.enabled() {
-        return measure_vp_links(net, vp, targets, cfg);
-    }
-    pool_map_rec(
-        cfg.threads,
-        targets,
-        || (ProbeCtx::default(), DrainSheet::new(rec)),
-        |(ctx, ds), _, t| measure_link_rec_in(net, ctx, vp, t, cfg, &ds.local),
-        rec,
-        "campaign",
-        |_, t| link_key(t).label(),
-    )
-}
-
-/// Measure a whole target list; returns per-target series plus the count of
-/// links the screening pass short-circuited.
-pub fn measure_vp(
-    net: &Network,
-    vp: NodeId,
-    targets: &[TslpTarget],
-    cfg: &CampaignConfig,
-) -> (Vec<LinkSeries>, usize) {
-    let results = measure_vp_links(net, vp, targets, cfg);
-    let screened = results.iter().filter(|(_, sc)| *sc).count();
-    (results.into_iter().map(|(s, _)| s).collect(), screened)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detect::{assess_link, AssessConfig};
+    use crate::health::HealthReport;
+    use ixp_chgpt::DetectorScratch;
     use ixp_prober::testutil::{congested_line, line_topology};
     use ixp_simnet::prelude::Ipv4;
+
+    /// Every target's series, through the streaming campaign with the
+    /// identity consumer.
+    fn measure_all(
+        net: &Network,
+        vp: NodeId,
+        targets: &[TslpTarget],
+        cfg: &CampaignConfig,
+        store: Option<&CheckpointStore>,
+    ) -> Vec<(LinkSeries, bool)> {
+        stream_vp_links(net, vp, targets, cfg, store, || (), |_, _, _, s, sc| (s, sc))
+            .into_iter()
+            .map(|r| r.expect("no quarantines"))
+            .collect()
+    }
+
+    fn assess(series: &LinkSeries) -> crate::detect::Assessment {
+        assess_link(series, &AssessConfig::default(), &HealthReport::clean(), &mut DetectorScratch::new())
+    }
 
     fn target() -> TslpTarget {
         TslpTarget {
@@ -831,7 +631,7 @@ mod tests {
         let (series, screened) = measure_link(&net, vp, &target(), &cfg);
         assert!(screened, "clean line should not need the full campaign");
         assert_eq!(series.cfg.interval, SimDuration::from_hours(1));
-        assert!(!assess_link(&series, &AssessConfig::default()).flagged);
+        assert!(!assess(&series).flagged);
     }
 
     /// Overload only between 10:00 and 16:00 — a diurnal congestion pulse.
@@ -859,9 +659,9 @@ mod tests {
             .set_load(ixp_simnet::prelude::Dir::AtoB, std::sync::Arc::new(MiddayPulse));
         let cfg = CampaignConfig::paper(SimTime::ZERO, SimTime::from_date(2016, 1, 15));
         let (series, screened) = measure_link(&net, vp, &target(), &cfg);
-        assert!(!screened, "spread {}", far_spread_ms(&series));
+        assert!(!screened, "a midday pulse must pass the excursion screen");
         assert_eq!(series.cfg.interval, SimDuration::from_mins(5));
-        let a = assess_link(&series, &AssessConfig::default());
+        let a = assess(&series);
         assert!(a.flagged);
         assert!(a.diurnal);
         assert!(a.congested);
@@ -882,7 +682,7 @@ mod tests {
         let want: Vec<u64> = items.iter().map(|&x| x * x).collect();
         for threads in [1usize, 2, 3, 8] {
             // Per-worker state: a reused buffer, as a stand-in for a scratch.
-            let got = pool_map_with(
+            let got: Vec<u64> = pool_try_map(
                 threads,
                 &items,
                 Vec::<u64>::new,
@@ -891,32 +691,47 @@ mod tests {
                     assert_eq!(items[i], x);
                     x * x
                 },
-            );
+                &NoopRecorder,
+                "pool",
+                |i, _| i.to_string(),
+            )
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
             assert_eq!(got, want, "threads={threads}");
         }
         // Empty input is fine.
-        assert!(pool_map_with(4, &[] as &[u64], || (), |_, _, &x| x).is_empty());
+        let empty = pool_try_map(4, &[] as &[u64], || (), |_, _, &x| x, &NoopRecorder, "pool", |i, _| i.to_string());
+        assert!(empty.is_empty());
     }
 
     #[test]
-    fn measure_vp_counts_screening() {
+    fn streaming_counts_screening() {
         let (net, vp, _) = line_topology(53);
         let cfg = CampaignConfig::paper(SimTime::ZERO, SimTime::from_date(2016, 1, 5));
         let targets = vec![target(); 3];
-        let (series, screened) = measure_vp(&net, vp, &targets, &cfg);
-        assert_eq!(series.len(), 3);
-        assert_eq!(screened, 3);
+        let out = measure_all(&net, vp, &targets, &cfg, None);
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.iter().filter(|(_, sc)| *sc).count(), 3);
     }
 
     #[test]
     fn poisoned_item_quarantines_not_aborts() {
         let items: Vec<u64> = (0..40).collect();
         for threads in [1usize, 3] {
-            let got = pool_try_map_with(threads, &items, || 0u64, |acc, _, &x| {
-                assert!(x % 13 != 7, "poisoned item {x}");
-                *acc += 1; // per-worker state keeps working after a panic
-                x * 2
-            });
+            let got = pool_try_map(
+                threads,
+                &items,
+                || 0u64,
+                |acc, _, &x| {
+                    assert!(x % 13 != 7, "poisoned item {x}");
+                    *acc += 1; // per-worker state keeps working after a panic
+                    x * 2
+                },
+                &NoopRecorder,
+                "pool",
+                |i, _| i.to_string(),
+            );
             assert_eq!(got.len(), items.len());
             for (i, r) in got.iter().enumerate() {
                 if i % 13 == 7 {
@@ -934,7 +749,7 @@ mod tests {
     fn worker_failures_carry_worker_and_key() {
         let items: Vec<u64> = (0..12).collect();
         for threads in [1usize, 3] {
-            let got = pool_try_map_rec(
+            let got = pool_try_map(
                 threads,
                 &items,
                 || (),
@@ -958,7 +773,7 @@ mod tests {
         use ixp_obs::MetricsRegistry;
         let items: Vec<u64> = (0..30).collect();
         let reg = MetricsRegistry::new();
-        let got = pool_try_map_rec(
+        let got = pool_try_map(
             3,
             &items,
             || (),
@@ -995,7 +810,10 @@ mod tests {
 
         let run = |cfg: &CampaignConfig| {
             let reg = MetricsRegistry::new();
-            let out = measure_vp_links_rec(&net, vp, &targets, cfg, &reg);
+            let out: Vec<_> = stream_vp_links_rec(&net, vp, &targets, cfg, None, &reg, || (), |_, _, _, s, sc| (s, sc))
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
             (out, reg.snapshot())
         };
         let (out1, s1) = run(&cfg1);
@@ -1018,21 +836,24 @@ mod tests {
         assert!(s1.counter("probes_sent") > 0);
         assert_eq!(s1.counter("links_screened"), 4);
         // And the recorded run returns exactly what the plain run returns.
-        let plain = measure_vp_links(&net, vp, &targets, &cfg1);
+        let plain = measure_all(&net, vp, &targets, &cfg1, None);
         assert_eq!(bits(&out1), bits(&plain), "telemetry only observes");
     }
 
     #[test]
-    fn streaming_matches_two_pass_at_any_thread_count() {
+    fn streaming_matches_per_link_measurement_at_any_thread_count() {
         let (net, vp, _) = line_topology(56);
         let targets = vec![target(); 5];
         let base = CampaignConfig::paper(SimTime::ZERO, SimTime::from_date(2016, 1, 5));
         let bits = |s: &LinkSeries| {
             s.far_ms.iter().chain(&s.near_ms).map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        let two_pass: Vec<_> = measure_vp_links(&net, vp, &targets, &base)
+        let one_by_one: Vec<_> = targets
             .iter()
-            .map(|(s, sc)| (bits(s), *sc))
+            .map(|t| {
+                let (s, sc) = measure_link(&net, vp, t, &base);
+                (bits(&s), sc)
+            })
             .collect();
         for threads in [1usize, 3] {
             let cfg = CampaignConfig { threads, ..base };
@@ -1041,7 +862,7 @@ mod tests {
                 (bits(&s), sc)
             });
             let streamed: Vec<_> = streamed.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(streamed, two_pass, "threads={threads}");
+            assert_eq!(streamed, one_by_one, "threads={threads}");
         }
     }
 
@@ -1063,7 +884,8 @@ mod tests {
         assert!(failure.message.contains("poisoned consumer"));
         // The dropped series replays from the shard the worker wrote before
         // its consumer panicked — same length as its successful twin.
-        let (replayed, _) = measure_link_checkpointed(&net, vp, &targets[1], &cfg, &store);
+        let (replayed, _) =
+            measure_link_with(&net, &mut ProbeCtx::default(), vp, &targets[1], &cfg, Some(&store), &NoopRecorder);
         assert_eq!(replayed.len(), *out[0].as_ref().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1086,16 +908,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked on item 2")]
-    fn pool_map_reraises_first_failure() {
-        let items: Vec<u64> = (0..5).collect();
-        pool_map_with(1, &items, || (), |_, _, &x| {
-            assert!(x != 2, "boom");
-            x
-        });
-    }
-
-    #[test]
     fn checkpointed_measurement_resumes_bit_identical() {
         let dir = std::env::temp_dir()
             .join(format!("tslp-campaign-ckpt-{}", std::process::id()));
@@ -1103,16 +915,16 @@ mod tests {
         let (net, vp, _) = line_topology(54);
         let cfg = CampaignConfig::paper(SimTime::ZERO, SimTime::from_date(2016, 1, 8));
         let targets = vec![target(); 2];
-        let plain = measure_vp_links(&net, vp, &targets, &cfg);
+        let plain = measure_all(&net, vp, &targets, &cfg, None);
 
         let store = CheckpointStore::new(&dir, campaign_fingerprint(&cfg)).unwrap();
         // First pass measures and persists; both targets share one key (the
         // same walk), so one checkpoint covers them.
-        let first = measure_vp_links_checkpointed(&net, vp, &targets, &cfg, Some(&store));
+        let first = measure_all(&net, vp, &targets, &cfg, Some(&store));
         assert!(!store.is_empty());
         // Second pass replays from disk: must match the uncheckpointed run
         // bit for bit.
-        let resumed = measure_vp_links_checkpointed(&net, vp, &targets, &cfg, Some(&store));
+        let resumed = measure_all(&net, vp, &targets, &cfg, Some(&store));
         for ((p, f), r) in plain.iter().zip(&first).zip(&resumed) {
             for out in [f, r] {
                 assert_eq!(out.1, p.1);

@@ -13,19 +13,22 @@
 //! 5. characterizes the waveform: average magnitude `A_w`, average
 //!    up→down width `Δt_UD`, and the sustained/transient label (§6.1).
 //!
-//! The `*_masked` entry points additionally take a [`HealthReport`] from
-//! [`crate::health`] and attribute level shifts that begin or end inside
-//! (or within [`AssessConfig::mask_slack`] of) a far-side gap/outage
-//! interval — or within slack of a fingerprinted **path change** (a routing
-//! event re-converged the forwarding path under the measurement) — to
+//! Two entry points share one segmentation and one verdict path:
+//! [`assess_link`] assesses at the configured threshold, and
+//! [`assess_at_thresholds_masked_with`] runs the Table 1 sweep over a single
+//! segmentation. Both take a [`HealthReport`] from [`crate::health`] and
+//! attribute level shifts that begin or end inside (or within
+//! [`AssessConfig::mask_slack`] of) a far-side gap/outage interval — or
+//! within slack of a fingerprinted **path change** (a routing event
+//! re-converged the forwarding path under the measurement) — to
 //! **measurement artifacts** instead of congestion: they land in
 //! [`Assessment::artifacts`], never in [`Assessment::events`], and do not
 //! contribute to the flagged/diurnal/congested verdicts. Shifts on a stable
 //! path are untouched, so campaigns without routing events keep verdicts
 //! bit-identical. The near-side guard is extended the same way: far events
 //! coincident with *near-side* gaps are vetoed as
-//! [`NearGuard::CoincidentGaps`]. The unmasked entry points behave exactly
-//! as before (an always-clean mask).
+//! [`NearGuard::CoincidentGaps`]. [`HealthReport::clean`] is the unmasked
+//! assessment: no gaps, no path changes, trusted health.
 
 use crate::health::{HealthReport, LinkHealth};
 use crate::series::LinkSeries;
@@ -239,7 +242,7 @@ pub struct Assessment {
 }
 
 /// Threshold-independent detector output, reusable across a threshold sweep.
-pub struct Segmentation {
+struct Segmentation {
     far: Vec<f64>,
     far_idx: Vec<usize>,
     segs: Vec<Segment>,
@@ -249,20 +252,17 @@ pub struct Segmentation {
     far_validity: f64,
 }
 
-/// Run the level-shift detector once; the expensive, threshold-independent
-/// half of [`assess_link`]. Returns `None` when the series is too short.
-pub fn segment_far(series: &LinkSeries, cfg: &AssessConfig) -> Option<Segmentation> {
-    segment_far_with(series, cfg, &mut DetectorScratch::new())
-}
-
-/// [`segment_far`] over reusable detector scratch: the detection internals
-/// (shuffle, rank, selection and stack buffers) come from `scratch`, so a
-/// per-worker scratch makes the hot per-window path allocation-free. The
-/// returned [`Segmentation`] still owns its data — it outlives the scratch
-/// across a threshold sweep.
-pub fn segment_far_with(
+/// Run the level-shift detector once with the given magnitude gate: the
+/// expensive, threshold-independent half of an assessment. The detection
+/// internals (shuffle, rank, selection and stack buffers) come from
+/// `scratch`, so a per-worker scratch makes the hot per-window path
+/// allocation-free; the returned [`Segmentation`] still owns its data — it
+/// outlives the scratch across a threshold sweep. `None` when the series is
+/// too short.
+fn segment(
     series: &LinkSeries,
     cfg: &AssessConfig,
+    magnitude_gate: f64,
     scratch: &mut DetectorScratch,
 ) -> Option<Segmentation> {
     let (far, far_idx) = series.far_clean();
@@ -271,83 +271,54 @@ pub fn segment_far_with(
     if far.len() < 2 * cfg.detector.min_segment.max(min_len) {
         return None;
     }
-    let det = DetectorConfig { min_segment: min_len.max(cfg.detector.min_segment), ..cfg.detector.clone() };
+    let det = DetectorConfig {
+        min_segment: min_len.max(cfg.detector.min_segment),
+        magnitude_gate,
+        ..cfg.detector.clone()
+    };
     let (segs, baseline) = scratch.segment_series(&far, &det, cfg.baseline_quantile);
     let segs = segs.to_vec();
     Some(Segmentation { far, far_idx, segs, baseline, det, min_len, far_validity })
 }
 
-/// Run the full assessment for one link.
-pub fn assess_link(series: &LinkSeries, cfg: &AssessConfig) -> Assessment {
-    assess_link_with(series, cfg, &mut DetectorScratch::new())
-}
-
-/// [`assess_link`] over reusable detector scratch (one per worker thread).
-pub fn assess_link_with(
-    series: &LinkSeries,
-    cfg: &AssessConfig,
-    scratch: &mut DetectorScratch,
-) -> Assessment {
-    match segment_far_with(series, cfg, scratch) {
-        Some(pre) => assess_from_segmentation_with(series, cfg, &pre, scratch),
-        None => empty_assessment(series.far_validity(), f64::NAN),
-    }
-}
-
-/// The cheap, threshold-dependent half of the assessment.
-pub fn assess_from_segmentation(series: &LinkSeries, cfg: &AssessConfig, pre: &Segmentation) -> Assessment {
-    assess_from_segmentation_with(series, cfg, pre, &mut DetectorScratch::new())
-}
-
-/// [`assess_from_segmentation`] over reusable detector scratch (the near-
-/// side guard runs the detector on the near series).
-pub fn assess_from_segmentation_with(
-    series: &LinkSeries,
-    cfg: &AssessConfig,
-    pre: &Segmentation,
-    scratch: &mut DetectorScratch,
-) -> Assessment {
-    assess_core(series, cfg, pre, None, scratch)
-}
-
-/// [`assess_link`] under a measurement-health mask: level shifts whose
-/// boundaries coincide with a far-side gap/outage interval in `mask` are
-/// attributed to measurement artifacts, and far events coincident with
-/// near-side gaps veto the link as [`NearGuard::CoincidentGaps`]. Obtain
-/// the mask from [`crate::health::classify_link`] (typically with
-/// [`AssessConfig::health`]).
-pub fn assess_link_masked(series: &LinkSeries, cfg: &AssessConfig, mask: &HealthReport) -> Assessment {
-    assess_link_masked_with(series, cfg, mask, &mut DetectorScratch::new())
-}
-
-/// [`assess_link_masked`] over reusable detector scratch.
-pub fn assess_link_masked_with(
+/// Assess one link at `cfg.threshold_ms` under a measurement-health mask,
+/// over reusable detector scratch (one per worker thread).
+///
+/// Level shifts whose boundaries coincide with a far-side gap/outage
+/// interval or a path change in `mask` are attributed to measurement
+/// artifacts, and far events coincident with near-side gaps veto the link
+/// as [`NearGuard::CoincidentGaps`]. Obtain the mask from
+/// [`crate::health::classify_link`] (typically with
+/// [`AssessConfig::health`]); [`HealthReport::clean`] assumes nothing about
+/// data quality and masks nothing. Callers that want telemetry pass the
+/// result to [`record_assessment`].
+pub fn assess_link(
     series: &LinkSeries,
     cfg: &AssessConfig,
     mask: &HealthReport,
     scratch: &mut DetectorScratch,
 ) -> Assessment {
-    match segment_far_with(series, cfg, scratch) {
-        Some(pre) => assess_core(series, cfg, &pre, Some(mask), scratch),
-        None => Assessment { health: mask.overall, ..empty_assessment(series.far_validity(), f64::NAN) },
-    }
+    let pre = segment(series, cfg, cfg.detector.magnitude_gate, scratch);
+    assess_core(series, cfg, cfg.threshold_ms, pre.as_ref(), mask, scratch)
 }
 
-/// [`assess_link_masked_with`] with telemetry: the verdict lands in the
-/// aggregate `links_*` counters and in the link's ledger (event counts,
-/// artifact counts, health class). A disabled recorder records nothing and
-/// the assessment itself is unchanged — telemetry only observes.
-pub fn assess_link_masked_rec<R: Recorder>(
+/// [`assess_link`] at several thresholds — the Table 1 sensitivity sweep.
+/// The (expensive, threshold-independent) segmentation runs once, with the
+/// magnitude gate lowered to `0.8 ×` the smallest threshold when the
+/// configured gate sits above it; the verdict logic runs per threshold.
+pub fn assess_at_thresholds_masked_with(
     series: &LinkSeries,
     cfg: &AssessConfig,
+    thresholds_ms: &[f64],
     mask: &HealthReport,
     scratch: &mut DetectorScratch,
-    rec: &R,
-    key: LinkKey,
-) -> Assessment {
-    let a = assess_link_masked_with(series, cfg, mask, scratch);
-    record_assessment(rec, key, &a);
-    a
+) -> Vec<(f64, Assessment)> {
+    let min_t = thresholds_ms.iter().cloned().fold(f64::INFINITY, f64::min);
+    let pre = segment(series, cfg, cfg.detector.magnitude_gate.min(min_t * 0.8), scratch);
+    thresholds_ms
+        .iter()
+        .map(|&t| (t, assess_core(series, cfg, t, pre.as_ref(), mask, scratch)))
+        .collect()
 }
 
 /// Fold one assessment's verdict into a telemetry recorder: aggregate
@@ -392,19 +363,23 @@ pub fn record_assessment<R: Recorder>(rec: &R, key: LinkKey, a: &Assessment) {
     }
 }
 
-/// Shared implementation: `mask = None` is the unmasked path (identical
-/// decisions to the pre-mask assessment), `Some` applies artifact masking.
+/// The threshold-dependent half of the assessment, shared by every entry
+/// point. `threshold_ms` overrides `cfg.threshold_ms` (the segmentation
+/// carries its own detector settings). A clean `mask` (no gaps, near gaps
+/// or path changes) masks nothing and leaves the verdict trusted.
 fn assess_core(
     series: &LinkSeries,
     cfg: &AssessConfig,
-    pre: &Segmentation,
-    mask: Option<&HealthReport>,
+    threshold_ms: f64,
+    pre: Option<&Segmentation>,
+    mask: &HealthReport,
     scratch: &mut DetectorScratch,
 ) -> Assessment {
-    let Segmentation { far, far_idx, segs, baseline, det, min_len, far_validity } = pre;
-    let (far, far_idx, min_len, far_validity, baseline) =
-        (far, far_idx, *min_len, *far_validity, *baseline);
-    let raw_events = extract_events(segs, baseline, cfg.threshold_ms, min_len);
+    let Some(Segmentation { far, far_idx, segs, baseline, det, min_len, far_validity }) = pre else {
+        return Assessment { health: mask.overall, ..Assessment::empty(series.far_validity(), f64::NAN) };
+    };
+    let (min_len, far_validity, baseline) = (*min_len, *far_validity, *baseline);
+    let raw_events = extract_events(segs, baseline, threshold_ms, min_len);
     let gap = samples_for(cfg.sanitize_gap, series.cfg.interval);
     let mut events = sanitize_events(&raw_events, gap);
 
@@ -416,40 +391,33 @@ fn assess_core(
     let slack = samples_for(cfg.mask_slack, series.cfg.interval);
     let mut artifact_raw: Vec<ShiftEvent> = Vec::new();
     let mut artifact_causes: Vec<ArtifactCause> = Vec::new();
-    let mut masks_ran = false;
-    if let Some(h) = mask {
-        if !h.gaps.is_empty() || !h.path_changes.is_empty() {
-            masks_ran = true;
-            let mut kept = Vec::with_capacity(events.len());
-            for e in events {
-                let start_round = far_idx[e.start];
-                let end_round = far_idx[(e.end - 1).min(far_idx.len() - 1)];
-                // Same predicate as before, unrolled so the *first* firing
-                // mask is recorded as the artifact's cause.
-                let cause = if h.near_far_gap(start_round, slack) {
-                    Some(ArtifactCause { kind: ArtifactCauseKind::GapAtStart, round: start_round })
-                } else if h.near_far_gap(end_round, slack) {
-                    Some(ArtifactCause { kind: ArtifactCauseKind::GapAtEnd, round: end_round })
-                } else if h.near_path_change(start_round, slack) {
-                    Some(ArtifactCause {
-                        kind: ArtifactCauseKind::PathChangeAtStart,
-                        round: start_round,
-                    })
-                } else if h.near_path_change(end_round, slack) {
-                    Some(ArtifactCause { kind: ArtifactCauseKind::PathChangeAtEnd, round: end_round })
-                } else {
-                    None
-                };
-                match cause {
-                    Some(c) => {
-                        artifact_causes.push(c);
-                        artifact_raw.push(e);
-                    }
-                    None => kept.push(e),
+    let masks_ran = !mask.gaps.is_empty() || !mask.path_changes.is_empty();
+    if masks_ran {
+        let mut kept = Vec::with_capacity(events.len());
+        for e in events {
+            let start_round = far_idx[e.start];
+            let end_round = far_idx[(e.end - 1).min(far_idx.len() - 1)];
+            // The first firing mask is recorded as the artifact's cause.
+            let cause = if mask.near_far_gap(start_round, slack) {
+                Some(ArtifactCause { kind: ArtifactCauseKind::GapAtStart, round: start_round })
+            } else if mask.near_far_gap(end_round, slack) {
+                Some(ArtifactCause { kind: ArtifactCauseKind::GapAtEnd, round: end_round })
+            } else if mask.near_path_change(start_round, slack) {
+                Some(ArtifactCause { kind: ArtifactCauseKind::PathChangeAtStart, round: start_round })
+            } else if mask.near_path_change(end_round, slack) {
+                Some(ArtifactCause { kind: ArtifactCauseKind::PathChangeAtEnd, round: end_round })
+            } else {
+                None
+            };
+            match cause {
+                Some(c) => {
+                    artifact_causes.push(c);
+                    artifact_raw.push(e);
                 }
+                None => kept.push(e),
             }
-            events = kept;
         }
+        events = kept;
     }
     let flagged = !events.is_empty();
 
@@ -464,18 +432,16 @@ fn assess_core(
     // Near-side guard, extended under a mask: far events spending too much
     // of their span inside near-side measurement gaps cannot exonerate the
     // near series, so they veto the link just like coincident near shifts.
-    let mut guard = near_guard(series, &events, far_idx, cfg, det, scratch);
-    if let Some(h) = mask {
-        if guard != NearGuard::CoincidentShifts && !h.near_gaps.is_empty() && flagged {
-            let spans: Vec<(usize, usize)> = events
-                .iter()
-                .map(|e| (far_idx[e.start], far_idx[(e.end - 1).min(far_idx.len() - 1)] + 1))
-                .collect();
-            let total: usize = spans.iter().map(|(a, b)| b - a).sum();
-            let covered = gap_overlap(&spans, &h.near_gaps, slack);
-            if total > 0 && covered as f64 / total as f64 > cfg.near_overlap_limit {
-                guard = NearGuard::CoincidentGaps;
-            }
+    let mut guard = near_guard(series, &events, far_idx, cfg, threshold_ms, det, scratch);
+    if guard != NearGuard::CoincidentShifts && !mask.near_gaps.is_empty() && flagged {
+        let spans: Vec<(usize, usize)> = events
+            .iter()
+            .map(|e| (far_idx[e.start], far_idx[(e.end - 1).min(far_idx.len() - 1)] + 1))
+            .collect();
+        let total: usize = spans.iter().map(|(a, b)| b - a).sum();
+        let covered = gap_overlap(&spans, &mask.near_gaps, slack);
+        if total > 0 && covered as f64 / total as f64 > cfg.near_overlap_limit {
+            guard = NearGuard::CoincidentGaps;
         }
     }
     let near_guard = guard;
@@ -511,10 +477,10 @@ fn assess_core(
     // trusted: the samples themselves are sound, and the change-coincident
     // shifts were already diverted to artifacts above — shifts on the stable
     // stretches between changes are real evidence.
-    let health = mask.map_or(LinkHealth::Clean, |h| h.overall);
+    let health = mask.overall;
     let trusted = match health {
         LinkHealth::AddrUnstable => false,
-        LinkHealth::Silent => mask.is_none_or(|h| h.far_validity >= cfg.min_validity),
+        LinkHealth::Silent => mask.far_validity >= cfg.min_validity,
         _ => true,
     };
 
@@ -569,77 +535,6 @@ fn gap_overlap(spans: &[(usize, usize)], gaps: &[crate::health::GapInterval], sl
     overlap
 }
 
-/// Re-evaluate the flagged/diurnal verdicts at several thresholds while
-/// running the (expensive, threshold-independent) segmentation only once —
-/// the Table 1 sensitivity sweep.
-pub fn assess_at_thresholds(series: &LinkSeries, cfg: &AssessConfig, thresholds_ms: &[f64]) -> Vec<(f64, Assessment)> {
-    assess_at_thresholds_with(series, cfg, thresholds_ms, &mut DetectorScratch::new())
-}
-
-/// [`assess_at_thresholds`] over reusable detector scratch.
-pub fn assess_at_thresholds_with(
-    series: &LinkSeries,
-    cfg: &AssessConfig,
-    thresholds_ms: &[f64],
-    scratch: &mut DetectorScratch,
-) -> Vec<(f64, Assessment)> {
-    let min_t = thresholds_ms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let base_cfg = AssessConfig {
-        detector: DetectorConfig {
-            magnitude_gate: cfg.detector.magnitude_gate.min(min_t * 0.8),
-            ..cfg.detector.clone()
-        },
-        ..cfg.clone()
-    };
-    let pre = segment_far_with(series, &base_cfg, scratch);
-    thresholds_ms
-        .iter()
-        .map(|&t| {
-            let c = AssessConfig { threshold_ms: t, ..base_cfg.clone() };
-            let a = match &pre {
-                Some(p) => assess_from_segmentation_with(series, &c, p, scratch),
-                None => empty_assessment(series.far_validity(), f64::NAN),
-            };
-            (t, a)
-        })
-        .collect()
-}
-
-/// [`assess_at_thresholds_with`] under a measurement-health mask: the
-/// segmentation and the health classification each run once, the masked
-/// verdict logic runs per threshold.
-pub fn assess_at_thresholds_masked_with(
-    series: &LinkSeries,
-    cfg: &AssessConfig,
-    thresholds_ms: &[f64],
-    mask: &HealthReport,
-    scratch: &mut DetectorScratch,
-) -> Vec<(f64, Assessment)> {
-    let min_t = thresholds_ms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let base_cfg = AssessConfig {
-        detector: DetectorConfig {
-            magnitude_gate: cfg.detector.magnitude_gate.min(min_t * 0.8),
-            ..cfg.detector.clone()
-        },
-        ..cfg.clone()
-    };
-    let pre = segment_far_with(series, &base_cfg, scratch);
-    thresholds_ms
-        .iter()
-        .map(|&t| {
-            let c = AssessConfig { threshold_ms: t, ..base_cfg.clone() };
-            let a = match &pre {
-                Some(p) => assess_core(series, &c, p, Some(mask), scratch),
-                None => Assessment {
-                    health: mask.overall,
-                    ..empty_assessment(series.far_validity(), f64::NAN)
-                },
-            };
-            (t, a)
-        })
-        .collect()
-}
-
 impl Assessment {
     /// An all-negative assessment: nothing flagged, no events, unknown near
     /// side. Produced for too-short series; also what a quarantined link
@@ -663,10 +558,6 @@ impl Assessment {
     }
 }
 
-fn empty_assessment(far_validity: f64, baseline: f64) -> Assessment {
-    Assessment::empty(far_validity, baseline)
-}
-
 fn samples_for(d: SimDuration, interval: SimDuration) -> usize {
     (d.as_micros() / interval.as_micros().max(1)).max(1) as usize
 }
@@ -677,6 +568,7 @@ fn near_guard(
     far_events: &[ShiftEvent],
     far_idx: &[usize],
     cfg: &AssessConfig,
+    threshold_ms: f64,
     det: &DetectorConfig,
     scratch: &mut DetectorScratch,
 ) -> NearGuard {
@@ -685,7 +577,7 @@ fn near_guard(
         return NearGuard::Unclear;
     }
     let (segs, base) = scratch.segment_series(&near, det, cfg.baseline_quantile);
-    let near_events = extract_events(segs, base, cfg.threshold_ms, det.min_segment);
+    let near_events = extract_events(segs, base, threshold_ms, det.min_segment);
     if near_events.is_empty() || far_events.is_empty() {
         return NearGuard::Clean;
     }
@@ -753,6 +645,15 @@ mod tests {
     use crate::series::{LinkSeries, SeriesConfig};
     use ixp_prober::tslp::TslpSample;
 
+    /// The unmasked assessment: a clean report masks nothing.
+    fn assess(s: &LinkSeries, cfg: &AssessConfig) -> Assessment {
+        assess_masked(s, cfg, &HealthReport::clean())
+    }
+
+    fn assess_masked(s: &LinkSeries, cfg: &AssessConfig, mask: &HealthReport) -> Assessment {
+        assess_link(s, cfg, mask, &mut DetectorScratch::new())
+    }
+
     /// Synthesize a series: `far(t)` in ms given the round timestamp.
     fn synth(days: u64, far: impl Fn(SimTime) -> f64, near: impl Fn(SimTime) -> f64) -> LinkSeries {
         let start = SimTime::from_date(2016, 3, 1);
@@ -796,7 +697,7 @@ mod tests {
     #[test]
     fn detects_diurnal_congestion() {
         let s = synth(28, diurnal_far, flat(0.5));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.flagged);
         assert!(a.diurnal, "diurnal not detected: {:?}", a.stats);
         assert!(a.congested);
@@ -811,7 +712,7 @@ mod tests {
     #[test]
     fn healthy_link_not_flagged() {
         let s = synth(28, flat(0.8), flat(0.5));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(!a.flagged);
         assert!(!a.congested);
         assert_eq!(a.sustained, None);
@@ -831,7 +732,7 @@ mod tests {
             }
         };
         let s = synth(28, far, flat(0.5));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.flagged, "level shift must be flagged");
         assert!(!a.diurnal, "a one-off shift is not diurnal");
         assert!(!a.congested);
@@ -849,7 +750,7 @@ mod tests {
             }
         };
         let s = synth(28, elevated, elevated);
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.flagged);
         assert_eq!(a.near_guard, NearGuard::CoincidentShifts);
         assert!(!a.congested);
@@ -858,7 +759,7 @@ mod tests {
     #[test]
     fn missing_near_data_is_unclear() {
         let s = synth(28, diurnal_far, |_| f64::NAN);
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.flagged);
         assert_eq!(a.near_guard, NearGuard::Unclear);
         assert!(!a.congested, "unclear near side must not confirm congestion");
@@ -877,7 +778,7 @@ mod tests {
             }
         };
         let s = synth(40, far, flat(0.5));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.congested, "events: {}", a.events.len());
         assert_eq!(a.sustained, Some(false));
     }
@@ -894,7 +795,13 @@ mod tests {
             }
         };
         let s = synth(28, far, flat(0.5));
-        let sweep = assess_at_thresholds(&s, &AssessConfig::default(), &[5.0, 10.0, 15.0, 20.0]);
+        let sweep = assess_at_thresholds_masked_with(
+            &s,
+            &AssessConfig::default(),
+            &[5.0, 10.0, 15.0, 20.0],
+            &HealthReport::clean(),
+            &mut DetectorScratch::new(),
+        );
         let flags: Vec<bool> = sweep.iter().map(|(_, a)| a.flagged).collect();
         assert_eq!(flags, vec![true, true, false, false], "{flags:?}");
         assert!(sweep[0].1.diurnal);
@@ -912,7 +819,7 @@ mod tests {
             }
         };
         let s = synth(40, far, flat(0.5));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(a.far_validity < 0.3);
         assert!(!a.congested);
     }
@@ -920,7 +827,7 @@ mod tests {
     #[test]
     fn short_series_safe() {
         let s = synth(0, flat(1.0), flat(1.0));
-        let a = assess_link(&s, &AssessConfig::default());
+        let a = assess(&s, &AssessConfig::default());
         assert!(!a.flagged);
     }
 
@@ -947,10 +854,10 @@ mod tests {
         let day0 = SimTime::from_date(2016, 3, 1).day_index();
         let s = synth(28, gap_artifact_far(day0), flat(0.5));
         let cfg = AssessConfig::default();
-        let unmasked = assess_link(&s, &cfg);
+        let unmasked = assess(&s, &cfg);
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::Gappy, "{mask:?}");
-        let masked = assess_link_masked(&s, &cfg, &mask);
+        let masked = assess_masked(&s, &cfg, &mask);
         assert!(!masked.congested, "gap-edge shifts must not read as congestion");
         assert!(!masked.flagged, "every event touches a gap: {:?}", masked.events);
         assert!(!masked.artifacts.is_empty(), "edge shifts must be kept as artifacts");
@@ -977,7 +884,7 @@ mod tests {
         let cfg = AssessConfig::default();
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::Gappy);
-        let a = assess_link_masked(&s, &cfg, &mask);
+        let a = assess_masked(&s, &cfg, &mask);
         assert!(a.congested, "real congestion must survive an unrelated gap");
         assert_eq!(a.health, LinkHealth::Gappy);
     }
@@ -1006,7 +913,7 @@ mod tests {
         let cfg = AssessConfig::default();
         let mask = classify_link(&s, &cfg.health);
         assert!(!mask.near_gaps.is_empty(), "near gaps must be tracked");
-        let a = assess_link_masked(&s, &cfg, &mask);
+        let a = assess_masked(&s, &cfg, &mask);
         assert!(a.flagged, "the far shifts themselves are real events");
         assert_eq!(a.near_guard, NearGuard::CoincidentGaps, "{:?}", a.near_guard);
         assert!(!a.congested);
@@ -1043,14 +950,14 @@ mod tests {
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::PathChange, "{mask:?}");
         assert_eq!(mask.path_changes.len(), 2, "{:?}", mask.path_changes);
-        let a = assess_link_masked(&s, &cfg, &mask);
+        let a = assess_masked(&s, &cfg, &mask);
         assert!(!a.flagged, "path-coincident shift must not flag: {:?}", a.events);
         assert!(!a.congested);
         assert!(!a.artifacts.is_empty(), "the shift must be kept as an artifact");
         assert_eq!(a.health, LinkHealth::PathChange);
         // The unmasked path still sees a plain level shift — the masking is
         // what the fingerprints buy.
-        assert!(assess_link(&s, &cfg).flagged);
+        assert!(assess(&s, &cfg).flagged);
     }
 
     #[test]
@@ -1064,7 +971,7 @@ mod tests {
         let cfg = AssessConfig::default();
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::PathChange);
-        let a = assess_link_masked(&s, &cfg, &mask);
+        let a = assess_masked(&s, &cfg, &mask);
         assert!(a.congested, "recall: real congestion must survive a path change");
         assert_eq!(a.health, LinkHealth::PathChange, "the verdict still notes the event");
     }
@@ -1078,8 +985,8 @@ mod tests {
         let with_fp = synth(28, diurnal_far, flat(0.5));
         let mut without_fp = with_fp.clone();
         without_fp.path_fp.clear();
-        let a = assess_link_masked(&with_fp, &cfg, &classify_link(&with_fp, &cfg.health));
-        let b = assess_link_masked(&without_fp, &cfg, &classify_link(&without_fp, &cfg.health));
+        let a = assess_masked(&with_fp, &cfg, &classify_link(&with_fp, &cfg.health));
+        let b = assess_masked(&without_fp, &cfg, &classify_link(&without_fp, &cfg.health));
         assert_eq!(
             (a.flagged, a.diurnal, a.congested, a.near_guard, a.health),
             (b.flagged, b.diurnal, b.congested, b.near_guard, b.health)
@@ -1095,8 +1002,8 @@ mod tests {
         let cfg = AssessConfig::default();
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::Clean);
-        let masked = assess_link_masked(&s, &cfg, &mask);
-        let unmasked = assess_link(&s, &cfg);
+        let masked = assess_masked(&s, &cfg, &mask);
+        let unmasked = assess(&s, &cfg);
         assert_eq!(masked.congested, unmasked.congested);
         assert_eq!(masked.events, unmasked.events);
         assert_eq!(masked.near_guard, unmasked.near_guard);
@@ -1124,9 +1031,40 @@ mod tests {
         let cfg = AssessConfig::default();
         let mask = classify_link(&s, &cfg.health);
         assert_eq!(mask.overall, LinkHealth::AddrUnstable);
-        let a = assess_link_masked(&s, &cfg, &mask);
+        let a = assess_masked(&s, &cfg, &mask);
         assert!(a.flagged && a.diurnal, "the waveform itself still reads as diurnal");
         assert!(!a.congested, "untrusted responders cannot confirm congestion");
-        assert!(assess_link(&s, &cfg).congested, "unmasked path is blind to this");
+        assert!(assess(&s, &cfg).congested, "unmasked path is blind to this");
+    }
+
+    #[test]
+    fn single_threshold_matches_sweep_element() {
+        // Under the default config the sweep's lowered magnitude gate
+        // (min(gate, 0.8 × 5 ms)) equals the configured one, so assessing
+        // at one threshold must reproduce that threshold's sweep entry
+        // exactly — with the series' own mask and with a clean report.
+        let day0 = SimTime::from_date(2016, 3, 1).day_index();
+        let mut rerouted = synth(28, diurnal_far, flat(0.5));
+        set_fp_regimes(&mut rerouted, day0, |d| if d < 20 { 0xAAAA } else { 0xBBBB });
+        let corpus = [
+            synth(28, diurnal_far, flat(0.5)),
+            synth(28, gap_artifact_far(day0), flat(0.5)),
+            synth(28, flat(0.8), flat(0.5)),
+            rerouted,
+            synth(0, flat(1.0), flat(1.0)),
+        ];
+        let thresholds = [5.0, 10.0, 15.0, 20.0];
+        let mut scratch = DetectorScratch::new();
+        for s in &corpus {
+            let cfg = AssessConfig::default();
+            for mask in [classify_link(s, &cfg.health), HealthReport::clean()] {
+                let sweep = assess_at_thresholds_masked_with(s, &cfg, &thresholds, &mask, &mut scratch);
+                for (t, from_sweep) in &sweep {
+                    let cfg_t = AssessConfig { threshold_ms: *t, ..cfg.clone() };
+                    let single = assess_link(s, &cfg_t, &mask, &mut scratch);
+                    assert_eq!(format!("{single:?}"), format!("{from_sweep:?}"), "threshold {t}");
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! read as congestion. This module inspects one [`LinkSeries`] — before any
 //! change-point analysis — and produces a [`HealthReport`]: a per-window and
 //! overall [`LinkHealth`] label plus the structured gap/outage intervals the
-//! masked assessment ([`crate::detect::assess_link_masked`]) uses to
+//! masked assessment ([`crate::detect::assess_link`]) uses to
 //! attribute suspicious level shifts to measurement artifacts instead of
 //! congestion.
 //!

@@ -29,15 +29,14 @@ pub mod lossanalysis;
 pub mod series;
 
 pub use campaign::{
-    far_excursions, far_spread_ms, link_key, measure_link, measure_link_in, measure_link_rec,
-    measure_link_rec_in, measure_vp, measure_vp_links, measure_vp_links_rec, resolve_threads,
+    far_excursions, link_key, measure_link, measure_link_in, measure_link_with, resolve_threads,
     stream_vp_links, stream_vp_links_rec, CampaignConfig, Screening, TslpProbing, WorkerFailure,
 };
 pub use checkpoint::{BlobStatus, CheckpointStore};
 pub use detect::{
-    assess_at_thresholds, assess_link, assess_link_masked, assess_link_masked_rec,
-    record_assessment, ArtifactCause, ArtifactCauseKind, AssessConfig, Assessment, EventEvidence,
-    NearGuard, TimedEvent, WaveformStats,
+    assess_at_thresholds_masked_with, assess_link, record_assessment, ArtifactCause,
+    ArtifactCauseKind, AssessConfig, Assessment, EventEvidence, NearGuard, TimedEvent,
+    WaveformStats,
 };
 pub use health::{
     classify_link, classify_link_rec, GapInterval, GapKind, HealthConfig, HealthReport, LinkHealth,
@@ -47,12 +46,13 @@ pub use series::{LinkSeries, SeriesConfig};
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::campaign::{measure_link, measure_vp, measure_vp_links, CampaignConfig, Screening};
+    pub use crate::campaign::{measure_link, stream_vp_links, CampaignConfig, Screening};
     pub use crate::checkpoint::{BlobStatus, CheckpointStore};
     pub use crate::detect::{
-        assess_at_thresholds, assess_link, assess_link_masked, ArtifactCause, ArtifactCauseKind,
+        assess_at_thresholds_masked_with, assess_link, ArtifactCause, ArtifactCauseKind,
         AssessConfig, Assessment, EventEvidence, NearGuard, TimedEvent, WaveformStats,
     };
+    pub use ixp_chgpt::DetectorScratch;
     pub use crate::health::{classify_link, HealthConfig, HealthReport, LinkHealth};
     pub use crate::lossanalysis::{
         measure_loss_series, split_by_events, LossCampaignConfig, LossSeries, LossSplit,

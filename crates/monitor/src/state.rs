@@ -8,7 +8,7 @@
 //! and leaves its state untouched), so round indices line up with series
 //! positions with no skip bookkeeping.
 //!
-//! Masking follows the batch rule from `assess_link_masked`, made causal: a
+//! Masking follows the batch rule from `assess_link`, made causal: a
 //! path change at round `c` taints upshifts in `[c, c + slack]`. The batch
 //! assessor can also mask an upshift *before* the change (it sees the whole
 //! series); a resident monitor cannot know the future, so the backward half

@@ -202,7 +202,7 @@ impl ProbeLedger {
 /// Deliberately *not* here: RTT histograms. Every answered probe's RTT is
 /// already retained in the link's series, so the campaign derives the
 /// histograms with one sequential scan at fold time (see
-/// `measure_link_rec`) instead of paying scattered bucket updates inside
+/// `tslp_core::campaign::measure_link_with`) instead of paying scattered bucket updates inside
 /// the TSLP loop. The campaign bench (`BENCH_obs.json`) holds the whole
 /// instrumented path to <3% over uninstrumented probing.
 #[derive(Debug, Default)]

@@ -5,9 +5,10 @@
 //! threads keep borrows simple; results come back in spec order.
 //!
 //! This is the outer of two parallelism levels: within each VP,
-//! [`run_vp_study`] hands its target list to `measure_vp_links`, which fans
-//! out at *link* granularity over a work-stealing pool against the shared
-//! immutable `&Network` (see DESIGN.md §5.11 and `VpStudyConfig::threads`).
+//! [`run_vp_study`] hands its target list to `stream_vp_links_rec`, which
+//! fans out at *link* granularity over a work-stealing pool against the
+//! shared immutable `&Network`, measuring and assessing each link in one
+//! worker pass (see DESIGN.md §5.11 and `VpStudyConfig::threads`).
 //! Both levels are deterministic — each target's walk seeds its own
 //! `ProbeCtx` — so output is bit-identical at any thread count.
 

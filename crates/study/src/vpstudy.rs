@@ -12,17 +12,14 @@ use ixp_chgpt::DetectorScratch;
 use ixp_obs::{LinkEvent, LinkKey, NoopRecorder, QuarantineNote, Recorder, StageSpan};
 use ixp_prober::rr::{record_route_symmetry, Symmetry};
 use ixp_prober::tslp::TslpTarget;
-use ixp_simnet::prelude::{Asn, Ipv4, SimTime};
+use ixp_simnet::prelude::{Asn, Ipv4, ProbeCtx, SimTime};
 use ixp_simnet::rng::mix;
 use ixp_simnet::time::SimDuration;
 use ixp_geo::{link_in_country, GeoDb};
 use ixp_simnet::fault::FaultPlan;
 use ixp_topology::{build_vp, paper_directory, TruthKind, VpSpec};
 use serde::{Deserialize, Serialize};
-use tslp_core::campaign::{
-    campaign_fingerprint, measure_link, measure_link_checkpointed, stream_vp_links_rec,
-    CampaignConfig,
-};
+use tslp_core::campaign::{campaign_fingerprint, measure_link_with, stream_vp_links_rec, CampaignConfig};
 use tslp_core::checkpoint::CheckpointStore;
 use tslp_core::detect::{assess_at_thresholds_masked_with, record_assessment, AssessConfig, Assessment};
 use tslp_core::health::{classify_link, LinkHealth};
@@ -417,13 +414,21 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
         // Measurement-integrity mask: classify the series once, thread the
         // gap/outage intervals through every threshold's assessment.
         let mask = tslp_core::health::classify_link_rec(series, &cfg.assess.health, rec, key);
-        let sweep_full =
-            assess_at_thresholds_masked_with(series, &cfg.assess, &THRESHOLDS_MS, &mask, scratch);
-        let assessment = sweep_full
-            .iter()
-            .find(|(t, _)| *t == cfg.assess.threshold_ms)
-            .map(|(_, a)| a.clone())
-            .unwrap_or_else(|| sweep_full[1].1.clone());
+        // One segmentation serves the Table 1 sweep and the headline
+        // verdict; a configured threshold off the Table 1 grid is assessed
+        // as one extra threshold over it.
+        let headline_t = cfg.assess.threshold_ms;
+        let on_grid = THRESHOLDS_MS.iter().position(|&t| t == headline_t);
+        let mut thresholds = THRESHOLDS_MS.to_vec();
+        if on_grid.is_none() {
+            thresholds.push(headline_t);
+        }
+        let mut sweep_full =
+            assess_at_thresholds_masked_with(series, &cfg.assess, &thresholds, &mask, scratch);
+        let assessment = match on_grid {
+            Some(i) => sweep_full[i].1.clone(),
+            None => sweep_full.pop().expect("headline threshold assessed").1,
+        };
         let sweep: Vec<(f64, bool, bool)> =
             sweep_full.iter().map(|(t, a)| (*t, a.flagged, a.diurnal)).collect();
         record_assessment(rec, key, &assessment);
@@ -533,12 +538,15 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
             }
             Err(failure) => {
                 let l = &discovered[i];
-                let (series, screened_out) = match store.as_ref() {
-                    Some(st) => {
-                        measure_link_checkpointed(&substrate.net, substrate.vp, &targets[i], &campaign, st)
-                    }
-                    None => measure_link(&substrate.net, substrate.vp, &targets[i], &campaign),
-                };
+                let (series, screened_out) = measure_link_with(
+                    &substrate.net,
+                    &mut ProbeCtx::default(),
+                    substrate.vp,
+                    &targets[i],
+                    &campaign,
+                    store.as_ref(),
+                    &NoopRecorder,
+                );
                 probe_rounds += series.len() as u64 * 2;
                 screened += usize::from(screened_out);
                 rec.add("links_quarantined", 1);
@@ -691,6 +699,41 @@ mod tests {
             if matches!(o.truth, Some(TruthKind::Healthy) | Some(TruthKind::Transit)) {
                 assert!(!o.congested(), "healthy link {} flagged congested", o.far_name);
             }
+        }
+    }
+
+    #[test]
+    fn off_grid_threshold_drives_the_headline_verdict() {
+        // Neither 12 ms nor 40 ms is a Table 1 threshold: the headline
+        // verdict must be the link's assessment at that threshold, over the
+        // same segmentation, not the 10 ms sweep entry. At 40 ms NETPAGE's
+        // ~35 ms plateaus no longer flag, so that run tells the two apart.
+        let spec = &paper_vps()[3];
+        for threshold_ms in [12.0, 40.0] {
+            let assess = AssessConfig { threshold_ms, ..AssessConfig::default() };
+            let cfg = VpStudyConfig {
+                window: Some((SimTime::from_date(2016, 2, 22), SimTime::from_date(2016, 5, 20))),
+                with_loss: false,
+                with_rr: false,
+                assess: assess.clone(),
+                ..Default::default()
+            };
+            let study = run_vp_study(spec, &cfg);
+            let mut checked = 0;
+            for o in &study.outcomes {
+                let Some(series) = &o.series else { continue };
+                let mask = classify_link(series, &assess.health);
+                let direct =
+                    tslp_core::detect::assess_link(series, &assess, &mask, &mut DetectorScratch::new());
+                let json = |a: &Assessment| serde_json::to_string(a).unwrap();
+                assert_eq!(json(&o.assessment), json(&direct), "{} at {threshold_ms} ms", o.far_name);
+                assert_eq!(o.sweep.iter().map(|s| s.0).collect::<Vec<_>>(), THRESHOLDS_MS);
+                checked += 1;
+            }
+            assert!(checked > 0, "the NETPAGE case-study series is kept");
+            let netpage = study.outcomes.iter().find(|o| o.far_name == "NETPAGE").expect("NETPAGE");
+            assert!(netpage.sweep[1].1, "NETPAGE flags at 10 ms");
+            assert_eq!(netpage.assessment.flagged, threshold_ms < 40.0);
         }
     }
 }

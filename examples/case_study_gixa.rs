@@ -53,7 +53,7 @@ fn main() {
         ("phase 2", dates::ghanatel_phase2_start(), dates::ghanatel_link_down(), 10.0),
     ] {
         let w = series.window(from, to);
-        let a = assess_link(&w, &AssessConfig::default());
+        let a = assess_link(&w, &AssessConfig::default(), &HealthReport::clean(), &mut DetectorScratch::new());
         println!(
             "  {label}: A_w = {:.1} ms (paper ≈ {paper_aw}), Δt_UD = {}, {} events, diurnal: {}",
             a.stats.a_w_ms, a.stats.dt_ud, a.stats.count, a.diurnal

@@ -50,8 +50,12 @@ fn main() {
 
     let series = netpage.series.as_ref().expect("series kept for case studies");
     // Phase-resolved characterization.
-    let p1 = assess_link(&series.window(dates::netpage_phase1_start(), dates::netpage_upgrade()), &AssessConfig::default());
-    let p2 = assess_link(&series.window(dates::netpage_upgrade(), spec.measure_end), &AssessConfig::default());
+    let phase = |from, to| {
+        let (cfg, clean) = (AssessConfig::default(), HealthReport::clean());
+        assess_link(&series.window(from, to), &cfg, &clean, &mut DetectorScratch::new())
+    };
+    let p1 = phase(dates::netpage_phase1_start(), dates::netpage_upgrade());
+    let p2 = phase(dates::netpage_upgrade(), spec.measure_end);
     println!(
         "  phase 1: A_w = {:.1} ms (paper: 10.7), Δt_UD = {} (paper ≈ 6h22m), {} events, diurnal: {}",
         p1.stats.a_w_ms, p1.stats.dt_ud, p1.stats.count, p1.diurnal

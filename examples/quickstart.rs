@@ -75,7 +75,9 @@ fn main() {
     );
 
     // ---- 3. The §5.2 assessment -------------------------------------------
-    let verdict = assess_link(&series, &AssessConfig::default());
+    // A clean health report takes the series at face value (no masking).
+    let verdict =
+        assess_link(&series, &AssessConfig::default(), &HealthReport::clean(), &mut DetectorScratch::new());
     println!();
     println!("flagged (≥10 ms level shifts ≥30 min): {}", verdict.flagged);
     println!("recurring diurnal pattern:             {}", verdict.diurnal);

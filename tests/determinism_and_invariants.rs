@@ -108,7 +108,7 @@ proptest! {
     }
 }
 
-/// The campaign fan-out contract: `measure_vp_links` returns the same bits
+/// The campaign fan-out contract: `stream_vp_links` returns the same bits
 /// in the same order at every thread count, screening decisions included.
 #[test]
 fn parallel_campaign_is_bit_identical_at_any_thread_count() {
@@ -167,18 +167,24 @@ fn parallel_campaign_is_bit_identical_at_any_thread_count() {
     }
 
     let base = CampaignConfig::paper(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 8));
-    let mut seq_cfg = base;
-    seq_cfg.threads = 1;
-    let seq = measure_vp_links(&net, vp, &targets, &seq_cfg);
+    // Every series back, in target order, through the identity consumer.
+    let measure_all = |threads: usize| -> Vec<(LinkSeries, bool)> {
+        let cfg = CampaignConfig { threads, ..base };
+        stream_vp_links(&net, vp, &targets, &cfg, None, || (), |_, _, _, s, sc| (s, sc))
+            .into_iter()
+            .map(|r| r.expect("no quarantines"))
+            .collect()
+    };
+    let seq = measure_all(1);
 
     let screened = seq.iter().filter(|(_, sc)| *sc).count();
     assert!(screened >= 1, "clean branches should be screened out");
     assert!(screened < seq.len(), "congested branches must reach full fidelity");
 
     for threads in [2usize, 4, 0] {
-        let mut cfg = base;
-        cfg.threads = threads;
-        let par = measure_vp_links(&net, vp, &targets, &cfg);
+        let par = measure_all(threads);
+        // The screening count is thread-invariant too.
+        assert_eq!(par.iter().filter(|(_, sc)| *sc).count(), screened);
         assert_eq!(par.len(), seq.len());
         for (i, ((ps, psc), (ss, ssc))) in par.iter().zip(&seq).enumerate() {
             assert_eq!(psc, ssc, "screening verdict differs at {threads} threads, target {i}");
@@ -192,10 +198,6 @@ fn parallel_campaign_is_bit_identical_at_any_thread_count() {
             }
         }
     }
-
-    // The measure_vp wrapper reports the same screening count.
-    let (_, n) = measure_vp(&net, vp, &targets, &seq_cfg);
-    assert_eq!(n, screened);
 }
 
 #[test]

@@ -31,6 +31,11 @@ fn line() -> (Network, NodeId, TslpTarget) {
     (net, vp, target)
 }
 
+/// The default assessment under `mask` (a clean report masks nothing).
+fn assess_masked(series: &LinkSeries, mask: &HealthReport) -> Assessment {
+    assess_link(series, &AssessConfig::default(), mask, &mut DetectorScratch::new())
+}
+
 fn week_campaign() -> CampaignConfig {
     CampaignConfig::exact(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 15))
 }
@@ -42,7 +47,7 @@ fn icmp_rate_limited_far_router_not_flagged() {
     net.node_mut(NodeId(2)).icmp.rate_limit_pps = Some(0.002); // ~1 per 8 min
     let (series, _) = measure_link(&mut net, vp, &target, &week_campaign());
     assert!(series.far_validity() < 0.9, "rate limiter had no effect");
-    let a = assess_link(&series, &AssessConfig::default());
+    let a = assess_masked(&series, &HealthReport::clean());
     assert!(!a.flagged, "rate limiting alone must not look like congestion");
     assert!(!a.congested);
 }
@@ -61,7 +66,7 @@ fn mid_campaign_silence_handled() {
     let (tail, _) = measure_link(&mut net, vp, &target, &c2);
     series.near_ms.extend_from_slice(&tail.near_ms);
     series.far_ms.extend_from_slice(&tail.far_ms);
-    let a = assess_link(&series, &AssessConfig::default());
+    let a = assess_masked(&series, &HealthReport::clean());
     assert!((0.4..0.6).contains(&a.far_validity), "{}", a.far_validity);
     assert!(!a.congested, "silence is not congestion");
 }
@@ -95,7 +100,7 @@ fn random_loss_floor_not_flagged() {
     let (series, _) = measure_link(&mut net2, vp2, &target, &week_campaign());
     // Loss shows up in validity (some rounds lose both attempts both ways),
     // but RTTs stay flat: nothing to flag.
-    let a = assess_link(&series, &AssessConfig::default());
+    let a = assess_masked(&series, &HealthReport::clean());
     assert!(!a.flagged, "random loss must not create level shifts");
     // And the loss-rate machinery sees it.
     let lc = LossCampaignConfig::paper(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 2));
@@ -114,7 +119,7 @@ fn loopback_sourced_icmp_breaks_addr_expectations_not_pipeline() {
     let (series, _) = measure_link(&mut net, vp, &target, &week_campaign());
     assert!(series.far_validity() > 0.9);
     assert!(series.far_addr_consistency() < 0.1, "mismatches must be recorded");
-    let a = assess_link(&series, &AssessConfig::default());
+    let a = assess_masked(&series, &HealthReport::clean());
     assert!(!a.congested);
 }
 
@@ -132,7 +137,7 @@ fn fault_plan_loopback_sourcing_reads_addr_unstable_never_congested() {
     assert!(series.far_addr_consistency() < 0.1, "every reply from the fixed address");
     let mask = classify_link(&series, &HealthConfig::default());
     assert_eq!(mask.overall, LinkHealth::AddrUnstable);
-    let a = assess_link_masked(&series, &AssessConfig::default(), &mask);
+    let a = assess_masked(&series, &mask);
     assert!(!a.congested, "an address-unstable series must never read congested");
 }
 
@@ -147,7 +152,7 @@ fn fault_plan_rate_limiter_reads_rate_limited_never_congested() {
     assert!(series.far_validity() < 0.9, "limiter had no effect");
     let mask = classify_link(&series, &HealthConfig::default());
     assert_eq!(mask.overall, LinkHealth::RateLimited);
-    let a = assess_link_masked(&series, &AssessConfig::default(), &mask);
+    let a = assess_masked(&series, &mask);
     assert!(!a.flagged, "token starvation must not look like a level shift");
     assert!(!a.congested);
 }

@@ -58,7 +58,7 @@ fn near_guard_rejects_upstream_congestion() {
     };
     let campaign = CampaignConfig::exact(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 22));
     let (series, _) = measure_link(&net, vp, &target, &campaign);
-    let a = assess_link(&series, &AssessConfig::default());
+    let a = assess_link(&series, &AssessConfig::default(), &HealthReport::clean(), &mut DetectorScratch::new());
     // Far series rises diurnally (it crosses the hot internal link), but so
     // does the near series: the link must NOT be called congested.
     assert!(a.flagged, "the elevation itself must be seen");
@@ -106,7 +106,13 @@ fn threshold_sweep_end_to_end() {
     };
     let campaign = CampaignConfig::exact(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 29));
     let (series, _) = measure_link(&net, vp, &target, &campaign);
-    let sweep = assess_at_thresholds(&series, &AssessConfig::default(), &[5.0, 10.0, 15.0, 20.0]);
+    let sweep = assess_at_thresholds_masked_with(
+        &series,
+        &AssessConfig::default(),
+        &[5.0, 10.0, 15.0, 20.0],
+        &HealthReport::clean(),
+        &mut DetectorScratch::new(),
+    );
     let flags: Vec<bool> = sweep.iter().map(|(_, a)| a.flagged).collect();
     assert_eq!(flags, vec![true, true, false, false], "{flags:?}");
     assert!(sweep[0].1.diurnal && sweep[1].1.diurnal);
