@@ -18,11 +18,20 @@
 //! bound on the correct side of the threshold instead of the exact
 //! fraction. `DetectorConfig::exact_confidence` disables the shortcut for
 //! callers that need the exact value.
+//!
+//! Two kernels share that permutation loop. `bootstrap_core` works on any
+//! `f64` window — raw data (the ablation) and the public `cusum_bootstrap*`
+//! helpers. The segmentation's rank path uses `rank_bootstrap_core`, which
+//! permutes the doubled, centred mid-ranks held in
+//! `DetectorScratch::centred_ranks` in exact `i64` arithmetic and folds the
+//! CUSUM range into the shuffle loop: the same permutations, below counts
+//! and result bits as `bootstrap_core` on the `f64` ranks, in one pass per
+//! permutation instead of two.
 
 use crate::scratch::DetectorScratch;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Result of a single-window CUSUM analysis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,9 +111,46 @@ fn accept_count(iters: usize, conf: f64) -> usize {
     t
 }
 
-/// Core bootstrap loop over a caller-provided shuffle buffer. With
-/// `decision = Some(conf)` the permutation loop stops as soon as the
-/// accept/reject outcome of `confidence >= conf` is mathematically settled.
+/// The permutation test shared by both bootstrap kernels: the fraction of
+/// `iters` permutations for which `next_below` (draw the next permutation,
+/// report whether its range fell below the observed one) holds. With
+/// `decision = Some(conf)` the loop stops as soon as the accept/reject
+/// outcome of `confidence >= conf` is mathematically settled. Zero
+/// permutations are no evidence: the confidence is 0, never `0/0`.
+fn permutation_confidence(
+    iters: usize,
+    decision: Option<f64>,
+    mut next_below: impl FnMut() -> bool,
+) -> f64 {
+    if iters == 0 {
+        return 0.0;
+    }
+    let accept_at = decision.map(|conf| accept_count(iters, conf));
+    let mut below = 0usize;
+    for done in 0..iters {
+        if let Some(t) = accept_at {
+            if below >= t {
+                // Accept settled: below can only grow, and below/iters
+                // already clears the threshold.
+                return below as f64 / iters as f64;
+            }
+            if below + (iters - done) < t {
+                // Reject settled: even if every remaining permutation lands
+                // below, the final count stays under t. Report the upper
+                // bound — strictly below the threshold by construction.
+                return (below + (iters - done)) as f64 / iters as f64;
+            }
+        }
+        if next_below() {
+            below += 1;
+        }
+    }
+    below as f64 / iters as f64
+}
+
+/// Core bootstrap loop over a caller-provided shuffle buffer: the kernel for
+/// raw data and for arbitrary windows. Rank data takes the exact integer
+/// kernel [`rank_bootstrap_core`], which reproduces this one bit for bit.
 pub(crate) fn bootstrap_core(
     window: &[f64],
     iters: usize,
@@ -120,30 +166,77 @@ pub(crate) fn bootstrap_core(
     let mut rng = SmallRng::seed_from_u64(seed);
     shuffle.clear();
     shuffle.extend_from_slice(window);
-    let accept_at = decision.map(|conf| accept_count(iters, conf));
-    let mut below = 0usize;
-    for done in 0..iters {
-        if let Some(t) = accept_at {
-            if below >= t {
-                // Accept settled: below can only grow, and below/iters
-                // already clears the threshold.
-                return CusumResult { split, range, confidence: below as f64 / iters as f64 };
-            }
-            if below + (iters - done) < t {
-                // Reject settled: even if every remaining permutation lands
-                // below, the final count stays under t. Report the upper
-                // bound — strictly below the threshold by construction.
-                let bound = (below + (iters - done)) as f64 / iters as f64;
-                return CusumResult { split, range, confidence: bound };
-            }
-        }
+    let confidence = permutation_confidence(iters, decision, || {
         shuffle.shuffle(&mut rng);
-        let r = cusum_range(shuffle);
-        if r < range {
-            below += 1;
+        cusum_range(shuffle) < range
+    });
+    CusumResult { split, range, confidence }
+}
+
+/// The rank bootstrap in exact integer arithmetic: same permutations, same
+/// below counts and the same result bits as [`bootstrap_core`] run on the
+/// window's `f64` mid-ranks, in one pass per permutation instead of two.
+///
+/// `d` holds the doubled, centred mid-ranks `d = 2·rank − (n+1)`
+/// ([`crate::rank::centred_rank_into`]) and is also the permutation buffer,
+/// shuffled in place from one permutation to the next exactly as
+/// `bootstrap_core` shuffles its copy of the ranks. Why the bits agree:
+///
+/// - Mid-ranks are half-integers summing to `n(n+1)/2`, so the `f64` mean
+///   is exactly `(n+1)/2` and every partial sum `S_k = Σ (rank − mean)` is
+///   exactly `D_k / 2`, `D_k = d_0 + … + d_{k−1}` the integer prefix sum —
+///   no rounding anywhere while `n(n+1) < 2^53` (asserted; the rank sums
+///   reach `n(n+1)/2`, the prefix sums only `|D_k| ≤ n²/4`). Split (first
+///   arg-max of `|S|`) and range (`(max D − min D) / 2`) are therefore the
+///   same numbers.
+/// - `d` sums to zero, so `D_k = −T_k` with `T_k = d_k + … + d_{n−1}` the
+///   suffix sum, and a permutation's range is `(max T − min T) / 2` over
+///   `T_1 … T_n` (`T_n = 0`).
+/// - The vendored Fisher–Yates shuffle fixes position `i` at step `i`,
+///   from the end backwards, so `T_i` accumulates inside the shuffle loop
+///   itself: an integer add, max and min per swap, with the same RNG calls
+///   in the same order.
+pub(crate) fn rank_bootstrap_core(
+    d: &mut [i64],
+    iters: usize,
+    seed: u64,
+    decision: Option<f64>,
+) -> CusumResult {
+    let n = d.len();
+    assert!(n >= 2, "CUSUM needs at least two samples");
+    assert!(
+        (n as u128) * (n as u128 + 1) < 1u128 << 53,
+        "window of {n} samples too long for exact rank sums"
+    );
+    let (mut s, mut smax, mut smin) = (0i64, i64::MIN, i64::MAX);
+    let (mut best_abs, mut split) = (-1i64, 0);
+    for (i, &x) in d.iter().enumerate() {
+        s += x;
+        smax = smax.max(s);
+        smin = smin.min(s);
+        if s.abs() > best_abs {
+            best_abs = s.abs();
+            split = i;
         }
     }
-    CusumResult { split, range, confidence: below as f64 / iters as f64 }
+    let observed = smax - smin;
+    let range = observed as f64 / 2.0;
+    if observed == 0 {
+        // All ranks tied: nothing to test.
+        return CusumResult { split, range, confidence: 0.0 };
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let confidence = permutation_confidence(iters, decision, || {
+        let (mut t, mut tmax, mut tmin) = (0i64, 0i64, 0i64);
+        for i in (1..n).rev() {
+            d.swap(i, rng.gen_range(0..=i));
+            t += d[i];
+            tmax = tmax.max(t);
+            tmin = tmin.min(t);
+        }
+        tmax - tmin < observed
+    });
+    CusumResult { split, range, confidence }
 }
 
 /// Run the permutation bootstrap for `window`, returning the full result.
@@ -383,6 +476,49 @@ mod tests {
         let mut scratch = DetectorScratch::new();
         let s: Vec<f64> = (0..150u64).map(hash_noise).collect();
         assert_eq!(cusum_bootstrap(&s, 199, 9), cusum_bootstrap_with(&s, 199, 9, None, &mut scratch));
+    }
+
+    /// The integer rank kernel against `bootstrap_core` run on the same
+    /// windows' `f64` mid-ranks: bitwise equal (split, range, confidence)
+    /// in early-exit and exact mode, over tie-heavy windows (RTTs quantised
+    /// to whole milliseconds) from 12 samples to one 13-month window.
+    #[test]
+    fn rank_kernel_is_bitwise_identical_to_f64_kernel() {
+        let mut shuffle = Vec::new();
+        let (mut idx, mut d) = (Vec::new(), Vec::new());
+        let (mut accepts, mut rejects) = (0, 0);
+        for (case, n) in [12usize, 13, 24, 61, 288, 1_000, 4_096, 13 * 30 * 288].into_iter().enumerate() {
+            for shift in [0.0, 2.0, 9.0] {
+                let window: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let q = hash_noise(i as u64 ^ ((case as u64) << 40)) % 9.0;
+                        q + if (n / 3..2 * n / 3).contains(&i) { shift } else { 0.0 }
+                    })
+                    .collect();
+                let ranks = crate::rank::rank_transform(&window);
+                for decision in [Some(0.95), Some(0.99), None] {
+                    for iters in [49, 99, 199] {
+                        let seed = (case as u64) << 32 ^ iters as u64;
+                        let want = bootstrap_core(&ranks, iters, seed, decision, &mut shuffle);
+                        crate::rank::centred_rank_into(&window, &mut idx, &mut d);
+                        let got = rank_bootstrap_core(&mut d, iters, seed, decision);
+                        assert_eq!(
+                            (got.split, got.range.to_bits(), got.confidence.to_bits()),
+                            (want.split, want.range.to_bits(), want.confidence.to_bits()),
+                            "n {n} shift {shift} decision {decision:?} iters {iters}"
+                        );
+                        if decision == Some(0.95) {
+                            if got.confidence >= 0.95 { accepts += 1 } else { rejects += 1 }
+                        }
+                    }
+                }
+            }
+        }
+        // The corpus exercises both early exits, not just one of them.
+        assert!(accepts > 0 && rejects > 0, "accepts {accepts} rejects {rejects}");
+        // An all-tied window has zero range in both kernels.
+        crate::rank::centred_rank_into(&[5.0; 12], &mut idx, &mut d);
+        assert_eq!(rank_bootstrap_core(&mut d, 99, 3, None), cusum_bootstrap(&[6.5; 12], 99, 3));
     }
 
     #[test]

@@ -8,34 +8,54 @@
 
 use crate::scratch::DetectorScratch;
 
-/// Core of [`rank_transform`] over caller-provided buffers. The index sort
-/// is unstable — output-identical to a stable sort, because every member of
-/// a tie run receives the same averaged rank no matter how the run is
-/// ordered internally.
-pub(crate) fn rank_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<f64>) {
+/// Sort the indices of `values` into `idx` and call `emit(members, i, j)`
+/// for each tie run, `members` being the original indices occupying sorted
+/// positions `[i, j)`. The index sort is unstable — output-identical to a
+/// stable sort, because every member of a tie run receives the same
+/// averaged rank no matter how the run is ordered internally.
+fn for_each_tie_run(values: &[f64], idx: &mut Vec<usize>, mut emit: impl FnMut(&[usize], usize, usize)) {
     let n = values.len();
-    out.clear();
-    out.resize(n, 0.0);
-    if n == 0 {
-        return;
-    }
     idx.clear();
     idx.extend(0..n);
     idx.sort_unstable_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("NaN in series"));
     let mut i = 0;
     while i < n {
-        // Find the tie run [i, j).
         let mut j = i + 1;
         while j < n && values[idx[j]] == values[idx[i]] {
             j += 1;
         }
-        // Average rank of positions i..j (1-based ranks i+1 ..= j).
-        let avg = (i + 1 + j) as f64 / 2.0;
-        for &k in &idx[i..j] {
-            out[k] = avg;
-        }
+        emit(&idx[i..j], i, j);
         i = j;
     }
+}
+
+/// Core of [`rank_transform`] over caller-provided buffers.
+pub(crate) fn rank_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(values.len(), 0.0);
+    for_each_tie_run(values, idx, |members, i, j| {
+        // Average rank of positions i..j (1-based ranks i+1 ..= j).
+        let avg = (i + 1 + j) as f64 / 2.0;
+        for &k in members {
+            out[k] = avg;
+        }
+    });
+}
+
+/// Doubled, centred mid-ranks `d = 2·rank − (n+1)` — exact integers that
+/// sum to zero — for the integer rank bootstrap
+/// (`cusum::rank_bootstrap_core`). A tie run at sorted positions `[i, j)`
+/// has mid-rank `(i + 1 + j) / 2`, so `d = i + j − n`.
+pub(crate) fn centred_rank_into(values: &[f64], idx: &mut Vec<usize>, out: &mut Vec<i64>) {
+    let n = values.len() as i64;
+    out.clear();
+    out.resize(values.len(), 0);
+    for_each_tie_run(values, idx, |members, i, j| {
+        let d = (i + j) as i64 - n;
+        for &k in members {
+            out[k] = d;
+        }
+    });
 }
 
 /// Replace each value by its 1-based rank; ties receive the average of the
@@ -84,6 +104,20 @@ mod tests {
             [&[], &[42.0], &[1.0, 5.0, 5.0, 9.0], &[3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 2.6]];
         for values in cases {
             assert_eq!(rank_transform_with(values, &mut scratch), rank_transform(values));
+        }
+    }
+
+    #[test]
+    fn centred_ranks_are_doubled_centred_midranks() {
+        let (mut idx, mut d) = (Vec::new(), Vec::new());
+        let cases: [&[f64]; 4] =
+            [&[], &[42.0], &[1.0, 5.0, 5.0, 9.0], &[3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 2.6, 3.0]];
+        for values in cases {
+            centred_rank_into(values, &mut idx, &mut d);
+            let n = values.len() as f64;
+            let want: Vec<i64> = rank_transform(values).iter().map(|r| (2.0 * r - (n + 1.0)) as i64).collect();
+            assert_eq!(d, want, "{values:?}");
+            assert_eq!(d.iter().sum::<i64>(), 0);
         }
     }
 

@@ -1,7 +1,10 @@
 //! Reusable detector working memory: the allocation-free fast path.
 //!
 //! Every routine in this crate that historically allocated per call — the
-//! bootstrap's shuffle buffer, the rank transform's index + output buffers,
+//! bootstrap's shuffle buffers (`shuffle` for `f64` windows,
+//! `centred_ranks` for the segmentation's integer rank kernel, which is
+//! both its rank output and its permutation buffer), the rank transform's
+//! index + output buffers,
 //! the selection buffers behind `median`, `spread_reaches` and the
 //! segment-level baseline quantile, the change-point interval's resampled
 //! series, and the segmentation work stack itself — can instead borrow its
@@ -25,8 +28,13 @@ use crate::segment::{DetectorConfig, Segment};
 /// are then reused; dropping the scratch releases everything at once.
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
-    /// Permutation buffer for the bootstrap (`cusum_bootstrap`).
+    /// Permutation buffer for the `f64` bootstrap (raw-data segmentation,
+    /// `cusum_bootstrap_with`).
     pub(crate) shuffle: Vec<f64>,
+    /// Doubled, centred mid-ranks `2·rank − (n+1)` of the current window:
+    /// the rank-path segmentation's rank output and, shuffled in place, its
+    /// integer bootstrap's permutation buffer.
+    pub(crate) centred_ranks: Vec<i64>,
     /// Rank-transform output (`rank_transform`).
     pub(crate) ranks: Vec<f64>,
     /// Sort-index buffer (`rank_transform`).

@@ -6,8 +6,8 @@
 //! (the paper tunes this to level shifts "that last at least 30 minutes",
 //! i.e. six 5-minute samples).
 
-use crate::cusum::{bootstrap_core, spread_core};
-use crate::rank::rank_into;
+use crate::cusum::{bootstrap_core, rank_bootstrap_core, spread_core};
+use crate::rank::centred_rank_into;
 use crate::scratch::DetectorScratch;
 use serde::{Deserialize, Serialize};
 
@@ -133,7 +133,7 @@ pub(crate) fn median_core(window: &[f64], buf: &mut Vec<f64>) -> f64 {
 /// Core segmentation loop over caller-provided scratch. Leaves the sorted
 /// change points in `scratch.cps`.
 pub(crate) fn detect_into(series: &[f64], cfg: &DetectorConfig, scratch: &mut DetectorScratch) {
-    let DetectorScratch { shuffle, ranks, sort_idx, select, stack, cps, confs, .. } = scratch;
+    let DetectorScratch { shuffle, centred_ranks, sort_idx, select, stack, cps, confs, .. } = scratch;
     cps.clear();
     confs.clear();
     stack.clear();
@@ -151,15 +151,14 @@ pub(crate) fn detect_into(series: &[f64], cfg: &DetectorConfig, scratch: &mut De
         if cfg.magnitude_gate > 0.0 && !spread_core(window, cfg.magnitude_gate, select) {
             continue;
         }
-        let data: &[f64] = if cfg.use_ranks {
-            rank_into(window, sort_idx, ranks);
-            ranks
-        } else {
-            window
-        };
         // Seed varies per window so sibling windows don't share permutations.
         let seed = cfg.seed ^ ((lo as u64) << 32) ^ hi as u64;
-        let r = bootstrap_core(data, cfg.bootstrap_iters, seed, decision, shuffle);
+        let r = if cfg.use_ranks {
+            centred_rank_into(window, sort_idx, centred_ranks);
+            rank_bootstrap_core(centred_ranks, cfg.bootstrap_iters, seed, decision)
+        } else {
+            bootstrap_core(window, cfg.bootstrap_iters, seed, decision, shuffle)
+        };
         if r.confidence < cfg.confidence {
             // No whole-window shift; descend into halves (no change point
             // recorded) so window-scale structure stays visible.
@@ -362,6 +361,20 @@ mod tests {
         let fast = DetectorConfig::default();
         let exact = DetectorConfig { exact_confidence: true, ..fast.clone() };
         assert_eq!(detect_change_points(&s, &fast), detect_change_points(&s, &exact));
+    }
+
+    /// Zero permutations are no evidence: the bootstrap reports confidence
+    /// 0 (not `0/0`), so no window is ever accepted.
+    #[test]
+    fn zero_bootstrap_iterations_accept_nothing() {
+        let noise = noisy_steps(&[(2000, 10.0)], 2.0);
+        let step = noisy_steps(&[(100, 5.0), (100, 25.0)], 1.0);
+        for use_ranks in [true, false] {
+            let cfg = DetectorConfig { use_ranks, bootstrap_iters: 0, ..DetectorConfig::default() };
+            assert!(detect_change_points(&noise, &cfg).is_empty(), "ranks={use_ranks}");
+            assert!(detect_change_points(&step, &cfg).is_empty(), "ranks={use_ranks}");
+        }
+        assert_eq!(crate::cusum::cusum_bootstrap(&step, 0, 7).confidence, 0.0);
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn unoise(seed: u64, i: u64) -> f64 {
     ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
 }
 
-/// The window-shape zoo from the issue: flat, step, diurnal, heavy-tailed.
+/// The window-shape zoo: flat, step, diurnal, heavy-tailed, quantised.
 fn corpus(seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     let n = 4 * 288; // four days of 5-minute samples
     let flat: Vec<f64> = (0..n).map(|i| 5.0 + 1.2 * unoise(seed, i)).collect();
@@ -200,7 +200,21 @@ fn corpus(seed: u64) -> Vec<(&'static str, Vec<f64>)> {
             2.0 + 2.0 * (1.0 - u).max(1e-6).powf(-0.7)
         })
         .collect();
-    vec![("flat", flat), ("step", step), ("diurnal", diurnal), ("heavy", heavy)]
+    // Tie-heavy: RTTs quantised to whole milliseconds around a shift, so
+    // most samples share their rank with many others.
+    let quantised: Vec<f64> = (0..n)
+        .map(|i| {
+            let level = if (n / 2..3 * n / 4).contains(&i) { 9.0 } else { 3.0 };
+            (level + 4.0 * unoise(seed ^ 4, i)).round()
+        })
+        .collect();
+    vec![
+        ("flat", flat),
+        ("step", step),
+        ("diurnal", diurnal),
+        ("heavy", heavy),
+        ("quantised", quantised),
+    ]
 }
 
 #[test]

@@ -299,13 +299,15 @@ pub fn assess_link(
     scratch: &mut DetectorScratch,
 ) -> Assessment {
     let pre = segment(series, cfg, cfg.detector.magnitude_gate, scratch);
-    assess_core(series, cfg, cfg.threshold_ms, pre.as_ref(), mask, scratch)
+    assess_core(series, cfg, cfg.threshold_ms, pre.as_ref(), mask, &mut None, scratch)
 }
 
 /// [`assess_link`] at several thresholds — the Table 1 sensitivity sweep.
 /// The (expensive, threshold-independent) segmentation runs once, with the
 /// magnitude gate lowered to `0.8 ×` the smallest threshold when the
-/// configured gate sits above it; the verdict logic runs per threshold.
+/// configured gate sits above it; the near side is segmented at most once,
+/// and only if some threshold has far events; the verdict logic runs per
+/// threshold.
 pub fn assess_at_thresholds_masked_with(
     series: &LinkSeries,
     cfg: &AssessConfig,
@@ -315,9 +317,10 @@ pub fn assess_at_thresholds_masked_with(
 ) -> Vec<(f64, Assessment)> {
     let min_t = thresholds_ms.iter().cloned().fold(f64::INFINITY, f64::min);
     let pre = segment(series, cfg, cfg.detector.magnitude_gate.min(min_t * 0.8), scratch);
+    let mut near = None;
     thresholds_ms
         .iter()
-        .map(|&t| (t, assess_core(series, cfg, t, pre.as_ref(), mask, scratch)))
+        .map(|&t| (t, assess_core(series, cfg, t, pre.as_ref(), mask, &mut near, scratch)))
         .collect()
 }
 
@@ -366,18 +369,21 @@ pub fn record_assessment<R: Recorder>(rec: &R, key: LinkKey, a: &Assessment) {
 /// The threshold-dependent half of the assessment, shared by every entry
 /// point. `threshold_ms` overrides `cfg.threshold_ms` (the segmentation
 /// carries its own detector settings). A clean `mask` (no gaps, near gaps
-/// or path changes) masks nothing and leaves the verdict trusted.
+/// or path changes) masks nothing and leaves the verdict trusted. `near`
+/// caches the near side across the thresholds of one call (start `None`).
 fn assess_core(
     series: &LinkSeries,
     cfg: &AssessConfig,
     threshold_ms: f64,
     pre: Option<&Segmentation>,
     mask: &HealthReport,
+    near: &mut Option<NearSide>,
     scratch: &mut DetectorScratch,
 ) -> Assessment {
-    let Some(Segmentation { far, far_idx, segs, baseline, det, min_len, far_validity }) = pre else {
+    let Some(pre) = pre else {
         return Assessment { health: mask.overall, ..Assessment::empty(series.far_validity(), f64::NAN) };
     };
+    let Segmentation { far, far_idx, segs, baseline, min_len, far_validity, .. } = pre;
     let (min_len, far_validity, baseline) = (*min_len, *far_validity, *baseline);
     let raw_events = extract_events(segs, baseline, threshold_ms, min_len);
     let gap = samples_for(cfg.sanitize_gap, series.cfg.interval);
@@ -432,7 +438,7 @@ fn assess_core(
     // Near-side guard, extended under a mask: far events spending too much
     // of their span inside near-side measurement gaps cannot exonerate the
     // near series, so they veto the link just like coincident near shifts.
-    let mut guard = near_guard(series, &events, far_idx, cfg, threshold_ms, det, scratch);
+    let mut guard = near_guard(series, &events, pre, cfg, threshold_ms, near, scratch);
     if guard != NearGuard::CoincidentShifts && !mask.near_gaps.is_empty() && flagged {
         let spans: Vec<(usize, usize)> = events
             .iter()
@@ -562,31 +568,52 @@ fn samples_for(d: SimDuration, interval: SimDuration) -> usize {
     (d.as_micros() / interval.as_micros().max(1)).max(1) as usize
 }
 
-/// Check the near series for shifts coincident with the far events.
+/// The near series and, once a threshold with far events needs it, its
+/// segmentation and baseline. The detector settings, the near series and
+/// the baseline quantile are the same at every threshold of a sweep, so one
+/// value serves them all.
+struct NearSide {
+    near: Vec<f64>,
+    idx: Vec<usize>,
+    segmented: Option<(Vec<Segment>, f64)>,
+}
+
+/// Check the near series for shifts coincident with the far events,
+/// segmenting it with the far side's detector settings.
 fn near_guard(
     series: &LinkSeries,
     far_events: &[ShiftEvent],
-    far_idx: &[usize],
+    far: &Segmentation,
     cfg: &AssessConfig,
     threshold_ms: f64,
-    det: &DetectorConfig,
+    near: &mut Option<NearSide>,
     scratch: &mut DetectorScratch,
 ) -> NearGuard {
-    let (near, near_idx) = series.near_clean();
+    let det = &far.det;
+    let NearSide { near, idx: near_idx, segmented } = near.get_or_insert_with(|| {
+        let (near, idx) = series.near_clean();
+        NearSide { near, idx, segmented: None }
+    });
     if near.len() < 2 * det.min_segment || near.len() < series.len() / 4 {
         return NearGuard::Unclear;
     }
-    let (segs, base) = scratch.segment_series(&near, det, cfg.baseline_quantile);
-    let near_events = extract_events(segs, base, threshold_ms, det.min_segment);
-    if near_events.is_empty() || far_events.is_empty() {
+    if far_events.is_empty() {
+        return NearGuard::Clean;
+    }
+    let (segs, base) = segmented.get_or_insert_with(|| {
+        let (segs, base) = scratch.segment_series(near, det, cfg.baseline_quantile);
+        (segs.to_vec(), base)
+    });
+    let near_events = extract_events(segs, *base, threshold_ms, det.min_segment);
+    if near_events.is_empty() {
         return NearGuard::Clean;
     }
     // Overlap between far events and near events in *round index* space.
     let to_rounds = |ev: &ShiftEvent, idx: &[usize]| -> (usize, usize) {
         (idx[ev.start], idx[(ev.end - 1).min(idx.len() - 1)] + 1)
     };
-    let far_spans: Vec<(usize, usize)> = far_events.iter().map(|e| to_rounds(e, far_idx)).collect();
-    let near_spans: Vec<(usize, usize)> = near_events.iter().map(|e| to_rounds(e, &near_idx)).collect();
+    let far_spans: Vec<(usize, usize)> = far_events.iter().map(|e| to_rounds(e, &far.far_idx)).collect();
+    let near_spans: Vec<(usize, usize)> = near_events.iter().map(|e| to_rounds(e, near_idx)).collect();
     let far_total: usize = far_spans.iter().map(|(a, b)| b - a).sum();
     let mut overlap = 0usize;
     for &(fa, fb) in &far_spans {
@@ -1052,6 +1079,8 @@ mod tests {
             synth(28, flat(0.8), flat(0.5)),
             rerouted,
             synth(0, flat(1.0), flat(1.0)),
+            // The near side shifts with the far side: CoincidentShifts.
+            synth(28, diurnal_far, diurnal_far),
         ];
         let thresholds = [5.0, 10.0, 15.0, 20.0];
         let mut scratch = DetectorScratch::new();
