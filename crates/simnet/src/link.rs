@@ -30,7 +30,6 @@ use crate::rng::{streams, HashNoise};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of a link in the network arena.
@@ -176,15 +175,6 @@ pub struct LinkQueueState {
     last_offered_bps: f64,
 }
 
-/// Per-direction packet/drop counters. Atomic so [`Link::transit_in`] can
-/// record traffic through a shared `&Link`; relaxed ordering — these are
-/// observability counters, never part of probe results.
-#[derive(Debug, Default)]
-struct DirCounters {
-    packets: AtomicU64,
-    drops: AtomicU64,
-}
-
 /// Static configuration for building a [`Link`].
 #[derive(Clone, Debug)]
 pub struct LinkConfig {
@@ -242,7 +232,6 @@ pub struct Link {
     cfg: LinkConfig,
     loads: [Arc<dyn OfferedLoad>; 2],
     states: [LinkQueueState; 2],
-    counters: [DirCounters; 2],
     noise: HashNoise,
 }
 
@@ -274,7 +263,6 @@ impl Link {
             cfg,
             loads: [load_ab, load_ba],
             states,
-            counters: [DirCounters::default(), DirCounters::default()],
             noise,
         }
     }
@@ -364,12 +352,6 @@ impl Link {
         *self.cfg.capacity_bps.at(t)
     }
 
-    /// `(packets carried, packets dropped)` counters for one direction.
-    pub fn stats(&self, dir: Dir) -> (u64, u64) {
-        let c = &self.counters[dir.index()];
-        (c.packets.load(Ordering::Relaxed), c.drops.load(Ordering::Relaxed))
-    }
-
     /// Advance a lazy queue integration of `dir` up to `t`.
     ///
     /// Queries at `t` earlier than the state's anchor (possible when the
@@ -440,19 +422,19 @@ impl Link {
     /// Carry one packet of `size` bytes across `dir` at `t`, advancing `st`.
     ///
     /// `pkt_key` must be unique per crossing attempt (probe id mixed with a
-    /// hop counter); it seeds the deterministic drop decision. Takes `&self`:
-    /// the packet's fate depends only on the shared substrate, the explicit
-    /// queue state, and `pkt_key`.
+    /// hop counter); it seeds the deterministic drop decision. Takes `&self`
+    /// and writes nothing but `st`: the packet's fate depends only on the
+    /// shared substrate, the explicit queue state, and `pkt_key`, so
+    /// concurrent walks crossing the same link never share a written cache
+    /// line.
     pub fn transit_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime, size: u32, pkt_key: u64) -> TransitResult {
         let d_idx = dir.index();
         if !self.is_up(t) {
-            self.counters[d_idx].drops.fetch_add(1, Ordering::Relaxed);
             return Err(DropReason::LinkDown);
         }
         let p_loss = self.loss_probability_in(dir, st, t);
         let key = pkt_key ^ ((self.id.0 as u64) << 32) ^ ((d_idx as u64) << 63);
         if self.cfg.base_loss > 0.0 && self.noise.chance(streams::FAULT_LOSS, key, self.cfg.base_loss) {
-            self.counters[d_idx].drops.fetch_add(1, Ordering::Relaxed);
             return Err(DropReason::RandomLoss);
         }
         let overload = if self.cfg.base_loss > 0.0 {
@@ -461,13 +443,11 @@ impl Link {
             p_loss
         };
         if overload > 0.0 && self.noise.chance(streams::QUEUE_DROP, key, overload) {
-            self.counters[d_idx].drops.fetch_add(1, Ordering::Relaxed);
             return Err(DropReason::QueueFull);
         }
         let cap = self.capacity_at(t).max(1.0);
         let queue = self.queue_delay_in(dir, st, t);
         let serialization = SimDuration::from_secs_f64(size as f64 * 8.0 / cap);
-        self.counters[d_idx].packets.fetch_add(1, Ordering::Relaxed);
         Ok(self.cfg.prop_delay + serialization + queue)
     }
 
@@ -593,8 +573,6 @@ mod tests {
         }
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.5).abs() < 0.03, "drop rate {rate}");
-        let (pk, dr) = l.stats(Dir::AtoB);
-        assert_eq!(pk + dr, n);
     }
 
     #[test]

@@ -192,15 +192,25 @@ pub enum ForwardStep {
 ///   two contexts agree wherever their queries overlap,
 /// - one [`NodeScratch`] per node (IP-ID counters, ICMP rate-limiter
 ///   buckets) — one context models one measurement session's view,
-/// - a per-node route memo caching resolved `dst → egress` lookups.
+/// - a per-node route memo caching `(node, dst) → {owned, egress}`: whether
+///   `dst` is one of the node's own addresses, and the longest-prefix-match
+///   egress toward it.
 ///
 /// The memo is a dense array indexed by node id, two direct-mapped slots per
 /// node — a probe walk resolves at most two destinations per node (the
 /// probe's target on the forward leg, the prober's address on the return
 /// leg), so two slots give the same hit rate the old `HashMap<(node, dst), …>`
-/// memo had, with no hashing and O(nodes) memory. Replacement policy cannot
-/// affect results: longest-prefix match is a pure function of `(node, dst)`,
-/// so every fill writes the same value a hit would have read.
+/// memo had, with no hashing and O(nodes) memory. Each slot packs both
+/// answers into one `u32` (egress id in the low 16 bits, "no route" and
+/// "owned" flags above), so a hop costs one memo probe — no scan of a border
+/// router's hundreds of interfaces, no forwarding-table search. Replacement
+/// policy cannot affect results: ownership and longest-prefix match are pure
+/// functions of `(node, dst)`, so every fill writes the same value a hit
+/// would have read.
+///
+/// Together with the caller-owned queue and node state, this makes the walk
+/// write nothing shared: every store a probe makes lands in its own context,
+/// so concurrent workers never contend for a cache line of the substrate.
 ///
 /// A context is glued to the network's mutation epochs: topology or scenario
 /// changes on the `Network` invalidate the route memo or rewind the queue
@@ -231,25 +241,41 @@ pub struct ProbeCtx {
     routes: Vec<(u32, [(Ipv4, u32); 2])>,
 }
 
-/// Route-memo slot holding nothing yet.
+/// Route-memo slot holding nothing yet. No resolution encodes to it: a
+/// filled slot never sets a bit above [`MEMO_OWNED`].
 const MEMO_EMPTY: u32 = u32::MAX;
-/// Route-memo slot recording "no route" for its destination.
-const MEMO_NONE: u32 = u32::MAX - 1;
+/// Route-memo flag: the node has no route for the destination. The low 16
+/// bits hold the egress [`IfaceId`] otherwise — `Node::add_iface` refuses a
+/// 65,537th interface, so every id fits.
+const MEMO_NO_ROUTE: u32 = 1 << 16;
+/// Route-memo flag: the destination address is one of the node's own.
+const MEMO_OWNED: u32 = 1 << 17;
 
-#[inline]
-fn memo_encode(route: Option<IfaceId>) -> u32 {
-    match route {
-        Some(i) => i.0 as u32,
-        None => MEMO_NONE,
-    }
+/// One `(node, dst)` resolution: does the node own `dst`, and where would it
+/// forward a packet for `dst`?
+#[derive(Clone, Copy)]
+struct Resolved {
+    owned: bool,
+    egress: Option<IfaceId>,
 }
 
-#[inline]
-fn memo_decode(v: u32) -> Option<IfaceId> {
-    if v == MEMO_NONE {
-        None
-    } else {
-        Some(IfaceId(v as u16))
+impl Resolved {
+    #[inline]
+    fn encode(self) -> u32 {
+        let route = self.egress.map_or(MEMO_NO_ROUTE, |i| i.0 as u32);
+        if self.owned {
+            route | MEMO_OWNED
+        } else {
+            route
+        }
+    }
+
+    #[inline]
+    fn decode(v: u32) -> Resolved {
+        Resolved {
+            owned: v & MEMO_OWNED != 0,
+            egress: (v & MEMO_NO_ROUTE == 0).then_some(IfaceId(v as u16)),
+        }
     }
 }
 
@@ -562,6 +588,37 @@ impl Network {
         None
     }
 
+    /// Resolve `dst` at `node` (id `cur`): ownership and egress in one lookup,
+    /// through the context's route memo.
+    ///
+    /// Both answers are pure functions of the node's interfaces and
+    /// forwarding table, and every `Network` method that can change either
+    /// bumps the topology epoch, which invalidates the memo at the next
+    /// sync. Nodes carrying dynamic forwarding overlays (routing events)
+    /// bypass the memo: their next hop is a function of time, not just of
+    /// `(node, dst)`.
+    #[inline]
+    fn resolve(ctx: &mut ProbeCtx, cur: NodeId, node: &Node, dst: Ipv4, now: SimTime) -> Resolved {
+        if !node.fwd_dyn.is_empty() {
+            return Resolved { owned: node.owns_addr(dst), egress: node.next_hop_at(dst, now) };
+        }
+        let entry = &mut ctx.routes[cur.0 as usize];
+        if entry.0 != ctx.route_gen {
+            *entry = (ctx.route_gen, [(Ipv4(0), MEMO_EMPTY); 2]);
+        }
+        let memo = &mut entry.1;
+        if memo[0].1 != MEMO_EMPTY && memo[0].0 == dst {
+            Resolved::decode(memo[0].1)
+        } else if memo[1].1 != MEMO_EMPTY && memo[1].0 == dst {
+            Resolved::decode(memo[1].1)
+        } else {
+            let r = Resolved { owned: node.owns_addr(dst), egress: node.next_hop(dst) };
+            memo[1] = memo[0];
+            memo[0] = (dst, r.encode());
+            r
+        }
+    }
+
     /// Advance `pkt`, currently at `cur` (arrived on `incoming`; `None` at the
     /// original source) at time `now`, by one forwarding decision, using
     /// caller-owned mutable state.
@@ -583,9 +640,10 @@ impl Network {
         ctx.sync(self);
         let node = &self.nodes[cur.0 as usize];
         let is_response = pkt.kind.is_response();
+        let Resolved { owned, egress: route } = Self::resolve(ctx, cur, node, pkt.dst, now);
 
         // Arrived at the packet's destination address?
-        if cur != origin && node.owns_addr(pkt.dst) {
+        if cur != origin && owned {
             if is_response {
                 return ForwardStep::Consumed { node: cur, at: now };
             }
@@ -620,33 +678,6 @@ impl Network {
             return ForwardStep::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
         }
 
-        // Route memoization: resolved hop choices are pure functions of the
-        // forwarding tables, which cannot change while a ProbeCtx is in use
-        // (any `node_mut`/`add_route` bumps the topology epoch and clears
-        // this memo at the next sync). Two direct-mapped slots per node cover
-        // a probe walk's two destinations (target out, prober back); the LPM
-        // is pure, so the replacement policy cannot change any answer. Nodes
-        // carrying dynamic forwarding overlays (routing events) bypass the
-        // memo: their next hop is a function of time, not just of (node, dst).
-        let route = if node.fwd_dyn.is_empty() {
-            let entry = &mut ctx.routes[cur.0 as usize];
-            if entry.0 != ctx.route_gen {
-                *entry = (ctx.route_gen, [(Ipv4(0), MEMO_EMPTY); 2]);
-            }
-            let memo = &mut entry.1;
-            if memo[0].1 != MEMO_EMPTY && memo[0].0 == pkt.dst {
-                memo_decode(memo[0].1)
-            } else if memo[1].1 != MEMO_EMPTY && memo[1].0 == pkt.dst {
-                memo_decode(memo[1].1)
-            } else {
-                let e = node.next_hop(pkt.dst);
-                memo[1] = memo[0];
-                memo[0] = (pkt.dst, memo_encode(e));
-                e
-            }
-        } else {
-            node.next_hop_at(pkt.dst, now)
-        };
         let Some(egress) = route else {
             if cur == origin {
                 return ForwardStep::Fail(ProbeError::NoRoute);
@@ -1087,6 +1118,47 @@ mod tests {
             .expect("all far probes dropped");
         assert!(near.rtt < SimDuration::from_millis(2), "near {}", near.rtt);
         assert!(far.rtt > near.rtt + SimDuration::from_millis(5), "far {} near {}", far.rtt, near.rtt);
+    }
+
+    #[test]
+    fn ownership_memo_follows_the_topology_epoch() {
+        let (mut net, vp, _, far, _) = line_topology();
+        let r2 = NodeId(2);
+        let addr = Ipv4::new(10, 0, 9, 9);
+        let mut ctx = net.probe_ctx(7);
+        // Unowned: r2's default route points back at r1, so r2 refuses to
+        // hairpin and answers unreachable.
+        let r = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
+        assert_eq!((r.kind, r.responder, r.responder_node), (PacketKind::DestUnreachable, far, r2));
+        // Same context, new interface: r2 now owns the address, so the
+        // memoized "not home" answer must not survive the epoch bump.
+        net.add_stub_iface(r2, addr);
+        let r = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
+        assert_eq!((r.kind, r.responder, r.responder_node), (PacketKind::EchoReply, addr, r2));
+    }
+
+    #[test]
+    fn ownership_memo_survives_slot_eviction() {
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        // Through r1: its own address, a far host, and an unrouted address,
+        // each probed twice (the second walk hits the memo), alternating
+        // with the prober's address on every return leg, so r1's two memo
+        // slots keep evicting each other.
+        let dsts = [Ipv4::new(10, 0, 0, 1), tgt_addr, Ipv4::new(8, 8, 8, 8)];
+        let mut shared = net.probe_ctx(7);
+        for i in 0..18u64 {
+            let spec = ProbeSpec::echo(dsts[i as usize / 2 % dsts.len()]);
+            let t = SimTime(i * 1_000_000);
+            let got = net.send_probe_in(&mut shared, vp, spec, t).unwrap();
+            let want = net.send_probe_in(&mut net.probe_ctx(7), vp, spec, t).unwrap();
+            assert_eq!(
+                (got.kind, got.responder, got.responder_node),
+                (want.kind, want.responder, want.responder_node),
+                "probe {i}"
+            );
+            assert_eq!(got.truth_forward_path, want.truth_forward_path, "probe {i}");
+            assert_eq!(got.truth_return_path, want.truth_return_path, "probe {i}");
+        }
     }
 
     #[test]

@@ -275,8 +275,13 @@ impl Node {
     }
 
     /// Add an interface; returns its id.
+    ///
+    /// Panics on a 65,537th interface: [`IfaceId`] is 16 bits wide, and a
+    /// wrapped id would alias interface 0.
     pub fn add_iface(&mut self, addr: Ipv4, link: Option<(LinkId, Dir)>) -> IfaceId {
-        let id = IfaceId(self.ifaces.len() as u16);
+        let id = u16::try_from(self.ifaces.len())
+            .map(IfaceId)
+            .unwrap_or_else(|_| panic!("node {} already has 65,536 interfaces; cannot add {addr}", self.id.0));
         self.ifaces.push(Iface { addr, link });
         id
     }
@@ -456,6 +461,16 @@ mod tests {
         assert_eq!(n.iface_by_addr(Ipv4::new(196, 49, 14, 129)), Some(IfaceId(1)));
         assert!(n.owns_addr(Ipv4::new(196, 49, 14, 1)));
         assert!(!n.owns_addr(Ipv4::new(196, 49, 14, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "already has 65,536 interfaces")]
+    fn interface_ids_never_wrap() {
+        let mut n = Node::new(NodeId(0), NodeKind::Router, Asn(1), NameId::EMPTY);
+        for i in 0..=u16::MAX as u32 {
+            assert_eq!(n.add_iface(Ipv4(0x0a00_0000 | i), None), IfaceId(i as u16));
+        }
+        n.add_iface(Ipv4(0x0b00_0000), None);
     }
 
     #[test]
