@@ -18,7 +18,7 @@ use std::collections::HashMap;
 const ALLY_WINDOW: u16 = 200;
 
 fn ping_id(net: &Network, ctx: &mut ProbeCtx, from: NodeId, dst: Ipv4, t: SimTime) -> Option<u16> {
-    match net.send_probe_in(ctx, from, ProbeSpec::echo(dst), t) {
+    match net.send_probe(ctx, from, ProbeSpec::echo(dst), t) {
         Ok(r) if r.kind == PacketKind::EchoReply => Some(r.ip_id),
         _ => None,
     }
@@ -163,7 +163,7 @@ mod tests {
         // Desynchronize the counters: r3 answers a bunch of probes first.
         // IP-ID state is per-ctx, so the warm-up must use the same ctx.
         for i in 0..500u64 {
-            let _ = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(c), SimTime(i * 10_000));
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(c), SimTime(i * 10_000));
         }
         assert_eq!(ally_test(&net, &mut ctx, vp, a, c, SimTime(600_000_0)), Some(false));
     }
@@ -184,7 +184,7 @@ mod tests {
         assert!(alias >= 0.99, "alias MBT score {alias}");
         // Desynchronize and compare across routers: the interleaving breaks.
         for i in 0..700u64 {
-            let _ = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(c), SimTime(10_000_000 + i * 10_000));
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(c), SimTime(10_000_000 + i * 10_000));
         }
         let stranger = mbt_test(&net, &mut ctx, vp, a, c, 8, SimTime(60_000_000)).unwrap();
         assert!(stranger < 0.9, "stranger MBT score {stranger}");
@@ -205,10 +205,10 @@ mod tests {
         // Desynchronize counters so cross-router pairs cannot collide into
         // the ally window by accident.
         for i in 0..400u64 {
-            let _ = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(c), SimTime(i * 5_000));
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(c), SimTime(i * 5_000));
         }
         for i in 0..900u64 {
-            let _ = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(d), SimTime(i * 5_000));
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(d), SimTime(i * 5_000));
         }
         let clusters = resolve_aliases(&net, &mut ctx, vp, &[a, b, c, d], SimTime(10_000_000));
         assert_eq!(clusters.len(), 3, "{clusters:?}");

@@ -13,19 +13,21 @@ fn micro_probe_fast_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe_fast_path");
     g.throughput(Throughput::Elements(1));
     g.bench_function("idle_line_echo", |b| {
-        let (mut net, vp, tgt) = line_topology(1);
+        let (net, vp, tgt) = line_topology(1);
+        let mut ctx = net.probe_ctx(0);
         let mut t = 0u64;
         b.iter(|| {
             t += 1_000_000;
-            net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(t)).unwrap().rtt
+            net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(t)).unwrap().rtt
         })
     });
     g.bench_function("congested_line_ttl2", |b| {
-        let (mut net, vp, tgt) = congested_line(2, 1.2);
+        let (net, vp, tgt) = congested_line(2, 1.2);
+        let mut ctx = net.probe_ctx(0);
         let mut t = 3_600_000_000u64;
         b.iter(|| {
             t += 1_000_000;
-            let _ = net.send_probe(vp, ProbeSpec::ttl_limited(tgt, 2), SimTime(t));
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt, 2), SimTime(t));
         })
     });
     g.finish();
@@ -93,7 +95,7 @@ fn micro_queue_advance(c: &mut Criterion) {
         capacity_bps: Schedule::constant(1e8),
         ..LinkConfig::default()
     };
-    let mut link = Link::new(
+    let link = Link::new(
         LinkId(0),
         Ipv4::new(10, 0, 0, 1),
         Ipv4::new(10, 0, 0, 2),
@@ -102,11 +104,12 @@ fn micro_queue_advance(c: &mut Criterion) {
         Arc::new(NoLoad),
         HashNoise::new(1),
     );
+    let mut st = link.fresh_queue_state(Dir::AtoB);
     let mut t = 0u64;
     c.bench_function("queue_advance_5min_step", |b| {
         b.iter(|| {
             t += 300_000_000;
-            link.queue_delay(Dir::AtoB, SimTime(t))
+            link.queue_delay(Dir::AtoB, &mut st, SimTime(t))
         })
     });
 }
@@ -135,8 +138,9 @@ fn micro_kernel_vs_fast_path(c: &mut Criterion) {
     });
     g.bench_function("fast_path_one_probe", |b| {
         b.iter(|| {
-            let (mut net, vp, tgt) = line_topology(6);
-            net.send_probe(vp, ProbeSpec::echo(tgt), SimTime::ZERO).map(|r| r.rtt).ok()
+            let (net, vp, tgt) = line_topology(6);
+            let mut ctx = net.probe_ctx(0);
+            net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime::ZERO).map(|r| r.rtt).ok()
         })
     });
     g.finish();

@@ -60,7 +60,7 @@ pub fn loss_batch(
     let mut received = 0u32;
     for i in 0..cfg.batch_size {
         let t = t0 + SimDuration::from_micros(cfg.interval.as_micros() * i as u64);
-        if let Ok(rep) = net.send_probe_in(ctx, from, ProbeSpec::ttl_limited(dst, ttl), t) {
+        if let Ok(rep) = net.send_probe(ctx, from, ProbeSpec::ttl_limited(dst, ttl), t) {
             if matches!(rep.kind, PacketKind::TimeExceeded | PacketKind::DestUnreachable) {
                 received += 1;
             }

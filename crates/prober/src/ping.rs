@@ -30,7 +30,7 @@ pub fn ping(
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
         let t = t0 + SimDuration::from_micros(interval.as_micros() * i as u64);
-        let r = net.send_probe_in(ctx, from, ProbeSpec::echo(dst), t);
+        let r = net.send_probe(ctx, from, ProbeSpec::echo(dst), t);
         out.push(match r {
             Ok(rep) if rep.kind == PacketKind::EchoReply => {
                 Some(PingReply { rtt: rep.rtt, responder: rep.responder, ip_id: rep.ip_id })

@@ -44,7 +44,7 @@ pub fn record_route_symmetry(
     resolve: impl Fn(Ipv4) -> Option<u64>,
     t: SimTime,
 ) -> Symmetry {
-    let reply = match net.send_probe_in(ctx, from, ProbeSpec::echo(far_addr).with_record_route(), t) {
+    let reply = match net.send_probe(ctx, from, ProbeSpec::echo(far_addr).with_record_route(), t) {
         Ok(r) if r.kind == PacketKind::EchoReply => r,
         _ => return Symmetry::Unknown,
     };

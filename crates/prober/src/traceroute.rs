@@ -86,7 +86,7 @@ pub fn traceroute(
     for ttl in 1..=cfg.max_ttl {
         let mut hop = Hop { ttl, addr: None, rtt: None, kind: None };
         for _ in 0..cfg.attempts {
-            let r = net.send_probe_in(ctx, from, ProbeSpec::ttl_limited(dst, ttl), t);
+            let r = net.send_probe(ctx, from, ProbeSpec::ttl_limited(dst, ttl), t);
             t += cfg.spacing;
             if let Ok(rep) = r {
                 hop.addr = Some(rep.responder);

@@ -118,7 +118,7 @@ fn probe_end<R: Recorder>(
         }
         // The lite path skips truth-path collection — TSLP only reads the
         // reply's kind/rtt/responder, so this leg allocates nothing.
-        let r = net.send_probe_lite_in(ctx, from, ProbeSpec::ttl_limited(dst, ttl), *t);
+        let r = net.send_probe_lite(ctx, from, ProbeSpec::ttl_limited(dst, ttl), *t);
         *t += cfg.pacing;
         match r {
             Ok(rep)
@@ -295,7 +295,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let drain = |net: &Network, ctx: &mut ProbeCtx, vp| {
             for _ in 0..10 {
-                let _ = net.send_probe_in(ctx, vp, ProbeSpec::ttl_limited(target().dst, 2), t0);
+                let _ = net.send_probe(ctx, vp, ProbeSpec::ttl_limited(target().dst, 2), t0);
             }
         };
 
@@ -332,7 +332,7 @@ mod tests {
             net.node_mut(ixp_simnet::prelude::NodeId(2)).icmp.rate_limit_pps = Some(1.0);
             let mut ctx = net.probe_ctx(0);
             for _ in 0..10 {
-                let _ = net.send_probe_in(
+                let _ = net.send_probe(
                     &mut ctx,
                     vp,
                     ProbeSpec::ttl_limited(target().dst, 2),
@@ -366,7 +366,7 @@ mod tests {
         net.node_mut(ixp_simnet::prelude::NodeId(2)).icmp.rate_limit_pps = Some(1.0);
         let mut ctx = net.probe_ctx(0);
         for _ in 0..10 {
-            let _ = net.send_probe_in(&mut ctx, vp, ProbeSpec::ttl_limited(target().dst, 2), SimTime::ZERO);
+            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(target().dst, 2), SimTime::ZERO);
         }
         let lr = LinkRecorder::new();
         let s = tslp_probe_rec(&net, &mut ctx, vp, &target(), &TslpConfig::default(), SimTime::ZERO, &lr);

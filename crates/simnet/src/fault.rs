@@ -219,12 +219,9 @@ impl FaultPlan {
         for f in ordered {
             match f {
                 Fault::LinkOutage { link, from, until } => {
-                    // Respect the link's own schedule outside the outage:
-                    // re-assert the pre-outage value at the outage end.
-                    let resume = *net.link(*link).config().up.at(*until);
-                    let l = net.link_mut(*link);
-                    l.up_mut().step(*from, false);
-                    l.up_mut().step(*until, resume);
+                    // Outside the outage the link keeps its own schedule,
+                    // and an overlapping outage extends this one.
+                    net.link_mut(*link).up_mut().set_between(*from, *until, false);
                 }
                 Fault::NodeMaintenance { node, from, until } => {
                     net.node_mut(*node).icmp.silent_windows.push((*from, *until));
@@ -298,9 +295,10 @@ mod tests {
             until: SimTime(2_000_000),
         });
         assert_eq!(plan.apply(&mut net), 1);
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(1_500_000)).is_err());
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(3_000_000)).is_ok());
+        let mut ctx = net.probe_ctx(0);
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(1_500_000)).is_err());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(3_000_000)).is_ok());
     }
 
     #[test]
@@ -311,9 +309,27 @@ mod tests {
         FaultPlan::new()
             .with(Fault::LinkOutage { link: LinkId(0), from: SimTime(1_000_000), until: SimTime(2_000_000) })
             .apply(&mut net);
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(3_000_000)).is_ok());
+        let mut ctx = net.probe_ctx(0);
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(3_000_000)).is_ok());
         // Still permanently dead after its own schedule says so.
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(6_000_000)).is_err());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(6_000_000)).is_err());
+    }
+
+    #[test]
+    fn overlapping_outages_compose() {
+        // [10 s, 30 s) and [20 s, 40 s): the link stays down until 40 s.
+        let (mut net, vp, tgt) = line();
+        let outage = |from: u64, until: u64| Fault::LinkOutage {
+            link: LinkId(0),
+            from: SimTime(from * 1_000_000),
+            until: SimTime(until * 1_000_000),
+        };
+        FaultPlan::new().with(outage(20, 40)).with(outage(10, 30)).apply(&mut net);
+        let mut ctx = net.probe_ctx(0);
+        for (secs, up) in [(5, true), (15, false), (25, false), (35, false), (45, true)] {
+            let ok = net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(secs * 1_000_000)).is_ok();
+            assert_eq!(ok, up, "at {secs} s");
+        }
     }
 
     #[test]
@@ -324,9 +340,10 @@ mod tests {
         FaultPlan::new()
             .with(Fault::NodeMaintenance { node: NodeId(1), from: SimTime(10_000_000), until: SimTime(20_000_000) })
             .apply(&mut net);
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(15_000_000)).is_err());
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(30_000_000)).is_ok());
+        let mut ctx = net.probe_ctx(0);
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(15_000_000)).is_err());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(30_000_000)).is_ok());
     }
 
     #[test]
@@ -335,8 +352,9 @@ mod tests {
         FaultPlan::new()
             .with(Fault::PermanentSilence { node: NodeId(1), from: SimTime(1_000_000) })
             .apply(&mut net);
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
-        assert!(net.send_probe(vp, ProbeSpec::echo(tgt), SimTime(u64::MAX / 2)).is_err());
+        let mut ctx = net.probe_ctx(0);
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(0)).is_ok());
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime(u64::MAX / 2)).is_err());
     }
 
     /// vp — r1 — r2, with 41.0.0.0/24 terminating on r2 (stub) and routed
@@ -370,13 +388,14 @@ mod tests {
                 downtime: SimDuration::from_secs(10),
             })
             .apply(&mut net);
-        assert!(net.send_probe(vp, ProbeSpec::echo(dst), SimTime(0)).is_ok());
+        let mut ctx = net.probe_ctx(0);
+        assert!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(0)).is_ok());
         // During the reset, r1 has no route: destination unreachable from r1.
-        let r = net.send_probe(vp, ProbeSpec::echo(dst), SimTime(15_000_000)).unwrap();
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(15_000_000)).unwrap();
         assert_eq!(r.responder, Ipv4::new(10, 0, 0, 1));
         assert_eq!(r.kind, crate::packet::PacketKind::DestUnreachable);
         // Re-converged: the echo completes again.
-        let r = net.send_probe(vp, ProbeSpec::echo(dst), SimTime(25_000_000)).unwrap();
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(25_000_000)).unwrap();
         assert_eq!(r.responder, dst);
     }
 
@@ -391,8 +410,9 @@ mod tests {
                 until: None,
             })
             .apply(&mut net);
-        assert_eq!(net.send_probe(vp, ProbeSpec::echo(dst), SimTime(0)).unwrap().responder, dst);
-        let late = net.send_probe(vp, ProbeSpec::echo(dst), SimTime(u64::MAX / 2)).unwrap();
+        let mut ctx = net.probe_ctx(0);
+        assert_eq!(net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(0)).unwrap().responder, dst);
+        let late = net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(u64::MAX / 2)).unwrap();
         assert_eq!(late.kind, crate::packet::PacketKind::DestUnreachable);
     }
 
@@ -412,11 +432,12 @@ mod tests {
             })
             .apply(&mut net);
         // TTL 2 expires at r2; the Time Exceeded source names the link used.
-        let before = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(0)).unwrap();
+        let mut ctx = net.probe_ctx(0);
+        let before = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(0)).unwrap();
         assert_eq!(before.responder, Ipv4::new(10, 0, 1, 2));
-        let during = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(5_000_000_000)).unwrap();
+        let during = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(5_000_000_000)).unwrap();
         assert_eq!(during.responder, Ipv4::new(10, 0, 2, 2));
-        let after = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(9_000_000_000)).unwrap();
+        let after = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(9_000_000_000)).unwrap();
         assert_eq!(after.responder, Ipv4::new(10, 0, 1, 2));
     }
 
@@ -434,9 +455,10 @@ mod tests {
                 settle: SimDuration::from_secs(30),
             })
             .apply(&mut net);
-        let during = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(20_000_000)).unwrap();
+        let mut ctx = net.probe_ctx(0);
+        let during = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(20_000_000)).unwrap();
         assert_eq!(during.responder, Ipv4::new(10, 0, 2, 2));
-        let after = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(60_000_000)).unwrap();
+        let after = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(60_000_000)).unwrap();
         assert_eq!(after.responder, Ipv4::new(10, 0, 1, 2));
     }
 
@@ -456,7 +478,8 @@ mod tests {
                 .with(Fault::RouteFlip { node: NodeId(1), prefix: p, via: a, from: t, until: None })
                 .with(Fault::RouteFlip { node: NodeId(1), prefix: p, via: b, from: t, until: None })
                 .apply(&mut net);
-            net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(20_000_000)).unwrap().responder
+            let mut ctx = net.probe_ctx(0);
+            net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(41, 0, 0, 9), 2), SimTime(20_000_000)).unwrap().responder
         };
         assert_eq!(build(true), Ipv4::new(10, 0, 1, 2));
         assert_eq!(build(false), Ipv4::new(10, 0, 2, 2));
@@ -477,7 +500,8 @@ mod tests {
         let probe_at = |plan: FaultPlan, t: u64| {
             let (mut net, vp, dst) = line3();
             plan.apply(&mut net);
-            net.send_probe(vp, ProbeSpec::echo(dst), SimTime(t)).unwrap().kind
+            let mut ctx = net.probe_ctx(0);
+            net.send_probe(&mut ctx, vp, ProbeSpec::echo(dst), SimTime(t)).unwrap().kind
         };
         for t in [0u64, 6_000_000, 20_000_000, 60_000_000] {
             assert_eq!(

@@ -6,19 +6,21 @@
 //! is the right tool when agents must interleave — e.g. an alias-resolution
 //! agent firing back-to-back probes at two addresses and comparing IP-IDs, or
 //! failure-injection experiments where the topology mutates mid-flight. Both
-//! modes share [`crate::net::Network::forward_step`], and a test asserts they
-//! time packets identically.
+//! modes share [`crate::net::Network::forward_step`] and
+//! [`crate::net::Network::generate_response`]; the kernel drives them with
+//! the [`ProbeCtx`] it owns, and tests assert both modes time packets
+//! identically.
 //!
 //! Agents follow a command-buffer pattern: callbacks receive a [`AgentCtx`]
 //! into which they push sends and wake-ups; the kernel applies them after the
 //! callback returns, so agent code never aliases the network.
 
-use crate::net::{ForwardStep, Network, ProbeError, ProbeSpec};
+use crate::net::{ForwardStep, Network, ProbeCtx, ProbeError, ProbeSpec};
 use crate::node::{IfaceId, NodeId};
 use crate::packet::{Packet, PacketKind, ProbeId};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Identifies an agent registered with the kernel.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -114,21 +116,54 @@ enum Event {
     Wake(AgentId),
 }
 
-/// The discrete-event kernel. Owns the network and the registered agents.
+/// A pending event on the heap, ordered by `(at, seq)` alone: `seq` is the
+/// push counter, so events due at the same instant run in push order.
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    ev: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+/// The discrete-event kernel. Owns the network, the registered agents and
+/// the probing context every probe it walks draws its state from.
 pub struct Kernel {
-    /// The simulated network (accessible between runs).
+    /// The simulated network (accessible between runs; the kernel's context
+    /// follows any mutation through the network's epochs).
     pub net: Network,
+    ctx: ProbeCtx,
     agents: Vec<Option<(NodeId, Box<dyn Agent>)>>,
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    events: Vec<Option<Event>>,
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    seq: u64,
     now: SimTime,
     processed: u64,
 }
 
 impl Kernel {
-    /// Wrap a network.
+    /// Wrap a network. Probes draw ids 1, 2, 3, … from the kernel's
+    /// default-stream context, as a fast-path walk through
+    /// `net.probe_ctx(0)` would.
     pub fn new(net: Network) -> Kernel {
-        Kernel { net, agents: Vec::new(), heap: BinaryHeap::new(), events: Vec::new(), now: SimTime::ZERO, processed: 0 }
+        Kernel { net, ctx: ProbeCtx::default(), agents: Vec::new(), heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO, processed: 0 }
     }
 
     /// Current simulated time.
@@ -149,9 +184,8 @@ impl Kernel {
     }
 
     fn push(&mut self, at: SimTime, ev: Event) {
-        let idx = self.events.len() as u64;
-        self.events.push(Some(ev));
-        self.heap.push(Reverse((at, idx)));
+        self.heap.push(Reverse(Scheduled { at, seq: self.seq, ev }));
+        self.seq += 1;
     }
 
     fn apply_ctx(&mut self, agent: AgentId, host: NodeId, ctx: AgentCtx) {
@@ -162,7 +196,7 @@ impl Kernel {
             self.push(t.max(self.now), Event::Wake(agent));
         }
         for (spec, tag) in ctx.sends {
-            let probe_id = self.net.alloc_probe_id();
+            let probe_id = self.ctx.alloc_probe_id();
             let src = self.net.primary_addr(host);
             let mut pkt = Packet::probe(src, spec.dst, spec.kind, spec.ttl, probe_id, self.now);
             pkt.size = spec.size;
@@ -195,15 +229,13 @@ impl Kernel {
                 self.apply_ctx(AgentId(i as u32), host, ctx);
             }
         }
-        while let Some(&Reverse((t, idx))) = self.heap.peek() {
-            if let Some(u) = until {
-                if t > u {
-                    break;
-                }
+        loop {
+            let Some(next) = self.heap.peek_mut() else { break };
+            if until.is_some_and(|u| next.0.at > u) {
+                break;
             }
-            self.heap.pop();
-            let Some(ev) = self.events[idx as usize].take() else { continue };
-            self.now = self.now.max(t);
+            let Reverse(Scheduled { at, ev, .. }) = PeekMut::pop(next);
+            self.now = self.now.max(at);
             self.processed += 1;
             match ev {
                 Event::Wake(agent) => {
@@ -215,7 +247,7 @@ impl Kernel {
                     }
                 }
                 Event::Step { origin, node, incoming, mut pkt, hops, agent, tag } => {
-                    let step = self.net.forward_step(origin, node, incoming, &mut pkt, self.now, hops);
+                    let step = self.net.forward_step(&mut self.ctx, origin, node, incoming, &mut pkt, self.now, hops);
                     match step {
                         ForwardStep::Hop { next, incoming, arrive, .. } => {
                             self.push(arrive, Event::Step { origin, node: next, incoming: Some(incoming), pkt, hops: hops + 1, agent, tag });
@@ -262,7 +294,7 @@ impl Kernel {
                         }
                     }
                 }
-                Event::Respond { node, kind, src, pkt, agent, tag } => match self.net.generate_response(node, kind, src, &pkt, self.now) {
+                Event::Respond { node, kind, src, pkt, agent, tag } => match self.net.generate_response(&mut self.ctx, node, kind, src, &pkt, self.now) {
                     Ok((response, leave)) => {
                         self.push(leave, Event::Step { origin: node, node, incoming: None, pkt: response, hops: 0, agent, tag });
                     }
@@ -281,10 +313,11 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::ip::{Ipv4, Prefix};
-    use crate::link::LinkConfig;
-    use crate::node::{Asn, NodeKind};
+    use crate::link::{ConstantLoad, Dir, LinkConfig, LinkId, Schedule};
+    use crate::node::{Asn, NoResponse, NodeKind};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Arc;
 
     fn line() -> (Network, NodeId, Ipv4) {
         let mut net = Network::new(42);
@@ -303,6 +336,54 @@ mod tests {
         net.add_route(r2, "10.0.2.0/24".parse().unwrap(), IfaceId(1));
         net.add_route(tgt, Prefix::DEFAULT, IfaceId(0));
         (net, vp, Ipv4::new(10, 0, 2, 2))
+    }
+
+    /// `line()` with its middle link overloaded (1.3e8 bps offered on a
+    /// 1e8 bps link, so it tail-drops) and its far router rate-limited to
+    /// 0.05 ICMP responses per second — slow enough that one probe per 7 s
+    /// empties the bucket within the 40 rounds the tests below send.
+    fn loaded_line() -> (Network, NodeId, Ipv4) {
+        let (mut net, vp, tgt) = line();
+        let l = net.link_mut(LinkId(1));
+        *l.capacity_mut() = Schedule::constant(1e8);
+        l.set_load(Dir::AtoB, Arc::new(ConstantLoad(1.3e8)));
+        net.node_mut(NodeId(2)).icmp.rate_limit_pps = Some(0.05);
+        (net, vp, tgt)
+    }
+
+    /// One probe outcome: probe id, then `(rtt, ip_id)` or the error.
+    type Outcome = (u64, Result<(SimDuration, u16), ProbeError>);
+
+    /// Every `period`, `rounds` times, sends one probe at each TTL in `ttls`
+    /// and logs each outcome as its event arrives.
+    struct Rounds {
+        dst: Ipv4,
+        ttls: Vec<u8>,
+        period: SimDuration,
+        rounds: u32,
+        log: Rc<RefCell<Vec<Outcome>>>,
+    }
+
+    impl Agent for Rounds {
+        fn on_start(&mut self, ctx: &mut AgentCtx) {
+            ctx.wake_at(SimTime::ZERO);
+        }
+        fn on_wake(&mut self, ctx: &mut AgentCtx) {
+            if self.rounds == 0 {
+                return;
+            }
+            self.rounds -= 1;
+            for &ttl in &self.ttls {
+                ctx.send(ProbeSpec::ttl_limited(self.dst, ttl));
+            }
+            ctx.wake_after(self.period);
+        }
+        fn on_probe_event(&mut self, ev: ProbeEvent, _ctx: &mut AgentCtx) {
+            self.log.borrow_mut().push(match ev {
+                ProbeEvent::Response { probe, rtt, ip_id, .. } => (probe.0, Ok((rtt, ip_id))),
+                ProbeEvent::Failed { probe, error, .. } => (probe.0, Err(error)),
+            });
+        }
     }
 
     struct OneShot {
@@ -327,9 +408,10 @@ mod tests {
     #[test]
     fn kernel_and_fast_path_agree_on_rtt() {
         // Same probe, two engines, identical timing. Probe ids must line up:
-        // both networks allocate id 1 for their first probe.
-        let (mut fast_net, vp, tgt) = line();
-        let fast = fast_net.send_probe(vp, ProbeSpec::ttl_limited(tgt, 2), SimTime::ZERO).unwrap();
+        // both contexts allocate id 1 for their first probe.
+        let (fast_net, vp, tgt) = line();
+        let mut ctx = fast_net.probe_ctx(0);
+        let fast = fast_net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt, 2), SimTime::ZERO).unwrap();
 
         let (net, vp2, tgt2) = line();
         let result = Rc::new(RefCell::new(None));
@@ -339,6 +421,66 @@ mod tests {
         let kernel_rtt = result.borrow().clone().unwrap().unwrap();
         assert_eq!(kernel_rtt, fast.rtt);
     }
+
+    #[test]
+    fn kernel_and_fast_path_agree_over_a_series() {
+        // 40 rounds, 7 s apart, at TTL 1, 2 and 3 through a tail-dropping
+        // link to a rate-limited router: every probe's RTT and IP-ID (or its
+        // error) depends on queue anchors, token buckets and IP-ID counters
+        // carried from earlier probes, so the kernel must keep one context
+        // across all its events, as the fast path keeps one across walks.
+        let (net, vp, tgt) = loaded_line();
+        let mut ctx = net.probe_ctx(0);
+        let mut want = Vec::new();
+        for i in 0..40u64 {
+            for ttl in 1..=3 {
+                let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt, ttl), SimTime(i * 7_000_000));
+                want.push((want.len() as u64 + 1, r.map(|r| (r.rtt, r.ip_id))));
+            }
+        }
+
+        let (net, vp, tgt) = loaded_line();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::new(net);
+        let period = SimDuration::from_secs(7);
+        k.add_agent(vp, Box::new(Rounds { dst: tgt, ttls: vec![1, 2, 3], period, rounds: 40, log: log.clone() }));
+        k.run(None);
+        let mut got = log.borrow().clone();
+        got.sort_by_key(|o| o.0);
+        assert_eq!(got, want);
+        let rate_limited = want.iter().filter(|o| o.1 == Err(ProbeError::Silent(NoResponse::RateLimited))).count();
+        let dropped = want.iter().filter(|o| matches!(o.1, Err(ProbeError::DroppedForward(..)))).count();
+        assert!(rate_limited > 0 && dropped > 0, "{rate_limited} rate-limited, {dropped} dropped");
+    }
+
+    #[test]
+    fn simultaneous_agents_keep_their_event_order() {
+        // Two agents on one host send at the same instants, so many events
+        // tie on time and run in push order; their IP-IDs and the far
+        // router's token bucket depend on that order. The hash covers every
+        // outcome in arrival order.
+        let (net, vp, tgt) = loaded_line();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut k = Kernel::new(net);
+        let period = SimDuration::from_secs(7);
+        for _ in 0..2 {
+            k.add_agent(vp, Box::new(Rounds { dst: tgt, ttls: vec![1, 2, 3], period, rounds: 40, log: log.clone() }));
+        }
+        k.run(None);
+        let log = log.borrow();
+        assert_eq!(log.len(), 240);
+        let hash = log
+            .iter()
+            .map(|(id, r)| match r {
+                Ok((rtt, ip_id)) => format!("{id}:ok:{}:{ip_id};", rtt.as_micros()),
+                Err(e) => format!("{id}:err:{e:?};"),
+            })
+            .flat_map(String::into_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(hash, EVENT_ORDER_HASH, "got {hash:#018x}");
+    }
+
+    const EVENT_ORDER_HASH: u64 = 0x45f8_5f79_6e28_8c40;
 
     #[test]
     fn kernel_reports_failures() {

@@ -28,16 +28,17 @@
 //! [`net::Network::send_probe`] walks a probe's full round trip in
 //! O(path length) — the bulk-campaign fast path. [`kernel::Kernel`] runs the
 //! same per-hop semantics as discrete events for agent-in-the-loop
-//! experiments; the two are tested to agree exactly.
+//! experiments, drawing its probe state from a context it owns; the two are
+//! tested to agree exactly.
 //!
 //! ## Concurrency
 //!
 //! The substrate is immutable during probing and `Sync`; all mutable walk
 //! state (queue anchors, IP-ID counters, token buckets, a route memo) lives
 //! in a [`net::ProbeCtx`] from [`net::Network::probe_ctx`]. Threads each own
-//! a ctx and probe the same `&Network` via
-//! [`net::Network::send_probe_in`] without aliasing; two epoch counters
-//! (topology, scenario) tell a ctx when to invalidate its caches.
+//! a ctx and probe the same `&Network` via [`net::Network::send_probe`]
+//! without aliasing; two epoch counters (topology, scenario) tell a ctx when
+//! to invalidate its caches.
 //!
 //! ```
 //! use ixp_simnet::prelude::*;
@@ -48,7 +49,8 @@
 //! net.connect_idle(vp, Ipv4::new(10, 0, 0, 2), r, Ipv4::new(10, 0, 0, 1), LinkConfig::default());
 //! net.add_route(vp, Prefix::DEFAULT, IfaceId(0));
 //! net.add_route(r, "10.0.0.0/24".parse().unwrap(), IfaceId(0));
-//! let reply = net.send_probe(vp, ProbeSpec::echo(Ipv4::new(10, 0, 0, 1)), SimTime::ZERO).unwrap();
+//! let mut ctx = net.probe_ctx(0);
+//! let reply = net.send_probe(&mut ctx, vp, ProbeSpec::echo(Ipv4::new(10, 0, 0, 1)), SimTime::ZERO).unwrap();
 //! assert!(reply.rtt > SimDuration::ZERO);
 //! ```
 

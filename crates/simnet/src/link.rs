@@ -145,6 +145,16 @@ impl<T: Clone> Schedule<T> {
         self
     }
 
+    /// Hold `value` over `[from, until)`: steps inside the interval are
+    /// dropped, and the value in effect at `until` before the call resumes
+    /// there. Overlapping intervals therefore compose — their union holds
+    /// `value` — in whatever order they are set.
+    pub fn set_between(&mut self, from: SimTime, until: SimTime, value: T) -> &mut Self {
+        let resume = self.at(until).clone();
+        self.entries.retain(|e| e.0 < from || e.0 >= until);
+        self.step(from, value).step(until, resume)
+    }
+
     /// Value in effect at `t`.
     pub fn at(&self, t: SimTime) -> &T {
         match self.entries.binary_search_by_key(&t, |e| e.0) {
@@ -213,9 +223,8 @@ impl Default for LinkConfig {
 /// A point-to-point link between two interfaces with per-direction queues.
 ///
 /// The link itself is immutable during probing: configuration and offered
-/// loads are shared, queue state lives either in the embedded per-link copy
-/// (the `&mut self` compatibility API) or in a caller-owned
-/// [`LinkQueueState`] (the `*_in` shared-substrate API).
+/// loads are shared, and every query takes the caller's [`LinkQueueState`]
+/// for the direction it crosses (a `ProbeCtx` holds one per link direction).
 pub struct Link {
     /// Arena id.
     pub id: LinkId,
@@ -231,7 +240,6 @@ pub struct Link {
     ends: [(NodeId, IfaceId); 2],
     cfg: LinkConfig,
     loads: [Arc<dyn OfferedLoad>; 2],
-    states: [LinkQueueState; 2],
     noise: HashNoise,
 }
 
@@ -249,12 +257,6 @@ impl Link {
         load_ba: Arc<dyn OfferedLoad>,
         noise: HashNoise,
     ) -> Link {
-        let mk = |load: &Arc<dyn OfferedLoad>| LinkQueueState {
-            anchor: SimTime::ZERO,
-            queue_bytes: 0.0,
-            last_offered_bps: load.bps(SimTime::ZERO),
-        };
-        let states = [mk(&load_ab), mk(&load_ba)];
         Link {
             id,
             addr_a,
@@ -262,7 +264,6 @@ impl Link {
             ends: [(NodeId(u32::MAX), IfaceId(u16::MAX)); 2],
             cfg,
             loads: [load_ab, load_ba],
-            states,
             noise,
         }
     }
@@ -296,9 +297,7 @@ impl Link {
 
     /// Replace the offered load of one direction (scenario phase changes).
     pub fn set_load(&mut self, dir: Dir, load: Arc<dyn OfferedLoad>) {
-        let i = dir.index();
-        self.states[i].last_offered_bps = load.bps(self.states[i].anchor);
-        self.loads[i] = load;
+        self.loads[dir.index()] = load;
     }
 
     /// Mutable access to the capacity schedule (for upgrades).
@@ -316,24 +315,12 @@ impl Link {
         &mut self.cfg.buffer_bytes
     }
 
-    /// Rewind the lazy queue integration to the epoch (both directions).
-    ///
-    /// The queue model only integrates forward; a measurement pass that
-    /// re-reads an earlier time range (e.g. full-fidelity probing after a
-    /// screening pass) must rewind first or it reads stale state.
-    ///
-    /// Only affects the embedded per-link state used by the `&mut self`
-    /// compatibility API; caller-owned [`LinkQueueState`]s rewind via
-    /// `ProbeCtx::reset_queue_state` (or by taking a fresh
-    /// [`Link::fresh_queue_state`]).
-    pub fn reset_queue_state(&mut self) {
-        for dir in [Dir::AtoB, Dir::BtoA] {
-            self.states[dir.index()] = self.fresh_queue_state(dir);
-        }
-    }
-
     /// A queue state anchored at the epoch for `dir` — the starting point of
     /// any independent integration of this link's queue trajectory.
+    ///
+    /// The queue model only integrates forward: a pass that re-reads an
+    /// earlier time range must start from a fresh state (or rewind its
+    /// context with `ProbeCtx::reset_queue_state`) or it reads stale state.
     pub fn fresh_queue_state(&self, dir: Dir) -> LinkQueueState {
         LinkQueueState {
             anchor: SimTime::ZERO,
@@ -354,10 +341,11 @@ impl Link {
 
     /// Advance a lazy queue integration of `dir` up to `t`.
     ///
-    /// Queries at `t` earlier than the state's anchor (possible when the
-    /// event kernel interleaves with fast-path probing) return the anchored
-    /// state; the approximation error is bounded by one integration step.
-    fn advance_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) {
+    /// Queries at `t` earlier than the state's anchor (a fast-path walk's
+    /// forward leg after an earlier probe's return leg crossed the same
+    /// direction later in time) return the anchored state; the
+    /// approximation error is bounded by one integration step.
+    fn advance(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) {
         let cap_sched = &self.cfg.capacity_bps;
         let buf_sched = &self.cfg.buffer_bytes;
         let step = self.cfg.step;
@@ -393,22 +381,15 @@ impl Link {
     }
 
     /// Current queueing delay for `dir` at `t`, advancing `st`.
-    pub fn queue_delay_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> SimDuration {
-        self.advance_in(dir, st, t);
+    pub fn queue_delay(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> SimDuration {
+        self.advance(dir, st, t);
         let cap = self.capacity_at(t).max(1.0);
         SimDuration::from_secs_f64(st.queue_bytes * 8.0 / cap)
     }
 
-    /// Instantaneous utilization `offered/capacity` for `dir` at `t`.
-    pub fn utilization_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> f64 {
-        self.advance_in(dir, st, t);
-        let cap = self.capacity_at(t).max(1.0);
-        st.last_offered_bps / cap
-    }
-
     /// Loss probability a packet faces crossing `dir` at `t`.
-    pub fn loss_probability_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> f64 {
-        self.advance_in(dir, st, t);
+    pub fn loss_probability(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> f64 {
+        self.advance(dir, st, t);
         let cap = self.capacity_at(t).max(1.0);
         let overload = if st.queue_bytes >= *self.cfg.buffer_bytes.at(t) * 0.999 && st.last_offered_bps > cap {
             (st.last_offered_bps - cap) / st.last_offered_bps
@@ -427,12 +408,12 @@ impl Link {
     /// shared substrate, the explicit queue state, and `pkt_key`, so
     /// concurrent walks crossing the same link never share a written cache
     /// line.
-    pub fn transit_in(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime, size: u32, pkt_key: u64) -> TransitResult {
+    pub fn transit(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime, size: u32, pkt_key: u64) -> TransitResult {
         let d_idx = dir.index();
         if !self.is_up(t) {
             return Err(DropReason::LinkDown);
         }
-        let p_loss = self.loss_probability_in(dir, st, t);
+        let p_loss = self.loss_probability(dir, st, t);
         let key = pkt_key ^ ((self.id.0 as u64) << 32) ^ ((d_idx as u64) << 63);
         if self.cfg.base_loss > 0.0 && self.noise.chance(streams::FAULT_LOSS, key, self.cfg.base_loss) {
             return Err(DropReason::RandomLoss);
@@ -446,41 +427,9 @@ impl Link {
             return Err(DropReason::QueueFull);
         }
         let cap = self.capacity_at(t).max(1.0);
-        let queue = self.queue_delay_in(dir, st, t);
+        let queue = self.queue_delay(dir, st, t);
         let serialization = SimDuration::from_secs_f64(size as f64 * 8.0 / cap);
         Ok(self.cfg.prop_delay + serialization + queue)
-    }
-
-    /// Current queueing delay for `dir` at `t` (embedded-state convenience).
-    pub fn queue_delay(&mut self, dir: Dir, t: SimTime) -> SimDuration {
-        let mut st = self.states[dir.index()];
-        let r = self.queue_delay_in(dir, &mut st, t);
-        self.states[dir.index()] = st;
-        r
-    }
-
-    /// Instantaneous utilization (embedded-state convenience).
-    pub fn utilization(&mut self, dir: Dir, t: SimTime) -> f64 {
-        let mut st = self.states[dir.index()];
-        let r = self.utilization_in(dir, &mut st, t);
-        self.states[dir.index()] = st;
-        r
-    }
-
-    /// Loss probability (embedded-state convenience).
-    pub fn loss_probability(&mut self, dir: Dir, t: SimTime) -> f64 {
-        let mut st = self.states[dir.index()];
-        let r = self.loss_probability_in(dir, &mut st, t);
-        self.states[dir.index()] = st;
-        r
-    }
-
-    /// Carry one packet across `dir` at `t` (embedded-state convenience).
-    pub fn transit(&mut self, dir: Dir, t: SimTime, size: u32, pkt_key: u64) -> TransitResult {
-        let mut st = self.states[dir.index()];
-        let r = self.transit_in(dir, &mut st, t, size, pkt_key);
-        self.states[dir.index()] = st;
-        r
     }
 }
 
@@ -532,11 +481,27 @@ mod tests {
     }
 
     #[test]
+    fn set_between_composes_overlapping_intervals() {
+        let mut s = Schedule::constant(true);
+        s.step(SimTime(100), false);
+        s.set_between(SimTime(10), SimTime(30), false).set_between(SimTime(20), SimTime(40), false);
+        let at = |t| *s.at(SimTime(t));
+        assert_eq!([at(9), at(10), at(29), at(35), at(39), at(40), at(99), at(100)], [
+            true, false, false, false, false, true, true, false
+        ]);
+        // Later-starting interval set first: same union.
+        let mut r = Schedule::constant(true);
+        r.set_between(SimTime(20), SimTime(40), false).set_between(SimTime(10), SimTime(30), false);
+        assert_eq!([9, 10, 35, 40].map(|t| *r.at(SimTime(t))), [true, false, false, true]);
+    }
+
+    #[test]
     fn uncongested_link_has_no_queue() {
-        let mut l = mk_link(1e9, Arc::new(ConstantLoad(1e8))); // 10% load
+        let l = mk_link(1e9, Arc::new(ConstantLoad(1e8))); // 10% load
+        let mut st = l.fresh_queue_state(Dir::AtoB);
         let t = SimTime::from_hours_test(5);
-        assert_eq!(l.queue_delay(Dir::AtoB, t), SimDuration::ZERO);
-        let d = l.transit(Dir::AtoB, t, 64, 1).unwrap();
+        assert_eq!(l.queue_delay(Dir::AtoB, &mut st, t), SimDuration::ZERO);
+        let d = l.transit(Dir::AtoB, &mut st, t, 64, 1).unwrap();
         // prop 500us + serialization ~0.5us
         assert!(d >= SimDuration::from_micros(500) && d < SimDuration::from_micros(510), "{d}");
     }
@@ -552,22 +517,23 @@ mod tests {
         // 100 Mbps link, 150 Mbps offered: buffer (125 kB) fills in
         // 125k*8/50e6 = 20 ms of sim time; queue delay saturates at
         // 125k*8/100e6 = 10 ms.
-        let mut l = mk_link(1e8, Arc::new(ConstantLoad(1.5e8)));
-        let q = l.queue_delay(Dir::AtoB, SimTime(crate::time::MICROS_PER_HOUR));
+        let l = mk_link(1e8, Arc::new(ConstantLoad(1.5e8)));
+        let q = l.queue_delay(Dir::AtoB, &mut l.fresh_queue_state(Dir::AtoB), SimTime(crate::time::MICROS_PER_HOUR));
         assert!((q.as_millis_f64() - 10.0).abs() < 0.1, "{q}");
         // Reverse dir has no load.
-        let q2 = l.queue_delay(Dir::BtoA, SimTime(crate::time::MICROS_PER_HOUR));
+        let q2 = l.queue_delay(Dir::BtoA, &mut l.fresh_queue_state(Dir::BtoA), SimTime(crate::time::MICROS_PER_HOUR));
         assert_eq!(q2, SimDuration::ZERO);
     }
 
     #[test]
     fn saturated_link_drops_at_overload_rate() {
-        let mut l = mk_link(1e8, Arc::new(ConstantLoad(2e8))); // 50% overload
+        let l = mk_link(1e8, Arc::new(ConstantLoad(2e8))); // 50% overload
+        let mut st = l.fresh_queue_state(Dir::AtoB);
         let t0 = SimTime(crate::time::MICROS_PER_HOUR);
         let mut drops = 0;
         let n = 10_000;
         for i in 0..n {
-            if l.transit(Dir::AtoB, t0 + SimDuration::from_micros(i), 64, i).is_err() {
+            if l.transit(Dir::AtoB, &mut st, t0 + SimDuration::from_micros(i), 64, i).is_err() {
                 drops += 1;
             }
         }
@@ -590,40 +556,43 @@ mod tests {
                 2e8
             }
         }
-        let mut l = mk_link(1e8, Arc::new(Pulse));
-        let during = l.queue_delay(Dir::AtoB, SimTime(5 * crate::time::MICROS_PER_MIN));
+        let l = mk_link(1e8, Arc::new(Pulse));
+        let mut st = l.fresh_queue_state(Dir::AtoB);
+        let during = l.queue_delay(Dir::AtoB, &mut st, SimTime(5 * crate::time::MICROS_PER_MIN));
         assert!(during > SimDuration::from_millis(9), "{during}");
-        let after = l.queue_delay(Dir::AtoB, SimTime(20 * crate::time::MICROS_PER_MIN));
+        let after = l.queue_delay(Dir::AtoB, &mut st, SimTime(20 * crate::time::MICROS_PER_MIN));
         assert_eq!(after, SimDuration::ZERO);
     }
 
     #[test]
     fn link_down_drops_everything() {
         let mut l = mk_link(1e9, Arc::new(NoLoad));
+        let mut st = l.fresh_queue_state(Dir::AtoB);
         l.up_mut().step(SimTime(1000), false);
-        assert!(l.transit(Dir::AtoB, SimTime(0), 64, 1).is_ok());
-        assert_eq!(l.transit(Dir::AtoB, SimTime(2000), 64, 2), Err(DropReason::LinkDown));
+        assert!(l.transit(Dir::AtoB, &mut st, SimTime(0), 64, 1).is_ok());
+        assert_eq!(l.transit(Dir::AtoB, &mut st, SimTime(2000), 64, 2), Err(DropReason::LinkDown));
         // Comes back up.
         l.up_mut().step(SimTime(5000), true);
-        assert!(l.transit(Dir::AtoB, SimTime(6000), 64, 3).is_ok());
+        assert!(l.transit(Dir::AtoB, &mut st, SimTime(6000), 64, 3).is_ok());
     }
 
     #[test]
     fn capacity_upgrade_clears_congestion() {
         // The QCELL–NETPAGE mechanism: overloaded at 10 Mbps, fine at 1 Gbps.
         let mut l = mk_link(1e7, Arc::new(ConstantLoad(1.4e7)));
-        let before = l.queue_delay(Dir::AtoB, SimTime(30 * crate::time::MICROS_PER_MIN));
+        let mut st = l.fresh_queue_state(Dir::AtoB);
+        let before = l.queue_delay(Dir::AtoB, &mut st, SimTime(30 * crate::time::MICROS_PER_MIN));
         assert!(before > SimDuration::from_millis(50), "{before}");
         let upgrade_at = SimTime(crate::time::MICROS_PER_HOUR);
         l.capacity_mut().step(upgrade_at, 1e9);
-        let after = l.queue_delay(Dir::AtoB, upgrade_at + SimDuration::from_mins(5));
+        let after = l.queue_delay(Dir::AtoB, &mut st, upgrade_at + SimDuration::from_mins(5));
         assert_eq!(after, SimDuration::ZERO);
     }
 
     #[test]
     fn base_loss_floor_applies_when_uncongested() {
         let cfg = LinkConfig { base_loss: 0.1, ..LinkConfig::default() };
-        let mut l = Link::new(
+        let l = Link::new(
             LinkId(3),
             Ipv4::new(1, 1, 1, 1),
             Ipv4::new(1, 1, 1, 2),
@@ -633,7 +602,8 @@ mod tests {
             HashNoise::new(5),
         );
         let n = 20_000u64;
-        let drops = (0..n).filter(|&i| l.transit(Dir::AtoB, SimTime(i), 64, i).is_err()).count();
+        let mut st = l.fresh_queue_state(Dir::AtoB);
+        let drops = (0..n).filter(|&i| l.transit(Dir::AtoB, &mut st, SimTime(i), 64, i).is_err()).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "{rate}");
     }
@@ -641,10 +611,11 @@ mod tests {
     #[test]
     fn transit_is_deterministic() {
         let mk = || mk_link(1e8, Arc::new(ConstantLoad(2e8)));
-        let (mut a, mut b) = (mk(), mk());
+        let (a, b) = (mk(), mk());
+        let (mut sa, mut sb) = (a.fresh_queue_state(Dir::AtoB), b.fresh_queue_state(Dir::AtoB));
         for i in 0..1000u64 {
             let t = SimTime(i * 1000);
-            assert_eq!(a.transit(Dir::AtoB, t, 64, i), b.transit(Dir::AtoB, t, 64, i));
+            assert_eq!(a.transit(Dir::AtoB, &mut sa, t, 64, i), b.transit(Dir::AtoB, &mut sb, t, 64, i));
         }
     }
 }
@@ -667,7 +638,7 @@ mod proptests {
                 buffer_bytes: Schedule::constant(250_000.0),
                 ..LinkConfig::default()
             };
-            let mut l = Link::new(
+            let l = Link::new(
                 LinkId(1),
                 Ipv4::new(10, 0, 0, 1),
                 Ipv4::new(10, 0, 0, 2),
@@ -679,8 +650,9 @@ mod proptests {
             let mut ts: Vec<u64> = query_mins;
             ts.sort_unstable();
             let max_delay = 250_000.0 * 8.0 / (cap_mbps * 1e6);
+            let mut st = l.fresh_queue_state(Dir::AtoB);
             for m in ts {
-                let d = l.queue_delay(Dir::AtoB, SimTime(m * crate::time::MICROS_PER_MIN));
+                let d = l.queue_delay(Dir::AtoB, &mut st, SimTime(m * crate::time::MICROS_PER_MIN));
                 prop_assert!(d.as_secs_f64() <= max_delay * 1.001);
             }
         }
@@ -688,7 +660,7 @@ mod proptests {
         /// Loss probability is a probability.
         #[test]
         fn loss_probability_in_unit_interval(load_mbps in 0.0f64..5000.0, t_min in 0u64..100_000) {
-            let mut l = Link::new(
+            let l = Link::new(
                 LinkId(2),
                 Ipv4::new(10, 0, 0, 1),
                 Ipv4::new(10, 0, 0, 2),
@@ -697,7 +669,7 @@ mod proptests {
                 Arc::new(NoLoad),
                 HashNoise::new(3),
             );
-            let p = l.loss_probability(Dir::AtoB, SimTime(t_min * crate::time::MICROS_PER_MIN));
+            let p = l.loss_probability(Dir::AtoB, &mut l.fresh_queue_state(Dir::AtoB), SimTime(t_min * crate::time::MICROS_PER_MIN));
             prop_assert!((0.0..=1.0).contains(&p));
         }
     }

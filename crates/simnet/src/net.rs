@@ -8,20 +8,21 @@
 //! paper's record-route symmetry check exists to catch.
 //!
 //! Two execution modes share the same per-hop stepping function
-//! ([`Network::forward_step_in`]): the **fast path walk**
-//! ([`Network::send_probe_in`]) runs a whole probe round trip in
+//! ([`Network::forward_step`]): the **fast path walk**
+//! ([`Network::send_probe`]) runs a whole probe round trip in
 //! O(path length), which makes a year × six VPs ×
 //! every-link-every-5-minutes campaign tractable; the **event kernel**
 //! (`kernel` module) schedules each hop as a discrete event for
-//! agent-in-the-loop experiments. A cross-validation test asserts both modes
+//! agent-in-the-loop experiments. Cross-validation tests assert both modes
 //! time packets identically.
 //!
-//! The fast path runs against a **shared immutable substrate**: all mutable
-//! probing state (probe ids, lazy queue integrations, IP-ID counters,
-//! rate-limiter buckets, the route memo) lives in a caller-owned
-//! [`ProbeCtx`], so independent contexts can walk probes over the same
-//! `&Network` concurrently with bit-identical results to a serial run. The
-//! historical `&mut Network` methods delegate to an embedded default context.
+//! Both run against a **shared immutable substrate**: every probing method
+//! takes `&Network`, and all mutable probing state (probe ids, lazy queue
+//! integrations, IP-ID counters, rate-limiter buckets, the route memo) lives
+//! in a caller-owned [`ProbeCtx`] — the event kernel owns one, a campaign
+//! worker owns one per link — so independent contexts can walk probes over
+//! the same `&Network` concurrently with bit-identical results to a serial
+//! run.
 //!
 //! Record-route follows RFC 791 semantics: request packets and echo *replies*
 //! keep recording egress addresses into the nine option slots (so a ping -R
@@ -120,9 +121,9 @@ pub struct ProbeReply {
 
 /// A successful probe, without the per-probe heap baggage: no ground-truth
 /// path vectors, no record-route. This is everything the bulk TSLP campaign
-/// reads, so [`Network::send_probe_lite_in`] walks millions of rounds with
+/// reads, so [`Network::send_probe_lite`] walks millions of rounds with
 /// zero allocations per probe. Timing, responder choice, and RNG draws are
-/// bit-identical to [`Network::send_probe_in`].
+/// bit-identical to [`Network::send_probe`].
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeReplyLite {
     /// Source address of the response packet.
@@ -180,7 +181,8 @@ pub enum ForwardStep {
     Fail(ProbeError),
 }
 
-/// Per-walk mutable probing state, separated from the shared [`Network`].
+/// All mutable probing state: every probe walk reads the shared [`Network`]
+/// and writes only its context.
 ///
 /// The substrate (topology, routes, link configs, offered-load functions) is
 /// immutable during probing; everything a probe walk mutates lives here:
@@ -280,8 +282,9 @@ impl Resolved {
 }
 
 impl Default for ProbeCtx {
-    /// The default-stream context: probe ids 1, 2, 3, … — the id sequence
-    /// the embedded compatibility context of every [`Network`] uses.
+    /// The default-stream context: probe ids 1, 2, 3, …, the same stream as
+    /// [`Network::probe_ctx`]`(0)`, synced to a network at its first use.
+    /// The event kernel starts from this context.
     fn default() -> ProbeCtx {
         ProbeCtx {
             base: 0,
@@ -367,10 +370,10 @@ impl ProbeCtx {
 
 /// The simulated network: nodes, links, and an address index.
 ///
-/// During probing the network is an immutable shared substrate — the `*_in`
-/// probe engine takes `&self` plus a caller-owned [`ProbeCtx`], so concurrent
-/// walks never alias. The historical `&mut self` API remains and delegates to
-/// an embedded default context.
+/// During probing the network is an immutable shared substrate: the probe
+/// engine takes `&self` plus a caller-owned [`ProbeCtx`], so concurrent walks
+/// never alias. Mutations between probing runs bump the epochs every context
+/// syncs against.
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -383,7 +386,6 @@ pub struct Network {
     /// Bumped on any traffic-scenario mutation (link loads/schedules, queue
     /// rewinds): outstanding queue integrations are stale.
     scenario_epoch: u64,
-    default_ctx: ProbeCtx,
     /// Extra uniform jitter bound applied to measured RTTs (host stack noise).
     pub rtt_jitter: SimDuration,
 }
@@ -399,7 +401,6 @@ impl Network {
             noise: HashNoise::new(seed),
             topo_epoch: 0,
             scenario_epoch: 0,
-            default_ctx: ProbeCtx::default(),
             rtt_jitter: SimDuration::from_micros(120),
         }
     }
@@ -412,9 +413,9 @@ impl Network {
     /// A fresh probing context synced to the current substrate state.
     ///
     /// `stream` selects the context's probe-id space: `0` is the default
-    /// stream (ids 1, 2, 3, … — shared with the embedded compatibility
-    /// context), any other value is hashed into a high-entropy base so
-    /// contexts for different streams never collide in per-packet noise.
+    /// stream (ids 1, 2, 3, …, as in [`ProbeCtx::default`]), any other value
+    /// is hashed into a high-entropy base so contexts for different streams
+    /// never collide in per-packet noise.
     pub fn probe_ctx(&self, stream: u64) -> ProbeCtx {
         let mut ctx = ProbeCtx {
             base: if stream == 0 { 0 } else { splitmix64(stream) },
@@ -424,11 +425,6 @@ impl Network {
         ctx.scenario_epoch = self.scenario_epoch;
         ctx.sync(self);
         ctx
-    }
-
-    /// Allocate a fresh probe id from the embedded default context.
-    pub fn alloc_probe_id(&mut self) -> ProbeId {
-        self.default_ctx.alloc_probe_id()
     }
 
     /// Add a node; returns its id. The name is interned into the network's
@@ -544,19 +540,6 @@ impl Network {
         self.topo_epoch += 1;
     }
 
-    /// Rewind every link's lazy queue integration to the epoch. Needed when
-    /// a measurement pass re-reads a time range an earlier pass advanced
-    /// through (see [`crate::link::Link::reset_queue_state`]).
-    ///
-    /// Counts as a scenario mutation, so outstanding [`ProbeCtx`]s rewind
-    /// their own queue copies at their next sync.
-    pub fn reset_queue_state(&mut self) {
-        for l in self.links.iter_mut() {
-            l.reset_queue_state();
-        }
-        self.scenario_epoch += 1;
-    }
-
     /// First interface address of a node (probe source address).
     pub fn primary_addr(&self, node: NodeId) -> Ipv4 {
         self.nodes[node.0 as usize].ifaces.first().map(|i| i.addr).expect("node has no interface")
@@ -620,14 +603,14 @@ impl Network {
     }
 
     /// Advance `pkt`, currently at `cur` (arrived on `incoming`; `None` at the
-    /// original source) at time `now`, by one forwarding decision, using
-    /// caller-owned mutable state.
+    /// original source) at time `now`, by one forwarding decision, drawing
+    /// all mutable state from `ctx`.
     ///
     /// `origin` is the node that injected the packet (it never answers itself
     /// and is where response packets are consumed). `hop_idx` must count hops
     /// taken so far — it keys the deterministic per-hop drop decision.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_step_in(
+    pub fn forward_step(
         &self,
         ctx: &mut ProbeCtx,
         origin: NodeId,
@@ -731,7 +714,7 @@ impl Network {
             );
         }
         let qstate = &mut qentry.1[dir.index()];
-        match link.transit_in(dir, qstate, now, pkt.size, hop_key) {
+        match link.transit(dir, qstate, now, pkt.size, hop_key) {
             Ok(d) => {
                 let (next, inc) = link.arrival_end(dir);
                 ForwardStep::Hop { next, incoming: inc, arrive: now + d, egress_addr }
@@ -744,26 +727,10 @@ impl Network {
         }
     }
 
-    /// [`Network::forward_step_in`] against the embedded default context.
-    pub fn forward_step(
-        &mut self,
-        origin: NodeId,
-        cur: NodeId,
-        incoming: Option<IfaceId>,
-        pkt: &mut Packet,
-        now: SimTime,
-        hop_idx: usize,
-    ) -> ForwardStep {
-        let mut ctx = std::mem::take(&mut self.default_ctx);
-        let r = self.forward_step_in(&mut ctx, origin, cur, incoming, pkt, now, hop_idx);
-        self.default_ctx = ctx;
-        r
-    }
-
     /// Generate the response packet a node owes `pkt`, charging the ICMP
-    /// generation delay against caller-owned node state. Returns the response
-    /// and the time it leaves.
-    pub fn generate_response_in(
+    /// generation delay against the node's state in `ctx`. Returns the
+    /// response and the time it leaves.
+    pub fn generate_response(
         &self,
         ctx: &mut ProbeCtx,
         node: NodeId,
@@ -781,29 +748,14 @@ impl Network {
         }
         let scratch = &mut sentry.1;
         let gen_delay = responder
-            .icmp_response_delay_in(scratch, now, &self.noise, gen_key)
+            .icmp_response_delay(scratch, now, &self.noise, gen_key)
             .map_err(ProbeError::Silent)?;
         let ip_id = scratch.alloc_ip_id();
         Ok((pkt.make_response(kind, src, ip_id), now + gen_delay))
     }
 
-    /// [`Network::generate_response_in`] against the embedded default context.
-    pub fn generate_response(
-        &mut self,
-        node: NodeId,
-        kind: PacketKind,
-        src: Ipv4,
-        pkt: &Packet,
-        now: SimTime,
-    ) -> Result<(Packet, SimTime), ProbeError> {
-        let mut ctx = std::mem::take(&mut self.default_ctx);
-        let r = self.generate_response_in(&mut ctx, node, kind, src, pkt, now);
-        self.default_ctx = ctx;
-        r
-    }
-
-    /// The shared probe walk behind [`Network::send_probe_in`] and
-    /// [`Network::send_probe_lite_in`]. When `truth` is `Some`, ground-truth
+    /// The shared probe walk behind [`Network::send_probe`] and
+    /// [`Network::send_probe_lite`]. When `truth` is `Some`, ground-truth
     /// egress addresses are collected into it; either way, hop indices, RNG
     /// draws, and timing are identical — the collector only observes.
     fn send_probe_core(
@@ -830,7 +782,7 @@ impl Network {
         let mut incoming: Option<IfaceId> = None;
         let mut hops = 0usize;
         let (rnode, rkind, rsrc) = loop {
-            match self.forward_step_in(ctx, from, cur, incoming, &mut pkt, now, hops) {
+            match self.forward_step(ctx, from, cur, incoming, &mut pkt, now, hops) {
                 ForwardStep::Hop { next, incoming: inc, arrive, egress_addr } => {
                     hops += 1;
                     if let Some(tr) = truth.as_deref_mut() {
@@ -847,7 +799,7 @@ impl Network {
         };
 
         // ---- Response generation ----
-        let (mut response, leave) = self.generate_response_in(ctx, rnode, rkind, rsrc, &pkt, now)?;
+        let (mut response, leave) = self.generate_response(ctx, rnode, rkind, rsrc, &pkt, now)?;
         now = leave;
         let ip_id = response.ip_id;
 
@@ -856,7 +808,7 @@ impl Network {
         let mut incoming: Option<IfaceId> = None;
         let mut hops = 0usize;
         let arrived = loop {
-            match self.forward_step_in(ctx, rnode, cur, incoming, &mut response, now, hops) {
+            match self.forward_step(ctx, rnode, cur, incoming, &mut response, now, hops) {
                 ForwardStep::Hop { next, incoming: inc, arrive, egress_addr } => {
                     hops += 1;
                     if let Some(tr) = truth.as_deref_mut() {
@@ -890,7 +842,7 @@ impl Network {
     /// drawing all mutable state from `ctx`. This is the shared-substrate
     /// fast path: `&self` means any number of contexts can walk probes over
     /// the same network concurrently.
-    pub fn send_probe_in(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec, t: SimTime) -> ProbeResult {
+    pub fn send_probe(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec, t: SimTime) -> ProbeResult {
         let mut truth = (Vec::new(), Vec::new());
         let (lite, record_route) = self.send_probe_core(ctx, from, spec, t, Some(&mut truth))?;
         Ok(ProbeReply {
@@ -905,20 +857,12 @@ impl Network {
         })
     }
 
-    /// [`Network::send_probe_in`] without the per-probe heap traffic: no
+    /// [`Network::send_probe`] without the per-probe heap traffic: no
     /// ground-truth path vectors are collected (record-route, if requested,
     /// is still walked but discarded). Bit-identical timing and responder
     /// selection — the bulk TSLP campaign's probe path.
-    pub fn send_probe_lite_in(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec, t: SimTime) -> ProbeResultLite {
+    pub fn send_probe_lite(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec, t: SimTime) -> ProbeResultLite {
         self.send_probe_core(ctx, from, spec, t, None).map(|(lite, _)| lite)
-    }
-
-    /// [`Network::send_probe_in`] against the embedded default context.
-    pub fn send_probe(&mut self, from: NodeId, spec: ProbeSpec, t: SimTime) -> ProbeResult {
-        let mut ctx = std::mem::take(&mut self.default_ctx);
-        let r = self.send_probe_in(&mut ctx, from, spec, t);
-        self.default_ctx = ctx;
-        r
     }
 }
 
@@ -953,8 +897,9 @@ mod tests {
 
     #[test]
     fn echo_reaches_target() {
-        let (mut net, vp, _, _, tgt_addr) = line_topology();
-        let r = net.send_probe(vp, ProbeSpec::echo(tgt_addr), SimTime::ZERO).unwrap();
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt_addr), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::EchoReply);
         assert_eq!(r.responder, tgt_addr);
         // 3 links out + 3 back at ~0.2ms prop each plus ICMP gen: ~1.2-3ms.
@@ -965,16 +910,18 @@ mod tests {
 
     #[test]
     fn ttl1_expires_at_first_router_with_incoming_iface_source() {
-        let (mut net, vp, _, _, tgt_addr) = line_topology();
-        let r = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 1), SimTime::ZERO).unwrap();
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 1), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::TimeExceeded);
         assert_eq!(r.responder, Ipv4::new(10, 0, 0, 1));
     }
 
     #[test]
     fn ttl2_expires_at_far_router() {
-        let (mut net, vp, near, far, tgt_addr) = line_topology();
-        let r = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap();
+        let (net, vp, near, far, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::TimeExceeded);
         assert_eq!(r.responder, far);
         assert_ne!(r.responder, near);
@@ -982,16 +929,18 @@ mod tests {
 
     #[test]
     fn ttl3_reaches_destination() {
-        let (mut net, vp, _, _, tgt_addr) = line_topology();
-        let r = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 3), SimTime::ZERO).unwrap();
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 3), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::DestUnreachable);
         assert_eq!(r.responder, tgt_addr);
     }
 
     #[test]
     fn record_route_covers_forward_and_reverse_on_echo() {
-        let (mut net, vp, _, _, tgt_addr) = line_topology();
-        let r = net.send_probe(vp, ProbeSpec::echo(tgt_addr).with_record_route(), SimTime::ZERO).unwrap();
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt_addr).with_record_route(), SimTime::ZERO).unwrap();
         let rr = r.record_route.unwrap();
         // Forward egresses then reverse egresses, 6 of 9 slots used.
         assert_eq!(
@@ -1009,9 +958,10 @@ mod tests {
 
     #[test]
     fn time_exceeded_quotes_frozen_forward_rr() {
-        let (mut net, vp, _, _, tgt_addr) = line_topology();
+        let (net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         let r = net
-            .send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2).with_record_route(), SimTime::ZERO)
+            .send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2).with_record_route(), SimTime::ZERO)
             .unwrap();
         let rr = r.record_route.unwrap();
         // Only the two forward egresses; the error quote does not grow.
@@ -1021,17 +971,19 @@ mod tests {
     #[test]
     fn no_route_is_reported() {
         let (mut net, vp, _, _, _) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         net.node_mut(vp).remove_route(Prefix::DEFAULT);
-        let e = net.send_probe(vp, ProbeSpec::echo(Ipv4::new(8, 8, 8, 8)), SimTime::ZERO).unwrap_err();
+        let e = net.send_probe(&mut ctx, vp, ProbeSpec::echo(Ipv4::new(8, 8, 8, 8)), SimTime::ZERO).unwrap_err();
         assert_eq!(e, ProbeError::NoRoute);
     }
 
     #[test]
     fn missing_transit_route_fails() {
         let (mut net, vp, _, _, _) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         let r2 = NodeId(2);
         net.node_mut(r2).remove_route(Prefix::DEFAULT);
-        let e = net.send_probe(vp, ProbeSpec::echo(Ipv4::new(9, 9, 9, 9)), SimTime::ZERO);
+        let e = net.send_probe(&mut ctx, vp, ProbeSpec::echo(Ipv4::new(9, 9, 9, 9)), SimTime::ZERO);
         assert!(e.is_err());
     }
 
@@ -1059,18 +1011,20 @@ mod tests {
 
     #[test]
     fn forwarding_loop_detected() {
-        let (mut net, vp) = ring_topology();
+        let (net, vp) = ring_topology();
+        let mut ctx = net.probe_ctx(0);
         // TTL 255 would exhaust after the hop cap; the cap triggers first.
         let mut spec = ProbeSpec::echo(Ipv4::new(8, 8, 8, 8));
         spec.ttl = 255;
-        let e = net.send_probe(vp, spec, SimTime::ZERO).unwrap_err();
+        let e = net.send_probe(&mut ctx, vp, spec, SimTime::ZERO).unwrap_err();
         assert_eq!(e, ProbeError::Loop);
     }
 
     #[test]
     fn low_ttl_in_loop_expires_cleanly() {
-        let (mut net, vp) = ring_topology();
-        let r = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(8, 8, 8, 8), 5), SimTime::ZERO).unwrap();
+        let (net, vp) = ring_topology();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(8, 8, 8, 8), 5), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::TimeExceeded);
     }
 
@@ -1089,7 +1043,8 @@ mod tests {
         net.add_route(r1, "10.0.0.0/24".parse().unwrap(), IfaceId(0));
         net.add_route(r1, Prefix::DEFAULT, IfaceId(1));
         net.add_route(r2, Prefix::DEFAULT, IfaceId(0));
-        let r = net.send_probe(vp, ProbeSpec::ttl_limited(Ipv4::new(8, 8, 8, 8), 5), SimTime::ZERO).unwrap();
+        let mut ctx = net.probe_ctx(0);
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(Ipv4::new(8, 8, 8, 8), 5), SimTime::ZERO).unwrap();
         assert_eq!(r.kind, PacketKind::DestUnreachable);
         assert_eq!(r.responder, Ipv4::new(10, 0, 1, 2));
     }
@@ -1097,24 +1052,26 @@ mod tests {
     #[test]
     fn unresponsive_far_router_times_out() {
         let (mut net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         net.node_mut(NodeId(2)).icmp.responsive = false;
-        let e = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap_err();
+        let e = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap_err();
         assert_eq!(e, ProbeError::Silent(NoResponse::Unresponsive));
     }
 
     #[test]
     fn queueing_on_middle_link_inflates_far_rtt_only() {
         let (mut net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         {
             let l = net.link_mut(LinkId(1));
             *l.capacity_mut() = Schedule::constant(1e8);
             l.set_load(Dir::AtoB, Arc::new(crate::link::ConstantLoad(1.45e8)));
         }
         let t = SimTime(2 * crate::time::MICROS_PER_HOUR);
-        let near = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 1), t).unwrap();
+        let near = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 1), t).unwrap();
         // The saturated queue tail-drops some probes; retry like a prober would.
         let far = (0..20)
-            .find_map(|i| net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2), t + SimDuration::from_secs(i)).ok())
+            .find_map(|i| net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), t + SimDuration::from_secs(i)).ok())
             .expect("all far probes dropped");
         assert!(near.rtt < SimDuration::from_millis(2), "near {}", near.rtt);
         assert!(far.rtt > near.rtt + SimDuration::from_millis(5), "far {} near {}", far.rtt, near.rtt);
@@ -1128,12 +1085,12 @@ mod tests {
         let mut ctx = net.probe_ctx(7);
         // Unowned: r2's default route points back at r1, so r2 refuses to
         // hairpin and answers unreachable.
-        let r = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
         assert_eq!((r.kind, r.responder, r.responder_node), (PacketKind::DestUnreachable, far, r2));
         // Same context, new interface: r2 now owns the address, so the
         // memoized "not home" answer must not survive the epoch bump.
         net.add_stub_iface(r2, addr);
-        let r = net.send_probe_in(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(addr), SimTime::ZERO).unwrap();
         assert_eq!((r.kind, r.responder, r.responder_node), (PacketKind::EchoReply, addr, r2));
     }
 
@@ -1149,8 +1106,8 @@ mod tests {
         for i in 0..18u64 {
             let spec = ProbeSpec::echo(dsts[i as usize / 2 % dsts.len()]);
             let t = SimTime(i * 1_000_000);
-            let got = net.send_probe_in(&mut shared, vp, spec, t).unwrap();
-            let want = net.send_probe_in(&mut net.probe_ctx(7), vp, spec, t).unwrap();
+            let got = net.send_probe(&mut shared, vp, spec, t).unwrap();
+            let want = net.send_probe(&mut net.probe_ctx(7), vp, spec, t).unwrap();
             assert_eq!(
                 (got.kind, got.responder, got.responder_node),
                 (want.kind, want.responder, want.responder_node),
@@ -1184,9 +1141,10 @@ mod tests {
     #[test]
     fn probe_rtts_are_deterministic_across_runs() {
         let run = || {
-            let (mut net, vp, _, _, tgt_addr) = line_topology();
+            let (net, vp, _, _, tgt_addr) = line_topology();
+            let mut ctx = net.probe_ctx(0);
             (0..50)
-                .map(|i| net.send_probe(vp, ProbeSpec::echo(tgt_addr), SimTime(i * 1_000_000)).unwrap().rtt)
+                .map(|i| net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt_addr), SimTime(i * 1_000_000)).unwrap().rtt)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -1198,16 +1156,17 @@ mod tests {
         // Parallel r1 -> r2 link; at t=1h a routing event flips r1's default
         // route onto it. The far responder address changes with the path.
         let (mut net, vp, _, far_a, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         let r1 = NodeId(1);
         let r2 = NodeId(2);
         net.connect_idle(r1, Ipv4::new(10, 0, 4, 1), r2, Ipv4::new(10, 0, 4, 2), LinkConfig::default());
         let alt = net.node(r1).iface_by_addr(Ipv4::new(10, 0, 4, 1)).unwrap();
         let flip = SimTime(crate::time::MICROS_PER_HOUR);
         net.node_mut(r1).push_fwd_step(Prefix::DEFAULT, flip, FwdState::Via(alt));
-        let before = net.send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap();
+        let before = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap();
         assert_eq!(before.responder, far_a);
         let after = net
-            .send_probe(vp, ProbeSpec::ttl_limited(tgt_addr, 2), flip + SimDuration::from_secs(1))
+            .send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), flip + SimDuration::from_secs(1))
             .unwrap();
         assert_eq!(after.responder, Ipv4::new(10, 0, 4, 2), "{after:?}");
         // truth_path_at sees the same swap; truth_path stays on the t=0 view.
@@ -1224,13 +1183,14 @@ mod tests {
         // vp -- r1 -- r2 -- tgt plus a direct r2 -> r1b "shortcut" used only
         // for return traffic to vp's prefix, making the path asymmetric.
         let (mut net, vp, _, _, tgt_addr) = line_topology();
+        let mut ctx = net.probe_ctx(0);
         let r1 = NodeId(1);
         let r2 = NodeId(2);
         net.connect_idle(r2, Ipv4::new(10, 0, 3, 1), r1, Ipv4::new(10, 0, 3, 2), LinkConfig::default());
         // r2 returns traffic for vp's /24 via the new link (iface index 2 on r2).
         let back_iface = net.node(r2).iface_by_addr(Ipv4::new(10, 0, 3, 1)).unwrap();
         net.add_route(r2, "10.0.0.0/24".parse().unwrap(), back_iface);
-        let r = net.send_probe(vp, ProbeSpec::echo(tgt_addr).with_record_route(), SimTime::ZERO).unwrap();
+        let r = net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt_addr).with_record_route(), SimTime::ZERO).unwrap();
         // Reverse leg now crosses 10.0.3.x, not 10.0.1.2.
         assert!(r.truth_return_path.contains(&Ipv4::new(10, 0, 3, 1)), "{:?}", r.truth_return_path);
         let rr = r.record_route.unwrap();

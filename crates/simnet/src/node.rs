@@ -191,7 +191,7 @@ pub enum NoResponse {
 /// Per-node mutable probing state: the IP-ID counter and the ICMP
 /// rate-limiter bucket.
 ///
-/// Split out from [`Node`] so concurrent probe walks can each carry their own
+/// Kept out of [`Node`] so concurrent probe walks can each carry their own
 /// copy (inside a `ProbeCtx`) against a shared immutable node. One scratch
 /// models one measurement session's view of the router; alias resolution,
 /// which reads the *shared* counter semantics, must route all its probes
@@ -208,11 +208,6 @@ impl NodeScratch {
         let id = self.ip_id;
         self.ip_id = self.ip_id.wrapping_add(1);
         id
-    }
-
-    /// Peek the IP-ID counter without consuming.
-    pub fn peek_ip_id(&self) -> u16 {
-        self.ip_id
     }
 }
 
@@ -238,15 +233,10 @@ pub struct Node {
     pub fwd_dyn: Vec<(Prefix, Schedule<FwdState>)>,
     /// ICMP behaviour.
     pub icmp: IcmpConfig,
-    scratch: NodeScratch,
 }
 
 impl Node {
     /// Create a node with no interfaces and an empty forwarding table.
-    ///
-    /// The IP-ID counter starts at a node-specific pseudo-random value, as
-    /// real router counters do — otherwise every freshly booted router would
-    /// falsely pass the Ally alias test against every other.
     pub fn new(id: NodeId, kind: NodeKind, asn: Asn, name: NameId) -> Node {
         Node {
             id,
@@ -257,21 +247,19 @@ impl Node {
             fwd: FwdTable::new(),
             fwd_dyn: Vec::new(),
             icmp: IcmpConfig::default(),
-            scratch: Self::scratch_for(id, asn),
         }
     }
 
-    fn scratch_for(id: NodeId, asn: Asn) -> NodeScratch {
+    /// A fresh mutable probing state for this node, as it looks at boot: a
+    /// full rate-limiter bucket and the IP-ID counter at a node-specific
+    /// pseudo-random start, as real router counters do — otherwise every
+    /// freshly booted router would falsely pass the Ally alias test against
+    /// every other.
+    pub fn fresh_scratch(&self) -> NodeScratch {
         NodeScratch {
-            ip_id: (crate::rng::splitmix64(id.0 as u64 ^ (asn.0 as u64) << 32 ^ 0xA11A) & 0xFFFF) as u16,
+            ip_id: (crate::rng::splitmix64(self.id.0 as u64 ^ (self.asn.0 as u64) << 32 ^ 0xA11A) & 0xFFFF) as u16,
             bucket: TokenBucket { tokens: 10.0, last: SimTime::ZERO },
         }
-    }
-
-    /// A fresh mutable probing state for this node, as it looks at boot: the
-    /// node-specific pseudo-random IP-ID start and a full rate-limiter bucket.
-    pub fn fresh_scratch(&self) -> NodeScratch {
-        Self::scratch_for(self.id, self.asn)
     }
 
     /// Add an interface; returns its id.
@@ -372,20 +360,10 @@ impl Node {
         }
     }
 
-    /// Allocate the next IP-ID from the embedded per-router counter.
-    pub fn alloc_ip_id(&mut self) -> u16 {
-        self.scratch.alloc_ip_id()
-    }
-
-    /// Peek the embedded IP-ID counter without consuming (tests only).
-    pub fn peek_ip_id(&self) -> u16 {
-        self.scratch.peek_ip_id()
-    }
-
     /// Decide whether and after how long this node emits an ICMP response to
-    /// a packet arriving at `t`, using caller-owned mutable state. `key` is
-    /// the per-packet hash key for jitter.
-    pub fn icmp_response_delay_in(
+    /// a packet arriving at `t`, charging the rate limiter in `scratch`.
+    /// `key` is the per-packet hash key for jitter.
+    pub fn icmp_response_delay(
         &self,
         scratch: &mut NodeScratch,
         t: SimTime,
@@ -412,14 +390,6 @@ impl Node {
             d = d + sp.extra_delay(t);
         }
         Ok(d)
-    }
-
-    /// [`Node::icmp_response_delay_in`] against the embedded scratch state.
-    pub fn icmp_response_delay(&mut self, t: SimTime, noise: &HashNoise, key: u64) -> Result<SimDuration, NoResponse> {
-        let mut scratch = self.scratch;
-        let r = self.icmp_response_delay_in(&mut scratch, t, noise, key);
-        self.scratch = scratch;
-        r
     }
 
     /// Source address for an ICMP error to a packet that arrived on `incoming`.
@@ -530,13 +500,13 @@ mod tests {
 
     #[test]
     fn ip_id_counter_is_sequential() {
-        let mut n = router();
-        let a = n.alloc_ip_id();
-        let b = n.alloc_ip_id();
+        let mut s = router().fresh_scratch();
+        let a = s.alloc_ip_id();
+        let b = s.alloc_ip_id();
         assert_eq!(b, a.wrapping_add(1));
-        n.scratch.ip_id = u16::MAX;
-        assert_eq!(n.alloc_ip_id(), u16::MAX);
-        assert_eq!(n.alloc_ip_id(), 0);
+        s.ip_id = u16::MAX;
+        assert_eq!(s.alloc_ip_id(), u16::MAX);
+        assert_eq!(s.alloc_ip_id(), 0);
     }
 
     #[test]
@@ -544,7 +514,8 @@ mod tests {
         let mut n = router();
         n.icmp.responsive = false;
         let noise = HashNoise::new(1);
-        assert_eq!(n.icmp_response_delay(SimTime::ZERO, &noise, 1), Err(NoResponse::Unresponsive));
+        let mut s = n.fresh_scratch();
+        assert_eq!(n.icmp_response_delay(&mut s, SimTime::ZERO, &noise, 1), Err(NoResponse::Unresponsive));
     }
 
     #[test]
@@ -553,8 +524,9 @@ mod tests {
         n.icmp.base_delay = SimDuration::from_micros(200);
         n.icmp.jitter = SimDuration::from_micros(100);
         let noise = HashNoise::new(2);
+        let mut s = n.fresh_scratch();
         for k in 0..100 {
-            let d = n.icmp_response_delay(SimTime::ZERO, &noise, k).unwrap();
+            let d = n.icmp_response_delay(&mut s, SimTime::ZERO, &noise, k).unwrap();
             assert!(d >= SimDuration::from_micros(200) && d <= SimDuration::from_micros(300), "{d}");
         }
     }
@@ -571,7 +543,7 @@ mod tests {
         n.icmp.jitter = SimDuration::ZERO;
         n.icmp.slow_path = Some(Arc::new(Busy));
         let noise = HashNoise::new(3);
-        let d = n.icmp_response_delay(SimTime::ZERO, &noise, 0).unwrap();
+        let d = n.icmp_response_delay(&mut n.fresh_scratch(), SimTime::ZERO, &noise, 0).unwrap();
         assert_eq!(d, n.icmp.base_delay + SimDuration::from_millis(17));
     }
 
@@ -580,17 +552,18 @@ mod tests {
         let mut n = router();
         n.icmp.rate_limit_pps = Some(10.0);
         let noise = HashNoise::new(4);
+        let mut s = n.fresh_scratch();
         // Burst capacity is max(rate, 10) = 10 plus the initial bucket fill.
         let t = SimTime::ZERO;
         let mut ok = 0;
         for k in 0..100 {
-            if n.icmp_response_delay(t, &noise, k).is_ok() {
+            if n.icmp_response_delay(&mut s, t, &noise, k).is_ok() {
                 ok += 1;
             }
         }
         assert!(ok <= 12, "allowed {ok} in a burst");
         // After a second, tokens refill.
-        assert!(n.icmp_response_delay(t + SimDuration::from_secs(1), &noise, 999).is_ok());
+        assert!(n.icmp_response_delay(&mut s, t + SimDuration::from_secs(1), &noise, 999).is_ok());
     }
 
     #[test]

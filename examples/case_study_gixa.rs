@@ -112,7 +112,6 @@ fn main() {
         println!("loss: mean {:.2}% (paper: 0.1% average) max {:.1}%", loss.mean * 100.0, loss.max * 100.0);
     }
     let kn_truth = replica.links.iter().find(|l| l.far_name == "KNET").unwrap().clone();
-    replica.net.reset_queue_state();
     let lk = LossCampaignConfig::paper(dates::knet_congestion_start(), SimTime::from_date(2016, 11, 1));
     let kls = measure_loss_series(&mut replica.net, replica.vp, kn_truth.dst, kn_truth.far_ttl, &lk);
     let fig3b = Figure::loss("fig3b", "Packet loss GIXA–KNET", &kls, lk.start, lk.end);

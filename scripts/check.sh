@@ -17,23 +17,11 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
+# The workspace's default members include every crate, so this runs the
+# chaos, storm, scale, monitor and resilience gauntlets in crates/study/tests
+# along with every other test.
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> chaos gauntlet (fault sweep + checkpoint/resume)"
-cargo test -p ixp-study --test chaos
-
-echo "==> convergence-storm gauntlet (routing events + path-change masking)"
-cargo test -p ixp-study --test storm
-
-echo "==> continent scaling smoke (1k links through the streaming campaign)"
-cargo test -p ixp-study --test scale
-
-echo "==> resident monitor smoke (streaming/batch equivalence + 1k-link live ingest)"
-cargo test -p ixp-study --test monitor
-
-echo "==> resilience gauntlet (disordered telemetry, overload, panics, torn checkpoints)"
-cargo test -p ixp-study --test resilience
 
 echo "==> forensics smoke (flight-recorder dump -> replay -> per-link timelines)"
 cargo run --release --example forensics > /dev/null

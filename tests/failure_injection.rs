@@ -104,7 +104,6 @@ fn random_loss_floor_not_flagged() {
     assert!(!a.flagged, "random loss must not create level shifts");
     // And the loss-rate machinery sees it.
     let lc = LossCampaignConfig::paper(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 2));
-    net2.reset_queue_state();
     let ls = measure_loss_series(&mut net2, vp2, target.dst, target.far_ttl, &lc);
     assert!((0.10..0.30).contains(&ls.mean()), "loss series mean {}", ls.mean());
 }
