@@ -114,42 +114,10 @@ fn micro_queue_advance(c: &mut Criterion) {
     });
 }
 
-fn micro_kernel_vs_fast_path(c: &mut Criterion) {
-    use ixp_simnet::kernel::{Agent, AgentCtx, Kernel, ProbeEvent};
-    struct Once {
-        dst: Ipv4,
-    }
-    impl Agent for Once {
-        fn on_start(&mut self, ctx: &mut AgentCtx) {
-            ctx.send(ProbeSpec::echo(self.dst));
-        }
-        fn on_probe_event(&mut self, _ev: ProbeEvent, ctx: &mut AgentCtx) {
-            ctx.stop();
-        }
-    }
-    let mut g = c.benchmark_group("kernel_vs_fast_path");
-    g.bench_function("event_kernel_one_probe", |b| {
-        b.iter(|| {
-            let (net, vp, tgt) = line_topology(6);
-            let mut k = Kernel::new(net);
-            k.add_agent(vp, Box::new(Once { dst: tgt }));
-            k.run(None)
-        })
-    });
-    g.bench_function("fast_path_one_probe", |b| {
-        b.iter(|| {
-            let (net, vp, tgt) = line_topology(6);
-            let mut ctx = net.probe_ctx(0);
-            net.send_probe(&mut ctx, vp, ProbeSpec::echo(tgt), SimTime::ZERO).map(|r| r.rtt).ok()
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = micro;
     config = Criterion::default();
     targets = micro_probe_fast_path, micro_tslp_round, micro_traceroute, micro_prefix_table,
-              micro_queue_advance, micro_kernel_vs_fast_path
+              micro_queue_advance
 }
 criterion_main!(micro);

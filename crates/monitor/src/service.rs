@@ -543,7 +543,7 @@ impl MonitorService {
     }
 
     /// Ingest a batch of `(link id, sample)` pairs — the trusted-producer
-    /// path (a kernel agent feeding in-order samples). Per-link sample
+    /// path (a probe loop feeding in-order samples). Per-link sample
     /// order within the batch is preserved; the resulting state is
     /// bit-identical at any [`MonitorConfig::threads`] setting. Returns the
     /// per-sample updates in batch order. A worker panic is supervised:

@@ -1,10 +1,10 @@
 //! # ixp-simnet — the network substrate under the African IXP study
 //!
-//! A deterministic, event-capable IPv4 network simulator purpose-built to
-//! host the measurement techniques of *"Investigating the Causes of
-//! Congestion on the African IXP substrate"* (IMC 2017): TTL-limited probing
-//! (TSLP), record-route symmetry checks, traceroute-driven border mapping,
-//! and loss-rate probing.
+//! A deterministic IPv4 network simulator purpose-built to host the
+//! measurement techniques of *"Investigating the Causes of Congestion on the
+//! African IXP substrate"* (IMC 2017): TTL-limited probing (TSLP),
+//! record-route symmetry checks, traceroute-driven border mapping, and
+//! loss-rate probing.
 //!
 //! ## Model
 //!
@@ -23,13 +23,13 @@
 //! - Everything is deterministic: randomness derives from
 //!   [`rng::HashNoise`], a pure function of `(seed, stream, key)`.
 //!
-//! ## Execution modes
+//! ## The probe walk
 //!
-//! [`net::Network::send_probe`] walks a probe's full round trip in
-//! O(path length) — the bulk-campaign fast path. [`kernel::Kernel`] runs the
-//! same per-hop semantics as discrete events for agent-in-the-loop
-//! experiments, drawing its probe state from a context it owns; the two are
-//! tested to agree exactly.
+//! [`net::Network::send_probe`] walks a probe's full round trip — forward
+//! leg, ICMP generation, return leg — in O(path length);
+//! [`net::Network::send_probe_lite`] is the same walk without ground-truth
+//! path vectors. It is the only probing engine: every prober and the live
+//! monitor call it.
 //!
 //! ## Concurrency
 //!
@@ -60,14 +60,12 @@ pub mod arena;
 pub mod fault;
 pub mod fwd;
 pub mod ip;
-pub mod kernel;
 pub mod link;
 pub mod net;
 pub mod node;
 pub mod packet;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 /// The names most users want in scope.
 pub mod prelude {

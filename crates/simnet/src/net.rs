@@ -7,22 +7,19 @@
 //! possibly over a different (asymmetric) path, which is exactly what the
 //! paper's record-route symmetry check exists to catch.
 //!
-//! Two execution modes share the same per-hop stepping function
-//! ([`Network::forward_step`]): the **fast path walk**
-//! ([`Network::send_probe`]) runs a whole probe round trip in
-//! O(path length), which makes a year × six VPs ×
-//! every-link-every-5-minutes campaign tractable; the **event kernel**
-//! (`kernel` module) schedules each hop as a discrete event for
-//! agent-in-the-loop experiments. Cross-validation tests assert both modes
-//! time packets identically.
+//! There is one probe engine: [`Network::send_probe`] (and its
+//! allocation-free twin [`Network::send_probe_lite`]) walks a whole round
+//! trip in O(path length), which makes a year × six VPs ×
+//! every-link-every-5-minutes campaign tractable. Every prober — TSLP,
+//! traceroute, record-route, alias resolution, loss — and the live monitor
+//! call it.
 //!
-//! Both run against a **shared immutable substrate**: every probing method
-//! takes `&Network`, and all mutable probing state (probe ids, lazy queue
-//! integrations, IP-ID counters, rate-limiter buckets, the route memo) lives
-//! in a caller-owned [`ProbeCtx`] — the event kernel owns one, a campaign
-//! worker owns one per link — so independent contexts can walk probes over
-//! the same `&Network` concurrently with bit-identical results to a serial
-//! run.
+//! The walk runs against a **shared immutable substrate**: every probing
+//! method takes `&Network`, and all mutable probing state (probe ids, lazy
+//! queue integrations, IP-ID counters, rate-limiter buckets, the route memo)
+//! lives in a caller-owned [`ProbeCtx`] — a campaign worker owns one per
+//! link — so independent contexts can walk probes over the same `&Network`
+//! concurrently with bit-identical results to a serial run.
 //!
 //! Record-route follows RFC 791 semantics: request packets and echo *replies*
 //! keep recording egress addresses into the nine option slots (so a ping -R
@@ -145,38 +142,15 @@ pub type ProbeResult = Result<ProbeReply, ProbeError>;
 pub type ProbeResultLite = Result<ProbeReplyLite, ProbeError>;
 
 /// Result of advancing a packet by one forwarding decision.
-#[derive(Clone, Debug)]
-pub enum ForwardStep {
+enum ForwardStep {
     /// The packet crossed a link and now sits at `next` (arrived on
     /// `incoming`) at time `arrive`; `egress_addr` is the interface it left
     /// through (ground-truth path material).
-    Hop {
-        /// Node the packet arrived at.
-        next: NodeId,
-        /// Interface it arrived on.
-        incoming: IfaceId,
-        /// Arrival instant.
-        arrive: SimTime,
-        /// Interface it left the previous node through.
-        egress_addr: Ipv4,
-    },
+    Hop { next: NodeId, incoming: IfaceId, arrive: SimTime, egress_addr: Ipv4 },
     /// The current node must generate a response of `kind` sourced from `src`.
-    Respond {
-        /// Responding node.
-        node: NodeId,
-        /// Response kind.
-        kind: PacketKind,
-        /// Response source address.
-        src: Ipv4,
-    },
-    /// The packet was consumed by its final destination host (used for
-    /// response packets arriving back at the prober).
-    Consumed {
-        /// Consuming node.
-        node: NodeId,
-        /// Arrival instant.
-        at: SimTime,
-    },
+    Respond { node: NodeId, kind: PacketKind, src: Ipv4 },
+    /// A response packet reached the prober at `at`.
+    Consumed { at: SimTime },
     /// The packet is gone.
     Fail(ProbeError),
 }
@@ -284,7 +258,6 @@ impl Resolved {
 impl Default for ProbeCtx {
     /// The default-stream context: probe ids 1, 2, 3, …, the same stream as
     /// [`Network::probe_ctx`]`(0)`, synced to a network at its first use.
-    /// The event kernel starts from this context.
     fn default() -> ProbeCtx {
         ProbeCtx {
             base: 0,
@@ -303,7 +276,7 @@ impl Default for ProbeCtx {
 
 impl ProbeCtx {
     /// Allocate a fresh probe id from this context's id space.
-    pub fn alloc_probe_id(&mut self) -> ProbeId {
+    fn alloc_probe_id(&mut self) -> ProbeId {
         let id = ProbeId(self.base.wrapping_add(self.next));
         self.next += 1;
         id
@@ -604,13 +577,13 @@ impl Network {
 
     /// Advance `pkt`, currently at `cur` (arrived on `incoming`; `None` at the
     /// original source) at time `now`, by one forwarding decision, drawing
-    /// all mutable state from `ctx`.
+    /// all mutable state from `ctx`, which the walk synced to `self` on entry.
     ///
     /// `origin` is the node that injected the packet (it never answers itself
     /// and is where response packets are consumed). `hop_idx` must count hops
     /// taken so far — it keys the deterministic per-hop drop decision.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_step(
+    fn forward_step(
         &self,
         ctx: &mut ProbeCtx,
         origin: NodeId,
@@ -620,7 +593,6 @@ impl Network {
         now: SimTime,
         hop_idx: usize,
     ) -> ForwardStep {
-        ctx.sync(self);
         let node = &self.nodes[cur.0 as usize];
         let is_response = pkt.kind.is_response();
         let Resolved { owned, egress: route } = Self::resolve(ctx, cur, node, pkt.dst, now);
@@ -628,7 +600,7 @@ impl Network {
         // Arrived at the packet's destination address?
         if cur != origin && owned {
             if is_response {
-                return ForwardStep::Consumed { node: cur, at: now };
+                return ForwardStep::Consumed { at: now };
             }
             let kind = match pkt.kind {
                 PacketKind::EchoRequest => PacketKind::EchoReply,
@@ -728,9 +700,9 @@ impl Network {
     }
 
     /// Generate the response packet a node owes `pkt`, charging the ICMP
-    /// generation delay against the node's state in `ctx`. Returns the
-    /// response and the time it leaves.
-    pub fn generate_response(
+    /// generation delay against the node's state in `ctx` (synced by the
+    /// walk). Returns the response and the time it leaves.
+    fn generate_response(
         &self,
         ctx: &mut ProbeCtx,
         node: NodeId,
@@ -739,7 +711,6 @@ impl Network {
         pkt: &Packet,
         now: SimTime,
     ) -> Result<(Packet, SimTime), ProbeError> {
-        ctx.sync(self);
         let gen_key = mix(&[pkt.probe.0, 0xabcd]);
         let responder = &self.nodes[node.0 as usize];
         let sentry = &mut ctx.scratch[node.0 as usize];
@@ -770,7 +741,7 @@ impl Network {
         let probe_id = ctx.alloc_probe_id();
         let src_addr = self.primary_addr(from);
 
-        let mut pkt = Packet::probe(src_addr, spec.dst, spec.kind, spec.ttl, probe_id, t);
+        let mut pkt = Packet::probe(src_addr, spec.dst, spec.kind, spec.ttl, probe_id);
         pkt.size = spec.size;
         if spec.record_route {
             pkt = pkt.with_record_route();
@@ -818,7 +789,7 @@ impl Network {
                     incoming = Some(inc);
                     now = arrive;
                 }
-                ForwardStep::Consumed { at, .. } => break at,
+                ForwardStep::Consumed { at } => break at,
                 ForwardStep::Respond { .. } => {
                     // A response should never elicit another response here;
                     // treat as blackholed.
@@ -1056,6 +1027,52 @@ mod tests {
         net.node_mut(NodeId(2)).icmp.responsive = false;
         let e = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), SimTime::ZERO).unwrap_err();
         assert_eq!(e, ProbeError::Silent(NoResponse::Unresponsive));
+    }
+
+    /// `line_topology()` with its middle link overloaded (1.3e8 bps offered
+    /// on a 1e8 bps link, so it tail-drops) and its far router rate-limited
+    /// to 0.05 ICMP responses per second — slow enough that one probe per
+    /// 7 s empties the bucket within the 40 rounds the series golden sends.
+    fn loaded_line() -> (Network, NodeId, Ipv4) {
+        let (mut net, vp, _, _, tgt_addr) = line_topology();
+        let l = net.link_mut(LinkId(1));
+        *l.capacity_mut() = Schedule::constant(1e8);
+        l.set_load(Dir::AtoB, Arc::new(crate::link::ConstantLoad(1.3e8)));
+        net.node_mut(NodeId(2)).icmp.rate_limit_pps = Some(0.05);
+        (net, vp, tgt_addr)
+    }
+
+    /// FNV-1a over every outcome of [`series_outcomes_are_pinned`], in
+    /// send order.
+    const SERIES_HASH: u64 = 0x04c1_006a_3803_3ef5;
+
+    #[test]
+    fn series_outcomes_are_pinned() {
+        // 40 rounds, 7 s apart, at TTL 1, 2 and 3 through a tail-dropping
+        // link to a rate-limited router: every probe's RTT and IP-ID (or its
+        // error) depends on queue anchors, token buckets and IP-ID counters
+        // carried from earlier probes in the one context.
+        let (net, vp, tgt) = loaded_line();
+        let mut ctx = net.probe_ctx(0);
+        let mut outcomes = Vec::new();
+        for i in 0..40u64 {
+            for ttl in 1..=3 {
+                let r = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt, ttl), SimTime(i * 7_000_000));
+                outcomes.push((outcomes.len() as u64 + 1, r.map(|r| (r.rtt, r.ip_id))));
+            }
+        }
+        let hash = outcomes
+            .iter()
+            .map(|(id, r)| match r {
+                Ok((rtt, ip_id)) => format!("{id}:ok:{}:{ip_id};", rtt.as_micros()),
+                Err(e) => format!("{id}:err:{e:?};"),
+            })
+            .flat_map(String::into_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(hash, SERIES_HASH, "got {hash:#018x}");
+        let rate_limited = outcomes.iter().filter(|o| o.1 == Err(ProbeError::Silent(NoResponse::RateLimited))).count();
+        let dropped = outcomes.iter().filter(|o| matches!(o.1, Err(ProbeError::DroppedForward(..)))).count();
+        assert_eq!((rate_limited, dropped), (9, 18));
     }
 
     #[test]

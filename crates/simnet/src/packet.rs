@@ -16,7 +16,6 @@
 //!   in bdrmap.
 
 use crate::ip::Ipv4;
-use crate::time::SimTime;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
@@ -76,14 +75,11 @@ pub struct Packet {
     pub ip_id: u16,
     /// Record-route option state, if the option is present.
     pub record_route: Option<RecordRoute>,
-    /// Time the original probe left its source (carried for convenience; a
-    /// real prober keeps this in its own state keyed by probe id).
-    pub sent_at: SimTime,
 }
 
 impl Packet {
     /// A fresh probe packet with the given kind and TTL.
-    pub fn probe(src: Ipv4, dst: Ipv4, kind: PacketKind, ttl: u8, probe: ProbeId, sent_at: SimTime) -> Packet {
+    pub fn probe(src: Ipv4, dst: Ipv4, kind: PacketKind, ttl: u8, probe: ProbeId) -> Packet {
         Packet {
             src,
             dst,
@@ -93,7 +89,6 @@ impl Packet {
             size: PROBE_SIZE_BYTES,
             ip_id: 0,
             record_route: None,
-            sent_at,
         }
     }
 
@@ -121,11 +116,10 @@ impl Packet {
             // ICMP errors quote the original header; the recorded route of the
             // forward path is visible to the prober through that quotation.
             record_route: self.record_route.clone(),
-            sent_at: self.sent_at,
         }
     }
 
-    /// Encode to a compact wire representation (used by trace sinks).
+    /// Encode to a compact wire representation.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(40);
         b.put_u32(self.src.0);
@@ -141,7 +135,6 @@ impl Packet {
         b.put_u64(self.probe.0);
         b.put_u32(self.size);
         b.put_u16(self.ip_id);
-        b.put_u64(self.sent_at.0);
         match &self.record_route {
             None => b.put_u8(0xff),
             Some(rr) => {
@@ -157,7 +150,7 @@ impl Packet {
     /// Decode a packet encoded with [`Packet::encode`]. Returns `None` on a
     /// malformed buffer.
     pub fn decode(mut buf: Bytes) -> Option<Packet> {
-        if buf.remaining() < 32 + 1 {
+        if buf.remaining() < 24 + 1 {
             return None;
         }
         let src = Ipv4(buf.get_u32());
@@ -174,7 +167,6 @@ impl Packet {
         let probe = ProbeId(buf.get_u64());
         let size = buf.get_u32();
         let ip_id = buf.get_u16();
-        let sent_at = SimTime(buf.get_u64());
         let rr_len = buf.get_u8();
         let record_route = if rr_len == 0xff {
             None
@@ -188,7 +180,7 @@ impl Packet {
             }
             Some(rr)
         };
-        Some(Packet { src, dst, ttl, kind, probe, size, ip_id, record_route, sent_at })
+        Some(Packet { src, dst, ttl, kind, probe, size, ip_id, record_route })
     }
 }
 
@@ -226,7 +218,6 @@ mod tests {
             PacketKind::EchoRequest,
             3,
             ProbeId(77),
-            SimTime(123_456),
         )
     }
 
@@ -238,7 +229,6 @@ mod tests {
         assert_eq!(r.src, Ipv4::new(196, 49, 14, 1));
         assert_eq!(r.probe, p.probe);
         assert_eq!(r.ip_id, 42);
-        assert_eq!(r.sent_at, p.sent_at);
         assert!(r.record_route.is_some());
         assert!(r.kind.is_response());
     }
@@ -296,7 +286,6 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ip::Ipv4;
-    use crate::time::SimTime;
     use proptest::prelude::*;
 
     fn arb_kind() -> impl Strategy<Value = PacketKind> {
@@ -318,10 +307,9 @@ mod proptests {
             any::<u64>(),
             any::<u32>(),
             any::<u16>(),
-            any::<u64>(),
             proptest::option::of(proptest::collection::vec(any::<u32>(), 0..=RECORD_ROUTE_SLOTS)),
         )
-            .prop_map(|(src, dst, ttl, kind, probe, size, ip_id, sent, rr)| Packet {
+            .prop_map(|(src, dst, ttl, kind, probe, size, ip_id, rr)| Packet {
                 src: Ipv4(src),
                 dst: Ipv4(dst),
                 ttl,
@@ -330,7 +318,6 @@ mod proptests {
                 size,
                 ip_id,
                 record_route: rr.map(|hops| RecordRoute { hops: hops.into_iter().map(Ipv4).collect() }),
-                sent_at: SimTime(sent),
             })
     }
 
@@ -346,7 +333,6 @@ mod proptests {
             prop_assert_eq!(d.probe, p.probe);
             prop_assert_eq!(d.size, p.size);
             prop_assert_eq!(d.ip_id, p.ip_id);
-            prop_assert_eq!(d.sent_at, p.sent_at);
             prop_assert_eq!(d.record_route, p.record_route);
         }
 

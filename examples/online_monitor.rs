@@ -1,24 +1,23 @@
 //! The resident monitoring service at continent scale: the §8 extension,
-//! built from the event kernel, the sharded [`MonitorService`], and the
-//! concurrent verdict index.
+//! built from the simulator's probe walk, the sharded [`MonitorService`],
+//! and the concurrent verdict index.
 //!
 //! The retrospective study collects a year of samples and analyzes them
 //! afterwards; a production monitor must raise alarms *as probes return*,
 //! for every member port at once, while operators hammer the dashboard.
-//! This example registers ONE fleet agent with the discrete-event kernel
-//! that probes the far end of ~1,200 member links every 5 simulated
-//! minutes, tagging each probe with its link index
-//! ([`AgentCtx::send_tagged`]), and flushes each completed round into a
-//! shared [`MonitorService`] — sharded Page's-CUSUM detectors plus
-//! incremental health state, O(window) memory per link, no series
-//! retention. Rounds go through the *sequenced* ingest path: each sample
-//! carries a per-link sequence number, and every 20th round is replayed
-//! whole to show the admission gates absorbing at-least-once delivery
-//! without touching a detector. While the kernel ingests, dashboard reader threads on real
-//! OS threads poll the concurrent verdict index; ingestion never stalls
-//! behind them. At the end the service's live verdicts are checked against
-//! ground truth: every congested port elevated, zero false alarms, and
-//! the telemetry gauges published in one line.
+//! This example probes the far end of ~1,200 member links every 5
+//! simulated minutes from one vantage point, through one probing context,
+//! and ingests each completed round into a shared [`MonitorService`] —
+//! sharded Page's-CUSUM detectors plus incremental health state, O(window)
+//! memory per link, no series retention. Rounds go through the *sequenced*
+//! ingest path: each sample carries a per-link sequence number, and every
+//! 20th round is replayed whole to show the admission gates absorbing
+//! at-least-once delivery without touching a detector. While the round
+//! loop ingests, dashboard reader threads poll the concurrent verdict
+//! index; ingestion never stalls behind them. At the end the service's
+//! live verdicts are checked against ground truth: every congested port
+//! elevated, zero false alarms, and the telemetry gauges published in one
+//! line.
 //!
 //! ```sh
 //! cargo run --release --example online_monitor
@@ -28,7 +27,6 @@ use african_ixp_congestion::monitor::{
     LinkDesc, MonitorConfig, MonitorSample, MonitorService, ServiceMode,
 };
 use african_ixp_congestion::obs::MetricsRegistry;
-use african_ixp_congestion::simnet::kernel::{Agent, AgentCtx, Kernel, ProbeEvent};
 use african_ixp_congestion::simnet::prelude::*;
 use african_ixp_congestion::topology::{build_continent, ContinentSpec, MemberLink};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,108 +38,71 @@ const ROUND: SimDuration = SimDuration::from_mins(5);
 /// baseline, then the 9–17h business plateau onset the monitor must catch.
 const ROUNDS: usize = 84;
 
-/// One agent monitoring the whole fleet: per round it launches one
-/// far-side probe per link (tag = link index), collects the returns, and
-/// flushes the completed round into the service as a single batch.
-struct FleetMonitor {
-    svc: Arc<MonitorService>,
-    links: Vec<MemberLink>,
-    round: usize,
-    pending: Vec<MonitorSample>,
-    resolved: usize,
-    alarms_printed: u32,
-    /// Live (unmasked) alarm count last seen per link, for alarm-edge
-    /// detection off the verdict index.
-    last_alarms: Vec<u64>,
-    /// Duplicate samples the sequence gates absorbed from replays.
-    dup_absorbed: u64,
-    start: SimTime,
-}
-
-impl FleetMonitor {
-    fn launch_round(&mut self, ctx: &mut AgentCtx) {
-        self.pending = vec![MonitorSample::lost(); self.links.len()];
-        self.resolved = 0;
-        for (i, l) in self.links.iter().enumerate() {
-            ctx.send_tagged(ProbeSpec::ttl_limited(l.dst, l.far_ttl), i as u64);
-        }
-    }
-
-    fn flush_round(&mut self, ctx: &mut AgentCtx) {
+/// Probe every link's far end once per round, from 07:00, and ingest each
+/// round as one sequenced batch, printing the first alarm edges.
+fn monitor_rounds(net: &Network, vp: NodeId, links: &[MemberLink], svc: &MonitorService) {
+    let start = SimTime::ZERO + SimDuration::from_hours(7);
+    let mut ctx = net.probe_ctx(0);
+    // Live (unmasked) alarm count last seen per link, for alarm-edge
+    // detection off the verdict index.
+    let mut last_alarms = vec![0u64; links.len()];
+    let mut upshifts = 0u32;
+    let mut dup_absorbed = 0u64;
+    for round in 0..ROUNDS {
+        let t = start + ROUND.mul(round as u64);
         // Sequenced ingest: every sample carries its per-link sequence
         // number (here simply the round), so the admission gates can
         // detect duplicated, reordered, or stale telemetry.
-        let seq = self.round as u64;
-        let batch: Vec<(u32, u64, MonitorSample)> =
-            self.pending.iter().enumerate().map(|(i, s)| (i as u32, seq, *s)).collect();
-        let report = self.svc.ingest_sequenced(&batch);
+        let seq = round as u64;
+        let batch: Vec<(u32, u64, MonitorSample)> = links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let sample = match net.send_probe_lite(&mut ctx, vp, ProbeSpec::ttl_limited(l.dst, l.far_ttl), t) {
+                    // Path fingerprint, miniaturized: the responder address
+                    // (the offline pipeline hashes the whole TTL ladder).
+                    Ok(r) => MonitorSample {
+                        far_ms: r.rtt.as_millis_f64(),
+                        path_fp: 0x8000_0000_0000_0000u64 | u64::from(r.responder.0),
+                        far_addr_ok: r.responder == l.far,
+                    },
+                    Err(_) => MonitorSample::lost(),
+                };
+                (i as u32, seq, sample)
+            })
+            .collect();
+        let report = svc.ingest_sequenced(&batch);
         assert_eq!(report.delivered, batch.len() as u64);
         assert_eq!(report.mode, ServiceMode::Healthy, "healthy fleet stays Healthy");
         // At-least-once delivery, live: every 20th round the collector
         // replays the whole round it just sent. The gates absorb every
         // copy as a duplicate — nothing reaches the detectors.
-        if self.round % 20 == 19 {
-            let replay = self.svc.ingest_sequenced(&batch);
+        if round % 20 == 19 {
+            let replay = svc.ingest_sequenced(&batch);
             assert_eq!(replay.delivered, 0, "replayed round must not re-enter detectors");
             assert_eq!(replay.duplicates, batch.len() as u64);
-            self.dup_absorbed += replay.duplicates;
+            dup_absorbed += replay.duplicates;
         }
         // Alarm edges off the verdict index: a link whose unmasked alarm
         // count rose this round just upshifted.
-        for id in 0..self.links.len() as u32 {
-            let v = self.svc.verdict(id);
+        for (id, last) in last_alarms.iter_mut().enumerate() {
+            let v = svc.verdict(id as u32);
             let live = v.alarms - v.masked_alarms;
-            if live > self.last_alarms[id as usize] {
-                self.alarms_printed += 1;
-                if self.alarms_printed <= 8 {
-                    println!("  [{}] ⚠ UPSHIFT on link {id}", ctx.now());
+            if live > *last {
+                upshifts += 1;
+                if upshifts <= 8 {
+                    println!("  [{t}] ⚠ UPSHIFT on link {id}");
                 }
             }
-            self.last_alarms[id as usize] = live;
-        }
-        self.round += 1;
-        if self.round < ROUNDS {
-            ctx.wake_at(self.start + ROUND.mul(self.round as u64));
-        } else {
-            println!(
-                "fleet agent stopping at {}: {} rounds x {} links ingested, {} live upshifts, \
-                 {} replayed duplicates absorbed",
-                ctx.now(),
-                self.round,
-                self.links.len(),
-                self.alarms_printed,
-                self.dup_absorbed
-            );
-            ctx.stop();
+            *last = live;
         }
     }
-}
-
-impl Agent for FleetMonitor {
-    fn on_start(&mut self, ctx: &mut AgentCtx) {
-        ctx.wake_at(self.start);
-    }
-
-    fn on_wake(&mut self, ctx: &mut AgentCtx) {
-        self.launch_round(ctx);
-    }
-
-    fn on_probe_event(&mut self, ev: ProbeEvent, ctx: &mut AgentCtx) {
-        if let ProbeEvent::Response { from, rtt, tag, .. } = ev {
-            // Path fingerprint, miniaturized: the responder address (the
-            // offline pipeline hashes the whole TTL ladder).
-            let fp = 0x8000_0000_0000_0000u64 | u64::from(from.0);
-            self.pending[tag as usize] = MonitorSample {
-                far_ms: rtt.as_millis_f64(),
-                path_fp: fp,
-                far_addr_ok: from == self.links[tag as usize].far,
-            };
-        }
-        self.resolved += 1;
-        if self.resolved == self.links.len() {
-            self.flush_round(ctx);
-        }
-    }
+    println!(
+        "monitor stopping at {}: {ROUNDS} rounds x {} links ingested, {upshifts} live upshifts, \
+         {dup_absorbed} replayed duplicates absorbed",
+        start + ROUND.mul(ROUNDS as u64 - 1),
+        links.len(),
+    );
 }
 
 fn main() {
@@ -163,27 +124,11 @@ fn main() {
     let cfg = MonitorConfig { shards: 32, threads: 2, ..MonitorConfig::default() };
     let svc = Arc::new(MonitorService::new(cfg, &descs));
 
-    let mut kernel = Kernel::new(cont.net);
-    kernel.add_agent(
-        cont.vp,
-        Box::new(FleetMonitor {
-            svc: Arc::clone(&svc),
-            links: cont.links.clone(),
-            round: 0,
-            pending: Vec::new(),
-            resolved: 0,
-            alarms_printed: 0,
-            last_alarms: vec![0; n],
-            dup_absorbed: 0,
-            start: SimTime::ZERO + SimDuration::from_hours(7),
-        }),
-    );
-
-    // ---- Run the kernel with dashboard readers hammering the verdict
-    // index from real OS threads the whole time. Ingestion (kernel thread)
+    // ---- Run the rounds with dashboard readers hammering the verdict
+    // index from real OS threads the whole time. Ingestion (the round loop)
     // and queries (readers) share nothing but the sharded index.
     let stop = AtomicBool::new(false);
-    let (events, dash_reads) = std::thread::scope(|sc| {
+    let dash_reads = std::thread::scope(|sc| {
         let readers: Vec<_> = (0..3)
             .map(|r| {
                 let svc = Arc::clone(&svc);
@@ -202,7 +147,7 @@ fn main() {
                 })
             })
             .collect();
-        let events = kernel.run(None);
+        monitor_rounds(&cont.net, cont.vp, &cont.links, &svc);
         stop.store(true, Ordering::Relaxed);
         let mut reads = 0;
         let mut elevated = 0;
@@ -211,9 +156,8 @@ fn main() {
             reads += n_reads;
             elevated += n_elev;
         }
-        (events, (reads, elevated))
+        (reads, elevated)
     });
-    println!("kernel processed {events} events up to {}", kernel.now());
     println!(
         "dashboard readers made {} index reads during ingest ({} saw elevated state)",
         dash_reads.0, dash_reads.1

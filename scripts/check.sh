@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Repo health gate: release build, full test suite, lint-clean workspace.
 #
-# With --bench-gates, additionally runs the performance gates (the health,
-# detect, and telemetry overhead benches with their budget/regression
-# checks). These take several minutes, so they are opt-in; any extra
-# arguments (e.g. --force) are forwarded to the gate scripts.
+# With --bench-gates, additionally runs the seven performance gates (health,
+# detect, obs, campaign, monitor, resilience and trace, each with its
+# budget/regression checks). These take several minutes, so they are
+# opt-in; any extra arguments (e.g. --force) are forwarded to the gate
+# scripts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,9 @@ cargo test -q
 
 echo "==> forensics smoke (flight-recorder dump -> replay -> per-link timelines)"
 cargo run --release --example forensics > /dev/null
+
+echo "==> live monitor smoke (round loop -> sequenced ingest -> ground-truth checks)"
+cargo run --release --example online_monitor > /dev/null
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
