@@ -29,16 +29,18 @@
 //! leg, ICMP generation, return leg — in O(path length);
 //! [`net::Network::send_probe_lite`] is the same walk without ground-truth
 //! path vectors. It is the only probing engine: every prober and the live
-//! monitor call it.
+//! monitor call it. Routing decisions do not depend on time, so each probe
+//! key's round trip is compiled once and replayed by later probes, which
+//! only charge the link crossings (see the [`net`] module).
 //!
 //! ## Concurrency
 //!
 //! The substrate is immutable during probing and `Sync`; all mutable walk
-//! state (queue anchors, IP-ID counters, token buckets, a route memo) lives
-//! in a [`net::ProbeCtx`] from [`net::Network::probe_ctx`]. Threads each own
-//! a ctx and probe the same `&Network` via [`net::Network::send_probe`]
-//! without aliasing; two epoch counters (topology, scenario) tell a ctx when
-//! to invalidate its caches.
+//! state (queue anchors, IP-ID counters, token buckets, a route memo,
+//! compiled walks) lives in a [`net::ProbeCtx`] from
+//! [`net::Network::probe_ctx`]. Threads each own a ctx and probe the same
+//! `&Network` via [`net::Network::send_probe`] without aliasing; two epoch
+//! counters (topology, scenario) tell a ctx when to invalidate its caches.
 //!
 //! ```
 //! use ixp_simnet::prelude::*;
@@ -74,13 +76,16 @@ pub mod prelude {
     pub use crate::fwd::FwdTable;
     pub use crate::ip::{Ipv4, Prefix, PrefixTable};
     pub use crate::link::{
-        ConstantLoad, Dir, DropReason, Link, LinkConfig, LinkId, LinkQueueState, NoLoad, OfferedLoad, Schedule,
+        ConstantLoad, Dir, DropReason, Link, LinkConfig, LinkId, LinkQueueState, NoLoad,
+        OfferedLoad, Schedule,
     };
     pub use crate::net::{
-        Network, ProbeCtx, ProbeError, ProbeReply, ProbeReplyLite, ProbeResult, ProbeResultLite, ProbeSpec,
+        Network, ProbeCtx, ProbeError, ProbeReply, ProbeReplyLite, ProbeResult, ProbeResultLite,
+        ProbeSpec,
     };
     pub use crate::node::{
-        Asn, FwdState, IcmpConfig, IfaceId, Node, NodeId, NodeKind, NodeScratch, RespondFrom, SlowPath,
+        Asn, FwdState, IcmpConfig, IfaceId, Node, NodeId, NodeKind, NodeScratch, RespondFrom,
+        SlowPath,
     };
     pub use crate::packet::{Packet, PacketKind, ProbeId};
     pub use crate::rng::HashNoise;

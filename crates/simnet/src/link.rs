@@ -148,8 +148,13 @@ impl<T: Clone> Schedule<T> {
     /// Hold `value` over `[from, until)`: steps inside the interval are
     /// dropped, and the value in effect at `until` before the call resumes
     /// there. Overlapping intervals therefore compose — their union holds
-    /// `value` — in whatever order they are set.
+    /// `value` — in whatever order they are set. An empty or inverted
+    /// interval (`from >= until`) holds nothing and leaves the schedule as it
+    /// was.
     pub fn set_between(&mut self, from: SimTime, until: SimTime, value: T) -> &mut Self {
+        if from >= until {
+            return self;
+        }
         let resume = self.at(until).clone();
         self.entries.retain(|e| e.0 < from || e.0 >= until);
         self.step(from, value).step(until, resume)
@@ -161,6 +166,14 @@ impl<T: Clone> Schedule<T> {
             Ok(i) => &self.entries[i].1,
             Err(0) => &self.entries[0].1, // before first step: clamp
             Err(i) => &self.entries[i - 1].1,
+        }
+    }
+
+    /// The schedule's only value, when it never changes.
+    pub fn constant_value(&self) -> Option<&T> {
+        match self.entries.as_slice() {
+            [(_, v)] => Some(v),
+            _ => None,
         }
     }
 
@@ -402,20 +415,27 @@ impl Link {
 
     /// Carry one packet of `size` bytes across `dir` at `t`, advancing `st`.
     ///
-    /// `pkt_key` must be unique per crossing attempt (probe id mixed with a
-    /// hop counter); it seeds the deterministic drop decision. Takes `&self`
-    /// and writes nothing but `st`: the packet's fate depends only on the
-    /// shared substrate, the explicit queue state, and `pkt_key`, so
-    /// concurrent walks crossing the same link never share a written cache
-    /// line.
-    pub fn transit(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime, size: u32, pkt_key: u64) -> TransitResult {
+    /// `pkt_key` yields a key unique per crossing attempt (probe id mixed
+    /// with a hop counter); it seeds the deterministic drop decision and is
+    /// only called when a drop draw needs it. Takes `&self` and writes
+    /// nothing but `st`: the packet's fate depends only on the shared
+    /// substrate, the explicit queue state, and the key, so concurrent walks
+    /// crossing the same link never share a written cache line.
+    pub fn transit(
+        &self,
+        dir: Dir,
+        st: &mut LinkQueueState,
+        t: SimTime,
+        size: u32,
+        pkt_key: impl Fn() -> u64,
+    ) -> TransitResult {
         let d_idx = dir.index();
         if !self.is_up(t) {
             return Err(DropReason::LinkDown);
         }
         let p_loss = self.loss_probability(dir, st, t);
-        let key = pkt_key ^ ((self.id.0 as u64) << 32) ^ ((d_idx as u64) << 63);
-        if self.cfg.base_loss > 0.0 && self.noise.chance(streams::FAULT_LOSS, key, self.cfg.base_loss) {
+        let key = || pkt_key() ^ ((self.id.0 as u64) << 32) ^ ((d_idx as u64) << 63);
+        if self.cfg.base_loss > 0.0 && self.noise.chance(streams::FAULT_LOSS, key(), self.cfg.base_loss) {
             return Err(DropReason::RandomLoss);
         }
         let overload = if self.cfg.base_loss > 0.0 {
@@ -423,13 +443,30 @@ impl Link {
         } else {
             p_loss
         };
-        if overload > 0.0 && self.noise.chance(streams::QUEUE_DROP, key, overload) {
+        if overload > 0.0 && self.noise.chance(streams::QUEUE_DROP, key(), overload) {
             return Err(DropReason::QueueFull);
         }
         let cap = self.capacity_at(t).max(1.0);
         let queue = self.queue_delay(dir, st, t);
         let serialization = SimDuration::from_secs_f64(size as f64 * 8.0 / cap);
         Ok(self.cfg.prop_delay + serialization + queue)
+    }
+
+    /// The delay of every crossing of `dir` by a `size`-byte packet, when
+    /// the link's configuration makes [`Link::transit`] a constant: `up`,
+    /// capacity and buffer schedules that never change, the link up and its
+    /// buffer non-empty, no base loss, and a peak offered load under 80% of
+    /// capacity. Such a queue never leaves the empty fast path of the
+    /// integration, so it adds no delay and its loss probability is 0: every
+    /// crossing costs propagation plus serialization, at any time, whatever
+    /// its key and whatever queue state it would carry. `None` otherwise.
+    pub fn constant_transit(&self, dir: Dir, size: u32) -> Option<SimDuration> {
+        let cfg = &self.cfg;
+        let up = *cfg.up.constant_value()?;
+        let cap = *cfg.capacity_bps.constant_value()?;
+        let buffer = *cfg.buffer_bytes.constant_value()?;
+        let quiet = up && buffer > 0.0 && cfg.base_loss == 0.0 && self.loads[dir.index()].peak_bps() < 0.8 * cap;
+        quiet.then(|| cfg.prop_delay + SimDuration::from_secs_f64(size as f64 * 8.0 / cap.max(1.0)))
     }
 }
 
@@ -496,12 +533,61 @@ mod tests {
     }
 
     #[test]
+    fn set_between_ignores_empty_and_inverted_intervals() {
+        let mut s = Schedule::constant(true);
+        s.set_between(SimTime(10), SimTime(5), false).set_between(SimTime(7), SimTime(7), false);
+        assert_eq!([0, 5, 7, 10, 20].map(|t| *s.at(SimTime(t))), [true; 5]);
+        assert_eq!(s.constant_value(), Some(&true));
+    }
+
+    #[test]
+    fn constant_value_needs_a_single_entry() {
+        let mut s = Schedule::constant(3.0);
+        assert_eq!(s.constant_value(), Some(&3.0));
+        s.step(SimTime::ZERO, 4.0);
+        assert_eq!(s.constant_value(), Some(&4.0));
+        s.step(SimTime(9), 4.0);
+        assert_eq!(s.constant_value(), None);
+    }
+
+    #[test]
+    fn constant_transit_refuses_links_whose_delay_can_vary() {
+        let quiet = || mk_link(1e9, Arc::new(ConstantLoad(1e8)));
+        assert!(quiet().constant_transit(Dir::AtoB, 64).is_some());
+        type Edit = fn(&mut Link);
+        let cases: [(&str, Edit); 6] = [
+            ("base loss", |l| l.cfg.base_loss = 0.01),
+            ("stepped up", |l| {
+                l.up_mut().step(SimTime(1000), false);
+            }),
+            ("stepped capacity", |l| {
+                l.capacity_mut().step(SimTime(1000), 1e8);
+            }),
+            ("stepped buffer", |l| {
+                l.buffer_mut().step(SimTime(1000), 1e3);
+            }),
+            ("peak at 0.8 cap", |l| l.set_load(Dir::AtoB, Arc::new(ConstantLoad(8e8)))),
+            ("down for good", |l| *l.up_mut() = Schedule::constant(false)),
+        ];
+        for (what, edit) in cases {
+            let mut l = quiet();
+            edit(&mut l);
+            assert_eq!(l.constant_transit(Dir::AtoB, 64), None, "{what}");
+        }
+        // The loaded direction decides: the reverse one stays constant.
+        let mut l = quiet();
+        l.set_load(Dir::AtoB, Arc::new(ConstantLoad(2e9)));
+        assert_eq!(l.constant_transit(Dir::AtoB, 64), None);
+        assert!(l.constant_transit(Dir::BtoA, 64).is_some());
+    }
+
+    #[test]
     fn uncongested_link_has_no_queue() {
         let l = mk_link(1e9, Arc::new(ConstantLoad(1e8))); // 10% load
         let mut st = l.fresh_queue_state(Dir::AtoB);
         let t = SimTime::from_hours_test(5);
         assert_eq!(l.queue_delay(Dir::AtoB, &mut st, t), SimDuration::ZERO);
-        let d = l.transit(Dir::AtoB, &mut st, t, 64, 1).unwrap();
+        let d = l.transit(Dir::AtoB, &mut st, t, 64, || 1).unwrap();
         // prop 500us + serialization ~0.5us
         assert!(d >= SimDuration::from_micros(500) && d < SimDuration::from_micros(510), "{d}");
     }
@@ -533,7 +619,7 @@ mod tests {
         let mut drops = 0;
         let n = 10_000;
         for i in 0..n {
-            if l.transit(Dir::AtoB, &mut st, t0 + SimDuration::from_micros(i), 64, i).is_err() {
+            if l.transit(Dir::AtoB, &mut st, t0 + SimDuration::from_micros(i), 64, || i).is_err() {
                 drops += 1;
             }
         }
@@ -569,11 +655,11 @@ mod tests {
         let mut l = mk_link(1e9, Arc::new(NoLoad));
         let mut st = l.fresh_queue_state(Dir::AtoB);
         l.up_mut().step(SimTime(1000), false);
-        assert!(l.transit(Dir::AtoB, &mut st, SimTime(0), 64, 1).is_ok());
-        assert_eq!(l.transit(Dir::AtoB, &mut st, SimTime(2000), 64, 2), Err(DropReason::LinkDown));
+        assert!(l.transit(Dir::AtoB, &mut st, SimTime(0), 64, || 1).is_ok());
+        assert_eq!(l.transit(Dir::AtoB, &mut st, SimTime(2000), 64, || 2), Err(DropReason::LinkDown));
         // Comes back up.
         l.up_mut().step(SimTime(5000), true);
-        assert!(l.transit(Dir::AtoB, &mut st, SimTime(6000), 64, 3).is_ok());
+        assert!(l.transit(Dir::AtoB, &mut st, SimTime(6000), 64, || 3).is_ok());
     }
 
     #[test]
@@ -603,7 +689,7 @@ mod tests {
         );
         let n = 20_000u64;
         let mut st = l.fresh_queue_state(Dir::AtoB);
-        let drops = (0..n).filter(|&i| l.transit(Dir::AtoB, &mut st, SimTime(i), 64, i).is_err()).count();
+        let drops = (0..n).filter(|&i| l.transit(Dir::AtoB, &mut st, SimTime(i), 64, || i).is_err()).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "{rate}");
     }
@@ -615,7 +701,7 @@ mod tests {
         let (mut sa, mut sb) = (a.fresh_queue_state(Dir::AtoB), b.fresh_queue_state(Dir::AtoB));
         for i in 0..1000u64 {
             let t = SimTime(i * 1000);
-            assert_eq!(a.transit(Dir::AtoB, &mut sa, t, 64, i), b.transit(Dir::AtoB, &mut sb, t, 64, i));
+            assert_eq!(a.transit(Dir::AtoB, &mut sa, t, 64, || i), b.transit(Dir::AtoB, &mut sb, t, 64, || i));
         }
     }
 }
@@ -654,6 +740,40 @@ mod proptests {
             for m in ts {
                 let d = l.queue_delay(Dir::AtoB, &mut st, SimTime(m * crate::time::MICROS_PER_MIN));
                 prop_assert!(d.as_secs_f64() <= max_delay * 1.001);
+            }
+        }
+
+        /// On a link whose delay is a constant, every crossing costs exactly
+        /// that constant, whatever the time, size, key or queue history.
+        #[test]
+        fn constant_transit_matches_transit(
+            cap_mbps in 1.0f64..10_000.0,
+            load_frac in 0.0f64..0.8,
+            prop_us in 0u64..50_000,
+            buffer in 1.0f64..1e7,
+            crossings in proptest::collection::vec((0u64..400 * 86_400_000_000, 0u32..9000, any::<u64>()), 1..40),
+        ) {
+            let cap = cap_mbps * 1e6;
+            let cfg = LinkConfig {
+                capacity_bps: Schedule::constant(cap),
+                buffer_bytes: Schedule::constant(buffer),
+                prop_delay: SimDuration::from_micros(prop_us),
+                ..LinkConfig::default()
+            };
+            let l = Link::new(
+                LinkId(4),
+                Ipv4::new(10, 0, 0, 1),
+                Ipv4::new(10, 0, 0, 2),
+                cfg,
+                Arc::new(ConstantLoad(load_frac * cap)),
+                Arc::new(NoLoad),
+                HashNoise::new(4),
+            );
+            let mut st = l.fresh_queue_state(Dir::AtoB);
+            for (t, size, key) in crossings {
+                let want = l.constant_transit(Dir::AtoB, size);
+                prop_assert!(want.is_some());
+                prop_assert_eq!(l.transit(Dir::AtoB, &mut st, SimTime(t), size, || key), Ok(want.unwrap()));
             }
         }
 

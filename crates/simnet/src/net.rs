@@ -14,6 +14,17 @@
 //! traceroute, record-route, alias resolution, loss — and the live monitor
 //! call it.
 //!
+//! Each hop is a routing decision that does not depend on time (`decide`)
+//! followed by a link transit that does. A probe is therefore compiled
+//! once per `(source, destination, TTL, kind, size)` into its forward
+//! hops, responder and return hops, cached in the [`ProbeCtx`], and every
+//! later probe with the same key only charges the crossings — adding a
+//! precomputed delay for each link whose configuration makes its delay a
+//! constant ([`Link::constant_transit`]). Paths through nodes whose
+//! forwarding changes over time, and record-route probes, are stepped hop
+//! by hop through the same decision function. Both walks produce
+//! bit-identical results.
+//!
 //! The walk runs against a **shared immutable substrate**: every probing
 //! method takes `&Network`, and all mutable probing state (probe ids, lazy
 //! queue integrations, IP-ID counters, rate-limiter buckets, the route memo)
@@ -28,11 +39,12 @@
 
 use crate::arena::{AddrIndex, NameTable};
 use crate::ip::{Ipv4, Prefix};
-use crate::link::{Dir, DropReason, Link, LinkConfig, LinkId, LinkQueueState, NoLoad, OfferedLoad};
+use crate::link::{Dir, DropReason, Link, LinkConfig, LinkId, LinkQueueState, NoLoad, OfferedLoad, TransitResult};
 use crate::node::{Asn, IfaceId, Node, NodeId, NodeKind, NodeScratch, NoResponse};
 use crate::packet::{Packet, PacketKind, ProbeId, PROBE_SIZE_BYTES};
 use crate::rng::{mix, splitmix64, streams, HashNoise};
 use crate::time::{SimDuration, SimTime};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Maximum hops walked before declaring a forwarding loop.
@@ -141,18 +153,218 @@ pub type ProbeResult = Result<ProbeReply, ProbeError>;
 /// Result of sending one allocation-free probe.
 pub type ProbeResultLite = Result<ProbeReplyLite, ProbeError>;
 
-/// Result of advancing a packet by one forwarding decision.
-enum ForwardStep {
-    /// The packet crossed a link and now sits at `next` (arrived on
-    /// `incoming`) at time `arrive`; `egress_addr` is the interface it left
-    /// through (ground-truth path material).
-    Hop { next: NodeId, incoming: IfaceId, arrive: SimTime, egress_addr: Ipv4 },
-    /// The current node must generate a response of `kind` sourced from `src`.
+/// What a node does with a packet, decided from routing state alone: the
+/// node's interfaces, forwarding table and ICMP source policy, the packet's
+/// destination, kind and TTL. Time never enters it, so on a path whose
+/// forwarding never changes a probe's whole walk can be decided once.
+#[derive(Clone, Copy, Debug)]
+enum Decision {
+    /// The packet leaves through the interface addressed `egress_addr`,
+    /// crossing `link` in `dir`.
+    Forward { link: LinkId, dir: Dir, egress_addr: Ipv4 },
+    /// The node must generate a response of `kind` sourced from `src`.
     Respond { node: NodeId, kind: PacketKind, src: Ipv4 },
-    /// A response packet reached the prober at `at`.
-    Consumed { at: SimTime },
+    /// A response packet reached the prober.
+    Consumed,
     /// The packet is gone.
     Fail(ProbeError),
+}
+
+impl Decision {
+    /// The responder a forward leg ended at, or the error it ended the probe
+    /// with.
+    fn responder(self) -> Result<(NodeId, PacketKind, Ipv4), ProbeError> {
+        match self {
+            Decision::Respond { node, kind, src } => Ok((node, kind, src)),
+            Decision::Fail(e) => Err(e),
+            Decision::Forward { .. } | Decision::Consumed => {
+                unreachable!("request packets are never consumed")
+            }
+        }
+    }
+
+    /// `Ok` when a return leg ended with the response at the prober.
+    fn delivered(self) -> Result<(), ProbeError> {
+        match self {
+            Decision::Consumed => Ok(()),
+            Decision::Fail(e) => Err(e),
+            // A response should never elicit another response; treat it as
+            // blackholed.
+            Decision::Respond { .. } | Decision::Forward { .. } => Err(ProbeError::DroppedReturn(DropReason::LinkDown)),
+        }
+    }
+}
+
+/// Decide what node `node` does with `pkt`, given its resolution of the
+/// packet's destination, decrementing the TTL of a request it forwards.
+///
+/// `origin` is the node that injected the packet (it never answers itself
+/// and is where response packets are consumed); `incoming` is the interface
+/// the packet arrived on (`None` at the origin); `hop_idx` counts the hops
+/// the leg has taken. These are the forwarding rules, and the only copy of
+/// them: the compiled walk and the stepped walk both call this.
+fn decide(
+    node: &Node,
+    res: Resolved,
+    origin: NodeId,
+    incoming: Option<IfaceId>,
+    pkt: &mut Packet,
+    hop_idx: usize,
+) -> Decision {
+    let cur = node.id;
+    let is_response = pkt.kind.is_response();
+
+    // Arrived at the packet's destination address?
+    if cur != origin && res.owned {
+        if is_response {
+            return Decision::Consumed;
+        }
+        let kind = match pkt.kind {
+            PacketKind::EchoRequest => PacketKind::EchoReply,
+            // scamper UDP probes elicit port-unreachable at the target.
+            _ => PacketKind::DestUnreachable,
+        };
+        return Decision::Respond { node: cur, kind, src: pkt.dst };
+    }
+
+    // TTL is checked at each router the packet enters (not at its origin).
+    if cur != origin && !is_response {
+        if pkt.ttl <= 1 {
+            let inc = incoming.expect("transit node reached without incoming iface");
+            let src = node.icmp_source(inc);
+            return Decision::Respond { node: cur, kind: PacketKind::TimeExceeded, src };
+        }
+        pkt.ttl -= 1;
+    }
+
+    if hop_idx >= MAX_HOPS {
+        return Decision::Fail(ProbeError::Loop);
+    }
+
+    // Hosts other than the origin never forward.
+    if node.kind == NodeKind::Host && cur != origin {
+        let src = node.ifaces.first().map(|i| i.addr).unwrap_or(Ipv4::UNSPECIFIED);
+        if is_response {
+            return Decision::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
+        }
+        return Decision::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
+    }
+
+    let Some(egress) = res.egress else {
+        if cur == origin {
+            return Decision::Fail(ProbeError::NoRoute);
+        }
+        if is_response {
+            // Response blackholed: the prober just sees a timeout.
+            return Decision::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
+        }
+        let inc = incoming.expect("transit node without incoming iface");
+        let src = node.icmp_source(inc);
+        return Decision::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
+    };
+    // A packet that would exit the interface it arrived on has reached
+    // the edge of reachability: real routers answer with a destination
+    // unreachable rather than hairpinning probes back and forth.
+    if incoming == Some(egress) && !is_response {
+        let src = node.icmp_source(egress);
+        return Decision::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
+    }
+
+    let egress_addr = node.iface_addr(egress);
+    let Some((link, dir)) = node.ifaces[egress.0 as usize].link else {
+        // Route points at a stub interface: nothing answers on that
+        // segment. A transit router reports host-unreachable; a source
+        // host just has no usable route; a response dies silently.
+        if is_response {
+            return Decision::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
+        }
+        if cur == origin {
+            return Decision::Fail(ProbeError::NoRoute);
+        }
+        let src = incoming.map(|i| node.icmp_source(i)).unwrap_or(egress_addr);
+        return Decision::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
+    };
+    Decision::Forward { link, dir, egress_addr }
+}
+
+/// Where a walk collects the ground-truth egress addresses of its forward
+/// and return legs, when it does.
+type TruthPaths<'a> = (Option<&'a mut Vec<Ipv4>>, Option<&'a mut Vec<Ipv4>>);
+
+/// The key of a packet's drop draw at hop `hop` of its leg.
+fn hop_key(probe: ProbeId, hop: usize, response: bool) -> u64 {
+    let leg = if response { 0xf0f0 } else { 0x0f0f };
+    mix(&[probe.0, hop as u64 + 1, leg])
+}
+
+/// How a link crossing failed, as the probe's error.
+fn drop_error(reason: DropReason, hop: usize, response: bool) -> ProbeError {
+    if response {
+        ProbeError::DroppedReturn(reason)
+    } else {
+        ProbeError::DroppedForward(reason, hop as u8)
+    }
+}
+
+/// Number of two-way sets in a context's compiled-walk cache. A campaign
+/// worker sends two distinct probes per link (near and far TTL) and
+/// rebases between links, so a few dozen slots hold every walk it reuses.
+const WALK_SETS: usize = 32;
+
+/// What a compiled walk is a function of: the probe's source and every
+/// [`ProbeSpec`] field routing reads (record-route probes are not compiled).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct WalkKey {
+    from: NodeId,
+    dst: Ipv4,
+    ttl: u8,
+    kind: PacketKind,
+    size: u32,
+}
+
+/// One link crossing of a compiled walk.
+#[derive(Clone, Copy, Debug)]
+struct WalkHop {
+    link: LinkId,
+    dir: Dir,
+    /// The interface the packet leaves through (ground-truth path material).
+    egress: Ipv4,
+    /// The crossing's delay when the link makes it a constant
+    /// ([`Link::constant_transit`]); `None` runs [`Link::transit`].
+    delay: Option<SimDuration>,
+}
+
+/// A probe's round trip with every routing decision made: the hops of the
+/// forward leg, how it ends (the responder, or a routing failure), the hops
+/// of the return leg and how that ends. Running it only charges the link
+/// crossings and the response generation, which depend on time. Cached in a
+/// [`ProbeCtx`] slot under `key`, compiled under the network epochs in
+/// `stamp`; a slot with no key holds nothing.
+#[derive(Clone, Debug)]
+struct Walk {
+    key: Option<WalkKey>,
+    stamp: (u64, u64),
+    /// Forward hops, then return hops.
+    hops: Vec<WalkHop>,
+    /// Number of forward hops at the front of `hops`.
+    fwd_hops: usize,
+    fwd_end: Decision,
+    ret_end: Decision,
+    /// The path touches a node whose forwarding changes over time
+    /// (`Node::fwd_dyn`): the walk cannot be decided once and is stepped.
+    dynamic: bool,
+}
+
+impl Walk {
+    const EMPTY: Walk = Walk {
+        key: None,
+        stamp: (0, 0),
+        hops: Vec::new(),
+        fwd_hops: 0,
+        fwd_end: Decision::Consumed,
+        ret_end: Decision::Consumed,
+        dynamic: true,
+    };
 }
 
 /// All mutable probing state: every probe walk reads the shared [`Network`]
@@ -188,9 +400,20 @@ enum ForwardStep {
 /// write nothing shared: every store a probe makes lands in its own context,
 /// so concurrent workers never contend for a cache line of the substrate.
 ///
+/// On top of the memo sits a small cache of **compiled walks**: a probe's
+/// whole round trip — forward hops, responder, return hops — resolved once
+/// per `(source, destination, TTL, kind, size)` and replayed by every later
+/// probe with the same key (a TSLP campaign sends the same two probes to a
+/// link every five minutes). The cache is 32 two-way sets, allocated at the
+/// first probe, with each slot's hop list reused by the next walk compiled
+/// into it, so a campaign's steady state allocates nothing.
+///
 /// A context is glued to the network's mutation epochs: topology or scenario
 /// changes on the `Network` invalidate the route memo or rewind the queue
 /// states, respectively, at the context's next use ([`ProbeCtx::sync`]).
+/// Compiled walks are stamped with both epochs and recompiled when either
+/// moves. Epochs are drawn from one process-wide counter, so a stamp names
+/// one state of one network and never matches another network's.
 ///
 /// Invalidation is generation-stamped, never eager: each per-link and
 /// per-node entry carries the generation it was initialized under, and an
@@ -215,6 +438,12 @@ pub struct ProbeCtx {
     queues: Vec<(u32, [LinkQueueState; 2])>,
     scratch: Vec<(u32, NodeScratch)>,
     routes: Vec<(u32, [(Ipv4, u32); 2])>,
+    /// Compiled walks, `2 * WALK_SETS` slots once the first probe is sent.
+    walks: Vec<Walk>,
+    /// Step every probe hop by hop, bypassing compiled walks, so tests can
+    /// check the two walks against each other.
+    #[cfg(test)]
+    stepped_only: bool,
 }
 
 /// Route-memo slot holding nothing yet. No resolution encodes to it: a
@@ -270,6 +499,9 @@ impl Default for ProbeCtx {
             queues: Vec::new(),
             scratch: Vec::new(),
             routes: Vec::new(),
+            walks: Vec::new(),
+            #[cfg(test)]
+            stepped_only: false,
         }
     }
 }
@@ -328,7 +560,8 @@ impl ProbeCtx {
     /// bit-identical probing — in O(1): every entry family is invalidated by
     /// a generation bump and refreshed lazily on first touch. A pool worker
     /// measuring thousands of links rebases one context per link instead of
-    /// rebuilding O(links + nodes) state each time.
+    /// rebuilding O(links + nodes) state each time. Compiled walks survive:
+    /// they are functions of the substrate alone, stamped with its epochs.
     pub fn rebase(&mut self, net: &Network, stream: u64) {
         self.base = if stream == 0 { 0 } else { splitmix64(stream) };
         self.next = 1;
@@ -339,6 +572,18 @@ impl ProbeCtx {
         self.scenario_epoch = net.scenario_epoch;
         self.sync(net);
     }
+}
+
+/// The source of every network's mutation epochs. Each bump draws a fresh
+/// value, so an epoch identifies one state of one network: a context or a
+/// compiled walk stamped under one network never matches another's, and
+/// `0` (a default context's stamp) matches none.
+static EPOCHS: AtomicU64 = AtomicU64::new(1);
+
+fn next_epoch() -> u64 {
+    // Relaxed: the value publishes no other data; it only has to be unique,
+    // which the atomic add guarantees under any ordering.
+    EPOCHS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The simulated network: nodes, links, and an address index.
@@ -372,8 +617,8 @@ impl Network {
             by_addr: AddrIndex::new(),
             names: NameTable::new(),
             noise: HashNoise::new(seed),
-            topo_epoch: 0,
-            scenario_epoch: 0,
+            topo_epoch: next_epoch(),
+            scenario_epoch: next_epoch(),
             rtt_jitter: SimDuration::from_micros(120),
         }
     }
@@ -406,7 +651,7 @@ impl Network {
         let id = NodeId(self.nodes.len() as u32);
         let name = self.names.intern(name.as_ref());
         self.nodes.push(Node::new(id, kind, asn, name));
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
         id
     }
 
@@ -422,7 +667,7 @@ impl Network {
     /// Mutable node access. Conservatively treated as a topology mutation:
     /// outstanding route memos are invalidated.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
         &mut self.nodes[id.0 as usize]
     }
     /// Immutable link access.
@@ -432,7 +677,7 @@ impl Network {
     /// Mutable link access. Conservatively treated as a scenario mutation:
     /// outstanding queue integrations rewind at their next sync.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        self.scenario_epoch += 1;
+        self.scenario_epoch = next_epoch();
         &mut self.links[id.0 as usize]
     }
     /// Number of nodes.
@@ -481,7 +726,7 @@ impl Network {
         self.links[id.0 as usize].set_ends((a, ia), (b, ib));
         self.by_addr.insert(addr_a, a, ia);
         self.by_addr.insert(addr_b, b, ib);
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
         id
     }
 
@@ -495,14 +740,14 @@ impl Network {
         assert!(!self.by_addr.contains(addr), "address {addr} already in use");
         let id = self.nodes[node.0 as usize].add_iface(addr, None);
         self.by_addr.insert(addr, node, id);
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
         id
     }
 
     /// Install `prefix → iface` on `node`.
     pub fn add_route(&mut self, node: NodeId, prefix: Prefix, via: IfaceId) {
         self.nodes[node.0 as usize].add_route(prefix, via);
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
     }
 
     /// Bulk-install routes on `node` — one sorted rebuild of its forwarding
@@ -510,7 +755,7 @@ impl Network {
     /// continent-scale generator's install path.
     pub fn add_routes(&mut self, node: NodeId, routes: impl IntoIterator<Item = (Prefix, IfaceId)>) {
         self.nodes[node.0 as usize].add_routes(routes);
-        self.topo_epoch += 1;
+        self.topo_epoch = next_epoch();
     }
 
     /// First interface address of a node (probe source address).
@@ -575,143 +820,40 @@ impl Network {
         }
     }
 
-    /// Advance `pkt`, currently at `cur` (arrived on `incoming`; `None` at the
-    /// original source) at time `now`, by one forwarding decision, drawing
-    /// all mutable state from `ctx`, which the walk synced to `self` on entry.
-    ///
-    /// `origin` is the node that injected the packet (it never answers itself
-    /// and is where response packets are consumed). `hop_idx` must count hops
-    /// taken so far — it keys the deterministic per-hop drop decision.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_step(
+    /// Carry a `size`-byte packet across `link` in `dir` at `now`, against
+    /// the context's queue state for that direction. `key` yields the drop
+    /// draw's key; it is only called when a draw is made.
+    fn cross(
         &self,
         ctx: &mut ProbeCtx,
-        origin: NodeId,
-        cur: NodeId,
-        incoming: Option<IfaceId>,
-        pkt: &mut Packet,
+        link: LinkId,
+        dir: Dir,
         now: SimTime,
-        hop_idx: usize,
-    ) -> ForwardStep {
-        let node = &self.nodes[cur.0 as usize];
-        let is_response = pkt.kind.is_response();
-        let Resolved { owned, egress: route } = Self::resolve(ctx, cur, node, pkt.dst, now);
-
-        // Arrived at the packet's destination address?
-        if cur != origin && owned {
-            if is_response {
-                return ForwardStep::Consumed { at: now };
-            }
-            let kind = match pkt.kind {
-                PacketKind::EchoRequest => PacketKind::EchoReply,
-                // scamper UDP probes elicit port-unreachable at the target.
-                _ => PacketKind::DestUnreachable,
-            };
-            return ForwardStep::Respond { node: cur, kind, src: pkt.dst };
-        }
-
-        // TTL is checked at each router the packet enters (not at its origin).
-        if cur != origin && !is_response {
-            if pkt.ttl <= 1 {
-                let inc = incoming.expect("transit node reached without incoming iface");
-                let src = node.icmp_source(inc);
-                return ForwardStep::Respond { node: cur, kind: PacketKind::TimeExceeded, src };
-            }
-            pkt.ttl -= 1;
-        }
-
-        if hop_idx >= MAX_HOPS {
-            return ForwardStep::Fail(ProbeError::Loop);
-        }
-
-        // Hosts other than the origin never forward.
-        if node.kind == NodeKind::Host && cur != origin {
-            let src = node.ifaces.first().map(|i| i.addr).unwrap_or(Ipv4::UNSPECIFIED);
-            if is_response {
-                return ForwardStep::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
-            }
-            return ForwardStep::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
-        }
-
-        let Some(egress) = route else {
-            if cur == origin {
-                return ForwardStep::Fail(ProbeError::NoRoute);
-            }
-            if is_response {
-                // Response blackholed: the prober just sees a timeout.
-                return ForwardStep::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
-            }
-            let inc = incoming.expect("transit node without incoming iface");
-            let src = node.icmp_source(inc);
-            return ForwardStep::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
-        };
-        // A packet that would exit the interface it arrived on has reached
-        // the edge of reachability: real routers answer with a destination
-        // unreachable rather than hairpinning probes back and forth.
-        if incoming == Some(egress) && !is_response {
-            let src = node.icmp_source(egress);
-            return ForwardStep::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
-        }
-
-        let egress_addr = node.iface_addr(egress);
-        let Some((lid, dir)) = node.ifaces[egress.0 as usize].link else {
-            // Route points at a stub interface: nothing answers on that
-            // segment. A transit router reports host-unreachable; a source
-            // host just has no usable route; a response dies silently.
-            if is_response {
-                return ForwardStep::Fail(ProbeError::DroppedReturn(DropReason::LinkDown));
-            }
-            if cur == origin {
-                return ForwardStep::Fail(ProbeError::NoRoute);
-            }
-            let src = incoming.map(|i| node.icmp_source(i)).unwrap_or(egress_addr);
-            return ForwardStep::Respond { node: cur, kind: PacketKind::DestUnreachable, src };
-        };
-
-        // RFC 791: requests and echo replies record; ICMP errors only quote.
-        if pkt.kind != PacketKind::TimeExceeded && pkt.kind != PacketKind::DestUnreachable {
-            if let Some(rr) = pkt.record_route.as_mut() {
-                rr.record(egress_addr);
-            }
-        }
-
-        let leg = if is_response { 0xf0f0 } else { 0x0f0f };
-        let hop_key = mix(&[pkt.probe.0, hop_idx as u64 + 1, leg]);
-        let link = &self.links[lid.0 as usize];
-        let qentry = &mut ctx.queues[lid.0 as usize];
+        size: u32,
+        key: impl Fn() -> u64,
+    ) -> TransitResult {
+        let link = &self.links[link.0 as usize];
+        let qentry = &mut ctx.queues[link.id.0 as usize];
         if qentry.0 != ctx.queue_gen {
             *qentry = (
                 ctx.queue_gen,
                 [link.fresh_queue_state(Dir::AtoB), link.fresh_queue_state(Dir::BtoA)],
             );
         }
-        let qstate = &mut qentry.1[dir.index()];
-        match link.transit(dir, qstate, now, pkt.size, hop_key) {
-            Ok(d) => {
-                let (next, inc) = link.arrival_end(dir);
-                ForwardStep::Hop { next, incoming: inc, arrive: now + d, egress_addr }
-            }
-            Err(r) => ForwardStep::Fail(if is_response {
-                ProbeError::DroppedReturn(r)
-            } else {
-                ProbeError::DroppedForward(r, hop_idx as u8)
-            }),
-        }
+        link.transit(dir, &mut qentry.1[dir.index()], now, size, key)
     }
 
-    /// Generate the response packet a node owes `pkt`, charging the ICMP
-    /// generation delay against the node's state in `ctx` (synced by the
-    /// walk). Returns the response and the time it leaves.
-    fn generate_response(
+    /// Charge `node`'s generation of the response to probe `probe`, arriving
+    /// at `now`, against the node's state in `ctx` (synced by the walk).
+    /// Returns the response's IP-ID and the time it leaves.
+    fn respond(
         &self,
         ctx: &mut ProbeCtx,
         node: NodeId,
-        kind: PacketKind,
-        src: Ipv4,
-        pkt: &Packet,
+        probe: ProbeId,
         now: SimTime,
-    ) -> Result<(Packet, SimTime), ProbeError> {
-        let gen_key = mix(&[pkt.probe.0, 0xabcd]);
+    ) -> Result<(u16, SimTime), ProbeError> {
+        let gen_key = mix(&[probe.0, 0xabcd]);
         let responder = &self.nodes[node.0 as usize];
         let sentry = &mut ctx.scratch[node.0 as usize];
         if sentry.0 != ctx.scratch_gen {
@@ -721,92 +863,255 @@ impl Network {
         let gen_delay = responder
             .icmp_response_delay(scratch, now, &self.noise, gen_key)
             .map_err(ProbeError::Silent)?;
-        let ip_id = scratch.alloc_ip_id();
-        Ok((pkt.make_response(kind, src, ip_id), now + gen_delay))
+        Ok((scratch.alloc_ip_id(), now + gen_delay))
+    }
+
+    /// The reply to probe `probe`, sent at `t`, whose response from
+    /// `responder` reached the prober at `arrived`: adds the host-stack
+    /// measurement jitter.
+    fn reply(
+        &self,
+        probe: ProbeId,
+        t: SimTime,
+        arrived: SimTime,
+        (node, kind, src): (NodeId, PacketKind, Ipv4),
+        ip_id: u16,
+    ) -> ProbeReplyLite {
+        let j = self.noise.range_f64(streams::RTT_JITTER, probe.0, 0.0, self.rtt_jitter.as_secs_f64());
+        let done = arrived + SimDuration::from_secs_f64(j);
+        ProbeReplyLite { responder: src, responder_node: node, kind, rtt: done.since(t), ip_id }
     }
 
     /// The shared probe walk behind [`Network::send_probe`] and
-    /// [`Network::send_probe_lite`]. When `truth` is `Some`, ground-truth
-    /// egress addresses are collected into it; either way, hop indices, RNG
-    /// draws, and timing are identical — the collector only observes.
+    /// [`Network::send_probe_lite`]: the compiled walk, or the stepped walk
+    /// for record-route probes and paths whose forwarding changes over time.
+    /// When `truth` is `Some`, ground-truth egress addresses are collected
+    /// into it; either way, hop indices, RNG draws, and timing are identical
+    /// — the collector only observes.
     fn send_probe_core(
         &self,
         ctx: &mut ProbeCtx,
         from: NodeId,
         spec: ProbeSpec,
         t: SimTime,
-        mut truth: Option<&mut (Vec<Ipv4>, Vec<Ipv4>)>,
+        truth: Option<&mut (Vec<Ipv4>, Vec<Ipv4>)>,
     ) -> Result<(ProbeReplyLite, Option<Vec<Ipv4>>), ProbeError> {
         ctx.sync(self);
-        let probe_id = ctx.alloc_probe_id();
-        let src_addr = self.primary_addr(from);
+        let probe = ctx.alloc_probe_id();
+        let paths = match truth {
+            Some((fwd, ret)) => (Some(fwd), Some(ret)),
+            None => (None, None),
+        };
+        let Some(slot) = self.compiled_walk(ctx, from, spec) else {
+            return self.step_walk(ctx, from, spec, probe, t, paths);
+        };
+        // Lend the walk out of its slot so running it can borrow the context.
+        let walk = std::mem::replace(&mut ctx.walks[slot], Walk::EMPTY);
+        let out = self.run_walk(ctx, &walk, spec, probe, t, paths);
+        ctx.walks[slot] = walk;
+        out.map(|lite| (lite, None))
+    }
 
-        let mut pkt = Packet::probe(src_addr, spec.dst, spec.kind, spec.ttl, probe_id);
+    /// The cache slot holding `spec` from `from` compiled under the
+    /// network's current epochs, compiling it into the set's older slot on a
+    /// miss; `None` when the probe must be stepped hop by hop.
+    fn compiled_walk(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec) -> Option<usize> {
+        #[cfg(test)]
+        if ctx.stepped_only {
+            return None;
+        }
+        if spec.record_route {
+            return None;
+        }
+        if ctx.walks.is_empty() {
+            ctx.walks = vec![Walk::EMPTY; 2 * WALK_SETS];
+        }
+        let key = WalkKey { from, dst: spec.dst, ttl: spec.ttl, kind: spec.kind, size: spec.size };
+        let stamp = (ctx.topo_epoch, ctx.scenario_epoch);
+        let hash = mix(&[from.0 as u64, spec.dst.0 as u64, spec.ttl as u64, spec.kind as u64, spec.size as u64]);
+        let set = 2 * (hash as usize % WALK_SETS);
+        let fresh = |w: &Walk| w.key == Some(key) && w.stamp == stamp;
+        if !fresh(&ctx.walks[set]) {
+            // Most recently used first: a hit in the second slot, or a miss
+            // evicting it, moves that slot to the front.
+            ctx.walks.swap(set, set + 1);
+            if !fresh(&ctx.walks[set]) {
+                let mut walk = std::mem::replace(&mut ctx.walks[set], Walk::EMPTY);
+                self.compile_walk(ctx, from, spec, &mut walk);
+                ctx.walks[set] = Walk { key: Some(key), stamp, ..walk };
+            }
+        }
+        (!ctx.walks[set].dynamic).then_some(set)
+    }
+
+    /// Resolve `spec` sent from `from` into `walk`, reusing its hop list:
+    /// every forwarding decision of the round trip, made once, with each
+    /// hop's delay precomputed where its link makes it a constant. Marks the
+    /// walk dynamic when the path meets a node with forwarding overlays.
+    fn compile_walk(&self, ctx: &mut ProbeCtx, from: NodeId, spec: ProbeSpec, walk: &mut Walk) {
+        walk.hops.clear();
+        walk.dynamic = true;
+        let mut pkt = Packet::probe(self.primary_addr(from), spec.dst, spec.kind, spec.ttl, ProbeId(0));
+        pkt.size = spec.size;
+        let Some(end) = self.compile_leg(ctx, from, &mut pkt, &mut walk.hops) else {
+            return;
+        };
+        walk.fwd_end = end;
+        walk.fwd_hops = walk.hops.len();
+        if let Decision::Respond { node, kind, src } = end {
+            let mut response = pkt.make_response(kind, src, 0);
+            let Some(end) = self.compile_leg(ctx, node, &mut response, &mut walk.hops) else {
+                return;
+            };
+            walk.ret_end = end;
+        }
+        walk.dynamic = false;
+    }
+
+    /// Decide `pkt`'s leg from `origin` hop by hop, appending its link
+    /// crossings to `hops`; returns the decision that ends the leg, or
+    /// `None` at a node whose forwarding changes over time.
+    fn compile_leg(
+        &self,
+        ctx: &mut ProbeCtx,
+        origin: NodeId,
+        pkt: &mut Packet,
+        hops: &mut Vec<WalkHop>,
+    ) -> Option<Decision> {
+        let (mut cur, mut incoming, first) = (origin, None, hops.len());
+        loop {
+            let node = &self.nodes[cur.0 as usize];
+            if !node.fwd_dyn.is_empty() {
+                return None;
+            }
+            let res = Self::resolve(ctx, cur, node, pkt.dst, SimTime::ZERO);
+            let (link, dir, egress) = match decide(node, res, origin, incoming, pkt, hops.len() - first) {
+                Decision::Forward { link, dir, egress_addr } => (link, dir, egress_addr),
+                end => return Some(end),
+            };
+            let l = &self.links[link.0 as usize];
+            hops.push(WalkHop { link, dir, egress, delay: l.constant_transit(dir, pkt.size) });
+            let (next, inc) = l.arrival_end(dir);
+            (cur, incoming) = (next, Some(inc));
+        }
+    }
+
+    /// Run a compiled walk for probe `probe` sent at `t`: each hop adds its
+    /// constant delay or runs its link's transit at the time the packet
+    /// reaches it, and the responder charges its ICMP generation in between.
+    /// Allocates nothing beyond what `truth` collects.
+    fn run_walk(
+        &self,
+        ctx: &mut ProbeCtx,
+        walk: &Walk,
+        spec: ProbeSpec,
+        probe: ProbeId,
+        t: SimTime,
+        (fwd_path, ret_path): TruthPaths,
+    ) -> ProbeResultLite {
+        let (fwd, ret) = walk.hops.split_at(walk.fwd_hops);
+        let now = self.run_leg(ctx, fwd, t, spec.size, probe, spec.kind.is_response(), fwd_path)?;
+        let responder = walk.fwd_end.responder()?;
+        let (ip_id, leave) = self.respond(ctx, responder.0, probe, now)?;
+        let arrived = self.run_leg(ctx, ret, leave, PROBE_SIZE_BYTES, probe, true, ret_path)?;
+        walk.ret_end.delivered()?;
+        Ok(self.reply(probe, t, arrived, responder, ip_id))
+    }
+
+    /// Carry a `size`-byte packet of probe `probe` over a compiled leg's
+    /// `hops`, leaving at `now`; returns the time it reaches the leg's last
+    /// node, pushing each egress address onto `path`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_leg(
+        &self,
+        ctx: &mut ProbeCtx,
+        hops: &[WalkHop],
+        mut now: SimTime,
+        size: u32,
+        probe: ProbeId,
+        response: bool,
+        mut path: Option<&mut Vec<Ipv4>>,
+    ) -> Result<SimTime, ProbeError> {
+        for (i, hop) in hops.iter().enumerate() {
+            now += match hop.delay {
+                Some(d) => d,
+                None => self
+                    .cross(ctx, hop.link, hop.dir, now, size, || hop_key(probe, i, response))
+                    .map_err(|r| drop_error(r, i, response))?,
+            };
+            if let Some(p) = path.as_deref_mut() {
+                p.push(hop.egress);
+            }
+        }
+        Ok(now)
+    }
+
+    /// The stepped walk: decide and cross one hop at a time, at the time the
+    /// packet gets there. Serves record-route probes (the option records
+    /// egress addresses as it goes) and paths through nodes whose
+    /// forwarding changes over time.
+    fn step_walk(
+        &self,
+        ctx: &mut ProbeCtx,
+        from: NodeId,
+        spec: ProbeSpec,
+        probe: ProbeId,
+        t: SimTime,
+        (fwd_path, ret_path): TruthPaths,
+    ) -> Result<(ProbeReplyLite, Option<Vec<Ipv4>>), ProbeError> {
+        let mut pkt = Packet::probe(self.primary_addr(from), spec.dst, spec.kind, spec.ttl, probe);
         pkt.size = spec.size;
         if spec.record_route {
             pkt = pkt.with_record_route();
         }
-
-        // ---- Forward leg ----
         let mut now = t;
-        let mut cur = from;
-        let mut incoming: Option<IfaceId> = None;
-        let mut hops = 0usize;
-        let (rnode, rkind, rsrc) = loop {
-            match self.forward_step(ctx, from, cur, incoming, &mut pkt, now, hops) {
-                ForwardStep::Hop { next, incoming: inc, arrive, egress_addr } => {
-                    hops += 1;
-                    if let Some(tr) = truth.as_deref_mut() {
-                        tr.0.push(egress_addr);
-                    }
-                    cur = next;
-                    incoming = Some(inc);
-                    now = arrive;
-                }
-                ForwardStep::Respond { node, kind, src } => break (node, kind, src),
-                ForwardStep::Consumed { .. } => unreachable!("request packets are never consumed"),
-                ForwardStep::Fail(e) => return Err(e),
-            }
-        };
-
-        // ---- Response generation ----
-        let (mut response, leave) = self.generate_response(ctx, rnode, rkind, rsrc, &pkt, now)?;
+        let end = self.step_leg(ctx, from, &mut pkt, &mut now, fwd_path);
+        let responder = end.responder()?;
+        let (ip_id, leave) = self.respond(ctx, responder.0, probe, now)?;
+        let mut response = pkt.make_response(responder.1, responder.2, ip_id);
         now = leave;
-        let ip_id = response.ip_id;
+        let end = self.step_leg(ctx, responder.0, &mut response, &mut now, ret_path);
+        end.delivered()?;
+        Ok((self.reply(probe, t, now, responder, ip_id), response.record_route.map(|rr| rr.hops)))
+    }
 
-        // ---- Return leg ----
-        let mut cur = rnode;
-        let mut incoming: Option<IfaceId> = None;
-        let mut hops = 0usize;
-        let arrived = loop {
-            match self.forward_step(ctx, rnode, cur, incoming, &mut response, now, hops) {
-                ForwardStep::Hop { next, incoming: inc, arrive, egress_addr } => {
-                    hops += 1;
-                    if let Some(tr) = truth.as_deref_mut() {
-                        tr.1.push(egress_addr);
-                    }
-                    cur = next;
-                    incoming = Some(inc);
-                    now = arrive;
+    /// Walk `pkt`'s leg from `origin` hop by hop, advancing `now` across
+    /// each link and pushing each egress address onto `path`; returns the
+    /// decision that ends the leg (a drop in transit is a failure).
+    fn step_leg(
+        &self,
+        ctx: &mut ProbeCtx,
+        origin: NodeId,
+        pkt: &mut Packet,
+        now: &mut SimTime,
+        mut path: Option<&mut Vec<Ipv4>>,
+    ) -> Decision {
+        let (mut cur, mut incoming, mut hops) = (origin, None, 0usize);
+        let is_response = pkt.kind.is_response();
+        loop {
+            let node = &self.nodes[cur.0 as usize];
+            let res = Self::resolve(ctx, cur, node, pkt.dst, *now);
+            let (link, dir, egress) = match decide(node, res, origin, incoming, pkt, hops) {
+                Decision::Forward { link, dir, egress_addr } => (link, dir, egress_addr),
+                end => return end,
+            };
+            // RFC 791: requests and echo replies record; ICMP errors only quote.
+            if pkt.kind != PacketKind::TimeExceeded && pkt.kind != PacketKind::DestUnreachable {
+                if let Some(rr) = pkt.record_route.as_mut() {
+                    rr.record(egress);
                 }
-                ForwardStep::Consumed { at } => break at,
-                ForwardStep::Respond { .. } => {
-                    // A response should never elicit another response here;
-                    // treat as blackholed.
-                    return Err(ProbeError::DroppedReturn(DropReason::LinkDown));
-                }
-                ForwardStep::Fail(e) => return Err(e),
             }
-        };
-
-        // Host-stack measurement jitter.
-        let j = self.noise.range_f64(streams::RTT_JITTER, probe_id.0, 0.0, self.rtt_jitter.as_secs_f64());
-        let done = arrived + SimDuration::from_secs_f64(j);
-
-        Ok((
-            ProbeReplyLite { responder: rsrc, responder_node: rnode, kind: rkind, rtt: done.since(t), ip_id },
-            response.record_route.map(|rr| rr.hops),
-        ))
+            match self.cross(ctx, link, dir, *now, pkt.size, || hop_key(pkt.probe, hops, is_response)) {
+                Ok(d) => *now += d,
+                Err(r) => return Decision::Fail(drop_error(r, hops, is_response)),
+            }
+            if let Some(p) = path.as_deref_mut() {
+                p.push(egress);
+            }
+            hops += 1;
+            let (next, inc) = self.links[link.0 as usize].arrival_end(dir);
+            (cur, incoming) = (next, Some(inc));
+        }
     }
 
     /// Send a probe from host `from` at time `t` and walk it to completion,
@@ -1193,6 +1498,191 @@ mod tests {
         assert_eq!(p1, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         // Same node path here, but via a different link: compare responders.
         assert_ne!(before.responder, after.responder);
+    }
+
+    /// `line_topology()` grown so that some probe ends at every terminal of
+    /// the walk, on paths of constant and time-varying links alike:
+    ///
+    /// - from `vp`: echo replies, TTL expiry at r1 and r2, host unreachable
+    ///   at `tgt` (10.0.5.0/24), a hairpin at r2 (8.8.8.8), a stub route at
+    ///   r2 (10.0.7.0/24), a transit no-route at r3 (10.0.8.0/24),
+    ///   record-route;
+    /// - the return leg toward `vp` leaves r2 over a separate lossy link
+    ///   (asymmetric, random loss);
+    /// - r1→r2 tail-drops, r2→tgt is down from 1000 s to 2000 s, r2 is in
+    ///   maintenance from 3000 s to 4000 s, r1 rate-limits ICMP;
+    /// - `vp2`'s responses die at r3, which has no route back;
+    /// - `vp3` has no route until a forwarding overlay installs one at
+    ///   2500 s, so its walks are stepped.
+    ///
+    /// Returns the network and its three sources.
+    fn gauntlet() -> (Network, [NodeId; 3]) {
+        use crate::node::FwdState;
+        let (mut net, vp, _, _, _) = line_topology();
+        let (r1, r2) = (NodeId(1), NodeId(2));
+        let lossy = LinkConfig { base_loss: 0.2, ..LinkConfig::default() };
+        let back = net.connect_idle(r2, Ipv4::new(10, 0, 3, 1), r1, Ipv4::new(10, 0, 3, 2), lossy);
+        let back_iface = net.node(r2).iface_by_addr(Ipv4::new(10, 0, 3, 1)).unwrap();
+        net.add_route(r2, "10.0.0.0/24".parse().unwrap(), back_iface);
+        assert_eq!(back, LinkId(3));
+        net.add_route(r2, "10.0.5.0/24".parse().unwrap(), IfaceId(1));
+        let stub = net.add_stub_iface(r2, Ipv4::new(10, 0, 6, 1));
+        net.add_route(r2, "10.0.7.0/24".parse().unwrap(), stub);
+
+        let r3 = net.add_node(NodeKind::Router, Asn(300), "r3");
+        net.connect_idle(r1, Ipv4::new(10, 0, 8, 1), r3, Ipv4::new(10, 0, 8, 2), LinkConfig::default());
+        let to_r3 = net.node(r1).iface_by_addr(Ipv4::new(10, 0, 8, 1)).unwrap();
+        net.add_route(r1, "10.0.8.0/24".parse().unwrap(), to_r3);
+        net.add_route(r3, "10.0.0.0/24".parse().unwrap(), IfaceId(0));
+        net.add_route(r1, "10.0.10.0/24".parse().unwrap(), to_r3);
+
+        let vp2 = net.add_node(NodeKind::Host, Asn(100), "vp2");
+        net.connect_idle(vp2, Ipv4::new(10, 0, 10, 2), r1, Ipv4::new(10, 0, 10, 1), LinkConfig::default());
+        net.add_route(vp2, Prefix::DEFAULT, IfaceId(0));
+        let vp3 = net.add_node(NodeKind::Host, Asn(100), "vp3");
+        net.connect_idle(vp3, Ipv4::new(10, 0, 12, 2), r1, Ipv4::new(10, 0, 12, 1), LinkConfig::default());
+        net.node_mut(vp3).push_fwd_step(Prefix::DEFAULT, SimTime(2_500_000_000), FwdState::Via(IfaceId(0)));
+        let to_vp3 = net.node(r1).iface_by_addr(Ipv4::new(10, 0, 12, 1)).unwrap();
+        net.add_route(r1, "10.0.12.0/24".parse().unwrap(), to_vp3);
+
+        let l = net.link_mut(LinkId(1));
+        *l.capacity_mut() = Schedule::constant(1e8);
+        l.set_load(Dir::AtoB, Arc::new(crate::link::ConstantLoad(1.3e8)));
+        net.link_mut(LinkId(2)).up_mut().set_between(SimTime(1_000_000_000), SimTime(2_000_000_000), false);
+        net.node_mut(r2).icmp.silent_windows.push((SimTime(3_000_000_000), SimTime(4_000_000_000)));
+        net.node_mut(r1).icmp.rate_limit_pps = Some(0.01);
+        (net, [vp, vp2, vp3])
+    }
+
+    /// Send `specs` from their sources every 37 s for `rounds` rounds through
+    /// `ctx`, rendering each result in full.
+    fn probe_rounds(
+        net: &Network,
+        ctx: &mut ProbeCtx,
+        specs: &[(NodeId, ProbeSpec)],
+        rounds: u64,
+        t0: SimTime,
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        for i in 0..rounds {
+            for &(from, spec) in specs {
+                out.push(format!("{:?}", net.send_probe(ctx, from, spec, t0 + SimDuration::from_secs(i * 37))));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn compiled_walk_matches_stepped_walk() {
+        let (net, [vp, vp2, vp3]) = gauntlet();
+        let tgt = Ipv4::new(10, 0, 2, 2);
+        let ttl_limited = ProbeSpec::ttl_limited;
+        let specs = [
+            (vp, ProbeSpec::echo(tgt)),
+            (vp, ttl_limited(tgt, 1)),
+            (vp, ttl_limited(tgt, 2)),
+            (vp, ttl_limited(tgt, 3)),
+            (vp, ProbeSpec::echo(Ipv4::new(10, 0, 1, 2))),
+            (vp, ProbeSpec::echo(Ipv4::new(10, 0, 5, 5))),
+            (vp, ProbeSpec::echo(Ipv4::new(8, 8, 8, 8))),
+            (vp, ProbeSpec::echo(Ipv4::new(10, 0, 7, 7))),
+            (vp, ttl_limited(Ipv4::new(10, 0, 8, 99), 9)),
+            (vp, ProbeSpec::echo(tgt).with_record_route()),
+            (vp, ProbeSpec { size: 1500, ..ProbeSpec::echo(tgt) }),
+            (vp2, ProbeSpec::echo(tgt)),
+            (vp2, ttl_limited(tgt, 1)),
+            (vp3, ProbeSpec::echo(tgt)),
+        ];
+        let mut compiled = net.probe_ctx(5);
+        let mut stepped = net.probe_ctx(5);
+        stepped.stepped_only = true;
+        let got = probe_rounds(&net, &mut compiled, &specs, 200, SimTime::ZERO);
+        let want = probe_rounds(&net, &mut stepped, &specs, 200, SimTime::ZERO);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "probe {i}: {:?}", specs[i % specs.len()]);
+        }
+        // Every terminal was reached, and the compiled walks were used.
+        let unreachable_from = |node: &str| format!("{node}, kind: DestUnreachable");
+        let r2_unreachable = unreachable_from("responder: 10.0.1.2, responder_node: NodeId(2)");
+        for (k, end) in [
+            (0, "kind: EchoReply"),
+            (0, "truth_return_path: [10.0.2.2, 10.0.3.1, 10.0.0.1]"),
+            (0, "Err(DroppedReturn(RandomLoss))"),
+            (1, "kind: TimeExceeded"),
+            (1, "Err(Silent(RateLimited))"),
+            (2, "Err(DroppedForward(QueueFull, 1))"),
+            (2, "Err(Silent(Unresponsive))"),
+            (3, "Err(DroppedForward(LinkDown, 2))"),
+            (5, &unreachable_from("responder: 10.0.2.2, responder_node: NodeId(3)")),
+            (6, &r2_unreachable),
+            (7, &r2_unreachable),
+            (8, &unreachable_from("responder: 10.0.8.2, responder_node: NodeId(4)")),
+            (9, "record_route: Some"),
+            (11, "Err(DroppedReturn(LinkDown))"),
+            (13, "Err(NoRoute)"),
+            (13, "kind: EchoReply"),
+        ] {
+            let mut ends = got.iter().skip(k).step_by(specs.len());
+            assert!(ends.any(|r| r.contains(end)), "{:?} never ended in {end}", specs[k]);
+        }
+        let slots = |dynamic| compiled.walks.iter().filter(|w| w.key.is_some() && w.dynamic == dynamic).count();
+        assert_eq!((slots(false), slots(true)), (12, 1));
+
+        // A forwarding loop on the forward leg, over constant links only.
+        let (ring, vp) = ring_topology();
+        let spec = ProbeSpec { ttl: 255, ..ProbeSpec::echo(Ipv4::new(8, 8, 8, 8)) };
+        let specs = [(vp, spec), (vp, ttl_limited(Ipv4::new(8, 8, 8, 8), 5))];
+        let mut stepped = ring.probe_ctx(5);
+        stepped.stepped_only = true;
+        let got = probe_rounds(&ring, &mut ring.probe_ctx(5), &specs, 5, SimTime::ZERO);
+        assert_eq!(got, probe_rounds(&ring, &mut stepped, &specs, 5, SimTime::ZERO));
+        assert!(got[0].contains("Err(Loop)"), "{}", got[0]);
+    }
+
+    #[test]
+    fn walk_cache_follows_the_network() {
+        let specs = |vp| [2, 3].map(|ttl| (vp, ProbeSpec::ttl_limited(Ipv4::new(10, 0, 2, 2), ttl)));
+        let later = SimTime(crate::time::MICROS_PER_HOUR);
+        type Edit = fn(&mut Network);
+        let cases: [(&str, Edit); 3] = [
+            ("add_route", |net| {
+                let (r1, r2) = (NodeId(1), NodeId(2));
+                net.connect_idle(r1, Ipv4::new(10, 0, 4, 1), r2, Ipv4::new(10, 0, 4, 2), LinkConfig::default());
+                let alt = net.node(r1).iface_by_addr(Ipv4::new(10, 0, 4, 1)).unwrap();
+                net.add_route(r1, "10.0.2.0/24".parse().unwrap(), alt);
+            }),
+            ("outage", |net| {
+                net.link_mut(LinkId(2)).up_mut().set_between(SimTime::ZERO, SimTime(u64::MAX), false);
+            }),
+            ("overload", |net| {
+                net.link_mut(LinkId(1)).set_load(Dir::AtoB, Arc::new(crate::link::ConstantLoad(1.3e9)));
+            }),
+        ];
+        for (what, mutate) in cases {
+            let (before, vp, ..) = line_topology();
+            let (mut net, ..) = line_topology();
+            let mut ctx = net.probe_ctx(3);
+            probe_rounds(&net, &mut ctx, &specs(vp), 5, SimTime::ZERO);
+            assert!(ctx.walks.iter().any(|s| s.key.is_some()), "{what}: nothing cached");
+            let mut stale = ctx.clone();
+            mutate(&mut net);
+            let mut fresh = ctx.clone();
+            fresh.walks.clear();
+            let got = probe_rounds(&net, &mut ctx, &specs(vp), 20, later);
+            assert_eq!(got, probe_rounds(&net, &mut fresh, &specs(vp), 20, later), "{what}");
+            assert_ne!(got, probe_rounds(&before, &mut stale, &specs(vp), 20, later), "{what}: no effect");
+        }
+
+        // Rebasing keeps the compiled walks and probes like a new context.
+        let (net, vp, ..) = line_topology();
+        let mut ctx = net.probe_ctx(3);
+        probe_rounds(&net, &mut ctx, &specs(vp), 5, SimTime::ZERO);
+        ctx.rebase(&net, 9);
+        assert_eq!(ctx.walks.iter().filter(|s| s.key.is_some()).count(), 2);
+        assert_eq!(
+            probe_rounds(&net, &mut ctx, &specs(vp), 20, later),
+            probe_rounds(&net, &mut net.probe_ctx(9), &specs(vp), 20, later)
+        );
     }
 
     #[test]

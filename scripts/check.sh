@@ -24,6 +24,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench (the repository benchmark) is a workspace of its own, so the
+# root `cargo test` never reaches its unit tests — among them `check_pass`,
+# the benchmark's correctness gate.
+echo "==> cargo test -q --manifest-path perfbench/Cargo.toml"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> forensics smoke (flight-recorder dump -> replay -> per-link timelines)"
 cargo run --release --example forensics > /dev/null
 
