@@ -22,8 +22,9 @@
 //!   full shard state through [`tslp_core::CheckpointStore`] blobs so a
 //!   restarted monitor continues exactly where it stopped.
 //!
-//! Memory is O(links × window): no link retains its RTT series — only the
-//! O(1) detector state and the current health window counters.
+//! Memory is O(links), about 570 bytes per link: no link retains its RTT
+//! series — only the O(1) detector state, the current health window
+//! counters, its admission gate and its published verdict.
 
 #![warn(missing_docs)]
 

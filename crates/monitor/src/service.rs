@@ -30,21 +30,30 @@
 //! any thread count, and the resulting states are **bit-identical** whether
 //! one thread or eight did the work.
 //!
-//! Steady-state memory is O(links × window): each link holds ~200 bytes of
-//! detector + health-window state, and nothing retains an RTT series.
+//! Steady-state memory is O(links), about 570 bytes per link, and nothing
+//! retains an RTT series. The shard slab holds a 240-byte [`LinkState`] and
+//! a 56-byte [`SeqGate`] per link (a gate's 256-byte reorder buffer exists
+//! only while it has samples parked); the index holds a 112-byte verdict;
+//! the reused batch buffers — each slab's verdict buffer and the service's
+//! per-shard partition lists — add 120 + 40 bytes per sample of the
+//! largest batch so far (one per link when each batch is one round).
+//! Because the partition lists are shared, ingest calls (raw and sequenced)
+//! serialize; readers never wait for them.
 //!
 //! ## Checkpoint/resume
 //!
 //! [`MonitorService::checkpoint`] writes one fingerprint-bound blob per
-//! shard through [`CheckpointStore::store_blob`]; [`MonitorService::resume`]
-//! rebuilds every link state and republishes verdicts. The fingerprint
-//! mixes the full monitor configuration and link count, so a layout or
-//! config change makes old blobs a miss (rebuild from scratch), never a
-//! corrupt resume. Continuing the stream after resume is bit-identical to
-//! never having stopped — tested at 1 and 3 ingest threads.
+//! shard through [`CheckpointStore::store_blob`]: 256 bytes per link (the
+//! link state and the gate's counters) plus a trailer record per parked
+//! sample. [`MonitorService::resume`] rebuilds every link state and
+//! republishes verdicts. The fingerprint mixes the full monitor
+//! configuration and link count, so a layout or config change makes old
+//! blobs a miss (rebuild from scratch), never a corrupt resume. Continuing
+//! the stream after resume is bit-identical to never having stopped, parked
+//! samples included — tested at 1 and 3 ingest threads.
 
 use crate::index::{LinkVerdict, VerdictIndex};
-use crate::state::{health_token, LinkState, LinkUpdate, MonitorSample, SeqGate};
+use crate::state::{health_token, LinkState, LinkUpdate, MonitorSample, SeqGate, PARKED_LEN};
 use ixp_chgpt::{OnlineConfig, OnlineVerdict};
 use ixp_obs::{FlightRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
 use ixp_simnet::rng::mix;
@@ -216,12 +225,13 @@ pub struct LinkDesc {
 /// (detector, shard layout, health thresholds, admission control) and link
 /// count. Thread count and `degraded_hold` are deliberately excluded — the
 /// link state does not depend on them. The magic word is versioned with the
-/// checkpoint payload layout: v3 blobs grow each [`LinkState`] by four
-/// provenance words (path fingerprint before the last change, last-alarm
-/// round/gap/mask), so v2 deployments read as a miss, never a mis-decode.
+/// checkpoint payload layout: v4 blobs store each gate as its five counters
+/// and move parked samples into a per-shard trailer (v3 wrote eight slots,
+/// mostly empty, per gate), so v3 deployments read as a miss, never a
+/// mis-decode.
 pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
     mix(&[
-        0x4D4F_4E49_544F_5233, // "MONITOR3"
+        0x4D4F_4E49_544F_5234, // "MONITOR4"
         cfg.reorder_window,
         cfg.max_shard_batch as u64,
         cfg.shed_seed,
@@ -242,11 +252,51 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
 }
 
 /// One shard's mutable state: link detectors plus their admission gates,
-/// indexed by slot (`id / shards`). Kept together so one lock guards both.
+/// indexed by slot (`id / shards`), and the verdict buffer each pass
+/// publishes from. Kept together so one lock guards all three.
 struct ShardSlab {
     links: Vec<LinkState>,
     gates: Vec<SeqGate>,
+    /// `(link id, verdict)` pairs of the current pass. Cleared, never
+    /// freed, so a steady-state pass allocates nothing.
+    verdicts: Vec<(u32, LinkVerdict)>,
 }
+
+impl ShardSlab {
+    /// `slots` fresh links and gates.
+    fn fresh(slots: usize, cfg: &MonitorConfig) -> ShardSlab {
+        ShardSlab {
+            links: (0..slots).map(|_| LinkState::with_config(cfg)).collect(),
+            gates: (0..slots).map(|_| SeqGate::new()).collect(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// Take over decoded (or fresh) links and gates, keeping the verdict
+    /// buffer.
+    fn replace(&mut self, (links, gates): (Vec<LinkState>, Vec<SeqGate>)) {
+        self.links = links;
+        self.gates = gates;
+    }
+
+    /// Recompute every slot's verdict into the buffer (after a restore),
+    /// ready to publish.
+    fn all_verdicts(&mut self, shard: usize, n_shards: usize, cfg: &MonitorConfig) {
+        let ShardSlab { links, verdicts, .. } = self;
+        verdicts.clear();
+        verdicts.extend(
+            links
+                .iter()
+                .enumerate()
+                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st, cfg))),
+        );
+    }
+}
+
+/// One partitioned batch item: `(sequence number, link id, sample)` on the
+/// sequenced path; on the raw path the first word is the item's batch
+/// position instead.
+type Item = (u64, u32, MonitorSample);
 
 /// Per-shard supervision bookkeeping (all lock-free).
 struct ShardMeta {
@@ -310,6 +360,11 @@ pub struct MonitorService {
     ixp_of: Vec<u32>,
     n_ixps: usize,
     shards: Vec<Mutex<ShardSlab>>,
+    /// Per-shard item lists of the batch being ingested, cleared (never
+    /// freed) between batches. Held for the whole of an ingest call, so
+    /// ingest calls — raw and sequenced alike — serialize; readers never
+    /// touch it.
+    partition: Mutex<Vec<Vec<Item>>>,
     metas: Vec<ShardMeta>,
     index: VerdictIndex,
     ingest_meter: RateMeter,
@@ -355,19 +410,15 @@ impl MonitorService {
         let n = links.len();
         let ixp_of: Vec<u32> = links.iter().map(|l| l.ixp).collect();
         let n_ixps = ixp_of.iter().copied().max().map_or(1, |m| m as usize + 1);
-        let mut slabs = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let slots = n / shards + usize::from(s < n % shards);
-            slabs.push(Mutex::new(ShardSlab {
-                links: (0..slots).map(|_| LinkState::with_config(&cfg)).collect(),
-                gates: (0..slots).map(|_| SeqGate::new()).collect(),
-            }));
-        }
+        let slabs = (0..shards)
+            .map(|s| Mutex::new(ShardSlab::fresh(n / shards + usize::from(s < n % shards), &cfg)))
+            .collect();
         MonitorService {
             cfg,
             ixp_of,
             n_ixps,
             shards: slabs,
+            partition: Mutex::new(vec![Vec::new(); shards]),
             metas: (0..shards).map(|_| ShardMeta::new()).collect(),
             index: VerdictIndex::new(n, shards, n_ixps),
             ingest_meter: RateMeter::new(),
@@ -548,16 +599,18 @@ impl MonitorService {
     /// bit-identical at any [`MonitorConfig::threads`] setting. Returns the
     /// per-sample updates in batch order. A worker panic is supervised:
     /// the shard restores from its last good checkpoint (or fresh) and the
-    /// shard's items replay.
+    /// shard's items replay. Ingest calls serialize (see the module docs).
     pub fn ingest(&self, batch: &[(u32, MonitorSample)]) -> Vec<LinkUpdate> {
         let n_shards = self.shards.len();
+        let mut partition = self.partition.lock();
+        let per_shard = &mut *partition;
         let batch_idx = self.batches.fetch_add(1, Ordering::Relaxed);
         // Stable partition by shard: arrival order preserved per shard,
         // therefore per link.
-        let mut per_shard: Vec<Vec<(usize, u32, MonitorSample)>> = vec![Vec::new(); n_shards];
+        per_shard.iter_mut().for_each(Vec::clear);
         for (pos, &(id, s)) in batch.iter().enumerate() {
             assert!((id as usize) < self.ixp_of.len(), "unknown link id {id}");
-            per_shard[id as usize % n_shards].push((pos, id, s));
+            per_shard[id as usize % n_shards].push((pos as u64, id, s));
         }
         let backlog = per_shard.iter().map(|v| v.len() as u64).max().unwrap_or(0);
         self.shard_backlog_max.fetch_max(backlog, Ordering::Relaxed);
@@ -620,13 +673,16 @@ impl MonitorService {
     /// hash (reproducible at any thread count). Surviving samples then pass
     /// their link's [`SeqGate`]: in-order and healed-reorder samples reach
     /// the detector, duplicates/stale/abandoned sequences are counted.
-    /// Worker panics are supervised exactly as in [`MonitorService::ingest`].
+    /// Worker panics are supervised exactly as in [`MonitorService::ingest`],
+    /// and ingest calls serialize the same way.
     pub fn ingest_sequenced(&self, batch: &[(u32, u64, MonitorSample)]) -> IngestReport {
         let n_shards = self.shards.len();
+        let mut partition = self.partition.lock();
+        let per_shard = &mut *partition;
         let batch_idx = self.batches.fetch_add(1, Ordering::Relaxed);
         let fl = self.flight_if_live();
         let mut rejected = 0u64;
-        let mut per_shard: Vec<Vec<(u64, u32, MonitorSample)>> = vec![Vec::new(); n_shards];
+        per_shard.iter_mut().for_each(Vec::clear);
         for &(id, seq, s) in batch {
             if (id as usize) >= self.ixp_of.len() || seq == u64::MAX {
                 rejected += 1;
@@ -668,27 +724,25 @@ impl MonitorService {
                     })
                     .collect();
                 keyed.select_nth_unstable(cap - 1);
-                let mut keep: Vec<usize> = keyed[..cap].iter().map(|&(_, i)| i).collect();
-                keep.sort_unstable(); // back to arrival order
-                if let Some(fl) = fl.as_deref() {
-                    let mut kept_mask = vec![false; items.len()];
-                    for &i in &keep {
-                        kept_mask[i] = true;
-                    }
-                    for (i, &(seq, id, _)) in items.iter().enumerate() {
-                        if !kept_mask[i] {
-                            Recorder::trace(
-                                fl,
-                                TraceEvent::new(TraceKind::SampleShed, seq, shard as u32, id)
-                                    .a(seq)
-                                    .b(batch_idx),
-                            );
-                        }
-                    }
+                let mut kept = vec![false; items.len()];
+                for &(_, i) in &keyed[..cap] {
+                    kept[i] = true;
                 }
-                let kept: Vec<(u64, u32, MonitorSample)> =
-                    keep.into_iter().map(|i| items[i]).collect();
-                *items = kept;
+                // Compact in place, in arrival order.
+                let mut at = 0;
+                items.retain(|&(seq, id, _)| {
+                    let keep = kept[at];
+                    at += 1;
+                    if let (false, Some(fl)) = (keep, fl.as_deref()) {
+                        Recorder::trace(
+                            fl,
+                            TraceEvent::new(TraceKind::SampleShed, seq, shard as u32, id)
+                                .a(seq)
+                                .b(batch_idx),
+                        );
+                    }
+                    keep
+                });
             }
         }
         let accepted: u64 = per_shard.iter().map(|v| v.len() as u64).sum();
@@ -747,7 +801,7 @@ impl MonitorService {
     fn raw_shard_supervised(
         &self,
         shard: usize,
-        items: &[(usize, u32, MonitorSample)],
+        items: &[Item],
         updates: &mut [LinkUpdate],
         batch: u64,
         fl: Option<&FlightRecorder>,
@@ -765,7 +819,7 @@ impl MonitorService {
     fn seq_shard_supervised(
         &self,
         shard: usize,
-        items: &[(u64, u32, MonitorSample)],
+        items: &[Item],
         batch: u64,
         acc: &BatchAcc,
         fl: Option<&FlightRecorder>,
@@ -850,50 +904,49 @@ impl MonitorService {
     fn run_shard_raw(
         &self,
         shard: usize,
-        items: &[(usize, u32, MonitorSample)],
+        items: &[Item],
         updates: &mut [LinkUpdate],
         batch: u64,
         fl: Option<&FlightRecorder>,
     ) {
         let boom = self.take_armed(shard, batch);
         let n_shards = self.shards.len();
-        let mut verdicts = Vec::with_capacity(items.len());
-        {
-            let mut slab = self.shards[shard].lock();
-            for (done, &(pos, id, ref s)) in items.iter().enumerate() {
-                if boom == Some(done) {
-                    panic!("armed chaos panic (shard {shard}, batch {batch})");
-                }
-                let slot = id as usize / n_shards;
-                let up = slab.links[slot].push(s, &self.cfg);
-                if let Some(fl) = fl {
-                    if up.noteworthy {
-                        trace_update(fl, shard as u32, id, up, &slab.links[slot]);
-                    }
-                }
-                updates[pos] = up;
-                verdicts.push((id, verdict_of(&slab.links[slot], &self.cfg)));
+        let mut slab = self.shards[shard].lock();
+        let ShardSlab { links, verdicts, .. } = &mut *slab;
+        verdicts.clear();
+        for (done, &(pos, id, ref s)) in items.iter().enumerate() {
+            if boom == Some(done) {
+                panic!("armed chaos panic (shard {shard}, batch {batch})");
             }
+            let slot = id as usize / n_shards;
+            let up = links[slot].push(s, &self.cfg);
+            if let Some(fl) = fl {
+                if up.noteworthy {
+                    trace_update(fl, shard as u32, id, up, &links[slot]);
+                }
+            }
+            updates[pos as usize] = up;
+            verdicts.push((id, verdict_of(&links[slot], &self.cfg)));
         }
-        // Publish outside the state lock: readers contend only with the
-        // index write, never with detector math.
-        self.index.publish(shard, &verdicts, &self.ixp_of);
+        // The index write lock is taken only once the batch's detector math
+        // is done: readers contend with the verdict copy, nothing more.
+        self.index.publish(shard, verdicts, &self.ixp_of);
     }
 
     fn run_shard_seq(
         &self,
         shard: usize,
-        items: &[(u64, u32, MonitorSample)],
+        items: &[Item],
         batch: u64,
         fl: Option<&FlightRecorder>,
     ) -> GateTotals {
         let boom = self.take_armed(shard, batch);
         let n_shards = self.shards.len();
         let mut totals = GateTotals::default();
-        let mut verdicts = Vec::with_capacity(items.len());
         {
             let mut slab = self.shards[shard].lock();
-            let ShardSlab { links, gates } = &mut *slab;
+            let ShardSlab { links, gates, verdicts } = &mut *slab;
+            verdicts.clear();
             // The item loop exists twice, selected once per shard batch:
             // `admit` is generic over the delivery closure, so each arm
             // monomorphizes with exactly the closure it needs. The untraced
@@ -965,8 +1018,10 @@ impl MonitorService {
                     }
                 }
             }
+            // As in `run_shard_raw`: the index write lock waits for no
+            // detector math.
+            self.index.publish(shard, verdicts, &self.ixp_of);
         }
-        self.index.publish(shard, &verdicts, &self.ixp_of);
         totals
     }
 
@@ -1007,28 +1062,16 @@ impl MonitorService {
             }
         });
         match restored {
-            Some((links, gates)) => {
-                slab.links = links;
-                slab.gates = gates;
-            }
-            None => {
-                slab.links = (0..slots).map(|_| LinkState::with_config(&self.cfg)).collect();
-                slab.gates = (0..slots).map(|_| SeqGate::new()).collect();
-            }
+            Some(decoded) => slab.replace(decoded),
+            None => *slab = ShardSlab::fresh(slots, &self.cfg),
         }
-        let n_shards = self.shards.len();
-        let verdicts: Vec<(u32, LinkVerdict)> = slab
-            .links
-            .iter()
-            .enumerate()
-            .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st, &self.cfg)))
-            .collect();
-        drop(slab);
         drop(store);
         // publish() maintains the elevated aggregates on transitions, so
         // overwriting the shard's verdicts keeps the counters exact — no
         // full rebuild (which would race concurrent publishes) needed.
-        self.index.publish(shard, &verdicts, &self.ixp_of);
+        slab.all_verdicts(shard, self.shards.len(), &self.cfg);
+        self.index.publish(shard, &slab.verdicts, &self.ixp_of);
+        drop(slab);
         if let Some(fl) = self.flight_if_live() {
             Recorder::trace(
                 fl.as_ref(),
@@ -1149,14 +1192,7 @@ impl MonitorService {
         for (i, shard) in self.shards.iter().enumerate() {
             let (payload, slots) = {
                 let slab = shard.lock();
-                let mut payload =
-                    Vec::with_capacity(8 + slab.links.len() * SHARD_SLOT_LEN);
-                payload.extend_from_slice(&(slab.links.len() as u64).to_le_bytes());
-                for (st, gate) in slab.links.iter().zip(&slab.gates) {
-                    st.encode_into(&mut payload);
-                    gate.encode_into(&mut payload);
-                }
-                (payload, slab.links.len())
+                (encode_shard_payload(&slab), slab.links.len())
             };
             let name = shard_blob_name(i);
             store.store_blob(&name, &payload).map_err(|e| {
@@ -1217,17 +1253,8 @@ impl MonitorService {
         for shard in 0..n_shards {
             let payload = store.load_blob(&shard_blob_name(shard))?;
             let mut slab = svc.shards[shard].lock();
-            let (new_links, gates) = decode_shard_payload(&payload, slab.links.len(), &cfg)?;
-            slab.links = new_links;
-            slab.gates = gates;
-            let verdicts: Vec<(u32, LinkVerdict)> = slab
-                .links
-                .iter()
-                .enumerate()
-                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st, &cfg)))
-                .collect();
-            drop(slab);
-            svc.index.publish(shard, &verdicts, &svc.ixp_of);
+            let decoded = decode_shard_payload(&payload, slab.links.len(), &cfg)?;
+            svc.republish(shard, &mut slab, decoded);
         }
         svc.index.rebuild_aggregates(&svc.ixp_of);
         svc.sync_ingested_from_state();
@@ -1273,25 +1300,28 @@ impl MonitorService {
                 }
             };
             report.push(outcome);
-            let Some((new_links, gates)) = decoded else {
+            let Some(decoded) = decoded else {
                 continue; // fresh state is already in place
             };
-            let mut slab = svc.shards[shard].lock();
-            slab.links = new_links;
-            slab.gates = gates;
-            let verdicts: Vec<(u32, LinkVerdict)> = slab
-                .links
-                .iter()
-                .enumerate()
-                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st, &cfg)))
-                .collect();
-            drop(slab);
-            svc.index.publish(shard, &verdicts, &svc.ixp_of);
+            svc.republish(shard, &mut svc.shards[shard].lock(), decoded);
         }
         svc.index.rebuild_aggregates(&svc.ixp_of);
         svc.sync_ingested_from_state();
         svc.set_store(store);
         (svc, ResumeReport { shards: report })
+    }
+
+    /// Install decoded links and gates into `shard`'s slab and publish every
+    /// slot's verdict (resume paths).
+    fn republish(
+        &self,
+        shard: usize,
+        slab: &mut ShardSlab,
+        decoded: (Vec<LinkState>, Vec<SeqGate>),
+    ) {
+        slab.replace(decoded);
+        slab.all_verdicts(shard, self.shards.len(), &self.cfg);
+        self.index.publish(shard, &slab.verdicts, &self.ixp_of);
     }
 
     /// Recompute the ingested-samples counter from restored link states.
@@ -1310,32 +1340,69 @@ fn shard_blob_name(shard: usize) -> String {
     format!("monitor-shard-{shard:03}")
 }
 
-/// Bytes one slot (link state + sequence gate) occupies in a shard blob.
+/// Bytes one slot (link state + sequence-gate counters) occupies in a
+/// shard blob: 27 + 5 words.
 const SHARD_SLOT_LEN: usize = LinkState::ENCODED_LEN + SeqGate::ENCODED_LEN;
 
-/// Decode one shard's checkpoint payload (count-prefixed slots of
-/// `LinkState` + `SeqGate`). `None` on any shape mismatch.
+/// One shard's checkpoint payload: the slot count, one fixed-size record
+/// per slot (link state + gate counters), then a trailer holding the count
+/// of parked samples and one record per parked sample, ascending by slot
+/// and then by sequence number. Parked samples are rare (a reorder in
+/// flight), so an idle buffer costs no checkpoint bytes.
+fn encode_shard_payload(slab: &ShardSlab) -> Vec<u8> {
+    let parked: usize = slab.gates.iter().map(SeqGate::buffered).sum();
+    let slots = slab.links.len();
+    let mut payload = Vec::with_capacity(16 + slots * SHARD_SLOT_LEN + parked * PARKED_LEN);
+    payload.extend_from_slice(&(slots as u64).to_le_bytes());
+    for (st, gate) in slab.links.iter().zip(&slab.gates) {
+        st.encode_into(&mut payload);
+        gate.encode_into(&mut payload);
+    }
+    payload.extend_from_slice(&(parked as u64).to_le_bytes());
+    for (slot, gate) in slab.gates.iter().enumerate().filter(|(_, g)| g.buffered() > 0) {
+        gate.encode_parked(slot as u64, &mut payload);
+    }
+    payload
+}
+
+/// Decode one shard's checkpoint payload (see [`encode_shard_payload`]).
+/// `None` on any shape mismatch, and on any parked sample a live gate could
+/// never hold (see [`SeqGate::restore_parked`]).
 fn decode_shard_payload(
     payload: &[u8],
     expected_slots: usize,
     cfg: &MonitorConfig,
 ) -> Option<(Vec<LinkState>, Vec<SeqGate>)> {
-    if payload.len() < 8 {
+    let word = |at: usize| -> Option<u64> {
+        Some(u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?))
+    };
+    let count = usize::try_from(word(0)?).ok()?;
+    if count != expected_slots {
         return None;
     }
-    let count = u64::from_le_bytes(payload[..8].try_into().ok()?) as usize;
-    let body = &payload[8..];
-    if count != expected_slots || body.len() != count * SHARD_SLOT_LEN {
+    let trailer = count.checked_mul(SHARD_SLOT_LEN)?.checked_add(8)?;
+    let parked = usize::try_from(word(trailer)?).ok()?;
+    let records = trailer + 8;
+    if payload.len().checked_sub(records)? != parked.checked_mul(PARKED_LEN)? {
         return None;
     }
     let mut links = Vec::with_capacity(count);
     let mut gates = Vec::with_capacity(count);
-    for slot in 0..count {
-        let at = slot * SHARD_SLOT_LEN;
-        links.push(LinkState::decode(&body[at..at + LinkState::ENCODED_LEN], cfg)?);
-        gates.push(SeqGate::decode(
-            &body[at + LinkState::ENCODED_LEN..at + SHARD_SLOT_LEN],
-        )?);
+    for slot in payload[8..trailer].chunks_exact(SHARD_SLOT_LEN) {
+        let (st, gate) = slot.split_at(LinkState::ENCODED_LEN);
+        links.push(LinkState::decode(st, cfg)?);
+        gates.push(SeqGate::decode(gate)?);
+    }
+    let mut last_slot = 0;
+    for i in 0..parked {
+        let at = records + i * PARKED_LEN;
+        let slot = usize::try_from(word(at)?).ok()?;
+        if slot < last_slot {
+            return None;
+        }
+        last_slot = slot;
+        let rec = [word(at + 8)?, word(at + 16)?, word(at + 24)?, word(at + 32)?];
+        gates.get_mut(slot)?.restore_parked(rec, cfg.reorder_window)?;
     }
     Some((links, gates))
 }
@@ -1488,16 +1555,9 @@ mod tests {
         }
     }
 
+    /// Every shard's checkpoint payload, parked samples included.
     fn state_digest(svc: &MonitorService) -> Vec<u8> {
-        let mut out = Vec::new();
-        for shard in &svc.shards {
-            let slab = shard.lock();
-            for (st, gate) in slab.links.iter().zip(&slab.gates) {
-                st.encode_into(&mut out);
-                gate.encode_into(&mut out);
-            }
-        }
-        out
+        svc.shards.iter().flat_map(|shard| encode_shard_payload(&shard.lock())).collect()
     }
 
     #[test]
@@ -1658,6 +1718,139 @@ mod tests {
             assert!(st.reordered > 0);
             assert_eq!(st.dropped, 0);
         }
+    }
+
+    /// Round `r`'s batch in a reorder storm: every link sends the rounds
+    /// of each block of four in a link-specific order (in order, swapped
+    /// pairs, or three-deep rotations), and every 9th link re-sends its
+    /// previous arrival. All of it stays inside the default window, so the
+    /// gates heal everything — but mid-block, most gates have samples
+    /// parked.
+    fn storm_batch(n: usize, r: u64) -> Vec<(u32, u64, MonitorSample)> {
+        const ORDERS: [[u64; 4]; 4] = [[0, 1, 2, 3], [1, 0, 3, 2], [3, 1, 0, 2], [2, 3, 1, 0]];
+        let seq = |id: u32, r: u64| (r / 4) * 4 + ORDERS[id as usize % 4][(r % 4) as usize];
+        let mut batch = Vec::new();
+        for id in 0..n as u32 {
+            let q = seq(id, r);
+            batch.push((id, q, sample(id, q)));
+            if id % 9 == 4 && r > 0 {
+                let p = seq(id, r - 1);
+                batch.push((id, p, sample(id, p)));
+            }
+        }
+        batch
+    }
+
+    /// Debug text of every verdict (compares NaN baselines as equal).
+    fn verdict_stream(svc: &MonitorService, n: usize) -> Vec<String> {
+        (0..n as u32).map(|id| format!("{:?}", svc.verdict(id))).collect()
+    }
+
+    fn all_seq_stats(svc: &MonitorService, n: usize) -> Vec<SeqStats> {
+        (0..n as u32).map(|id| svc.seq_stats(id)).collect()
+    }
+
+    /// Ingest storm rounds `rounds`, returning each batch's report, verdict
+    /// stream and gate counters.
+    fn drive_storm(
+        svc: &MonitorService,
+        n: usize,
+        rounds: std::ops::Range<u64>,
+    ) -> Vec<(IngestReport, Vec<String>, Vec<SeqStats>)> {
+        rounds
+            .map(|r| {
+                let report = svc.ingest_sequenced(&storm_batch(n, r));
+                (report, verdict_stream(svc, n), all_seq_stats(svc, n))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kill_resume_with_parked_samples_is_bit_identical() {
+        let n = 70;
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("monitor-parked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Killed mid-block: round 141 is the second of a block of four.
+        let (kill, end) = (142u64, 260u64);
+        for threads in [1usize, 3] {
+            let cfg = MonitorConfig { threads, shards: 6, ..MonitorConfig::default() };
+            let straight = MonitorService::new(cfg, &links(n, 3));
+            let whole = drive_storm(&straight, n, 0..end);
+
+            let first = MonitorService::new(cfg, &links(n, 3));
+            drive_storm(&first, n, 0..kill);
+            let parked: usize = all_seq_stats(&first, n).iter().map(|s| s.buffered).sum();
+            assert!(parked > n / 4, "threads={threads}: only {parked} samples parked");
+            let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
+            first.checkpoint(&store).unwrap();
+            drop(first);
+
+            let (resumed, report) = MonitorService::resume_resilient(
+                cfg,
+                &links(n, 3),
+                CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap(),
+            );
+            assert!(report.all_restored(), "threads={threads}: {report:?}");
+            let (_, verdicts, stats) = &whole[kill as usize - 1];
+            assert_eq!(&verdict_stream(&resumed, n), verdicts, "threads={threads}");
+            assert_eq!(&all_seq_stats(&resumed, n), stats, "threads={threads}");
+            let rest = drive_storm(&resumed, n, kill..end);
+            assert!(rest == whole[kill as usize..], "threads={threads}: streams diverge");
+            assert_eq!(state_digest(&straight), state_digest(&resumed), "threads={threads}");
+            let last = &whole[end as usize - 1].2;
+            // The storm healed completely: nothing dropped or stale, and
+            // every link outside the in-order quarter took reorders.
+            for (id, s) in last.iter().enumerate() {
+                assert_eq!((s.next_seq, s.dropped, s.stale), (end, 0, 0), "link {id}");
+                assert_eq!(s.reordered > 0, id % 4 != 0, "link {id}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn impossible_parked_sample_reads_as_corrupt() {
+        let n = 24;
+        let cfg = MonitorConfig { shards: 2, ..MonitorConfig::default() };
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("monitor-bad-parked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = MonitorService::new(cfg, &links(n, 2));
+        drive_storm(&first, n, 0..41);
+        let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
+        first.checkpoint(&store).unwrap();
+        let name = shard_blob_name(0);
+        let payload = store.load_blob(&name).unwrap();
+        let slots = first.shards[0].lock().links.len();
+        let records = 8 + slots * SHARD_SLOT_LEN + 8;
+        assert!(payload.len() > records, "shard 0 must have samples parked");
+        let slot = u64::from_le_bytes(payload[records..records + 8].try_into().unwrap());
+        let next_seq = first.shards[0].lock().gates[slot as usize].next_seq();
+        // Rewrite the first parked record's sequence number to the gate's
+        // next_seq — a sample a live gate would have delivered, not parked
+        // — and store it with a valid CRC, so only the decoder can object.
+        let mut bad = payload.clone();
+        bad[records + 8..records + 16].copy_from_slice(&next_seq.to_le_bytes());
+        store.store_blob(&name, &bad).unwrap();
+        assert!(decode_shard_payload(&bad, slots, &cfg).is_none());
+        let (svc, report) = MonitorService::resume_resilient(
+            cfg,
+            &links(n, 2),
+            CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap(),
+        );
+        assert_eq!(report.shards, vec![ShardRecovery::RebuiltCorrupt, ShardRecovery::Restored]);
+        // The rebuilt shard keeps ingesting without tripping the gate.
+        drive_storm(&svc, n, 0..12);
+        // A duplicated parked record is refused the same way.
+        let mut dup = payload.clone();
+        let count_at = records - 8;
+        let parked = u64::from_le_bytes(payload[count_at..records].try_into().unwrap());
+        dup[count_at..records].copy_from_slice(&(parked + 1).to_le_bytes());
+        dup.splice(records..records, payload[records..records + PARKED_LEN].iter().copied());
+        assert!(decode_shard_payload(&dup, slots, &cfg).is_none());
+        assert!(decode_shard_payload(&payload, slots, &cfg).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub struct MonitorEvent {
     pub masked: bool,
 }
 
-/// Full streaming state for one monitored link. ~200 bytes, O(1) per sample.
+/// Full streaming state for one monitored link: 240 bytes (the 112-byte
+/// detector plus path, alarm and health-window counters), O(1) per sample.
 #[derive(Clone, Debug)]
 pub struct LinkState {
     det: OnlineDetector,
@@ -132,9 +133,9 @@ impl Default for LinkState {
 }
 
 impl LinkState {
-    /// Fresh state. The detector configuration comes in per-push via
-    /// [`MonitorConfig`]? No — the detector owns its config from birth:
-    /// build through [`LinkState::with_config`] in real use.
+    /// Fresh state under the default [`MonitorConfig`]. The detector owns
+    /// its configuration from birth, so a service running any other
+    /// configuration builds through [`LinkState::with_config`] instead.
     pub fn new() -> LinkState {
         LinkState::with_config(&MonitorConfig::default())
     }
@@ -471,6 +472,9 @@ pub struct AdmitDelta {
     pub dropped: u64,
 }
 
+/// A sample parked in a reorder buffer, keyed by its sequence number.
+type Parked = Option<(u64, MonitorSample)>;
+
 /// Per-link admission gate: sequence-number tracking with a small reorder
 /// buffer, so disordered telemetry is healed when possible and **counted**
 /// when not — never silently pushed into the CUSUM state out of order.
@@ -483,17 +487,22 @@ pub struct AdmitDelta {
 /// delivery is counted as duplicate (within the window) or stale (older).
 /// All decisions are pure functions of the per-link arrival order, so the
 /// outcome is bit-identical at any ingest thread count.
+///
+/// A gate is 56 bytes: two hot words, four counters, and a pointer. The
+/// reorder buffer lives behind that pointer and exists only while the link
+/// has samples parked — it is allocated when the first sample parks and
+/// freed as soon as the gap heals, so the ~99% of links with nothing out
+/// of order carry no buffer at all.
 #[derive(Clone, Debug)]
-#[repr(C)] // next_seq and live share the first cache line — see below.
+#[repr(C)] // next_seq and live lead the record — see below.
 pub struct SeqGate {
     /// Next sequence number expected for delivery.
     next_seq: u64,
-    /// Occupied `buf` slots. Derived (recomputed on decode, never
-    /// serialized). Declared next to `next_seq` under `repr(C)` on
-    /// purpose: the in-order hot path reads exactly these two words and
-    /// nothing else, so a healthy producer costs one cache line per
-    /// gate — the resilience bench holds that fast path under 3% over
-    /// raw ingest.
+    /// Occupied `buf` slots (0 exactly when `buf` is `None`). Declared
+    /// next to `next_seq` under `repr(C)` on purpose: the in-order hot
+    /// path reads exactly these two words and nothing else, so a healthy
+    /// producer costs one cache line per gate — the resilience bench holds
+    /// that fast path under 3% over raw ingest.
     live: u64,
     duplicates: u64,
     stale: u64,
@@ -501,8 +510,9 @@ pub struct SeqGate {
     dropped: u64,
     /// Parked out-of-order samples, each holding sequence numbers in
     /// `(next_seq, next_seq + window]`. At most `window ≤ REORDER_CAP`
-    /// distinct values fit, so a vacant slot always exists.
-    buf: [Option<(u64, MonitorSample)>; REORDER_CAP],
+    /// distinct values fit, so a vacant slot always exists. `None` while
+    /// nothing is parked.
+    buf: Option<Box<[Parked; REORDER_CAP]>>,
 }
 
 impl Default for SeqGate {
@@ -516,12 +526,12 @@ impl SeqGate {
     pub fn new() -> SeqGate {
         SeqGate {
             next_seq: 0,
+            live: 0,
             duplicates: 0,
             stale: 0,
             reordered: 0,
             dropped: 0,
-            buf: [None; REORDER_CAP],
-            live: 0,
+            buf: None,
         }
     }
 
@@ -627,21 +637,41 @@ impl SeqGate {
             deliver(s);
             delta.delivered += 1;
             self.next_seq += 1;
+        } else if self.parked().any(|(q, _)| q == seq) {
+            // (next_seq, next_seq + w], already parked.
+            self.duplicates += 1;
+            delta.duplicates += 1;
         } else {
-            // (next_seq, next_seq + w]: park it, dedup against the buffer.
-            if self.buf.iter().flatten().any(|&(q, _)| q == seq) {
-                self.duplicates += 1;
-                delta.duplicates += 1;
-            } else {
-                let slot = self.buf.iter_mut().find(|s| s.is_none()).expect(
-                    "reorder buffer full despite window bound (gate invariant broken)",
-                );
-                *slot = Some((seq, s));
-                self.live += 1;
-            }
+            // (next_seq, next_seq + w]: park it.
+            let buf = self.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
+            let slot = buf
+                .iter_mut()
+                .find(|s| s.is_none())
+                .expect("reorder buffer full despite window bound (gate invariant broken)");
+            *slot = Some((seq, s));
+            self.live += 1;
         }
         self.drain(&mut delta, deliver);
+        if self.live == 0 {
+            self.buf = None;
+        }
         delta
+    }
+
+    /// The parked `(seq, sample)` pairs, in buffer order.
+    fn parked(&self) -> impl Iterator<Item = (u64, MonitorSample)> + '_ {
+        self.buf.iter().flat_map(|b| b.iter().flatten().copied())
+    }
+
+    /// Take the parked sample with sequence number `q` out of the buffer.
+    fn unpark(&mut self, q: u64) -> MonitorSample {
+        let buf = self.buf.as_mut().expect("unpark from a gate with nothing parked");
+        let slot = buf
+            .iter_mut()
+            .find(|s| s.is_some_and(|(p, _)| p == q))
+            .expect("unpark of a sequence number that is not parked");
+        self.live -= 1;
+        slot.take().expect("slot just observed occupied").1
     }
 
     /// Slide the gate forward to `new_next`, releasing due buffered samples
@@ -656,21 +686,12 @@ impl SeqGate {
         deliver: &mut impl FnMut(MonitorSample),
     ) {
         while self.next_seq < new_next {
-            let due = self
-                .buf
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.map(|(q, _)| (q, i)))
-                .filter(|&(q, _)| q < new_next)
-                .min();
-            match due {
-                Some((q, i)) => {
+            match self.parked().map(|(q, _)| q).filter(|&q| q < new_next).min() {
+                Some(q) => {
                     let missing = q - self.next_seq;
                     self.dropped += missing;
                     delta.dropped += missing;
-                    let (_, sample) = self.buf[i].take().expect("slot just observed occupied");
-                    self.live -= 1;
-                    deliver(sample);
+                    deliver(self.unpark(q));
                     delta.delivered += 1;
                     self.reordered += 1;
                     delta.reordered += 1;
@@ -688,17 +709,8 @@ impl SeqGate {
 
     /// Release consecutively buffered samples now that the gap has filled.
     fn drain(&mut self, delta: &mut AdmitDelta, deliver: &mut impl FnMut(MonitorSample)) {
-        while self.live > 0 {
-            let Some(i) = self
-                .buf
-                .iter()
-                .position(|s| s.is_some_and(|(q, _)| q == self.next_seq))
-            else {
-                return;
-            };
-            let (_, sample) = self.buf[i].take().expect("slot just observed occupied");
-            self.live -= 1;
-            deliver(sample);
+        while self.live > 0 && self.parked().any(|(q, _)| q == self.next_seq) {
+            deliver(self.unpark(self.next_seq));
             delta.delivered += 1;
             self.reordered += 1;
             delta.reordered += 1;
@@ -706,73 +718,82 @@ impl SeqGate {
         }
     }
 
-    /// Fixed-layout encode for checkpointing: 37 little-endian u64 words
-    /// (5 counters + `REORDER_CAP` slots of 4 words each).
+    /// Fixed-layout encode of the gate's counters for checkpointing: 5
+    /// little-endian u64 words. Parked samples are not part of this record
+    /// — see [`SeqGate::encode_parked`].
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         for w in [self.next_seq, self.duplicates, self.stale, self.reordered, self.dropped] {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        for slot in &self.buf {
-            let (seq, far, fp, flags) = match slot {
-                Some((q, s)) => {
-                    (*q, s.far_ms.to_bits(), s.path_fp, 1u64 | (u64::from(s.far_addr_ok) << 1))
-                }
-                None => (0, 0, 0, 0),
-            };
-            for w in [seq, far, fp, flags] {
+    }
+
+    /// Number of encoded counter bytes per gate.
+    pub(crate) const ENCODED_LEN: usize = 5 * 8;
+
+    /// Append one [`PARKED_LEN`]-byte record per parked sample, in
+    /// ascending sequence order: `(slot, seq, far_ms bits, path_fp,
+    /// flags)` with flags bit 0 set (occupied) and bit 1 = `far_addr_ok`.
+    /// Sorting makes the encoding canonical: two gates that behave the same
+    /// encode the same, wherever their samples sit in the buffer.
+    pub(crate) fn encode_parked(&self, slot: u64, out: &mut Vec<u8>) {
+        let mut parked: Vec<(u64, MonitorSample)> = self.parked().collect();
+        parked.sort_unstable_by_key(|&(q, _)| q);
+        for (q, s) in parked {
+            let flags = 1u64 | (u64::from(s.far_addr_ok) << 1);
+            for w in [slot, q, s.far_ms.to_bits(), s.path_fp, flags] {
                 out.extend_from_slice(&w.to_le_bytes());
             }
         }
     }
 
-    /// Number of encoded bytes per gate.
-    pub(crate) const ENCODED_LEN: usize = (5 + REORDER_CAP * 4) * 8;
-
-    /// Decode a gate previously written by [`SeqGate::encode_into`].
+    /// Decode a gate's counters previously written by
+    /// [`SeqGate::encode_into`]; the buffer starts empty (see
+    /// [`SeqGate::restore_parked`]).
     pub(crate) fn decode(bytes: &[u8]) -> Option<SeqGate> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
-        let word = |i: usize| -> Option<u64> {
-            bytes.get(i * 8..i * 8 + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let mut gate = SeqGate {
-            next_seq: word(0)?,
-            duplicates: word(1)?,
-            stale: word(2)?,
-            reordered: word(3)?,
-            dropped: word(4)?,
-            buf: [None; REORDER_CAP],
-            live: 0,
-        };
-        let mut live = 0;
-        for (i, slot) in gate.buf.iter_mut().enumerate() {
-            let at = 5 + i * 4;
-            let (seq, far, fp, flags) = (word(at)?, word(at + 1)?, word(at + 2)?, word(at + 3)?);
-            match flags {
-                0 => {
-                    if seq != 0 || far != 0 || fp != 0 {
-                        return None;
-                    }
-                }
-                1 | 3 => {
-                    *slot = Some((
-                        seq,
-                        MonitorSample {
-                            far_ms: f64::from_bits(far),
-                            path_fp: fp,
-                            far_addr_ok: flags & 2 != 0,
-                        },
-                    ));
-                    live += 1;
-                }
-                _ => return None,
-            }
+        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+        Some(SeqGate {
+            next_seq: word(0),
+            duplicates: word(1),
+            stale: word(2),
+            reordered: word(3),
+            dropped: word(4),
+            ..SeqGate::new()
+        })
+    }
+
+    /// Re-park one sample from a [`SeqGate::encode_parked`] record (the
+    /// slot word already consumed by the caller). Refuses — `None` — any
+    /// record a live gate could never hold: a sequence number outside
+    /// `(next_seq, next_seq + window]` (the window clamped to
+    /// [`REORDER_CAP`]), one not above the last re-parked sequence (so a
+    /// duplicate cannot slip in), or a flags word other than 1 or 3. Such
+    /// a gate would never take the fast path again, and its next window
+    /// slide would underflow.
+    pub(crate) fn restore_parked(&mut self, rec: [u64; 4], window: u64) -> Option<()> {
+        let [q, far, fp, flags] = rec;
+        let w = window.min(REORDER_CAP as u64);
+        let ahead = q.checked_sub(self.next_seq)?;
+        let above_last = self.parked().all(|(p, _)| p < q);
+        if ahead == 0 || ahead > w || !above_last || !matches!(flags, 1 | 3) {
+            return None;
         }
-        gate.live = live;
-        Some(gate)
+        let s = MonitorSample {
+            far_ms: f64::from_bits(far),
+            path_fp: fp,
+            far_addr_ok: flags & 2 != 0,
+        };
+        let buf = self.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
+        buf[self.live as usize] = Some((q, s));
+        self.live += 1;
+        Some(())
     }
 }
+
+/// Bytes one parked-sample record occupies in a shard checkpoint.
+pub(crate) const PARKED_LEN: usize = 5 * 8;
 
 pub(crate) fn health_token(h: LinkHealth) -> u64 {
     match h {
@@ -1079,23 +1100,118 @@ mod tests {
         assert!(last.is_some());
     }
 
+    /// Encode a gate the way a shard checkpoint does: the counter record,
+    /// then its parked-sample records under slot 0.
+    fn encode_gate(gate: &SeqGate) -> (Vec<u8>, Vec<u8>) {
+        let (mut counters, mut parked) = (Vec::new(), Vec::new());
+        gate.encode_into(&mut counters);
+        gate.encode_parked(0, &mut parked);
+        (counters, parked)
+    }
+
+    /// Decode what [`encode_gate`] wrote (every record must name slot 0).
+    fn decode_gate(counters: &[u8], parked: &[u8], window: u64) -> Option<SeqGate> {
+        let mut gate = SeqGate::decode(counters)?;
+        for rec in parked.chunks(PARKED_LEN) {
+            let w: Vec<u64> =
+                rec.chunks(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect();
+            if w.len() != 5 || w[0] != 0 {
+                return None;
+            }
+            gate.restore_parked([w[1], w[2], w[3], w[4]], window)?;
+        }
+        Some(gate)
+    }
+
+    /// One parked-sample record for slot 0.
+    fn parked_record(seq: u64, flags: u64) -> Vec<u8> {
+        [0, seq, 1.5f64.to_bits(), 0xAA, flags].iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
     #[test]
     fn gate_encode_decode_roundtrip() {
+        // Window 6: 5 and 7 park, 40 slides the window to 34 (healing 5
+        // and 7 on the way) and parks — the gate ends with one sample
+        // parked, so the roundtrip covers the parked-sample records too.
         let (_, gate) = run_gate(&[(0, 0.0), (5, 5.0), (7, 7.0), (40, 40.0)], 6);
-        let mut buf = Vec::new();
-        gate.encode_into(&mut buf);
-        assert_eq!(buf.len(), SeqGate::ENCODED_LEN);
-        let back = SeqGate::decode(&buf).unwrap();
-        let mut buf2 = Vec::new();
-        back.encode_into(&mut buf2);
-        assert_eq!(buf, buf2);
+        assert_eq!(gate.buffered(), 1);
+        let (counters, parked) = encode_gate(&gate);
+        assert_eq!(counters.len(), SeqGate::ENCODED_LEN);
+        assert_eq!(parked.len(), gate.buffered() * PARKED_LEN);
+        let back = decode_gate(&counters, &parked, 6).unwrap();
+        assert_eq!(encode_gate(&back), (counters.clone(), parked.clone()));
         assert_eq!(back.next_seq(), gate.next_seq());
         assert_eq!(back.buffered(), gate.buffered());
-        // Occupied-slot flag words outside {0,1,3} refuse to decode.
-        assert!(SeqGate::decode(&buf[..buf.len() - 1]).is_none());
-        let mut bad = buf.clone();
-        bad[5 * 8 + 24] = 0xFF; // first slot's flags word
-        assert!(SeqGate::decode(&bad).is_none());
+        // A truncated counter record refuses to decode.
+        assert!(SeqGate::decode(&counters[..counters.len() - 1]).is_none());
+        // Parked-record flag words outside {1,3} refuse to decode.
+        let mut bad = parked.clone();
+        bad[4 * 8] = 0xFF; // the record's flags word
+        assert!(decode_gate(&counters, &bad, 6).is_none());
+        // Both halves continue in lockstep.
+        let (mut a, mut b) = (gate, back);
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        for seq in 34..60 {
+            let s = MonitorSample::answered(seq as f64, 0xAA);
+            let da = a.admit(seq, s, 6, &mut |s| out_a.push(s.far_ms));
+            let db = b.admit(seq, s, 6, &mut |s| out_b.push(s.far_ms));
+            assert_eq!(da, db);
+        }
+        assert_eq!(out_a, out_b);
+        assert_eq!(encode_gate(&a), encode_gate(&b));
+    }
+
+    #[test]
+    fn gate_decode_rejects_impossible_parked_samples() {
+        // A gate at next_seq 10, window 4: parked sequences must lie in
+        // (10, 14], each at most once.
+        let gate = run_gate(&(0..10).map(|i| (i, i as f64)).collect::<Vec<_>>(), 4).1;
+        let (counters, _) = encode_gate(&gate);
+        let ok = |recs: &[Vec<u8>]| decode_gate(&counters, &recs.concat(), 4).is_some();
+        assert!(ok(&[parked_record(11, 3), parked_record(14, 1)]));
+        assert!(!ok(&[parked_record(10, 3)]), "parked at next_seq");
+        assert!(!ok(&[parked_record(7, 3)]), "parked behind next_seq");
+        assert!(!ok(&[parked_record(15, 3)]), "parked beyond the window");
+        assert!(!ok(&[parked_record(12, 3), parked_record(12, 3)]), "parked twice");
+        assert!(!ok(&[parked_record(13, 3), parked_record(12, 3)]), "not in sequence order");
+        assert!(!ok(&[parked_record(12, 0)]), "vacant flags");
+        // The window is the configured one, not the buffer capacity.
+        assert!(decode_gate(&counters, &parked_record(14, 3), 3).is_none());
+        assert!(decode_gate(&counters, &parked_record(11, 3), 0).is_none());
+    }
+
+    #[test]
+    fn gate_is_compact_and_frees_its_buffer_once_healed() {
+        assert!(size_of::<SeqGate>() <= 64, "SeqGate is {} bytes", size_of::<SeqGate>());
+        let mut gate = SeqGate::new();
+        let mut out = Vec::new();
+        let mut admit = |gate: &mut SeqGate, seq: u64| {
+            gate.admit(seq, MonitorSample::answered(seq as f64, 0xAA), 4, &mut |s| {
+                out.push(s.far_ms)
+            });
+        };
+        admit(&mut gate, 0);
+        assert!(gate.buf.is_none(), "in-order traffic allocates nothing");
+        admit(&mut gate, 2);
+        admit(&mut gate, 3);
+        assert_eq!(gate.buffered(), 2);
+        assert!(gate.buf.is_some());
+        admit(&mut gate, 1);
+        assert_eq!(gate.buffered(), 0);
+        assert!(gate.buf.is_none(), "a healed reorder frees the buffer");
+        // A window slide heals what was parked on its way; the buffer
+        // goes once the gap in front of the sample it then parks heals.
+        admit(&mut gate, 6);
+        assert!(gate.buf.is_some());
+        admit(&mut gate, 20);
+        admit(&mut gate, 16);
+        assert_eq!(gate.next_seq(), 16 + 1);
+        assert_eq!(gate.buffered(), 1);
+        admit(&mut gate, 17);
+        admit(&mut gate, 18);
+        admit(&mut gate, 19);
+        assert!(gate.buf.is_none());
+        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 6.0, 16.0, 17.0, 18.0, 19.0, 20.0]);
     }
 
     #[test]
@@ -1110,6 +1226,8 @@ mod tests {
         let mut buf = Vec::new();
         st.encode_into(&mut buf);
         assert_eq!(buf.len(), LinkState::ENCODED_LEN);
+        // A checkpoint slot is the link state plus the gate's counters.
+        assert_eq!(LinkState::ENCODED_LEN + SeqGate::ENCODED_LEN, 256);
         let back = LinkState::decode(&buf, &cfg).unwrap();
         // Continuing both must stay in lockstep (state equality via re-encode).
         let mut buf2 = Vec::new();

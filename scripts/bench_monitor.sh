@@ -7,12 +7,14 @@
 # headline rate — the 1k-link ingest point, the first ingest_samples_per_sec
 # in the file — silently replace it, and additionally enforces the resident
 # memory contract: the 100k-link steady-state RSS (the last steady_rss_mb)
-# must stay below 96 MiB. The ceiling was 64 when per-link state was 216B
-# (measured 38.9 MiB); verdict provenance added 80B/link (VerdictEvidence
-# in both the state slab and the published index, ~8 MiB at 100k links)
-# and the same HEAD re-measured 68 MiB under today's allocator behavior,
-# so the contract is re-based with headroom — still O(links), and the
-# batch campaign peaks at 85.7 MiB on the same substrate size. Pass
+# must stay below 96 MiB. Per link the service holds a 240B LinkState and a
+# 56B SeqGate in its shard slab (a gate's 256B reorder buffer is allocated
+# only while samples are parked; it used to sit inline in every gate, 304B
+# in all), a 112B verdict in the index, and 160B of reused batch buffers
+# (a 120B verdict-buffer entry and a 40B partition entry): about 570B, and
+# 63.7 MiB steady at 100k links where the inline buffers read 76.2 MiB.
+# The ceiling is headroom over that — still O(links), and the batch
+# campaign peaks at ~85 MiB on the same substrate size. Pass
 # --force to accept a regression anyway (e.g. after an intended trade-off
 # or on a different host); the RSS ceiling is a hard contract and is not
 # forceable.

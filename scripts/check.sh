@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: release build, full test suite, lint-clean workspace.
+# Repo health gate: release build, full test suite, lint-clean workspace
+# and benchmark.
 #
 # With --bench-gates, additionally runs the seven performance gates (health,
 # detect, obs, campaign, monitor, resilience and trace, each with its
@@ -29,6 +30,10 @@ cargo test -q
 # the benchmark's correctness gate.
 echo "==> cargo test -q --manifest-path perfbench/Cargo.toml"
 cargo test -q --manifest-path perfbench/Cargo.toml
+
+# Same reason: `clippy --workspace` below never lints perfbench.
+echo "==> cargo clippy --manifest-path perfbench/Cargo.toml -- -D warnings"
+cargo clippy --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "==> forensics smoke (flight-recorder dump -> replay -> per-link timelines)"
 cargo run --release --example forensics > /dev/null
