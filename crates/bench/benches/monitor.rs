@@ -6,9 +6,10 @@
 //! hammering the verdict index the whole time. Samples are synthesized
 //! in-place per round (diurnal plateau on 2% of links, deterministic
 //! per-(link, round) noise, occasional gaps and path flips) so the timed
-//! loop measures the service — detector pushes, health bookkeeping, index
-//! publication — plus a few ns of arithmetic per sample, not substrate
-//! simulation. `steady_rss_mb` is VmHWM reset *after* the parameter build:
+//! loop measures the service — sequenced admission, detector pushes, health
+//! bookkeeping, index publication — plus a few ns of arithmetic per sample,
+//! not substrate simulation. Each round's samples carry the round as their
+//! sequence number, the steady state of an in-order producer. `steady_rss_mb` is VmHWM reset *after* the parameter build:
 //! it is what the resident service itself holds — O(links) detector +
 //! window state and one reused batch buffer, no series retention — and
 //! must sit far below the 85.7 MiB the 100k-link batch campaign peaks at.
@@ -56,8 +57,8 @@ fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
     ixp_obs::reset_peak_rss();
     let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
     let svc = Arc::new(MonitorService::new(cfg, &descs));
-    let mut batch: Vec<(u32, MonitorSample)> =
-        (0..links).map(|id| (id, MonitorSample::lost())).collect();
+    let mut batch: Vec<(u32, u64, MonitorSample)> =
+        (0..links).map(|id| (id, 0, MonitorSample::lost())).collect();
 
     let stop = AtomicBool::new(false);
     let (wall, reads) = std::thread::scope(|sc| {
@@ -80,9 +81,10 @@ fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
         let t0 = Instant::now();
         for r in 0..ROUNDS {
             for slot in batch.iter_mut() {
-                slot.1 = sample_at(slot.0, r);
+                slot.1 = r as u64;
+                slot.2 = sample_at(slot.0, r);
             }
-            svc.ingest(&batch);
+            svc.ingest_sequenced(&batch);
         }
         let wall = t0.elapsed().as_secs_f64();
         stop.store(true, Ordering::Relaxed);
@@ -103,8 +105,8 @@ fn monitor_ingest(c: &mut Criterion) {
     let descs: Vec<LinkDesc> = (0..1_000u32).map(|i| LinkDesc { ixp: i % 8 }).collect();
     let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
     let svc = MonitorService::new(cfg, &descs);
-    let mut batch: Vec<(u32, MonitorSample)> =
-        (0..1_000u32).map(|id| (id, MonitorSample::lost())).collect();
+    let mut batch: Vec<(u32, u64, MonitorSample)> =
+        (0..1_000u32).map(|id| (id, 0, MonitorSample::lost())).collect();
     let mut round = 0usize;
     let mut g = c.benchmark_group("monitor_ingest");
     g.throughput(Throughput::Elements(1_000));
@@ -112,10 +114,11 @@ fn monitor_ingest(c: &mut Criterion) {
     g.bench_function("round_1k_links", |b| {
         b.iter(|| {
             for slot in batch.iter_mut() {
-                slot.1 = sample_at(slot.0, round % ROUNDS);
+                slot.1 = round as u64;
+                slot.2 = sample_at(slot.0, round % ROUNDS);
             }
             round += 1;
-            svc.ingest(&batch)
+            svc.ingest_sequenced(&batch)
         });
     });
     g.finish();

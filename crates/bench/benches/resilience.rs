@@ -1,21 +1,31 @@
 //! Admission-control overhead (DESIGN.md §5.18): the sequenced ingest path
-//! adds per-sample work — id/sequence validation at partition time, a
-//! [`ixp_monitor::SeqGate`] check per sample, and shed bookkeeping — and
-//! promises to stay within 3% of the raw trusted-producer path in steady
-//! state (in-order telemetry, no overload). This bench runs the same
-//! 1k-link day through both paths and writes the measured overhead to
-//! `BENCH_resilience.json`, where `scripts/bench_resilience.sh` gates it.
+//! puts every sample behind its link's [`ixp_monitor::SeqGate`] before the
+//! detector sees it, and promises that in steady state (in-order
+//! telemetry, no overload) admission stays under 3% of the path's cost.
+//!
+//! Three arms run the same precomputed 1k-link, 288-round day at one
+//! thread, each from state built before its clock starts:
+//!
+//! - `a`: a bare [`LinkState::push`] loop over a `Vec<LinkState>`;
+//! - `b`: the same loop with each push behind `SeqGate::admit(seq = round)`;
+//! - `c`: [`MonitorService::ingest_sequenced`].
+//!
+//! `b − a` is what admission costs; `c − (b − a)` is the sequenced path
+//! without it. Rounds rotate the arm order, and the median over rounds of
+//! `(b − a) / (c − (b − a))` is written to `BENCH_resilience.json` as
+//! `overhead_pct`, where `scripts/bench_resilience.sh` gates it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
+use ixp_monitor::{LinkDesc, LinkState, MonitorConfig, MonitorSample, MonitorService, SeqGate};
+use std::time::Instant;
 
 const LINKS: u32 = 1_000;
 const DAY_ROUNDS: usize = 288;
 const CONGESTED_EVERY: u32 = 50;
+const ROUNDS: usize = 31;
 
 /// Deterministic per-(link, round) noise: splitmix64 on the pair (same
-/// synth workload as the monitor scaling bench, so the rates line up with
-/// `BENCH_monitor.json`).
+/// synth workload as the monitor scaling bench).
 fn mix(link: u32, round: u32) -> u64 {
     let mut z = ((link as u64) << 32 | round as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -36,85 +46,141 @@ fn sample_at(id: u32, r: usize) -> MonitorSample {
     MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
 }
 
-fn service() -> MonitorService {
-    let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
-    let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
-    MonitorService::new(cfg, &descs)
+type Day = Vec<Vec<(u32, u64, MonitorSample)>>;
+
+/// The whole day as per-round sequenced batches (sequence number = round).
+fn day() -> Day {
+    (0..DAY_ROUNDS)
+        .map(|r| (0..LINKS).map(|id| (id, r as u64, sample_at(id, r))).collect())
+        .collect()
 }
 
-/// One full day through the raw trusted-producer path.
-fn run_raw() {
-    let svc = service();
-    let mut batch: Vec<(u32, MonitorSample)> =
-        (0..LINKS).map(|id| (id, MonitorSample::lost())).collect();
-    for r in 0..DAY_ROUNDS {
-        for slot in batch.iter_mut() {
-            slot.1 = sample_at(slot.0, r);
-        }
-        black_box(svc.ingest(&batch));
-    }
-    assert_eq!(svc.samples_ingested(), LINKS as u64 * DAY_ROUNDS as u64);
+fn config() -> MonitorConfig {
+    MonitorConfig { shards: 32, threads: 1, ..MonitorConfig::default() }
 }
 
-/// The same day through the sequenced path: in-order sequence numbers, no
-/// overload — the steady state whose overhead the gate bounds.
-fn run_sequenced() {
-    let svc = service();
-    let mut batch: Vec<(u32, u64, MonitorSample)> =
-        (0..LINKS).map(|id| (id, 0, MonitorSample::lost())).collect();
-    for r in 0..DAY_ROUNDS {
-        for slot in batch.iter_mut() {
-            slot.1 = r as u64;
-            slot.2 = sample_at(slot.0, r);
+/// One arm's state, built before its clock starts.
+enum Arm {
+    Push(Vec<LinkState>),
+    Gated(Vec<LinkState>, Vec<SeqGate>),
+    Service(MonitorService),
+}
+
+impl Arm {
+    fn fresh(arm: usize, cfg: &MonitorConfig) -> Arm {
+        let states = || (0..LINKS).map(|_| LinkState::with_config(cfg)).collect();
+        match arm {
+            0 => Arm::Push(states()),
+            1 => Arm::Gated(states(), (0..LINKS).map(|_| SeqGate::new()).collect()),
+            _ => {
+                let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
+                Arm::Service(MonitorService::new(*cfg, &descs))
+            }
         }
-        let report = svc.ingest_sequenced(&batch);
-        black_box(report);
     }
-    assert_eq!(svc.samples_ingested(), LINKS as u64 * DAY_ROUNDS as u64);
+
+    /// Ingest the whole day.
+    fn run(&mut self, day: &Day, cfg: &MonitorConfig) {
+        match self {
+            Arm::Push(states) => {
+                for batch in day {
+                    for &(id, _, s) in batch {
+                        states[id as usize].push(&s, cfg);
+                    }
+                }
+            }
+            Arm::Gated(states, gates) => {
+                let mut delivered = 0u64;
+                for batch in day {
+                    for &(id, seq, s) in batch {
+                        let st = &mut states[id as usize];
+                        let d = gates[id as usize].admit(seq, s, cfg.reorder_window, &mut |smp| {
+                            st.push(&smp, cfg);
+                        });
+                        delivered += u64::from(d.delivered);
+                    }
+                }
+                assert_eq!(delivered, LINKS as u64 * DAY_ROUNDS as u64);
+            }
+            Arm::Service(svc) => {
+                for batch in day {
+                    black_box(svc.ingest_sequenced(batch));
+                }
+                assert_eq!(svc.samples_ingested(), LINKS as u64 * DAY_ROUNDS as u64);
+            }
+        }
+    }
+}
+
+/// The three arms must reach the same link states, or their differences
+/// measure something other than admission.
+fn check_arms_agree(day: &Day, cfg: &MonitorConfig) {
+    let mut arms = [Arm::fresh(0, cfg), Arm::fresh(1, cfg), Arm::fresh(2, cfg)];
+    arms.iter_mut().for_each(|arm| arm.run(day, cfg));
+    let [Arm::Push(bare), Arm::Gated(gated, _), Arm::Service(svc)] = &arms else {
+        unreachable!("arms are built in order")
+    };
+    let summary = |st: &LinkState| {
+        let det = st.detector();
+        (st.rounds(), st.alarms(), st.masked_alarms(), det.is_elevated(), det.baseline().to_bits())
+    };
+    for (id, (st, gt)) in bare.iter().zip(gated).enumerate() {
+        assert_eq!(summary(st), summary(gt), "link {id}: admission changed its state");
+        let v = svc.verdict(id as u32);
+        assert_eq!(
+            summary(st),
+            (v.round, v.alarms, v.masked_alarms, v.elevated, v.baseline_ms.to_bits()),
+            "link {id}: the service diverged from the bare push loop"
+        );
+    }
 }
 
 fn resilience_overhead(_c: &mut Criterion) {
-    // Same defense as the obs bench: the two variants differ by a few
-    // percent at most while the box drifts far more run to run, so pair
-    // the variants within rounds (rotating order) and keep the median
-    // within-round ratio — machine state divides out, spikes land in the
-    // tail.
-    for _ in 0..2 {
-        run_raw();
-        run_sequenced();
-    }
-    const ROUNDS: usize = 31;
-    let mut samples = [[0.0f64; ROUNDS]; 2];
-    for r in 0..ROUNDS {
-        let mut timed: [(usize, fn()); 2] = [(0, run_raw), (1, run_sequenced)];
-        timed.rotate_left(r % 2);
-        for (v, run) in timed {
-            let t = std::time::Instant::now();
-            run();
-            samples[v][r] = t.elapsed().as_nanos() as f64;
+    let cfg = config();
+    let day = day();
+    check_arms_agree(&day, &cfg);
+
+    // Warm-up, then rounds in rotating arm order; every arm's state is
+    // built before any clock in the round starts.
+    let mut ns = [[0.0f64; ROUNDS]; 3];
+    for r in 0..ROUNDS + 2 {
+        let mut arms: Vec<(usize, Arm)> = (0..3).map(|v| (v, Arm::fresh(v, &cfg))).collect();
+        arms.rotate_left(r % 3);
+        for (v, arm) in arms.iter_mut() {
+            let t = Instant::now();
+            arm.run(&day, &cfg);
+            let elapsed = t.elapsed().as_nanos() as f64;
+            if r >= 2 {
+                ns[*v][r - 2] = elapsed;
+            }
         }
     }
     let median = |mut s: [f64; ROUNDS]| {
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         s[ROUNDS / 2]
     };
-    let mut ratios = [0.0f64; ROUNDS];
-    for i in 0..ROUNDS {
-        ratios[i] = samples[1][i] / samples[0][i];
+    let mut shares = [0.0f64; ROUNDS];
+    for (i, share) in shares.iter_mut().enumerate() {
+        let admission = ns[1][i] - ns[0][i];
+        *share = admission / (ns[2][i] - admission);
     }
-    let raw_ns = median(samples[0]);
-    let seq_ns = raw_ns * median(ratios);
+    let overhead_pct = median(shares) * 100.0;
     let total_samples = (LINKS as usize * DAY_ROUNDS) as f64;
-    let raw_sps = total_samples * 1e9 / raw_ns;
-    let seq_sps = total_samples * 1e9 / seq_ns;
-    let overhead_pct = (seq_ns - raw_ns) / raw_ns * 100.0;
-    eprintln!("[resilience] raw       {raw_ns:>12.0} ns/day  ({raw_sps:.0} samples/s)");
+    let [push_ns, gated_ns, seq_ns] = ns.map(|arm| median(arm) / total_samples);
+    let rate = |ns_per_sample: f64| 1e9 / ns_per_sample;
+    let arms = [("a push loop ", push_ns), ("b gated loop", gated_ns), ("c sequenced ", seq_ns)];
+    for (arm, ns) in arms {
+        eprintln!("[resilience] {arm} {ns:>7.2} ns/sample ({:.0} samples/s)", rate(ns));
+    }
     eprintln!(
-        "[resilience] sequenced {seq_ns:>12.0} ns/day  ({seq_sps:.0} samples/s, {overhead_pct:+.2}%)"
+        "[resilience] admission share of sequenced ingest: {overhead_pct:+.2}% (median of {ROUNDS})"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"resilience_overhead\",\n  \"links\": {LINKS},\n  \"rounds_per_link\": {DAY_ROUNDS},\n  \"raw_samples_per_sec\": {raw_sps:.1},\n  \"sequenced_samples_per_sec\": {seq_sps:.1},\n  \"overhead_pct\": {overhead_pct:.2}\n}}\n"
+        "{{\n  \"bench\": \"resilience_overhead\",\n  \"links\": {LINKS},\n  \"rounds_per_link\": {DAY_ROUNDS},\n  \"threads\": 1,\n  \"timed_rounds\": {ROUNDS},\n  \"push_loop_samples_per_sec\": {:.1},\n  \"gated_loop_samples_per_sec\": {:.1},\n  \"sequenced_samples_per_sec\": {:.1},\n  \"overhead_pct\": {overhead_pct:.2}\n}}\n",
+        rate(push_ns),
+        rate(gated_ns),
+        rate(seq_ns),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
     if let Err(e) = std::fs::write(out, &json) {

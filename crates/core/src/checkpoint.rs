@@ -35,6 +35,13 @@
 //! `path_fp` section) are re-measured rather than replayed with a fabricated
 //! path history. Writes go through a temp file + rename so a kill mid-write
 //! never leaves a half checkpoint behind.
+//!
+//! The store also holds opaque named blobs (the monitor's shard state) in a
+//! `TSLPBLOB` frame: magic, version (2), fingerprint, payload length, the
+//! payload, and a CRC-32 over all of it. [`CheckpointStore::load_blob_checked`]
+//! reads a damaged frame as [`BlobStatus::Corrupt`], and a frame of any other
+//! version — including v1, which had no CRC — or a foreign fingerprint as
+//! [`BlobStatus::Stale`], a plain miss.
 
 use crate::series::{LinkSeries, SeriesConfig};
 use ixp_prober::tslp::TslpTarget;
@@ -52,10 +59,9 @@ const BLOB_MAGIC: &[u8; 8] = b"TSLPBLOB";
 /// Current blob frame version. v2 adds a trailing CRC-32 over the whole
 /// frame (header + payload), so torn writes and bit flips are *detected*
 /// ([`BlobStatus::Corrupt`]) rather than conflated with an honest miss.
-/// v1 frames (no CRC) decode as [`BlobStatus::Stale`] — a miss, never a
-/// panic, never trusted payload.
+/// Every other version, v1 (no CRC) included, decodes as
+/// [`BlobStatus::Stale`] — a miss, never a panic, never trusted payload.
 const BLOB_VERSION: u32 = 2;
-const BLOB_VERSION_V1: u32 = 1;
 /// Fixed frame bytes around a v2 payload: magic(8) + version(4) +
 /// fingerprint(8) + length(8) before it, CRC-32(4) after it.
 const BLOB_V2_OVERHEAD: usize = 8 + 4 + 8 + 8 + 4;
@@ -94,10 +100,10 @@ pub enum BlobStatus {
     Ok(Vec<u8>),
     /// No blob file under this name.
     Missing,
-    /// A structurally valid frame that must not be replayed: wrong
-    /// fingerprint (another deployment's state) or an old/unknown frame
-    /// version. Rebuild from scratch; do not quarantine — the file is not
-    /// damaged, merely not ours.
+    /// A frame that must not be replayed: wrong fingerprint (another
+    /// deployment's state) or any version other than the current one.
+    /// Rebuild from scratch; do not quarantine — the file is not damaged,
+    /// merely not ours.
     Stale,
     /// The frame is damaged: bad magic, torn length, or CRC mismatch.
     /// Quarantine it (see [`CheckpointStore::quarantine_blob`]) so the
@@ -201,9 +207,10 @@ impl CheckpointStore {
 
     /// Load a named blob, distinguishing every miss mode: a damaged frame
     /// ([`BlobStatus::Corrupt`]) warrants quarantining the file; a missing
-    /// or foreign one is a plain rebuild-from-scratch. Never panics on any
-    /// byte sequence — truncated, flipped, garbage-prefixed, or v1 frames
-    /// all decode to a non-`Ok` status.
+    /// or foreign one (wrong fingerprint, or any version but the current
+    /// one) is a plain rebuild-from-scratch. Never panics on any byte
+    /// sequence — truncated, flipped, garbage-prefixed, or v1 frames all
+    /// decode to a non-`Ok` status.
     pub fn load_blob_checked(&self, name: &str) -> BlobStatus {
         let Ok(path) = self.blob_path(name) else { return BlobStatus::Missing };
         let bytes = match fs::read(&path) {
@@ -217,16 +224,9 @@ impl CheckpointStore {
             return BlobStatus::Corrupt;
         }
         let Some(version) = c.u32() else { return BlobStatus::Corrupt };
-        if version == BLOB_VERSION_V1 {
-            // v1 had no CRC: a structurally plausible frame is merely
-            // stale (decode as a miss), a torn one is corrupt.
-            return match (c.u64(), c.u64()) {
-                (Some(_fp), Some(n)) if bytes.len() - c.pos == n as usize => BlobStatus::Stale,
-                _ => BlobStatus::Corrupt,
-            };
-        }
         if version != BLOB_VERSION {
-            // An unknown (future) version: not ours to judge — a miss.
+            // An old (v1, no CRC) or unknown future version: not ours to
+            // judge — a miss.
             return BlobStatus::Stale;
         }
         let (Some(fp), Some(n)) = (c.u64(), c.u64()) else { return BlobStatus::Corrupt };
@@ -587,10 +587,11 @@ mod tests {
         fs::write(&path, v1_frame(0x1111, b"payload-from-pr8")).unwrap();
         assert_eq!(store.load_blob_checked("old"), BlobStatus::Stale);
         assert_eq!(store.load_blob("old"), None);
-        // A torn v1 frame is corrupt.
+        // A torn v1 frame is a miss too: past its version word, a v1
+        // frame is never read.
         let full = v1_frame(0x1111, b"payload-from-pr8");
         fs::write(&path, &full[..full.len() - 3]).unwrap();
-        assert_eq!(store.load_blob_checked("old"), BlobStatus::Corrupt);
+        assert_eq!(store.load_blob_checked("old"), BlobStatus::Stale);
         // An unknown future version is stale (not ours to judge).
         let mut future = full.clone();
         future[8..12].copy_from_slice(&9u32.to_le_bytes());

@@ -16,16 +16,19 @@
 //!   slabs that absorb heavy read traffic (dashboards, alerting pollers)
 //!   without stalling ingestion, plus lock-free elevated-link aggregates
 //!   per IXP.
-//! - [`service`] — [`MonitorService`]: shard layout, batched ingestion
-//!   (sequential or across a thread pool, bit-identical either way), live
-//!   gauges through any [`ixp_obs::Recorder`], and checkpoint/resume of the
-//!   full shard state through [`tslp_core::CheckpointStore`] blobs so a
-//!   restarted monitor continues exactly where it stopped.
+//! - [`service`] — [`MonitorService`]: shard layout, one ingest path
+//!   ([`MonitorService::ingest_sequenced`]: admission control, per-link
+//!   sequence gates, supervised shard workers — sequential or across a
+//!   thread pool, bit-identical either way), live gauges through any
+//!   [`ixp_obs::Recorder`], and checkpoint/resume of the full shard state
+//!   through [`tslp_core::CheckpointStore`] blobs so a restarted monitor
+//!   continues exactly where it stopped.
 //!
 //! Memory is O(links), about 570 bytes per link: no link retains its RTT
 //! series — only the O(1) detector state, the current health window
 //! counters, its admission gate and its published verdict.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod index;

@@ -4,8 +4,10 @@
 //!
 //! ## Admission control and supervision
 //!
-//! [`MonitorService::ingest_sequenced`] is the untrusted-collector path:
-//! unknown ids and reserved sequences are rejected, per-shard demand beyond
+//! [`MonitorService::ingest_sequenced`] is the service's one way in; every
+//! sample carries its link's sequence number (a producer that probes in
+//! order passes its round). Unknown ids and reserved sequences are
+//! rejected, per-shard demand beyond
 //! [`MonitorConfig::max_shard_batch`] is shed by a seeded hash at
 //! single-threaded partition time (so shed decisions are bit-identical at
 //! any thread count), and each link's [`SeqGate`] heals small reorders,
@@ -37,8 +39,8 @@
 //! the reused batch buffers — each slab's verdict buffer and the service's
 //! per-shard partition lists — add 120 + 40 bytes per sample of the
 //! largest batch so far (one per link when each batch is one round).
-//! Because the partition lists are shared, ingest calls (raw and sequenced)
-//! serialize; readers never wait for them.
+//! Because the partition lists are shared, ingest calls serialize; readers
+//! never wait for them.
 //!
 //! ## Checkpoint/resume
 //!
@@ -293,9 +295,7 @@ impl ShardSlab {
     }
 }
 
-/// One partitioned batch item: `(sequence number, link id, sample)` on the
-/// sequenced path; on the raw path the first word is the item's batch
-/// position instead.
+/// One partitioned batch item: `(sequence number, link id, sample)`.
 type Item = (u64, u32, MonitorSample);
 
 /// Per-shard supervision bookkeeping (all lock-free).
@@ -362,8 +362,7 @@ pub struct MonitorService {
     shards: Vec<Mutex<ShardSlab>>,
     /// Per-shard item lists of the batch being ingested, cleared (never
     /// freed) between batches. Held for the whole of an ingest call, so
-    /// ingest calls — raw and sequenced alike — serialize; readers never
-    /// touch it.
+    /// ingest calls serialize; readers never touch it.
     partition: Mutex<Vec<Vec<Item>>>,
     metas: Vec<ShardMeta>,
     index: VerdictIndex,
@@ -372,7 +371,7 @@ pub struct MonitorService {
     /// High-water per-shard demand (pre-shedding) since the last gauge
     /// publication — overload is visible *before* shedding starts.
     shard_backlog_max: AtomicU64,
-    /// Batches ingested (raw or sequenced) — the supervision clock.
+    /// Batches ingested — the supervision clock.
     batches: AtomicU64,
     /// Attached checkpoint store, used by the supervisor to restore a
     /// panicked shard from its last good blob. `None` = rebuild fresh.
@@ -532,8 +531,8 @@ impl MonitorService {
         *self.store.lock() = Some(store);
     }
 
-    /// Batches ingested so far (raw and sequenced) — the clock chaos hooks
-    /// and the Degraded-mode hold are expressed in.
+    /// Batches ingested so far — the clock chaos hooks and the
+    /// Degraded-mode hold are expressed in.
     pub fn batches_ingested(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
@@ -588,93 +587,23 @@ impl MonitorService {
         self.index.verdict(id)
     }
 
-    /// Total samples ingested.
+    /// Total samples delivered to link detectors.
     pub fn samples_ingested(&self) -> u64 {
         self.ingested.load(Ordering::Relaxed)
     }
 
-    /// Ingest a batch of `(link id, sample)` pairs — the trusted-producer
-    /// path (a probe loop feeding in-order samples). Per-link sample
-    /// order within the batch is preserved; the resulting state is
-    /// bit-identical at any [`MonitorConfig::threads`] setting. Returns the
-    /// per-sample updates in batch order. A worker panic is supervised:
-    /// the shard restores from its last good checkpoint (or fresh) and the
-    /// shard's items replay. Ingest calls serialize (see the module docs).
-    pub fn ingest(&self, batch: &[(u32, MonitorSample)]) -> Vec<LinkUpdate> {
-        let n_shards = self.shards.len();
-        let mut partition = self.partition.lock();
-        let per_shard = &mut *partition;
-        let batch_idx = self.batches.fetch_add(1, Ordering::Relaxed);
-        // Stable partition by shard: arrival order preserved per shard,
-        // therefore per link.
-        per_shard.iter_mut().for_each(Vec::clear);
-        for (pos, &(id, s)) in batch.iter().enumerate() {
-            assert!((id as usize) < self.ixp_of.len(), "unknown link id {id}");
-            per_shard[id as usize % n_shards].push((pos as u64, id, s));
-        }
-        let backlog = per_shard.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-        self.shard_backlog_max.fetch_max(backlog, Ordering::Relaxed);
-
-        let mut updates = vec![
-            LinkUpdate {
-                round: 0,
-                verdict: ixp_chgpt::OnlineVerdict::Quiet,
-                masked: false,
-                health_changed: false,
-                health_before: tslp_core::LinkHealth::Clean,
-                noteworthy: false,
-            };
-            batch.len()
-        ];
-        // Fetched once per batch and passed down by reference: the workers
-        // must not pay a lock plus refcount round-trip per shard pass.
-        let fl = self.flight_if_live();
-        let threads = tslp_core::resolve_threads(self.cfg.threads).min(n_shards.max(1));
-        if threads <= 1 {
-            for (shard, items) in per_shard.iter().enumerate() {
-                self.raw_shard_supervised(shard, items, &mut updates, batch_idx, fl.as_deref());
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slices = SliceWriter::new(&mut updates);
-            let fl = fl.as_deref();
-            std::thread::scope(|sc| {
-                for _ in 0..threads {
-                    sc.spawn(|| loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= n_shards {
-                            break;
-                        }
-                        // SAFETY (by construction): each batch position
-                        // appears in exactly one shard's item list, so no
-                        // two workers write the same updates slot.
-                        self.raw_shard_supervised(
-                            shard,
-                            &per_shard[shard],
-                            unsafe { slices.get() },
-                            batch_idx,
-                            fl,
-                        );
-                    });
-                }
-            });
-        }
-        self.ingest_meter.mark(batch.len() as u64);
-        self.ingested.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.note_mode(batch_idx);
-        updates
-    }
-
-    /// Ingest a batch of `(link id, sequence, sample)` triples — the
-    /// untrusted-collector path. Admission control runs first, single
+    /// Ingest a batch of `(link id, sequence, sample)` triples. Per-link
+    /// sequence numbers start at 0 and count up; a producer that probes in
+    /// order passes its round. Admission control runs first, single
     /// threaded and deterministic: unknown ids and the reserved sequence
     /// `u64::MAX` are rejected; when a shard's demand exceeds
     /// [`MonitorConfig::max_shard_batch`], the excess is shed by seeded
     /// hash (reproducible at any thread count). Surviving samples then pass
     /// their link's [`SeqGate`]: in-order and healed-reorder samples reach
     /// the detector, duplicates/stale/abandoned sequences are counted.
-    /// Worker panics are supervised exactly as in [`MonitorService::ingest`],
-    /// and ingest calls serialize the same way.
+    /// A worker panic is supervised: the shard restores from its last good
+    /// checkpoint (or fresh) and the shard's items replay. Ingest calls
+    /// serialize (see the module docs).
     pub fn ingest_sequenced(&self, batch: &[(u32, u64, MonitorSample)]) -> IngestReport {
         let n_shards = self.shards.len();
         let mut partition = self.partition.lock();
@@ -751,7 +680,7 @@ impl MonitorService {
         let threads = tslp_core::resolve_threads(self.cfg.threads).min(n_shards.max(1));
         if threads <= 1 {
             for (shard, items) in per_shard.iter().enumerate() {
-                self.seq_shard_supervised(shard, items, batch_idx, &acc, fl.as_deref());
+                self.shard_supervised(shard, items, batch_idx, &acc, fl.as_deref());
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -763,7 +692,7 @@ impl MonitorService {
                         if shard >= n_shards {
                             break;
                         }
-                        self.seq_shard_supervised(shard, &per_shard[shard], batch_idx, &acc, flr);
+                        self.shard_supervised(shard, &per_shard[shard], batch_idx, &acc, flr);
                     });
                 }
             });
@@ -797,26 +726,9 @@ impl MonitorService {
         }
     }
 
-    /// Run one shard's raw pass under the supervisor.
-    fn raw_shard_supervised(
-        &self,
-        shard: usize,
-        items: &[Item],
-        updates: &mut [LinkUpdate],
-        batch: u64,
-        fl: Option<&FlightRecorder>,
-    ) {
-        if items.is_empty() {
-            return;
-        }
-        let _ = self.supervised(shard, batch, items.len(), None, || {
-            self.run_shard_raw(shard, items, updates, batch, fl)
-        });
-    }
-
-    /// Run one shard's sequenced pass under the supervisor, folding its
-    /// gate totals into the batch accumulator.
-    fn seq_shard_supervised(
+    /// Run one shard's pass under the supervisor, folding its gate totals
+    /// into the batch accumulator.
+    fn shard_supervised(
         &self,
         shard: usize,
         items: &[Item],
@@ -827,8 +739,8 @@ impl MonitorService {
         if items.is_empty() {
             return;
         }
-        let totals = self.supervised(shard, batch, items.len(), Some(acc), || {
-            self.run_shard_seq(shard, items, batch, fl)
+        let totals = self.supervised(shard, batch, items.len(), acc, || {
+            self.run_shard(shard, items, batch, fl)
         });
         if let Some(t) = totals {
             acc.delivered.fetch_add(t.delivered, Ordering::Relaxed);
@@ -851,7 +763,7 @@ impl MonitorService {
         shard: usize,
         batch: u64,
         items: usize,
-        acc: Option<&BatchAcc>,
+        acc: &BatchAcc,
         mut run: impl FnMut() -> T,
     ) -> Option<T> {
         if let Ok(v) = catch_unwind(AssertUnwindSafe(&mut run)) {
@@ -861,9 +773,7 @@ impl MonitorService {
         let meta = &self.metas[shard];
         let restarts = meta.restarts.fetch_add(1, Ordering::Relaxed) + 1;
         meta.last_restart_batch.store(batch, Ordering::Relaxed);
-        if let Some(acc) = acc {
-            acc.restarts.fetch_add(1, Ordering::Relaxed);
-        }
+        acc.restarts.fetch_add(1, Ordering::Relaxed);
         let fl = self.flight_if_live();
         if let Some(fl) = fl.as_deref() {
             Recorder::trace(
@@ -901,39 +811,7 @@ impl MonitorService {
         }
     }
 
-    fn run_shard_raw(
-        &self,
-        shard: usize,
-        items: &[Item],
-        updates: &mut [LinkUpdate],
-        batch: u64,
-        fl: Option<&FlightRecorder>,
-    ) {
-        let boom = self.take_armed(shard, batch);
-        let n_shards = self.shards.len();
-        let mut slab = self.shards[shard].lock();
-        let ShardSlab { links, verdicts, .. } = &mut *slab;
-        verdicts.clear();
-        for (done, &(pos, id, ref s)) in items.iter().enumerate() {
-            if boom == Some(done) {
-                panic!("armed chaos panic (shard {shard}, batch {batch})");
-            }
-            let slot = id as usize / n_shards;
-            let up = links[slot].push(s, &self.cfg);
-            if let Some(fl) = fl {
-                if up.noteworthy {
-                    trace_update(fl, shard as u32, id, up, &links[slot]);
-                }
-            }
-            updates[pos as usize] = up;
-            verdicts.push((id, verdict_of(&links[slot], &self.cfg)));
-        }
-        // The index write lock is taken only once the batch's detector math
-        // is done: readers contend with the verdict copy, nothing more.
-        self.index.publish(shard, verdicts, &self.ixp_of);
-    }
-
-    fn run_shard_seq(
+    fn run_shard(
         &self,
         shard: usize,
         items: &[Item],
@@ -1018,8 +896,9 @@ impl MonitorService {
                     }
                 }
             }
-            // As in `run_shard_raw`: the index write lock waits for no
-            // detector math.
+            // The index write lock is taken only once the batch's detector
+            // math is done: readers contend with the verdict copy, nothing
+            // more.
             self.index.publish(shard, verdicts, &self.ixp_of);
         }
         totals
@@ -1500,30 +1379,6 @@ fn trace_update(fl: &FlightRecorder, shard: u32, link: u32, up: LinkUpdate, st: 
     }
 }
 
-/// Shared mutable-slice handle for the shard workers. Safe use rests on the
-/// partition invariant: each batch position is written by exactly one
-/// worker (the one that claimed its shard).
-struct SliceWriter<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-unsafe impl<T: Send> Send for SliceWriter<'_, T> {}
-unsafe impl<T: Send> Sync for SliceWriter<'_, T> {}
-
-impl<'a, T> SliceWriter<'a, T> {
-    fn new(slice: &'a mut [T]) -> SliceWriter<'a, T> {
-        SliceWriter { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: std::marker::PhantomData }
-    }
-    /// # Safety
-    /// Callers must never write the same index from two threads.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1547,12 +1402,17 @@ mod tests {
         }
     }
 
-    fn drive(svc: &MonitorService, n: usize, rounds: std::ops::Range<u64>) {
-        for r in rounds {
-            let batch: Vec<(u32, MonitorSample)> =
-                (0..n as u32).map(|id| (id, sample(id, r))).collect();
-            svc.ingest(&batch);
-        }
+    /// Ingest rounds `rounds` of every link in order (sequence number =
+    /// round), returning the last batch's report.
+    fn drive(svc: &MonitorService, n: usize, rounds: std::ops::Range<u64>) -> IngestReport {
+        rounds
+            .map(|r| {
+                let batch: Vec<(u32, u64, MonitorSample)> =
+                    (0..n as u32).map(|id| (id, r, sample(id, r))).collect();
+                svc.ingest_sequenced(&batch)
+            })
+            .last()
+            .expect("drive ingests at least one round")
     }
 
     /// Every shard's checkpoint payload, parked samples included.
@@ -1574,19 +1434,6 @@ mod tests {
         }
         // Every 10th link stepped up and must be elevated.
         assert_eq!(a.index.elevated_links(), (n as u64).div_ceil(10));
-    }
-
-    #[test]
-    fn updates_come_back_in_batch_order() {
-        let n = 50;
-        let svc = MonitorService::new(MonitorConfig { threads: 3, shards: 5, ..MonitorConfig::default() }, &links(n, 2));
-        let batch: Vec<(u32, MonitorSample)> =
-            (0..n as u32).map(|id| (id, sample(id, 0))).collect();
-        let ups = svc.ingest(&batch);
-        assert_eq!(ups.len(), n);
-        assert!(ups.iter().all(|u| u.round == 0));
-        let ups2 = svc.ingest(&batch);
-        assert!(ups2.iter().all(|u| u.round == 1));
     }
 
     #[test]
@@ -1643,7 +1490,7 @@ mod tests {
     }
 
     /// Digest of link states only (gate counters excluded), for comparing
-    /// the raw and sequenced paths, which drive gates differently.
+    /// services whose gates saw different arrivals.
     fn links_digest(svc: &MonitorService) -> Vec<u8> {
         let mut out = Vec::new();
         for shard in &svc.shards {
@@ -1654,42 +1501,42 @@ mod tests {
         out
     }
 
-    fn drive_seq(svc: &MonitorService, n: usize, rounds: std::ops::Range<u64>) -> IngestReport {
-        let mut last = IngestReport {
-            accepted: 0,
-            delivered: 0,
-            rejected: 0,
-            shed: 0,
-            duplicates: 0,
-            stale: 0,
-            reordered: 0,
-            dropped: 0,
-            restarts: 0,
-            mode: ServiceMode::Healthy,
-        };
-        for r in rounds {
-            let batch: Vec<(u32, u64, MonitorSample)> =
-                (0..n as u32).map(|id| (id, r, sample(id, r))).collect();
-            last = svc.ingest_sequenced(&batch);
-        }
-        last
-    }
-
+    /// In-order sequenced ingest is a plain per-link push loop: the gates
+    /// deliver every sample, and the link states and verdicts equal those
+    /// of bare `LinkState::push` calls over the same samples.
     #[test]
-    fn sequenced_in_order_matches_raw_path() {
+    fn sequenced_in_order_matches_bare_push_loop() {
         let n = 80;
-        let cfg = MonitorConfig::default();
-        let raw = MonitorService::new(cfg, &links(n, 3));
-        let seq = MonitorService::new(cfg, &links(n, 3));
-        drive(&raw, n, 0..200);
-        let report = drive_seq(&seq, n, 0..200);
-        assert_eq!(links_digest(&raw), links_digest(&seq));
-        for id in 0..n as u32 {
-            assert_eq!(raw.verdict(id), seq.verdict(id));
+        for threads in [1usize, 3] {
+            let cfg = MonitorConfig { threads, ..MonitorConfig::default() };
+            let svc = MonitorService::new(cfg, &links(n, 3));
+            let report = drive(&svc, n, 0..200);
+            let mut bare: Vec<LinkState> = (0..n).map(|_| LinkState::with_config(&cfg)).collect();
+            for r in 0..200 {
+                for (id, st) in bare.iter_mut().enumerate() {
+                    st.push(&sample(id as u32, r), &cfg);
+                }
+            }
+            let mut want = Vec::new();
+            for shard in 0..cfg.shards {
+                for st in bare.iter().skip(shard).step_by(cfg.shards) {
+                    st.encode_into(&mut want);
+                }
+            }
+            assert!(bare.iter().any(|st| st.alarms() > 0), "the stream must raise alarms");
+            assert_eq!(links_digest(&svc), want, "threads={threads}");
+            for (id, st) in bare.iter().enumerate() {
+                let v = svc.verdict(id as u32);
+                assert_eq!(
+                    (v.round, v.alarms, v.masked_alarms, v.elevated),
+                    (st.rounds(), st.alarms(), st.masked_alarms(), st.detector().is_elevated()),
+                    "threads={threads}: link {id}"
+                );
+            }
+            assert_eq!(report.delivered, n as u64);
+            assert_eq!(report.mode, ServiceMode::Healthy);
+            assert_eq!(svc.samples_ingested(), 200 * n as u64);
         }
-        assert_eq!(report.delivered, n as u64);
-        assert_eq!(report.mode, ServiceMode::Healthy);
-        assert_eq!(seq.samples_ingested(), 200 * n as u64);
     }
 
     #[test]
@@ -1707,7 +1554,7 @@ mod tests {
             }
         };
         let inorder = MonitorService::new(MonitorConfig::default(), &links(n, 3));
-        drive_seq(&inorder, n, 0..200);
+        drive(&inorder, n, 0..200);
         for threads in [1usize, 3] {
             let cfg = MonitorConfig { threads, ..MonitorConfig::default() };
             let svc = MonitorService::new(cfg, &links(n, 3));
@@ -1857,7 +1704,7 @@ mod tests {
     fn duplicates_and_replays_never_reach_detectors() {
         let n = 40;
         let clean = MonitorService::new(MonitorConfig::default(), &links(n, 2));
-        drive_seq(&clean, n, 0..150);
+        drive(&clean, n, 0..150);
         let noisy = MonitorService::new(MonitorConfig::default(), &links(n, 2));
         for r in 0..150u64 {
             let mut batch: Vec<(u32, u64, MonitorSample)> =
@@ -1920,7 +1767,7 @@ mod tests {
             ..MonitorConfig::default()
         };
         let svc = MonitorService::new(cfg, &links(n, 2));
-        drive_seq(&svc, n, 0..1); // 8 per shard > 4: sheds
+        drive(&svc, n, 0..1); // 8 per shard > 4: sheds
         assert_eq!(svc.mode(), ServiceMode::Degraded);
         // Small batches below the cap: pressure is gone, hold decays.
         for r in 1..6u64 {
@@ -1955,21 +1802,21 @@ mod tests {
         for threads in [1usize, 3] {
             let cfg = MonitorConfig { threads, shards: 5, ..MonitorConfig::default() };
             let straight = MonitorService::new(cfg, &links(n, 3));
-            drive_seq(&straight, n, 0..120);
+            drive(&straight, n, 0..120);
 
             let svc = MonitorService::new(cfg, &links(n, 3));
             let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
             svc.set_store(store);
-            drive_seq(&svc, n, 0..80);
+            drive(&svc, n, 0..80);
             // Checkpoint right before the faulty batch: the replay restores
             // it and re-runs batch 80, so nothing diverges.
             assert!(svc.checkpoint_attached().unwrap());
             svc.arm_panic(2, svc.batches_ingested(), 3);
-            let report = drive_seq(&svc, n, 80..81);
+            let report = drive(&svc, n, 80..81);
             assert_eq!(report.restarts, 1, "threads={threads}");
             assert_eq!(report.mode, ServiceMode::Degraded);
             assert_eq!(svc.quarantined_shards(), 0);
-            drive_seq(&svc, n, 81..120);
+            drive(&svc, n, 81..120);
             assert_eq!(state_digest(&straight), state_digest(&svc), "threads={threads}");
             for id in 0..n as u32 {
                 assert_eq!(straight.verdict(id), svc.verdict(id), "threads={threads}");
@@ -1983,20 +1830,20 @@ mod tests {
         let n = 30;
         let cfg = MonitorConfig { shards: 3, ..MonitorConfig::default() };
         let svc = MonitorService::new(cfg, &links(n, 2));
-        drive_seq(&svc, n, 0..10);
+        drive(&svc, n, 0..10);
         // Two armed panics for the same (shard, batch): the replay hits the
         // second one and the shard quarantines.
         let b = svc.batches_ingested();
         svc.arm_panic(1, b, 2);
         svc.arm_panic(1, b, 4);
-        let report = drive_seq(&svc, n, 10..11);
+        let report = drive(&svc, n, 10..11);
         assert_eq!(report.restarts, 1);
         assert_eq!(svc.quarantined_shards(), 1);
         assert_eq!(svc.mode(), ServiceMode::Degraded);
         // Unaffected shards kept publishing: their links saw round 10.
         assert_eq!(svc.verdict(0).round, 11);
         // Next clean pass clears the quarantine.
-        drive_seq(&svc, n, 11..12);
+        drive(&svc, n, 11..12);
         assert_eq!(svc.quarantined_shards(), 0);
     }
 
@@ -2009,7 +1856,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
         let first = MonitorService::new(cfg, &links(n, 3));
-        drive_seq(&first, n, 0..90);
+        drive(&first, n, 0..90);
         first.checkpoint(&store).unwrap();
         // Flip the CRC byte of shard 1's blob.
         let blob = dir.join("blob-monitor-shard-001.blob");

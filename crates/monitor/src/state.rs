@@ -501,8 +501,8 @@ pub struct SeqGate {
     /// Occupied `buf` slots (0 exactly when `buf` is `None`). Declared
     /// next to `next_seq` under `repr(C)` on purpose: the in-order hot
     /// path reads exactly these two words and nothing else, so a healthy
-    /// producer costs one cache line per gate — the resilience bench holds
-    /// that fast path under 3% over raw ingest.
+    /// producer costs one cache line per gate — the resilience bench
+    /// measures that fast path's share of sequenced ingest (gated at 3%).
     live: u64,
     duplicates: u64,
     stale: u64,

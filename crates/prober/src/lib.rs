@@ -11,7 +11,7 @@
 //!   the near and far routers of each mapped link (§3–4);
 //! - [`loss`] — 1 packet/s, 100-probe loss batches (§4, Figures 2b/3b);
 //! - [`rr`] — record-route path-symmetry checks (§5.2);
-//! - [`fingerprint`] — per-round path fingerprints from the TSLP TTL ladder
+//! - [`mod@fingerprint`] — per-round path fingerprints from the TSLP TTL ladder
 //!   plus periodic RR symmetry spot checks, so the campaign records when the
 //!   near/far path actually changed.
 //!

@@ -211,12 +211,13 @@ fn service_kill_resume_over_corpus_at_1_and_3_threads() {
     let rounds = corpus.iter().map(|s| s.len()).min().unwrap_or(0);
     assert!(rounds > 200);
     let links: Vec<LinkDesc> = (0..n).map(|i| LinkDesc { ixp: i as u32 % 3 }).collect();
-    let batch_at = |r: usize| -> Vec<(u32, MonitorSample)> {
+    let batch_at = |r: usize| -> Vec<(u32, u64, MonitorSample)> {
         (0..n)
             .map(|li| {
                 let s = &corpus[li];
                 (
                     li as u32,
+                    r as u64,
                     MonitorSample { far_ms: s.far_ms[r], path_fp: s.path_fp[r], far_addr_ok: true },
                 )
             })
@@ -230,20 +231,20 @@ fn service_kill_resume_over_corpus_at_1_and_3_threads() {
 
         let straight = MonitorService::new(cfg, &links);
         for r in 0..rounds {
-            straight.ingest(&batch_at(r));
+            straight.ingest_sequenced(&batch_at(r));
         }
 
         let cut = rounds / 2;
         let first = MonitorService::new(cfg, &links);
         for r in 0..cut {
-            first.ingest(&batch_at(r));
+            first.ingest_sequenced(&batch_at(r));
         }
         first.checkpoint(&store).unwrap();
         drop(first);
         let resumed =
             MonitorService::resume(cfg, &links, &store).expect("corpus checkpoint must resume");
         for r in cut..rounds {
-            resumed.ingest(&batch_at(r));
+            resumed.ingest_sequenced(&batch_at(r));
         }
 
         for id in 0..n as u32 {
@@ -274,12 +275,13 @@ fn live_recorder_is_invisible_and_explains_every_alarm() {
     let rounds = corpus.iter().map(|s| s.len()).min().unwrap_or(0);
     assert!(rounds > 200);
     let links: Vec<LinkDesc> = (0..n).map(|i| LinkDesc { ixp: i as u32 % 3 }).collect();
-    let batch_at = |r: usize| -> Vec<(u32, MonitorSample)> {
+    let batch_at = |r: usize| -> Vec<(u32, u64, MonitorSample)> {
         (0..n)
             .map(|li| {
                 let s = &corpus[li];
                 (
                     li as u32,
+                    r as u64,
                     MonitorSample { far_ms: s.far_ms[r], path_fp: s.path_fp[r], far_addr_ok: true },
                 )
             })
@@ -289,14 +291,14 @@ fn live_recorder_is_invisible_and_explains_every_alarm() {
 
     let plain = MonitorService::new(cfg, &links);
     for r in 0..rounds {
-        plain.ingest(&batch_at(r));
+        plain.ingest_sequenced(&batch_at(r));
     }
 
     let traced = MonitorService::new(cfg, &links);
     let fl = Arc::new(FlightRecorder::new(cfg.shards, 1 << 16));
     traced.attach_flight_recorder(Arc::clone(&fl));
     for r in 0..rounds {
-        traced.ingest(&batch_at(r));
+        traced.ingest_sequenced(&batch_at(r));
     }
 
     // Tracing must be invisible to the pipeline: every published verdict —
@@ -406,13 +408,14 @@ fn thousand_link_continent_monitor_smoke() {
     let cfg = MonitorConfig { threads: 2, shards: 32, ..MonitorConfig::default() };
     let svc = MonitorService::new(cfg, &links);
     for r in 0..rounds {
-        let batch: Vec<(u32, MonitorSample)> = (0..n)
+        let batch: Vec<(u32, u64, MonitorSample)> = (0..n)
             .map(|li| {
                 let (far, fp, _) = &series[li];
-                (li as u32, MonitorSample { far_ms: far[r], path_fp: fp[r], far_addr_ok: true })
+                let s = MonitorSample { far_ms: far[r], path_fp: fp[r], far_addr_ok: true };
+                (li as u32, r as u64, s)
             })
             .collect();
-        svc.ingest(&batch);
+        svc.ingest_sequenced(&batch);
     }
 
     let mut hot_elevated = 0u32;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: release build, full test suite, lint-clean workspace
-# and benchmark.
+# Repo health gate: release build, full test suite, lint-clean workspace,
+# warning-free rustdoc and benchmark.
 #
 # With --bench-gates, additionally runs the seven performance gates (health,
 # detect, obs, campaign, monitor, resilience and trace, each with its
@@ -43,6 +43,11 @@ cargo run --release --example online_monitor > /dev/null
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# Neither the build nor clippy resolves intra-doc links, so a link to a
+# deleted or renamed item would otherwise rot unnoticed.
+echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
