@@ -1,5 +1,5 @@
 //! Campaign throughput (DESIGN.md §5, §5.16): the links-scaling curve and
-//! the worker-pool thread sweep, written to `BENCH_campaign.json`.
+//! the worker-pool thread sweep, in one record.
 //!
 //! The headline is the scaling curve: a continent-scale substrate
 //! (`ixp_topology::continent`) at 1k / 10k / 100k member links, each point
@@ -7,14 +7,16 @@
 //! `LinkSeries` drops the moment its verdict is out. Per point we record
 //! `links_per_sec` and `peak_rss_mb` (VmHWM, reset between points) — the
 //! curve documents that throughput holds roughly flat while peak memory
-//! grows with the substrate, not with links × windows. The 1k point leads
-//! the file so `scripts/bench_campaign.sh` can regression-gate it.
+//! grows with the substrate, not with links × windows. The record goes to
+//! `target/bench-records/campaign.json`; the `bench-gate` binary
+//! regression-gates the 1k point against `BENCH_campaign.json`.
 //!
 //! The second section keeps the original sixteen-branch hub workload and
 //! sweeps the worker pool, half the branches carrying a diurnal overload so
 //! both screening outcomes appear in every run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ixp_bench::record::Record;
 use ixp_prober::tslp::TslpTarget;
 use ixp_simnet::prelude::*;
 use ixp_topology::{build_continent, ContinentSpec};
@@ -126,18 +128,19 @@ fn campaign_throughput(c: &mut Criterion) {
     }
     g.finish();
 
+    let mut rec = Record::new("campaign");
     let seq_ns = measured[0].1;
     let links = targets.len() as f64;
-    let mut sweep_rows = Vec::new();
     for &(threads, ns) in &measured {
         let links_per_sec = if ns > 0.0 { links * 1e9 / ns } else { 0.0 };
         let speedup = if ns > 0.0 { seq_ns / ns } else { 0.0 };
         eprintln!(
             "[campaign] threads={threads:<2} {links_per_sec:>8.1} links/s  speedup {speedup:.2}x"
         );
-        sweep_rows.push(format!(
-            "    {{\"threads\": {threads}, \"mean_ns\": {ns:.0}, \"links_per_sec\": {links_per_sec:.1}, \"speedup\": {speedup:.3}}}"
-        ));
+        let point = format!("sweep_16_links.threads_{threads}");
+        rec.metric(format!("{point}.mean_ns"), "ns", ns)
+            .metric(format!("{point}.links_per_sec"), "links/s", links_per_sec)
+            .metric(format!("{point}.speedup"), "x", speedup);
     }
 
     // ---- Section 2: links-scaling curve on the continent substrate. ----
@@ -145,36 +148,25 @@ fn campaign_throughput(c: &mut Criterion) {
     // threads auto-sized to the host. Small points get extra passes to damp
     // timer noise; the 100k point is a single ~2-minute pass.
     let scale_cfg = base; // threads: 0 (auto)
-    let mut scale_rows = Vec::new();
     for &(nominal, iters) in &[(1_000u32, 3usize), (10_000, 1), (100_000, 1)] {
         let (actual, wall_s, lps, rss) = scaling_point(nominal, iters, &scale_cfg);
         eprintln!(
             "[campaign] scale {nominal:>6} links ({actual} actual): {lps:>8.1} links/s, peak RSS {rss:.1} MiB"
         );
-        scale_rows.push(format!(
-            "    {{\"links\": {actual}, \"wall_s\": {wall_s:.3}, \"links_per_sec\": {lps:.1}, \"peak_rss_mb\": {rss:.1}}}"
-        ));
+        let point = format!("links_{nominal}");
+        rec.metric(format!("{point}.links"), "count", actual as f64)
+            .metric(format!("{point}.wall_s"), "s", wall_s)
+            .metric(format!("{point}.links_per_sec"), "links/s", lps)
+            .metric(format!("{point}.peak_rss_mb"), "MiB", rss);
     }
 
     // Speedup is bounded by the host: on a single-core container every
-    // thread count collapses to ~1.0x, so record the parallelism the
-    // numbers were taken under.
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    eprintln!("[campaign] host parallelism: {host} (speedup is capped at this)");
+    // thread count collapses to ~1.0x; the record carries the parallelism
+    // the numbers were taken under.
+    eprintln!("[campaign] host parallelism: {} (speedup is capped at this)", rec.host_parallelism);
     let rounds = (base.end.0 - base.start.0) / base.interval.as_micros();
-    // The scaling section leads: the gate script reads the first
-    // `links_per_sec` in the file, which must be the 1k-link point.
-    let json = format!(
-        "{{\n  \"bench\": \"campaign_scaling\",\n  \"host_parallelism\": {host},\n  \"rounds_per_link\": {rounds},\n  \"scaling\": [\n{}\n  ],\n  \"thread_sweep_16_links\": [\n{}\n  ]\n}}\n",
-        scale_rows.join(",\n"),
-        sweep_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[campaign] could not write {out}: {e}");
-    } else {
-        eprintln!("[campaign] baseline written to {out}");
-    }
+    rec.regime("rounds_per_link", rounds).regime("threads", 0);
+    rec.write_fresh();
 }
 
 criterion_group! {

@@ -1,11 +1,12 @@
 //! Detection throughput (DESIGN.md §5.12): links per second through the
 //! §5.2 change-point engine over a synthetic 13-month corpus, priced
 //! against the frozen pre-change (seed) detector, with heap allocations on
-//! the scratch path counted by a wrapping global allocator. Writes the
-//! measured baseline to `BENCH_detect.json` at the repo root; see
-//! `scripts/bench_detect.sh` for the regression gate.
+//! the scratch path counted by a wrapping global allocator. Writes its
+//! record to `target/bench-records/detect.json`; the `bench-gate` binary
+//! gates it against `BENCH_detect.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ixp_bench::record::Record;
 use ixp_bench::{detect_corpus, seed_detector};
 use ixp_chgpt::segment::DetectorConfig;
 use ixp_chgpt::DetectorScratch;
@@ -110,47 +111,32 @@ fn detect_throughput(c: &mut Criterion) {
     let steady_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     eprintln!("[detect] steady-state allocations over {LINKS} links: {steady_allocs} (cps seen: {total_cps})");
 
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut rec = Record::new("detect");
     let per_link = |pass_ns: f64| pass_ns / LINKS as f64;
     let rate = |pass_ns: f64| if pass_ns > 0.0 { LINKS as f64 * 1e9 / pass_ns } else { 0.0 };
     let speedup = if pool_ns > 0.0 { seed_ns / pool_ns } else { 0.0 };
     eprintln!(
-        "[detect] seed {:.0} ns/link, scratch {:.0} ns/link, pool {:.0} ns/link ({:.2}x vs seed, host parallelism {host})",
+        "[detect] seed {:.0} ns/link, scratch {:.0} ns/link, pool {:.0} ns/link ({:.2}x vs seed, host parallelism {})",
         per_link(seed_ns),
         per_link(scratch_ns),
         per_link(pool_ns),
-        speedup
+        speedup,
+        rec.host_parallelism
     );
 
-    // Headline links_per_sec first: scripts/bench_detect.sh reads the first
-    // occurrence as the regression-gated figure.
-    let rows: Vec<String> = [
-        ("seed_baseline", seed_ns),
-        ("scratch_early_exit", scratch_ns),
-        ("scratch_parallel", pool_ns),
-    ]
-    .iter()
-    .map(|(name, ns)| {
-        format!(
-            "    {{\"name\": \"{name}\", \"mean_ns_per_link\": {:.0}, \"links_per_sec\": {:.2}}}",
-            per_link(*ns),
-            rate(*ns)
-        )
-    })
-    .collect();
-    let json = format!(
-        "{{\n  \"links_per_sec\": {:.2},\n  \"bench\": \"detect_throughput\",\n  \"mean_ns_per_link\": {:.0},\n  \"speedup_vs_seed\": {:.3},\n  \"steady_state_allocs\": {steady_allocs},\n  \"host_parallelism\": {host},\n  \"links\": {LINKS},\n  \"months\": {MONTHS},\n  \"samples_per_link\": {samples},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rate(pool_ns),
-        per_link(pool_ns),
-        speedup,
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_detect.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[detect] could not write {out}: {e}");
-    } else {
-        eprintln!("[detect] baseline written to {out}");
+    rec.regime("links", LINKS as u64)
+        .regime("months", MONTHS as u64)
+        .regime("samples_per_link", samples as u64)
+        .regime("threads", 0);
+    for (arm, ns) in
+        [("seed_baseline", seed_ns), ("scratch_early_exit", scratch_ns), ("scratch_parallel", pool_ns)]
+    {
+        rec.metric(format!("{arm}.links_per_sec"), "links/s", rate(ns))
+            .metric(format!("{arm}.mean_ns_per_link"), "ns", per_link(ns));
     }
+    rec.metric("speedup_vs_seed", "x", speedup)
+        .metric("steady_state_allocs", "count", steady_allocs as f64);
+    rec.write_fresh();
 }
 
 criterion_group! {

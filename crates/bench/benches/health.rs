@@ -2,11 +2,12 @@
 //! classification + fault-masked assessment against the plain unmasked
 //! assessment over the same synthetic corpus. The robustness layer runs on
 //! every link of every campaign, so it must be nearly free — the gate is
-//! <5% overhead. Writes `BENCH_health.json` at the repo root; see
-//! `scripts/bench_health.sh` for the regression gate.
+//! <5% overhead. Writes its record to `target/bench-records/health.json`;
+//! the `bench-gate` binary gates it against `BENCH_health.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ixp_bench::detect_corpus;
+use ixp_bench::record::Record;
 use ixp_chgpt::DetectorScratch;
 use ixp_obs::NoopRecorder;
 use ixp_simnet::prelude::{SimDuration, SimTime};
@@ -135,35 +136,17 @@ fn health_overhead(c: &mut Criterion) {
         rate(masked_ns),
     );
 
-    // The detect bench's headline rate, for cross-reference in the record.
-    let detect_rate = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_detect.json"
-    ))
-    .ok()
-    .and_then(|s| {
-        s.lines()
-            .find(|l| l.contains("\"links_per_sec\""))
-            .and_then(|l| l.split(':').nth(1))
-            .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    })
-    .unwrap_or(0.0);
-
-    // Headline links_per_sec first: scripts/bench_health.sh reads the first
-    // occurrence as the regression-gated figure.
-    let json = format!(
-        "{{\n  \"links_per_sec\": {:.2},\n  \"bench\": \"health_overhead\",\n  \"unmasked_links_per_sec\": {:.2},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"detect_links_per_sec\": {detect_rate:.2},\n  \"links\": {LINKS},\n  \"months\": {MONTHS},\n  \"samples_per_link\": {samples},\n  \"results\": [\n    {{\"name\": \"assess_unmasked\", \"mean_ns_per_link\": {:.0}}},\n    {{\"name\": \"classify_and_assess_masked\", \"mean_ns_per_link\": {:.0}}}\n  ]\n}}\n",
-        rate(masked_ns),
-        rate(plain_ns),
-        plain_ns / LINKS as f64,
-        masked_ns / LINKS as f64,
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_health.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[health] could not write {out}: {e}");
-    } else {
-        eprintln!("[health] baseline written to {out}");
-    }
+    let mut rec = Record::new("health");
+    rec.regime("links", LINKS as u64)
+        .regime("months", MONTHS as u64)
+        .regime("samples_per_link", samples as u64)
+        .regime("threads", 0);
+    rec.metric("masked.links_per_sec", "links/s", rate(masked_ns))
+        .metric("unmasked.links_per_sec", "links/s", rate(plain_ns))
+        .metric("overhead_pct", "%", overhead_pct)
+        .metric("unmasked.mean_ns_per_link", "ns", plain_ns / LINKS as f64)
+        .metric("masked.mean_ns_per_link", "ns", masked_ns / LINKS as f64);
+    rec.write_fresh();
 }
 
 criterion_group! {

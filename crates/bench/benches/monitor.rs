@@ -1,5 +1,6 @@
 //! Resident-monitor ingest throughput (DESIGN.md §5.17): the links-scaling
-//! curve for the always-on service, written to `BENCH_monitor.json`.
+//! curve for the always-on service, written to
+//! `target/bench-records/monitor.json`.
 //!
 //! The headline is ingest samples/s at 1k / 10k / 100k links over a full
 //! simulated day (288 five-minute rounds), with dashboard reader threads
@@ -13,10 +14,12 @@
 //! it is what the resident service itself holds — O(links) detector +
 //! window state and one reused batch buffer, no series retention — and
 //! must sit far below the 85.7 MiB the 100k-link batch campaign peaks at.
-//! The 1k point leads the file so `scripts/bench_monitor.sh` can
-//! regression-gate it.
+//! The `bench-gate` binary regression-gates the 1k point's ingest rate
+//! and holds the 100k point's steady RSS under a ceiling, against
+//! `BENCH_monitor.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ixp_bench::record::Record;
 use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,6 +27,7 @@ use std::time::Instant;
 
 const ROUNDS: usize = 288;
 const CONGESTED_EVERY: u32 = 50; // 2% of links carry the plateau
+const THREADS: usize = 0; // one ingest worker per available CPU
 
 /// Deterministic per-(link, round) noise: splitmix64 on the pair.
 fn mix(link: u32, round: u32) -> u64 {
@@ -38,14 +42,14 @@ fn mix(link: u32, round: u32) -> u64 {
 /// a mid-day path flip on every 97th link (exercising the masking path).
 fn sample_at(id: u32, r: usize) -> MonitorSample {
     let h = mix(id, r as u32);
-    if h % 200 == 0 {
+    if h.is_multiple_of(200) {
         return MonitorSample::lost();
     }
     let hour = (r % 288) as f64 * 5.0 / 60.0;
-    let plateau = id % CONGESTED_EVERY == 0 && (9.0..17.0).contains(&hour);
+    let plateau = id.is_multiple_of(CONGESTED_EVERY) && (9.0..17.0).contains(&hour);
     let jitter = ((h >> 8) % 1000) as f64 / 1000.0; // 0..1 ms
     let far_ms = 10.0 + jitter + if plateau { 14.0 } else { 0.0 };
-    let flip = id % 97 == 0 && hour >= 12.0;
+    let flip = id.is_multiple_of(97) && hour >= 12.0;
     MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
 }
 
@@ -55,7 +59,7 @@ fn sample_at(id: u32, r: usize) -> MonitorSample {
 fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
     let descs: Vec<LinkDesc> = (0..links).map(|i| LinkDesc { ixp: i % 8 }).collect();
     ixp_obs::reset_peak_rss();
-    let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
+    let cfg = MonitorConfig { shards: 32, threads: THREADS, ..MonitorConfig::default() };
     let svc = Arc::new(MonitorService::new(cfg, &descs));
     let mut batch: Vec<(u32, u64, MonitorSample)> =
         (0..links).map(|id| (id, 0, MonitorSample::lost())).collect();
@@ -103,7 +107,7 @@ fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
 fn monitor_ingest(c: &mut Criterion) {
     // ---- Section 1: per-round ingest latency at 1k links (criterion). ----
     let descs: Vec<LinkDesc> = (0..1_000u32).map(|i| LinkDesc { ixp: i % 8 }).collect();
-    let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
+    let cfg = MonitorConfig { shards: 32, threads: THREADS, ..MonitorConfig::default() };
     let svc = MonitorService::new(cfg, &descs);
     let mut batch: Vec<(u32, u64, MonitorSample)> =
         (0..1_000u32).map(|id| (id, 0, MonitorSample::lost())).collect();
@@ -124,9 +128,11 @@ fn monitor_ingest(c: &mut Criterion) {
     g.finish();
 
     // ---- Section 2: links-scaling curve with dashboard readers. ----
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let readers = 2usize;
-    let mut rows = Vec::new();
+    let mut rec = Record::new("monitor");
+    rec.regime("rounds_per_link", ROUNDS as u64)
+        .regime("reader_threads", readers as u64)
+        .regime("threads", THREADS as u64);
     for &links in &[1_000u32, 10_000, 100_000] {
         let (sps, wall, rss, qps, elevated) = scaling_point(links, readers);
         let expect_hot = (links / CONGESTED_EVERY) as u64;
@@ -136,21 +142,14 @@ fn monitor_ingest(c: &mut Criterion) {
             "[monitor] {links:>6} links: {sps:>10.0} samples/s ingest, steady RSS {rss:.1} MiB, \
              {qps:>10.0} index reads/s, {elevated}/{expect_hot} elevated at midnight"
         );
-        rows.push(format!(
-            "    {{\"links\": {links}, \"ingest_samples_per_sec\": {sps:.1}, \"wall_s\": {wall:.3}, \"steady_rss_mb\": {rss:.1}, \"query_reads_per_sec\": {qps:.1}}}"
-        ));
+        let point = format!("links_{links}");
+        rec.metric(format!("{point}.ingest_samples_per_sec"), "samples/s", sps)
+            .metric(format!("{point}.wall_s"), "s", wall)
+            .metric(format!("{point}.steady_rss_mb"), "MiB", rss)
+            .metric(format!("{point}.query_reads_per_sec"), "reads/s", qps);
     }
-    eprintln!("[monitor] host parallelism: {host}");
-    let json = format!(
-        "{{\n  \"bench\": \"monitor_ingest\",\n  \"host_parallelism\": {host},\n  \"rounds_per_link\": {ROUNDS},\n  \"reader_threads\": {readers},\n  \"scaling\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_monitor.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[monitor] could not write {out}: {e}");
-    } else {
-        eprintln!("[monitor] baseline written to {out}");
-    }
+    eprintln!("[monitor] host parallelism: {}", rec.host_parallelism);
+    rec.write_fresh();
 }
 
 criterion_group! {

@@ -3,9 +3,11 @@
 //! when on (worker-local sheets, no hot-path contention). This bench runs
 //! the same streaming campaign fan-out three ways — plain, no-op recorder,
 //! and a live [`MetricsRegistry`] — and writes the measured overhead to
-//! `BENCH_obs.json` at the repo root, where `scripts/bench_obs.sh` gates it.
+//! `target/bench-records/obs.json`; the `bench-gate` binary gates it
+//! against `BENCH_obs.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ixp_bench::record::Record;
 use ixp_obs::{MetricsRegistry, NoopRecorder};
 use ixp_prober::tslp::TslpTarget;
 use ixp_simnet::prelude::*;
@@ -148,16 +150,15 @@ fn obs_overhead(_c: &mut Criterion) {
     eprintln!("[obs] noop     {:>10.0} ns  ({:+.2}%)", noop_ns, noop_pct);
     eprintln!("[obs] registry {:>10.0} ns  ({:+.2}%)", live_ns, live_pct);
 
-    let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"links\": {},\n  \"links_per_sec\": {links_per_sec:.1},\n  \"overhead_pct\": {live_pct:.2},\n  \"noop_overhead_pct\": {noop_pct:.2},\n  \"results\": [\n    {{\"recorder\": \"plain\", \"mean_ns\": {plain_ns:.0}}},\n    {{\"recorder\": \"noop\", \"mean_ns\": {noop_ns:.0}}},\n    {{\"recorder\": \"registry\", \"mean_ns\": {live_ns:.0}}}\n  ]\n}}\n",
-        targets.len()
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[obs] could not write {out}: {e}");
-    } else {
-        eprintln!("[obs] baseline written to {out}");
-    }
+    let mut rec = Record::new("obs");
+    rec.regime("links", targets.len() as u64).regime("timed_rounds", ROUNDS as u64).regime("threads", 1);
+    rec.metric("plain.links_per_sec", "links/s", links_per_sec)
+        .metric("overhead_pct", "%", live_pct)
+        .metric("noop_overhead_pct", "%", noop_pct)
+        .metric("plain.mean_ns", "ns", plain_ns)
+        .metric("noop.mean_ns", "ns", noop_ns)
+        .metric("registry.mean_ns", "ns", live_ns);
+    rec.write_fresh();
 }
 
 criterion_group! {

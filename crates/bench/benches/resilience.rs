@@ -12,10 +12,12 @@
 //!
 //! `b − a` is what admission costs; `c − (b − a)` is the sequenced path
 //! without it. Rounds rotate the arm order, and the median over rounds of
-//! `(b − a) / (c − (b − a))` is written to `BENCH_resilience.json` as
-//! `overhead_pct`, where `scripts/bench_resilience.sh` gates it.
+//! `(b − a) / (c − (b − a))` is written to
+//! `target/bench-records/resilience.json` as `overhead_pct`, which the
+//! `bench-gate` binary holds under 3%.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ixp_bench::record::Record;
 use ixp_monitor::{LinkDesc, LinkState, MonitorConfig, MonitorSample, MonitorService, SeqGate};
 use std::time::Instant;
 
@@ -23,6 +25,7 @@ const LINKS: u32 = 1_000;
 const DAY_ROUNDS: usize = 288;
 const CONGESTED_EVERY: u32 = 50;
 const ROUNDS: usize = 31;
+const THREADS: usize = 1;
 
 /// Deterministic per-(link, round) noise: splitmix64 on the pair (same
 /// synth workload as the monitor scaling bench).
@@ -56,7 +59,7 @@ fn day() -> Day {
 }
 
 fn config() -> MonitorConfig {
-    MonitorConfig { shards: 32, threads: 1, ..MonitorConfig::default() }
+    MonitorConfig { shards: 32, threads: THREADS, ..MonitorConfig::default() }
 }
 
 /// One arm's state, built before its clock starts.
@@ -176,18 +179,16 @@ fn resilience_overhead(_c: &mut Criterion) {
         "[resilience] admission share of sequenced ingest: {overhead_pct:+.2}% (median of {ROUNDS})"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"resilience_overhead\",\n  \"links\": {LINKS},\n  \"rounds_per_link\": {DAY_ROUNDS},\n  \"threads\": 1,\n  \"timed_rounds\": {ROUNDS},\n  \"push_loop_samples_per_sec\": {:.1},\n  \"gated_loop_samples_per_sec\": {:.1},\n  \"sequenced_samples_per_sec\": {:.1},\n  \"overhead_pct\": {overhead_pct:.2}\n}}\n",
-        rate(push_ns),
-        rate(gated_ns),
-        rate(seq_ns),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[resilience] could not write {out}: {e}");
-    } else {
-        eprintln!("[resilience] baseline written to {out}");
-    }
+    let mut rec = Record::new("resilience");
+    rec.regime("links", LINKS as u64)
+        .regime("rounds_per_link", DAY_ROUNDS as u64)
+        .regime("threads", THREADS as u64)
+        .regime("timed_rounds", ROUNDS as u64);
+    rec.metric("push_loop.samples_per_sec", "samples/s", rate(push_ns))
+        .metric("gated_loop.samples_per_sec", "samples/s", rate(gated_ns))
+        .metric("sequenced.samples_per_sec", "samples/s", rate(seq_ns))
+        .metric("overhead_pct", "%", overhead_pct);
+    rec.write_fresh();
 }
 
 criterion_group! {

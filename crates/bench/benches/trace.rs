@@ -6,10 +6,12 @@
 //! assessment through a tracing recorder vs [`ixp_obs::NoopRecorder`]).
 //! Both comparisons interleave the two arms on one warm service and keep
 //! each arm's minimum observed round, so machine noise — which only adds
-//! time — divides out. The measured overheads land in `BENCH_trace.json`,
-//! gated by `scripts/bench_trace.sh`.
+//! time — divides out. The measured overheads land in
+//! `target/bench-records/trace.json`; the `bench-gate` binary holds the
+//! worse of the two under 3%.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ixp_bench::record::Record;
 use ixp_bench::detect_corpus;
 use ixp_chgpt::DetectorScratch;
 use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
@@ -31,6 +33,7 @@ const DAY_ROUNDS: usize = 288;
 const CONGESTED_EVERY: u32 = 50;
 const BATCH_LINKS: usize = 8;
 const BATCH_MONTHS: usize = 3;
+const THREADS: usize = 0; // the monitor arm: one ingest worker per CPU
 
 /// Deterministic per-(link, round) noise (same synth day as the
 /// resilience bench, so the rates line up across BENCH files).
@@ -71,7 +74,7 @@ struct WarmMonitor {
 impl WarmMonitor {
     fn new() -> WarmMonitor {
         let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
-        let cfg = MonitorConfig { shards: 32, threads: 0, ..MonitorConfig::default() };
+        let cfg = MonitorConfig { shards: 32, threads: THREADS, ..MonitorConfig::default() };
         let svc = MonitorService::new(cfg, &descs);
         let fl = Arc::new(FlightRecorder::new(cfg.shards, 4096));
         let batch = (0..LINKS).map(|id| (id, 0, MonitorSample::lost())).collect();
@@ -221,15 +224,17 @@ fn trace_overhead(_c: &mut Criterion) {
     eprintln!("[trace] batch traced         overhead {batch_pct:+.2}%");
 
     let overhead_pct = mon_pct.max(batch_pct);
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \"links\": {LINKS},\n  \"rounds_per_link\": {DAY_ROUNDS},\n  \"monitor_samples_per_sec\": {mon_sps:.1},\n  \"monitor_overhead_pct\": {mon_pct:.2},\n  \"batch_links\": {BATCH_LINKS},\n  \"batch_months\": {BATCH_MONTHS},\n  \"batch_overhead_pct\": {batch_pct:.2},\n  \"overhead_pct\": {overhead_pct:.2}\n}}\n"
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("[trace] could not write {out}: {e}");
-    } else {
-        eprintln!("[trace] baseline written to {out}");
-    }
+    let mut rec = Record::new("trace");
+    rec.regime("links", LINKS as u64)
+        .regime("rounds_per_link", DAY_ROUNDS as u64)
+        .regime("threads", THREADS as u64)
+        .regime("batch_links", BATCH_LINKS as u64)
+        .regime("batch_months", BATCH_MONTHS as u64);
+    rec.metric("monitor.samples_per_sec", "samples/s", mon_sps)
+        .metric("monitor.overhead_pct", "%", mon_pct)
+        .metric("batch.overhead_pct", "%", batch_pct)
+        .metric("overhead_pct", "%", overhead_pct);
+    rec.write_fresh();
 }
 
 criterion_group! {

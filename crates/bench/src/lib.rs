@@ -4,9 +4,14 @@
 //! frozen copy of the **seed** change-point detector (the implementation as
 //! it stood before the allocation-free/early-exit engine), so the bench can
 //! price the speedup against the true pre-change baseline rather than
-//! against the new code's own allocating wrappers.
+//! against the new code's own allocating wrappers. The gated benches write
+//! one [`record::Record`] each, which the `bench-gate` binary judges
+//! against the committed `BENCH_<bench>.json` with [`gate`].
 
 use ixp_chgpt::segment::DetectorConfig;
+
+pub mod gate;
+pub mod record;
 
 /// Deterministic uniform noise in [-0.5, 0.5) from an avalanche hash.
 fn unoise(seed: u64, i: u64) -> f64 {

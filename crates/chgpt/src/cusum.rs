@@ -306,71 +306,6 @@ pub fn spread_reaches_with(
     spread_core(window, min_magnitude, &mut scratch.select)
 }
 
-/// Core of [`cusum_cp_interval`] over caller-provided buffers.
-pub(crate) fn cp_interval_core(
-    window: &[f64],
-    iters: usize,
-    seed: u64,
-    conf: f64,
-    boot: &mut Vec<f64>,
-    estimates: &mut Vec<usize>,
-) -> (usize, usize) {
-    assert!((0.0..1.0).contains(&conf), "confidence must be in (0, 1)");
-    let (split, _) = cusum_peak(window);
-    let cut = (split + 1).clamp(1, window.len() - 1);
-    let (left, right) = window.split_at(cut);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    estimates.clear();
-    boot.clear();
-    boot.resize(window.len(), 0.0);
-    for _ in 0..iters {
-        for (i, v) in boot.iter_mut().enumerate() {
-            *v = if i < cut {
-                left[rand::Rng::gen_range(&mut rng, 0..left.len())]
-            } else {
-                right[rand::Rng::gen_range(&mut rng, 0..right.len())]
-            };
-        }
-        estimates.push(cusum_peak(boot).0);
-    }
-    estimates.sort_unstable();
-    let tail = (1.0 - conf) / 2.0;
-    let lo = estimates[((iters as f64) * tail) as usize];
-    // The lower index truncates toward the tail; the upper index must round
-    // half-up so both tails clip symmetrically — truncating both (as the
-    // seed did) biases the interval low for small `iters`.
-    let hi_idx = ((iters as f64) * (1.0 - tail) + 0.5) as usize;
-    let hi = estimates[hi_idx.min(iters - 1)];
-    (lo.min(hi), hi.max(lo))
-}
-
-/// Bootstrap confidence interval for a change-point *location* (the second
-/// half of Taylor's procedure: his tool reports each change with a
-/// confidence interval on when it happened).
-///
-/// The window is split at the CUSUM estimate; bootstrap series are built by
-/// resampling each side with replacement (preserving segment membership),
-/// the change point is re-estimated on each, and the `conf` central
-/// percentile interval of the estimates is returned as window-relative
-/// indices `(lo, hi)` (inclusive). Sharp steps give tight intervals; shifts
-/// barely above the noise give wide ones.
-pub fn cusum_cp_interval(window: &[f64], iters: usize, seed: u64, conf: f64) -> (usize, usize) {
-    let (mut boot, mut estimates) = (Vec::new(), Vec::new());
-    cp_interval_core(window, iters, seed, conf, &mut boot, &mut estimates)
-}
-
-/// [`cusum_cp_interval`] over reusable scratch memory (the `boot` and
-/// `estimates` buffers come from the scratch).
-pub fn cusum_cp_interval_with(
-    window: &[f64],
-    iters: usize,
-    seed: u64,
-    conf: f64,
-    scratch: &mut DetectorScratch,
-) -> (usize, usize) {
-    cp_interval_core(window, iters, seed, conf, &mut scratch.boot, &mut scratch.estimates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,69 +524,5 @@ mod tests {
     #[should_panic(expected = "at least two samples")]
     fn cusum_rejects_tiny_window() {
         cusum_peak(&[1.0]);
-    }
-
-    #[test]
-    fn cp_interval_tight_for_sharp_step() {
-        let s = step_series(200, 120, 2.0, 40.0);
-        let (lo, hi) = cusum_cp_interval(&s, 199, 11, 0.9);
-        assert!(lo <= 119 && 119 <= hi, "true cp outside CI [{lo}, {hi}]");
-        assert!(hi - lo <= 4, "CI too wide for a sharp step: [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn cp_interval_wider_for_weak_step() {
-        // Noisy step barely above the noise floor.
-        let weak: Vec<f64> = (0..200)
-            .map(|i| {
-                let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                let noise = ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 6.0;
-                if i < 120 { 10.0 + noise } else { 13.0 + noise }
-            })
-            .collect();
-        let strong = step_series(200, 120, 10.0, 50.0);
-        let (wl, wh) = cusum_cp_interval(&weak, 199, 13, 0.9);
-        let (sl, sh) = cusum_cp_interval(&strong, 199, 13, 0.9);
-        assert!(wh - wl > sh - sl, "weak CI [{wl},{wh}] not wider than strong [{sl},{sh}]");
-    }
-
-    #[test]
-    fn cp_interval_deterministic() {
-        let s = step_series(150, 60, 1.0, 9.0);
-        assert_eq!(cusum_cp_interval(&s, 99, 5, 0.9), cusum_cp_interval(&s, 99, 5, 0.9));
-    }
-
-    #[test]
-    fn cp_interval_scratch_matches_wrapper() {
-        let mut scratch = DetectorScratch::new();
-        let s = step_series(150, 60, 1.0, 9.0);
-        let want = cusum_cp_interval(&s, 99, 5, 0.9);
-        // Twice through the same scratch: reuse must not perturb results.
-        assert_eq!(cusum_cp_interval_with(&s, 99, 5, 0.9, &mut scratch), want);
-        assert_eq!(cusum_cp_interval_with(&s, 99, 5, 0.9, &mut scratch), want);
-    }
-
-    /// The upper percentile index rounds half-up; with `iters` chosen so
-    /// truncation and half-up disagree (30 × 0.95 = 28.5), the interval
-    /// must now include the higher-order statistic.
-    #[test]
-    fn cp_interval_upper_index_rounds_half_up() {
-        // A weak noisy step spreads the bootstrap estimates over many
-        // distinct indices, so estimates[28] != estimates[29] generically.
-        let weak: Vec<f64> = (0..120)
-            .map(|i| {
-                let mut z = (i as u64).wrapping_add(0x51_7CC1);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                let noise = ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 8.0;
-                if i < 60 { 10.0 + noise } else { 13.5 + noise }
-            })
-            .collect();
-        // Reconstruct the estimate distribution the interval is cut from.
-        let mut boot = Vec::new();
-        let mut estimates = Vec::new();
-        let (_, hi) = cp_interval_core(&weak, 30, 17, 0.9, &mut boot, &mut estimates);
-        // estimates is left sorted by the core; half-up of 28.5 is 29.
-        assert_eq!(hi, estimates[29].max(estimates[(30.0 * 0.05) as usize]));
     }
 }

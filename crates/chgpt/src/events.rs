@@ -7,7 +7,6 @@
 //! *sanitize* the raw level-shift output before measuring widths (merging
 //! stutters where the detector briefly dips between adjacent events).
 
-use crate::scratch::DetectorScratch;
 use crate::segment::Segment;
 use serde::{Deserialize, Serialize};
 
@@ -50,15 +49,6 @@ pub struct EventStats {
 pub fn baseline_level(segments: &[Segment], quantile: f64) -> f64 {
     let mut buf = Vec::new();
     baseline_core(segments, quantile, &mut buf)
-}
-
-/// [`baseline_level`] over reusable scratch memory.
-pub fn baseline_level_with(
-    segments: &[Segment],
-    quantile: f64,
-    scratch: &mut DetectorScratch,
-) -> f64 {
-    baseline_core(segments, quantile, &mut scratch.weights)
 }
 
 /// Weighted-quantile core: instead of sorting all segments by level
@@ -203,7 +193,6 @@ mod tests {
             }
             unreachable!()
         }
-        let mut scratch = DetectorScratch::new();
         for case in 0..150u64 {
             let mut h = case.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
             let mut next = || {
@@ -224,7 +213,6 @@ mod tests {
             for q in [0.0, 0.05, 0.10, 0.5, 0.9] {
                 let want = sorted_walk(&segs, q);
                 assert_eq!(baseline_level(&segs, q), want, "case {case} q {q}");
-                assert_eq!(baseline_level_with(&segs, q, &mut scratch), want);
             }
         }
     }

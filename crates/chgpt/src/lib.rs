@@ -37,13 +37,10 @@ pub mod segment;
 pub mod window;
 
 pub use cusum::{
-    cusum_bootstrap, cusum_bootstrap_with, cusum_cp_interval, cusum_cp_interval_with, cusum_peak,
-    spread_reaches, spread_reaches_with, CusumResult,
+    cusum_bootstrap, cusum_bootstrap_with, cusum_peak, spread_reaches, spread_reaches_with,
+    CusumResult,
 };
-pub use events::{
-    baseline_level, baseline_level_with, event_stats, extract_events, sanitize_events, EventStats,
-    ShiftEvent,
-};
+pub use events::{baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent};
 pub use online::{online_events, OnlineConfig, OnlineDetector, OnlineSnapshot, OnlineVerdict};
 pub use rank::{rank_transform, rank_transform_with};
 pub use scratch::DetectorScratch;
@@ -52,7 +49,7 @@ pub use window::{detect_window_shifts, WindowConfig};
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::cusum::{cusum_bootstrap, cusum_cp_interval, cusum_peak, CusumResult};
+    pub use crate::cusum::{cusum_bootstrap, cusum_peak, CusumResult};
     pub use crate::events::{
         baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent,
     };

@@ -6,8 +6,8 @@
 //! both its rank output and its permutation buffer), the rank transform's
 //! index + output buffers,
 //! the selection buffers behind `median`, `spread_reaches` and the
-//! segment-level baseline quantile, the change-point interval's resampled
-//! series, and the segmentation work stack itself — can instead borrow its
+//! segment-level baseline quantile, and the segmentation work stack
+//! itself — can instead borrow its
 //! memory from a [`DetectorScratch`]. A campaign assessing thousands of
 //! links holds one scratch per worker thread; after the first (warm-up)
 //! series every subsequent `detect → segment → baseline` pass performs zero
@@ -41,10 +41,6 @@ pub struct DetectorScratch {
     pub(crate) sort_idx: Vec<usize>,
     /// Selection buffer (`median`, `spread_reaches`, window quantiles).
     pub(crate) select: Vec<f64>,
-    /// Resampled series for `cusum_cp_interval`.
-    pub(crate) boot: Vec<f64>,
-    /// Change-point estimates for `cusum_cp_interval`.
-    pub(crate) estimates: Vec<usize>,
     /// Binary-segmentation work stack.
     pub(crate) stack: Vec<(usize, usize)>,
     /// Change-point output buffer.

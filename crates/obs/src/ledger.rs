@@ -203,7 +203,7 @@ impl ProbeLedger {
 /// already retained in the link's series, so the campaign derives the
 /// histograms with one sequential scan at fold time (see
 /// `tslp_core::campaign::measure_link_with`) instead of paying scattered bucket updates inside
-/// the TSLP loop. The campaign bench (`BENCH_obs.json`) holds the whole
+/// the TSLP loop. The obs bench (`BENCH_obs.json`) holds the whole
 /// instrumented path to <3% over uninstrumented probing.
 #[derive(Debug, Default)]
 pub struct LinkRecorder {

@@ -1,8 +1,9 @@
 //! Running several vantage points concurrently.
 //!
 //! The six VPs are fully independent (separate networks, separate probing),
-//! so the campaign parallelizes perfectly across them. Crossbeam scoped
-//! threads keep borrows simple; results come back in spec order.
+//! so the campaign parallelizes perfectly across them. Scoped threads
+//! (`std::thread::scope`) keep borrows simple; results come back in spec
+//! order, and a panicking VP thread propagates out of the scope.
 //!
 //! This is the outer of two parallelism levels: within each VP,
 //! [`run_vp_study`](crate::run_vp_study) hands its target list to
@@ -33,15 +34,14 @@ pub fn run_all_vps_rec<R: Recorder + Sync>(
 ) -> Vec<VpStudy> {
     let mut slots: Vec<Option<VpStudy>> = Vec::new();
     slots.resize_with(specs.len(), || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, spec) in slots.iter_mut().zip(specs) {
             let cfg = cfg.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(run_vp_study_rec(spec, &cfg, rec));
             });
         }
-    })
-    .expect("a VP study thread panicked");
+    });
     slots.into_iter().map(|s| s.expect("missing study result")).collect()
 }
 

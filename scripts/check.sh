@@ -2,11 +2,10 @@
 # Repo health gate: release build, full test suite, lint-clean workspace,
 # warning-free rustdoc and benchmark.
 #
-# With --bench-gates, additionally runs the seven performance gates (health,
-# detect, obs, campaign, monitor, resilience and trace, each with its
-# budget/regression checks). These take several minutes, so they are
-# opt-in; any extra arguments (e.g. --force) are forwarded to the gate
-# scripts.
+# With --bench-gates, additionally runs the bench-gate binary, which runs
+# all seven gated benches and judges each against its committed
+# BENCH_<bench>.json budget. That takes several minutes, so it is opt-in;
+# any extra arguments (e.g. --force) are forwarded to bench-gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,20 +52,8 @@ echo "==> cargo bench --no-run"
 cargo bench --no-run
 
 if [[ "$BENCH_GATES" == "1" ]]; then
-  echo "==> bench gate: health (<5% overhead, >10% regression)"
-  scripts/bench_health.sh "$@"
-  echo "==> bench gate: detect (>10% regression)"
-  scripts/bench_detect.sh "$@"
-  echo "==> bench gate: obs (<3% overhead, >10% regression)"
-  scripts/bench_obs.sh "$@"
-  echo "==> bench gate: campaign (1k/10k/100k scaling, >10% regression)"
-  scripts/bench_campaign.sh "$@"
-  echo "==> bench gate: monitor (ingest throughput + resident RSS ceiling)"
-  scripts/bench_monitor.sh "$@"
-  echo "==> bench gate: resilience (<3% sequenced-ingest overhead)"
-  scripts/bench_resilience.sh "$@"
-  echo "==> bench gate: trace (<3% live flight-recorder overhead)"
-  scripts/bench_trace.sh "$@"
+  echo "==> bench-gate (health, detect, obs, campaign, monitor, resilience, trace)"
+  cargo run --release -p ixp-bench --bin bench-gate -- "$@"
 fi
 
 echo "==> all checks passed"
