@@ -165,7 +165,7 @@ mod tests {
         for i in 0..500u64 {
             let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(c), SimTime(i * 10_000));
         }
-        assert_eq!(ally_test(&net, &mut ctx, vp, a, c, SimTime(600_000_0)), Some(false));
+        assert_eq!(ally_test(&net, &mut ctx, vp, a, c, SimTime(6_000_000)), Some(false));
     }
 
     #[test]

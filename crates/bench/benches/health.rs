@@ -2,16 +2,24 @@
 //! classification + fault-masked assessment against the plain unmasked
 //! assessment over the same synthetic corpus. The robustness layer runs on
 //! every link of every campaign, so it must be nearly free — the gate is
-//! <5% overhead. Writes its record to `target/bench-records/health.json`;
-//! the `bench-gate` binary gates it against `BENCH_health.json`.
+//! <5% overhead.
+//!
+//! Each pair runs the corpus once through the worker pool, and each worker
+//! times both arms back to back on its link, the first arm alternating with
+//! link and pair, so the two arms share whatever else the host is doing.
+//! After a warm-up pair, the median over [`PAIRS`] pairs of
+//! `(masked − unmasked) / unmasked` is written as `overhead_pct` to
+//! `target/bench-records/health.json`; the `bench-gate` binary gates it
+//! against `BENCH_health.json`. Per-arm rates split each pair's wall clock
+//! by the arms' shares of its per-link time.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ixp_bench::detect_corpus;
 use ixp_bench::record::Record;
 use ixp_chgpt::DetectorScratch;
 use ixp_obs::NoopRecorder;
 use ixp_simnet::prelude::{SimDuration, SimTime};
-use std::time::Duration;
+use std::time::Instant;
 use tslp_core::campaign::pool_try_map;
 use tslp_core::detect::{assess_link, AssessConfig};
 use tslp_core::health::{classify_link, HealthReport};
@@ -19,6 +27,8 @@ use tslp_core::series::{LinkSeries, SeriesConfig};
 
 const LINKS: usize = 16;
 const MONTHS: usize = 13;
+/// Timed pairs (odd, so the median is one pair's reading).
+const PAIRS: usize = 11;
 
 /// Lift the far-value corpus into full `LinkSeries`, with a quiet near side
 /// and campaign-realistic measurement damage: a quarter of the links get
@@ -71,65 +81,60 @@ fn health_corpus() -> Vec<LinkSeries> {
         .collect()
 }
 
-fn health_overhead(c: &mut Criterion) {
+/// One pair: every corpus link through both arms — the unmasked
+/// assessment, and health classification plus the masked assessment — the
+/// first arm alternating with `pair + link`. Returns the pair's wall clock
+/// split by the arms' shares of its per-link time, `[unmasked, masked]`.
+fn pair(corpus: &[LinkSeries], cfg: &AssessConfig, pair: usize) -> [f64; 2] {
+    let clean = HealthReport::clean();
+    let wall = Instant::now();
+    let per_link = pool_try_map(
+        0,
+        corpus,
+        DetectorScratch::new,
+        |sc, k, s| {
+            let mut ns = [0.0f64; 2];
+            let order = if (pair + k).is_multiple_of(2) { [false, true] } else { [true, false] };
+            for masked in order {
+                let t = Instant::now();
+                black_box(if masked {
+                    let mask = classify_link(s, &cfg.health);
+                    let a = assess_link(s, cfg, &mask, sc);
+                    a.events.len() + a.artifacts.len()
+                } else {
+                    assess_link(s, cfg, &clean, sc).events.len()
+                });
+                ns[usize::from(masked)] = t.elapsed().as_nanos() as f64;
+            }
+            ns
+        },
+        &NoopRecorder,
+        "pool",
+        |i, _| i.to_string(),
+    );
+    let wall_ns = wall.elapsed().as_nanos() as f64;
+    let arms =
+        per_link.into_iter().map(Result::unwrap).fold([0.0; 2], |a, n| [a[0] + n[0], a[1] + n[1]]);
+    arms.map(|ns| wall_ns * ns / (arms[0] + arms[1]))
+}
+
+fn health_overhead(_c: &mut Criterion) {
     let corpus = health_corpus();
     let samples = corpus[0].len();
     let cfg = AssessConfig::default();
 
-    let mut g = c.benchmark_group("health_overhead");
-    g.throughput(Throughput::Elements(LINKS as u64));
-    g.sample_size(2);
-    g.measurement_time(Duration::from_secs(6));
+    pair(&corpus, &cfg, 0); // warm-up
+    let pairs: [[f64; 2]; PAIRS] = std::array::from_fn(|p| pair(&corpus, &cfg, p + 1));
+    let median = |mut s: [f64; PAIRS]| {
+        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        s[PAIRS / 2]
+    };
+    let overhead_pct = median(pairs.map(|[plain, masked]| masked / plain - 1.0)) * 100.0;
+    let [plain_ns, masked_ns] = [0, 1].map(|arm| median(pairs.map(|p| p[arm])));
 
-    let clean = HealthReport::clean();
-    let mut plain_ns = 0.0;
-    g.bench_function("assess_unmasked", |b| {
-        b.iter(|| {
-            pool_try_map(
-                0,
-                &corpus,
-                DetectorScratch::new,
-                |sc, _, s| assess_link(s, &cfg, &clean, sc).events.len(),
-                &NoopRecorder,
-                "pool",
-                |i, _| i.to_string(),
-            )
-            .into_iter()
-            .map(Result::unwrap)
-            .sum::<usize>()
-        });
-        plain_ns = b.mean_ns;
-    });
-
-    let mut masked_ns = 0.0;
-    g.bench_function("classify_and_assess_masked", |b| {
-        b.iter(|| {
-            pool_try_map(
-                0,
-                &corpus,
-                DetectorScratch::new,
-                |sc, _, s| {
-                    let mask = classify_link(s, &cfg.health);
-                    let a = assess_link(s, &cfg, &mask, sc);
-                    a.events.len() + a.artifacts.len()
-                },
-                &NoopRecorder,
-                "pool",
-                |i, _| i.to_string(),
-            )
-            .into_iter()
-            .map(Result::unwrap)
-            .sum::<usize>()
-        });
-        masked_ns = b.mean_ns;
-    });
-    g.finish();
-
-    let rate = |pass_ns: f64| if pass_ns > 0.0 { LINKS as f64 * 1e9 / pass_ns } else { 0.0 };
-    let overhead_pct =
-        if plain_ns > 0.0 { (masked_ns - plain_ns) / plain_ns * 100.0 } else { 0.0 };
+    let rate = |pass_ns: f64| LINKS as f64 * 1e9 / pass_ns;
     eprintln!(
-        "[health] unmasked {:.0} ns/link ({:.2} links/s), classify+masked {:.0} ns/link ({:.2} links/s): {overhead_pct:+.2}% overhead",
+        "[health] unmasked {:.0} ns/link ({:.2} links/s), classify+masked {:.0} ns/link ({:.2} links/s): {overhead_pct:+.2}% overhead (median of {PAIRS} pairs)",
         plain_ns / LINKS as f64,
         rate(plain_ns),
         masked_ns / LINKS as f64,
@@ -140,12 +145,11 @@ fn health_overhead(c: &mut Criterion) {
     rec.regime("links", LINKS as u64)
         .regime("months", MONTHS as u64)
         .regime("samples_per_link", samples as u64)
-        .regime("threads", 0);
+        .regime("threads", 0)
+        .regime("pairs", PAIRS as u64);
     rec.metric("masked.links_per_sec", "links/s", rate(masked_ns))
         .metric("unmasked.links_per_sec", "links/s", rate(plain_ns))
-        .metric("overhead_pct", "%", overhead_pct)
-        .metric("unmasked.mean_ns_per_link", "ns", plain_ns / LINKS as f64)
-        .metric("masked.mean_ns_per_link", "ns", masked_ns / LINKS as f64);
+        .metric("overhead_pct", "%", overhead_pct);
     rec.write_fresh();
 }
 

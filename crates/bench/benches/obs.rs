@@ -105,8 +105,8 @@ fn obs_overhead(_c: &mut Criterion) {
         eprintln!("[obs] workload: {}", reg.snapshot().one_line());
     }
     const ROUNDS: usize = 101;
-    let mut samples = [[0.0f64; ROUNDS]; 3];
-    for r in 0..ROUNDS {
+    let mut rounds = [[0.0f64; 3]; ROUNDS];
+    for (r, round) in rounds.iter_mut().enumerate() {
         let mut timed: [(usize, &mut dyn FnMut()); 3] = [
             (0, &mut || { run_plain(); }),
             (1, &mut || { run_noop(); }),
@@ -116,13 +116,13 @@ fn obs_overhead(_c: &mut Criterion) {
         for (v, run) in timed {
             let t = std::time::Instant::now();
             run();
-            samples[v][r] = t.elapsed().as_nanos() as f64;
+            round[v] = t.elapsed().as_nanos() as f64;
         }
     }
+    let samples: [[f64; ROUNDS]; 3] = std::array::from_fn(|v| rounds.map(|round| round[v]));
     if std::env::var_os("OBS_BENCH_DUMP").is_some() {
-        for v in 0..3 {
-            let row: Vec<String> =
-                samples[v].iter().map(|x| format!("{:.1}", x / 1e6)).collect();
+        for (v, arm) in samples.iter().enumerate() {
+            let row: Vec<String> = arm.iter().map(|x| format!("{:.1}", x / 1e6)).collect();
             eprintln!("[obs] raw[{v}] ms: {}", row.join(" "));
         }
     }

@@ -38,14 +38,14 @@ fn mix(link: u32, round: u32) -> u64 {
 
 fn sample_at(id: u32, r: usize) -> MonitorSample {
     let h = mix(id, r as u32);
-    if h % 200 == 0 {
+    if h.is_multiple_of(200) {
         return MonitorSample::lost();
     }
     let hour = (r % DAY_ROUNDS) as f64 * 5.0 / 60.0;
-    let plateau = id % CONGESTED_EVERY == 0 && (9.0..17.0).contains(&hour);
+    let plateau = id.is_multiple_of(CONGESTED_EVERY) && (9.0..17.0).contains(&hour);
     let jitter = ((h >> 8) % 1000) as f64 / 1000.0;
     let far_ms = 10.0 + jitter + if plateau { 14.0 } else { 0.0 };
-    let flip = id % 97 == 0 && hour >= 12.0;
+    let flip = id.is_multiple_of(97) && hour >= 12.0;
     MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
 }
 
@@ -66,7 +66,7 @@ fn config() -> MonitorConfig {
 enum Arm {
     Push(Vec<LinkState>),
     Gated(Vec<LinkState>, Vec<SeqGate>),
-    Service(MonitorService),
+    Service(Box<MonitorService>),
 }
 
 impl Arm {
@@ -77,7 +77,7 @@ impl Arm {
             1 => Arm::Gated(states(), (0..LINKS).map(|_| SeqGate::new()).collect()),
             _ => {
                 let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
-                Arm::Service(MonitorService::new(*cfg, &descs))
+                Arm::Service(Box::new(MonitorService::new(*cfg, &descs)))
             }
         }
     }

@@ -33,30 +33,31 @@ use serde::{Deserialize, Serialize};
 /// Data-quality verdict for a link (per window, and overall).
 ///
 /// Ordered worst-last so `max` picks the more alarming label when two
-/// windows disagree.
+/// windows disagree. The discriminants are the stable checkpoint codes of
+/// [`LinkHealth::code`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub enum LinkHealth {
     /// Measurement behaved: answers on schedule, from the expected address.
-    Clean,
+    Clean = 0,
     /// Long runs of unanswered rounds (flaps, maintenance windows) — the
     /// series carries [`GapInterval`]s that detection must mask around.
-    Gappy,
+    Gappy = 1,
     /// Many short, scattered loss runs with semi-regular survivors: the
     /// far router is rate-limiting ICMP, so validity is a property of the
     /// limiter, not of the link.
-    RateLimited,
+    RateLimited = 2,
     /// The TTL-ladder path fingerprint changed mid-series: a routing event
     /// re-converged the forwarding path under the measurement, so level
     /// shifts coincident with the change are path artifacts, not queueing.
     /// The answered samples themselves are trustworthy — only shifts at the
     /// change instants must be attributed to routing.
-    PathChange,
+    PathChange = 3,
     /// Far responses repeatedly arrive from an unexpected address
     /// (loopback-sourced router or a path change under the measurement).
-    AddrUnstable,
+    AddrUnstable = 4,
     /// Essentially no far answers (decommissioned router, permanent ACL),
     /// or the far side died partway and never came back.
-    Silent,
+    Silent = 5,
 }
 
 impl LinkHealth {
@@ -70,6 +71,20 @@ impl LinkHealth {
             LinkHealth::AddrUnstable => "addr-unstable",
             LinkHealth::Silent => "silent",
         }
+    }
+
+    /// Stable numeric code for binary checkpoints and trace events: the
+    /// declaration order, `Clean` = 0 through `Silent` = 5. Monitor
+    /// checkpoints on disk store it, so it is never renumbered.
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The class with checkpoint code `code`, `None` for an unknown code.
+    pub fn from_code(code: u64) -> Option<LinkHealth> {
+        use LinkHealth::*;
+        let all = [Clean, Gappy, RateLimited, PathChange, AddrUnstable, Silent];
+        all.get(usize::try_from(code).ok()?).copied()
     }
 }
 
@@ -126,30 +141,105 @@ pub struct HealthConfig {
     pub window: SimDuration,
 }
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            min_gap: SimDuration::from_mins(30),
-            max_scattered_loss: 0.25,
-            min_addr_consistency: 0.90,
-            silent_validity: 0.05,
-            silent_tail_fraction: 0.35,
-            window: SimDuration::from_days(1),
-        }
-    }
-}
-
 impl HealthConfig {
+    /// The paper's thresholds: 30-minute gaps, one-day windows. The live
+    /// monitor reads these on its fixed 5-minute round.
+    pub const DEFAULT: HealthConfig = HealthConfig {
+        min_gap: SimDuration::from_mins(30),
+        max_scattered_loss: 0.25,
+        min_addr_consistency: 0.90,
+        silent_validity: 0.05,
+        silent_tail_fraction: 0.35,
+        window: SimDuration::from_days(1),
+    };
+
     /// `min_gap` in rounds on a given grid (at least 2, so a single missed
     /// round never counts as an outage even on a coarse screening grid).
-    pub fn min_gap_rounds(&self, interval: SimDuration) -> usize {
-        ((self.min_gap.as_micros() / interval.as_micros().max(1)) as usize).max(2)
+    pub const fn min_gap_rounds(&self, interval: SimDuration) -> usize {
+        rounds_in(self.min_gap, interval, 2)
     }
 
     /// Window length in rounds on a given grid.
-    pub fn window_rounds(&self, interval: SimDuration) -> usize {
-        ((self.window.as_micros() / interval.as_micros().max(1)) as usize).max(1)
+    pub const fn window_rounds(&self, interval: SimDuration) -> usize {
+        rounds_in(self.window, interval, 1)
     }
+
+    /// The health ladder — the one rule batch windows, the batch overall
+    /// label and the live monitor's windows are all read with.
+    ///
+    /// Evidence precedence (worst wins): `Silent` (no data, or a long
+    /// trailing outage) > `AddrUnstable` (answers cannot be trusted to come
+    /// from the link) > `PathChange` (the window spans more than one
+    /// forwarding path) > `RateLimited` (validity is shaped by the
+    /// limiter) > `Gappy` (usable, but shifts near gap edges are suspect) >
+    /// `Clean`.
+    #[inline]
+    pub fn label(&self, ev: &WindowEvidence) -> LinkHealth {
+        if ev.rounds == 0 {
+            return LinkHealth::Clean;
+        }
+        let validity = ev.answered as f64 / ev.rounds as f64;
+        if validity < self.silent_validity
+            || (ev.tail_fraction > 0.0 && ev.tail_fraction >= self.silent_tail_fraction)
+        {
+            return LinkHealth::Silent;
+        }
+        if ev.addr_consistency < self.min_addr_consistency {
+            return LinkHealth::AddrUnstable;
+        }
+        // A fingerprinted path change outranks loss-shape evidence: the
+        // window is a concatenation of different paths, so its level
+        // structure cannot be read as one link's queue without masking the
+        // change instants.
+        if ev.path_changes > 0 {
+            return LinkHealth::PathChange;
+        }
+        // Scattered loss: unanswered rounds not explained by gap intervals,
+        // relative to the rounds outside gaps. Gaps are structural (flaps,
+        // maintenance); scattered loss across many short runs is a limiter.
+        let outside = ev.rounds - ev.gap_rounds;
+        let scattered = (ev.rounds - ev.answered).saturating_sub(ev.gap_rounds);
+        if outside > 0 && scattered as f64 / outside as f64 > self.max_scattered_loss {
+            return LinkHealth::RateLimited;
+        }
+        if ev.gap_rounds > 0 {
+            return LinkHealth::Gappy;
+        }
+        LinkHealth::Clean
+    }
+}
+
+impl Default for HealthConfig {
+    fn default() -> Self {
+        HealthConfig::DEFAULT
+    }
+}
+
+/// Whole rounds of `interval` in `span`, at least `floor`.
+const fn rounds_in(span: SimDuration, interval: SimDuration, floor: usize) -> usize {
+    let per = if interval.as_micros() == 0 { 1 } else { interval.as_micros() };
+    let rounds = (span.as_micros() / per) as usize;
+    if rounds < floor { floor } else { rounds }
+}
+
+/// What [`HealthConfig::label`] reads: the far-side evidence of one window
+/// (or of a whole series).
+#[derive(Clone, Copy, Debug)]
+pub struct WindowEvidence {
+    /// Rounds in the window.
+    pub rounds: usize,
+    /// Rounds with a far answer.
+    pub answered: usize,
+    /// Unanswered rounds inside loss runs long enough to be gaps
+    /// (at most `rounds`).
+    pub gap_rounds: usize,
+    /// Share of the window lost to a loss run still open at its end
+    /// (0 when there is none).
+    pub tail_fraction: f64,
+    /// Fraction of answered rounds from the expected address.
+    pub addr_consistency: f64,
+    /// Path-fingerprint changes inside the window.
+    pub path_changes: usize,
 }
 
 /// The measurement-integrity summary for one link.
@@ -261,58 +351,8 @@ fn loss_runs(values: &[f64], min_run: usize) -> (Vec<GapInterval>, usize) {
     (gaps, longest)
 }
 
-/// Label one slice of the far series given its gap intervals (already
-/// clipped to the slice) and address evidence.
-#[allow(clippy::too_many_arguments)]
-fn label(
-    rounds: usize,
-    answered: usize,
-    gap_rounds: usize,
-    has_outage: bool,
-    outage_rounds: usize,
-    addr_consistency: f64,
-    path_changes: usize,
-    cfg: &HealthConfig,
-) -> LinkHealth {
-    if rounds == 0 {
-        return LinkHealth::Clean;
-    }
-    let validity = answered as f64 / rounds as f64;
-    if validity < cfg.silent_validity
-        || (has_outage && outage_rounds as f64 / rounds as f64 >= cfg.silent_tail_fraction)
-    {
-        return LinkHealth::Silent;
-    }
-    if addr_consistency < cfg.min_addr_consistency {
-        return LinkHealth::AddrUnstable;
-    }
-    // A fingerprinted path change outranks loss-shape evidence: the series
-    // is a concatenation of different paths, so its level structure cannot
-    // be read as one link's queue without masking the change instants.
-    if path_changes > 0 {
-        return LinkHealth::PathChange;
-    }
-    // Scattered loss: unanswered rounds not explained by gap intervals,
-    // relative to the rounds outside gaps. Gaps are structural (flaps,
-    // maintenance); scattered loss across many short runs is a limiter.
-    let outside = rounds - gap_rounds;
-    let scattered = (rounds - answered).saturating_sub(gap_rounds);
-    if outside > 0 && scattered as f64 / outside as f64 > cfg.max_scattered_loss {
-        return LinkHealth::RateLimited;
-    }
-    if gap_rounds > 0 {
-        return LinkHealth::Gappy;
-    }
-    LinkHealth::Clean
-}
-
-/// Classify one link's measurement health.
-///
-/// Evidence precedence (worst wins): `Silent` (no data, or a long trailing
-/// outage) > `AddrUnstable` (answers cannot be trusted to come from the
-/// link) > `PathChange` (the series spans more than one forwarding path) >
-/// `RateLimited` (validity is shaped by the limiter) > `Gappy` (usable, but
-/// shifts near gap edges are suspect) > `Clean`.
+/// Classify one link's measurement health: every window and the whole
+/// series are labelled by [`HealthConfig::label`].
 pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
     let n = series.len();
     if n == 0 {
@@ -340,51 +380,32 @@ pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
     // inherit the series-wide consistency — good enough to locate loss
     // structure in time, which is what the windows are for.
     let wlen = cfg.window_rounds(interval);
-    let mut windows = Vec::with_capacity(n.div_ceil(wlen));
-    let mut w = 0usize;
-    while w < n {
-        let hi = (w + wlen).min(n);
-        let rounds = hi - w;
-        let answered_w = series.far_ms[w..hi].iter().filter(|v| v.is_finite()).count();
-        let mut gap_w = 0usize;
-        let mut outage_w = 0usize;
-        let mut has_outage = false;
-        for g in &gaps {
-            let lo = g.start.max(w);
-            let gh = g.end.min(hi);
-            if gh > lo {
-                gap_w += gh - lo;
-                if g.kind == GapKind::Outage {
-                    has_outage = true;
-                    outage_w += gh - lo;
-                }
-            }
-        }
-        let changes_w = path_changes.iter().filter(|&&c| (w..hi).contains(&c)).count();
-        windows.push(label(
-            rounds,
-            answered_w,
-            gap_w,
-            has_outage,
-            outage_w,
-            addr_consistency,
-            changes_w,
-            cfg,
-        ));
-        w = hi;
-    }
+    let windows = (0..n)
+        .step_by(wlen)
+        .map(|w| {
+            let hi = (w + wlen).min(n);
+            let clipped = |g: &GapInterval| g.end.min(hi).saturating_sub(g.start.max(w));
+            let outage: usize =
+                gaps.iter().filter(|g| g.kind == GapKind::Outage).map(clipped).sum();
+            cfg.label(&WindowEvidence {
+                rounds: hi - w,
+                answered: series.far_ms[w..hi].iter().filter(|v| v.is_finite()).count(),
+                gap_rounds: gaps.iter().map(clipped).sum(),
+                tail_fraction: outage as f64 / (hi - w) as f64,
+                addr_consistency,
+                path_changes: path_changes.iter().filter(|&&c| (w..hi).contains(&c)).count(),
+            })
+        })
+        .collect();
 
-    let has_outage = gaps.iter().any(|g| g.kind == GapKind::Outage);
-    let overall = label(
-        n,
+    let overall = cfg.label(&WindowEvidence {
+        rounds: n,
         answered,
         gap_rounds,
-        has_outage,
-        outage_rounds,
+        tail_fraction: outage_rounds as f64 / n as f64,
         addr_consistency,
-        path_changes.len(),
-        cfg,
-    );
+        path_changes: path_changes.len(),
+    });
 
     HealthReport {
         overall,
@@ -577,6 +598,19 @@ mod tests {
         let h = classify_link(&s, &HealthConfig::default());
         assert_eq!(h.overall, LinkHealth::Clean, "near loss must not taint far health");
         assert_eq!(h.near_gaps, vec![GapInterval { start: 100, end: 200, kind: GapKind::Gap }]);
+    }
+
+    #[test]
+    fn checkpoint_codes_follow_declaration_order() {
+        use LinkHealth::*;
+        for (i, h) in [Clean, Gappy, RateLimited, PathChange, AddrUnstable, Silent].iter().enumerate() {
+            assert_eq!(h.code(), i as u64);
+            assert_eq!(LinkHealth::from_code(i as u64), Some(*h));
+            // The trace decoder in ixp-obs (below core) names the same codes.
+            assert_eq!(ixp_obs::health_class_name(h.code()), format!("{h:?}"));
+        }
+        assert_eq!(LinkHealth::from_code(6), None);
+        assert_eq!(LinkHealth::from_code(u64::MAX), None);
     }
 
     #[test]

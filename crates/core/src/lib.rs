@@ -40,6 +40,7 @@ pub use detect::{
 };
 pub use health::{
     classify_link, classify_link_rec, GapInterval, GapKind, HealthConfig, HealthReport, LinkHealth,
+    WindowEvidence,
 };
 pub use lossanalysis::{measure_loss_series, split_by_events, LossCampaignConfig, LossSeries, LossSplit};
 pub use series::{LinkSeries, SeriesConfig};

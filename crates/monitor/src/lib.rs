@@ -7,8 +7,8 @@
 //!
 //! - [`state`] — per-link streaming state: one [`ixp_chgpt::OnlineDetector`]
 //!   (Page's CUSUM), path-fingerprint change tracking with the same causal
-//!   masking rule the batch assessment uses, and an incremental
-//!   measurement-health ladder mirroring [`tslp_core::health`]'s precedence.
+//!   masking rule the batch assessment uses, and incremental
+//!   measurement-health evidence read with [`tslp_core::health`]'s ladder.
 //!   Fed sample-by-sample, the verdict stream is **bit-identical** to
 //!   running [`ixp_chgpt::online_events`] over the full series (tested
 //!   across the chaos/storm fault corpus).

@@ -55,7 +55,9 @@
 //! samples included — tested at 1 and 3 ingest threads.
 
 use crate::index::{LinkVerdict, VerdictIndex};
-use crate::state::{health_token, LinkState, LinkUpdate, MonitorSample, SeqGate, PARKED_LEN};
+use crate::state::{
+    LinkState, LinkUpdate, MonitorSample, SeqGate, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
+};
 use ixp_chgpt::{OnlineConfig, OnlineVerdict};
 use ixp_obs::{FlightRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
 use ixp_simnet::rng::mix;
@@ -64,9 +66,12 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tslp_core::{BlobStatus, CheckpointStore};
+use tslp_core::{BlobStatus, CheckpointStore, HealthConfig};
 
-/// Full configuration of the resident monitor.
+/// Full configuration of the resident monitor. Health thresholds are not
+/// part of it: every link's windows are labelled by the batch ladder,
+/// [`HealthConfig::label`] under [`HealthConfig::DEFAULT`], on the
+/// 5-minute round.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MonitorConfig {
     /// Online detector configuration (shared by every link).
@@ -77,19 +82,6 @@ pub struct MonitorConfig {
     pub threads: usize,
     /// A path change at round `c` masks upshifts in `[c, c + mask_slack]`.
     pub mask_slack: u64,
-    /// Tumbling health-window length in rounds (288 = one day at 5 min).
-    pub window_rounds: u64,
-    /// Loss runs at least this long count as gap evidence (not scattered
-    /// loss). 6 rounds = the paper's 30-minute minimum on the 5-min grid.
-    pub min_gap_rounds: u64,
-    /// Scattered loss above this fraction reads as rate limiting.
-    pub max_scattered_loss: f64,
-    /// Address consistency below this reads as AddrUnstable.
-    pub min_addr_consistency: f64,
-    /// Window validity below this reads as Silent.
-    pub silent_validity: f64,
-    /// An open loss run covering this fraction of a window reads as Silent.
-    pub silent_tail_fraction: f64,
     /// Sequence reorder window for [`MonitorService::ingest_sequenced`]:
     /// samples up to this many sequence numbers ahead are buffered and
     /// healed into order (clamped to [`crate::state::REORDER_CAP`]).
@@ -112,12 +104,6 @@ impl Default for MonitorConfig {
             shards: 16,
             threads: 1,
             mask_slack: 6,
-            window_rounds: 288,
-            min_gap_rounds: 6,
-            max_scattered_loss: 0.25,
-            min_addr_consistency: 0.90,
-            silent_validity: 0.05,
-            silent_tail_fraction: 0.35,
             reorder_window: 4,
             max_shard_batch: 0,
             shed_seed: 0x5EED,
@@ -224,14 +210,17 @@ pub struct LinkDesc {
 }
 
 /// Fingerprint binding checkpoints to one monitor deployment: configuration
-/// (detector, shard layout, health thresholds, admission control) and link
-/// count. Thread count and `degraded_hold` are deliberately excluded — the
-/// link state does not depend on them. The magic word is versioned with the
-/// checkpoint payload layout: v4 blobs store each gate as its five counters
-/// and move parked samples into a per-shard trailer (v3 wrote eight slots,
-/// mostly empty, per gate), so v3 deployments read as a miss, never a
-/// mis-decode.
+/// (detector, shard layout, admission control), the health thresholds and
+/// link count. Thread count and `degraded_hold` are deliberately excluded —
+/// the link state does not depend on them. The magic word is versioned with
+/// the checkpoint payload layout: v4 blobs store each gate as its five
+/// counters and move parked samples into a per-shard trailer (v3 wrote
+/// eight slots, mostly empty, per gate), so v3 deployments read as a miss,
+/// never a mis-decode.
 pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
+    // The health thresholds are constants; they keep their place in the
+    // mix so v4 checkpoints written under the same thresholds still resume.
+    let health = HealthConfig::DEFAULT;
     mix(&[
         0x4D4F_4E49_544F_5234, // "MONITOR4"
         cfg.reorder_window,
@@ -243,12 +232,12 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
         cfg.online.baseline_gain.to_bits(),
         cfg.shards as u64,
         cfg.mask_slack,
-        cfg.window_rounds,
-        cfg.min_gap_rounds,
-        cfg.max_scattered_loss.to_bits(),
-        cfg.min_addr_consistency.to_bits(),
-        cfg.silent_validity.to_bits(),
-        cfg.silent_tail_fraction.to_bits(),
+        WINDOW_ROUNDS,
+        MIN_GAP_ROUNDS,
+        health.max_scattered_loss.to_bits(),
+        health.min_addr_consistency.to_bits(),
+        health.silent_validity.to_bits(),
+        health.silent_tail_fraction.to_bits(),
         n_links as u64,
     ])
 }
@@ -283,14 +272,14 @@ impl ShardSlab {
 
     /// Recompute every slot's verdict into the buffer (after a restore),
     /// ready to publish.
-    fn all_verdicts(&mut self, shard: usize, n_shards: usize, cfg: &MonitorConfig) {
+    fn all_verdicts(&mut self, shard: usize, n_shards: usize) {
         let ShardSlab { links, verdicts, .. } = self;
         verdicts.clear();
         verdicts.extend(
             links
                 .iter()
                 .enumerate()
-                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st, cfg))),
+                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st))),
         );
     }
 }
@@ -850,7 +839,7 @@ impl MonitorService {
                         totals.stale += u64::from(d.stale);
                         totals.reordered += u64::from(d.reordered);
                         totals.dropped += d.dropped;
-                        verdicts.push((id, verdict_of(&links[slot], &self.cfg)));
+                        verdicts.push((id, verdict_of(&links[slot])));
                     }
                 }
                 Some(fl) => {
@@ -892,7 +881,7 @@ impl MonitorService {
                             totals.reordered += u64::from(d.reordered);
                             totals.dropped += d.dropped;
                         }
-                        verdicts.push((id, verdict_of(&links[slot], &self.cfg)));
+                        verdicts.push((id, verdict_of(&links[slot])));
                     }
                 }
             }
@@ -948,7 +937,7 @@ impl MonitorService {
         // publish() maintains the elevated aggregates on transitions, so
         // overwriting the shard's verdicts keeps the counters exact — no
         // full rebuild (which would race concurrent publishes) needed.
-        slab.all_verdicts(shard, self.shards.len(), &self.cfg);
+        slab.all_verdicts(shard, self.shards.len());
         self.index.publish(shard, &slab.verdicts, &self.ixp_of);
         drop(slab);
         if let Some(fl) = self.flight_if_live() {
@@ -1199,7 +1188,7 @@ impl MonitorService {
         decoded: (Vec<LinkState>, Vec<SeqGate>),
     ) {
         slab.replace(decoded);
-        slab.all_verdicts(shard, self.shards.len(), &self.cfg);
+        slab.all_verdicts(shard, self.shards.len());
         self.index.publish(shard, &slab.verdicts, &self.ixp_of);
     }
 
@@ -1286,14 +1275,14 @@ fn decode_shard_payload(
     Some((links, gates))
 }
 
-fn verdict_of(st: &LinkState, cfg: &MonitorConfig) -> LinkVerdict {
+fn verdict_of(st: &LinkState) -> LinkVerdict {
     let det = st.detector();
     LinkVerdict {
         round: st.rounds(),
         elevated: det.is_elevated(),
         baseline_ms: det.baseline(),
         elevation_ms: det.elevation_estimate(),
-        health: st.health(cfg),
+        health: st.health(),
         alarms: st.alarms(),
         masked_alarms: st.masked_alarms(),
         gaps: det.gap_count(),
@@ -1373,8 +1362,8 @@ fn trace_update(fl: &FlightRecorder, shard: u32, link: u32, up: LinkUpdate, st: 
         Recorder::trace(
             fl,
             TraceEvent::new(TraceKind::HealthChanged, up.round, shard, link)
-                .a(health_token(up.health_before))
-                .b(health_token(st.committed_health())),
+                .a(up.health_before.code())
+                .b(st.committed_health().code()),
         );
     }
 }
@@ -1487,6 +1476,14 @@ mod tests {
         std::fs::remove_file(dir.join("blob-monitor-shard-001.blob")).unwrap();
         assert!(MonitorService::resume(cfg, &links(n, 2), &store).is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The default deployment's fingerprint is a literal: checkpoints
+    /// written by an earlier build with the same configuration must keep
+    /// resuming, so no refactor of the config may move this value.
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        assert_eq!(monitor_fingerprint(&MonitorConfig::default(), 1000), 11_087_406_640_477_573_411);
     }
 
     /// Digest of link states only (gate counters excluded), for comparing

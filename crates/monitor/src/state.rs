@@ -15,17 +15,33 @@
 //! of the window is deliberately absent — the equivalence suite pins the
 //! causal rule on both the streaming and batch sides.
 //!
-//! Health mirrors [`tslp_core::health::classify_link`]'s evidence precedence
-//! (Silent > AddrUnstable > PathChange > RateLimited > Gappy > Clean) over a
-//! tumbling window — the same shape as the batch classifier's per-window
-//! labels — using O(1) counters instead of a retained series. It is the
-//! documented streaming approximation: loss runs count toward gap evidence
-//! once they close (or while still open, at their current length), whereas
-//! the batch classifier sees every run's final extent.
+//! Health is read with the batch ladder itself, [`HealthConfig::label`]
+//! under [`HealthConfig::DEFAULT`], over a tumbling one-day window — the
+//! same shape as [`tslp_core::health::classify_link`]'s per-window labels.
+//! Only the evidence is collected differently, in O(1) counters instead of
+//! a retained series, and in three places it is a streaming approximation:
+//! a loss run still open counts at its current length (batch sees every
+//! run's final extent); address consistency is counted per window (batch
+//! counts it series-wide); and the open run's tail fraction is taken over a
+//! full window, whatever share of it has elapsed. On one complete window
+//! from a fresh state the two agree exactly (the monitor equivalence suite
+//! checks this on a random corpus).
 
 use crate::service::MonitorConfig;
 use ixp_chgpt::{OnlineDetector, OnlineSnapshot, OnlineVerdict};
+use ixp_simnet::time::SimDuration;
+use tslp_core::health::{HealthConfig, WindowEvidence};
 use tslp_core::LinkHealth;
+
+/// The monitor's round: the paper's 5-minute TSLP cadence.
+const ROUND: SimDuration = SimDuration::from_mins(5);
+
+/// Health-window length in rounds: one day of 5-minute rounds = 288.
+pub(crate) const WINDOW_ROUNDS: u64 = HealthConfig::DEFAULT.window_rounds(ROUND) as u64;
+
+/// Loss runs at least this long are gap evidence, not scattered loss:
+/// the paper's 30-minute minimum = 6 rounds.
+pub(crate) const MIN_GAP_ROUNDS: u64 = HealthConfig::DEFAULT.min_gap_rounds(ROUND) as u64;
 
 /// One ingested measurement round for one link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -241,7 +257,7 @@ impl LinkState {
             if !s.far_addr_ok {
                 self.w_addr_bad += 1;
             }
-            if self.cur_loss_run >= cfg.min_gap_rounds {
+            if self.cur_loss_run >= MIN_GAP_ROUNDS {
                 self.w_gap_rounds += self.cur_loss_run.min(self.w_rounds);
             }
             self.cur_loss_run = 0;
@@ -271,8 +287,8 @@ impl LinkState {
 
         self.w_rounds += 1;
         let health_before = self.prev_health;
-        if self.w_rounds >= cfg.window_rounds {
-            self.prev_health = self.window_label(cfg);
+        if self.w_rounds >= WINDOW_ROUNDS {
+            self.prev_health = self.window_label();
             self.w_rounds = 0;
             self.w_answered = 0;
             self.w_addr_bad = 0;
@@ -298,12 +314,12 @@ impl LinkState {
 
     /// The health label over the current (in-progress) window, falling back
     /// to the last completed window's label while the new window is still
-    /// too young to say anything (fewer than `min_gap_rounds` rounds).
-    pub fn health(&self, cfg: &MonitorConfig) -> LinkHealth {
-        if self.w_rounds < cfg.min_gap_rounds {
+    /// too young to say anything (fewer than 6 rounds, the gap minimum).
+    pub fn health(&self) -> LinkHealth {
+        if self.w_rounds < MIN_GAP_ROUNDS {
             return self.prev_health;
         }
-        self.window_label(cfg)
+        self.window_label()
     }
 
     /// The health class committed at the last window boundary — an O(1)
@@ -315,45 +331,30 @@ impl LinkState {
         self.prev_health
     }
 
-    fn window_label(&self, cfg: &MonitorConfig) -> LinkHealth {
+    /// The current window's evidence, read with the batch ladder. Only
+    /// called with at least [`MIN_GAP_ROUNDS`] rounds in the window.
+    fn window_label(&self) -> LinkHealth {
         let rounds = self.w_rounds;
-        if rounds == 0 {
-            return self.prev_health;
-        }
         // An open loss run contributes at its current length once it
         // qualifies, clipped to this window.
-        let open_gap = if self.cur_loss_run >= cfg.min_gap_rounds {
+        let open_gap = if self.cur_loss_run >= MIN_GAP_ROUNDS {
             self.cur_loss_run.min(rounds)
         } else {
             0
         };
-        let gap_rounds = (self.w_gap_rounds + open_gap).min(rounds);
-        let validity = self.w_answered as f64 / rounds as f64;
-        let trailing = self.cur_loss_run as f64 / cfg.window_rounds as f64;
-        if validity < cfg.silent_validity || trailing >= cfg.silent_tail_fraction {
-            return LinkHealth::Silent;
-        }
-        let consistency = if self.w_answered == 0 {
+        let addr_consistency = if self.w_answered == 0 {
             1.0
         } else {
             (self.w_answered - self.w_addr_bad) as f64 / self.w_answered as f64
         };
-        if consistency < cfg.min_addr_consistency {
-            return LinkHealth::AddrUnstable;
-        }
-        if self.w_path_changes > 0 {
-            return LinkHealth::PathChange;
-        }
-        let lost = rounds - self.w_answered;
-        let scattered = lost.saturating_sub(gap_rounds);
-        let outside = rounds - gap_rounds;
-        if outside > 0 && scattered as f64 / outside as f64 > cfg.max_scattered_loss {
-            return LinkHealth::RateLimited;
-        }
-        if gap_rounds > 0 {
-            return LinkHealth::Gappy;
-        }
-        LinkHealth::Clean
+        HealthConfig::DEFAULT.label(&WindowEvidence {
+            rounds: rounds as usize,
+            answered: self.w_answered as usize,
+            gap_rounds: (self.w_gap_rounds + open_gap).min(rounds) as usize,
+            tail_fraction: self.cur_loss_run as f64 / WINDOW_ROUNDS as f64,
+            addr_consistency,
+            path_changes: self.w_path_changes as usize,
+        })
     }
 
     /// Fixed-layout encode for checkpointing: 27 u64 little-endian words.
@@ -384,7 +385,7 @@ impl LinkState {
             self.w_gap_rounds,
             self.w_path_changes,
             self.cur_loss_run,
-            health_token(self.prev_health),
+            self.prev_health.code(),
             self.fp_before,
             self.last_alarm_round,
             self.last_alarm_gap,
@@ -441,7 +442,7 @@ impl LinkState {
             w_gap_rounds: words[19],
             w_path_changes: words[20],
             cur_loss_run: words[21],
-            prev_health: health_from_token(words[22])?,
+            prev_health: LinkHealth::from_code(words[22])?,
         })
     }
 }
@@ -795,29 +796,6 @@ impl SeqGate {
 /// Bytes one parked-sample record occupies in a shard checkpoint.
 pub(crate) const PARKED_LEN: usize = 5 * 8;
 
-pub(crate) fn health_token(h: LinkHealth) -> u64 {
-    match h {
-        LinkHealth::Clean => 0,
-        LinkHealth::Gappy => 1,
-        LinkHealth::RateLimited => 2,
-        LinkHealth::PathChange => 3,
-        LinkHealth::AddrUnstable => 4,
-        LinkHealth::Silent => 5,
-    }
-}
-
-fn health_from_token(t: u64) -> Option<LinkHealth> {
-    Some(match t {
-        0 => LinkHealth::Clean,
-        1 => LinkHealth::Gappy,
-        2 => LinkHealth::RateLimited,
-        3 => LinkHealth::PathChange,
-        4 => LinkHealth::AddrUnstable,
-        5 => LinkHealth::Silent,
-        _ => return None,
-    })
-}
-
 /// The batch reference view of the streaming path: run a fresh [`LinkState`]
 /// over a whole `(far_ms, path_fp)` series and collect the congestion
 /// events with their masked flags. The `(up, down)` pairs are exactly
@@ -943,7 +921,7 @@ mod tests {
         for _ in 0..600 {
             st.push(&MonitorSample::answered(2.0, 0xAA), &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::Clean);
+        assert_eq!(st.health(), LinkHealth::Clean);
 
         // Rate-limiter shape: every third round answered.
         let mut st = LinkState::with_config(&cfg);
@@ -955,7 +933,7 @@ mod tests {
             };
             st.push(&s, &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::RateLimited);
+        assert_eq!(st.health(), LinkHealth::RateLimited);
 
         // One long bounded gap in an otherwise clean window.
         let mut st = LinkState::with_config(&cfg);
@@ -963,22 +941,22 @@ mod tests {
             let s = if (60..90).contains(&i) { MonitorSample::lost() } else { MonitorSample::answered(2.0, 0xAA) };
             st.push(&s, &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::Gappy);
+        assert_eq!(st.health(), LinkHealth::Gappy);
 
         // Wrong source address on most answers.
         let mut st = LinkState::with_config(&cfg);
         for _ in 0..200 {
             st.push(&MonitorSample { far_ms: 2.0, path_fp: 0xAA, far_addr_ok: false }, &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::AddrUnstable);
+        assert_eq!(st.health(), LinkHealth::AddrUnstable);
 
         // Dead link: Silent beats everything.
         let mut st = LinkState::with_config(&cfg);
         st.push(&MonitorSample::answered(2.0, 0xAA), &cfg);
-        for _ in 0..(cfg.window_rounds / 2) {
+        for _ in 0..(WINDOW_ROUNDS / 2) {
             st.push(&MonitorSample::lost(), &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::Silent);
+        assert_eq!(st.health(), LinkHealth::Silent);
 
         // Path change outranks gap evidence.
         let mut st = LinkState::with_config(&cfg);
@@ -991,7 +969,7 @@ mod tests {
             };
             st.push(&s, &cfg);
         }
-        assert_eq!(st.health(&cfg), LinkHealth::PathChange);
+        assert_eq!(st.health(), LinkHealth::PathChange);
     }
 
     /// Run a `(seq, value)` arrival schedule through a gate and return the

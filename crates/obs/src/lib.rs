@@ -150,6 +150,6 @@ mod tests {
         r.observe("y", 2.0);
         r.stage("a/b", 3, 4);
         // A reference forwards.
-        assert!(!(&r).enabled());
+        assert!(!Recorder::enabled(&&r));
     }
 }

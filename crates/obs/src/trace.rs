@@ -325,8 +325,8 @@ pub fn parse_dump(bytes: &[u8]) -> Result<TraceDump, String> {
 }
 
 /// Human name for the health-class tokens carried by
-/// [`TraceKind::HealthChanged`] (`ixp-monitor`'s encoding: Clean=0, Gappy=1,
-/// RateLimited=2, PathChange=3, AddrUnstable=4, Silent=5).
+/// [`TraceKind::HealthChanged`] (tslp-core's `LinkHealth::code`: Clean=0,
+/// Gappy=1, RateLimited=2, PathChange=3, AddrUnstable=4, Silent=5).
 pub fn health_class_name(token: u64) -> &'static str {
     match token {
         0 => "Clean",

@@ -32,7 +32,7 @@ proptest! {
         // occasional giants that overflow the finite buckets.
         let lift = |v: &u64| {
             let x = *v as f64 / 1000.0;
-            if v % 17 == 0 { x * 1e6 } else { x }
+            if v.is_multiple_of(17) { x * 1e6 } else { x }
         };
         let a = hist_of(&xs.iter().map(lift).collect::<Vec<_>>());
         let b = hist_of(&ys.iter().map(lift).collect::<Vec<_>>());

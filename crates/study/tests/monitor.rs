@@ -17,18 +17,21 @@
 //! measured corpus at 1 and 3 threads (bit-identical continuation), and
 //! runs a 1k-link continent smoke: the streaming campaign feeds the
 //! service round-major; congested links elevate, clean links do not.
+//! Finally, batch and live health must give one complete window the same
+//! label across a random corpus that reaches every rung of the ladder.
 
 use ixp_chgpt::online_events;
 use ixp_monitor::{
     masked_online_events, monitor_fingerprint, LinkDesc, LinkState, MaskOutcome, MonitorConfig,
     MonitorSample, MonitorService,
 };
-use ixp_prober::tslp::TslpTarget;
+use ixp_prober::tslp::{TslpSample, TslpTarget};
 use ixp_simnet::fault::{Fault, FaultPlan};
 use ixp_simnet::prelude::{Ipv4, Network, NodeId, SimDuration, SimTime};
 use ixp_topology::{build_continent, build_vp, paper_vps, ContinentSpec, VpSpec};
 use tslp_core::campaign::{measure_link, stream_vp_links, CampaignConfig};
-use tslp_core::series::LinkSeries;
+use tslp_core::health::{classify_link, HealthConfig};
+use tslp_core::series::{LinkSeries, SeriesConfig};
 use tslp_core::CheckpointStore;
 
 const SEED: u64 = 0xAF12_2017;
@@ -368,7 +371,7 @@ fn live_recorder_is_invisible_and_explains_every_alarm() {
 #[test]
 fn thousand_link_continent_monitor_smoke() {
     let spec = ContinentSpec::with_total_links(1_000);
-    let cont = build_continent(&spec, 0x5CA1E_2017);
+    let cont = build_continent(&spec, 0x5_CA1E_2017);
     let targets: Vec<TslpTarget> = cont
         .links
         .iter()
@@ -446,4 +449,106 @@ fn thousand_link_continent_monitor_smoke() {
     assert_eq!(false_elevated, 0, "no clean link may read elevated");
     assert_eq!(svc.index().elevated_links(), hot_elevated as u64);
     assert_eq!(svc.samples_ingested(), (n * rounds) as u64);
+}
+
+/// A tiny deterministic stream for the agreement corpus.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = ixp_simnet::rng::splitmix64(self.0);
+        self.0
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+    fn pick(&mut self, xs: &[f64]) -> f64 {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// One random 288-round (one day at 5 minutes) window of TSLP samples:
+/// scattered loss, a few loss runs (some reaching the end of the window),
+/// wrong-address answers and fingerprint changes, with some answered rounds
+/// carrying the unknown fingerprint 0.
+fn random_window(d: &mut Draw) -> Vec<TslpSample> {
+    const ROUNDS: usize = 288;
+    let scatter = d.pick(&[0.0, 0.0, 0.05, 0.15, 0.25, 0.35, 0.6, 0.97]);
+    let addr_bad = d.pick(&[0.0, 0.0, 0.0, 0.05, 0.1, 0.12, 0.5]);
+    let fp_zero = d.pick(&[0.0, 0.0, 0.1, 0.5]);
+    let mut lost = [false; ROUNDS];
+    for _ in 0..d.below(4) {
+        let len = match d.below(4) {
+            0 => 1 + d.below(10),
+            1 => 6 + d.below(60),
+            _ => 80 + d.below(150),
+        } as usize;
+        let start = if d.below(4) == 0 {
+            ROUNDS.saturating_sub(len)
+        } else {
+            d.below(ROUNDS as u64) as usize
+        };
+        for l in lost.iter_mut().skip(start).take(len) {
+            *l = true;
+        }
+    }
+    let changes: Vec<usize> = match d.below(2) {
+        0 => Vec::new(),
+        _ => (0..1 + d.below(3)).map(|_| d.below(ROUNDS as u64) as usize).collect(),
+    };
+    let grid = SeriesConfig::five_minute(SimTime::from_date(2016, 3, 1));
+    let mut fp = 0xA000 + d.below(16);
+    let mut out = Vec::with_capacity(ROUNDS);
+    for (i, &in_run) in lost.iter().enumerate() {
+        if changes.contains(&i) {
+            fp += 1;
+        }
+        let answered = !in_run && d.unit() >= scatter;
+        out.push(TslpSample {
+            t: grid.timestamp(i),
+            near: Some(SimDuration::from_millis(1)),
+            far: answered.then(|| SimDuration::from_micros(2_000 + d.below(500))),
+            near_addr_ok: true,
+            far_addr_ok: answered && d.unit() >= addr_bad,
+            path_fp: if answered && d.unit() >= fp_zero { fp } else { 0 },
+        });
+    }
+    out
+}
+
+/// Batch and live read one full window alike: the label `classify_link`
+/// gives the only day of a 288-round series equals the label a fresh
+/// `LinkState` holds after the same 288 samples. Partial windows and
+/// multi-window series are deliberately not compared — the live evidence
+/// differs there by design (tail fraction over a full window, per-window
+/// address consistency, runs clipped at window edges).
+#[test]
+fn batch_and_live_health_agree_on_one_full_window() {
+    let cfg = MonitorConfig::default();
+    let hcfg = HealthConfig::default();
+    let grid = SeriesConfig::five_minute(SimTime::from_date(2016, 3, 1));
+    let mut d = Draw(0x4EA1_7412);
+    let mut seen = [0usize; 6];
+    for w in 0..6_000 {
+        let samples = random_window(&mut d);
+        let mut series = LinkSeries::new(grid);
+        let mut st = LinkState::with_config(&cfg);
+        for s in &samples {
+            series.push(s);
+            let far_ms = series.far_ms[series.len() - 1];
+            st.push(
+                &MonitorSample { far_ms, path_fp: s.path_fp, far_addr_ok: s.far_addr_ok },
+                &cfg,
+            );
+        }
+        let batch = classify_link(&series, &hcfg).windows;
+        assert_eq!(batch.len(), 1);
+        assert_eq!(st.health(), batch[0], "window {w}: live and batch labels differ");
+        seen[batch[0] as usize] += 1;
+    }
+    // Every rung of the ladder must be exercised.
+    assert!(seen.iter().all(|&n| n > 0), "class counts {seen:?}");
 }

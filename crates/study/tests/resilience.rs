@@ -34,7 +34,7 @@ fn link_set() -> Vec<LinkDesc> {
 }
 
 fn stepped(id: u32) -> bool {
-    id % 8 == 0
+    id.is_multiple_of(8)
 }
 
 /// Deterministic workload: quiet links hold ~2 ms, stepped links jump to

@@ -13,7 +13,7 @@ use tslp_core::campaign::{stream_vp_links, CampaignConfig};
 #[test]
 fn thousand_link_continent_streams_end_to_end() {
     let spec = ContinentSpec::with_total_links(1_000);
-    let cont = build_continent(&spec, 0x5CA1E_2017);
+    let cont = build_continent(&spec, 0x5_CA1E_2017);
     let targets: Vec<TslpTarget> = cont
         .links
         .iter()

@@ -89,10 +89,10 @@ fn main() {
 
     // Fig. 2b / 3b: the loss-rate series themselves, measured on a fresh
     // replica substrate (the study consumed the campaign one).
-    let mut replica = build_vp(spec, VpStudyConfig::default().seed);
+    let replica = build_vp(spec, VpStudyConfig::default().seed);
     let gh_truth = replica.links.iter().find(|l| l.far_name == "GHANATEL").unwrap().clone();
     let lc = LossCampaignConfig::paper(SimTime::from_date(2016, 7, 21), dates::ghanatel_link_down());
-    let ls = measure_loss_series(&mut replica.net, replica.vp, gh_truth.dst, gh_truth.far_ttl, &lc);
+    let ls = measure_loss_series(&replica.net, replica.vp, gh_truth.dst, gh_truth.far_ttl, &lc);
     let fig2b = Figure::loss("fig2b", "Packet loss GIXA–GHANATEL, phase 2", &ls, lc.start, lc.end);
     print!("{}", fig2b.render_ascii(100, 10));
     std::fs::write("fig2b.csv", fig2b.to_csv()).expect("write fig2b.csv");
@@ -113,7 +113,7 @@ fn main() {
     }
     let kn_truth = replica.links.iter().find(|l| l.far_name == "KNET").unwrap().clone();
     let lk = LossCampaignConfig::paper(dates::knet_congestion_start(), SimTime::from_date(2016, 11, 1));
-    let kls = measure_loss_series(&mut replica.net, replica.vp, kn_truth.dst, kn_truth.far_ttl, &lk);
+    let kls = measure_loss_series(&replica.net, replica.vp, kn_truth.dst, kn_truth.far_ttl, &lk);
     let fig3b = Figure::loss("fig3b", "Packet loss GIXA–KNET", &kls, lk.start, lk.end);
     print!("{}", fig3b.render_ascii(100, 10));
     std::fs::write("fig3b.csv", fig3b.to_csv()).expect("write fig3b.csv");

@@ -66,7 +66,7 @@ fn main() {
     };
     let campaign = CampaignConfig::paper(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 29));
     println!("probing near={} far={} every 5 minutes for four weeks...", target.near_addr, target.far_addr);
-    let (series, screened) = measure_link(&mut net, vp, &target, &campaign);
+    let (series, screened) = measure_link(&net, vp, &target, &campaign);
     println!(
         "collected {} rounds ({}); far validity {:.1}%",
         series.len(),

@@ -40,8 +40,9 @@ cargo run --release --example forensics > /dev/null
 echo "==> live monitor smoke (round loop -> sequenced ingest -> ground-truth checks)"
 cargo run --release --example online_monitor > /dev/null
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets lints tests, benches and examples too, not just the libs.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Neither the build nor clippy resolves intra-doc links, so a link to a
 # deleted or renamed item would otherwise rot unnoticed.

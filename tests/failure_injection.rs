@@ -45,7 +45,7 @@ fn icmp_rate_limited_far_router_not_flagged() {
     let (mut net, vp, target) = line();
     // Severe rate limiting: most probes unanswered, survivors normal.
     net.node_mut(NodeId(2)).icmp.rate_limit_pps = Some(0.002); // ~1 per 8 min
-    let (series, _) = measure_link(&mut net, vp, &target, &week_campaign());
+    let (series, _) = measure_link(&net, vp, &target, &week_campaign());
     assert!(series.far_validity() < 0.9, "rate limiter had no effect");
     let a = assess_masked(&series, &HealthReport::clean());
     assert!(!a.flagged, "rate limiting alone must not look like congestion");
@@ -60,10 +60,10 @@ fn mid_campaign_silence_handled() {
     // Run the first half, mute, run the second half.
     let half = SimTime::from_date(2016, 3, 8);
     let c1 = CampaignConfig { end: half, ..cfg };
-    let (mut series, _) = measure_link(&mut net, vp, &target, &c1);
+    let (mut series, _) = measure_link(&net, vp, &target, &c1);
     net.node_mut(NodeId(2)).icmp.responsive = false;
     let c2 = CampaignConfig { start: half, ..cfg };
-    let (tail, _) = measure_link(&mut net, vp, &target, &c2);
+    let (tail, _) = measure_link(&net, vp, &target, &c2);
     series.near_ms.extend_from_slice(&tail.near_ms);
     series.far_ms.extend_from_slice(&tail.far_ms);
     let a = assess_masked(&series, &HealthReport::clean());
@@ -97,14 +97,14 @@ fn random_loss_floor_not_flagged() {
     net2.add_route(peer, Prefix::DEFAULT, IfaceId(0));
     net2.add_route(peer, prefix, IfaceId(0));
 
-    let (series, _) = measure_link(&mut net2, vp2, &target, &week_campaign());
+    let (series, _) = measure_link(&net2, vp2, &target, &week_campaign());
     // Loss shows up in validity (some rounds lose both attempts both ways),
     // but RTTs stay flat: nothing to flag.
     let a = assess_masked(&series, &HealthReport::clean());
     assert!(!a.flagged, "random loss must not create level shifts");
     // And the loss-rate machinery sees it.
     let lc = LossCampaignConfig::paper(SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 3, 2));
-    let ls = measure_loss_series(&mut net2, vp2, target.dst, target.far_ttl, &lc);
+    let ls = measure_loss_series(&net2, vp2, target.dst, target.far_ttl, &lc);
     assert!((0.10..0.30).contains(&ls.mean()), "loss series mean {}", ls.mean());
 }
 
@@ -115,7 +115,7 @@ fn loopback_sourced_icmp_breaks_addr_expectations_not_pipeline() {
     // the inconsistency instead of silently mislabeling.
     let (mut net, vp, target) = line();
     net.node_mut(NodeId(2)).icmp.respond_from = RespondFrom::Fixed(Ipv4::new(41, 5, 0, 1));
-    let (series, _) = measure_link(&mut net, vp, &target, &week_campaign());
+    let (series, _) = measure_link(&net, vp, &target, &week_campaign());
     assert!(series.far_validity() > 0.9);
     assert!(series.far_addr_consistency() < 0.1, "mismatches must be recorded");
     let a = assess_masked(&series, &HealthReport::clean());

@@ -23,8 +23,8 @@ fn synthetic_internet(t1: u32, t2: u32, t3: u32, seed: u64) -> (RelationshipDb, 
     }
     let mut providers_of = std::collections::HashMap::new();
     for (i, &r) in tier2.iter().enumerate() {
-        let p1 = tier1[i % tier1.len() as usize];
-        let p2 = tier1[(i / 2 + 1) % tier1.len() as usize];
+        let p1 = tier1[i % tier1.len()];
+        let p2 = tier1[(i / 2 + 1) % tier1.len()];
         truth.set(r, p1, Relationship::CustomerOf);
         if p2 != p1 {
             truth.set(r, p2, Relationship::CustomerOf);
@@ -33,8 +33,8 @@ fn synthetic_internet(t1: u32, t2: u32, t3: u32, seed: u64) -> (RelationshipDb, 
     }
     let mut stub_providers = std::collections::HashMap::new();
     for (i, &s) in tier3.iter().enumerate() {
-        let r1 = tier2[i % tier2.len() as usize];
-        let r2 = tier2[(i * 7 + 3) % tier2.len() as usize];
+        let r1 = tier2[i % tier2.len()];
+        let r2 = tier2[(i * 7 + 3) % tier2.len()];
         truth.set(s, r1, Relationship::CustomerOf);
         if r2 != r1 {
             truth.set(s, r2, Relationship::CustomerOf);
