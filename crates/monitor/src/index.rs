@@ -2,13 +2,21 @@
 //! per-link verdicts, plus lock-free elevated-link aggregates.
 //!
 //! Read-path consistency story: a reader always sees a **complete** verdict
-//! for any link (verdicts are published whole, under the shard's write
-//! lock), from the most recently *published* round for that shard. Readers
-//! of different shards may observe different rounds — the index trades
+//! for any link, from the most recently *published* pass for that shard.
+//! Each shard's slab keeps a verdict in two parts: a dense 32-byte hot
+//! record (`round`, `elevated`, `baseline_ms`, `elevation_ms`), rewritten
+//! for every sample a pass delivers, and a cold record (health, alarm and
+//! gap counters, evidence), rewritten only when one of them moved. Both
+//! parts live under the shard's one `RwLock` and a pass writes both under
+//! one write-lock hold, so a reader never joins the hot part of one pass to
+//! the cold part of another: [`VerdictIndex::verdict`] returns exactly the
+//! verdict the link's state held when its shard last published. Readers of
+//! different shards may observe different rounds — the index trades
 //! cross-shard snapshot isolation for zero coordination between shards,
 //! which is what lets ingestion proceed on shard A while a dashboard drains
 //! shard B. The elevated-link aggregates are atomics maintained on
-//! publication-time transitions, so a counter read never takes any lock.
+//! publication-time transitions of the hot records, so a counter read
+//! never takes any lock.
 //!
 //! Layout: link `id` lives in shard `id % shards` at slot `id / shards`.
 //! Striding (rather than chunking) spreads adjacent links — which are
@@ -117,10 +125,57 @@ impl LinkVerdict {
     }
 }
 
+/// The part of a [`LinkVerdict`] that moves with every sample: 32 bytes,
+/// rewritten for every item of a shard pass.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct HotVerdict {
+    pub(crate) round: u64,
+    pub(crate) elevated: bool,
+    pub(crate) baseline_ms: f64,
+    pub(crate) elevation_ms: f64,
+}
+
+impl HotVerdict {
+    fn empty() -> HotVerdict {
+        HotVerdict { round: 0, elevated: false, baseline_ms: 0.0, elevation_ms: 0.0 }
+    }
+}
+
+/// The rest of a [`LinkVerdict`]: health, counters and evidence, which
+/// move only on events (an alarm, a gap, a new fingerprint, a health
+/// change), so a pass rewrites it only for the slots it marked dirty.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ColdVerdict {
+    pub(crate) health: LinkHealth,
+    pub(crate) alarms: u64,
+    pub(crate) masked_alarms: u64,
+    pub(crate) gaps: u64,
+    pub(crate) evidence: VerdictEvidence,
+}
+
+impl ColdVerdict {
+    fn empty() -> ColdVerdict {
+        ColdVerdict {
+            health: LinkHealth::Clean,
+            alarms: 0,
+            masked_alarms: 0,
+            gaps: 0,
+            evidence: VerdictEvidence::empty(),
+        }
+    }
+}
+
+/// One shard's published verdicts, split by how often they move; slot `i`
+/// of `hot` and of `cold` together are one [`LinkVerdict`].
+struct Slab {
+    hot: Vec<HotVerdict>,
+    cold: Vec<ColdVerdict>,
+}
+
 /// Sharded concurrent verdict store. See the module docs for the layout
 /// and consistency contract.
 pub struct VerdictIndex {
-    shards: Vec<RwLock<Vec<LinkVerdict>>>,
+    shards: Vec<RwLock<Slab>>,
     n_links: usize,
     /// Links currently elevated (maintained on publish transitions).
     elevated: AtomicU64,
@@ -138,7 +193,10 @@ impl VerdictIndex {
         let mut slabs = Vec::with_capacity(shards);
         for s in 0..shards {
             let slots = n_links / shards + usize::from(s < n_links % shards);
-            slabs.push(RwLock::new(vec![LinkVerdict::empty(); slots]));
+            slabs.push(RwLock::new(Slab {
+                hot: vec![HotVerdict::empty(); slots],
+                cold: vec![ColdVerdict::empty(); slots],
+            }));
         }
         VerdictIndex {
             shards: slabs,
@@ -171,7 +229,21 @@ impl VerdictIndex {
         self.reads.mark(1);
         let shard = id as usize % self.shards.len();
         let slot = id as usize / self.shards.len();
-        self.shards[shard].read().get(slot).copied().unwrap_or_else(LinkVerdict::empty)
+        let slab = self.shards[shard].read();
+        match (slab.hot.get(slot), slab.cold.get(slot)) {
+            (Some(h), Some(c)) => LinkVerdict {
+                round: h.round,
+                elevated: h.elevated,
+                baseline_ms: h.baseline_ms,
+                elevation_ms: h.elevation_ms,
+                health: c.health,
+                alarms: c.alarms,
+                masked_alarms: c.masked_alarms,
+                gaps: c.gaps,
+                evidence: c.evidence,
+            },
+            _ => LinkVerdict::empty(),
+        }
     }
 
     /// Links currently elevated (lock-free).
@@ -194,44 +266,61 @@ impl VerdictIndex {
         self.reads.take_rate()
     }
 
-    /// Publish a batch of verdicts for one shard. `updates` must all belong
-    /// to shard `shard` (`id % shards == shard`); the write lock is taken
-    /// once for the whole batch. `ixp_of` maps link id → IXP id for the
-    /// aggregate maintenance.
+    /// Publish one shard pass: `hot` carries the per-sample part of every
+    /// slot the pass touched, `cold` the rest of the verdict for the slots
+    /// whose health, counters or evidence moved. Slot `i` of shard `shard`
+    /// is link `i * shards + shard`; a slot may repeat, the last record
+    /// wins. The write lock is taken once for both, so a reader never sees
+    /// a hot part from one pass beside a cold part from another. `ixp_of`
+    /// maps link id → IXP id for the aggregate maintenance.
     ///
-    /// Never panics: out-of-range ids are skipped (debug-asserted), so a
+    /// Never panics: out-of-range slots are skipped (debug-asserted), so a
     /// buggy or recovering producer cannot poison the write path. The locks
     /// are `parking_lot`, which does not poison on panic either way — a
     /// worker that dies mid-publish releases the lock on unwind and readers
-    /// see the verdicts written so far, each one whole.
-    pub fn publish(&self, shard: usize, updates: &[(u32, LinkVerdict)], ixp_of: &[u32]) {
-        if updates.is_empty() || shard >= self.shards.len() {
-            debug_assert!(updates.is_empty() || shard < self.shards.len());
+    /// see the records written so far.
+    pub(crate) fn publish(
+        &self,
+        shard: usize,
+        hot: impl IntoIterator<Item = (u32, HotVerdict)>,
+        cold: impl IntoIterator<Item = (u32, ColdVerdict)>,
+        ixp_of: &[u32],
+    ) {
+        let n_shards = self.shards.len();
+        let Some(lock) = self.shards.get(shard) else {
+            debug_assert!(false, "verdict publish for unknown shard {shard}");
             return;
-        }
-        let mut slab = self.shards[shard].write();
-        for &(id, v) in updates {
-            debug_assert_eq!(id as usize % self.shards.len(), shard);
-            let slot = id as usize / self.shards.len();
-            let Some(old) = slab.get_mut(slot) else {
-                debug_assert!(false, "verdict publish for unknown link {id}");
+        };
+        let mut slab = lock.write();
+        for (slot, v) in hot {
+            let Some(old) = slab.hot.get_mut(slot as usize) else {
+                debug_assert!(false, "verdict publish for unknown slot {slot}");
                 continue;
             };
             if old.elevated != v.elevated {
-                let ixp = ixp_of.get(id as usize).copied().unwrap_or(0) as usize;
-                if v.elevated {
-                    self.elevated.fetch_add(1, Ordering::Relaxed);
-                    if let Some(a) = self.elevated_per_ixp.get(ixp) {
-                        a.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    self.elevated.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(a) = self.elevated_per_ixp.get(ixp) {
-                        a.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
+                let id = slot as usize * n_shards + shard;
+                self.count_elevated(id, v.elevated, ixp_of);
             }
             *old = v;
+        }
+        for (slot, v) in cold {
+            let Some(old) = slab.cold.get_mut(slot as usize) else {
+                debug_assert!(false, "verdict publish for unknown slot {slot}");
+                continue;
+            };
+            *old = v;
+        }
+    }
+
+    /// Move link `id` into (`up`) or out of the elevated aggregates.
+    fn count_elevated(&self, id: usize, up: bool, ixp_of: &[u32]) {
+        let ixp = ixp_of.get(id).copied().unwrap_or(0) as usize;
+        for a in std::iter::once(&self.elevated).chain(self.elevated_per_ixp.get(ixp)) {
+            if up {
+                a.fetch_add(1, Ordering::Relaxed);
+            } else {
+                a.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -244,14 +333,9 @@ impl VerdictIndex {
         }
         for (s, slab) in self.shards.iter().enumerate() {
             let slab = slab.read();
-            for (slot, v) in slab.iter().enumerate() {
+            for (slot, v) in slab.hot.iter().enumerate() {
                 if v.elevated {
-                    let id = slot * self.shards.len() + s;
-                    self.elevated.fetch_add(1, Ordering::Relaxed);
-                    let ixp = ixp_of.get(id).copied().unwrap_or(0) as usize;
-                    if let Some(a) = self.elevated_per_ixp.get(ixp) {
-                        a.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.count_elevated(slot * self.shards.len() + s, true, ixp_of);
                 }
             }
         }
@@ -262,8 +346,24 @@ impl VerdictIndex {
 mod tests {
     use super::*;
 
-    fn v(round: u64, elevated: bool) -> LinkVerdict {
-        LinkVerdict { round, elevated, ..LinkVerdict::empty() }
+    fn hot(round: u64, elevated: bool) -> HotVerdict {
+        HotVerdict { round, elevated, ..HotVerdict::empty() }
+    }
+
+    /// `(link id, record)` pairs as `(slot, record)` pairs.
+    fn slots<V: Copy>(idx: &VerdictIndex, ups: &[(u32, V)]) -> Vec<(u32, V)> {
+        let n = idx.shard_count() as u32;
+        ups.iter().map(|&(id, v)| (id / n, v)).collect()
+    }
+
+    /// Publish hot records only: no cold part moved.
+    fn publish_hot(idx: &VerdictIndex, shard: usize, ups: &[(u32, HotVerdict)], ixp_of: &[u32]) {
+        idx.publish(shard, slots(idx, ups), std::iter::empty(), ixp_of);
+    }
+
+    #[test]
+    fn hot_record_is_compact() {
+        assert_eq!(size_of::<HotVerdict>(), 32);
     }
 
     #[test]
@@ -272,7 +372,7 @@ mod tests {
         assert_eq!(idx.shard_count(), 3);
         // 10 links over 3 shards: shard 0 gets ids 0,3,6,9 (4 slots).
         let ixp_of = vec![0u32; 10];
-        idx.publish(0, &[(9, v(5, false))], &ixp_of);
+        publish_hot(&idx, 0, &[(9, hot(5, false))], &ixp_of);
         assert_eq!(idx.verdict(9).round, 5);
         assert_eq!(idx.verdict(0).round, 0);
     }
@@ -281,18 +381,27 @@ mod tests {
     fn elevated_aggregates_track_transitions() {
         let idx = VerdictIndex::new(8, 2, 3);
         let ixp_of = vec![0, 0, 1, 1, 2, 2, 2, 2];
-        idx.publish(0, &[(0, v(1, true)), (2, v(1, true)), (4, v(1, true))], &ixp_of);
+        let alarmed = ColdVerdict { alarms: 1, ..ColdVerdict::empty() };
+        idx.publish(
+            0,
+            slots(&idx, &[(0, hot(1, true)), (2, hot(1, true)), (4, hot(1, true))]),
+            slots(&idx, &[(0, alarmed), (2, alarmed), (4, alarmed)]),
+            &ixp_of,
+        );
         assert_eq!(idx.elevated_links(), 3);
         assert_eq!(idx.elevated_at_ixp(0), 1);
         assert_eq!(idx.elevated_at_ixp(1), 1);
         assert_eq!(idx.elevated_at_ixp(2), 1);
         // Republishing elevated is not a transition.
-        idx.publish(0, &[(0, v(2, true))], &ixp_of);
+        publish_hot(&idx, 0, &[(0, hot(2, true))], &ixp_of);
         assert_eq!(idx.elevated_links(), 3);
-        // De-elevating is.
-        idx.publish(0, &[(2, v(3, false))], &ixp_of);
+        // De-elevating is, in a hot-only publish too — which leaves the
+        // cold part as it was.
+        publish_hot(&idx, 0, &[(2, hot(3, false))], &ixp_of);
         assert_eq!(idx.elevated_links(), 2);
         assert_eq!(idx.elevated_at_ixp(1), 0);
+        let v = idx.verdict(2);
+        assert_eq!((v.round, v.elevated, v.alarms), (3, false, 1));
         idx.rebuild_aggregates(&ixp_of);
         assert_eq!(idx.elevated_links(), 2);
         assert_eq!(idx.elevated_at_ixp(0), 1);
@@ -326,7 +435,9 @@ mod tests {
                 let idx = Arc::clone(&idx);
                 s.spawn(move || {
                     for i in 0..1000u32 {
-                        let _ = idx.verdict((i + t) % 64);
+                        // Hot and cold parts come from the same pass.
+                        let v = idx.verdict((i + t) % 64);
+                        assert_eq!(v.round, v.gaps, "torn verdict {v:?}");
                     }
                 });
             }
@@ -335,10 +446,13 @@ mod tests {
             s.spawn(move || {
                 for r in 0..100u64 {
                     for shard in 0..4usize {
-                        let ups: Vec<(u32, LinkVerdict)> = (0..16u32)
-                            .map(|slot| (slot * 4 + shard as u32, v(r, r % 2 == 0)))
-                            .collect();
-                        idx2.publish(shard, &ups, &ixp);
+                        let cold = ColdVerdict { gaps: r, ..ColdVerdict::empty() };
+                        idx2.publish(
+                            shard,
+                            (0..16u32).map(|slot| (slot, hot(r, r % 2 == 0))),
+                            (0..16u32).map(|slot| (slot, cold)),
+                            &ixp,
+                        );
                     }
                 }
             });

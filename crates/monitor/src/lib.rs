@@ -15,7 +15,8 @@
 //! - [`index`] — the concurrent verdict index: per-shard `RwLock`ed verdict
 //!   slabs that absorb heavy read traffic (dashboards, alerting pollers)
 //!   without stalling ingestion, plus lock-free elevated-link aggregates
-//!   per IXP.
+//!   per IXP. Each slab splits a verdict into the part every sample moves
+//!   and the part only events move, and joins them on read.
 //! - [`service`] — [`MonitorService`]: shard layout, one ingest path
 //!   ([`MonitorService::ingest_sequenced`]: admission control, per-link
 //!   sequence gates, supervised shard workers — sequential or across a
@@ -24,9 +25,11 @@
 //!   through [`tslp_core::CheckpointStore`] blobs so a restarted monitor
 //!   continues exactly where it stopped.
 //!
-//! Memory is O(links), about 570 bytes per link: no link retains its RTT
+//! Memory is O(links), about 460 bytes per link: no link retains its RTT
 //! series — only the O(1) detector state, the current health window
-//! counters, its admission gate and its published verdict.
+//! counters, its admission gate and its published verdict, split into a
+//! 32-byte record rewritten every sample and the rest, rewritten only when
+//! it changes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,22 +25,34 @@
 //! Link states live in `shards` mutex-guarded slabs (link `id` → shard
 //! `id % shards`, slot `id / shards`, the same striding as the verdict
 //! index). A batch of samples is partitioned per shard in arrival order,
-//! then each shard is processed independently — sequentially or by a
-//! work-claiming thread pool — and its verdicts published to the index
-//! under one write lock per shard per batch. Because the partition is
-//! stable and shards share nothing, per-link sample order is preserved at
-//! any thread count, and the resulting states are **bit-identical** whether
-//! one thread or eight did the work.
+//! then each shard is processed independently — inline on the caller, or
+//! by a work-claiming thread pool once the batch holds about 4k accepted
+//! samples per worker — and its verdicts published to the index under one
+//! write lock per shard per batch. Because the partition is stable and
+//! shards share nothing, per-link sample order is preserved at any thread
+//! count, and the resulting states are **bit-identical** whether one
+//! thread or eight did the work.
 //!
-//! Steady-state memory is O(links), about 570 bytes per link, and nothing
-//! retains an RTT series. The shard slab holds a 240-byte [`LinkState`] and
-//! a 56-byte [`SeqGate`] per link (a gate's 256-byte reorder buffer exists
-//! only while it has samples parked); the index holds a 112-byte verdict;
-//! the reused batch buffers — each slab's verdict buffer and the service's
-//! per-shard partition lists — add 120 + 40 bytes per sample of the
-//! largest batch so far (one per link when each batch is one round).
-//! Because the partition lists are shared, ingest calls serialize; readers
-//! never wait for them.
+//! Publication writes only what moved. Every item of a pass rewrites its
+//! slot's 32-byte hot record (`round`, `elevated`, `baseline_ms`,
+//! `elevation_ms`), read straight from the link state; a catch-up pass
+//! with more items than the shard has slots rewrites each slot once. The
+//! cold record
+//! (health, alarm and gap counters, evidence) is rewritten only for slots
+//! the pass marked dirty: a delivered sample raised an upshift alarm,
+//! returned a gap, or carried a new nonzero fingerprint, or the link's
+//! health label differs from the one it last published (kept per slot).
+//!
+//! Steady-state memory is O(links), about 460 bytes per link, and nothing
+//! retains an RTT series. The shard slab holds a 240-byte [`LinkState`], a
+//! 56-byte [`SeqGate`] and a 1-byte published health label per link (a
+//! gate's 256-byte reorder buffer exists only while it has samples
+//! parked); the index holds a 32-byte hot and an 88-byte cold record; the
+//! reused batch buffers — the service's per-shard partition lists and each
+//! slab's dirty list — add 40 bytes per sample of the largest batch so far
+//! and 4 bytes per dirty slot of the largest pass (one sample per link
+//! when each batch is one round). Because the partition lists are shared,
+//! ingest calls serialize; readers never wait for them.
 //!
 //! ## Checkpoint/resume
 //!
@@ -66,7 +78,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tslp_core::{BlobStatus, CheckpointStore, HealthConfig};
+use tslp_core::{BlobStatus, CheckpointStore, HealthConfig, LinkHealth};
 
 /// Full configuration of the resident monitor. Health thresholds are not
 /// part of it: every link's windows are labelled by the batch ladder,
@@ -243,14 +255,17 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
 }
 
 /// One shard's mutable state: link detectors plus their admission gates,
-/// indexed by slot (`id / shards`), and the verdict buffer each pass
-/// publishes from. Kept together so one lock guards all three.
+/// indexed by slot (`id / shards`), the health label each slot last
+/// published, and the dirty list each pass publishes cold records from.
+/// Kept together so one lock guards all four.
 struct ShardSlab {
     links: Vec<LinkState>,
     gates: Vec<SeqGate>,
-    /// `(link id, verdict)` pairs of the current pass. Cleared, never
-    /// freed, so a steady-state pass allocates nothing.
-    verdicts: Vec<(u32, LinkVerdict)>,
+    /// [`LinkState::health`] as of the slot's last published cold record.
+    labels: Vec<LinkHealth>,
+    /// Slots whose cold record the current pass must rewrite.
+    /// Cleared, never freed, so a steady-state pass allocates nothing.
+    dirty: Vec<u32>,
 }
 
 impl ShardSlab {
@@ -259,33 +274,49 @@ impl ShardSlab {
         ShardSlab {
             links: (0..slots).map(|_| LinkState::with_config(cfg)).collect(),
             gates: (0..slots).map(|_| SeqGate::new()).collect(),
-            verdicts: Vec::new(),
+            labels: vec![LinkHealth::Clean; slots],
+            dirty: Vec::new(),
         }
     }
 
-    /// Take over decoded (or fresh) links and gates, keeping the verdict
-    /// buffer.
+    /// Take over decoded (or fresh) links and gates, keeping the buffers.
+    /// The caller republishes the whole shard, which resets the labels.
     fn replace(&mut self, (links, gates): (Vec<LinkState>, Vec<SeqGate>)) {
         self.links = links;
         self.gates = gates;
     }
+}
 
-    /// Recompute every slot's verdict into the buffer (after a restore),
-    /// ready to publish.
-    fn all_verdicts(&mut self, shard: usize, n_shards: usize) {
-        let ShardSlab { links, verdicts, .. } = self;
-        verdicts.clear();
-        verdicts.extend(
-            links
-                .iter()
-                .enumerate()
-                .map(|(slot, st)| ((slot * n_shards + shard) as u32, verdict_of(st))),
-        );
+/// Accepted samples each ingest worker needs before another one starts;
+/// a batch below it runs inline on the caller whatever
+/// [`MonitorConfig::threads`] says. On a 2-CPU x86-64 host a scoped
+/// thread start plus join measured 42–54 µs and a sequenced sample costs
+/// 36–50 ns, so a worker that takes this many samples off the caller
+/// saves 150–200 µs, three to four times its start. No sweep of the
+/// value was run: the monitor bench's 1k-link round (inline) and 10k-link
+/// round (two workers) would read the same for anything from about 1k to
+/// 5k.
+const SAMPLES_PER_WORKER: u64 = 4096;
+
+/// Workers one batch of `accepted` samples runs on: the configured count
+/// (0 = all cores), at most one per shard and at most one per
+/// [`SAMPLES_PER_WORKER`] samples, and never fewer than one.
+fn ingest_workers(threads: usize, accepted: u64, n_shards: usize) -> usize {
+    let by_work = usize::try_from(accepted / SAMPLES_PER_WORKER).unwrap_or(usize::MAX);
+    match by_work.min(n_shards) {
+        0 | 1 => 1,
+        cap => tslp_core::resolve_threads(threads).min(cap),
     }
 }
 
-/// One partitioned batch item: `(sequence number, link id, sample)`.
+/// One partitioned batch item: `(sequence number, slot, sample)`; the
+/// shard is the list the item sits in.
 type Item = (u64, u32, MonitorSample);
+
+/// The id of the link at `slot` of `shard`.
+fn link_id(slot: u32, shard: usize, n_shards: usize) -> u32 {
+    (slot as usize * n_shards + shard) as u32
+}
 
 /// Per-shard supervision bookkeeping (all lock-free).
 struct ShardMeta {
@@ -615,7 +646,9 @@ impl MonitorService {
                 }
                 continue;
             }
-            per_shard[id as usize % n_shards].push((seq, id, s));
+            // One division yields both halves of the link's address.
+            let (shard, slot) = (id as usize % n_shards, id as usize / n_shards);
+            per_shard[shard].push((seq, slot as u32, s));
         }
         // High-water *demand*, recorded before shedding (overload must be
         // visible even when admission control hides it from the workers).
@@ -637,7 +670,8 @@ impl MonitorService {
                 let mut keyed: Vec<(u64, usize)> = items
                     .iter()
                     .enumerate()
-                    .map(|(i, &(seq, id, _))| {
+                    .map(|(i, &(seq, slot, _))| {
+                        let id = link_id(slot, shard, n_shards);
                         (mix(&[self.cfg.shed_seed, id as u64, seq, batch_idx]), i)
                     })
                     .collect();
@@ -648,10 +682,11 @@ impl MonitorService {
                 }
                 // Compact in place, in arrival order.
                 let mut at = 0;
-                items.retain(|&(seq, id, _)| {
+                items.retain(|&(seq, slot, _)| {
                     let keep = kept[at];
                     at += 1;
                     if let (false, Some(fl)) = (keep, fl.as_deref()) {
+                        let id = link_id(slot, shard, n_shards);
                         Recorder::trace(
                             fl,
                             TraceEvent::new(TraceKind::SampleShed, seq, shard as u32, id)
@@ -666,7 +701,7 @@ impl MonitorService {
         let accepted: u64 = per_shard.iter().map(|v| v.len() as u64).sum();
 
         let acc = BatchAcc::default();
-        let threads = tslp_core::resolve_threads(self.cfg.threads).min(n_shards.max(1));
+        let threads = ingest_workers(self.cfg.threads, accepted, n_shards);
         if threads <= 1 {
             for (shard, items) in per_shard.iter().enumerate() {
                 self.shard_supervised(shard, items, batch_idx, &acc, fl.as_deref());
@@ -810,85 +845,108 @@ impl MonitorService {
         let boom = self.take_armed(shard, batch);
         let n_shards = self.shards.len();
         let mut totals = GateTotals::default();
-        {
-            let mut slab = self.shards[shard].lock();
-            let ShardSlab { links, gates, verdicts } = &mut *slab;
-            verdicts.clear();
-            // The item loop exists twice, selected once per shard batch:
-            // `admit` is generic over the delivery closure, so each arm
-            // monomorphizes with exactly the closure it needs. The untraced
-            // arm is the pristine hot path — no recorder checks anywhere in
-            // its loop body — which keeps an idle recorder slot free and
-            // the uninstrumented service bit-identical. The traced arm pays
-            // one register test per delivery (quiet samples on a stable
-            // link trace nothing; the out-of-line calls are reserved for
-            // alarms, health transitions, and non-clean admission deltas).
-            match fl {
-                None => {
-                    for (done, &(seq, id, s)) in items.iter().enumerate() {
-                        if boom == Some(done) {
-                            panic!("armed chaos panic (shard {shard}, batch {batch})");
+        let cfg = &self.cfg;
+        let mut slab = self.shards[shard].lock();
+        let ShardSlab { links, gates, labels, dirty } = &mut *slab;
+        dirty.clear();
+        // A slot's cold record is rewritten only when a delivered sample
+        // moved its evidence (`LinkUpdate::evidence_moved`) or its health
+        // label differs from the one last published. Checking the label
+        // once per item, after every delivery it released, is enough: the
+        // label is a function of the link state alone.
+        let mut mark = |st: &LinkState, slot: usize, moved: bool| {
+            let health = st.health();
+            if moved || health != labels[slot] {
+                labels[slot] = health;
+                dirty.push(slot as u32);
+            }
+        };
+        // The item loop exists twice, selected once per shard batch:
+        // `admit` is generic over the delivery closure, so each arm
+        // monomorphizes with exactly the closure it needs. The untraced
+        // arm is the pristine hot path — no recorder checks anywhere in
+        // its loop body — which keeps an idle recorder slot free and
+        // the uninstrumented service bit-identical. The traced arm pays
+        // one register test per delivery (quiet samples on a stable
+        // link trace nothing; the out-of-line calls are reserved for
+        // alarms, health transitions, and non-clean admission deltas).
+        match fl {
+            None => {
+                for (done, &(seq, slot, s)) in items.iter().enumerate() {
+                    if boom == Some(done) {
+                        panic!("armed chaos panic (shard {shard}, batch {batch})");
+                    }
+                    let slot = slot as usize;
+                    let mut moved = false;
+                    let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut |smp| {
+                        moved |= links[slot].push(&smp, cfg).evidence_moved;
+                    });
+                    totals.delivered += u64::from(d.delivered);
+                    totals.duplicates += u64::from(d.duplicates);
+                    totals.stale += u64::from(d.stale);
+                    totals.reordered += u64::from(d.reordered);
+                    totals.dropped += d.dropped;
+                    mark(&links[slot], slot, moved);
+                }
+            }
+            Some(fl) => {
+                for (done, &(seq, slot, s)) in items.iter().enumerate() {
+                    if boom == Some(done) {
+                        panic!("armed chaos panic (shard {shard}, batch {batch})");
+                    }
+                    // The link id is needed only when something is traced.
+                    let id = || link_id(slot, shard, n_shards);
+                    let slot = slot as usize;
+                    let mut moved = false;
+                    let mut deliver = |smp: MonitorSample| {
+                        let up = links[slot].push(&smp, cfg);
+                        moved |= up.evidence_moved;
+                        // One predictable single-byte test per delivery,
+                        // untaken on quiet samples.
+                        if up.noteworthy {
+                            trace_update(fl, shard as u32, id(), up, &links[slot]);
                         }
-                        let slot = id as usize / n_shards;
-                        let cfg = &self.cfg;
-                        let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut |smp| {
-                            links[slot].push(&smp, cfg);
-                        });
+                    };
+                    if gates[slot].in_order(seq) {
+                        // Clean in-order arrival — the steady state.
+                        // `admit` re-checks the same two words right
+                        // here with no store in between, so the
+                        // optimizer folds the branch away and the
+                        // constant delta never materializes: no
+                        // per-item delta inspection on the fast path.
+                        let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
+                        debug_assert_eq!(d.delivered, 1);
+                        totals.delivered += 1;
+                    } else {
+                        let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
+                        if u64::from(d.duplicates | d.stale | d.reordered) | d.dropped != 0 {
+                            trace_admit(fl, shard as u32, id(), seq, d);
+                        }
                         totals.delivered += u64::from(d.delivered);
                         totals.duplicates += u64::from(d.duplicates);
                         totals.stale += u64::from(d.stale);
                         totals.reordered += u64::from(d.reordered);
                         totals.dropped += d.dropped;
-                        verdicts.push((id, verdict_of(&links[slot])));
                     }
-                }
-                Some(fl) => {
-                    for (done, &(seq, id, s)) in items.iter().enumerate() {
-                        if boom == Some(done) {
-                            panic!("armed chaos panic (shard {shard}, batch {batch})");
-                        }
-                        let slot = id as usize / n_shards;
-                        let cfg = &self.cfg;
-                        let mut deliver = |smp: MonitorSample| {
-                            let up = links[slot].push(&smp, cfg);
-                            // One predictable single-byte test per delivery,
-                            // untaken on quiet samples.
-                            if up.noteworthy {
-                                trace_update(fl, shard as u32, id, up, &links[slot]);
-                            }
-                        };
-                        if gates[slot].in_order(seq) {
-                            // Clean in-order arrival — the steady state.
-                            // `admit` re-checks the same two words right
-                            // here with no store in between, so the
-                            // optimizer folds the branch away and the
-                            // constant delta never materializes: no
-                            // per-item delta inspection on the fast path.
-                            let d =
-                                gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
-                            debug_assert_eq!(d.delivered, 1);
-                            totals.delivered += 1;
-                        } else {
-                            let d =
-                                gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
-                            if u64::from(d.duplicates | d.stale | d.reordered) | d.dropped != 0
-                            {
-                                trace_admit(fl, shard as u32, id, seq, d);
-                            }
-                            totals.delivered += u64::from(d.delivered);
-                            totals.duplicates += u64::from(d.duplicates);
-                            totals.stale += u64::from(d.stale);
-                            totals.reordered += u64::from(d.reordered);
-                            totals.dropped += d.dropped;
-                        }
-                        verdicts.push((id, verdict_of(&links[slot])));
-                    }
+                    mark(&links[slot], slot, moved);
                 }
             }
-            // The index write lock is taken only once the batch's detector
-            // math is done: readers contend with the verdict copy, nothing
-            // more.
-            self.index.publish(shard, verdicts, &self.ixp_of);
+        }
+        // The index write lock is taken only once the pass's detector math
+        // and health labels are done: under it each record is assembled
+        // from fields already computed (the cold one from the label `mark`
+        // stored) and stored, nothing more.
+        let links = &*links;
+        let hot = |slot: u32| (slot, links[slot as usize].hot_verdict());
+        let cold = dirty.iter().map(|&slot| {
+            let slot_ix = slot as usize;
+            (slot, links[slot_ix].cold_verdict(labels[slot_ix]))
+        });
+        if items.len() > links.len() {
+            // A catch-up pass repeats slots: write each slot's hot record once.
+            self.index.publish(shard, (0..links.len() as u32).map(hot), cold, &self.ixp_of);
+        } else {
+            self.index.publish(shard, items.iter().map(|&(_, slot, _)| hot(slot)), cold, &self.ixp_of);
         }
         totals
     }
@@ -937,8 +995,7 @@ impl MonitorService {
         // publish() maintains the elevated aggregates on transitions, so
         // overwriting the shard's verdicts keeps the counters exact — no
         // full rebuild (which would race concurrent publishes) needed.
-        slab.all_verdicts(shard, self.shards.len());
-        self.index.publish(shard, &slab.verdicts, &self.ixp_of);
+        self.publish_all(shard, &mut slab);
         drop(slab);
         if let Some(fl) = self.flight_if_live() {
             Recorder::trace(
@@ -1188,8 +1245,22 @@ impl MonitorService {
         decoded: (Vec<LinkState>, Vec<SeqGate>),
     ) {
         slab.replace(decoded);
-        slab.all_verdicts(shard, self.shards.len());
-        self.index.publish(shard, &slab.verdicts, &self.ixp_of);
+        self.publish_all(shard, slab);
+    }
+
+    /// Publish every slot's whole verdict from its link state and reset the
+    /// published health labels to match (after a restore).
+    fn publish_all(&self, shard: usize, slab: &mut ShardSlab) {
+        for (label, st) in slab.labels.iter_mut().zip(&slab.links) {
+            *label = st.health();
+        }
+        let links = (0u32..).zip(&slab.links);
+        self.index.publish(
+            shard,
+            links.clone().map(|(slot, st)| (slot, st.hot_verdict())),
+            links.zip(&slab.labels).map(|((slot, st), &label)| (slot, st.cold_verdict(label))),
+            &self.ixp_of,
+        );
     }
 
     /// Recompute the ingested-samples counter from restored link states.
@@ -1273,21 +1344,6 @@ fn decode_shard_payload(
         gates.get_mut(slot)?.restore_parked(rec, cfg.reorder_window)?;
     }
     Some((links, gates))
-}
-
-fn verdict_of(st: &LinkState) -> LinkVerdict {
-    let det = st.detector();
-    LinkVerdict {
-        round: st.rounds(),
-        elevated: det.is_elevated(),
-        baseline_ms: det.baseline(),
-        elevation_ms: det.elevation_estimate(),
-        health: st.health(),
-        alarms: st.alarms(),
-        masked_alarms: st.masked_alarms(),
-        gaps: det.gap_count(),
-        evidence: st.verdict_evidence(),
-    }
 }
 
 /// Trace the exceptional admission outcomes of one gate call. Steady-state
@@ -1423,6 +1479,36 @@ mod tests {
         }
         // Every 10th link stepped up and must be elevated.
         assert_eq!(a.index.elevated_links(), (n as u64).div_ceil(10));
+    }
+
+    /// Worker threads start only for batches big enough to pay for them,
+    /// and a fanned-out batch ends where a sequential one does.
+    #[test]
+    fn small_batches_run_inline_and_large_ones_fan_out() {
+        assert_eq!(ingest_workers(4, 1_000, 16), 1);
+        assert_eq!(ingest_workers(4, 2 * SAMPLES_PER_WORKER - 1, 16), 1);
+        assert_eq!(ingest_workers(4, 2 * SAMPLES_PER_WORKER, 16), 2);
+        assert_eq!(ingest_workers(4, 100 * SAMPLES_PER_WORKER, 16), 4);
+        assert_eq!(ingest_workers(4, 100 * SAMPLES_PER_WORKER, 3), 3);
+        assert_eq!(ingest_workers(1, 100 * SAMPLES_PER_WORKER, 16), 1);
+        assert_eq!(ingest_workers(0, 0, 16), 1);
+        let n = 2_000;
+        let a = MonitorService::new(MonitorConfig { threads: 1, ..MonitorConfig::default() }, &links(n, 4));
+        let b = MonitorService::new(MonitorConfig { threads: 4, ..MonitorConfig::default() }, &links(n, 4));
+        for svc in [&a, &b] {
+            // One round (2,000 samples) runs inline; nine rounds in one
+            // batch (18,000 samples) take four workers.
+            drive(svc, n, 0..1);
+            let large: Vec<(u32, u64, MonitorSample)> = (1..10u64)
+                .flat_map(|r| (0..n as u32).map(move |id| (id, r, sample(id, r))))
+                .collect();
+            assert_eq!(ingest_workers(4, large.len() as u64, 16), 4);
+            assert_eq!(svc.ingest_sequenced(&large).delivered, 9 * n as u64);
+        }
+        assert_eq!(state_digest(&a), state_digest(&b));
+        for id in 0..n as u32 {
+            assert_eq!(a.verdict(id), b.verdict(id));
+        }
     }
 
     #[test]
@@ -1886,6 +1972,169 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The whole verdict a link's state implies, built field by field — the
+    /// reference the split publish path must reproduce.
+    fn verdict_of(st: &LinkState) -> LinkVerdict {
+        let det = st.detector();
+        LinkVerdict {
+            round: st.rounds(),
+            elevated: det.is_elevated(),
+            baseline_ms: det.baseline(),
+            elevation_ms: det.elevation_estimate(),
+            health: st.health(),
+            alarms: st.alarms(),
+            masked_alarms: st.masked_alarms(),
+            gaps: det.gap_count(),
+            evidence: st.verdict_evidence(),
+        }
+    }
+
+    /// What link `id` measures in global round `g` of the mixed traffic. Per
+    /// link and day, from seeded hashes: a loss run of 0 to 280 rounds
+    /// (Gappy and Silent windows) over 0–30% scattered loss, a +15 ms
+    /// plateau, a detour onto a longer path with its own fingerprint (masked
+    /// alarms), and a burst of answers from the wrong address; 5% of
+    /// answered rounds carry fingerprint 0.
+    fn mixed_sample(id: u32, g: u64) -> MonitorSample {
+        let h = mix(&[0x5A, id as u64, g]);
+        let t = g % 288;
+        let span = |salt: u64, lens: &[u64]| {
+            let d = mix(&[0xD1, id as u64, g / 288, salt]);
+            let (len, start) = (lens[(d % lens.len() as u64) as usize], (d >> 16) % 288);
+            (start..start + len).contains(&t)
+        };
+        let scatter = [0, 0, 2, 30][(mix(&[0xD1, id as u64, g / 288, 1]) % 4) as usize];
+        if span(2, &[0, 0, 3, 10, 40, 150, 280]) || h % 100 < scatter {
+            return MonitorSample::lost();
+        }
+        let detour = span(4, &[0, 0, 50, 200]);
+        let level = 10.0 + if span(3, &[0, 0, 0, 60, 120]) { 15.0 } else { 0.0 };
+        MonitorSample {
+            far_ms: level + ((h >> 8) % 1000) as f64 / 1000.0 + if detour { 8.0 } else { 0.0 },
+            path_fp: if (h >> 20).is_multiple_of(20) { 0 } else { 0xF00 + u64::from(detour) },
+            far_addr_ok: !span(5, &[0, 0, 0, 20, 100]),
+        }
+    }
+
+    /// Round `g`'s arrivals in the mixed traffic: 3% of samples arrive one
+    /// round late, after their successor; 0.5% never arrive (the gate drops
+    /// them once the window slides); 3% of rounds re-send the previous
+    /// sequence number and 1% replay one 30 rounds old; every 17th link's
+    /// sequence numbers jump by 1000 at round 400.
+    fn mixed_round(n: usize, g: u64) -> Vec<(u32, u64, MonitorSample)> {
+        let seq = |id: u32, g: u64| if id % 17 == 3 && g >= 400 { g + 1000 } else { g };
+        let base_late = |id: u32, g: u64| mix(&[0x1A, id as u64, g]) % 100 < 3;
+        let late = |id: u32, g: u64| base_late(id, g) && !base_late(id, g + 1);
+        let withheld = |id: u32, g: u64| mix(&[0x3B, id as u64, g]).is_multiple_of(200);
+        let mut out = Vec::new();
+        for id in 0..n as u32 {
+            let mut send = |g: u64| out.push((id, seq(id, g), mixed_sample(id, g)));
+            if !late(id, g) && !withheld(id, g) {
+                send(g);
+            }
+            if g > 0 && late(id, g - 1) && !withheld(id, g - 1) {
+                send(g - 1);
+            }
+            match mix(&[0x2C, id as u64, g]) % 100 {
+                0..3 if g > 0 => send(g - 1),
+                3 if g > 30 => send(g - 30),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Every link's published verdict is the one its state implies, to the
+    /// last bit of every field.
+    fn assert_published(svc: &MonitorService, n: usize, when: &str) {
+        let n_shards = svc.shards.len();
+        for id in 0..n as u32 {
+            let want = verdict_of(&svc.shards[id as usize % n_shards].lock().links[id as usize / n_shards]);
+            assert_eq!(format!("{:?}", svc.verdict(id)), format!("{want:?}"), "{when}: link {id}");
+        }
+    }
+
+    /// The split publish path — hot records for every item, cold records
+    /// only for slots a pass marked dirty — leaves the index holding exactly
+    /// the verdicts the link states imply, after every batch of traffic
+    /// that exercises each dirty rule, at 1 and 3 threads, through a
+    /// supervised restore and a resume.
+    #[test]
+    fn published_verdicts_match_link_states_every_batch() {
+        let n = 300;
+        let rounds = 960u64;
+        // Two catch-up batches of 48 rounds (14,400 samples) fan out to
+        // three workers; every other batch is one round and runs inline.
+        let batches: Vec<std::ops::Range<u64>> = (0..rounds)
+            .filter(|g| !(301..348).contains(g) && !(701..748).contains(g))
+            .map(|g| if g == 300 || g == 700 { g..g + 48 } else { g..g + 1 })
+            .collect();
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("monitor-publish-{}", std::process::id()));
+        for threads in [1usize, 3] {
+            let _ = std::fs::remove_dir_all(&dir);
+            // 300 links over 7 shards: the slabs differ in length.
+            let cfg = MonitorConfig { threads, shards: 7, ..MonitorConfig::default() };
+            let store = || CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
+            let mut svc = MonitorService::new(cfg, &links(n, 3));
+            svc.set_store(store());
+            let mut health_seen = [false; 6];
+            let mut sum = IngestReport {
+                accepted: 0,
+                delivered: 0,
+                rejected: 0,
+                shed: 0,
+                duplicates: 0,
+                stale: 0,
+                reordered: 0,
+                dropped: 0,
+                restarts: 0,
+                mode: ServiceMode::Healthy,
+            };
+            for range in &batches {
+                let when = format!("threads={threads}, rounds {range:?}");
+                if range.start == 500 {
+                    assert!(svc.checkpoint_attached().unwrap());
+                    svc.arm_panic(2, svc.batches_ingested(), 40);
+                }
+                // Eight rounds into the fourth day: young windows flip
+                // labels often, so a stale published label would show.
+                if range.start == 872 {
+                    svc.checkpoint_attached().unwrap();
+                    drop(svc);
+                    svc = MonitorService::resume(cfg, &links(n, 3), &store())
+                        .expect("checkpoint must resume");
+                    svc.set_store(store());
+                    assert_published(&svc, n, &format!("{when}, resumed"));
+                }
+                let batch: Vec<_> = range.clone().flat_map(|g| mixed_round(n, g)).collect();
+                let r = svc.ingest_sequenced(&batch);
+                assert_published(&svc, n, &when);
+                for id in 0..n as u32 {
+                    health_seen[svc.verdict(id).health as usize] = true;
+                }
+                sum.delivered += r.delivered;
+                sum.duplicates += r.duplicates;
+                sum.stale += r.stale;
+                sum.reordered += r.reordered;
+                sum.dropped += r.dropped;
+                sum.restarts += r.restarts;
+            }
+            // The traffic exercised what it claims to.
+            assert!(health_seen.iter().all(|&s| s), "threads={threads}: {health_seen:?}");
+            assert_eq!(sum.restarts, 1, "threads={threads}");
+            assert!(
+                sum.duplicates > 0 && sum.stale > 0 && sum.reordered > 0 && sum.dropped > 1000,
+                "threads={threads}: {sum:?}"
+            );
+            let (alarms, masked) = (0..n as u32)
+                .map(|id| svc.verdict(id))
+                .fold((0, 0), |(a, m), v| (a + v.alarms, m + v.masked_alarms));
+            assert!(alarms > masked && masked > 0, "threads={threads}: {alarms} alarms, {masked} masked");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn queries_and_gauges_during_ingest() {
         use std::sync::atomic::AtomicBool;
@@ -1895,29 +2144,54 @@ mod tests {
             &links(n, 4),
         ));
         let stop = AtomicBool::new(false);
+        // Bumped before and after every `ingest_sequenced` call, so it is
+        // odd exactly while one runs. Every round feeds every link once,
+        // so between calls all links publish the same round; a reader
+        // sweep that begins and ends inside one call (same odd value on
+        // both sides) and still sees two different rounds read the index
+        // while that call was publishing into it. A 200-link round ingests
+        // in microseconds, so the ingest side keeps driving rounds until
+        // such a sweep happened, up to a cap that fails the test.
+        let epoch = AtomicU64::new(0);
+        let overlapped = AtomicU64::new(0);
+        let mut rounds = 0u64;
         std::thread::scope(|sc| {
             let reader_svc = std::sync::Arc::clone(&svc);
-            let stop_ref = &stop;
+            let (stop_ref, epoch_ref, overlapped_ref) = (&stop, &epoch, &overlapped);
             let reader = sc.spawn(move || {
-                let mut reads = 0u64;
                 while !stop_ref.load(Ordering::Relaxed) {
+                    let before = epoch_ref.load(Ordering::SeqCst);
+                    let (mut lo, mut hi) = (u64::MAX, 0);
                     for id in (0..n as u32).step_by(7) {
-                        let _ = reader_svc.verdict(id);
-                        reads += 1;
+                        let round = reader_svc.verdict(id).round;
+                        (lo, hi) = (lo.min(round), hi.max(round));
+                    }
+                    if before % 2 == 1 && epoch_ref.load(Ordering::SeqCst) == before && lo != hi {
+                        overlapped_ref.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                reads
             });
-            drive(&svc, n, 0..150);
+            const MAX_ROUNDS: u64 = 20_000;
+            while rounds < 150 || (overlapped.load(Ordering::Relaxed) == 0 && rounds < MAX_ROUNDS) {
+                let batch: Vec<(u32, u64, MonitorSample)> =
+                    (0..n as u32).map(|id| (id, rounds, sample(id, rounds))).collect();
+                epoch.fetch_add(1, Ordering::SeqCst);
+                svc.ingest_sequenced(&batch);
+                epoch.fetch_add(1, Ordering::SeqCst);
+                rounds += 1;
+            }
             stop.store(true, Ordering::Relaxed);
-            let reads = reader.join().unwrap();
-            assert!(reads > 0, "reader must have made progress during ingest");
+            reader.join().unwrap();
+            assert!(
+                overlapped.load(Ordering::Relaxed) > 0,
+                "reader must have made progress during ingest ({rounds} rounds)"
+            );
         });
         let reg = ixp_obs::MetricsRegistry::new();
         svc.publish_gauges(&reg);
         let sheet = reg.snapshot();
         assert_eq!(sheet.gauges["monitor_links"], n as f64);
-        assert_eq!(sheet.gauges["monitor_samples_ingested"], (150 * n) as f64);
+        assert_eq!(sheet.gauges["monitor_samples_ingested"], (rounds * n as u64) as f64);
         assert!(sheet.gauges["monitor_elevated_links"] >= 1.0);
         assert!(sheet.gauges.contains_key("monitor_index_read_qps"));
         assert!(sheet.gauges["monitor_shard_backlog_max"] >= 1.0);

@@ -27,6 +27,7 @@
 //! from a fresh state the two agree exactly (the monitor equivalence suite
 //! checks this on a random corpus).
 
+use crate::index::{ColdVerdict, HotVerdict};
 use crate::service::MonitorConfig;
 use ixp_chgpt::{OnlineDetector, OnlineSnapshot, OnlineVerdict};
 use ixp_simnet::time::SimDuration;
@@ -89,6 +90,12 @@ pub struct LinkUpdate {
     /// alarm, or a committed health change. One precomputed byte so the
     /// traced ingest path tests a single flag per delivery.
     pub noteworthy: bool,
+    /// True when this sample moved a published counter or evidence field:
+    /// an upshift alarm, a gap, or a nonzero fingerprint that differs from
+    /// the last one (the first one included). Together with a change of
+    /// [`LinkState::health`], this is everything that can move the cold
+    /// part of the link's verdict.
+    pub evidence_moved: bool,
 }
 
 /// One congestion event from the batch reference view.
@@ -227,6 +234,31 @@ impl LinkState {
         }
     }
 
+    /// The part of the link's verdict that moves with every sample.
+    pub(crate) fn hot_verdict(&self) -> HotVerdict {
+        HotVerdict {
+            round: self.rounds,
+            elevated: self.det.is_elevated(),
+            baseline_ms: self.det.baseline(),
+            elevation_ms: self.det.elevation_estimate(),
+        }
+    }
+
+    /// The part of the link's verdict that moves only when
+    /// [`LinkUpdate::evidence_moved`] is set or [`LinkState::health`]
+    /// changes. `health` is the caller's [`LinkState::health`] of the
+    /// current state, passed in so a publish does not compute it twice.
+    pub(crate) fn cold_verdict(&self, health: LinkHealth) -> ColdVerdict {
+        debug_assert_eq!(health, self.health());
+        ColdVerdict {
+            health,
+            alarms: self.alarms,
+            masked_alarms: self.masked_alarms,
+            gaps: self.det.gap_count(),
+            evidence: self.verdict_evidence(),
+        }
+    }
+
     /// Ingest one round. `cfg` must be the same configuration every call
     /// (the service guarantees this; mixing configs is a logic error).
     #[inline(always)]
@@ -240,8 +272,9 @@ impl LinkState {
         // fingerprint 0 (unanswered / rate-limited rounds) never changes
         // anything. Detected before the detector sees the sample so a shift
         // landing on the change round itself is maskable.
-        if s.path_fp != 0 {
-            if self.last_fp != 0 && s.path_fp != self.last_fp {
+        let fp_moved = s.path_fp != 0 && s.path_fp != self.last_fp;
+        if fp_moved {
+            if self.last_fp != 0 {
                 self.path_changes += 1;
                 self.w_path_changes += 1;
                 self.last_change_round = round;
@@ -309,6 +342,8 @@ impl LinkState {
                 verdict,
                 OnlineVerdict::UpshiftAlarm | OnlineVerdict::DownshiftAlarm
             ) | health_changed,
+            evidence_moved: fp_moved
+                | matches!(verdict, OnlineVerdict::UpshiftAlarm | OnlineVerdict::Gap),
         }
     }
 
