@@ -20,7 +20,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ixp_bench::record::Record;
-use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
+use ixp_monitor::{
+    LinkDesc, MonitorConfig, MonitorSample, MonitorService, COLD_RECORD_BYTES, HOT_RECORD_BYTES,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,6 +135,9 @@ fn monitor_ingest(c: &mut Criterion) {
     rec.regime("rounds_per_link", ROUNDS as u64)
         .regime("reader_threads", readers as u64)
         .regime("threads", THREADS as u64);
+    // Informational: what each link holds in its shard's two record arrays.
+    rec.metric("layout.hot_bytes_per_link", "bytes", HOT_RECORD_BYTES as f64)
+        .metric("layout.cold_bytes_per_link", "bytes", COLD_RECORD_BYTES as f64);
     for &links in &[1_000u32, 10_000, 100_000] {
         let (sps, wall, rss, qps, elevated) = scaling_point(links, readers);
         let expect_hot = (links / CONGESTED_EVERY) as u64;

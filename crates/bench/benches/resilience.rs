@@ -1,13 +1,15 @@
 //! Admission-control overhead (DESIGN.md §5.18): the sequenced ingest path
-//! puts every sample behind its link's [`ixp_monitor::SeqGate`] before the
-//! detector sees it, and promises that in steady state (in-order
-//! telemetry, no overload) admission stays under 3% of the path's cost.
+//! puts every sample behind its link's sequence gate before the detector
+//! sees it, and promises that in steady state (in-order telemetry, no
+//! overload) admission stays under 3% of the path's cost.
 //!
 //! Three arms run the same precomputed 1k-link, 288-round day at one
 //! thread, each from state built before its clock starts:
 //!
 //! - `a`: a bare [`LinkState::push`] loop over a `Vec<LinkState>`;
-//! - `b`: the same loop with each push behind `SeqGate::admit(seq = round)`;
+//! - `b`: the same loop with each push behind the link's own gate,
+//!   [`LinkState::admit`] with `seq = round` — the in-line check on the
+//!   link's hot record that the service runs;
 //! - `c`: [`MonitorService::ingest_sequenced`].
 //!
 //! `b − a` is what admission costs; `c − (b − a)` is the sequenced path
@@ -18,7 +20,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ixp_bench::record::Record;
-use ixp_monitor::{LinkDesc, LinkState, MonitorConfig, MonitorSample, MonitorService, SeqGate};
+use ixp_monitor::{LinkDesc, LinkState, MonitorConfig, MonitorSample, MonitorService};
 use std::time::Instant;
 
 const LINKS: u32 = 1_000;
@@ -65,7 +67,7 @@ fn config() -> MonitorConfig {
 /// One arm's state, built before its clock starts.
 enum Arm {
     Push(Vec<LinkState>),
-    Gated(Vec<LinkState>, Vec<SeqGate>),
+    Gated(Vec<LinkState>),
     Service(Box<MonitorService>),
 }
 
@@ -74,7 +76,7 @@ impl Arm {
         let states = || (0..LINKS).map(|_| LinkState::with_config(cfg)).collect();
         match arm {
             0 => Arm::Push(states()),
-            1 => Arm::Gated(states(), (0..LINKS).map(|_| SeqGate::new()).collect()),
+            1 => Arm::Gated(states()),
             _ => {
                 let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
                 Arm::Service(Box::new(MonitorService::new(*cfg, &descs)))
@@ -92,15 +94,11 @@ impl Arm {
                     }
                 }
             }
-            Arm::Gated(states, gates) => {
+            Arm::Gated(states) => {
                 let mut delivered = 0u64;
                 for batch in day {
                     for &(id, seq, s) in batch {
-                        let st = &mut states[id as usize];
-                        let d = gates[id as usize].admit(seq, s, cfg.reorder_window, &mut |smp| {
-                            st.push(&smp, cfg);
-                        });
-                        delivered += u64::from(d.delivered);
+                        delivered += u64::from(states[id as usize].admit(seq, s, cfg).delivered);
                     }
                 }
                 assert_eq!(delivered, LINKS as u64 * DAY_ROUNDS as u64);
@@ -120,12 +118,11 @@ impl Arm {
 fn check_arms_agree(day: &Day, cfg: &MonitorConfig) {
     let mut arms = [Arm::fresh(0, cfg), Arm::fresh(1, cfg), Arm::fresh(2, cfg)];
     arms.iter_mut().for_each(|arm| arm.run(day, cfg));
-    let [Arm::Push(bare), Arm::Gated(gated, _), Arm::Service(svc)] = &arms else {
+    let [Arm::Push(bare), Arm::Gated(gated), Arm::Service(svc)] = &arms else {
         unreachable!("arms are built in order")
     };
     let summary = |st: &LinkState| {
-        let det = st.detector();
-        (st.rounds(), st.alarms(), st.masked_alarms(), det.is_elevated(), det.baseline().to_bits())
+        (st.rounds(), st.alarms(), st.masked_alarms(), st.is_elevated(), st.baseline().to_bits())
     };
     for (id, (st, gt)) in bare.iter().zip(gated).enumerate() {
         assert_eq!(summary(st), summary(gt), "link {id}: admission changed its state");

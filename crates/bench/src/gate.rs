@@ -59,7 +59,7 @@ pub const BUDGETS: [Bound; 10] = [
     bound("obs", "overhead_pct", Check::Ceiling(3.0), false),
     bound("obs", "plain.links_per_sec", Check::Regression, true),
     bound("campaign", "links_1000.links_per_sec", Check::Regression, true),
-    // The resident monitor holds O(links) state: ~460 B per link, 52.6 MiB
+    // The resident monitor holds O(links) state: ~385 B per link, 45.8 MiB
     // steady at 100k links; the ceiling is headroom over that.
     bound("monitor", "links_100000.steady_rss_mb", Check::Ceiling(96.0), false),
     bound("monitor", "links_1000.ingest_samples_per_sec", Check::Regression, true),

@@ -41,7 +41,10 @@ pub use cusum::{
     CusumResult,
 };
 pub use events::{baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent};
-pub use online::{online_events, OnlineConfig, OnlineDetector, OnlineSnapshot, OnlineVerdict};
+pub use online::{
+    elevation_estimate, online_events, online_step, OnlineCold, OnlineConfig, OnlineDetector,
+    OnlineHot, OnlineSnapshot, OnlineVerdict,
+};
 pub use rank::{rank_transform, rank_transform_with};
 pub use scratch::DetectorScratch;
 pub use segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment};

@@ -91,156 +91,232 @@ pub struct OnlineSnapshot {
     pub gaps: u64,
 }
 
-/// Streaming level-shift detector (one per monitored link end).
+/// The part of the detector state a quiet sample touches: the running
+/// baseline, the upshift statistic, and the two regime flags. A resident
+/// monitor keeps it in the same cache line as the rest of a link's hot
+/// state; [`OnlineCold`] holds what only warm-up, elevated periods and gaps
+/// touch.
+///
+/// A private flag caches `warmup_seen < cfg.warmup`, so a quiet sample
+/// never reads the cold half: build both halves with [`OnlineHot::new`]
+/// and [`OnlineCold::default`], or from a snapshot with
+/// [`OnlineSnapshot::split`], which establish it.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct OnlineHot {
+    /// Running baseline estimate.
+    pub baseline: f64,
+    /// Upshift cumulative statistic.
+    pub s_up: f64,
+    /// Still consuming warm-up samples?
+    warming: bool,
+    /// Inside an elevated period?
+    pub elevated: bool,
+}
+
+impl OnlineHot {
+    /// The hot half of a fresh detector under `cfg`.
+    pub fn new(cfg: &OnlineConfig) -> OnlineHot {
+        OnlineHot { baseline: 0.0, s_up: 0.0, warming: cfg.warmup > 0, elevated: false }
+    }
+}
+
+/// The part of the detector state only warm-up samples, elevated periods
+/// and gaps touch (see [`OnlineHot`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct OnlineCold {
+    /// Warm-up samples consumed so far. Advanced by [`online_step`] alone:
+    /// [`OnlineHot`] caches whether it is still below the warm-up length.
+    pub warmup_seen: usize,
+    /// Sum of warm-up samples.
+    pub warmup_sum: f64,
+    /// Downshift cumulative statistic.
+    pub s_down: f64,
+    /// Baseline captured at the last upshift (magnitude estimation).
+    pub level_before: f64,
+    /// Sum of samples while elevated.
+    pub elevated_sum: f64,
+    /// Count of samples while elevated.
+    pub elevated_n: usize,
+    /// Non-finite samples seen (each counted, state otherwise untouched).
+    pub gaps: u64,
+}
+
+impl OnlineSnapshot {
+    /// The snapshot as the two halves [`online_step`] runs on.
+    pub fn split(&self) -> (OnlineHot, OnlineCold) {
+        (
+            OnlineHot {
+                baseline: self.baseline,
+                s_up: self.s_up,
+                warming: self.warmup_seen < self.cfg.warmup,
+                elevated: self.elevated,
+            },
+            OnlineCold {
+                warmup_seen: self.warmup_seen,
+                warmup_sum: self.warmup_sum,
+                s_down: self.s_down,
+                level_before: self.level_before,
+                elevated_sum: self.elevated_sum,
+                elevated_n: self.elevated_n,
+                gaps: self.gaps,
+            },
+        )
+    }
+
+    /// Freeze two halves run under `cfg`.
+    pub fn join(cfg: OnlineConfig, hot: &OnlineHot, cold: &OnlineCold) -> OnlineSnapshot {
+        OnlineSnapshot {
+            cfg,
+            baseline: hot.baseline,
+            warmup_seen: cold.warmup_seen,
+            warmup_sum: cold.warmup_sum,
+            s_up: hot.s_up,
+            s_down: cold.s_down,
+            elevated: hot.elevated,
+            level_before: cold.level_before,
+            elevated_sum: cold.elevated_sum,
+            elevated_n: cold.elevated_n,
+            gaps: cold.gaps,
+        }
+    }
+}
+
+/// Feed one sample to a detector kept as two halves — the one
+/// implementation of the CUSUM step; [`OnlineDetector::push`] runs it too.
+/// Non-finite samples (lost probes) and subnormals (no real RTT is below
+/// ~10⁻³⁰⁸ ms — only a corrupted or fabricated measurement carries one)
+/// are gaps: counted, detector state untouched, [`OnlineVerdict::Gap`]
+/// returned — a resident service must not die on a dropped response or let
+/// garbage bend its baseline. Zero is a legitimate sample; it is not
+/// subnormal. A quiet sample after warm-up reads and writes `hot` alone.
+#[inline(always)]
+pub fn online_step(
+    cfg: &OnlineConfig,
+    hot: &mut OnlineHot,
+    cold: &mut OnlineCold,
+    x: f64,
+) -> OnlineVerdict {
+    if !x.is_finite() || x.is_subnormal() {
+        cold.gaps += 1;
+        return OnlineVerdict::Gap;
+    }
+    if hot.warming {
+        cold.warmup_seen += 1;
+        cold.warmup_sum += x;
+        hot.baseline = cold.warmup_sum / cold.warmup_seen as f64;
+        hot.warming = cold.warmup_seen < cfg.warmup;
+        return OnlineVerdict::Warmup;
+    }
+    if hot.elevated {
+        return elevated_step(cfg, hot, cold, x);
+    }
+    // Quiet regime: adapt the baseline slowly, watch for upshifts.
+    hot.baseline += cfg.baseline_gain * (x - hot.baseline);
+    hot.s_up = (hot.s_up + (x - hot.baseline - cfg.kappa)).max(0.0);
+    if hot.s_up > cfg.h {
+        hot.elevated = true;
+        cold.level_before = hot.baseline;
+        hot.s_up = 0.0;
+        cold.s_down = 0.0;
+        cold.elevated_sum = x;
+        cold.elevated_n = 1;
+        return OnlineVerdict::UpshiftAlarm;
+    }
+    OnlineVerdict::Quiet
+}
+
+/// One sample inside an elevated period: look for the downshift back
+/// toward the remembered level.
+fn elevated_step(
+    cfg: &OnlineConfig,
+    hot: &mut OnlineHot,
+    cold: &mut OnlineCold,
+    x: f64,
+) -> OnlineVerdict {
+    cold.elevated_sum += x;
+    cold.elevated_n += 1;
+    cold.s_down = (cold.s_down + (elevated_mean(hot, cold) - x - cfg.kappa)).max(0.0);
+    if cold.s_down > cfg.h && x < elevated_mean(hot, cold) {
+        hot.elevated = false;
+        cold.s_down = 0.0;
+        hot.s_up = 0.0;
+        hot.baseline = cold.level_before;
+        cold.elevated_sum = 0.0;
+        cold.elevated_n = 0;
+        return OnlineVerdict::DownshiftAlarm;
+    }
+    OnlineVerdict::Elevated
+}
+
+fn elevated_mean(hot: &OnlineHot, cold: &OnlineCold) -> f64 {
+    if cold.elevated_n == 0 {
+        hot.baseline
+    } else {
+        cold.elevated_sum / cold.elevated_n as f64
+    }
+}
+
+/// Estimated magnitude of the current elevation (0 when quiet); reads the
+/// cold half only while elevated.
+#[inline]
+pub fn elevation_estimate(hot: &OnlineHot, cold: &OnlineCold) -> f64 {
+    if !hot.elevated || cold.elevated_n == 0 {
+        0.0
+    } else {
+        cold.elevated_sum / cold.elevated_n as f64 - cold.level_before
+    }
+}
+
+/// Streaming level-shift detector (one per monitored link end): a
+/// configuration and the two halves [`online_step`] runs on.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OnlineDetector {
     cfg: OnlineConfig,
-    baseline: f64,
-    warmup_seen: usize,
-    warmup_sum: f64,
-    s_up: f64,
-    s_down: f64,
-    elevated: bool,
-    /// Baseline captured at the last upshift (magnitude estimation).
-    level_before: f64,
-    /// Running mean of samples while elevated.
-    elevated_sum: f64,
-    elevated_n: usize,
-    /// Non-finite samples seen (each counted, state otherwise untouched).
-    gaps: u64,
+    hot: OnlineHot,
+    cold: OnlineCold,
 }
 
 impl OnlineDetector {
     /// Fresh detector.
     pub fn new(cfg: OnlineConfig) -> OnlineDetector {
-        OnlineDetector {
-            cfg,
-            baseline: 0.0,
-            warmup_seen: 0,
-            warmup_sum: 0.0,
-            s_up: 0.0,
-            s_down: 0.0,
-            elevated: false,
-            level_before: 0.0,
-            elevated_sum: 0.0,
-            elevated_n: 0,
-            gaps: 0,
-        }
+        OnlineDetector { cfg, hot: OnlineHot::new(&cfg), cold: OnlineCold::default() }
     }
 
     /// Non-finite samples seen so far.
     pub fn gap_count(&self) -> u64 {
-        self.gaps
+        self.cold.gaps
     }
 
     /// Freeze the full detector state.
     pub fn snapshot(&self) -> OnlineSnapshot {
-        OnlineSnapshot {
-            cfg: self.cfg,
-            baseline: self.baseline,
-            warmup_seen: self.warmup_seen,
-            warmup_sum: self.warmup_sum,
-            s_up: self.s_up,
-            s_down: self.s_down,
-            elevated: self.elevated,
-            level_before: self.level_before,
-            elevated_sum: self.elevated_sum,
-            elevated_n: self.elevated_n,
-            gaps: self.gaps,
-        }
+        OnlineSnapshot::join(self.cfg, &self.hot, &self.cold)
     }
 
     /// Rebuild a detector from a snapshot; continuing the stream from here
     /// is bit-identical to never having stopped.
     pub fn restore(snap: &OnlineSnapshot) -> OnlineDetector {
-        OnlineDetector {
-            cfg: snap.cfg,
-            baseline: snap.baseline,
-            warmup_seen: snap.warmup_seen,
-            warmup_sum: snap.warmup_sum,
-            s_up: snap.s_up,
-            s_down: snap.s_down,
-            elevated: snap.elevated,
-            level_before: snap.level_before,
-            elevated_sum: snap.elevated_sum,
-            elevated_n: snap.elevated_n,
-            gaps: snap.gaps,
-        }
+        let (hot, cold) = snap.split();
+        OnlineDetector { cfg: snap.cfg, hot, cold }
     }
 
     /// Current baseline estimate.
     pub fn baseline(&self) -> f64 {
-        self.baseline
+        self.hot.baseline
     }
 
     /// Is the detector inside an elevated period?
     pub fn is_elevated(&self) -> bool {
-        self.elevated
+        self.hot.elevated
     }
 
     /// Estimated magnitude of the current elevation (0 when quiet).
     pub fn elevation_estimate(&self) -> f64 {
-        if !self.elevated || self.elevated_n == 0 {
-            0.0
-        } else {
-            self.elevated_sum / self.elevated_n as f64 - self.level_before
-        }
+        elevation_estimate(&self.hot, &self.cold)
     }
 
-    /// Feed one sample. Non-finite samples (lost probes) and subnormals
-    /// (no real RTT is below ~10⁻³⁰⁸ ms — only a corrupted or fabricated
-    /// measurement carries one) are gaps: counted, detector state
-    /// untouched, [`OnlineVerdict::Gap`] returned — a resident service
-    /// must not die on a dropped response or let garbage bend its
-    /// baseline. Zero is a legitimate sample; it is not subnormal.
+    /// Feed one sample (see [`online_step`]).
     pub fn push(&mut self, x: f64) -> OnlineVerdict {
-        if !x.is_finite() || x.is_subnormal() {
-            self.gaps += 1;
-            return OnlineVerdict::Gap;
-        }
-        if self.warmup_seen < self.cfg.warmup {
-            self.warmup_seen += 1;
-            self.warmup_sum += x;
-            self.baseline = self.warmup_sum / self.warmup_seen as f64;
-            return OnlineVerdict::Warmup;
-        }
-        if self.elevated {
-            self.elevated_sum += x;
-            self.elevated_n += 1;
-            // Look for the downshift back toward the remembered level.
-            self.s_down = (self.s_down + (self.elevated_mean() - x - self.cfg.kappa)).max(0.0);
-            if self.s_down > self.cfg.h && x < self.elevated_mean() {
-                self.elevated = false;
-                self.s_down = 0.0;
-                self.s_up = 0.0;
-                self.baseline = self.level_before;
-                self.elevated_sum = 0.0;
-                self.elevated_n = 0;
-                return OnlineVerdict::DownshiftAlarm;
-            }
-            return OnlineVerdict::Elevated;
-        }
-        // Quiet regime: adapt the baseline slowly, watch for upshifts.
-        self.baseline += self.cfg.baseline_gain * (x - self.baseline);
-        self.s_up = (self.s_up + (x - self.baseline - self.cfg.kappa)).max(0.0);
-        if self.s_up > self.cfg.h {
-            self.elevated = true;
-            self.level_before = self.baseline;
-            self.s_up = 0.0;
-            self.s_down = 0.0;
-            self.elevated_sum = x;
-            self.elevated_n = 1;
-            return OnlineVerdict::UpshiftAlarm;
-        }
-        OnlineVerdict::Quiet
-    }
-
-    fn elevated_mean(&self) -> f64 {
-        if self.elevated_n == 0 {
-            self.baseline
-        } else {
-            self.elevated_sum / self.elevated_n as f64
-        }
+        online_step(&self.cfg, &mut self.hot, &mut self.cold, x)
     }
 }
 

@@ -5,10 +5,12 @@
 //! crate is that service, built from the pieces the batch pipeline already
 //! trusts:
 //!
-//! - [`state`] — per-link streaming state: one [`ixp_chgpt::OnlineDetector`]
-//!   (Page's CUSUM), path-fingerprint change tracking with the same causal
-//!   masking rule the batch assessment uses, and incremental
-//!   measurement-health evidence read with [`tslp_core::health`]'s ladder.
+//! - [`state`] — per-link streaming state: Page's CUSUM
+//!   ([`ixp_chgpt::online_step`], the step [`ixp_chgpt::OnlineDetector`]
+//!   runs too), path-fingerprint change tracking with the same causal
+//!   masking rule the batch assessment uses, incremental measurement-health
+//!   evidence read with [`tslp_core::health`]'s ladder, and the sequence
+//!   gate, split into a 64-byte hot record and a cold record.
 //!   Fed sample-by-sample, the verdict stream is **bit-identical** to
 //!   running [`ixp_chgpt::online_events`] over the full series (tested
 //!   across the chaos/storm fault corpus).
@@ -25,11 +27,14 @@
 //!   through [`tslp_core::CheckpointStore`] blobs so a restarted monitor
 //!   continues exactly where it stopped.
 //!
-//! Memory is O(links), about 460 bytes per link: no link retains its RTT
-//! series — only the O(1) detector state, the current health window
-//! counters, its admission gate and its published verdict, split into a
-//! 32-byte record rewritten every sample and the rest, rewritten only when
-//! it changes.
+//! Memory is O(links), about 385 bytes per link, and no link retains its
+//! RTT series: a 64-byte hot record (everything a quiet in-order sample
+//! touches, the gate's in-order words included), a 160-byte cold record
+//! (event state, gate counters, a reorder buffer only while samples are
+//! parked), a 1-byte published health label, the published verdict —
+//! a 32-byte record rewritten every sample and an 88-byte one rewritten
+//! only when it changes — and 40 bytes of reused batch buffer per sample
+//! of a one-round batch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +50,7 @@ pub use service::{
 };
 pub use state::{
     masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample, SeqGate,
-    REORDER_CAP,
+    COLD_RECORD_BYTES, HOT_RECORD_BYTES, REORDER_CAP,
 };
 
 /// Common imports.

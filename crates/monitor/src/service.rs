@@ -10,7 +10,8 @@
 //! rejected, per-shard demand beyond
 //! [`MonitorConfig::max_shard_batch`] is shed by a seeded hash at
 //! single-threaded partition time (so shed decisions are bit-identical at
-//! any thread count), and each link's [`SeqGate`] heals small reorders,
+//! any thread count), and each link's sequence gate (the rules of
+//! [`crate::SeqGate`], run over the link's own records) heals small reorders,
 //! counts duplicates/stale replays, and abandons sequences the window slid
 //! past — nothing disordered ever reaches the CUSUM state. Worker panics
 //! are caught per shard: the shard restores from its last good checkpoint
@@ -43,16 +44,24 @@
 //! returned a gap, or carried a new nonzero fingerprint, or the link's
 //! health label differs from the one it last published (kept per slot).
 //!
-//! Steady-state memory is O(links), about 460 bytes per link, and nothing
-//! retains an RTT series. The shard slab holds a 240-byte [`LinkState`], a
-//! 56-byte [`SeqGate`] and a 1-byte published health label per link (a
-//! gate's 256-byte reorder buffer exists only while it has samples
-//! parked); the index holds a 32-byte hot and an 88-byte cold record; the
-//! reused batch buffers — the service's per-shard partition lists and each
-//! slab's dirty list — add 40 bytes per sample of the largest batch so far
-//! and 4 bytes per dirty slot of the largest pass (one sample per link
-//! when each batch is one round). Because the partition lists are shared,
-//! ingest calls serialize; readers never wait for them.
+//! Steady-state memory is O(links), about 385 bytes per link, and nothing
+//! retains an RTT series. Each slab keeps its links in two arrays: 64-byte
+//! hot records, one cache line each, holding everything a quiet in-order
+//! answered sample reads or writes (the gate's next sequence number and
+//! parked count, the round counter, the last fingerprint, the detector's
+//! baseline, upshift statistic and flags, the loss run and window
+//! counters, the committed label), and 160-byte cold records holding what
+//! only events touch (warm-up, elevated-period and gap state, alarm and
+//! path-change evidence, the gate's counters and its 256-byte reorder
+//! buffer, which exists only while samples are parked). The detector's
+//! configuration is read from the service config, not copied per link. A
+//! 1-byte published health label per link completes the slab; the index
+//! holds a 32-byte hot and an 88-byte cold record; the reused batch
+//! buffers — the service's per-shard partition lists and each slab's dirty
+//! list — add 40 bytes per sample of the largest batch so far and 4 bytes
+//! per dirty slot of the largest pass (one sample per link when each batch
+//! is one round). Because the partition lists are shared, ingest calls
+//! serialize; readers never wait for them.
 //!
 //! ## Checkpoint/resume
 //!
@@ -68,7 +77,7 @@
 
 use crate::index::{LinkVerdict, VerdictIndex};
 use crate::state::{
-    LinkState, LinkUpdate, MonitorSample, SeqGate, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
+    Gate, GateCold, LinkCold, LinkHot, MonitorSample, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
 };
 use ixp_chgpt::{OnlineConfig, OnlineVerdict};
 use ixp_obs::{FlightRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
@@ -254,36 +263,46 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
     ])
 }
 
-/// One shard's mutable state: link detectors plus their admission gates,
-/// indexed by slot (`id / shards`), the health label each slot last
-/// published, and the dirty list each pass publishes cold records from.
-/// Kept together so one lock guards all four.
+/// One shard's mutable state, indexed by slot (`id / shards`): each link's
+/// 64-byte hot record (detector, window counters and the gate's in-order
+/// words) in one dense array and its cold record (event state, gate
+/// counters and reorder buffer) in another, the health label each slot
+/// last published, and the dirty list each pass publishes cold records
+/// from. Kept together so one lock guards all four.
 struct ShardSlab {
-    links: Vec<LinkState>,
-    gates: Vec<SeqGate>,
-    /// [`LinkState::health`] as of the slot's last published cold record.
+    hot: Vec<LinkHot>,
+    cold: Vec<LinkCold>,
+    /// [`LinkHot::health`] as of the slot's last published cold record.
     labels: Vec<LinkHealth>,
     /// Slots whose cold record the current pass must rewrite.
     /// Cleared, never freed, so a steady-state pass allocates nothing.
     dirty: Vec<u32>,
 }
 
+/// A shard's decoded (or fresh) hot and cold arrays.
+type Records = (Vec<LinkHot>, Vec<LinkCold>);
+
 impl ShardSlab {
-    /// `slots` fresh links and gates.
+    /// `slots` fresh links.
     fn fresh(slots: usize, cfg: &MonitorConfig) -> ShardSlab {
         ShardSlab {
-            links: (0..slots).map(|_| LinkState::with_config(cfg)).collect(),
-            gates: (0..slots).map(|_| SeqGate::new()).collect(),
+            hot: vec![LinkHot::new(cfg); slots],
+            cold: vec![LinkCold::new(); slots],
             labels: vec![LinkHealth::Clean; slots],
             dirty: Vec::new(),
         }
     }
 
-    /// Take over decoded (or fresh) links and gates, keeping the buffers.
-    /// The caller republishes the whole shard, which resets the labels.
-    fn replace(&mut self, (links, gates): (Vec<LinkState>, Vec<SeqGate>)) {
-        self.links = links;
-        self.gates = gates;
+    /// Number of link slots.
+    fn slots(&self) -> usize {
+        self.hot.len()
+    }
+
+    /// Take over decoded records, keeping the buffers. The caller
+    /// republishes the whole shard, which resets the labels.
+    fn replace(&mut self, (hot, cold): Records) {
+        self.hot = hot;
+        self.cold = cold;
     }
 }
 
@@ -619,8 +638,9 @@ impl MonitorService {
     /// `u64::MAX` are rejected; when a shard's demand exceeds
     /// [`MonitorConfig::max_shard_batch`], the excess is shed by seeded
     /// hash (reproducible at any thread count). Surviving samples then pass
-    /// their link's [`SeqGate`]: in-order and healed-reorder samples reach
-    /// the detector, duplicates/stale/abandoned sequences are counted.
+    /// their link's gate ([`crate::SeqGate`]'s rules): in-order and
+    /// healed-reorder samples reach the detector, duplicates/stale/abandoned
+    /// sequences are counted.
     /// A worker panic is supervised: the shard restores from its last good
     /// checkpoint (or fresh) and the shard's items replay. Ingest calls
     /// serialize (see the module docs).
@@ -847,15 +867,15 @@ impl MonitorService {
         let mut totals = GateTotals::default();
         let cfg = &self.cfg;
         let mut slab = self.shards[shard].lock();
-        let ShardSlab { links, gates, labels, dirty } = &mut *slab;
+        let ShardSlab { hot, cold, labels, dirty } = &mut *slab;
         dirty.clear();
         // A slot's cold record is rewritten only when a delivered sample
         // moved its evidence (`LinkUpdate::evidence_moved`) or its health
         // label differs from the one last published. Checking the label
         // once per item, after every delivery it released, is enough: the
-        // label is a function of the link state alone.
-        let mut mark = |st: &LinkState, slot: usize, moved: bool| {
-            let health = st.health();
+        // label is a function of the hot record alone.
+        let mut mark = |h: &LinkHot, slot: usize, moved: bool| {
+            let health = h.health();
             if moved || health != labels[slot] {
                 labels[slot] = health;
                 dirty.push(slot as u32);
@@ -870,6 +890,8 @@ impl MonitorService {
         // one register test per delivery (quiet samples on a stable
         // link trace nothing; the out-of-line calls are reserved for
         // alarms, health transitions, and non-clean admission deltas).
+        // Either way an in-order sample on a quiet link reads and writes
+        // its hot record alone: one cache line.
         match fl {
             None => {
                 for (done, &(seq, slot, s)) in items.iter().enumerate() {
@@ -877,16 +899,17 @@ impl MonitorService {
                         panic!("armed chaos panic (shard {shard}, batch {batch})");
                     }
                     let slot = slot as usize;
+                    let (h, c) = (&mut hot[slot], &mut cold[slot]);
                     let mut moved = false;
-                    let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut |smp| {
-                        moved |= links[slot].push(&smp, cfg).evidence_moved;
+                    let d = h.admit(c, seq, s, cfg.reorder_window, &mut |h, c, smp| {
+                        moved |= h.push(c, &smp, cfg).evidence_moved;
                     });
                     totals.delivered += u64::from(d.delivered);
                     totals.duplicates += u64::from(d.duplicates);
                     totals.stale += u64::from(d.stale);
                     totals.reordered += u64::from(d.reordered);
                     totals.dropped += d.dropped;
-                    mark(&links[slot], slot, moved);
+                    mark(h, slot, moved);
                 }
             }
             Some(fl) => {
@@ -897,38 +920,33 @@ impl MonitorService {
                     // The link id is needed only when something is traced.
                     let id = || link_id(slot, shard, n_shards);
                     let slot = slot as usize;
+                    let (h, c) = (&mut hot[slot], &mut cold[slot]);
                     let mut moved = false;
-                    let mut deliver = |smp: MonitorSample| {
-                        let up = links[slot].push(&smp, cfg);
+                    let mut deliver = |h: &mut LinkHot, c: &mut LinkCold, smp: MonitorSample| {
+                        let up = h.push(c, &smp, cfg);
                         moved |= up.evidence_moved;
                         // One predictable single-byte test per delivery,
-                        // untaken on quiet samples.
+                        // untaken on quiet samples. The rare path reads
+                        // what it emits from the two records; only the
+                        // verdict and the label before the push come along.
                         if up.noteworthy {
-                            trace_update(fl, shard as u32, id(), up, &links[slot]);
+                            let (verdict, before) = (up.verdict, up.health_before);
+                            trace_update(fl, shard as u32, id(), verdict, before, h, c);
                         }
                     };
-                    if gates[slot].in_order(seq) {
-                        // Clean in-order arrival — the steady state.
-                        // `admit` re-checks the same two words right
-                        // here with no store in between, so the
-                        // optimizer folds the branch away and the
-                        // constant delta never materializes: no
-                        // per-item delta inspection on the fast path.
-                        let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
-                        debug_assert_eq!(d.delivered, 1);
-                        totals.delivered += 1;
-                    } else {
-                        let d = gates[slot].admit(seq, s, cfg.reorder_window, &mut deliver);
-                        if u64::from(d.duplicates | d.stale | d.reordered) | d.dropped != 0 {
-                            trace_admit(fl, shard as u32, id(), seq, d);
-                        }
-                        totals.delivered += u64::from(d.delivered);
-                        totals.duplicates += u64::from(d.duplicates);
-                        totals.stale += u64::from(d.stale);
-                        totals.reordered += u64::from(d.reordered);
-                        totals.dropped += d.dropped;
+                    // One call site for `deliver`, so it inlines into the
+                    // in-order path, where `admit` returns a constant
+                    // delta and the anomaly test below folds away.
+                    let d = h.admit(c, seq, s, cfg.reorder_window, &mut deliver);
+                    if u64::from(d.duplicates | d.stale | d.reordered) | d.dropped != 0 {
+                        trace_admit(fl, shard as u32, id(), seq, d);
                     }
-                    mark(&links[slot], slot, moved);
+                    totals.delivered += u64::from(d.delivered);
+                    totals.duplicates += u64::from(d.duplicates);
+                    totals.stale += u64::from(d.stale);
+                    totals.reordered += u64::from(d.reordered);
+                    totals.dropped += d.dropped;
+                    mark(h, slot, moved);
                 }
             }
         }
@@ -936,17 +954,18 @@ impl MonitorService {
         // and health labels are done: under it each record is assembled
         // from fields already computed (the cold one from the label `mark`
         // stored) and stored, nothing more.
-        let links = &*links;
-        let hot = |slot: u32| (slot, links[slot as usize].hot_verdict());
-        let cold = dirty.iter().map(|&slot| {
+        let (hot, cold) = (&*hot, &*cold);
+        let hot_of = |slot: u32| (slot, hot[slot as usize].hot_verdict(&cold[slot as usize]));
+        let cold_of = dirty.iter().map(|&slot| {
             let slot_ix = slot as usize;
-            (slot, links[slot_ix].cold_verdict(labels[slot_ix]))
+            (slot, hot[slot_ix].cold_verdict(&cold[slot_ix], labels[slot_ix]))
         });
-        if items.len() > links.len() {
+        if items.len() > hot.len() {
             // A catch-up pass repeats slots: write each slot's hot record once.
-            self.index.publish(shard, (0..links.len() as u32).map(hot), cold, &self.ixp_of);
+            self.index.publish(shard, (0..hot.len() as u32).map(hot_of), cold_of, &self.ixp_of);
         } else {
-            self.index.publish(shard, items.iter().map(|&(_, slot, _)| hot(slot)), cold, &self.ixp_of);
+            let hot_items = items.iter().map(|&(_, slot, _)| hot_of(slot));
+            self.index.publish(shard, hot_items, cold_of, &self.ixp_of);
         }
         totals
     }
@@ -957,7 +976,7 @@ impl MonitorService {
     fn restore_shard(&self, shard: usize) {
         let store = self.store.lock();
         let mut slab = self.shards[shard].lock();
-        let slots = slab.links.len();
+        let slots = slab.slots();
         // Recovery token for the trace (mirrors `ShardRecovery` order:
         // 0 restored, 1 missing, 2 stale, 3 corrupt).
         let mut recovery = 1u64;
@@ -1036,15 +1055,7 @@ impl MonitorService {
         let shard = id as usize % n_shards;
         let slot = id as usize / n_shards;
         let slab = self.shards[shard].lock();
-        let g = &slab.gates[slot];
-        SeqStats {
-            next_seq: g.next_seq(),
-            duplicates: g.duplicates(),
-            stale: g.stale(),
-            reordered: g.reordered(),
-            dropped: g.dropped(),
-            buffered: g.buffered(),
-        }
+        slab.cold[slot].gate.stats(&slab.hot[slot])
     }
 
     /// Total supervised shard restarts.
@@ -1117,7 +1128,7 @@ impl MonitorService {
         for (i, shard) in self.shards.iter().enumerate() {
             let (payload, slots) = {
                 let slab = shard.lock();
-                (encode_shard_payload(&slab), slab.links.len())
+                (encode_shard_payload(&slab), slab.slots())
             };
             let name = shard_blob_name(i);
             store.store_blob(&name, &payload).map_err(|e| {
@@ -1178,7 +1189,7 @@ impl MonitorService {
         for shard in 0..n_shards {
             let payload = store.load_blob(&shard_blob_name(shard))?;
             let mut slab = svc.shards[shard].lock();
-            let decoded = decode_shard_payload(&payload, slab.links.len(), &cfg)?;
+            let decoded = decode_shard_payload(&payload, slab.slots(), &cfg)?;
             svc.republish(shard, &mut slab, decoded);
         }
         svc.index.rebuild_aggregates(&svc.ixp_of);
@@ -1205,7 +1216,7 @@ impl MonitorService {
             let name = shard_blob_name(shard);
             let (decoded, outcome) = match store.load_blob_checked(&name) {
                 BlobStatus::Ok(payload) => {
-                    let slots = svc.shards[shard].lock().links.len();
+                    let slots = svc.shards[shard].lock().slots();
                     match decode_shard_payload(&payload, slots, &cfg) {
                         Some(pair) => (Some(pair), ShardRecovery::Restored),
                         // A fingerprint-valid blob that does not decode is
@@ -1236,14 +1247,9 @@ impl MonitorService {
         (svc, ResumeReport { shards: report })
     }
 
-    /// Install decoded links and gates into `shard`'s slab and publish every
-    /// slot's verdict (resume paths).
-    fn republish(
-        &self,
-        shard: usize,
-        slab: &mut ShardSlab,
-        decoded: (Vec<LinkState>, Vec<SeqGate>),
-    ) {
+    /// Install decoded records into `shard`'s slab and publish every slot's
+    /// verdict (resume paths).
+    fn republish(&self, shard: usize, slab: &mut ShardSlab, decoded: Records) {
         slab.replace(decoded);
         self.publish_all(shard, slab);
     }
@@ -1251,14 +1257,15 @@ impl MonitorService {
     /// Publish every slot's whole verdict from its link state and reset the
     /// published health labels to match (after a restore).
     fn publish_all(&self, shard: usize, slab: &mut ShardSlab) {
-        for (label, st) in slab.labels.iter_mut().zip(&slab.links) {
-            *label = st.health();
+        for (label, h) in slab.labels.iter_mut().zip(&slab.hot) {
+            *label = h.health();
         }
-        let links = (0u32..).zip(&slab.links);
+        let links = (0u32..).zip(slab.hot.iter().zip(&slab.cold));
+        let cold = links.clone().zip(&slab.labels);
         self.index.publish(
             shard,
-            links.clone().map(|(slot, st)| (slot, st.hot_verdict())),
-            links.zip(&slab.labels).map(|((slot, st), &label)| (slot, st.cold_verdict(label))),
+            links.map(|(slot, (h, c))| (slot, h.hot_verdict(c))),
+            cold.map(|((slot, (h, c)), &label)| (slot, h.cold_verdict(c, label))),
             &self.ixp_of,
         );
     }
@@ -1268,7 +1275,7 @@ impl MonitorService {
         let total: u64 = self
             .shards
             .iter()
-            .map(|shard| shard.lock().links.iter().map(|s| s.rounds()).sum::<u64>())
+            .map(|shard| shard.lock().hot.iter().map(|h| h.rounds).sum::<u64>())
             .sum();
         self.ingested.store(total, Ordering::Relaxed);
     }
@@ -1281,7 +1288,7 @@ fn shard_blob_name(shard: usize) -> String {
 
 /// Bytes one slot (link state + sequence-gate counters) occupies in a
 /// shard blob: 27 + 5 words.
-const SHARD_SLOT_LEN: usize = LinkState::ENCODED_LEN + SeqGate::ENCODED_LEN;
+const SHARD_SLOT_LEN: usize = LinkHot::ENCODED_LEN + GateCold::ENCODED_LEN;
 
 /// One shard's checkpoint payload: the slot count, one fixed-size record
 /// per slot (link state + gate counters), then a trailer holding the count
@@ -1289,29 +1296,31 @@ const SHARD_SLOT_LEN: usize = LinkState::ENCODED_LEN + SeqGate::ENCODED_LEN;
 /// and then by sequence number. Parked samples are rare (a reorder in
 /// flight), so an idle buffer costs no checkpoint bytes.
 fn encode_shard_payload(slab: &ShardSlab) -> Vec<u8> {
-    let parked: usize = slab.gates.iter().map(SeqGate::buffered).sum();
-    let slots = slab.links.len();
+    let parked: usize = slab.hot.iter().map(|h| usize::from(h.parked)).sum();
+    let slots = slab.slots();
     let mut payload = Vec::with_capacity(16 + slots * SHARD_SLOT_LEN + parked * PARKED_LEN);
     payload.extend_from_slice(&(slots as u64).to_le_bytes());
-    for (st, gate) in slab.links.iter().zip(&slab.gates) {
-        st.encode_into(&mut payload);
-        gate.encode_into(&mut payload);
+    for (h, c) in slab.hot.iter().zip(&slab.cold) {
+        h.encode_into(c, &mut payload);
+        c.gate.encode_into(h.next_seq, &mut payload);
     }
     payload.extend_from_slice(&(parked as u64).to_le_bytes());
-    for (slot, gate) in slab.gates.iter().enumerate().filter(|(_, g)| g.buffered() > 0) {
-        gate.encode_parked(slot as u64, &mut payload);
+    let records = slab.hot.iter().zip(&slab.cold).enumerate();
+    for (slot, (_, c)) in records.filter(|(_, (h, _))| h.parked > 0) {
+        c.gate.encode_parked(slot as u64, &mut payload);
     }
     payload
 }
 
 /// Decode one shard's checkpoint payload (see [`encode_shard_payload`]).
-/// `None` on any shape mismatch, and on any parked sample a live gate could
-/// never hold (see [`SeqGate::restore_parked`]).
+/// `None` on any shape mismatch, on any word a narrowed hot-record field
+/// cannot hold (see [`LinkHot::decode`]), and on any parked sample a live
+/// gate could never hold (see [`Gate::restore_parked`]).
 fn decode_shard_payload(
     payload: &[u8],
     expected_slots: usize,
     cfg: &MonitorConfig,
-) -> Option<(Vec<LinkState>, Vec<SeqGate>)> {
+) -> Option<Records> {
     let word = |at: usize| -> Option<u64> {
         Some(u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?))
     };
@@ -1325,12 +1334,14 @@ fn decode_shard_payload(
     if payload.len().checked_sub(records)? != parked.checked_mul(PARKED_LEN)? {
         return None;
     }
-    let mut links = Vec::with_capacity(count);
-    let mut gates = Vec::with_capacity(count);
+    let mut hot = Vec::with_capacity(count);
+    let mut cold = Vec::with_capacity(count);
     for slot in payload[8..trailer].chunks_exact(SHARD_SLOT_LEN) {
-        let (st, gate) = slot.split_at(LinkState::ENCODED_LEN);
-        links.push(LinkState::decode(st, cfg)?);
-        gates.push(SeqGate::decode(gate)?);
+        let (link, gate) = slot.split_at(LinkHot::ENCODED_LEN);
+        let (mut h, mut c) = LinkHot::decode(link, cfg)?;
+        (h.next_seq, c.gate) = GateCold::decode(gate)?;
+        hot.push(h);
+        cold.push(c);
     }
     let mut last_slot = 0;
     for i in 0..parked {
@@ -1341,9 +1352,11 @@ fn decode_shard_payload(
         }
         last_slot = slot;
         let rec = [word(at + 8)?, word(at + 16)?, word(at + 24)?, word(at + 32)?];
-        gates.get_mut(slot)?.restore_parked(rec, cfg.reorder_window)?;
+        let (h, c) = (hot.get_mut(slot)?, cold.get_mut(slot)?);
+        Gate { next_seq: &mut h.next_seq, parked: &mut h.parked, cold: &mut c.gate }
+            .restore_parked(rec, cfg.reorder_window)?;
     }
-    Some((links, gates))
+    Some((hot, cold))
 }
 
 /// Trace the exceptional admission outcomes of one gate call. Steady-state
@@ -1383,23 +1396,34 @@ fn trace_admit(fl: &FlightRecorder, shard: u32, link: u32, seq: u64, d: crate::s
 
 /// Trace what one delivered sample did to its link: online changepoints
 /// (with the evidence the mask weighed), mask applications, and health-class
-/// transitions. Quiet samples on a stable link trace nothing.
+/// transitions. Quiet samples on a stable link trace nothing. Everything
+/// but the verdict and the label committed before the push is read from
+/// the link's records, which the push just left behind.
 #[cold]
 #[inline(never)]
-fn trace_update(fl: &FlightRecorder, shard: u32, link: u32, up: LinkUpdate, st: &LinkState) {
-    match up.verdict {
+fn trace_update(
+    fl: &FlightRecorder,
+    shard: u32,
+    link: u32,
+    verdict: OnlineVerdict,
+    health_before: LinkHealth,
+    hot: &LinkHot,
+    cold: &LinkCold,
+) {
+    let round = hot.rounds - 1;
+    match verdict {
         OnlineVerdict::UpshiftAlarm => {
-            let ev = st.verdict_evidence();
+            let ev = hot.verdict_evidence(cold);
             Recorder::trace(
                 fl,
-                TraceEvent::new(TraceKind::OnlineUpshift, up.round, shard, link)
+                TraceEvent::new(TraceKind::OnlineUpshift, round, shard, link)
                     .a(ev.path_change_round)
                     .v(ev.level_before_ms),
             );
             if let crate::index::MaskOutcome::Applied { rounds_since_change } = ev.mask {
                 Recorder::trace(
                     fl,
-                    TraceEvent::new(TraceKind::MaskApplied, up.round, shard, link)
+                    TraceEvent::new(TraceKind::MaskApplied, round, shard, link)
                         .a(ev.path_change_round)
                         .b(rounds_since_change),
                 );
@@ -1408,18 +1432,17 @@ fn trace_update(fl: &FlightRecorder, shard: u32, link: u32, up: LinkUpdate, st: 
         OnlineVerdict::DownshiftAlarm => {
             Recorder::trace(
                 fl,
-                TraceEvent::new(TraceKind::OnlineDownshift, up.round, shard, link)
-                    .v(st.detector().baseline()),
+                TraceEvent::new(TraceKind::OnlineDownshift, round, shard, link).v(hot.baseline()),
             );
         }
         _ => {}
     }
-    if up.health_changed {
+    if hot.committed_health() != health_before {
         Recorder::trace(
             fl,
-            TraceEvent::new(TraceKind::HealthChanged, up.round, shard, link)
-                .a(up.health_before.code())
-                .b(st.committed_health().code()),
+            TraceEvent::new(TraceKind::HealthChanged, round, shard, link)
+                .a(health_before.code())
+                .b(hot.committed_health().code()),
         );
     }
 }
@@ -1427,6 +1450,7 @@ fn trace_update(fl: &FlightRecorder, shard: u32, link: u32, up: LinkUpdate, st: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::LinkState;
     use std::path::PathBuf;
 
     fn links(n: usize, ixps: u32) -> Vec<LinkDesc> {
@@ -1577,8 +1601,9 @@ mod tests {
     fn links_digest(svc: &MonitorService) -> Vec<u8> {
         let mut out = Vec::new();
         for shard in &svc.shards {
-            for st in shard.lock().links.iter() {
-                st.encode_into(&mut out);
+            let slab = shard.lock();
+            for (h, c) in slab.hot.iter().zip(&slab.cold) {
+                h.encode_into(c, &mut out);
             }
         }
         out
@@ -1612,7 +1637,7 @@ mod tests {
                 let v = svc.verdict(id as u32);
                 assert_eq!(
                     (v.round, v.alarms, v.masked_alarms, v.elevated),
-                    (st.rounds(), st.alarms(), st.masked_alarms(), st.detector().is_elevated()),
+                    (st.rounds(), st.alarms(), st.masked_alarms(), st.is_elevated()),
                     "threads={threads}: link {id}"
                 );
             }
@@ -1752,11 +1777,11 @@ mod tests {
         first.checkpoint(&store).unwrap();
         let name = shard_blob_name(0);
         let payload = store.load_blob(&name).unwrap();
-        let slots = first.shards[0].lock().links.len();
+        let slots = first.shards[0].lock().slots();
         let records = 8 + slots * SHARD_SLOT_LEN + 8;
         assert!(payload.len() > records, "shard 0 must have samples parked");
         let slot = u64::from_le_bytes(payload[records..records + 8].try_into().unwrap());
-        let next_seq = first.shards[0].lock().gates[slot as usize].next_seq();
+        let next_seq = first.shards[0].lock().hot[slot as usize].next_seq;
         // Rewrite the first parked record's sequence number to the gate's
         // next_seq — a sample a live gate would have delivered, not parked
         // — and store it with a valid CRC, so only the decoder can object.
@@ -1780,6 +1805,75 @@ mod tests {
         dup.splice(records..records, payload[records..records + PARKED_LEN].iter().copied());
         assert!(decode_shard_payload(&dup, slots, &cfg).is_none());
         assert!(decode_shard_payload(&payload, slots, &cfg).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint whose words a live link could never hold in its
+    /// narrowed hot-record fields reads as corrupt, shard by shard, and
+    /// never panics: a window counter above a day of rounds, an open loss
+    /// run beyond `u32::MAX`, and more parked samples for one link than
+    /// the reorder buffer holds.
+    #[test]
+    fn narrowed_fields_out_of_range_read_as_corrupt() {
+        let n = 24;
+        let cfg = MonitorConfig { shards: 2, ..MonitorConfig::default() };
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("monitor-narrow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = MonitorService::new(cfg, &links(n, 2));
+        drive(&first, n, 0..40);
+        let payload = encode_shard_payload(&first.shards[0].lock());
+        let slots = first.shards[0].lock().slots();
+        let next_seq = first.shards[0].lock().hot[0].next_seq;
+        // Link word `w` of slot 0 set to `v`.
+        let with_word = |w: usize, v: u64| {
+            let mut bad = payload.clone();
+            bad[8 + w * 8..16 + w * 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        // REORDER_CAP + 1 parked records for slot 0, the trailer count to match.
+        let overfull = {
+            let records = 8 + slots * SHARD_SLOT_LEN;
+            let mut bad = payload[..records].to_vec();
+            let extra = crate::state::REORDER_CAP as u64 + 1;
+            bad.extend_from_slice(&extra.to_le_bytes());
+            for q in next_seq + 1..=next_seq + extra {
+                for w in [0, q, 2.5f64.to_bits(), 0xFACE, 3] {
+                    bad.extend_from_slice(&u64::to_le_bytes(w));
+                }
+            }
+            bad
+        };
+        let window = WINDOW_ROUNDS + 1;
+        let cases = [
+            ("w_rounds", with_word(16, window)),
+            ("w_answered", with_word(17, window)),
+            ("w_addr_bad", with_word(18, window)),
+            ("w_gap_rounds", with_word(19, window)),
+            ("w_path_changes", with_word(20, window)),
+            ("cur_loss_run", with_word(21, u64::from(u32::MAX) + 1)),
+            ("parked", overfull),
+        ];
+        assert!(decode_shard_payload(&payload, slots, &cfg).is_some());
+        assert!(decode_shard_payload(&with_word(16, WINDOW_ROUNDS - 1), slots, &cfg).is_some());
+        assert!(decode_shard_payload(&with_word(21, u64::from(u32::MAX)), slots, &cfg).is_some());
+        for (field, bad) in cases {
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
+            first.checkpoint(&store).unwrap();
+            store.store_blob(&shard_blob_name(0), &bad).unwrap();
+            let (svc, report) = MonitorService::resume_resilient(
+                cfg,
+                &links(n, 2),
+                CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap(),
+            );
+            assert_eq!(
+                report.shards,
+                vec![ShardRecovery::RebuiltCorrupt, ShardRecovery::Restored],
+                "{field}"
+            );
+            drive(&svc, n, 0..3);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1975,16 +2069,15 @@ mod tests {
     /// The whole verdict a link's state implies, built field by field — the
     /// reference the split publish path must reproduce.
     fn verdict_of(st: &LinkState) -> LinkVerdict {
-        let det = st.detector();
         LinkVerdict {
             round: st.rounds(),
-            elevated: det.is_elevated(),
-            baseline_ms: det.baseline(),
-            elevation_ms: det.elevation_estimate(),
+            elevated: st.is_elevated(),
+            baseline_ms: st.baseline(),
+            elevation_ms: st.elevation_estimate(),
             health: st.health(),
             alarms: st.alarms(),
             masked_alarms: st.masked_alarms(),
-            gaps: det.gap_count(),
+            gaps: st.gaps(),
             evidence: st.verdict_evidence(),
         }
     }
@@ -2049,7 +2142,9 @@ mod tests {
     fn assert_published(svc: &MonitorService, n: usize, when: &str) {
         let n_shards = svc.shards.len();
         for id in 0..n as u32 {
-            let want = verdict_of(&svc.shards[id as usize % n_shards].lock().links[id as usize / n_shards]);
+            let (shard, slot) = (id as usize % n_shards, id as usize / n_shards);
+            let slab = svc.shards[shard].lock();
+            let want = verdict_of(&LinkState::from_parts(slab.hot[slot], slab.cold[slot].clone()));
             assert_eq!(format!("{:?}", svc.verdict(id)), format!("{want:?}"), "{when}: link {id}");
         }
     }
@@ -2133,6 +2228,25 @@ mod tests {
             assert!(alarms > masked && masked > 0, "threads={threads}: {alarms} alarms, {masked} masked");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The v4 checkpoint bytes of a fixed drive are a literal: three days of
+    /// the mixed traffic (loss, late and withheld samples, replays, path
+    /// changes, sequence jumps) over 1k links, every shard's payload hashed
+    /// in shard order. A change to the in-memory layout must leave this
+    /// value where it is, or old checkpoints would resume into a different
+    /// state.
+    #[test]
+    fn checkpoint_bytes_of_a_mixed_drive_are_pinned() {
+        let n = 1_000;
+        let svc = MonitorService::new(MonitorConfig::default(), &links(n, 8));
+        for g in 0..3 * WINDOW_ROUNDS {
+            svc.ingest_sequenced(&mixed_round(n, g));
+        }
+        let bytes = state_digest(&svc);
+        let words: Vec<u64> =
+            bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!((bytes.len(), mix(&words)), (258_656, 7_896_377_920_306_157_140));
     }
 
     #[test]

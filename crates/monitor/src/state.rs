@@ -1,5 +1,6 @@
 //! Per-link streaming state: online detection, causal path-change masking,
-//! and an incremental measurement-health ladder.
+//! an incremental measurement-health ladder, and the sequence gate in front
+//! of them.
 //!
 //! The contract that everything else leans on: feeding a link's raw far
 //! series through [`LinkState::push`] one sample at a time produces exactly
@@ -26,10 +27,26 @@
 //! full window, whatever share of it has elapsed. On one complete window
 //! from a fresh state the two agree exactly (the monitor equivalence suite
 //! checks this on a random corpus).
+//!
+//! ## Layout
+//!
+//! A link's state is two records. `LinkHot` is one 64-byte cache line
+//! holding exactly what a quiet, in-order, answered sample reads or writes:
+//! the gate's next sequence number and parked count, the round counter,
+//! the last fingerprint, the detector's baseline, upshift statistic and
+//! regime flags, the open loss run, the five window counters and the
+//! committed health label. `LinkCold` (160 bytes) holds what only events
+//! touch: warm-up, elevated-period and gap state, path-change and alarm
+//! evidence and counters, and the gate's counters and reorder buffer. The
+//! service keeps each in its own per-shard array, so a steady-state sample
+//! streams one line; [`LinkState`] and [`SeqGate`] own the same records
+//! and run the same code, for tests, benches and batch reference views.
 
-use crate::index::{ColdVerdict, HotVerdict};
-use crate::service::MonitorConfig;
-use ixp_chgpt::{OnlineDetector, OnlineSnapshot, OnlineVerdict};
+use crate::index::{ColdVerdict, HotVerdict, MaskOutcome, VerdictEvidence};
+use crate::service::{MonitorConfig, SeqStats};
+use ixp_chgpt::{
+    elevation_estimate, online_step, OnlineCold, OnlineHot, OnlineSnapshot, OnlineVerdict,
+};
 use ixp_simnet::time::SimDuration;
 use tslp_core::health::{HealthConfig, WindowEvidence};
 use tslp_core::LinkHealth;
@@ -109,13 +126,54 @@ pub struct MonitorEvent {
     pub masked: bool,
 }
 
-/// Full streaming state for one monitored link: 240 bytes (the 112-byte
-/// detector plus path, alarm and health-window counters), O(1) per sample.
-#[derive(Clone, Debug)]
-pub struct LinkState {
-    det: OnlineDetector,
+/// The hot record of one link: everything a quiet, in-order, answered
+/// sample touches, in one cache line (see the module docs). The window
+/// counters never exceed [`WINDOW_ROUNDS`], so they fit `u16`; an open
+/// loss run saturates at `u32::MAX` rounds (40,000 years of 5-minute
+/// rounds).
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(64))]
+pub(crate) struct LinkHot {
+    /// Next sequence number the link's gate expects.
+    pub(crate) next_seq: u64,
+    /// Samples pushed (answered or not).
+    pub(crate) rounds: u64,
     /// Last nonzero path fingerprint seen (0 = none yet).
     last_fp: u64,
+    /// The detector's baseline, upshift statistic and regime flags.
+    det: OnlineHot,
+    /// Length of the loss run currently open (may span window boundaries).
+    cur_loss_run: u32,
+    // Tumbling health window counters. `w_rounds` sits after the others,
+    // beside two bytes a quiet sample never writes: the compiler may
+    // widen its increment to a 4-byte load, which must not overlap the
+    // 2-byte store to `w_answered` just before it (a failed store
+    // forward stalls the sample).
+    w_answered: u16,
+    w_addr_bad: u16,
+    /// Rounds inside closed loss runs that qualified as gaps.
+    w_gap_rounds: u16,
+    w_path_changes: u16,
+    w_rounds: u16,
+    /// Samples parked in the gate's reorder buffer (0 exactly when the
+    /// buffer is `None`; at most [`REORDER_CAP`]).
+    pub(crate) parked: u8,
+    /// Label of the last completed window (`Clean` until one completes).
+    prev_health: LinkHealth,
+}
+
+/// Bytes of one link's hot record: one cache line.
+pub const HOT_RECORD_BYTES: usize = size_of::<LinkHot>();
+
+/// Bytes of one link's cold record.
+pub const COLD_RECORD_BYTES: usize = size_of::<LinkCold>();
+
+/// The cold record of one link: what only warm-up, elevated periods, gaps,
+/// path changes, alarms and out-of-order arrivals touch.
+#[derive(Clone, Debug)]
+pub(crate) struct LinkCold {
+    /// The detector's warm-up, downshift, elevated-period and gap state.
+    det: OnlineCold,
     /// Round of the most recent fingerprint change (`u64::MAX` = never).
     last_change_round: u64,
     /// Fingerprint that was replaced by the most recent change (0 = no
@@ -126,143 +184,46 @@ pub struct LinkState {
     /// Rounds between the last path change and the last alarm
     /// (`u64::MAX` = no change was on record when the alarm fired).
     last_alarm_gap: u64,
-    /// Was the last alarm masked as a path-change artifact?
-    last_alarm_masked: bool,
-    /// Samples pushed (answered or not).
-    rounds: u64,
     /// Total fingerprint changes.
     path_changes: u64,
     /// Upshift alarms (masked ones included).
     alarms: u64,
     /// Upshift alarms attributed to path changes.
     masked_alarms: u64,
-    // Tumbling health window counters.
-    w_rounds: u64,
-    w_answered: u64,
-    w_addr_bad: u64,
-    /// Rounds inside closed loss runs that qualified as gaps.
-    w_gap_rounds: u64,
-    w_path_changes: u64,
-    /// Length of the loss run currently open (may span window boundaries).
-    cur_loss_run: u64,
-    /// Label of the last completed window (`Clean` until one completes).
-    prev_health: LinkHealth,
+    /// Was the last alarm masked as a path-change artifact?
+    last_alarm_masked: bool,
+    /// The gate's counters and reorder buffer.
+    pub(crate) gate: GateCold,
 }
 
-impl Default for LinkState {
-    fn default() -> Self {
-        LinkState::new()
-    }
-}
-
-impl LinkState {
-    /// Fresh state under the default [`MonitorConfig`]. The detector owns
-    /// its configuration from birth, so a service running any other
-    /// configuration builds through [`LinkState::with_config`] instead.
-    pub fn new() -> LinkState {
-        LinkState::with_config(&MonitorConfig::default())
-    }
-
-    /// Fresh state for a service configuration.
-    pub fn with_config(cfg: &MonitorConfig) -> LinkState {
-        LinkState {
-            det: OnlineDetector::new(cfg.online),
-            last_fp: 0,
-            last_change_round: u64::MAX,
-            fp_before: 0,
-            last_alarm_round: u64::MAX,
-            last_alarm_gap: u64::MAX,
-            last_alarm_masked: false,
+impl LinkHot {
+    /// The hot record of a fresh link.
+    pub(crate) fn new(cfg: &MonitorConfig) -> LinkHot {
+        LinkHot {
+            next_seq: 0,
             rounds: 0,
-            path_changes: 0,
-            alarms: 0,
-            masked_alarms: 0,
+            last_fp: 0,
+            det: OnlineHot::new(&cfg.online),
+            cur_loss_run: 0,
             w_rounds: 0,
             w_answered: 0,
             w_addr_bad: 0,
             w_gap_rounds: 0,
             w_path_changes: 0,
-            cur_loss_run: 0,
+            parked: 0,
             prev_health: LinkHealth::Clean,
-        }
-    }
-
-    /// Rounds ingested so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Total upshift alarms (masked included).
-    pub fn alarms(&self) -> u64 {
-        self.alarms
-    }
-
-    /// Upshift alarms masked as path-change artifacts.
-    pub fn masked_alarms(&self) -> u64 {
-        self.masked_alarms
-    }
-
-    /// Total path-fingerprint changes observed.
-    pub fn path_changes(&self) -> u64 {
-        self.path_changes
-    }
-
-    /// The underlying detector (read access for verdict assembly).
-    pub fn detector(&self) -> &OnlineDetector {
-        &self.det
-    }
-
-    /// Provenance for the link's current verdict: where the last shift
-    /// happened, what the path looked like before and after the most recent
-    /// fingerprint change, and whether the path-change mask was applied,
-    /// rejected, or never in play at the last alarm.
-    pub fn verdict_evidence(&self) -> crate::index::VerdictEvidence {
-        use crate::index::MaskOutcome;
-        crate::index::VerdictEvidence {
-            change_round: self.last_alarm_round,
-            level_before_ms: self.det.snapshot().level_before,
-            fp_before: self.fp_before,
-            fp_after: self.last_fp,
-            path_change_round: self.last_change_round,
-            mask: if self.last_alarm_round == u64::MAX || self.last_alarm_gap == u64::MAX {
-                MaskOutcome::NotConsidered
-            } else if self.last_alarm_masked {
-                MaskOutcome::Applied { rounds_since_change: self.last_alarm_gap }
-            } else {
-                MaskOutcome::Rejected { rounds_since_change: self.last_alarm_gap }
-            },
-        }
-    }
-
-    /// The part of the link's verdict that moves with every sample.
-    pub(crate) fn hot_verdict(&self) -> HotVerdict {
-        HotVerdict {
-            round: self.rounds,
-            elevated: self.det.is_elevated(),
-            baseline_ms: self.det.baseline(),
-            elevation_ms: self.det.elevation_estimate(),
-        }
-    }
-
-    /// The part of the link's verdict that moves only when
-    /// [`LinkUpdate::evidence_moved`] is set or [`LinkState::health`]
-    /// changes. `health` is the caller's [`LinkState::health`] of the
-    /// current state, passed in so a publish does not compute it twice.
-    pub(crate) fn cold_verdict(&self, health: LinkHealth) -> ColdVerdict {
-        debug_assert_eq!(health, self.health());
-        ColdVerdict {
-            health,
-            alarms: self.alarms,
-            masked_alarms: self.masked_alarms,
-            gaps: self.det.gap_count(),
-            evidence: self.verdict_evidence(),
         }
     }
 
     /// Ingest one round. `cfg` must be the same configuration every call
     /// (the service guarantees this; mixing configs is a logic error).
     #[inline(always)]
-    pub fn push(&mut self, s: &MonitorSample, cfg: &MonitorConfig) -> LinkUpdate {
+    pub(crate) fn push(
+        &mut self,
+        cold: &mut LinkCold,
+        s: &MonitorSample,
+        cfg: &MonitorConfig,
+    ) -> LinkUpdate {
         let round = self.rounds;
         self.rounds += 1;
 
@@ -275,10 +236,10 @@ impl LinkState {
         let fp_moved = s.path_fp != 0 && s.path_fp != self.last_fp;
         if fp_moved {
             if self.last_fp != 0 {
-                self.path_changes += 1;
+                cold.path_changes += 1;
                 self.w_path_changes += 1;
-                self.last_change_round = round;
-                self.fp_before = self.last_fp;
+                cold.last_change_round = round;
+                cold.fp_before = self.last_fp;
             }
             self.last_fp = s.path_fp;
         }
@@ -290,37 +251,22 @@ impl LinkState {
             if !s.far_addr_ok {
                 self.w_addr_bad += 1;
             }
-            if self.cur_loss_run >= MIN_GAP_ROUNDS {
-                self.w_gap_rounds += self.cur_loss_run.min(self.w_rounds);
+            if u64::from(self.cur_loss_run) >= MIN_GAP_ROUNDS {
+                // At most `w_rounds`, so it fits the window counter.
+                self.w_gap_rounds += self.cur_loss_run.min(u32::from(self.w_rounds)) as u16;
             }
             self.cur_loss_run = 0;
         } else {
-            self.cur_loss_run += 1;
+            self.cur_loss_run = self.cur_loss_run.saturating_add(1);
         }
 
-        let verdict = self.det.push(s.far_ms);
-        let mut masked = false;
-        if verdict == OnlineVerdict::UpshiftAlarm {
-            self.alarms += 1;
-            self.last_alarm_round = round;
-            self.last_alarm_gap = if self.last_change_round == u64::MAX {
-                u64::MAX
-            } else {
-                round - self.last_change_round
-            };
-            // Causal masking: the change at `c` taints `[c, c + slack]`.
-            if self.last_change_round != u64::MAX
-                && round - self.last_change_round <= cfg.mask_slack
-            {
-                masked = true;
-                self.masked_alarms += 1;
-            }
-            self.last_alarm_masked = masked;
-        }
+        let verdict = online_step(&cfg.online, &mut self.det, &mut cold.det, s.far_ms);
+        let masked =
+            verdict == OnlineVerdict::UpshiftAlarm && cold.record_alarm(round, cfg.mask_slack);
 
         self.w_rounds += 1;
         let health_before = self.prev_health;
-        if self.w_rounds >= WINDOW_ROUNDS {
+        if u64::from(self.w_rounds) >= WINDOW_ROUNDS {
             self.prev_health = self.window_label();
             self.w_rounds = 0;
             self.w_answered = 0;
@@ -350,15 +296,15 @@ impl LinkState {
     /// The health label over the current (in-progress) window, falling back
     /// to the last completed window's label while the new window is still
     /// too young to say anything (fewer than 6 rounds, the gap minimum).
-    pub fn health(&self) -> LinkHealth {
-        if self.w_rounds < MIN_GAP_ROUNDS {
+    pub(crate) fn health(&self) -> LinkHealth {
+        if u64::from(self.w_rounds) < MIN_GAP_ROUNDS {
             return self.prev_health;
         }
         self.window_label()
     }
 
     /// The health class committed at the last window boundary — an O(1)
-    /// field read, unlike [`LinkState::health`], which recomputes the live
+    /// field read, unlike [`LinkHot::health`], which recomputes the live
     /// label. The tracing path compares this across a push to report
     /// [`ixp_obs::TraceKind::HealthChanged`] without pricing a label
     /// computation into every sample.
@@ -366,13 +312,18 @@ impl LinkState {
         self.prev_health
     }
 
+    /// Current detector baseline, milliseconds.
+    pub(crate) fn baseline(&self) -> f64 {
+        self.det.baseline
+    }
+
     /// The current window's evidence, read with the batch ladder. Only
     /// called with at least [`MIN_GAP_ROUNDS`] rounds in the window.
     fn window_label(&self) -> LinkHealth {
-        let rounds = self.w_rounds;
+        let rounds = u32::from(self.w_rounds);
         // An open loss run contributes at its current length once it
         // qualifies, clipped to this window.
-        let open_gap = if self.cur_loss_run >= MIN_GAP_ROUNDS {
+        let open_gap = if u64::from(self.cur_loss_run) >= MIN_GAP_ROUNDS {
             self.cur_loss_run.min(rounds)
         } else {
             0
@@ -380,51 +331,150 @@ impl LinkState {
         let addr_consistency = if self.w_answered == 0 {
             1.0
         } else {
-            (self.w_answered - self.w_addr_bad) as f64 / self.w_answered as f64
+            f64::from(self.w_answered - self.w_addr_bad) / f64::from(self.w_answered)
         };
         HealthConfig::DEFAULT.label(&WindowEvidence {
             rounds: rounds as usize,
-            answered: self.w_answered as usize,
-            gap_rounds: (self.w_gap_rounds + open_gap).min(rounds) as usize,
-            tail_fraction: self.cur_loss_run as f64 / WINDOW_ROUNDS as f64,
+            answered: usize::from(self.w_answered),
+            gap_rounds: (u32::from(self.w_gap_rounds) + open_gap).min(rounds) as usize,
+            tail_fraction: f64::from(self.cur_loss_run) / WINDOW_ROUNDS as f64,
             addr_consistency,
-            path_changes: self.w_path_changes as usize,
+            path_changes: usize::from(self.w_path_changes),
         })
     }
 
-    /// Fixed-layout encode for checkpointing: 27 u64 little-endian words.
+    /// Provenance for the link's current verdict: where the last shift
+    /// happened, what the path looked like before and after the most recent
+    /// fingerprint change, and whether the path-change mask was applied,
+    /// rejected, or never in play at the last alarm.
+    pub(crate) fn verdict_evidence(&self, cold: &LinkCold) -> VerdictEvidence {
+        VerdictEvidence {
+            change_round: cold.last_alarm_round,
+            level_before_ms: cold.det.level_before,
+            fp_before: cold.fp_before,
+            fp_after: self.last_fp,
+            path_change_round: cold.last_change_round,
+            mask: if cold.last_alarm_round == u64::MAX || cold.last_alarm_gap == u64::MAX {
+                MaskOutcome::NotConsidered
+            } else if cold.last_alarm_masked {
+                MaskOutcome::Applied { rounds_since_change: cold.last_alarm_gap }
+            } else {
+                MaskOutcome::Rejected { rounds_since_change: cold.last_alarm_gap }
+            },
+        }
+    }
+
+    /// The part of the link's verdict that moves with every sample. Reads
+    /// the cold record only while the link is elevated.
+    pub(crate) fn hot_verdict(&self, cold: &LinkCold) -> HotVerdict {
+        HotVerdict {
+            round: self.rounds,
+            elevated: self.det.elevated,
+            baseline_ms: self.det.baseline,
+            elevation_ms: elevation_estimate(&self.det, &cold.det),
+        }
+    }
+
+    /// The part of the link's verdict that moves only when
+    /// [`LinkUpdate::evidence_moved`] is set or [`LinkHot::health`]
+    /// changes. `health` is the caller's [`LinkHot::health`] of the current
+    /// state, passed in so a publish does not compute it twice.
+    pub(crate) fn cold_verdict(&self, cold: &LinkCold, health: LinkHealth) -> ColdVerdict {
+        debug_assert_eq!(health, self.health());
+        ColdVerdict {
+            health,
+            alarms: cold.alarms,
+            masked_alarms: cold.masked_alarms,
+            gaps: cold.det.gaps,
+            evidence: self.verdict_evidence(cold),
+        }
+    }
+
+    /// True when `seq` takes the clean in-order fast path of
+    /// [`LinkHot::admit`]: the expected sequence number with nothing
+    /// parked, so the admission delta is a known constant (one delivery, no
+    /// anomalies). Both words sit in the line the push then writes.
+    #[inline]
+    fn in_order(&self, seq: u64) -> bool {
+        in_order(self.next_seq, self.parked, seq)
+    }
+
+    /// Admit one `(seq, sample)` arrival through this link's gate: the
+    /// in-order check inline, everything else out of line. Released
+    /// samples are handed to `deliver` with both records, in strictly
+    /// increasing sequence order (see [`SeqGate`] for the rules).
+    #[inline(always)]
+    pub(crate) fn admit(
+        &mut self,
+        cold: &mut LinkCold,
+        seq: u64,
+        s: MonitorSample,
+        window: u64,
+        deliver: &mut impl FnMut(&mut LinkHot, &mut LinkCold, MonitorSample),
+    ) -> AdmitDelta {
+        if self.in_order(seq) {
+            deliver(self, cold, s);
+            self.next_seq += 1;
+            return AdmitDelta { delivered: 1, ..AdmitDelta::default() };
+        }
+        self.admit_out_of_order(cold, seq, s, window, deliver)
+    }
+
+    /// Everything but the in-order case of [`LinkHot::admit`], kept out of
+    /// line so the caller's loop holds a single, inlined copy of `deliver`.
+    #[inline(never)]
+    fn admit_out_of_order(
+        &mut self,
+        cold: &mut LinkCold,
+        seq: u64,
+        s: MonitorSample,
+        window: u64,
+        deliver: &mut impl FnMut(&mut LinkHot, &mut LinkCold, MonitorSample),
+    ) -> AdmitDelta {
+        let mut out = Released::new();
+        let mut gate =
+            Gate { next_seq: &mut self.next_seq, parked: &mut self.parked, cold: &mut cold.gate };
+        let delta = gate.admit_slow(seq, s, window, &mut out);
+        for &smp in out.samples() {
+            deliver(self, cold, smp);
+        }
+        delta
+    }
+
+    /// Fixed-layout encode of the link for checkpointing: 27 u64
+    /// little-endian words, the gate excluded (see [`GateCold::encode_into`]).
     /// The detector config is not serialized — it is rebuilt from the
     /// service config, which the checkpoint fingerprint binds.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        let d = self.det.snapshot();
+    pub(crate) fn encode_into(&self, cold: &LinkCold, out: &mut Vec<u8>) {
+        let (h, c) = (&self.det, &cold.det);
         let words: [u64; 27] = [
-            d.baseline.to_bits(),
-            d.warmup_seen as u64,
-            d.warmup_sum.to_bits(),
-            d.s_up.to_bits(),
-            d.s_down.to_bits(),
-            d.elevated as u64,
-            d.level_before.to_bits(),
-            d.elevated_sum.to_bits(),
-            d.elevated_n as u64,
-            d.gaps,
+            h.baseline.to_bits(),
+            c.warmup_seen as u64,
+            c.warmup_sum.to_bits(),
+            h.s_up.to_bits(),
+            c.s_down.to_bits(),
+            u64::from(h.elevated),
+            c.level_before.to_bits(),
+            c.elevated_sum.to_bits(),
+            c.elevated_n as u64,
+            c.gaps,
             self.last_fp,
-            self.last_change_round,
+            cold.last_change_round,
             self.rounds,
-            self.path_changes,
-            self.alarms,
-            self.masked_alarms,
-            self.w_rounds,
-            self.w_answered,
-            self.w_addr_bad,
-            self.w_gap_rounds,
-            self.w_path_changes,
-            self.cur_loss_run,
+            cold.path_changes,
+            cold.alarms,
+            cold.masked_alarms,
+            u64::from(self.w_rounds),
+            u64::from(self.w_answered),
+            u64::from(self.w_addr_bad),
+            u64::from(self.w_gap_rounds),
+            u64::from(self.w_path_changes),
+            u64::from(self.cur_loss_run),
             self.prev_health.code(),
-            self.fp_before,
-            self.last_alarm_round,
-            self.last_alarm_gap,
-            u64::from(self.last_alarm_masked),
+            cold.fp_before,
+            cold.last_alarm_round,
+            cold.last_alarm_gap,
+            u64::from(cold.last_alarm_masked),
         ];
         for w in words {
             out.extend_from_slice(&w.to_le_bytes());
@@ -434,8 +484,13 @@ impl LinkState {
     /// Number of encoded bytes per link.
     pub(crate) const ENCODED_LEN: usize = 27 * 8;
 
-    /// Decode a state previously written by [`LinkState::encode_into`].
-    pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<LinkState> {
+    /// Decode a link previously written by [`LinkHot::encode_into`], with a
+    /// fresh gate. `None` on a short record and on any word no live link
+    /// could hold in its narrowed field: a window counter above
+    /// [`WINDOW_ROUNDS`] (or more bad addresses than answers), an open
+    /// loss run beyond `u32::MAX`, a mask flag other than 0 or 1, or an
+    /// unknown health code.
+    pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<(LinkHot, LinkCold)> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
@@ -443,7 +498,7 @@ impl LinkState {
         for (i, w) in words.iter_mut().enumerate() {
             *w = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().ok()?);
         }
-        let snap = OnlineSnapshot {
+        let (det_hot, det_cold) = OnlineSnapshot {
             cfg: cfg.online,
             baseline: f64::from_bits(words[0]),
             warmup_seen: words[1] as usize,
@@ -455,30 +510,201 @@ impl LinkState {
             elevated_sum: f64::from_bits(words[7]),
             elevated_n: words[8] as usize,
             gaps: words[9],
-        };
+        }
+        .split();
         if words[26] > 1 {
             return None;
         }
-        Some(LinkState {
-            det: OnlineDetector::restore(&snap),
+        let window = |w: u64| u16::try_from(w).ok().filter(|&c| u64::from(c) <= WINDOW_ROUNDS);
+        let hot = LinkHot {
+            next_seq: 0,
+            rounds: words[12],
             last_fp: words[10],
+            det: det_hot,
+            cur_loss_run: u32::try_from(words[21]).ok()?,
+            w_rounds: window(words[16])?,
+            w_answered: window(words[17])?,
+            w_addr_bad: window(words[18])?,
+            w_gap_rounds: window(words[19])?,
+            w_path_changes: window(words[20])?,
+            parked: 0,
+            prev_health: LinkHealth::from_code(words[22])?,
+        };
+        if hot.w_addr_bad > hot.w_answered {
+            return None;
+        }
+        let cold = LinkCold {
+            det: det_cold,
             last_change_round: words[11],
             fp_before: words[23],
             last_alarm_round: words[24],
             last_alarm_gap: words[25],
-            last_alarm_masked: words[26] != 0,
-            rounds: words[12],
             path_changes: words[13],
             alarms: words[14],
             masked_alarms: words[15],
-            w_rounds: words[16],
-            w_answered: words[17],
-            w_addr_bad: words[18],
-            w_gap_rounds: words[19],
-            w_path_changes: words[20],
-            cur_loss_run: words[21],
-            prev_health: LinkHealth::from_code(words[22])?,
+            last_alarm_masked: words[26] != 0,
+            gate: GateCold::default(),
+        };
+        Some((hot, cold))
+    }
+}
+
+impl LinkCold {
+    /// The cold record of a fresh link.
+    pub(crate) fn new() -> LinkCold {
+        LinkCold {
+            det: OnlineCold::default(),
+            last_change_round: u64::MAX,
+            fp_before: 0,
+            last_alarm_round: u64::MAX,
+            last_alarm_gap: u64::MAX,
+            path_changes: 0,
+            alarms: 0,
+            masked_alarms: 0,
+            last_alarm_masked: false,
+            gate: GateCold::default(),
+        }
+    }
+
+    /// Book an upshift alarm at `round` and return whether the causal mask
+    /// applies: a change at `c` taints `[c, c + slack]`.
+    fn record_alarm(&mut self, round: u64, slack: u64) -> bool {
+        self.alarms += 1;
+        self.last_alarm_round = round;
+        let since_change =
+            (self.last_change_round != u64::MAX).then(|| round - self.last_change_round);
+        self.last_alarm_gap = since_change.unwrap_or(u64::MAX);
+        let masked = since_change.is_some_and(|gap| gap <= slack);
+        if masked {
+            self.masked_alarms += 1;
+        }
+        self.last_alarm_masked = masked;
+        masked
+    }
+}
+
+/// Full streaming state for one monitored link, gate included: a 64-byte
+/// hot record and a 160-byte cold record (see the module docs), O(1) per
+/// sample. The service keeps the same two records in per-shard arrays and
+/// runs the same code on them.
+#[derive(Clone, Debug)]
+pub struct LinkState {
+    hot: LinkHot,
+    cold: LinkCold,
+}
+
+impl Default for LinkState {
+    fn default() -> Self {
+        LinkState::new()
+    }
+}
+
+impl LinkState {
+    /// Fresh state under the default [`MonitorConfig`]. A service running
+    /// any other detector warm-up builds through
+    /// [`LinkState::with_config`] instead.
+    pub fn new() -> LinkState {
+        LinkState::with_config(&MonitorConfig::default())
+    }
+
+    /// Fresh state for a service configuration.
+    pub fn with_config(cfg: &MonitorConfig) -> LinkState {
+        LinkState { hot: LinkHot::new(cfg), cold: LinkCold::new() }
+    }
+
+    /// The state held in a service slab's two records (tests compare it
+    /// with a reference built through the public API).
+    #[cfg(test)]
+    pub(crate) fn from_parts(hot: LinkHot, cold: LinkCold) -> LinkState {
+        LinkState { hot, cold }
+    }
+
+    /// Rounds ingested so far.
+    pub fn rounds(&self) -> u64 {
+        self.hot.rounds
+    }
+
+    /// Total upshift alarms (masked included).
+    pub fn alarms(&self) -> u64 {
+        self.cold.alarms
+    }
+
+    /// Upshift alarms masked as path-change artifacts.
+    pub fn masked_alarms(&self) -> u64 {
+        self.cold.masked_alarms
+    }
+
+    /// Total path-fingerprint changes observed.
+    pub fn path_changes(&self) -> u64 {
+        self.cold.path_changes
+    }
+
+    /// Unanswered (non-finite or subnormal) rounds so far.
+    pub fn gaps(&self) -> u64 {
+        self.cold.det.gaps
+    }
+
+    /// Is the detector inside an elevated period?
+    pub fn is_elevated(&self) -> bool {
+        self.hot.det.elevated
+    }
+
+    /// Detector baseline estimate, milliseconds.
+    pub fn baseline(&self) -> f64 {
+        self.hot.det.baseline
+    }
+
+    /// Estimated elevation magnitude, milliseconds (0 when quiet).
+    pub fn elevation_estimate(&self) -> f64 {
+        elevation_estimate(&self.hot.det, &self.cold.det)
+    }
+
+    /// Provenance for the link's current verdict (see
+    /// [`crate::index::VerdictEvidence`]).
+    pub fn verdict_evidence(&self) -> VerdictEvidence {
+        self.hot.verdict_evidence(&self.cold)
+    }
+
+    /// Ingest one round, bypassing the link's gate. `cfg` must be the same
+    /// configuration every call (mixing configs is a logic error).
+    #[inline(always)]
+    pub fn push(&mut self, s: &MonitorSample, cfg: &MonitorConfig) -> LinkUpdate {
+        self.hot.push(&mut self.cold, s, cfg)
+    }
+
+    /// Admit one `(seq, sample)` arrival through the link's own gate —
+    /// the same in-line check and slow path the service runs — and push
+    /// every sample it releases. The gate's rules are [`SeqGate`]'s, with
+    /// [`MonitorConfig::reorder_window`] as the window.
+    #[inline]
+    pub fn admit(&mut self, seq: u64, s: MonitorSample, cfg: &MonitorConfig) -> AdmitDelta {
+        self.hot.admit(&mut self.cold, seq, s, cfg.reorder_window, &mut |hot, cold, smp| {
+            hot.push(cold, &smp, cfg);
         })
+    }
+
+    /// The health label over the current (in-progress) window, falling back
+    /// to the last completed window's label while the new window is still
+    /// too young to say anything (fewer than 6 rounds, the gap minimum).
+    pub fn health(&self) -> LinkHealth {
+        self.hot.health()
+    }
+
+    /// Fixed-layout encode for checkpointing (see [`LinkHot::encode_into`]).
+    #[cfg(test)]
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        self.hot.encode_into(&self.cold, out);
+    }
+
+    /// Number of encoded bytes per link.
+    #[cfg(test)]
+    pub(crate) const ENCODED_LEN: usize = LinkHot::ENCODED_LEN;
+
+    /// Decode a state previously written by [`LinkState::encode_into`].
+    #[cfg(test)]
+    pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<LinkState> {
+        let (hot, cold) = LinkHot::decode(bytes, cfg)?;
+        Some(LinkState { hot, cold })
     }
 }
 
@@ -511,35 +737,19 @@ pub struct AdmitDelta {
 /// A sample parked in a reorder buffer, keyed by its sequence number.
 type Parked = Option<(u64, MonitorSample)>;
 
-/// Per-link admission gate: sequence-number tracking with a small reorder
-/// buffer, so disordered telemetry is healed when possible and **counted**
-/// when not — never silently pushed into the CUSUM state out of order.
-///
-/// The contract: [`SeqGate::admit`] releases samples to the detector in
-/// strictly increasing sequence order. A sample whose sequence number is
-/// within `window` ahead of the next expected one is parked and released
-/// once the gap fills; one further ahead slides the window (the skipped
-/// sequence numbers are counted as dropped); one at or behind the last
-/// delivery is counted as duplicate (within the window) or stale (older).
-/// All decisions are pure functions of the per-link arrival order, so the
-/// outcome is bit-identical at any ingest thread count.
-///
-/// A gate is 56 bytes: two hot words, four counters, and a pointer. The
-/// reorder buffer lives behind that pointer and exists only while the link
-/// has samples parked — it is allocated when the first sample parks and
-/// freed as soon as the gap heals, so the ~99% of links with nothing out
-/// of order carry no buffer at all.
-#[derive(Clone, Debug)]
-#[repr(C)] // next_seq and live lead the record — see below.
-pub struct SeqGate {
-    /// Next sequence number expected for delivery.
-    next_seq: u64,
-    /// Occupied `buf` slots (0 exactly when `buf` is `None`). Declared
-    /// next to `next_seq` under `repr(C)` on purpose: the in-order hot
-    /// path reads exactly these two words and nothing else, so a healthy
-    /// producer costs one cache line per gate — the resilience bench
-    /// measures that fast path's share of sequenced ingest (gated at 3%).
-    live: u64,
+/// The in-order test of admission over a gate's two hot words: the
+/// expected sequence number with nothing parked (`u64::MAX` is reserved).
+#[inline(always)]
+fn in_order(next_seq: u64, parked: u8, seq: u64) -> bool {
+    seq == next_seq && parked == 0 && seq != u64::MAX
+}
+
+/// The part of a gate only out-of-order arrivals touch: its running
+/// counters and its reorder buffer. The two words the in-order path reads,
+/// the next sequence number and the parked count, live with the link's hot
+/// record (or in [`SeqGate`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct GateCold {
     duplicates: u64,
     stale: u64,
     reordered: u64,
@@ -551,214 +761,17 @@ pub struct SeqGate {
     buf: Option<Box<[Parked; REORDER_CAP]>>,
 }
 
-impl Default for SeqGate {
-    fn default() -> Self {
-        SeqGate::new()
-    }
-}
-
-impl SeqGate {
-    /// A fresh gate expecting sequence number 0.
-    pub fn new() -> SeqGate {
-        SeqGate {
-            next_seq: 0,
-            live: 0,
-            duplicates: 0,
-            stale: 0,
-            reordered: 0,
-            dropped: 0,
-            buf: None,
-        }
-    }
-
-    /// Next sequence number the gate will deliver.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total duplicate sequence numbers seen.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Total stale (ancient replay) sequence numbers seen.
-    pub fn stale(&self) -> u64 {
-        self.stale
-    }
-
-    /// Total samples delivered out of arrival order via the buffer.
-    pub fn reordered(&self) -> u64 {
-        self.reordered
-    }
-
-    /// Total sequence numbers the window slid past without a sample.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Samples currently parked in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.live as usize
-    }
-
-    /// True when `seq` would take the clean in-order fast path of
-    /// [`SeqGate::admit`]: the expected sequence number with nothing
-    /// parked, so the admission delta is a known constant (one delivery,
-    /// no anomalies). The traced ingest loop uses this to keep clean
-    /// arrivals — the steady state — free of per-call delta inspection.
-    #[inline]
-    pub fn in_order(&self, seq: u64) -> bool {
-        seq == self.next_seq && self.live == 0 && seq != u64::MAX
-    }
-
-    /// Admit one `(seq, sample)` arrival. In-order and healed samples are
-    /// handed to `deliver` in strictly increasing sequence order; the rest
-    /// are counted. `window` is clamped to [`REORDER_CAP`]; sequence
-    /// number `u64::MAX` is reserved (rejected as stale) so the internal
-    /// arithmetic cannot overflow.
-    #[inline]
-    pub fn admit(
-        &mut self,
-        seq: u64,
-        s: MonitorSample,
-        window: u64,
-        deliver: &mut impl FnMut(MonitorSample),
-    ) -> AdmitDelta {
-        // Hot path: the expected sequence number with nothing parked —
-        // the steady state of a healthy producer. Two words read, no
-        // buffer traffic, and small enough to inline into the shard
-        // loop (the full gate machinery stays out of line in
-        // `admit_slow`).
-        if self.in_order(seq) {
-            deliver(s);
-            self.next_seq += 1;
-            return AdmitDelta { delivered: 1, ..AdmitDelta::default() };
-        }
-        self.admit_slow(seq, s, window, deliver)
-    }
-
-    fn admit_slow(
-        &mut self,
-        seq: u64,
-        s: MonitorSample,
-        window: u64,
-        deliver: &mut impl FnMut(MonitorSample),
-    ) -> AdmitDelta {
-        let mut delta = AdmitDelta::default();
-        let w = window.min(REORDER_CAP as u64);
-        if seq == u64::MAX {
-            self.stale += 1;
-            delta.stale += 1;
-            return delta;
-        }
-        if seq < self.next_seq {
-            // Behind the gate: recently delivered (duplicate) or ancient
-            // (stale). The duplicate horizon is at least one so an exact
-            // re-send of the last delivery always reads as a duplicate.
-            if self.next_seq - seq <= w.max(1) {
-                self.duplicates += 1;
-                delta.duplicates += 1;
-            } else {
-                self.stale += 1;
-                delta.stale += 1;
-            }
-            return delta;
-        }
-        if seq > self.next_seq.saturating_add(w) {
-            // Too far ahead: the window slides. Whatever is due before the
-            // new base is released (reordered) or given up on (dropped).
-            self.advance_to(seq - w, &mut delta, deliver);
-        }
-        if seq == self.next_seq {
-            deliver(s);
-            delta.delivered += 1;
-            self.next_seq += 1;
-        } else if self.parked().any(|(q, _)| q == seq) {
-            // (next_seq, next_seq + w], already parked.
-            self.duplicates += 1;
-            delta.duplicates += 1;
-        } else {
-            // (next_seq, next_seq + w]: park it.
-            let buf = self.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
-            let slot = buf
-                .iter_mut()
-                .find(|s| s.is_none())
-                .expect("reorder buffer full despite window bound (gate invariant broken)");
-            *slot = Some((seq, s));
-            self.live += 1;
-        }
-        self.drain(&mut delta, deliver);
-        if self.live == 0 {
-            self.buf = None;
-        }
-        delta
-    }
-
+impl GateCold {
     /// The parked `(seq, sample)` pairs, in buffer order.
     fn parked(&self) -> impl Iterator<Item = (u64, MonitorSample)> + '_ {
         self.buf.iter().flat_map(|b| b.iter().flatten().copied())
     }
 
-    /// Take the parked sample with sequence number `q` out of the buffer.
-    fn unpark(&mut self, q: u64) -> MonitorSample {
-        let buf = self.buf.as_mut().expect("unpark from a gate with nothing parked");
-        let slot = buf
-            .iter_mut()
-            .find(|s| s.is_some_and(|(p, _)| p == q))
-            .expect("unpark of a sequence number that is not parked");
-        self.live -= 1;
-        slot.take().expect("slot just observed occupied").1
-    }
-
-    /// Slide the gate forward to `new_next`, releasing due buffered samples
-    /// in order and counting the holes as dropped. Work is bounded by the
-    /// buffer capacity, not the distance — a huge sequence jump (collector
-    /// restart) costs O(REORDER_CAP²), and the skipped range is *counted*,
-    /// never materialized.
-    fn advance_to(
-        &mut self,
-        new_next: u64,
-        delta: &mut AdmitDelta,
-        deliver: &mut impl FnMut(MonitorSample),
-    ) {
-        while self.next_seq < new_next {
-            match self.parked().map(|(q, _)| q).filter(|&q| q < new_next).min() {
-                Some(q) => {
-                    let missing = q - self.next_seq;
-                    self.dropped += missing;
-                    delta.dropped += missing;
-                    deliver(self.unpark(q));
-                    delta.delivered += 1;
-                    self.reordered += 1;
-                    delta.reordered += 1;
-                    self.next_seq = q + 1;
-                }
-                None => {
-                    let missing = new_next - self.next_seq;
-                    self.dropped += missing;
-                    delta.dropped += missing;
-                    self.next_seq = new_next;
-                }
-            }
-        }
-    }
-
-    /// Release consecutively buffered samples now that the gap has filled.
-    fn drain(&mut self, delta: &mut AdmitDelta, deliver: &mut impl FnMut(MonitorSample)) {
-        while self.live > 0 && self.parked().any(|(q, _)| q == self.next_seq) {
-            deliver(self.unpark(self.next_seq));
-            delta.delivered += 1;
-            self.reordered += 1;
-            delta.reordered += 1;
-            self.next_seq += 1;
-        }
-    }
-
     /// Fixed-layout encode of the gate's counters for checkpointing: 5
-    /// little-endian u64 words. Parked samples are not part of this record
-    /// — see [`SeqGate::encode_parked`].
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        for w in [self.next_seq, self.duplicates, self.stale, self.reordered, self.dropped] {
+    /// little-endian u64 words, `next_seq` first. Parked samples are not
+    /// part of this record — see [`GateCold::encode_parked`].
+    pub(crate) fn encode_into(&self, next_seq: u64, out: &mut Vec<u8>) {
+        for w in [next_seq, self.duplicates, self.stale, self.reordered, self.dropped] {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
@@ -782,37 +795,194 @@ impl SeqGate {
         }
     }
 
+    /// The gate's counters for dashboards, with the two words `hot` holds.
+    pub(crate) fn stats(&self, hot: &LinkHot) -> SeqStats {
+        SeqStats {
+            next_seq: hot.next_seq,
+            duplicates: self.duplicates,
+            stale: self.stale,
+            reordered: self.reordered,
+            dropped: self.dropped,
+            buffered: usize::from(hot.parked),
+        }
+    }
+
     /// Decode a gate's counters previously written by
-    /// [`SeqGate::encode_into`]; the buffer starts empty (see
-    /// [`SeqGate::restore_parked`]).
-    pub(crate) fn decode(bytes: &[u8]) -> Option<SeqGate> {
+    /// [`GateCold::encode_into`] into `(next_seq, counters)`; the buffer
+    /// starts empty (see [`Gate::restore_parked`]).
+    pub(crate) fn decode(bytes: &[u8]) -> Option<(u64, GateCold)> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
         let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-        Some(SeqGate {
-            next_seq: word(0),
+        let cold = GateCold {
             duplicates: word(1),
             stale: word(2),
             reordered: word(3),
             dropped: word(4),
-            ..SeqGate::new()
-        })
+            buf: None,
+        };
+        Some((word(0), cold))
+    }
+}
+
+/// Samples one admission released, in delivery order. One call releases
+/// at most every parked sample plus the arriving one.
+struct Released {
+    len: usize,
+    buf: [MonitorSample; REORDER_CAP + 1],
+}
+
+impl Released {
+    fn new() -> Released {
+        Released { len: 0, buf: [MonitorSample::lost(); REORDER_CAP + 1] }
     }
 
-    /// Re-park one sample from a [`SeqGate::encode_parked`] record (the
+    fn push(&mut self, s: MonitorSample) {
+        self.buf[self.len] = s;
+        self.len += 1;
+    }
+
+    fn samples(&self) -> &[MonitorSample] {
+        &self.buf[..self.len]
+    }
+}
+
+/// A gate borrowed from wherever its parts live: the two hot words (a
+/// [`LinkHot`]'s or a [`SeqGate`]'s) and the cold part. Everything but the
+/// in-order fast path runs here, once, for both owners.
+pub(crate) struct Gate<'a> {
+    pub(crate) next_seq: &'a mut u64,
+    pub(crate) parked: &'a mut u8,
+    pub(crate) cold: &'a mut GateCold,
+}
+
+impl Gate<'_> {
+    /// Admit an arrival that is not the clean in-order case, collecting
+    /// the samples it releases into `out` in delivery order.
+    #[inline(never)]
+    fn admit_slow(
+        &mut self,
+        seq: u64,
+        s: MonitorSample,
+        window: u64,
+        out: &mut Released,
+    ) -> AdmitDelta {
+        let mut delta = AdmitDelta::default();
+        let w = window.min(REORDER_CAP as u64);
+        if seq == u64::MAX {
+            self.cold.stale += 1;
+            delta.stale += 1;
+            return delta;
+        }
+        if seq < *self.next_seq {
+            // Behind the gate: recently delivered (duplicate) or ancient
+            // (stale). The duplicate horizon is at least one so an exact
+            // re-send of the last delivery always reads as a duplicate.
+            if *self.next_seq - seq <= w.max(1) {
+                self.cold.duplicates += 1;
+                delta.duplicates += 1;
+            } else {
+                self.cold.stale += 1;
+                delta.stale += 1;
+            }
+            return delta;
+        }
+        if seq > self.next_seq.saturating_add(w) {
+            // Too far ahead: the window slides. Whatever is due before the
+            // new base is released (reordered) or given up on (dropped).
+            self.advance_to(seq - w, &mut delta, out);
+        }
+        if seq == *self.next_seq {
+            out.push(s);
+            delta.delivered += 1;
+            *self.next_seq += 1;
+        } else if self.cold.parked().any(|(q, _)| q == seq) {
+            // (next_seq, next_seq + w], already parked.
+            self.cold.duplicates += 1;
+            delta.duplicates += 1;
+        } else {
+            // (next_seq, next_seq + w]: park it.
+            let buf = self.cold.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
+            let slot = buf
+                .iter_mut()
+                .find(|s| s.is_none())
+                .expect("reorder buffer full despite window bound (gate invariant broken)");
+            *slot = Some((seq, s));
+            *self.parked += 1;
+        }
+        self.drain(&mut delta, out);
+        if *self.parked == 0 {
+            self.cold.buf = None;
+        }
+        delta
+    }
+
+    /// Take the parked sample with sequence number `q` out of the buffer.
+    fn unpark(&mut self, q: u64) -> MonitorSample {
+        let buf = self.cold.buf.as_mut().expect("unpark from a gate with nothing parked");
+        let slot = buf
+            .iter_mut()
+            .find(|s| s.is_some_and(|(p, _)| p == q))
+            .expect("unpark of a sequence number that is not parked");
+        *self.parked -= 1;
+        slot.take().expect("slot just observed occupied").1
+    }
+
+    /// Slide the gate forward to `new_next`, releasing due buffered samples
+    /// in order and counting the holes as dropped. Work is bounded by the
+    /// buffer capacity, not the distance — a huge sequence jump (collector
+    /// restart) costs O(REORDER_CAP²), and the skipped range is *counted*,
+    /// never materialized.
+    fn advance_to(&mut self, new_next: u64, delta: &mut AdmitDelta, out: &mut Released) {
+        while *self.next_seq < new_next {
+            match self.cold.parked().map(|(q, _)| q).filter(|&q| q < new_next).min() {
+                Some(q) => {
+                    let missing = q - *self.next_seq;
+                    self.cold.dropped += missing;
+                    delta.dropped += missing;
+                    out.push(self.unpark(q));
+                    delta.delivered += 1;
+                    self.cold.reordered += 1;
+                    delta.reordered += 1;
+                    *self.next_seq = q + 1;
+                }
+                None => {
+                    let missing = new_next - *self.next_seq;
+                    self.cold.dropped += missing;
+                    delta.dropped += missing;
+                    *self.next_seq = new_next;
+                }
+            }
+        }
+    }
+
+    /// Release consecutively buffered samples now that the gap has filled.
+    fn drain(&mut self, delta: &mut AdmitDelta, out: &mut Released) {
+        while *self.parked > 0 && self.cold.parked().any(|(q, _)| q == *self.next_seq) {
+            let q = *self.next_seq;
+            out.push(self.unpark(q));
+            delta.delivered += 1;
+            self.cold.reordered += 1;
+            delta.reordered += 1;
+            *self.next_seq += 1;
+        }
+    }
+
+    /// Re-park one sample from a [`GateCold::encode_parked`] record (the
     /// slot word already consumed by the caller). Refuses — `None` — any
     /// record a live gate could never hold: a sequence number outside
     /// `(next_seq, next_seq + window]` (the window clamped to
     /// [`REORDER_CAP`]), one not above the last re-parked sequence (so a
-    /// duplicate cannot slip in), or a flags word other than 1 or 3. Such
-    /// a gate would never take the fast path again, and its next window
-    /// slide would underflow.
+    /// duplicate cannot slip in, and the buffer never holds more than
+    /// `REORDER_CAP`), or a flags word other than 1 or 3. Such a gate
+    /// would never take the fast path again, and its next window slide
+    /// would underflow.
     pub(crate) fn restore_parked(&mut self, rec: [u64; 4], window: u64) -> Option<()> {
         let [q, far, fp, flags] = rec;
         let w = window.min(REORDER_CAP as u64);
-        let ahead = q.checked_sub(self.next_seq)?;
-        let above_last = self.parked().all(|(p, _)| p < q);
+        let ahead = q.checked_sub(*self.next_seq)?;
+        let above_last = self.cold.parked().all(|(p, _)| p < q);
         if ahead == 0 || ahead > w || !above_last || !matches!(flags, 1 | 3) {
             return None;
         }
@@ -821,10 +991,144 @@ impl SeqGate {
             path_fp: fp,
             far_addr_ok: flags & 2 != 0,
         };
-        let buf = self.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
-        buf[self.live as usize] = Some((q, s));
-        self.live += 1;
+        let buf = self.cold.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
+        buf[usize::from(*self.parked)] = Some((q, s));
+        *self.parked += 1;
         Some(())
+    }
+}
+
+/// Per-link admission gate: sequence-number tracking with a small reorder
+/// buffer, so disordered telemetry is healed when possible and **counted**
+/// when not — never silently pushed into the CUSUM state out of order.
+///
+/// The contract: [`SeqGate::admit`] releases samples to the detector in
+/// strictly increasing sequence order. A sample whose sequence number is
+/// within `window` ahead of the next expected one is parked and released
+/// once the gap fills; one further ahead slides the window (the skipped
+/// sequence numbers are counted as dropped); one at or behind the last
+/// delivery is counted as duplicate (within the window) or stale (older).
+/// All decisions are pure functions of the per-link arrival order, so the
+/// outcome is bit-identical at any ingest thread count.
+///
+/// A standalone gate is 56 bytes: the two words the in-order path reads
+/// (which the service keeps in each link's hot record instead), four
+/// counters, and a pointer. The reorder buffer lives behind that pointer
+/// and exists only while the link has samples parked — it is allocated
+/// when the first sample parks and freed as soon as the gap heals, so the
+/// ~99% of links with nothing out of order carry no buffer at all.
+#[derive(Clone, Debug, Default)]
+pub struct SeqGate {
+    /// Next sequence number expected for delivery.
+    next_seq: u64,
+    /// Occupied buffer slots.
+    parked: u8,
+    cold: GateCold,
+}
+
+impl SeqGate {
+    /// A fresh gate expecting sequence number 0.
+    pub fn new() -> SeqGate {
+        SeqGate::default()
+    }
+
+    /// Next sequence number the gate will deliver.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Total duplicate sequence numbers seen.
+    pub fn duplicates(&self) -> u64 {
+        self.cold.duplicates
+    }
+
+    /// Total stale (ancient replay) sequence numbers seen.
+    pub fn stale(&self) -> u64 {
+        self.cold.stale
+    }
+
+    /// Total samples delivered out of arrival order via the buffer.
+    pub fn reordered(&self) -> u64 {
+        self.cold.reordered
+    }
+
+    /// Total sequence numbers the window slid past without a sample.
+    pub fn dropped(&self) -> u64 {
+        self.cold.dropped
+    }
+
+    /// Samples currently parked in the reorder buffer.
+    pub fn buffered(&self) -> usize {
+        usize::from(self.parked)
+    }
+
+    /// True when `seq` would take the clean in-order fast path of
+    /// [`SeqGate::admit`]: the expected sequence number with nothing
+    /// parked, so the admission delta is a known constant (one delivery,
+    /// no anomalies).
+    #[inline]
+    pub fn in_order(&self, seq: u64) -> bool {
+        in_order(self.next_seq, self.parked, seq)
+    }
+
+    /// The gate's parts, borrowed for everything but the fast path.
+    fn parts(&mut self) -> Gate<'_> {
+        Gate { next_seq: &mut self.next_seq, parked: &mut self.parked, cold: &mut self.cold }
+    }
+
+    /// Admit one `(seq, sample)` arrival. In-order and healed samples are
+    /// handed to `deliver` in strictly increasing sequence order; the rest
+    /// are counted. `window` is clamped to [`REORDER_CAP`]; sequence
+    /// number `u64::MAX` is reserved (rejected as stale) so the internal
+    /// arithmetic cannot overflow.
+    #[inline]
+    pub fn admit(
+        &mut self,
+        seq: u64,
+        s: MonitorSample,
+        window: u64,
+        deliver: &mut impl FnMut(MonitorSample),
+    ) -> AdmitDelta {
+        if self.in_order(seq) {
+            deliver(s);
+            self.next_seq += 1;
+            return AdmitDelta { delivered: 1, ..AdmitDelta::default() };
+        }
+        let mut out = Released::new();
+        let delta = self.parts().admit_slow(seq, s, window, &mut out);
+        out.samples().iter().for_each(|&smp| deliver(smp));
+        delta
+    }
+
+    /// Fixed-layout encode of the gate's counters (see
+    /// [`GateCold::encode_into`]).
+    #[cfg(test)]
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        self.cold.encode_into(self.next_seq, out);
+    }
+
+    /// Number of encoded counter bytes per gate.
+    #[cfg(test)]
+    pub(crate) const ENCODED_LEN: usize = GateCold::ENCODED_LEN;
+
+    /// The gate's parked-sample records under `slot` (see
+    /// [`GateCold::encode_parked`]).
+    #[cfg(test)]
+    pub(crate) fn encode_parked(&self, slot: u64, out: &mut Vec<u8>) {
+        self.cold.encode_parked(slot, out);
+    }
+
+    /// Decode a gate's counters; the buffer starts empty.
+    #[cfg(test)]
+    pub(crate) fn decode(bytes: &[u8]) -> Option<SeqGate> {
+        let (next_seq, cold) = GateCold::decode(bytes)?;
+        Some(SeqGate { next_seq, parked: 0, cold })
+    }
+
+    /// Re-park one sample (see [`Gate::restore_parked`]).
+    #[cfg(test)]
+    pub(crate) fn restore_parked(&mut self, rec: [u64; 4], window: u64) -> Option<()> {
+        self.parts().restore_parked(rec, window)
     }
 }
 
@@ -1204,18 +1508,18 @@ mod tests {
             });
         };
         admit(&mut gate, 0);
-        assert!(gate.buf.is_none(), "in-order traffic allocates nothing");
+        assert!(gate.cold.buf.is_none(), "in-order traffic allocates nothing");
         admit(&mut gate, 2);
         admit(&mut gate, 3);
         assert_eq!(gate.buffered(), 2);
-        assert!(gate.buf.is_some());
+        assert!(gate.cold.buf.is_some());
         admit(&mut gate, 1);
         assert_eq!(gate.buffered(), 0);
-        assert!(gate.buf.is_none(), "a healed reorder frees the buffer");
+        assert!(gate.cold.buf.is_none(), "a healed reorder frees the buffer");
         // A window slide heals what was parked on its way; the buffer
         // goes once the gap in front of the sample it then parks heals.
         admit(&mut gate, 6);
-        assert!(gate.buf.is_some());
+        assert!(gate.cold.buf.is_some());
         admit(&mut gate, 20);
         admit(&mut gate, 16);
         assert_eq!(gate.next_seq(), 16 + 1);
@@ -1223,8 +1527,44 @@ mod tests {
         admit(&mut gate, 17);
         admit(&mut gate, 18);
         admit(&mut gate, 19);
-        assert!(gate.buf.is_none());
+        assert!(gate.cold.buf.is_none());
         assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 6.0, 16.0, 17.0, 18.0, 19.0, 20.0]);
+    }
+
+    /// A quiet in-order sample streams one cache line: the hot record is
+    /// exactly one aligned line, and the cold record stays bounded.
+    #[test]
+    fn hot_record_is_one_cache_line() {
+        assert_eq!((HOT_RECORD_BYTES, align_of::<LinkHot>()), (64, 64));
+        const { assert!(COLD_RECORD_BYTES <= 160) };
+    }
+
+    /// A link's own gate admits exactly what a standalone gate in front of
+    /// a bare push loop admits, and leaves the same link state behind.
+    #[test]
+    fn link_admit_matches_gate_then_push() {
+        let cfg = MonitorConfig::default();
+        let series = noisy_step(&[(300, 2.0), (80, 24.0), (300, 2.0)], 1.0);
+        let mut state = 0x9E37_79B9u64;
+        let (mut gated, mut pushed) = (LinkState::with_config(&cfg), LinkState::with_config(&cfg));
+        let mut gate = SeqGate::new();
+        for i in 0..2 * series.len() as u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let seq = (i / 2).saturating_add((state >> 33) % 9).saturating_sub(3);
+            let far = series[seq.min(series.len() as u64 - 1) as usize];
+            let s = MonitorSample::answered(far, 0xAA);
+            let a = gated.admit(seq, s, &cfg);
+            let b = gate.admit(seq, s, cfg.reorder_window, &mut |smp| {
+                pushed.push(&smp, &cfg);
+            });
+            assert_eq!(a, b, "arrival {i} (seq {seq})");
+        }
+        assert!(gate.reordered() > 0 && gate.duplicates() > 0 && gate.dropped() > 0);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        gated.encode_into(&mut a);
+        pushed.encode_into(&mut b);
+        assert_eq!(a, b);
+        assert!(gated.alarms() > 0);
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn streaming_reproduces_online_events_across_fault_corpus() {
         total_events += batch.len();
         total_gaps += series.far_ms.iter().filter(|v| !v.is_finite()).count();
         total_changes += series.path_change_rounds().len();
-        assert_eq!(st.detector().gap_count() as usize,
+        assert_eq!(st.gaps() as usize,
             series.far_ms.iter().filter(|v| !v.is_finite()).count(),
             "link {li}: gap accounting diverged");
         assert_eq!(st.path_changes() as usize, series.path_change_rounds().len(),
