@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ixp_chgpt::prelude::*;
 use ixp_chgpt::segment::DetectorConfig;
+use ixp_chgpt::{detect_window_shifts, WindowConfig};
 use ixp_prober::testutil::line_topology;
 use ixp_prober::tslp::TslpTarget;
 use ixp_simnet::prelude::*;

@@ -256,16 +256,16 @@ mod component_timing {
         scratch.detect_change_points(&s, &cfg);
 
         let t = Instant::now();
-        let r = ixp_chgpt::rank_transform_with(&s, &mut scratch);
+        let r = ixp_chgpt::rank_transform(&s, &mut scratch);
         eprintln!("rank_transform full window ({}): {:?}", r.len(), t.elapsed());
 
         let t = Instant::now();
-        let ok = ixp_chgpt::spread_reaches_with(&s, 4.0, &mut scratch);
+        let ok = ixp_chgpt::spread_reaches(&s, 4.0, &mut scratch);
         eprintln!("spread gate full window: {:?} -> {ok}", t.elapsed());
 
-        let ranks: Vec<f64> = ixp_chgpt::rank_transform(&s);
+        let ranks: Vec<f64> = ixp_chgpt::rank_transform(&s, &mut scratch).to_vec();
         let t = Instant::now();
-        let res = ixp_chgpt::cusum_bootstrap_with(&ranks, 199, 42, Some(0.95), &mut scratch);
+        let res = ixp_chgpt::cusum_bootstrap(&ranks, 199, 42, Some(0.95), &mut scratch);
         eprintln!("bootstrap early-exit full window: {:?} conf {}", t.elapsed(), res.confidence);
 
         let t = Instant::now();

@@ -20,13 +20,13 @@
 //! callers that need the exact value.
 //!
 //! Two kernels share that permutation loop. `bootstrap_core` works on any
-//! `f64` window — raw data (the ablation) and the public `cusum_bootstrap*`
-//! helpers. The segmentation's rank path uses `rank_bootstrap_core`, which
-//! permutes the doubled, centred mid-ranks held in
-//! `DetectorScratch::centred_ranks` in exact `i64` arithmetic and folds the
-//! CUSUM range into the shuffle loop: the same permutations, below counts
-//! and result bits as `bootstrap_core` on the `f64` ranks, in one pass per
-//! permutation instead of two.
+//! `f64` window — raw data (the ablation) and the public `cusum_bootstrap`.
+//! The segmentation's rank path uses `rank_bootstrap_core`, which permutes
+//! the doubled, centred mid-ranks held in `DetectorScratch::centred_ranks`
+//! in exact `i64` arithmetic and folds the CUSUM range into the shuffle
+//! loop: the same permutations, below counts and result bits as
+//! `bootstrap_core` on the `f64` ranks, in one pass per permutation instead
+//! of two.
 
 use crate::scratch::DetectorScratch;
 use rand::rngs::SmallRng;
@@ -239,22 +239,16 @@ pub(crate) fn rank_bootstrap_core(
     CusumResult { split, range, confidence }
 }
 
-/// Run the permutation bootstrap for `window`, returning the full result.
+/// Run the permutation bootstrap for `window` over reusable scratch memory.
 ///
 /// `iters` permutations are drawn with an RNG seeded from `seed`, so the
 /// whole analysis is deterministic. The achievable confidence resolution is
-/// `1/iters`.
-pub fn cusum_bootstrap(window: &[f64], iters: usize, seed: u64) -> CusumResult {
-    let mut shuffle = Vec::new();
-    bootstrap_core(window, iters, seed, None, &mut shuffle)
-}
-
-/// [`cusum_bootstrap`] over reusable scratch memory, with an optional
-/// sequential early exit: `decision = Some(conf)` stops permuting the
-/// moment the accept/reject outcome of `confidence >= conf` is settled
-/// (identical decision and split as the full run), `None` runs every
-/// permutation and reports the exact confidence.
-pub fn cusum_bootstrap_with(
+/// `1/iters`. `decision = Some(conf)` is the sequential early exit: it
+/// stops permuting the moment the accept/reject outcome of
+/// `confidence >= conf` is settled (identical decision and split as the
+/// full run); `None` runs every permutation and reports the exact
+/// confidence.
+pub fn cusum_bootstrap(
     window: &[f64],
     iters: usize,
     seed: u64,
@@ -291,24 +285,23 @@ pub(crate) fn spread_core(window: &[f64], min_magnitude: f64, buf: &mut Vec<f64>
 /// Counting excursions (rather than a percentile spread) matters: a
 /// two-month congestion episode inside a 13-month series elevates only a
 /// few percent of samples — invisible to a 95th percentile, but thousands
-/// of excursions.
-pub fn spread_reaches(window: &[f64], min_magnitude: f64) -> bool {
-    let mut buf = Vec::new();
-    spread_core(window, min_magnitude, &mut buf)
-}
-
-/// [`spread_reaches`] over reusable scratch memory.
-pub fn spread_reaches_with(
-    window: &[f64],
-    min_magnitude: f64,
-    scratch: &mut DetectorScratch,
-) -> bool {
+/// of excursions. The selection buffer comes from `scratch`.
+pub fn spread_reaches(window: &[f64], min_magnitude: f64, scratch: &mut DetectorScratch) -> bool {
     spread_core(window, min_magnitude, &mut scratch.select)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exact bootstrap (no early exit) over a fresh scratch.
+    fn exact(window: &[f64], iters: usize, seed: u64) -> CusumResult {
+        cusum_bootstrap(window, iters, seed, None, &mut DetectorScratch::new())
+    }
+
+    fn spread(window: &[f64], min_magnitude: f64) -> bool {
+        spread_reaches(window, min_magnitude, &mut DetectorScratch::new())
+    }
 
     fn step_series(n: usize, at: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..n).map(|i| if i < at { lo } else { hi }).collect()
@@ -349,14 +342,14 @@ mod tests {
         let s = vec![5.0; 50];
         let (_, range) = cusum_peak(&s);
         assert_eq!(range, 0.0);
-        let r = cusum_bootstrap(&s, 99, 1);
+        let r = exact(&s, 99, 1);
         assert_eq!(r.confidence, 0.0);
     }
 
     #[test]
     fn bootstrap_confident_on_step() {
         let s = step_series(120, 40, 10.0, 20.0);
-        let r = cusum_bootstrap(&s, 199, 42);
+        let r = exact(&s, 199, 42);
         assert!(r.confidence > 0.99, "confidence {}", r.confidence);
         assert_eq!(r.split, 39);
     }
@@ -365,14 +358,14 @@ mod tests {
     fn bootstrap_unconfident_on_noise() {
         // Deterministic "noise" via a full avalanche hash; no change point.
         let s: Vec<f64> = (0..200u64).map(hash_noise).collect();
-        let r = cusum_bootstrap(&s, 199, 7);
+        let r = exact(&s, 199, 7);
         assert!(r.confidence < 0.97, "confidence {}", r.confidence);
     }
 
     #[test]
     fn bootstrap_is_deterministic() {
         let s = step_series(80, 30, 0.0, 1.0);
-        assert_eq!(cusum_bootstrap(&s, 99, 5), cusum_bootstrap(&s, 99, 5));
+        assert_eq!(exact(&s, 99, 5), exact(&s, 99, 5));
     }
 
     /// The sequential early exit must land on the same side of the decision
@@ -390,15 +383,15 @@ mod tests {
         for series in &corpora {
             for conf in [0.0, 0.5, 0.9, 0.95, 0.99] {
                 for (iters, seed) in [(99usize, 5u64), (199, 42), (199, 7)] {
-                    let exact = cusum_bootstrap(series, iters, seed);
-                    let fast = cusum_bootstrap_with(series, iters, seed, Some(conf), &mut scratch);
-                    assert_eq!(exact.split, fast.split);
-                    assert_eq!(exact.range, fast.range);
+                    let full = exact(series, iters, seed);
+                    let fast = cusum_bootstrap(series, iters, seed, Some(conf), &mut scratch);
+                    assert_eq!(full.split, fast.split);
+                    assert_eq!(full.range, fast.range);
                     assert_eq!(
-                        exact.confidence >= conf,
+                        full.confidence >= conf,
                         fast.confidence >= conf,
                         "decision diverged at conf {conf}: exact {} fast {}",
-                        exact.confidence,
+                        full.confidence,
                         fast.confidence
                     );
                 }
@@ -406,11 +399,16 @@ mod tests {
         }
     }
 
+    /// A scratch reused across windows of other lengths gives the same bits
+    /// as a fresh one: no state leaks from one call into the next.
     #[test]
     fn exact_mode_with_scratch_is_bitwise_identical() {
         let mut scratch = DetectorScratch::new();
         let s: Vec<f64> = (0..150u64).map(hash_noise).collect();
-        assert_eq!(cusum_bootstrap(&s, 199, 9), cusum_bootstrap_with(&s, 199, 9, None, &mut scratch));
+        for len in [150, 40, 150, 2] {
+            let got = cusum_bootstrap(&s[..len], 199, 9, None, &mut scratch);
+            assert_eq!(got, exact(&s[..len], 199, 9), "len {len}");
+        }
     }
 
     /// The integer rank kernel against `bootstrap_core` run on the same
@@ -419,7 +417,7 @@ mod tests {
     /// to whole milliseconds) from 12 samples to one 13-month window.
     #[test]
     fn rank_kernel_is_bitwise_identical_to_f64_kernel() {
-        let mut shuffle = Vec::new();
+        let (mut shuffle, mut scratch) = (Vec::new(), DetectorScratch::new());
         let (mut idx, mut d) = (Vec::new(), Vec::new());
         let (mut accepts, mut rejects) = (0, 0);
         for (case, n) in [12usize, 13, 24, 61, 288, 1_000, 4_096, 13 * 30 * 288].into_iter().enumerate() {
@@ -430,7 +428,7 @@ mod tests {
                         q + if (n / 3..2 * n / 3).contains(&i) { shift } else { 0.0 }
                     })
                     .collect();
-                let ranks = crate::rank::rank_transform(&window);
+                let ranks = crate::rank::rank_transform(&window, &mut scratch).to_vec();
                 for decision in [Some(0.95), Some(0.99), None] {
                     for iters in [49, 99, 199] {
                         let seed = (case as u64) << 32 ^ iters as u64;
@@ -453,7 +451,7 @@ mod tests {
         assert!(accepts > 0 && rejects > 0, "accepts {accepts} rejects {rejects}");
         // An all-tied window has zero range in both kernels.
         crate::rank::centred_rank_into(&[5.0; 12], &mut idx, &mut d);
-        assert_eq!(rank_bootstrap_core(&mut d, 99, 3, None), cusum_bootstrap(&[6.5; 12], 99, 3));
+        assert_eq!(rank_bootstrap_core(&mut d, 99, 3, None), exact(&[6.5; 12], 99, 3));
     }
 
     #[test]
@@ -474,12 +472,12 @@ mod tests {
     #[test]
     fn spread_gate() {
         let flat = vec![1.0; 100];
-        assert!(!spread_reaches(&flat, 0.5));
+        assert!(!spread(&flat, 0.5));
         let stepped = step_series(100, 50, 1.0, 12.0);
-        assert!(spread_reaches(&stepped, 10.0));
-        assert!(!spread_reaches(&stepped, 12.5));
+        assert!(spread(&stepped, 10.0));
+        assert!(!spread(&stepped, 12.5));
         // Short windows never pass.
-        assert!(!spread_reaches(&[0.0, 100.0], 1.0));
+        assert!(!spread(&[0.0, 100.0], 1.0));
     }
 
     #[test]
@@ -488,7 +486,7 @@ mod tests {
         // baseline plus excursion count clips it.
         let mut s = vec![1.0; 200];
         s[77] = 500.0;
-        assert!(!spread_reaches(&s, 10.0));
+        assert!(!spread(&s, 10.0));
     }
 
     /// Pin the selection-based `spread_reaches` against the seed's sorting
@@ -514,8 +512,8 @@ mod tests {
                 .collect();
             for mag in [0.0, 1.0, 5.0, 12.0, 40.0] {
                 let want = seed_spread(&window, mag);
-                assert_eq!(spread_reaches(&window, mag), want, "case {case} mag {mag}");
-                assert_eq!(spread_reaches_with(&window, mag, &mut scratch), want);
+                let got = spread_reaches(&window, mag, &mut scratch);
+                assert_eq!(got, want, "case {case} mag {mag}");
             }
         }
     }

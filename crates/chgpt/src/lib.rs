@@ -36,29 +36,25 @@ pub mod scratch;
 pub mod segment;
 pub mod window;
 
-pub use cusum::{
-    cusum_bootstrap, cusum_bootstrap_with, cusum_peak, spread_reaches, spread_reaches_with,
-    CusumResult,
-};
+pub use cusum::{cusum_bootstrap, cusum_peak, spread_reaches, CusumResult};
 pub use events::{baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent};
 pub use online::{
-    elevation_estimate, online_events, online_step, OnlineCold, OnlineConfig, OnlineDetector,
-    OnlineHot, OnlineSnapshot, OnlineVerdict,
+    elevation_estimate, online_events, online_step, OnlineCold, OnlineConfig, OnlineHot,
+    OnlineVerdict,
 };
-pub use rank::{rank_transform, rank_transform_with};
+pub use rank::rank_transform;
 pub use scratch::DetectorScratch;
 pub use segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment};
 pub use window::{detect_window_shifts, WindowConfig};
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::cusum::{cusum_bootstrap, cusum_peak, CusumResult};
+    pub use crate::cusum::{cusum_bootstrap, CusumResult};
     pub use crate::events::{
         baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent,
     };
-    pub use crate::online::{online_events, OnlineConfig, OnlineDetector, OnlineSnapshot, OnlineVerdict};
+    pub use crate::online::{online_events, OnlineConfig, OnlineVerdict};
     pub use crate::rank::rank_transform;
     pub use crate::scratch::DetectorScratch;
     pub use crate::segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment};
-    pub use crate::window::{detect_window_shifts, WindowConfig};
 }

@@ -60,37 +60,6 @@ pub enum OnlineVerdict {
     Gap,
 }
 
-/// Frozen copy of an [`OnlineDetector`]'s full state, for checkpoint/resume.
-///
-/// Restoring a snapshot and continuing the sample stream is bit-identical to
-/// never having stopped. All fields are public so callers (the monitor
-/// service) can serialize them through their own fixed-layout encoding.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OnlineSnapshot {
-    /// Detector configuration.
-    pub cfg: OnlineConfig,
-    /// Running baseline estimate.
-    pub baseline: f64,
-    /// Warm-up samples consumed so far.
-    pub warmup_seen: usize,
-    /// Sum of warm-up samples.
-    pub warmup_sum: f64,
-    /// Upshift cumulative statistic.
-    pub s_up: f64,
-    /// Downshift cumulative statistic.
-    pub s_down: f64,
-    /// Inside an elevated period?
-    pub elevated: bool,
-    /// Baseline captured at the last upshift.
-    pub level_before: f64,
-    /// Sum of samples while elevated.
-    pub elevated_sum: f64,
-    /// Count of samples while elevated.
-    pub elevated_n: usize,
-    /// Non-finite samples seen (state untouched for each).
-    pub gaps: u64,
-}
-
 /// The part of the detector state a quiet sample touches: the running
 /// baseline, the upshift statistic, and the two regime flags. A resident
 /// monitor keeps it in the same cache line as the rest of a link's hot
@@ -98,9 +67,9 @@ pub struct OnlineSnapshot {
 /// touch.
 ///
 /// A private flag caches `warmup_seen < cfg.warmup`, so a quiet sample
-/// never reads the cold half: build both halves with [`OnlineHot::new`]
-/// and [`OnlineCold::default`], or from a snapshot with
-/// [`OnlineSnapshot::split`], which establish it.
+/// never reads the cold half: build a fresh pair with [`OnlineHot::new`]
+/// and [`OnlineCold::default`], or a resumed one with
+/// [`OnlineHot::restore`], which establish it.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OnlineHot {
     /// Running baseline estimate.
@@ -117,6 +86,20 @@ impl OnlineHot {
     /// The hot half of a fresh detector under `cfg`.
     pub fn new(cfg: &OnlineConfig) -> OnlineHot {
         OnlineHot { baseline: 0.0, s_up: 0.0, warming: cfg.warmup > 0, elevated: false }
+    }
+
+    /// The hot half of a resumed detector — its saved baseline, upshift
+    /// statistic and elevated flag — to run beside `cold` under `cfg`. The
+    /// warm-up flag is derived from `cold.warmup_seen`, so the pair
+    /// continues bit-identically to one that never stopped.
+    pub fn restore(
+        cfg: &OnlineConfig,
+        baseline: f64,
+        s_up: f64,
+        elevated: bool,
+        cold: &OnlineCold,
+    ) -> OnlineHot {
+        OnlineHot { baseline, s_up, warming: cold.warmup_seen < cfg.warmup, elevated }
     }
 }
 
@@ -141,48 +124,8 @@ pub struct OnlineCold {
     pub gaps: u64,
 }
 
-impl OnlineSnapshot {
-    /// The snapshot as the two halves [`online_step`] runs on.
-    pub fn split(&self) -> (OnlineHot, OnlineCold) {
-        (
-            OnlineHot {
-                baseline: self.baseline,
-                s_up: self.s_up,
-                warming: self.warmup_seen < self.cfg.warmup,
-                elevated: self.elevated,
-            },
-            OnlineCold {
-                warmup_seen: self.warmup_seen,
-                warmup_sum: self.warmup_sum,
-                s_down: self.s_down,
-                level_before: self.level_before,
-                elevated_sum: self.elevated_sum,
-                elevated_n: self.elevated_n,
-                gaps: self.gaps,
-            },
-        )
-    }
-
-    /// Freeze two halves run under `cfg`.
-    pub fn join(cfg: OnlineConfig, hot: &OnlineHot, cold: &OnlineCold) -> OnlineSnapshot {
-        OnlineSnapshot {
-            cfg,
-            baseline: hot.baseline,
-            warmup_seen: cold.warmup_seen,
-            warmup_sum: cold.warmup_sum,
-            s_up: hot.s_up,
-            s_down: cold.s_down,
-            elevated: hot.elevated,
-            level_before: cold.level_before,
-            elevated_sum: cold.elevated_sum,
-            elevated_n: cold.elevated_n,
-            gaps: cold.gaps,
-        }
-    }
-}
-
 /// Feed one sample to a detector kept as two halves — the one
-/// implementation of the CUSUM step; [`OnlineDetector::push`] runs it too.
+/// implementation of the CUSUM step.
 /// Non-finite samples (lost probes) and subnormals (no real RTT is below
 /// ~10⁻³⁰⁸ ms — only a corrupted or fabricated measurement carries one)
 /// are gaps: counted, detector state untouched, [`OnlineVerdict::Gap`]
@@ -267,67 +210,14 @@ pub fn elevation_estimate(hot: &OnlineHot, cold: &OnlineCold) -> f64 {
     }
 }
 
-/// Streaming level-shift detector (one per monitored link end): a
-/// configuration and the two halves [`online_step`] runs on.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OnlineDetector {
-    cfg: OnlineConfig,
-    hot: OnlineHot,
-    cold: OnlineCold,
-}
-
-impl OnlineDetector {
-    /// Fresh detector.
-    pub fn new(cfg: OnlineConfig) -> OnlineDetector {
-        OnlineDetector { cfg, hot: OnlineHot::new(&cfg), cold: OnlineCold::default() }
-    }
-
-    /// Non-finite samples seen so far.
-    pub fn gap_count(&self) -> u64 {
-        self.cold.gaps
-    }
-
-    /// Freeze the full detector state.
-    pub fn snapshot(&self) -> OnlineSnapshot {
-        OnlineSnapshot::join(self.cfg, &self.hot, &self.cold)
-    }
-
-    /// Rebuild a detector from a snapshot; continuing the stream from here
-    /// is bit-identical to never having stopped.
-    pub fn restore(snap: &OnlineSnapshot) -> OnlineDetector {
-        let (hot, cold) = snap.split();
-        OnlineDetector { cfg: snap.cfg, hot, cold }
-    }
-
-    /// Current baseline estimate.
-    pub fn baseline(&self) -> f64 {
-        self.hot.baseline
-    }
-
-    /// Is the detector inside an elevated period?
-    pub fn is_elevated(&self) -> bool {
-        self.hot.elevated
-    }
-
-    /// Estimated magnitude of the current elevation (0 when quiet).
-    pub fn elevation_estimate(&self) -> f64 {
-        elevation_estimate(&self.hot, &self.cold)
-    }
-
-    /// Feed one sample (see [`online_step`]).
-    pub fn push(&mut self, x: f64) -> OnlineVerdict {
-        online_step(&self.cfg, &mut self.hot, &mut self.cold, x)
-    }
-}
-
 /// Run the detector over a whole series, returning `(upshift, downshift)`
 /// sample indices — the offline-compatible view used by tests and benches.
 pub fn online_events(series: &[f64], cfg: OnlineConfig) -> Vec<(usize, usize)> {
-    let mut det = OnlineDetector::new(cfg);
+    let (mut hot, mut cold) = (OnlineHot::new(&cfg), OnlineCold::default());
     let mut out = Vec::new();
     let mut open: Option<usize> = None;
     for (i, &x) in series.iter().enumerate() {
-        match det.push(x) {
+        match online_step(&cfg, &mut hot, &mut cold, x) {
             OnlineVerdict::UpshiftAlarm => open = Some(i),
             OnlineVerdict::DownshiftAlarm => {
                 if let Some(s) = open.take() {
@@ -346,6 +236,16 @@ pub fn online_events(series: &[f64], cfg: OnlineConfig) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh detector under the default config, as its two halves.
+    pub(super) fn fresh() -> (OnlineHot, OnlineCold) {
+        (OnlineHot::new(&OnlineConfig::default()), OnlineCold::default())
+    }
+
+    /// Feed one sample to a pair from [`fresh`].
+    pub(super) fn push(det: &mut (OnlineHot, OnlineCold), x: f64) -> OnlineVerdict {
+        online_step(&OnlineConfig::default(), &mut det.0, &mut det.1, x)
+    }
 
     fn step_series(pattern: &[(usize, f64)], noise_amp: f64) -> Vec<f64> {
         let mut out = Vec::new();
@@ -392,31 +292,31 @@ mod tests {
 
     #[test]
     fn magnitude_estimate_tracks_shift() {
-        let mut det = OnlineDetector::new(OnlineConfig::default());
+        let mut det = fresh();
         for _ in 0..50 {
-            det.push(2.0);
+            push(&mut det, 2.0);
         }
         for _ in 0..40 {
-            det.push(27.0);
+            push(&mut det, 27.0);
         }
-        assert!(det.is_elevated());
-        let m = det.elevation_estimate();
+        assert!(det.0.elevated);
+        let m = elevation_estimate(&det.0, &det.1);
         assert!((20.0..27.5).contains(&m), "estimate {m}");
     }
 
     #[test]
     fn baseline_adapts_to_slow_drift() {
-        let mut det = OnlineDetector::new(OnlineConfig::default());
+        let mut det = fresh();
         // Drift from 2 to 6 over 4000 samples: ~0.001/sample, below kappa.
         let mut alarms = 0;
         for i in 0..4000 {
             let x = 2.0 + 4.0 * i as f64 / 4000.0;
-            if det.push(x) == OnlineVerdict::UpshiftAlarm {
+            if push(&mut det, x) == OnlineVerdict::UpshiftAlarm {
                 alarms += 1;
             }
         }
         assert_eq!(alarms, 0, "slow drift must not alarm");
-        assert!(det.baseline() > 4.0, "baseline tracked the drift: {}", det.baseline());
+        assert!(det.0.baseline > 4.0, "baseline tracked the drift: {}", det.0.baseline);
     }
 
     #[test]
@@ -429,17 +329,17 @@ mod tests {
 
     #[test]
     fn non_finite_is_a_gap_not_a_panic() {
-        let mut det = OnlineDetector::new(OnlineConfig::default());
+        let mut det = fresh();
         for _ in 0..50 {
-            det.push(2.0);
+            push(&mut det, 2.0);
         }
-        let before = det.snapshot();
-        assert_eq!(det.push(f64::NAN), OnlineVerdict::Gap);
-        assert_eq!(det.push(f64::INFINITY), OnlineVerdict::Gap);
-        assert_eq!(det.push(f64::NEG_INFINITY), OnlineVerdict::Gap);
-        let after = det.snapshot();
-        assert_eq!(after.gaps, before.gaps + 3);
-        assert_eq!(OnlineSnapshot { gaps: before.gaps, ..after }, before, "gaps must not move state");
+        let before = det;
+        assert_eq!(push(&mut det, f64::NAN), OnlineVerdict::Gap);
+        assert_eq!(push(&mut det, f64::INFINITY), OnlineVerdict::Gap);
+        assert_eq!(push(&mut det, f64::NEG_INFINITY), OnlineVerdict::Gap);
+        assert_eq!(det.1.gaps, before.1.gaps + 3);
+        let after = (det.0, OnlineCold { gaps: before.1.gaps, ..det.1 });
+        assert_eq!(after, before, "gaps must not move state");
     }
 
     #[test]
@@ -455,29 +355,33 @@ mod tests {
         assert_eq!(ev_clean.len(), ev_gappy.len());
     }
 
+    /// A pair rebuilt through [`OnlineHot::restore`] from its saved fields
+    /// continues exactly like one that never stopped, whether cut inside
+    /// warm-up, in a quiet stretch or inside an elevated period.
     #[test]
     fn snapshot_restore_bit_identical() {
+        let cfg = OnlineConfig::default();
         let s = step_series(&[(150, 2.0), (60, 25.0), (150, 2.0)], 1.0);
-        let cut = 170;
-        let mut straight = OnlineDetector::new(OnlineConfig::default());
-        let mut first = OnlineDetector::new(OnlineConfig::default());
-        for &x in &s[..cut] {
-            straight.push(x);
-            first.push(x);
+        for cut in [5, 100, 170] {
+            let mut straight = fresh();
+            for &x in &s[..cut] {
+                push(&mut straight, x);
+            }
+            let (h, cold) = straight;
+            let hot = OnlineHot::restore(&cfg, h.baseline, h.s_up, h.elevated, &cold);
+            let mut resumed = (hot, cold);
+            assert_eq!(resumed, straight, "cut {cut}");
+            for &x in &s[cut..] {
+                assert_eq!(push(&mut straight, x), push(&mut resumed, x), "cut {cut}");
+            }
+            assert_eq!(resumed, straight, "cut {cut}");
         }
-        let mut resumed = OnlineDetector::restore(&first.snapshot());
-        for &x in &s[cut..] {
-            let a = straight.push(x);
-            let b = resumed.push(x);
-            assert_eq!(a, b);
-        }
-        assert_eq!(straight.snapshot(), resumed.snapshot());
-        assert_eq!(straight.baseline().to_bits(), resumed.baseline().to_bits());
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{fresh, push};
     use super::*;
     use proptest::prelude::*;
 
@@ -544,19 +448,19 @@ mod proptests {
             }
 
             // Every junk sample reads Gap; clean samples never do. The
-            // detector snapshots must agree except for the gap counter.
-            let mut det_clean = OnlineDetector::new(cfg);
+            // detector states must agree except for the gap counter.
+            let mut det_clean = fresh();
             for &x in &clean {
-                prop_assert_ne!(det_clean.push(x), OnlineVerdict::Gap);
+                prop_assert_ne!(push(&mut det_clean, x), OnlineVerdict::Gap);
             }
-            let mut det_mixed = OnlineDetector::new(cfg);
+            let mut det_mixed = fresh();
             // clean_before[i] = clean samples strictly before mixed[i];
             // one extra entry so a trailing open event maps to clean.len().
             let mut clean_before = Vec::with_capacity(mixed.len() + 1);
             let mut seen = 0usize;
             for (i, &x) in mixed.iter().enumerate() {
                 clean_before.push(seen);
-                let v = det_mixed.push(x);
+                let v = push(&mut det_mixed, x);
                 if is_junk[i] {
                     prop_assert_eq!(v, OnlineVerdict::Gap, "junk at {} must be a gap", i);
                 } else {
@@ -565,10 +469,9 @@ mod proptests {
                 }
             }
             clean_before.push(seen);
-            let a = det_clean.snapshot();
-            let b = det_mixed.snapshot();
-            prop_assert_eq!(b.gaps, is_junk.iter().filter(|&&j| j).count() as u64);
-            prop_assert_eq!(OnlineSnapshot { gaps: a.gaps, ..b }, a,
+            let (a, b) = (det_clean, det_mixed);
+            prop_assert_eq!(b.1.gaps, is_junk.iter().filter(|&&j| j).count() as u64);
+            prop_assert_eq!((b.0, OnlineCold { gaps: a.1.gaps, ..b.1 }), a,
                 "junk moved detector state");
 
             // The event stream, projected back to clean positions, is

@@ -59,16 +59,9 @@ pub(crate) fn centred_rank_into(values: &[f64], idx: &mut Vec<usize>, out: &mut 
 }
 
 /// Replace each value by its 1-based rank; ties receive the average of the
-/// ranks they span (the standard mid-rank convention).
-pub fn rank_transform(values: &[f64]) -> Vec<f64> {
-    let (mut idx, mut out) = (Vec::new(), Vec::new());
-    rank_into(values, &mut idx, &mut out);
-    out
-}
-
-/// [`rank_transform`] over reusable scratch memory; the returned slice
-/// borrows the scratch and is valid until the next call that uses it.
-pub fn rank_transform_with<'a>(values: &[f64], scratch: &'a mut DetectorScratch) -> &'a [f64] {
+/// ranks they span (the standard mid-rank convention). The returned slice
+/// borrows `scratch` and is valid until the next call that uses it.
+pub fn rank_transform<'a>(values: &[f64], scratch: &'a mut DetectorScratch) -> &'a [f64] {
     let DetectorScratch { ranks, sort_idx, .. } = scratch;
     rank_into(values, sort_idx, ranks);
     ranks
@@ -78,32 +71,44 @@ pub fn rank_transform_with<'a>(values: &[f64], scratch: &'a mut DetectorScratch)
 mod tests {
     use super::*;
 
+    /// Mid-ranks of `values` through a fresh scratch.
+    fn ranks(values: &[f64]) -> Vec<f64> {
+        rank_transform(values, &mut DetectorScratch::new()).to_vec()
+    }
+
     #[test]
     fn simple_ranks() {
-        assert_eq!(rank_transform(&[10.0, 30.0, 20.0]), vec![1.0, 3.0, 2.0]);
+        assert_eq!(ranks(&[10.0, 30.0, 20.0]), vec![1.0, 3.0, 2.0]);
     }
 
     #[test]
     fn ties_get_midranks() {
         // 5,5 occupy ranks 2 and 3 → both 2.5.
-        assert_eq!(rank_transform(&[1.0, 5.0, 5.0, 9.0]), vec![1.0, 2.5, 2.5, 4.0]);
+        assert_eq!(ranks(&[1.0, 5.0, 5.0, 9.0]), vec![1.0, 2.5, 2.5, 4.0]);
         // All equal.
-        assert_eq!(rank_transform(&[7.0, 7.0, 7.0]), vec![2.0, 2.0, 2.0]);
+        assert_eq!(ranks(&[7.0, 7.0, 7.0]), vec![2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn empty_and_single() {
-        assert!(rank_transform(&[]).is_empty());
-        assert_eq!(rank_transform(&[42.0]), vec![1.0]);
+        assert!(ranks(&[]).is_empty());
+        assert_eq!(ranks(&[42.0]), vec![1.0]);
     }
 
+    /// One scratch reused across inputs of other lengths ranks each exactly
+    /// like a fresh one.
     #[test]
-    fn scratch_variant_matches_wrapper() {
+    fn reused_scratch_matches_fresh_scratch() {
         let mut scratch = DetectorScratch::new();
-        let cases: [&[f64]; 4] =
-            [&[], &[42.0], &[1.0, 5.0, 5.0, 9.0], &[3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 2.6]];
+        let cases: [&[f64]; 5] = [
+            &[3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 2.6],
+            &[],
+            &[42.0],
+            &[1.0, 5.0, 5.0, 9.0],
+            &[2.0, 1.0],
+        ];
         for values in cases {
-            assert_eq!(rank_transform_with(values, &mut scratch), rank_transform(values));
+            assert_eq!(rank_transform(values, &mut scratch), ranks(values));
         }
     }
 
@@ -115,7 +120,7 @@ mod tests {
         for values in cases {
             centred_rank_into(values, &mut idx, &mut d);
             let n = values.len() as f64;
-            let want: Vec<i64> = rank_transform(values).iter().map(|r| (2.0 * r - (n + 1.0)) as i64).collect();
+            let want: Vec<i64> = ranks(values).iter().map(|r| (2.0 * r - (n + 1.0)) as i64).collect();
             assert_eq!(d, want, "{values:?}");
             assert_eq!(d.iter().sum::<i64>(), 0);
         }
@@ -126,7 +131,7 @@ mod tests {
         // Ranks are invariant under any strictly increasing transform.
         let xs = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6];
         let ys: Vec<f64> = xs.iter().map(|v: &f64| v.exp()).collect();
-        assert_eq!(rank_transform(&xs), rank_transform(&ys));
+        assert_eq!(ranks(&xs), ranks(&ys));
     }
 }
 
@@ -139,7 +144,8 @@ mod proptests {
         /// Ranks are a permutation-with-ties of 1..=n: they sum to n(n+1)/2.
         #[test]
         fn ranks_sum_invariant(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let r = rank_transform(&values);
+            let mut scratch = DetectorScratch::new();
+            let r = rank_transform(&values, &mut scratch);
             let n = values.len() as f64;
             let sum: f64 = r.iter().sum();
             prop_assert!((sum - n * (n + 1.0) / 2.0).abs() < 1e-6);
@@ -148,7 +154,8 @@ mod proptests {
         /// Order is preserved: v[i] < v[j] implies rank[i] < rank[j].
         #[test]
         fn ranks_preserve_order(values in proptest::collection::vec(-1e6f64..1e6, 2..100)) {
-            let r = rank_transform(&values);
+            let mut scratch = DetectorScratch::new();
+            let r = rank_transform(&values, &mut scratch);
             for i in 0..values.len() {
                 for j in 0..values.len() {
                     if values[i] < values[j] {

@@ -14,11 +14,12 @@
 //! heap allocation, which the `detect_throughput` bench asserts with a
 //! counting allocator.
 //!
-//! The allocating free functions (`detect_change_points`,
-//! `level_segments`, `cusum_bootstrap`, …) are kept as thin wrappers over
-//! the scratch paths, so existing call sites and results are unchanged —
-//! an equivalence suite (`tests/equivalence.rs`) pins the scratch + early-
-//! exit engine byte-identical to the seed implementation.
+//! The window primitives (`cusum_bootstrap`, `rank_transform`,
+//! `spread_reaches`) take a scratch; the segmentation entry points keep
+//! allocating free functions (`detect_change_points`, `level_segments`) as
+//! thin wrappers over the scratch paths. An equivalence suite
+//! (`tests/equivalence.rs`) pins the scratch + early-exit engine
+//! byte-identical to the seed implementation.
 
 use crate::segment::{DetectorConfig, Segment};
 
@@ -29,7 +30,7 @@ use crate::segment::{DetectorConfig, Segment};
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
     /// Permutation buffer for the `f64` bootstrap (raw-data segmentation,
-    /// `cusum_bootstrap_with`).
+    /// `cusum_bootstrap`).
     pub(crate) shuffle: Vec<f64>,
     /// Doubled, centred mid-ranks `2·rank − (n+1)` of the current window:
     /// the rank-path segmentation's rank output and, shuffled in place, its

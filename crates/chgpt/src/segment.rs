@@ -374,7 +374,8 @@ mod tests {
             assert!(detect_change_points(&noise, &cfg).is_empty(), "ranks={use_ranks}");
             assert!(detect_change_points(&step, &cfg).is_empty(), "ranks={use_ranks}");
         }
-        assert_eq!(crate::cusum::cusum_bootstrap(&step, 0, 7).confidence, 0.0);
+        let r = crate::cusum::cusum_bootstrap(&step, 0, 7, None, &mut DetectorScratch::new());
+        assert_eq!(r.confidence, 0.0);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! trusts:
 //!
 //! - [`state`] — per-link streaming state: Page's CUSUM
-//!   ([`ixp_chgpt::online_step`], the step [`ixp_chgpt::OnlineDetector`]
-//!   runs too), path-fingerprint change tracking with the same causal
-//!   masking rule the batch assessment uses, incremental measurement-health
-//!   evidence read with [`tslp_core::health`]'s ladder, and the sequence
-//!   gate, split into a 64-byte hot record and a cold record.
+//!   ([`ixp_chgpt::online_step`], the one step behind
+//!   [`ixp_chgpt::online_events`] too), path-fingerprint change tracking
+//!   with the same causal masking rule the batch assessment uses,
+//!   incremental measurement-health evidence read with
+//!   [`tslp_core::health`]'s ladder, and the sequence gate
+//!   ([`LinkState::admit`]), split into a 64-byte hot record and a cold
+//!   record.
 //!   Fed sample-by-sample, the verdict stream is **bit-identical** to
 //!   running [`ixp_chgpt::online_events`] over the full series (tested
 //!   across the chaos/storm fault corpus).
@@ -49,7 +51,7 @@ pub use service::{
     SeqStats, ServiceMode, ShardRecovery,
 };
 pub use state::{
-    masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample, SeqGate,
+    masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample,
     COLD_RECORD_BYTES, HOT_RECORD_BYTES, REORDER_CAP,
 };
 
@@ -62,6 +64,6 @@ pub mod prelude {
     };
     pub use crate::state::{
         masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample,
-        SeqGate, REORDER_CAP,
+        REORDER_CAP,
     };
 }

@@ -11,15 +11,15 @@
 //! [`MonitorConfig::max_shard_batch`] is shed by a seeded hash at
 //! single-threaded partition time (so shed decisions are bit-identical at
 //! any thread count), and each link's sequence gate (the rules of
-//! [`crate::SeqGate`], run over the link's own records) heals small reorders,
-//! counts duplicates/stale replays, and abandons sequences the window slid
-//! past — nothing disordered ever reaches the CUSUM state. Worker panics
-//! are caught per shard: the shard restores from its last good checkpoint
-//! (through the store attached via [`MonitorService::set_store`]) and its
-//! items replay; a second panic quarantines the shard until the next
-//! successful pass. [`MonitorService::mode`] reports
-//! [`ServiceMode::Degraded`] while any of this is recent — the other
-//! shards' verdicts keep flowing throughout.
+//! [`crate::LinkState::admit`], run over the link's own records) heals
+//! small reorders, counts duplicates/stale replays, and abandons sequences
+//! the window slid past — nothing disordered ever reaches the CUSUM state.
+//! Worker panics are caught per shard: the shard restores from its last
+//! good checkpoint (through the store attached via
+//! [`MonitorService::set_store`]) and its items replay; a second panic
+//! quarantines the shard until the next successful pass.
+//! [`MonitorService::mode`] reports [`ServiceMode::Degraded`] while any of
+//! this is recent — the other shards' verdicts keep flowing throughout.
 //!
 //! ## Shard layout and memory model
 //!
@@ -52,7 +52,7 @@
 //! baseline, upshift statistic and flags, the loss run and window
 //! counters, the committed label), and 160-byte cold records holding what
 //! only events touch (warm-up, elevated-period and gap state, alarm and
-//! path-change evidence, the gate's counters and its 256-byte reorder
+//! path-change evidence, the gate's counters and its 288-byte reorder
 //! buffer, which exists only while samples are parked). The detector's
 //! configuration is read from the service config, not copied per link. A
 //! 1-byte published health label per link completes the slab; the index
@@ -77,16 +77,17 @@
 
 use crate::index::{LinkVerdict, VerdictIndex};
 use crate::state::{
-    Gate, GateCold, LinkCold, LinkHot, MonitorSample, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
+    GateCold, LinkCold, LinkHot, MonitorSample, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
 };
 use ixp_chgpt::{OnlineConfig, OnlineVerdict};
-use ixp_obs::{FlightRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
+use ixp_obs::{FlightRecorder, NoopRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
 use ixp_simnet::rng::mix;
 use parking_lot::Mutex;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use tslp_core::campaign::pool_try_map;
 use tslp_core::{BlobStatus, CheckpointStore, HealthConfig, LinkHealth};
 
 /// Full configuration of the resident monitor. Health thresholds are not
@@ -638,7 +639,7 @@ impl MonitorService {
     /// `u64::MAX` are rejected; when a shard's demand exceeds
     /// [`MonitorConfig::max_shard_batch`], the excess is shed by seeded
     /// hash (reproducible at any thread count). Surviving samples then pass
-    /// their link's gate ([`crate::SeqGate`]'s rules): in-order and
+    /// their link's gate ([`crate::LinkState::admit`]'s rules): in-order and
     /// healed-reorder samples reach the detector, duplicates/stale/abandoned
     /// sequences are counted.
     /// A worker panic is supervised: the shard restores from its last good
@@ -721,25 +722,22 @@ impl MonitorService {
         let accepted: u64 = per_shard.iter().map(|v| v.len() as u64).sum();
 
         let acc = BatchAcc::default();
-        let threads = ingest_workers(self.cfg.threads, accepted, n_shards);
-        if threads <= 1 {
-            for (shard, items) in per_shard.iter().enumerate() {
-                self.shard_supervised(shard, items, batch_idx, &acc, fl.as_deref());
+        let flr = fl.as_deref();
+        let passes = pool_try_map(
+            ingest_workers(self.cfg.threads, accepted, n_shards),
+            per_shard,
+            || (),
+            |_, shard, items| self.shard_supervised(shard, items, batch_idx, &acc, flr),
+            &NoopRecorder,
+            "ingest",
+            |shard, _| format!("shard {shard}"),
+        );
+        // The supervisor catches a shard's panics itself; one that escapes
+        // it is a bug in the service and stays fatal.
+        for pass in passes {
+            if let Err(f) = pass {
+                panic!("ingest worker failed on {}: {}", f.key, f.message);
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            let flr = fl.as_deref();
-            std::thread::scope(|sc| {
-                for _ in 0..threads {
-                    sc.spawn(|| loop {
-                        let shard = next.fetch_add(1, Ordering::Relaxed);
-                        if shard >= n_shards {
-                            break;
-                        }
-                        self.shard_supervised(shard, &per_shard[shard], batch_idx, &acc, flr);
-                    });
-                }
-            });
         }
 
         let delivered = acc.delivered.load(Ordering::Relaxed);
@@ -1315,7 +1313,7 @@ fn encode_shard_payload(slab: &ShardSlab) -> Vec<u8> {
 /// Decode one shard's checkpoint payload (see [`encode_shard_payload`]).
 /// `None` on any shape mismatch, on any word a narrowed hot-record field
 /// cannot hold (see [`LinkHot::decode`]), and on any parked sample a live
-/// gate could never hold (see [`Gate::restore_parked`]).
+/// gate could never hold (see [`LinkHot::restore_parked`]).
 fn decode_shard_payload(
     payload: &[u8],
     expected_slots: usize,
@@ -1353,8 +1351,7 @@ fn decode_shard_payload(
         last_slot = slot;
         let rec = [word(at + 8)?, word(at + 16)?, word(at + 24)?, word(at + 32)?];
         let (h, c) = (hot.get_mut(slot)?, cold.get_mut(slot)?);
-        Gate { next_seq: &mut h.next_seq, parked: &mut h.parked, cold: &mut c.gate }
-            .restore_parked(rec, cfg.reorder_window)?;
+        h.restore_parked(&mut c.gate, rec, cfg.reorder_window)?;
     }
     Some((hot, cold))
 }
@@ -1808,11 +1805,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint whose words a live link could never hold in its
-    /// narrowed hot-record fields reads as corrupt, shard by shard, and
-    /// never panics: a window counter above a day of rounds, an open loss
-    /// run beyond `u32::MAX`, and more parked samples for one link than
-    /// the reorder buffer holds.
+    /// A checkpoint whose words a live link could never hold reads as
+    /// corrupt, shard by shard, and never panics: a window counter above a
+    /// day of rounds, an open loss run beyond `u32::MAX`, more parked
+    /// samples for one link than the reorder buffer holds, and a last
+    /// path-change or last-alarm round at or past the rounds ingested
+    /// (the next alarm would subtract past zero).
     #[test]
     fn narrowed_fields_out_of_range_read_as_corrupt() {
         let n = 24;
@@ -1824,7 +1822,10 @@ mod tests {
         drive(&first, n, 0..40);
         let payload = encode_shard_payload(&first.shards[0].lock());
         let slots = first.shards[0].lock().slots();
-        let next_seq = first.shards[0].lock().hot[0].next_seq;
+        let (next_seq, rounds) = {
+            let slab = first.shards[0].lock();
+            (slab.hot[0].next_seq, slab.hot[0].rounds)
+        };
         // Link word `w` of slot 0 set to `v`.
         let with_word = |w: usize, v: u64| {
             let mut bad = payload.clone();
@@ -1853,10 +1854,16 @@ mod tests {
             ("w_path_changes", with_word(20, window)),
             ("cur_loss_run", with_word(21, u64::from(u32::MAX) + 1)),
             ("parked", overfull),
+            ("last_change_round", with_word(11, rounds)),
+            ("last_alarm_round", with_word(24, rounds)),
         ];
         assert!(decode_shard_payload(&payload, slots, &cfg).is_some());
         assert!(decode_shard_payload(&with_word(16, WINDOW_ROUNDS - 1), slots, &cfg).is_some());
         assert!(decode_shard_payload(&with_word(21, u64::from(u32::MAX)), slots, &cfg).is_some());
+        for w in [11, 24] {
+            assert!(decode_shard_payload(&with_word(w, rounds - 1), slots, &cfg).is_some());
+            assert!(decode_shard_payload(&with_word(w, u64::MAX), slots, &cfg).is_some());
+        }
         for (field, bad) in cases {
             let _ = std::fs::remove_dir_all(&dir);
             let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();

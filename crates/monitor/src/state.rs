@@ -39,14 +39,12 @@
 //! touch: warm-up, elevated-period and gap state, path-change and alarm
 //! evidence and counters, and the gate's counters and reorder buffer. The
 //! service keeps each in its own per-shard array, so a steady-state sample
-//! streams one line; [`LinkState`] and [`SeqGate`] own the same records
-//! and run the same code, for tests, benches and batch reference views.
+//! streams one line; [`LinkState`] owns one pair of the same records and
+//! runs the same code, for tests, benches and batch reference views.
 
 use crate::index::{ColdVerdict, HotVerdict, MaskOutcome, VerdictEvidence};
 use crate::service::{MonitorConfig, SeqStats};
-use ixp_chgpt::{
-    elevation_estimate, online_step, OnlineCold, OnlineHot, OnlineSnapshot, OnlineVerdict,
-};
+use ixp_chgpt::{elevation_estimate, online_step, OnlineCold, OnlineHot, OnlineVerdict};
 use ixp_simnet::time::SimDuration;
 use tslp_core::health::{HealthConfig, WindowEvidence};
 use tslp_core::LinkHealth;
@@ -402,7 +400,7 @@ impl LinkHot {
     /// Admit one `(seq, sample)` arrival through this link's gate: the
     /// in-order check inline, everything else out of line. Released
     /// samples are handed to `deliver` with both records, in strictly
-    /// increasing sequence order (see [`SeqGate`] for the rules).
+    /// increasing sequence order (see [`LinkState::admit`] for the rules).
     #[inline(always)]
     pub(crate) fn admit(
         &mut self,
@@ -432,9 +430,7 @@ impl LinkHot {
         deliver: &mut impl FnMut(&mut LinkHot, &mut LinkCold, MonitorSample),
     ) -> AdmitDelta {
         let mut out = Released::new();
-        let mut gate =
-            Gate { next_seq: &mut self.next_seq, parked: &mut self.parked, cold: &mut cold.gate };
-        let delta = gate.admit_slow(seq, s, window, &mut out);
+        let delta = self.admit_slow(&mut cold.gate, seq, s, window, &mut out);
         for &smp in out.samples() {
             deliver(self, cold, smp);
         }
@@ -486,10 +482,11 @@ impl LinkHot {
 
     /// Decode a link previously written by [`LinkHot::encode_into`], with a
     /// fresh gate. `None` on a short record and on any word no live link
-    /// could hold in its narrowed field: a window counter above
-    /// [`WINDOW_ROUNDS`] (or more bad addresses than answers), an open
-    /// loss run beyond `u32::MAX`, a mask flag other than 0 or 1, or an
-    /// unknown health code.
+    /// could hold: a window counter above [`WINDOW_ROUNDS`] (or more bad
+    /// addresses than answers), an open loss run beyond `u32::MAX`, a mask
+    /// flag other than 0 or 1, an unknown health code, or a last-change or
+    /// last-alarm round that is neither `u64::MAX` (never) nor below the
+    /// rounds ingested (the next alarm would subtract past zero).
     pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<(LinkHot, LinkCold)> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
@@ -498,21 +495,24 @@ impl LinkHot {
         for (i, w) in words.iter_mut().enumerate() {
             *w = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().ok()?);
         }
-        let (det_hot, det_cold) = OnlineSnapshot {
-            cfg: cfg.online,
-            baseline: f64::from_bits(words[0]),
+        let det_cold = OnlineCold {
             warmup_seen: words[1] as usize,
             warmup_sum: f64::from_bits(words[2]),
-            s_up: f64::from_bits(words[3]),
             s_down: f64::from_bits(words[4]),
-            elevated: words[5] != 0,
             level_before: f64::from_bits(words[6]),
             elevated_sum: f64::from_bits(words[7]),
             elevated_n: words[8] as usize,
             gaps: words[9],
-        }
-        .split();
-        if words[26] > 1 {
+        };
+        let det_hot = OnlineHot::restore(
+            &cfg.online,
+            f64::from_bits(words[0]),
+            f64::from_bits(words[3]),
+            words[5] != 0,
+            &det_cold,
+        );
+        let past_round = |w: u64| w == u64::MAX || w < words[12];
+        if words[26] > 1 || !past_round(words[11]) || !past_round(words[24]) {
             return None;
         }
         let window = |w: u64| u16::try_from(w).ok().filter(|&c| u64::from(c) <= WINDOW_ROUNDS);
@@ -672,10 +672,30 @@ impl LinkState {
         self.hot.push(&mut self.cold, s, cfg)
     }
 
-    /// Admit one `(seq, sample)` arrival through the link's own gate —
-    /// the same in-line check and slow path the service runs — and push
-    /// every sample it releases. The gate's rules are [`SeqGate`]'s, with
-    /// [`MonitorConfig::reorder_window`] as the window.
+    /// Admit one `(seq, sample)` arrival through the link's own sequence
+    /// gate — the same in-line check and slow path the service runs — and
+    /// push every sample it releases, so disordered telemetry is healed
+    /// when possible and **counted** when not, never pushed into the CUSUM
+    /// state out of order.
+    ///
+    /// The gate releases samples in strictly increasing sequence order. A
+    /// sample whose sequence number is within the window
+    /// ([`MonitorConfig::reorder_window`], clamped to [`REORDER_CAP`])
+    /// ahead of the next expected one is parked and released once the gap
+    /// fills; one further ahead slides the window (the skipped sequence
+    /// numbers are counted as dropped); one at or behind the last delivery
+    /// is counted as duplicate (within the window, at least one behind) or
+    /// stale (older), and so is one already parked. Sequence number
+    /// `u64::MAX` is reserved (counted as stale) so the internal arithmetic
+    /// cannot overflow. All decisions are pure functions of the per-link
+    /// arrival order, so the outcome is bit-identical at any ingest thread
+    /// count.
+    ///
+    /// The gate's in-order words sit in the hot record; its counters and
+    /// reorder buffer in the cold one. The buffer exists only while samples
+    /// are parked: it is allocated when the first sample parks and freed as
+    /// soon as the gap heals, so the ~99% of links with nothing out of
+    /// order carry no buffer at all.
     #[inline]
     pub fn admit(&mut self, seq: u64, s: MonitorSample, cfg: &MonitorConfig) -> AdmitDelta {
         self.hot.admit(&mut self.cold, seq, s, cfg.reorder_window, &mut |hot, cold, smp| {
@@ -714,7 +734,7 @@ impl LinkState {
 /// plausible collector skew; larger windows would only delay loss verdicts.
 pub const REORDER_CAP: usize = 8;
 
-/// What one [`SeqGate::admit`] call did, for batch-level accounting. The
+/// What one [`LinkState::admit`] call did, for batch-level accounting. The
 /// gate also keeps running per-link totals; this is the per-call delta the
 /// ingest worker folds into its shard report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -737,6 +757,9 @@ pub struct AdmitDelta {
 /// A sample parked in a reorder buffer, keyed by its sequence number.
 type Parked = Option<(u64, MonitorSample)>;
 
+/// Slots of a reorder buffer (see [`GateCold`]'s `buf`).
+const PARK_SLOTS: usize = REORDER_CAP + 1;
+
 /// The in-order test of admission over a gate's two hot words: the
 /// expected sequence number with nothing parked (`u64::MAX` is reserved).
 #[inline(always)]
@@ -746,8 +769,8 @@ fn in_order(next_seq: u64, parked: u8, seq: u64) -> bool {
 
 /// The part of a gate only out-of-order arrivals touch: its running
 /// counters and its reorder buffer. The two words the in-order path reads,
-/// the next sequence number and the parked count, live with the link's hot
-/// record (or in [`SeqGate`]).
+/// the next sequence number and the parked count, live in the link's hot
+/// record.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct GateCold {
     duplicates: u64,
@@ -755,10 +778,12 @@ pub(crate) struct GateCold {
     reordered: u64,
     dropped: u64,
     /// Parked out-of-order samples, each holding sequence numbers in
-    /// `(next_seq, next_seq + window]`. At most `window ≤ REORDER_CAP`
-    /// distinct values fit, so a vacant slot always exists. `None` while
-    /// nothing is parked.
-    buf: Option<Box<[Parked; REORDER_CAP]>>,
+    /// `(next_seq, next_seq + window]`: at most `window ≤ REORDER_CAP`
+    /// between calls. A window slide can leave a parked sample on the new
+    /// base until the drain that follows, while the arrival that slid it
+    /// parks at the window's far end, so one slot more than the window
+    /// keeps a vacant slot there too. `None` while nothing is parked.
+    buf: Option<Box<[Parked; PARK_SLOTS]>>,
 }
 
 impl GateCold {
@@ -809,7 +834,7 @@ impl GateCold {
 
     /// Decode a gate's counters previously written by
     /// [`GateCold::encode_into`] into `(next_seq, counters)`; the buffer
-    /// starts empty (see [`Gate::restore_parked`]).
+    /// starts empty (see [`LinkHot::restore_parked`]).
     pub(crate) fn decode(bytes: &[u8]) -> Option<(u64, GateCold)> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
@@ -848,21 +873,15 @@ impl Released {
     }
 }
 
-/// A gate borrowed from wherever its parts live: the two hot words (a
-/// [`LinkHot`]'s or a [`SeqGate`]'s) and the cold part. Everything but the
-/// in-order fast path runs here, once, for both owners.
-pub(crate) struct Gate<'a> {
-    pub(crate) next_seq: &'a mut u64,
-    pub(crate) parked: &'a mut u8,
-    pub(crate) cold: &'a mut GateCold,
-}
-
-impl Gate<'_> {
+/// The gate's slow path: everything but the in-order case of
+/// [`LinkHot::admit`], over the two hot words and the link's [`GateCold`].
+impl LinkHot {
     /// Admit an arrival that is not the clean in-order case, collecting
     /// the samples it releases into `out` in delivery order.
     #[inline(never)]
     fn admit_slow(
         &mut self,
+        gate: &mut GateCold,
         seq: u64,
         s: MonitorSample,
         window: u64,
@@ -871,19 +890,19 @@ impl Gate<'_> {
         let mut delta = AdmitDelta::default();
         let w = window.min(REORDER_CAP as u64);
         if seq == u64::MAX {
-            self.cold.stale += 1;
+            gate.stale += 1;
             delta.stale += 1;
             return delta;
         }
-        if seq < *self.next_seq {
+        if seq < self.next_seq {
             // Behind the gate: recently delivered (duplicate) or ancient
             // (stale). The duplicate horizon is at least one so an exact
             // re-send of the last delivery always reads as a duplicate.
-            if *self.next_seq - seq <= w.max(1) {
-                self.cold.duplicates += 1;
+            if self.next_seq - seq <= w.max(1) {
+                gate.duplicates += 1;
                 delta.duplicates += 1;
             } else {
-                self.cold.stale += 1;
+                gate.stale += 1;
                 delta.stale += 1;
             }
             return delta;
@@ -891,41 +910,41 @@ impl Gate<'_> {
         if seq > self.next_seq.saturating_add(w) {
             // Too far ahead: the window slides. Whatever is due before the
             // new base is released (reordered) or given up on (dropped).
-            self.advance_to(seq - w, &mut delta, out);
+            self.advance_to(gate, seq - w, &mut delta, out);
         }
-        if seq == *self.next_seq {
+        if seq == self.next_seq {
             out.push(s);
             delta.delivered += 1;
-            *self.next_seq += 1;
-        } else if self.cold.parked().any(|(q, _)| q == seq) {
+            self.next_seq += 1;
+        } else if gate.parked().any(|(q, _)| q == seq) {
             // (next_seq, next_seq + w], already parked.
-            self.cold.duplicates += 1;
+            gate.duplicates += 1;
             delta.duplicates += 1;
         } else {
             // (next_seq, next_seq + w]: park it.
-            let buf = self.cold.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
+            let buf = gate.buf.get_or_insert_with(|| Box::new([None; PARK_SLOTS]));
             let slot = buf
                 .iter_mut()
                 .find(|s| s.is_none())
                 .expect("reorder buffer full despite window bound (gate invariant broken)");
             *slot = Some((seq, s));
-            *self.parked += 1;
+            self.parked += 1;
         }
-        self.drain(&mut delta, out);
-        if *self.parked == 0 {
-            self.cold.buf = None;
+        self.drain(gate, &mut delta, out);
+        if self.parked == 0 {
+            gate.buf = None;
         }
         delta
     }
 
     /// Take the parked sample with sequence number `q` out of the buffer.
-    fn unpark(&mut self, q: u64) -> MonitorSample {
-        let buf = self.cold.buf.as_mut().expect("unpark from a gate with nothing parked");
+    fn unpark(&mut self, gate: &mut GateCold, q: u64) -> MonitorSample {
+        let buf = gate.buf.as_mut().expect("unpark from a gate with nothing parked");
         let slot = buf
             .iter_mut()
             .find(|s| s.is_some_and(|(p, _)| p == q))
             .expect("unpark of a sequence number that is not parked");
-        *self.parked -= 1;
+        self.parked -= 1;
         slot.take().expect("slot just observed occupied").1
     }
 
@@ -934,38 +953,44 @@ impl Gate<'_> {
     /// buffer capacity, not the distance — a huge sequence jump (collector
     /// restart) costs O(REORDER_CAP²), and the skipped range is *counted*,
     /// never materialized.
-    fn advance_to(&mut self, new_next: u64, delta: &mut AdmitDelta, out: &mut Released) {
-        while *self.next_seq < new_next {
-            match self.cold.parked().map(|(q, _)| q).filter(|&q| q < new_next).min() {
+    fn advance_to(
+        &mut self,
+        gate: &mut GateCold,
+        new_next: u64,
+        delta: &mut AdmitDelta,
+        out: &mut Released,
+    ) {
+        while self.next_seq < new_next {
+            match gate.parked().map(|(q, _)| q).filter(|&q| q < new_next).min() {
                 Some(q) => {
-                    let missing = q - *self.next_seq;
-                    self.cold.dropped += missing;
+                    let missing = q - self.next_seq;
+                    gate.dropped += missing;
                     delta.dropped += missing;
-                    out.push(self.unpark(q));
+                    out.push(self.unpark(gate, q));
                     delta.delivered += 1;
-                    self.cold.reordered += 1;
+                    gate.reordered += 1;
                     delta.reordered += 1;
-                    *self.next_seq = q + 1;
+                    self.next_seq = q + 1;
                 }
                 None => {
-                    let missing = new_next - *self.next_seq;
-                    self.cold.dropped += missing;
+                    let missing = new_next - self.next_seq;
+                    gate.dropped += missing;
                     delta.dropped += missing;
-                    *self.next_seq = new_next;
+                    self.next_seq = new_next;
                 }
             }
         }
     }
 
     /// Release consecutively buffered samples now that the gap has filled.
-    fn drain(&mut self, delta: &mut AdmitDelta, out: &mut Released) {
-        while *self.parked > 0 && self.cold.parked().any(|(q, _)| q == *self.next_seq) {
-            let q = *self.next_seq;
-            out.push(self.unpark(q));
+    fn drain(&mut self, gate: &mut GateCold, delta: &mut AdmitDelta, out: &mut Released) {
+        while self.parked > 0 && gate.parked().any(|(q, _)| q == self.next_seq) {
+            let q = self.next_seq;
+            out.push(self.unpark(gate, q));
             delta.delivered += 1;
-            self.cold.reordered += 1;
+            gate.reordered += 1;
             delta.reordered += 1;
-            *self.next_seq += 1;
+            self.next_seq += 1;
         }
     }
 
@@ -978,11 +1003,16 @@ impl Gate<'_> {
     /// `REORDER_CAP`), or a flags word other than 1 or 3. Such a gate
     /// would never take the fast path again, and its next window slide
     /// would underflow.
-    pub(crate) fn restore_parked(&mut self, rec: [u64; 4], window: u64) -> Option<()> {
+    pub(crate) fn restore_parked(
+        &mut self,
+        gate: &mut GateCold,
+        rec: [u64; 4],
+        window: u64,
+    ) -> Option<()> {
         let [q, far, fp, flags] = rec;
         let w = window.min(REORDER_CAP as u64);
-        let ahead = q.checked_sub(*self.next_seq)?;
-        let above_last = self.cold.parked().all(|(p, _)| p < q);
+        let ahead = q.checked_sub(self.next_seq)?;
+        let above_last = gate.parked().all(|(p, _)| p < q);
         if ahead == 0 || ahead > w || !above_last || !matches!(flags, 1 | 3) {
             return None;
         }
@@ -991,144 +1021,10 @@ impl Gate<'_> {
             path_fp: fp,
             far_addr_ok: flags & 2 != 0,
         };
-        let buf = self.cold.buf.get_or_insert_with(|| Box::new([None; REORDER_CAP]));
-        buf[usize::from(*self.parked)] = Some((q, s));
-        *self.parked += 1;
+        let buf = gate.buf.get_or_insert_with(|| Box::new([None; PARK_SLOTS]));
+        buf[usize::from(self.parked)] = Some((q, s));
+        self.parked += 1;
         Some(())
-    }
-}
-
-/// Per-link admission gate: sequence-number tracking with a small reorder
-/// buffer, so disordered telemetry is healed when possible and **counted**
-/// when not — never silently pushed into the CUSUM state out of order.
-///
-/// The contract: [`SeqGate::admit`] releases samples to the detector in
-/// strictly increasing sequence order. A sample whose sequence number is
-/// within `window` ahead of the next expected one is parked and released
-/// once the gap fills; one further ahead slides the window (the skipped
-/// sequence numbers are counted as dropped); one at or behind the last
-/// delivery is counted as duplicate (within the window) or stale (older).
-/// All decisions are pure functions of the per-link arrival order, so the
-/// outcome is bit-identical at any ingest thread count.
-///
-/// A standalone gate is 56 bytes: the two words the in-order path reads
-/// (which the service keeps in each link's hot record instead), four
-/// counters, and a pointer. The reorder buffer lives behind that pointer
-/// and exists only while the link has samples parked — it is allocated
-/// when the first sample parks and freed as soon as the gap heals, so the
-/// ~99% of links with nothing out of order carry no buffer at all.
-#[derive(Clone, Debug, Default)]
-pub struct SeqGate {
-    /// Next sequence number expected for delivery.
-    next_seq: u64,
-    /// Occupied buffer slots.
-    parked: u8,
-    cold: GateCold,
-}
-
-impl SeqGate {
-    /// A fresh gate expecting sequence number 0.
-    pub fn new() -> SeqGate {
-        SeqGate::default()
-    }
-
-    /// Next sequence number the gate will deliver.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total duplicate sequence numbers seen.
-    pub fn duplicates(&self) -> u64 {
-        self.cold.duplicates
-    }
-
-    /// Total stale (ancient replay) sequence numbers seen.
-    pub fn stale(&self) -> u64 {
-        self.cold.stale
-    }
-
-    /// Total samples delivered out of arrival order via the buffer.
-    pub fn reordered(&self) -> u64 {
-        self.cold.reordered
-    }
-
-    /// Total sequence numbers the window slid past without a sample.
-    pub fn dropped(&self) -> u64 {
-        self.cold.dropped
-    }
-
-    /// Samples currently parked in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        usize::from(self.parked)
-    }
-
-    /// True when `seq` would take the clean in-order fast path of
-    /// [`SeqGate::admit`]: the expected sequence number with nothing
-    /// parked, so the admission delta is a known constant (one delivery,
-    /// no anomalies).
-    #[inline]
-    pub fn in_order(&self, seq: u64) -> bool {
-        in_order(self.next_seq, self.parked, seq)
-    }
-
-    /// The gate's parts, borrowed for everything but the fast path.
-    fn parts(&mut self) -> Gate<'_> {
-        Gate { next_seq: &mut self.next_seq, parked: &mut self.parked, cold: &mut self.cold }
-    }
-
-    /// Admit one `(seq, sample)` arrival. In-order and healed samples are
-    /// handed to `deliver` in strictly increasing sequence order; the rest
-    /// are counted. `window` is clamped to [`REORDER_CAP`]; sequence
-    /// number `u64::MAX` is reserved (rejected as stale) so the internal
-    /// arithmetic cannot overflow.
-    #[inline]
-    pub fn admit(
-        &mut self,
-        seq: u64,
-        s: MonitorSample,
-        window: u64,
-        deliver: &mut impl FnMut(MonitorSample),
-    ) -> AdmitDelta {
-        if self.in_order(seq) {
-            deliver(s);
-            self.next_seq += 1;
-            return AdmitDelta { delivered: 1, ..AdmitDelta::default() };
-        }
-        let mut out = Released::new();
-        let delta = self.parts().admit_slow(seq, s, window, &mut out);
-        out.samples().iter().for_each(|&smp| deliver(smp));
-        delta
-    }
-
-    /// Fixed-layout encode of the gate's counters (see
-    /// [`GateCold::encode_into`]).
-    #[cfg(test)]
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        self.cold.encode_into(self.next_seq, out);
-    }
-
-    /// Number of encoded counter bytes per gate.
-    #[cfg(test)]
-    pub(crate) const ENCODED_LEN: usize = GateCold::ENCODED_LEN;
-
-    /// The gate's parked-sample records under `slot` (see
-    /// [`GateCold::encode_parked`]).
-    #[cfg(test)]
-    pub(crate) fn encode_parked(&self, slot: u64, out: &mut Vec<u8>) {
-        self.cold.encode_parked(slot, out);
-    }
-
-    /// Decode a gate's counters; the buffer starts empty.
-    #[cfg(test)]
-    pub(crate) fn decode(bytes: &[u8]) -> Option<SeqGate> {
-        let (next_seq, cold) = GateCold::decode(bytes)?;
-        Some(SeqGate { next_seq, parked: 0, cold })
-    }
-
-    /// Re-park one sample (see [`Gate::restore_parked`]).
-    #[cfg(test)]
-    pub(crate) fn restore_parked(&mut self, rec: [u64; 4], window: u64) -> Option<()> {
-        self.parts().restore_parked(rec, window)
     }
 }
 
@@ -1177,6 +1073,7 @@ pub fn masked_online_events(
 mod tests {
     use super::*;
     use ixp_chgpt::online_events;
+    use std::collections::btree_map::{BTreeMap, Entry};
 
     fn noisy_step(pattern: &[(usize, f64)], amp: f64) -> Vec<f64> {
         let mut out = Vec::new();
@@ -1311,133 +1208,155 @@ mod tests {
         assert_eq!(st.health(), LinkHealth::PathChange);
     }
 
-    /// Run a `(seq, value)` arrival schedule through a gate and return the
-    /// delivered far values plus the final counter state.
-    fn run_gate(arrivals: &[(u64, f64)], window: u64) -> (Vec<f64>, SeqGate) {
-        let mut gate = SeqGate::new();
-        let mut out = Vec::new();
-        for &(seq, v) in arrivals {
-            gate.admit(seq, MonitorSample::answered(v, 0xAA), window, &mut |s| {
-                out.push(s.far_ms);
-            });
+    /// One link's two records driven through [`LinkHot::admit`] alone: the
+    /// `deliver` closure records what the gate releases and pushes
+    /// nothing, so these tests see the gate's rules in isolation.
+    struct Gated {
+        hot: LinkHot,
+        cold: LinkCold,
+        out: Vec<f64>,
+    }
+
+    impl Gated {
+        fn new() -> Gated {
+            let hot = LinkHot::new(&MonitorConfig::default());
+            Gated { hot, cold: LinkCold::new(), out: Vec::new() }
         }
-        (out, gate)
+
+        /// Admit `seq` carrying far value `v`, recording every release.
+        fn admit(&mut self, seq: u64, v: f64, window: u64) -> AdmitDelta {
+            let out = &mut self.out;
+            let s = MonitorSample::answered(v, 0xAA);
+            self.hot.admit(&mut self.cold, seq, s, window, &mut |_, _, smp| out.push(smp.far_ms))
+        }
+
+        fn stats(&self) -> SeqStats {
+            self.cold.gate.stats(&self.hot)
+        }
+
+        /// Encode the gate the way a shard checkpoint does: the counter
+        /// record, then its parked-sample records under slot 0.
+        fn encode(&self) -> (Vec<u8>, Vec<u8>) {
+            let (mut counters, mut parked) = (Vec::new(), Vec::new());
+            self.cold.gate.encode_into(self.hot.next_seq, &mut counters);
+            self.cold.gate.encode_parked(0, &mut parked);
+            (counters, parked)
+        }
+
+        /// Decode what [`Gated::encode`] wrote onto a fresh link (every
+        /// parked record must name slot 0).
+        fn decode(counters: &[u8], parked: &[u8], window: u64) -> Option<Gated> {
+            let mut g = Gated::new();
+            (g.hot.next_seq, g.cold.gate) = GateCold::decode(counters)?;
+            for rec in parked.chunks(PARKED_LEN) {
+                let w: Vec<u64> =
+                    rec.chunks(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect();
+                if w.len() != 5 || w[0] != 0 {
+                    return None;
+                }
+                g.hot.restore_parked(&mut g.cold.gate, [w[1], w[2], w[3], w[4]], window)?;
+            }
+            Some(g)
+        }
+    }
+
+    /// Run a `(seq, value)` arrival schedule through a fresh link's gate.
+    fn run_gate(arrivals: &[(u64, f64)], window: u64) -> Gated {
+        let mut g = Gated::new();
+        for &(seq, v) in arrivals {
+            g.admit(seq, v, window);
+        }
+        g
     }
 
     #[test]
     fn gate_passes_in_order_stream_through() {
         let arrivals: Vec<(u64, f64)> = (0..50).map(|i| (i, i as f64)).collect();
-        let (out, gate) = run_gate(&arrivals, 4);
-        assert_eq!(out, (0..50).map(|i| i as f64).collect::<Vec<_>>());
-        assert_eq!(gate.next_seq(), 50);
-        assert_eq!(gate.duplicates() + gate.stale() + gate.reordered() + gate.dropped(), 0);
+        let g = run_gate(&arrivals, 4);
+        assert_eq!(g.out, (0..50).map(|i| i as f64).collect::<Vec<_>>());
+        let st = g.stats();
+        assert_eq!(st.next_seq, 50);
+        assert_eq!(st.duplicates + st.stale + st.reordered + st.dropped, 0);
     }
 
     #[test]
     fn gate_heals_reorder_within_window() {
         // 0,1,3,2,4: 3 parks, 2 releases both.
-        let (out, gate) = run_gate(&[(0, 0.0), (1, 1.0), (3, 3.0), (2, 2.0), (4, 4.0)], 4);
-        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(gate.reordered(), 1);
-        assert_eq!(gate.dropped(), 0);
-        assert_eq!(gate.buffered(), 0);
+        let g = run_gate(&[(0, 0.0), (1, 1.0), (3, 3.0), (2, 2.0), (4, 4.0)], 4);
+        assert_eq!(g.out, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        let st = g.stats();
+        assert_eq!((st.reordered, st.dropped, st.buffered), (1, 0, 0));
     }
 
     #[test]
     fn gate_counts_duplicates_and_stale() {
-        let (out, gate) = run_gate(
-            &[(0, 0.0), (1, 1.0), (1, 1.5), (2, 2.0), (0, 0.5), (2, 2.5)],
-            1,
-        );
+        let g = run_gate(&[(0, 0.0), (1, 1.0), (1, 1.5), (2, 2.0), (0, 0.5), (2, 2.5)], 1);
         // Re-sends never reach the detector. With window 1 the duplicate
         // horizon is 1: the seq-0 replay (3 behind) reads as stale.
-        assert_eq!(out, vec![0.0, 1.0, 2.0]);
-        assert_eq!(gate.duplicates(), 2, "seq 1 and seq 2 re-sent within horizon");
-        assert_eq!(gate.stale(), 1, "seq 0 replay is beyond the horizon");
+        assert_eq!(g.out, vec![0.0, 1.0, 2.0]);
+        assert_eq!(g.stats().duplicates, 2, "seq 1 and seq 2 re-sent within horizon");
+        assert_eq!(g.stats().stale, 1, "seq 0 replay is beyond the horizon");
     }
 
     #[test]
     fn gate_slides_window_and_counts_drops() {
         // Jump from 0 straight to 100 with window 4: sequences 0..96 are
         // given up on (96 dropped), 96..100 still have a chance.
-        let (out, gate) = run_gate(&[(100, 100.0)], 4);
-        assert!(out.is_empty(), "seq 100 parks until 96..100 resolve");
-        assert_eq!(gate.dropped(), 96);
-        assert_eq!(gate.next_seq(), 96);
-        assert_eq!(gate.buffered(), 1);
+        let g = run_gate(&[(100, 100.0)], 4);
+        assert!(g.out.is_empty(), "seq 100 parks until 96..100 resolve");
+        let st = g.stats();
+        assert_eq!((st.dropped, st.next_seq, st.buffered), (96, 96, 1));
     }
 
     #[test]
     fn gate_window_zero_is_strict_in_order() {
-        let (out, gate) = run_gate(&[(0, 0.0), (2, 2.0), (1, 1.0), (3, 3.0)], 0);
+        let g = run_gate(&[(0, 0.0), (2, 2.0), (1, 1.0), (3, 3.0)], 0);
         // With no buffer, 2 slides past 1 (dropped), then 1 is stale-or-dup.
-        assert_eq!(out, vec![0.0, 2.0, 3.0]);
-        assert_eq!(gate.dropped(), 1);
-        assert_eq!(gate.duplicates() + gate.stale(), 1);
+        assert_eq!(g.out, vec![0.0, 2.0, 3.0]);
+        assert_eq!(g.stats().dropped, 1);
+        assert_eq!(g.stats().duplicates + g.stats().stale, 1);
     }
 
     #[test]
     fn gate_in_buffer_duplicate_is_counted_once() {
-        let (out, gate) = run_gate(&[(0, 0.0), (3, 3.0), (3, 3.5), (1, 1.0), (2, 2.0)], 4);
-        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(gate.duplicates(), 1);
+        let g = run_gate(&[(0, 0.0), (3, 3.0), (3, 3.5), (1, 1.0), (2, 2.0)], 4);
+        assert_eq!(g.out, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(g.stats().duplicates, 1);
+    }
+
+    /// At a full window, a slide can leave a parked sample on the new base
+    /// while the arrival that slid it parks: lose seq 0, park 1..=8, then
+    /// 9 slides the base to 1 and parks before the drain releases 1..=9.
+    #[test]
+    fn gate_slide_onto_a_parked_base_at_full_window() {
+        let w = REORDER_CAP as u64;
+        let g = run_gate(&(1..=w + 1).map(|i| (i, i as f64)).collect::<Vec<_>>(), w);
+        assert_eq!(g.out, (1..=w + 1).map(|i| i as f64).collect::<Vec<_>>());
+        let st = g.stats();
+        assert_eq!((st.next_seq, st.dropped, st.reordered, st.buffered), (w + 2, 1, w + 1, 0));
     }
 
     #[test]
     fn gate_reserved_seq_is_rejected() {
-        let (out, gate) = run_gate(&[(u64::MAX, 9.0), (0, 0.0)], 4);
-        assert_eq!(out, vec![0.0]);
-        assert_eq!(gate.stale(), 1);
+        let g = run_gate(&[(u64::MAX, 9.0), (0, 0.0)], 4);
+        assert_eq!(g.out, vec![0.0]);
+        assert_eq!(g.stats().stale, 1);
     }
 
     #[test]
     fn gate_never_delivers_out_of_seq_order() {
         // Pseudo-random arrival storm; delivered sequence numbers must be
         // strictly increasing regardless of the mess.
-        let mut gate = SeqGate::new();
-        let mut last: Option<u64> = None;
+        let mut g = Gated::new();
         let mut state = 0x1234_5678u64;
         for i in 0..5000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let jitter = (state >> 33) % 13;
             let seq = (i / 2).saturating_add(jitter).saturating_sub(6);
-            gate.admit(
-                seq,
-                MonitorSample { far_ms: seq as f64, path_fp: 0xAA, far_addr_ok: true },
-                5,
-                &mut |s| {
-                    let q = s.far_ms as u64;
-                    if let Some(p) = last {
-                        assert!(q > p, "delivered {q} after {p}");
-                    }
-                    last = Some(q);
-                },
-            );
+            g.admit(seq, seq as f64, 5);
         }
-        assert!(last.is_some());
-    }
-
-    /// Encode a gate the way a shard checkpoint does: the counter record,
-    /// then its parked-sample records under slot 0.
-    fn encode_gate(gate: &SeqGate) -> (Vec<u8>, Vec<u8>) {
-        let (mut counters, mut parked) = (Vec::new(), Vec::new());
-        gate.encode_into(&mut counters);
-        gate.encode_parked(0, &mut parked);
-        (counters, parked)
-    }
-
-    /// Decode what [`encode_gate`] wrote (every record must name slot 0).
-    fn decode_gate(counters: &[u8], parked: &[u8], window: u64) -> Option<SeqGate> {
-        let mut gate = SeqGate::decode(counters)?;
-        for rec in parked.chunks(PARKED_LEN) {
-            let w: Vec<u64> =
-                rec.chunks(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect();
-            if w.len() != 5 || w[0] != 0 {
-                return None;
-            }
-            gate.restore_parked([w[1], w[2], w[3], w[4]], window)?;
-        }
-        Some(gate)
+        assert!(!g.out.is_empty());
+        assert!(g.out.windows(2).all(|w| w[0] < w[1]), "delivered out of sequence order");
     }
 
     /// One parked-sample record for slot 0.
@@ -1450,41 +1369,36 @@ mod tests {
         // Window 6: 5 and 7 park, 40 slides the window to 34 (healing 5
         // and 7 on the way) and parks — the gate ends with one sample
         // parked, so the roundtrip covers the parked-sample records too.
-        let (_, gate) = run_gate(&[(0, 0.0), (5, 5.0), (7, 7.0), (40, 40.0)], 6);
-        assert_eq!(gate.buffered(), 1);
-        let (counters, parked) = encode_gate(&gate);
-        assert_eq!(counters.len(), SeqGate::ENCODED_LEN);
-        assert_eq!(parked.len(), gate.buffered() * PARKED_LEN);
-        let back = decode_gate(&counters, &parked, 6).unwrap();
-        assert_eq!(encode_gate(&back), (counters.clone(), parked.clone()));
-        assert_eq!(back.next_seq(), gate.next_seq());
-        assert_eq!(back.buffered(), gate.buffered());
+        let mut a = run_gate(&[(0, 0.0), (5, 5.0), (7, 7.0), (40, 40.0)], 6);
+        assert_eq!(a.stats().buffered, 1);
+        let (counters, parked) = a.encode();
+        assert_eq!(counters.len(), GateCold::ENCODED_LEN);
+        assert_eq!(parked.len(), a.stats().buffered * PARKED_LEN);
+        let mut b = Gated::decode(&counters, &parked, 6).unwrap();
+        assert_eq!(b.encode(), (counters.clone(), parked.clone()));
+        assert_eq!(b.stats(), a.stats());
         // A truncated counter record refuses to decode.
-        assert!(SeqGate::decode(&counters[..counters.len() - 1]).is_none());
+        assert!(GateCold::decode(&counters[..counters.len() - 1]).is_none());
         // Parked-record flag words outside {1,3} refuse to decode.
         let mut bad = parked.clone();
         bad[4 * 8] = 0xFF; // the record's flags word
-        assert!(decode_gate(&counters, &bad, 6).is_none());
-        // Both halves continue in lockstep.
-        let (mut a, mut b) = (gate, back);
-        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        assert!(Gated::decode(&counters, &bad, 6).is_none());
+        // Both continue in lockstep.
+        a.out.clear();
         for seq in 34..60 {
-            let s = MonitorSample::answered(seq as f64, 0xAA);
-            let da = a.admit(seq, s, 6, &mut |s| out_a.push(s.far_ms));
-            let db = b.admit(seq, s, 6, &mut |s| out_b.push(s.far_ms));
-            assert_eq!(da, db);
+            assert_eq!(a.admit(seq, seq as f64, 6), b.admit(seq, seq as f64, 6));
         }
-        assert_eq!(out_a, out_b);
-        assert_eq!(encode_gate(&a), encode_gate(&b));
+        assert_eq!(a.out, b.out);
+        assert_eq!(a.encode(), b.encode());
     }
 
     #[test]
     fn gate_decode_rejects_impossible_parked_samples() {
         // A gate at next_seq 10, window 4: parked sequences must lie in
         // (10, 14], each at most once.
-        let gate = run_gate(&(0..10).map(|i| (i, i as f64)).collect::<Vec<_>>(), 4).1;
-        let (counters, _) = encode_gate(&gate);
-        let ok = |recs: &[Vec<u8>]| decode_gate(&counters, &recs.concat(), 4).is_some();
+        let in_order: Vec<(u64, f64)> = (0..10).map(|i| (i, i as f64)).collect();
+        let (counters, _) = run_gate(&in_order, 4).encode();
+        let ok = |recs: &[Vec<u8>]| Gated::decode(&counters, &recs.concat(), 4).is_some();
         assert!(ok(&[parked_record(11, 3), parked_record(14, 1)]));
         assert!(!ok(&[parked_record(10, 3)]), "parked at next_seq");
         assert!(!ok(&[parked_record(7, 3)]), "parked behind next_seq");
@@ -1493,42 +1407,38 @@ mod tests {
         assert!(!ok(&[parked_record(13, 3), parked_record(12, 3)]), "not in sequence order");
         assert!(!ok(&[parked_record(12, 0)]), "vacant flags");
         // The window is the configured one, not the buffer capacity.
-        assert!(decode_gate(&counters, &parked_record(14, 3), 3).is_none());
-        assert!(decode_gate(&counters, &parked_record(11, 3), 0).is_none());
+        assert!(Gated::decode(&counters, &parked_record(14, 3), 3).is_none());
+        assert!(Gated::decode(&counters, &parked_record(11, 3), 0).is_none());
     }
 
     #[test]
     fn gate_is_compact_and_frees_its_buffer_once_healed() {
-        assert!(size_of::<SeqGate>() <= 64, "SeqGate is {} bytes", size_of::<SeqGate>());
-        let mut gate = SeqGate::new();
-        let mut out = Vec::new();
-        let mut admit = |gate: &mut SeqGate, seq: u64| {
-            gate.admit(seq, MonitorSample::answered(seq as f64, 0xAA), 4, &mut |s| {
-                out.push(s.far_ms)
-            });
-        };
-        admit(&mut gate, 0);
-        assert!(gate.cold.buf.is_none(), "in-order traffic allocates nothing");
-        admit(&mut gate, 2);
-        admit(&mut gate, 3);
-        assert_eq!(gate.buffered(), 2);
-        assert!(gate.cold.buf.is_some());
-        admit(&mut gate, 1);
-        assert_eq!(gate.buffered(), 0);
-        assert!(gate.cold.buf.is_none(), "a healed reorder frees the buffer");
+        // Four counters and the buffer pointer; the in-order words live in
+        // the hot record. The buffer is nine 32-byte slots.
+        assert_eq!((size_of::<GateCold>(), size_of::<[Parked; PARK_SLOTS]>()), (40, 288));
+        let mut g = Gated::new();
+        g.admit(0, 0.0, 4);
+        assert!(g.cold.gate.buf.is_none(), "in-order traffic allocates nothing");
+        g.admit(2, 2.0, 4);
+        g.admit(3, 3.0, 4);
+        assert_eq!(g.stats().buffered, 2);
+        assert!(g.cold.gate.buf.is_some());
+        g.admit(1, 1.0, 4);
+        assert_eq!(g.stats().buffered, 0);
+        assert!(g.cold.gate.buf.is_none(), "a healed reorder frees the buffer");
         // A window slide heals what was parked on its way; the buffer
         // goes once the gap in front of the sample it then parks heals.
-        admit(&mut gate, 6);
-        assert!(gate.cold.buf.is_some());
-        admit(&mut gate, 20);
-        admit(&mut gate, 16);
-        assert_eq!(gate.next_seq(), 16 + 1);
-        assert_eq!(gate.buffered(), 1);
-        admit(&mut gate, 17);
-        admit(&mut gate, 18);
-        admit(&mut gate, 19);
-        assert!(gate.cold.buf.is_none());
-        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 6.0, 16.0, 17.0, 18.0, 19.0, 20.0]);
+        g.admit(6, 6.0, 4);
+        assert!(g.cold.gate.buf.is_some());
+        g.admit(20, 20.0, 4);
+        g.admit(16, 16.0, 4);
+        assert_eq!(g.stats().next_seq, 16 + 1);
+        assert_eq!(g.stats().buffered, 1);
+        for seq in 17..20 {
+            g.admit(seq, seq as f64, 4);
+        }
+        assert!(g.cold.gate.buf.is_none());
+        assert_eq!(g.out, vec![0.0, 1.0, 2.0, 3.0, 6.0, 16.0, 17.0, 18.0, 19.0, 20.0]);
     }
 
     /// A quiet in-order sample streams one cache line: the hot record is
@@ -1539,32 +1449,133 @@ mod tests {
         const { assert!(COLD_RECORD_BYTES <= 160) };
     }
 
-    /// A link's own gate admits exactly what a standalone gate in front of
-    /// a bare push loop admits, and leaves the same link state behind.
-    #[test]
-    fn link_admit_matches_gate_then_push() {
-        let cfg = MonitorConfig::default();
-        let series = noisy_step(&[(300, 2.0), (80, 24.0), (300, 2.0)], 1.0);
-        let mut state = 0x9E37_79B9u64;
-        let (mut gated, mut pushed) = (LinkState::with_config(&cfg), LinkState::with_config(&cfg));
-        let mut gate = SeqGate::new();
-        for i in 0..2 * series.len() as u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let seq = (i / 2).saturating_add((state >> 33) % 9).saturating_sub(3);
-            let far = series[seq.min(series.len() as u64 - 1) as usize];
-            let s = MonitorSample::answered(far, 0xAA);
-            let a = gated.admit(seq, s, &cfg);
-            let b = gate.admit(seq, s, cfg.reorder_window, &mut |smp| {
-                pushed.push(&smp, &cfg);
-            });
-            assert_eq!(a, b, "arrival {i} (seq {seq})");
+    /// The gate's rules written out once more, independently of the
+    /// records: a map of parked samples, the duplicate/stale horizon, a
+    /// window slide that walks every skipped sequence number, and the
+    /// reserved `u64::MAX`.
+    struct GateModel {
+        window: u64,
+        next: u64,
+        parked: BTreeMap<u64, MonitorSample>,
+        totals: AdmitDelta,
+    }
+
+    impl GateModel {
+        fn new(window: u64) -> GateModel {
+            let window = window.min(REORDER_CAP as u64);
+            GateModel { window, next: 0, parked: Default::default(), totals: AdmitDelta::default() }
         }
-        assert!(gate.reordered() > 0 && gate.duplicates() > 0 && gate.dropped() > 0);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        gated.encode_into(&mut a);
-        pushed.encode_into(&mut b);
-        assert_eq!(a, b);
-        assert!(gated.alarms() > 0);
+
+        /// Admit `seq`, appending every sample it releases to `out`.
+        fn admit(
+            &mut self,
+            seq: u64,
+            s: MonitorSample,
+            out: &mut Vec<MonitorSample>,
+        ) -> AdmitDelta {
+            let mut d = AdmitDelta::default();
+            if seq == u64::MAX {
+                d.stale = 1;
+            } else if seq < self.next {
+                if self.next - seq <= self.window.max(1) {
+                    d.duplicates = 1;
+                } else {
+                    d.stale = 1;
+                }
+            } else {
+                while seq > self.next + self.window {
+                    match self.parked.remove(&self.next) {
+                        Some(p) => {
+                            out.push(p);
+                            d.delivered += 1;
+                            d.reordered += 1;
+                        }
+                        None => d.dropped += 1,
+                    }
+                    self.next += 1;
+                }
+                if seq == self.next {
+                    out.push(s);
+                    d.delivered += 1;
+                    self.next += 1;
+                } else if let Entry::Vacant(slot) = self.parked.entry(seq) {
+                    slot.insert(s);
+                } else {
+                    d.duplicates = 1;
+                }
+                while let Some(p) = self.parked.remove(&self.next) {
+                    out.push(p);
+                    d.delivered += 1;
+                    d.reordered += 1;
+                    self.next += 1;
+                }
+            }
+            let t = &mut self.totals;
+            t.duplicates += d.duplicates;
+            t.stale += d.stale;
+            t.reordered += d.reordered;
+            t.dropped += d.dropped;
+            d
+        }
+    }
+
+    /// A link's own gate against [`GateModel`] over a pseudo-random storm
+    /// of reorders, replays, window slides and reserved sequence numbers,
+    /// at window 0 and at [`REORDER_CAP`]: the same deltas and the same
+    /// released samples, arrival by arrival; the same counters at the end;
+    /// and [`LinkState::admit`] leaves the state a bare push loop over the
+    /// model's releases does.
+    #[test]
+    fn link_admit_matches_gate_model() {
+        let series = noisy_step(&[(300, 2.0), (80, 24.0), (300, 2.0)], 1.0);
+        for window in [0, REORDER_CAP as u64] {
+            let cfg = MonitorConfig { reorder_window: window, ..MonitorConfig::default() };
+            let mut model = GateModel::new(window);
+            let mut g = Gated::new();
+            let mut gated = LinkState::with_config(&cfg);
+            let mut pushed = LinkState::with_config(&cfg);
+            let mut state = 0x9E37_79B9u64;
+            for i in 0..2 * series.len() as u64 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = state >> 33;
+                let seq = match r % 97 {
+                    0 => u64::MAX,
+                    1 => (i / 2) + 20 + r % 7, // a jump that slides the window
+                    _ => (i / 2).saturating_add(r % 9).saturating_sub(3),
+                };
+                // Each arrival carries a value of its own, so a re-sent
+                // copy delivered in place of the first would show.
+                let far = series[(i / 2) as usize % series.len()] + (i % 2) as f64 * 1e-6;
+                let s = MonitorSample::answered(far, 0xAA);
+                let mut want = Vec::new();
+                let expect = model.admit(seq, s, &mut want);
+                let before = g.out.len();
+                let got = g.hot.admit(&mut g.cold, seq, s, window, &mut |_, _, smp| {
+                    g.out.push(smp.far_ms)
+                });
+                assert_eq!(got, expect, "window {window} arrival {i} (seq {seq})");
+                let released: Vec<f64> = want.iter().map(|m| m.far_ms).collect();
+                assert_eq!(g.out[before..], released, "window {window} arrival {i}");
+                assert_eq!(gated.admit(seq, s, &cfg), expect);
+                for smp in &want {
+                    pushed.push(smp, &cfg);
+                }
+            }
+            let (st, t) = (g.stats(), model.totals);
+            let counts = |d: u32, s: u32, r: u32| (u64::from(d), u64::from(s), u64::from(r));
+            assert_eq!(
+                (st.next_seq, st.buffered, st.dropped),
+                (model.next, model.parked.len(), t.dropped)
+            );
+            assert_eq!((st.duplicates, st.stale, st.reordered), counts(t.duplicates, t.stale, t.reordered));
+            assert!(t.duplicates > 0 && t.stale > 0 && t.dropped > 0, "window {window}: {t:?}");
+            assert_eq!(t.reordered > 0, window > 0, "window {window}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            gated.encode_into(&mut a);
+            pushed.encode_into(&mut b);
+            assert_eq!(a, b, "window {window}");
+            assert!(gated.alarms() > 0);
+        }
     }
 
     #[test]
@@ -1580,7 +1591,7 @@ mod tests {
         st.encode_into(&mut buf);
         assert_eq!(buf.len(), LinkState::ENCODED_LEN);
         // A checkpoint slot is the link state plus the gate's counters.
-        assert_eq!(LinkState::ENCODED_LEN + SeqGate::ENCODED_LEN, 256);
+        assert_eq!(LinkState::ENCODED_LEN + GateCold::ENCODED_LEN, 256);
         let back = LinkState::decode(&buf, &cfg).unwrap();
         // Continuing both must stay in lockstep (state equality via re-encode).
         let mut buf2 = Vec::new();

@@ -25,7 +25,7 @@ pub mod vpstudy;
 
 pub use figures::{Figure, FigureSeries};
 pub use groundtruth::{case_comparisons, confusion, CaseComparison, Confusion};
-pub use parallel::{run_all_vps, run_all_vps_rec};
+pub use parallel::run_all_vps;
 pub use report::StudyReport;
 pub use tables::{IntegrityTable, Table1, Table2};
 pub use vpstudy::{

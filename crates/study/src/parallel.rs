@@ -1,15 +1,15 @@
 //! Running several vantage points concurrently.
 //!
 //! The six VPs are fully independent (separate networks, separate probing),
-//! so the campaign parallelizes perfectly across them. Scoped threads
-//! (`std::thread::scope`) keep borrows simple; results come back in spec
-//! order, and a panicking VP thread propagates out of the scope.
+//! so the campaign parallelizes perfectly across them. The VPs fan out over
+//! [`pool_try_map`] with one worker per VP; results come back in spec
+//! order, and a panicking VP study panics the caller.
 //!
 //! This is the outer of two parallelism levels: within each VP,
 //! [`run_vp_study`](crate::run_vp_study) hands its target list to
-//! `stream_vp_links_rec`, which fans out at *link* granularity over a
-//! work-stealing pool against the shared immutable `&Network`, measuring
-//! and assessing each link in one worker pass (see DESIGN.md §5.11 and
+//! `stream_vp_links_rec`, which fans out at *link* granularity over the
+//! same pool against the shared immutable `&Network`, measuring and
+//! assessing each link in one worker pass (see DESIGN.md §5.11 and
 //! `VpStudyConfig::threads`).
 //! Both levels are deterministic — each target's walk seeds its own
 //! `ProbeCtx` — so output is bit-identical at any thread count.
@@ -17,32 +17,31 @@
 use crate::vpstudy::{run_vp_study_rec, VpStudy, VpStudyConfig};
 use ixp_obs::{NoopRecorder, Recorder};
 use ixp_topology::VpSpec;
+use tslp_core::campaign::pool_try_map;
 
-/// Run a study for every spec, one thread per VP (bounded by the platform).
-pub fn run_all_vps(specs: &[VpSpec], cfg: &VpStudyConfig) -> Vec<VpStudy> {
-    run_all_vps_rec(specs, cfg, &NoopRecorder)
-}
-
-/// [`run_all_vps`] with telemetry: all VP studies share one recorder. Stage
-/// paths are namespaced per VP (`vp/<name>/…`), per-link ledgers are keyed by
-/// address pair, and counter merges are commutative — so the combined
-/// snapshot is identical no matter how the VP threads interleave.
-pub fn run_all_vps_rec<R: Recorder + Sync>(
+/// Run a study for every spec, one worker per VP, all reporting to `rec`
+/// (pass [`NoopRecorder`] for none). Stage paths are namespaced per VP
+/// (`vp/<name>/…`), per-link ledgers are keyed by address pair, and
+/// counter merges are commutative — so the combined snapshot is identical
+/// no matter how the VP workers interleave.
+pub fn run_all_vps<R: Recorder + Sync>(
     specs: &[VpSpec],
     cfg: &VpStudyConfig,
     rec: &R,
 ) -> Vec<VpStudy> {
-    let mut slots: Vec<Option<VpStudy>> = Vec::new();
-    slots.resize_with(specs.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, spec) in slots.iter_mut().zip(specs) {
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                *slot = Some(run_vp_study_rec(spec, &cfg, rec));
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.expect("missing study result")).collect()
+    // The pool's own telemetry stays off: the studies report to `rec`.
+    pool_try_map(
+        specs.len(),
+        specs,
+        || (),
+        |_, _, spec| run_vp_study_rec(spec, cfg, rec),
+        &NoopRecorder,
+        "vp",
+        |_, spec| spec.name.to_string(),
+    )
+    .into_iter()
+    .map(|r| r.unwrap_or_else(|f| panic!("VP study {} failed: {}", f.key, f.message)))
+    .collect()
 }
 
 #[cfg(test)]
@@ -63,7 +62,7 @@ mod tests {
             keep_series: false,
             ..Default::default()
         };
-        let par = run_all_vps(&specs, &cfg);
+        let par = run_all_vps(&specs, &cfg, &NoopRecorder);
         let seq: Vec<_> = specs.iter().map(|s| run_vp_study(s, &cfg)).collect();
         assert_eq!(par.len(), 2);
         for (p, s) in par.iter().zip(&seq) {

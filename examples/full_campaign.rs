@@ -29,11 +29,12 @@
 //! stage profile on stdout. Telemetry only observes — the report is
 //! bit-identical with or without it.
 
-use african_ixp_congestion::obs::{prometheus_text, stage_profile, MetricsRegistry, RunManifest};
+use african_ixp_congestion::obs::{
+    prometheus_text, stage_profile, MetricsRegistry, NoopRecorder, RunManifest,
+};
 use african_ixp_congestion::simnet::prelude::*;
 use african_ixp_congestion::simnet::rng::mix;
 use african_ixp_congestion::study::prelude::*;
-use african_ixp_congestion::study::run_all_vps_rec;
 use african_ixp_congestion::topology::paper_vps;
 use std::time::Instant;
 
@@ -80,8 +81,8 @@ fn main() {
     let t0 = Instant::now();
     let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
     let studies = match &registry {
-        Some(reg) => run_all_vps_rec(&specs, &cfg, reg),
-        None => run_all_vps(&specs, &cfg),
+        Some(reg) => run_all_vps(&specs, &cfg, reg),
+        None => run_all_vps(&specs, &cfg, &NoopRecorder),
     };
     let wall = t0.elapsed().as_secs_f64();
     println!("campaign finished in {wall:.1}s of wall time\n");
