@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p ixp-bench --bin bench-gate -- [--force] [bench…]
+//! cargo run --release -p ixp-bench --bin bench-gate -- ab <rev> [--pairs N] [--workload W]…
 //! ```
 //!
 //! With no bench names it runs all seven (health, detect, obs, campaign,
@@ -11,7 +12,14 @@
 //! and copies `target/bench-records/<bench>.json` over `BENCH_<bench>.json`
 //! only when every bound passes — or, under `--force`, when every failing
 //! bound is forceable. Exits non-zero if any bench failed its gate.
+//!
+//! `ab <rev>` instead runs alternating pairs of the repository benchmark
+//! (`perfbench`) at `<rev>` and in the working tree, and prints per
+//! end-to-end metric the median change/parent ratio, the pairs the change
+//! won and the parent's IQR (see `ixp_bench::ab`; also takes `--seconds S`
+//! and `--seed N`).
 
+use ixp_bench::ab;
 use ixp_bench::gate::{gate, BENCHES};
 use ixp_bench::record::{committed_path, fresh_path, workspace_root};
 use std::ffi::OsStr;
@@ -34,9 +42,21 @@ fn run(cargo: &OsStr, bench: &str, force: bool) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "ab") {
+        let outcome = ab::parse_args(&args[1..]).and_then(|ab_args| ab::run(&workspace_root(), &ab_args));
+        return match outcome {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("bench-gate ab: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
     let mut force = false;
     let mut benches = Vec::new();
-    for arg in std::env::args().skip(1) {
+    for arg in args {
         match BENCHES.iter().find(|&&b| b == arg) {
             Some(&bench) => benches.push(bench),
             None if arg == "--force" => force = true,

@@ -6,10 +6,12 @@
 //! price the speedup against the true pre-change baseline rather than
 //! against the new code's own allocating wrappers. The gated benches write
 //! one [`record::Record`] each, which the `bench-gate` binary judges
-//! against the committed `BENCH_<bench>.json` with [`gate`].
+//! against the committed `BENCH_<bench>.json` with [`gate`]; `bench-gate
+//! ab` ([`ab`]) runs A/B pairs of the repository benchmark.
 
 use ixp_chgpt::segment::DetectorConfig;
 
+pub mod ab;
 pub mod gate;
 pub mod record;
 

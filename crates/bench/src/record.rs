@@ -113,13 +113,20 @@ fn json<T: Serialize + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("record fields encode")
 }
 
-/// The workspace root (where the committed records live).
+/// The workspace root (where the committed records live): the nearest
+/// directory at or above the current one that holds `crates/bench`.
+/// Resolved at run time, so binaries built in one checkout and run from a
+/// copy of it read and write the copy's records. `cargo bench` runs a bench
+/// from `crates/bench`; `bench-gate` runs from anywhere inside the tree.
 pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels down")
-        .into()
+    let cwd = std::env::current_dir().expect("the current directory is readable");
+    workspace_root_from(&cwd)
+        .unwrap_or_else(|| panic!("{} is not inside the workspace (no crates/bench above it)", cwd.display()))
+}
+
+/// [`workspace_root`] as seen from `dir`.
+fn workspace_root_from(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors().find(|d| d.join("crates/bench/Cargo.toml").is_file()).map(Path::to_path_buf)
 }
 
 /// Where `cargo bench --bench <bench>` writes its fresh record.
@@ -146,6 +153,22 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.value("links_1000.ingest_samples_per_sec"), Some(1_502_642.912));
         assert_eq!(back.value("links_10000.steady_rss_mb"), None);
+    }
+
+    #[test]
+    fn workspace_root_follows_the_directory_it_is_resolved_from() {
+        let copy = std::env::temp_dir().join(format!("ixp-bench-root-{}", std::process::id()));
+        let bench = copy.join("crates/bench");
+        std::fs::create_dir_all(bench.join("src")).unwrap();
+        std::fs::write(bench.join("Cargo.toml"), "").unwrap();
+        assert_eq!(workspace_root_from(&bench.join("src")), Some(copy.clone()));
+        assert_eq!(workspace_root_from(&copy), Some(copy.clone()));
+        assert_eq!(workspace_root_from(&std::env::temp_dir()), None);
+        std::fs::remove_dir_all(&copy).unwrap();
+        // This test runs from `crates/bench`, inside this checkout.
+        let here = std::env::current_dir().unwrap();
+        assert_eq!(workspace_root(), workspace_root_from(&here).unwrap());
+        assert!(here.starts_with(workspace_root()));
     }
 
     #[test]

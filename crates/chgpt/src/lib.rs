@@ -30,6 +30,7 @@
 
 pub mod cusum;
 pub mod events;
+pub mod lanes;
 pub mod online;
 pub mod rank;
 pub mod scratch;

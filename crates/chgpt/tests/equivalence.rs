@@ -294,3 +294,38 @@ fn primitive_equivalence_on_random_windows() {
         }
     }
 }
+
+/// Lending cannot move the output. With spare lanes forced on the calling
+/// thread, segmentation hands windows of 1,024+ samples to helpers; the
+/// segments, their levels and their boundary confidences are those of the
+/// serial path bit for bit, on the corpus and on a 13-month series with
+/// several congestion episodes.
+#[test]
+fn lent_windows_match_the_serial_path() {
+    use ixp_chgpt::lanes::Lanes;
+    let n = 395 * 288;
+    let months: Vec<f64> = (0..n)
+        .map(|i| {
+            let (day, hour) = (i / 288, (i % 288) as f64 / 12.0);
+            let episode = (30..95).contains(&day) || (180..200).contains(&day) || (300..360).contains(&day);
+            let lift = if episode && (18.0..23.0).contains(&hour) { 15.0 } else { 0.0 };
+            let step = if day >= 240 { 3.0 } else { 0.0 };
+            4.0 + lift + step + 1.5 * unoise(99, i as u64)
+        })
+        .collect();
+    let mut cases = corpus(5);
+    cases.push(("13 months", months));
+    let bits = |s: &[Segment]| -> Vec<(usize, usize, u64, u64)> {
+        s.iter().map(|g| (g.start, g.end, g.level.to_bits(), g.confidence.to_bits())).collect()
+    };
+    let lanes = Lanes::new(3);
+    let mut scratch = DetectorScratch::new();
+    for (shape, series) in &cases {
+        let cfg = DetectorConfig { magnitude_gate: 2.0, ..DetectorConfig::default() };
+        let serial = bits(scratch.level_segments(series, &cfg));
+        let _installed = lanes.install();
+        assert_eq!(bits(scratch.level_segments(series, &cfg)), serial, "{shape}");
+        assert_eq!(lanes.spare(), 3, "{shape}: every lent lane came back");
+    }
+    assert!(lanes.lent() > 0, "the 13-month series lends windows");
+}

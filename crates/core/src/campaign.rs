@@ -12,6 +12,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::series::{LinkSeries, SeriesConfig};
+use ixp_chgpt::lanes::Lanes;
 use ixp_obs::{Histogram, LinkEvent, LinkKey, LinkRecorder, NoopRecorder, Recorder, SheetRecorder};
 use ixp_prober::tslp::{tslp_probe_rec, TslpConfig, TslpTarget};
 use ixp_simnet::net::{Network, ProbeCtx};
@@ -21,7 +22,7 @@ use ixp_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Telemetry key for a measured link: near/far interface addresses.
@@ -506,8 +507,35 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `threads = 1` (or a single item) runs inline on the calling thread with
 /// one state, no pool.
+///
+/// Lanes: a pool of several workers installs one [`Lanes`] value on each
+/// of them. A worker whose claim loop finds no items left gives its lane
+/// back, so the items still running can lend it to helper threads (window
+/// segmentation, speculative loss campaigns; see [`ixp_chgpt::lanes`]).
+/// Requested threads beyond the item count start out spare. The inline
+/// path installs nothing.
 pub fn pool_try_map<T, R, S, Rec>(
     threads: usize,
+    items: &[T],
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &T) -> R + Sync,
+    rec: &Rec,
+    pool: &str,
+    key_of: impl Fn(usize, &T) -> String + Sync,
+) -> Vec<Result<R, WorkerFailure>>
+where
+    T: Sync,
+    R: Send,
+    Rec: Recorder + Sync,
+{
+    pool_with_lanes(threads, Lanes::new, items, init, f, rec, pool, key_of)
+}
+
+/// [`pool_try_map`] with the pool's lanes built by `new_lanes(spare)`.
+#[allow(clippy::too_many_arguments)]
+fn pool_with_lanes<T, R, S, Rec>(
+    threads: usize,
+    new_lanes: fn(usize) -> Arc<Lanes>,
     items: &[T],
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &T) -> R + Sync,
@@ -543,7 +571,8 @@ where
     // Per-worker wall clock, read only when telemetry is on — the off path
     // must not touch `Instant` at all.
     let clock = |on: bool| if on { Some(Instant::now()) } else { None };
-    let threads = resolve_threads(threads).min(items.len().max(1));
+    let lanes = resolve_threads(threads);
+    let threads = lanes.min(items.len().max(1));
     if threads <= 1 {
         let t0 = clock(rec.enabled());
         let mut state = None;
@@ -560,10 +589,12 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, WorkerFailure>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
+    let lanes = new_lanes(lanes - threads);
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let (run_one, slots, next, rec, clock) = (&run_one, &slots, &next, &rec, &clock);
+            let (run_one, slots, next, rec, clock, lanes) = (&run_one, &slots, &next, &rec, &clock, &lanes);
             scope.spawn(move || {
+                let _installed = lanes.install();
                 let t0 = clock(rec.enabled());
                 let mut state = None;
                 let mut done = 0u64;
@@ -574,6 +605,8 @@ where
                     *slots[i].lock().expect("slot lock poisoned") = Some(r);
                     done += 1;
                 }
+                // No items left: the links still running may borrow this lane.
+                lanes.release();
                 if let Some(t0) = t0 {
                     rec.worker(pool, w, done, t0.elapsed().as_nanos() as u64);
                 }
@@ -703,6 +736,80 @@ mod tests {
         // Empty input is fine.
         let empty = pool_try_map(4, &[] as &[u64], || (), |_, _, &x| x, &NoopRecorder, "pool", |i, _| i.to_string());
         assert!(empty.is_empty());
+    }
+
+    /// Deterministic diurnal-ish series of `days` days for the lanes tests.
+    fn lanes_series(days: usize, seed: u64) -> Vec<f64> {
+        (0..days * 288)
+            .map(|i| {
+                let lift = if (200..260).contains(&(i % 288)) && (i / 288) % 7 < 5 { 12.0 } else { 0.0 };
+                let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                3.0 + lift + ((h >> 11) as f64 / (1u64 << 53) as f64)
+            })
+            .collect()
+    }
+
+    /// Counted with a metered pool: every segmentation window, and each
+    /// item's own work, is a section, and no more than `threads` sections
+    /// run at once while finished workers' lanes go to the long items'
+    /// windows. The output is the serial detector's, and every lane comes
+    /// back.
+    #[test]
+    fn pool_workers_and_helpers_never_exceed_threads() {
+        let cfg = ixp_chgpt::DetectorConfig::default();
+        let items: Vec<Vec<f64>> =
+            [60, 1, 2, 45, 1, 1, 3, 1].iter().enumerate().map(|(k, &d)| lanes_series(d, k as u64)).collect();
+        let seen = std::sync::OnceLock::new();
+        let got = pool_with_lanes(
+            3,
+            Lanes::metered,
+            &items,
+            DetectorScratch::new,
+            |scratch, _, series| {
+                let lanes = ixp_chgpt::lanes::current().expect("pool workers hold lanes");
+                seen.get_or_init(|| Arc::clone(&lanes));
+                lanes.section(|| std::hint::black_box(series.iter().sum::<f64>()));
+                scratch.detect_change_points(series, &cfg).to_vec()
+            },
+            &NoopRecorder,
+            "lanes",
+            |i, _| i.to_string(),
+        );
+        for (r, series) in got.into_iter().zip(&items) {
+            assert_eq!(r.unwrap(), ixp_chgpt::detect_change_points(series, &cfg));
+        }
+        let lanes: &Arc<Lanes> = seen.get().expect("an item ran");
+        assert!((1..=3).contains(&lanes.peak_busy()), "peak {}", lanes.peak_busy());
+        assert_eq!(lanes.spare(), 3);
+    }
+
+    /// A speculative side computation that panics quarantines its item
+    /// only when the item uses the result, exactly as if the item had run
+    /// it itself; the lanes all come back either way. Four requested
+    /// threads over two items leave two lanes spare from the start, so the
+    /// speculation runs on a helper.
+    #[test]
+    fn a_panicking_speculation_fails_only_the_item_that_uses_it() {
+        use ixp_chgpt::lanes::speculate;
+        let seen = std::sync::OnceLock::new();
+        let got = pool_try_map(
+            4,
+            &[false, true],
+            || (),
+            |_, _, &uses| {
+                seen.get_or_init(|| ixp_chgpt::lanes::current().expect("pool workers hold lanes"));
+                speculate(true, || -> u32 { panic!("loss probe failed") }, |take| if uses { take() } else { 7 })
+            },
+            &NoopRecorder,
+            "speculate",
+            |i, _| i.to_string(),
+        );
+        assert_eq!(got[0], Ok(7));
+        let e = got[1].as_ref().expect_err("the item that takes the result fails");
+        assert!(e.message.contains("loss probe failed"), "{}", e.message);
+        let lanes = seen.get().expect("an item ran");
+        assert_eq!(lanes.lent(), 2, "both speculations ran on a helper");
+        assert_eq!(lanes.spare(), 4);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::series::LinkSeries;
 use ixp_obs::{LinkEvent, LinkKey, Recorder};
-use ixp_simnet::time::{SimDuration, SimTime};
+use ixp_simnet::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Data-quality verdict for a link (per window, and overall).
@@ -313,13 +313,6 @@ impl HealthReport {
             .any(|&c| i + slack >= c && i <= c.saturating_add(slack))
     }
 
-    /// Gap intervals mapped to campaign time on `series`' grid.
-    pub fn gap_times(&self, series: &LinkSeries) -> Vec<(SimTime, SimTime, GapKind)> {
-        self.gaps
-            .iter()
-            .map(|g| (series.timestamp(g.start), series.timestamp(g.end), g.kind))
-            .collect()
-    }
 }
 
 /// Collect maximal runs of non-finite samples at least `min_run` long.

@@ -502,11 +502,6 @@ impl MonitorService {
         self.flight.lock().take()
     }
 
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.flight.lock().clone()
-    }
-
     /// Service-mode transitions observed so far, as `(batch, mode)` pairs
     /// in batch order (empty until the first Healthy↔Degraded flip).
     pub fn mode_history(&self) -> Vec<(u64, ServiceMode)> {

@@ -8,7 +8,6 @@
 //! peering/management LANs so that prefix ownership is consistent across the
 //! whole synthetic Internet.
 
-use crate::asdb::AsKind;
 use ixp_simnet::prelude::{Asn, Ipv4, Prefix};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -103,16 +102,6 @@ impl AddressRegistry {
         self.delegations.push(Delegation { prefix, asn, country: country.to_string(), date, status });
         self.by_asn.entry(asn.0).or_default().push(idx);
         prefix
-    }
-
-    /// Convenience: the customary allocation size per AS kind.
-    pub fn default_len(kind: AsKind) -> u8 {
-        match kind {
-            AsKind::Transit => 16,
-            AsKind::Access | AsKind::Mobile => 20,
-            AsKind::Content | AsKind::Education => 22,
-            AsKind::IxpOperator => 24,
-        }
     }
 
     /// All delegations, in allocation order.

@@ -300,14 +300,6 @@ impl Link {
         }
     }
 
-    /// The interface address a packet travelling in `dir` arrives at.
-    pub fn arrival_addr(&self, dir: Dir) -> Ipv4 {
-        match dir {
-            Dir::AtoB => self.addr_b,
-            Dir::BtoA => self.addr_a,
-        }
-    }
-
     /// Replace the offered load of one direction (scenario phase changes).
     pub fn set_load(&mut self, dir: Dir, load: Arc<dyn OfferedLoad>) {
         self.loads[dir.index()] = load;

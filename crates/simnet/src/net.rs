@@ -692,10 +692,6 @@ impl Network {
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len() as u32).map(NodeId)
     }
-    /// Iterate link ids.
-    pub fn link_ids(&self) -> impl Iterator<Item = LinkId> {
-        (0..self.links.len() as u32).map(LinkId)
-    }
 
     /// Which node/interface owns `addr`?
     pub fn owner_of(&self, addr: Ipv4) -> Option<(NodeId, IfaceId)> {

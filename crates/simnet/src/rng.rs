@@ -105,18 +105,10 @@ pub mod streams {
     pub const FAULT_LOSS: u64 = 0x03;
     /// ICMP generation jitter.
     pub const ICMP_JITTER: u64 = 0x04;
-    /// Topology generation.
-    pub const TOPOLOGY: u64 = 0x05;
-    /// Routing-change (path flap) schedule.
-    pub const ROUTE_FLAP: u64 = 0x06;
-    /// Probe scheduling jitter.
-    pub const PROBE_JITTER: u64 = 0x07;
     /// RTT measurement micro-jitter.
     pub const RTT_JITTER: u64 = 0x08;
     /// Geolocation database error model.
     pub const GEO_ERROR: u64 = 0x09;
-    /// Packet corruption (fault injection).
-    pub const FAULT_CORRUPT: u64 = 0x0a;
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! are, and how close are the measured waveform characteristics (`A_w`,
 //! `Δt_UD`) to the scripted ones.
 
-use crate::vpstudy::{LinkOutcome, VpStudy};
+use crate::vpstudy::VpStudy;
 use ixp_topology::TruthKind;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -185,14 +185,6 @@ pub fn render_validation(studies: &[VpStudy]) -> String {
         );
     }
     out
-}
-
-/// Check a single outcome against its truth (used by integration tests).
-pub fn outcome_consistent(o: &LinkOutcome) -> bool {
-    match &o.truth {
-        None => true,
-        Some(kind) => o.congested() == truth_expects_congested(kind) || !cause_is_queueing(kind),
-    }
 }
 
 #[cfg(test)]

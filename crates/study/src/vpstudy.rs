@@ -410,6 +410,29 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
             |scratch, i, _target, series: LinkSeries, screened_out| {
                 let l = &discovered[i];
                 let series = &series;
+        // Loss campaign window (§4), clamped to the window where the far
+        // end still answers — probing a withdrawn link (GHANATEL after
+        // 06/08/2016) measures only absence.
+        let loss_window = cfg.with_loss.then(|| {
+            let last_valid = series
+                .far_ms
+                .iter()
+                .rposition(|v| v.is_finite())
+                .map(|i| series.timestamp(i) + SimDuration::from_days(1))
+                .unwrap_or(end);
+            let loss_start = ixp_traffic::scenarios::dates::loss_campaign_start().max(start);
+            let loss_end = ixp_traffic::scenarios::dates::loss_campaign_end().min(end).min(last_valid);
+            (loss_start < loss_end).then_some((loss_start, loss_end))
+        }).flatten();
+        // The campaign depends on the series alone, not on the assessment,
+        // so an unscreened link starts it on a spare lane, if there is one,
+        // while the detector runs; it is used only if the verdict asks.
+        let (net, vp) = (&substrate.net, substrate.vp);
+        let measure_loss = move || {
+            let (from, until) = loss_window?;
+            Some(measure_loss_series(net, vp, l.dst, l.far_ttl, &LossCampaignConfig::paper(from, until)))
+        };
+        ixp_chgpt::lanes::speculate(loss_window.is_some() && !screened_out, measure_loss, |take_loss| {
         let key = LinkKey::new(l.near.0, l.far.0);
         // Measurement-integrity mask: classify the series once, thread the
         // gap/outage intervals through every threshold's assessment.
@@ -451,32 +474,18 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
             None
         };
 
-        // Loss campaign for links with repeated congestion events (§4),
-        // clamped to the window where the far end still answers — probing a
-        // withdrawn link (GHANATEL after 06/08/2016) measures only absence.
+        // Loss campaign for links with repeated congestion events (§4).
         let loss = if cfg.with_loss && assessment.congested && assessment.events.len() >= 3 {
-            let last_valid = series
-                .far_clean()
-                .1
-                .last()
-                .map(|&i| series.timestamp(i) + SimDuration::from_days(1))
-                .unwrap_or(end);
-            let loss_start = ixp_traffic::scenarios::dates::loss_campaign_start().max(start);
-            let loss_end = ixp_traffic::scenarios::dates::loss_campaign_end().min(end).min(last_valid);
-            if loss_start < loss_end {
+            take_loss().map(|ls| {
                 rec.add("loss_campaigns", 1);
-                let lc = LossCampaignConfig::paper(loss_start, loss_end);
-                let ls = measure_loss_series(&substrate.net, substrate.vp, l.dst, l.far_ttl, &lc);
                 let split = split_by_events(&ls, &assessment.events);
-                Some(LossSummary {
+                LossSummary {
                     mean: ls.mean(),
                     max: ls.max(),
                     during_events: split.during_events,
                     outside_events: split.outside_events,
-                })
-            } else {
-                None
-            }
+                }
+            })
         } else {
             None
         };
@@ -515,6 +524,7 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
         // The series drops here — the streaming contract: nothing past this
         // point holds a window that already has its verdict.
         (outcome, rounds, screened_out)
+        })
             },
         )
     };
@@ -689,6 +699,40 @@ mod tests {
                 serde_json::to_string(&x.assessment).unwrap(),
                 serde_json::to_string(&y.assessment).unwrap()
             );
+        }
+    }
+
+    /// Lent lanes cannot move an outcome: a window long enough for
+    /// segmentation windows of 1,024+ samples to be lent, overlapping the
+    /// loss campaign so unscreened links start it speculatively, gives the
+    /// same outcomes at 1, 2 and 4 threads.
+    #[test]
+    fn outcomes_with_lent_lanes_identical_at_1_2_4_threads() {
+        let spec = &paper_vps()[3];
+        let run = |threads: usize| {
+            let cfg = VpStudyConfig {
+                window: Some((SimTime::from_date(2016, 4, 4), SimTime::from_date(2016, 8, 8))),
+                max_links: Some(12),
+                threads,
+                ..Default::default()
+            };
+            run_vp_study(spec, &cfg)
+        };
+        let json = |o: &LinkOutcome| {
+            serde_json::to_string(&(&o.sweep, &o.assessment, &o.loss, o.health)).unwrap()
+        };
+        let serial = run(1);
+        assert!(serial.outcomes.iter().any(|o| o.loss.is_some()), "NETPAGE runs its loss campaign");
+        for threads in [2, 4] {
+            let study = run(threads);
+            assert_eq!((study.screened, study.probe_rounds), (serial.screened, serial.probe_rounds));
+            assert_eq!(study.outcomes.len(), serial.outcomes.len());
+            for (x, y) in study.outcomes.iter().zip(&serial.outcomes) {
+                assert_eq!((x.near, x.far), (y.near, y.far));
+                assert!(x.quarantined.is_none(), "{}: {:?}", x.far_name, x.quarantined);
+                assert_eq!(json(x), json(y), "{} at {threads} threads", x.far_name);
+                assert_eq!(x.symmetry, y.symmetry);
+            }
         }
     }
 

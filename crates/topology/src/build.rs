@@ -30,7 +30,7 @@ use ixp_simnet::prelude::*;
 use ixp_simnet::rng::HashNoise;
 use ixp_simnet::time::SimDuration;
 use ixp_traffic::profile::{DiurnalLoad, Shape};
-use ixp_traffic::scenarios::{self, Cause, GroundTruth, LinkScenario};
+use ixp_traffic::scenarios::{self, Cause, LinkScenario};
 use ixp_traffic::slowpath::RandomShifts;
 use std::sync::Arc;
 
@@ -45,8 +45,7 @@ pub enum TruthKind {
         /// Magnitude scale in milliseconds.
         scale_ms: f64,
     },
-    /// One of the scripted case studies; the name keys
-    /// [`VpSubstrate::scenario_truth`].
+    /// One of the scripted case studies in `ixp_traffic::scenarios`.
     CaseStudy {
         /// Scenario name ("GIXA-GHANATEL", "GIXA-KNET", "QCELL-NETPAGE").
         scenario: &'static str,
@@ -149,17 +148,6 @@ impl VpSubstrate {
         v
     }
 
-    /// Scenario ground truth by name, for the validation step that stands in
-    /// for the paper's operator interviews.
-    pub fn scenario_truth(&self, scenario: &str) -> Option<GroundTruth> {
-        let noise = HashNoise::new(0); // truths carry no randomness
-        match scenario {
-            "GIXA-GHANATEL" => Some(scenarios::gixa_ghanatel(noise).truth),
-            "GIXA-KNET" => Some(scenarios::gixa_knet(noise).truth),
-            "QCELL-NETPAGE" => Some(scenarios::qcell_netpage(noise).truth),
-            _ => None,
-        }
-    }
 }
 
 /// Internal builder state.

@@ -28,9 +28,8 @@
 //!   owns whole /16s: the core's table holds one route per /16 (hundreds),
 //!   each border one route per member /24 (thousands).
 //!
-//! TTLs from the vp: 1 = core, 2 = border (near), 3 = member (far). The
-//! six-IXP case ([`ContinentSpec::paper_scale`]) mirrors the study's six
-//! exchange points; [`ContinentSpec::continental`] is the full substrate.
+//! TTLs from the vp: 1 = core, 2 = border (near), 3 = member (far).
+//! [`ContinentSpec::with_total_links`] sizes a substrate to a link count.
 
 use ixp_simnet::link::{LinkConfig, Schedule};
 use ixp_simnet::prelude::*;
@@ -56,25 +55,6 @@ pub struct ContinentSpec {
 }
 
 impl ContinentSpec {
-    /// The full-substrate shape: ~300 IXPs, ~36k member ASes, ~108k links.
-    pub fn continental() -> ContinentSpec {
-        ContinentSpec {
-            ixps: 300,
-            members_per_ixp: 120,
-            max_links_per_member: 5,
-            congested_fraction: 0.02,
-        }
-    }
-
-    /// The paper's scale as a special case: six exchange points.
-    pub fn paper_scale() -> ContinentSpec {
-        ContinentSpec {
-            ixps: 6,
-            members_per_ixp: 40,
-            max_links_per_member: 3,
-            congested_fraction: 0.05,
-        }
-    }
 
     /// A shape whose expected link count is roughly `links` — the bench
     /// scaling knob. Exchange-point count grows with the target so the

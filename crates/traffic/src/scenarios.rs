@@ -37,10 +37,6 @@ use std::sync::Arc;
 pub mod dates {
     use ixp_simnet::time::SimTime;
 
-    /// Latency campaign start (22/02/2016).
-    pub fn campaign_start() -> SimTime {
-        SimTime::from_date(2016, 2, 22)
-    }
     /// Latency campaign end (27/03/2017).
     pub fn campaign_end() -> SimTime {
         SimTime::from_date(2017, 3, 27)
