@@ -165,7 +165,7 @@ impl Summary {
     }
 
     /// The change's median beats the parent's by more than the parent's IQR.
-    pub fn clears_iqr(&self, higher_is_better: bool) -> bool {
+    fn clears_iqr(&self, higher_is_better: bool) -> bool {
         let gain = if higher_is_better {
             self.change_median - self.parent_median
         } else {

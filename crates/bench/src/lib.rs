@@ -25,7 +25,7 @@ fn unoise(seed: u64, i: u64) -> f64 {
 
 /// A 13-month, 5-minute-sample link series in one of the campaign's
 /// characteristic shapes. `months` scales the length for quick runs.
-pub fn synth_link(kind: usize, seed: u64, months: usize) -> Vec<f64> {
+fn synth_link(kind: usize, seed: u64, months: usize) -> Vec<f64> {
     let n = months * 30 * 288; // 30-day months of 5-minute samples
     match kind % 4 {
         // Healthy: flat 5 ms with ~1 ms jitter (most of any real campaign).

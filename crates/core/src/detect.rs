@@ -366,6 +366,24 @@ pub fn record_assessment<R: Recorder>(rec: &R, key: LinkKey, a: &Assessment) {
     }
 }
 
+/// Fold one link's health report into a telemetry recorder: the overall
+/// class lands in a `health_<class>` counter, the gap burden in
+/// `health_gap_rounds`, and the class token and path-change count in the
+/// link's ledger.
+pub fn record_health<R: Recorder>(rec: &R, key: LinkKey, rep: &HealthReport) {
+    if !rec.enabled() {
+        return;
+    }
+    rec.add("links_classified", 1);
+    rec.add(&format!("health_{}", rep.overall.token()), 1);
+    rec.add("health_gap_rounds", rep.gap_rounds() as u64);
+    rec.link_event(key, LinkEvent::Health(rep.overall.token()));
+    if !rep.path_changes.is_empty() {
+        rec.add("health_path_change_total", rep.path_changes.len() as u64);
+        rec.link_event(key, LinkEvent::PathChanges(rep.path_changes.len() as u64));
+    }
+}
+
 /// The threshold-dependent half of the assessment, shared by every entry
 /// point. `threshold_ms` overrides `cfg.threshold_ms` (the segmentation
 /// carries its own detector settings). A clean `mask` (no gaps, near gaps

@@ -26,7 +26,6 @@
 //!   source (loopback-sourced routers, path changes under the measurement).
 
 use crate::series::LinkSeries;
-use ixp_obs::{LinkEvent, LinkKey, Recorder};
 use ixp_simnet::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -412,29 +411,6 @@ pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
         mean_interarrival,
         path_changes,
     }
-}
-
-/// [`classify_link`] with telemetry: the overall class lands in a
-/// `health_<class>` counter, the gap burden in `health_gap_rounds`, and the
-/// class token in the link's ledger. The report itself is unchanged.
-pub fn classify_link_rec<R: Recorder>(
-    series: &LinkSeries,
-    cfg: &HealthConfig,
-    rec: &R,
-    key: LinkKey,
-) -> HealthReport {
-    let rep = classify_link(series, cfg);
-    if rec.enabled() {
-        rec.add("links_classified", 1);
-        rec.add(&format!("health_{}", rep.overall.token()), 1);
-        rec.add("health_gap_rounds", rep.gap_rounds() as u64);
-        rec.link_event(key, LinkEvent::Health(rep.overall.token()));
-        if !rep.path_changes.is_empty() {
-            rec.add("health_path_change_total", rep.path_changes.len() as u64);
-            rec.link_event(key, LinkEvent::PathChanges(rep.path_changes.len() as u64));
-        }
-    }
-    rep
 }
 
 #[cfg(test)]

@@ -34,13 +34,12 @@ pub use campaign::{
 };
 pub use checkpoint::{BlobStatus, CheckpointStore};
 pub use detect::{
-    assess_at_thresholds_masked_with, assess_link, record_assessment, ArtifactCause,
+    assess_at_thresholds_masked_with, assess_link, record_assessment, record_health, ArtifactCause,
     ArtifactCauseKind, AssessConfig, Assessment, EventEvidence, NearGuard, TimedEvent,
     WaveformStats,
 };
 pub use health::{
-    classify_link, classify_link_rec, GapInterval, GapKind, HealthConfig, HealthReport, LinkHealth,
-    WindowEvidence,
+    classify_link, GapInterval, GapKind, HealthConfig, HealthReport, LinkHealth, WindowEvidence,
 };
 pub use lossanalysis::{measure_loss_series, split_by_events, LossCampaignConfig, LossSeries, LossSplit};
 pub use series::{LinkSeries, SeriesConfig};

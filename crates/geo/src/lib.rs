@@ -50,7 +50,6 @@ pub fn capital_of(country: &str) -> &'static str {
 /// A Netacuity-style prefix-keyed geolocation database with injected error.
 pub struct GeoDb {
     table: PrefixTable<GeoRecord>,
-    error_rate: f64,
     noise: HashNoise,
 }
 
@@ -82,12 +81,12 @@ impl GeoDb {
                 );
             }
         }
-        GeoDb { table, error_rate, noise }
+        GeoDb { table, noise }
     }
 
     /// An empty database (tests).
     pub fn empty() -> GeoDb {
-        GeoDb { table: PrefixTable::new(), error_rate: 0.0, noise: HashNoise::new(0) }
+        GeoDb { table: PrefixTable::new(), noise: HashNoise::new(0) }
     }
 
     /// Insert one record directly.
@@ -98,11 +97,6 @@ impl GeoDb {
     /// Look up an address.
     pub fn lookup(&self, addr: Ipv4) -> Option<&GeoRecord> {
         self.table.lookup(addr).map(|(_, r)| r)
-    }
-
-    /// The configured error rate.
-    pub fn error_rate(&self) -> f64 {
-        self.error_rate
     }
 
     /// Internal noise handle (for derived synthetic artefacts).

@@ -225,11 +225,6 @@ impl VerdictIndex {
         self.n_links == 0
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Current verdict for link `id`; [`LinkVerdict::empty`] for an unknown
     /// id. Total (never panics): a dashboard poller with a stale link list
     /// gets an empty verdict, not a crash inside the read lock.
@@ -360,7 +355,7 @@ mod tests {
 
     /// `(link id, record)` pairs as `(slot, record)` pairs.
     fn slots<V: Copy>(idx: &VerdictIndex, ups: &[(u32, V)]) -> Vec<(u32, V)> {
-        let n = idx.shard_count() as u32;
+        let n = idx.shards.len() as u32;
         ups.iter().map(|&(id, v)| (id / n, v)).collect()
     }
 
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn layout_strides_links_across_shards() {
         let idx = VerdictIndex::new(10, 3, 1);
-        assert_eq!(idx.shard_count(), 3);
+        assert_eq!(idx.shards.len(), 3);
         // 10 links over 3 shards: shard 0 gets ids 0,3,6,9 (4 slots).
         let ixp_of = vec![0u32; 10];
         publish_hot(&idx, 0, &[(9, hot(5, false))], &ixp_of);

@@ -52,7 +52,7 @@ pub use service::{
 };
 pub use state::{
     masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample,
-    COLD_RECORD_BYTES, HOT_RECORD_BYTES, REORDER_CAP,
+    COLD_RECORD_BYTES, HOT_RECORD_BYTES, MASK_SLACK_ROUNDS, REORDER_CAP,
 };
 
 /// Common imports.
@@ -64,6 +64,6 @@ pub mod prelude {
     };
     pub use crate::state::{
         masked_online_events, AdmitDelta, LinkState, LinkUpdate, MonitorEvent, MonitorSample,
-        REORDER_CAP,
+        MASK_SLACK_ROUNDS, REORDER_CAP,
     };
 }

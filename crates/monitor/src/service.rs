@@ -77,7 +77,8 @@
 
 use crate::index::{LinkVerdict, VerdictIndex};
 use crate::state::{
-    GateCold, LinkCold, LinkHot, MonitorSample, MIN_GAP_ROUNDS, PARKED_LEN, WINDOW_ROUNDS,
+    GateCold, LinkCold, LinkHot, MonitorSample, MASK_SLACK_ROUNDS, MIN_GAP_ROUNDS, PARKED_LEN,
+    WINDOW_ROUNDS,
 };
 use ixp_chgpt::{OnlineConfig, OnlineVerdict};
 use ixp_obs::{FlightRecorder, NoopRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
@@ -102,8 +103,6 @@ pub struct MonitorConfig {
     pub shards: usize,
     /// Ingest worker threads (0 = all cores, 1 = sequential).
     pub threads: usize,
-    /// A path change at round `c` masks upshifts in `[c, c + mask_slack]`.
-    pub mask_slack: u64,
     /// Sequence reorder window for [`MonitorService::ingest_sequenced`]:
     /// samples up to this many sequence numbers ahead are buffered and
     /// healed into order (clamped to [`crate::state::REORDER_CAP`]).
@@ -111,13 +110,15 @@ pub struct MonitorConfig {
     /// Per-shard, per-batch admission bound (0 = unbounded): demand beyond
     /// it is shed deterministically before workers start.
     pub max_shard_batch: usize,
-    /// Seed for the deterministic load-shedding hash — shed decisions are a
-    /// pure function of (seed, link, seq, batch), never of thread timing.
-    pub shed_seed: u64,
-    /// How many batches a shed/restart event keeps the service reporting
-    /// [`ServiceMode::Degraded`] after the pressure clears.
-    pub degraded_hold: u64,
 }
+
+/// Seed for the deterministic load-shedding hash — shed decisions are a
+/// pure function of (seed, link, seq, batch), never of thread timing.
+const SHED_SEED: u64 = 0x5EED;
+
+/// How many batches a shed/restart event keeps the service reporting
+/// [`ServiceMode::Degraded`] after the pressure clears.
+const DEGRADED_HOLD: u64 = 3;
 
 impl Default for MonitorConfig {
     fn default() -> Self {
@@ -125,11 +126,8 @@ impl Default for MonitorConfig {
             online: OnlineConfig::default(),
             shards: 16,
             threads: 1,
-            mask_slack: 6,
             reorder_window: 4,
             max_shard_batch: 0,
-            shed_seed: 0x5EED,
-            degraded_hold: 3,
         }
     }
 }
@@ -139,7 +137,7 @@ impl Default for MonitorConfig {
 /// `Degraded` means at least one shard recently shed load, was restarted
 /// after a panic, or is quarantined — the rest of the fleet keeps getting
 /// fresh verdicts; only the affected shard's links may lag. The mode clears
-/// itself [`MonitorConfig::degraded_hold`] batches after the last event.
+/// itself three batches after the last event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceMode {
     /// Every shard admitted its full demand and no supervision fired.
@@ -191,18 +189,22 @@ pub struct SeqStats {
     pub buffered: usize,
 }
 
-/// How one shard came back in [`MonitorService::resume_resilient`].
+/// How one shard came back in [`MonitorService::resume_resilient`] or a
+/// supervised restart. The discriminant is the recovery token a
+/// `CheckpointRestore` trace event carries (see
+/// [`ixp_obs::trace::recovery_name`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardRecovery {
     /// Checkpoint blob decoded cleanly; the shard resumed bit-identically.
-    Restored,
-    /// No blob on disk; the shard rebuilt from scratch.
-    RebuiltMissing,
+    Restored = 0,
+    /// No blob on disk (or no store attached); the shard rebuilt from scratch.
+    RebuiltMissing = 1,
     /// Blob was intact but from a foreign deployment; rebuilt from scratch.
-    RebuiltStale,
-    /// Blob was damaged (bad CRC, torn frame); quarantined to a `.corrupt`
-    /// sidecar and the shard rebuilt from scratch.
-    RebuiltCorrupt,
+    RebuiltStale = 2,
+    /// Blob was damaged (bad CRC, torn frame) or intact but undecodable;
+    /// quarantined to a `.corrupt` sidecar and the shard rebuilt from
+    /// scratch.
+    RebuiltCorrupt = 3,
 }
 
 /// Per-shard outcome of a resilient resume.
@@ -233,12 +235,14 @@ pub struct LinkDesc {
 
 /// Fingerprint binding checkpoints to one monitor deployment: configuration
 /// (detector, shard layout, admission control), the health thresholds and
-/// link count. Thread count and `degraded_hold` are deliberately excluded —
-/// the link state does not depend on them. The magic word is versioned with
-/// the checkpoint payload layout: v4 blobs store each gate as its five
-/// counters and move parked samples into a per-shard trailer (v3 wrote
-/// eight slots, mostly empty, per gate), so v3 deployments read as a miss,
-/// never a mis-decode.
+/// link count. The shedding seed and the mask slack are constants; they
+/// keep their places in the mix so v4 checkpoints still resume. Thread
+/// count and the Degraded-mode hold are deliberately excluded — the link
+/// state does not depend on them. The magic word is versioned with the
+/// checkpoint payload layout: v4 blobs store each gate as its five counters
+/// and move parked samples into a per-shard trailer (v3 wrote eight slots,
+/// mostly empty, per gate), so v3 deployments read as a miss, never a
+/// mis-decode.
 pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
     // The health thresholds are constants; they keep their place in the
     // mix so v4 checkpoints written under the same thresholds still resume.
@@ -247,13 +251,13 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
         0x4D4F_4E49_544F_5234, // "MONITOR4"
         cfg.reorder_window,
         cfg.max_shard_batch as u64,
-        cfg.shed_seed,
+        SHED_SEED,
         cfg.online.kappa.to_bits(),
         cfg.online.h.to_bits(),
         cfg.online.warmup as u64,
         cfg.online.baseline_gain.to_bits(),
         cfg.shards as u64,
-        cfg.mask_slack,
+        MASK_SLACK_ROUNDS,
         WINDOW_ROUNDS,
         MIN_GAP_ROUNDS,
         health.max_scattered_loss.to_bits(),
@@ -688,7 +692,7 @@ impl MonitorService {
                     .enumerate()
                     .map(|(i, &(seq, slot, _))| {
                         let id = link_id(slot, shard, n_shards);
-                        (mix(&[self.cfg.shed_seed, id as u64, seq, batch_idx]), i)
+                        (mix(&[SHED_SEED, id as u64, seq, batch_idx]), i)
                     })
                     .collect();
                 keyed.select_nth_unstable(cap - 1);
@@ -970,35 +974,10 @@ impl MonitorService {
         let store = self.store.lock();
         let mut slab = self.shards[shard].lock();
         let slots = slab.slots();
-        // Recovery token for the trace (mirrors `ShardRecovery` order:
-        // 0 restored, 1 missing, 2 stale, 3 corrupt).
-        let mut recovery = 1u64;
-        let restored = store.as_ref().and_then(|st| {
-            let name = shard_blob_name(shard);
-            match st.load_blob_checked(&name) {
-                BlobStatus::Ok(payload) => match decode_shard_payload(&payload, slots, &self.cfg)
-                {
-                    Some(pair) => {
-                        recovery = 0;
-                        Some(pair)
-                    }
-                    None => {
-                        recovery = 3;
-                        None
-                    }
-                },
-                BlobStatus::Corrupt => {
-                    let _ = st.quarantine_blob(&name);
-                    recovery = 3;
-                    None
-                }
-                BlobStatus::Missing => None,
-                BlobStatus::Stale => {
-                    recovery = 2;
-                    None
-                }
-            }
-        });
+        let (restored, recovery) = match store.as_ref() {
+            Some(st) => recover_shard(st, shard, slots, &self.cfg),
+            None => (None, ShardRecovery::RebuiltMissing),
+        };
         match restored {
             Some(decoded) => slab.replace(decoded),
             None => *slab = ShardSlab::fresh(slots, &self.cfg),
@@ -1018,14 +997,13 @@ impl MonitorService {
                     shard as u32,
                     NO_LINK,
                 )
-                .a(recovery),
+                .a(recovery as u64),
             );
         }
     }
 
     /// Current service mode. Degraded while any shard is quarantined or
-    /// shed/restarted within the last [`MonitorConfig::degraded_hold`]
-    /// batches; Healthy otherwise.
+    /// shed/restarted within the last three batches; Healthy otherwise.
     pub fn mode(&self) -> ServiceMode {
         let now = self.batches.load(Ordering::Relaxed);
         for meta in &self.metas {
@@ -1034,7 +1012,7 @@ impl MonitorService {
             }
             for stamp in [&meta.last_shed_batch, &meta.last_restart_batch] {
                 let at = stamp.load(Ordering::Relaxed);
-                if at != u64::MAX && now.saturating_sub(at) <= self.cfg.degraded_hold {
+                if at != u64::MAX && now.saturating_sub(at) <= DEGRADED_HOLD {
                     return ServiceMode::Degraded;
                 }
             }
@@ -1206,28 +1184,8 @@ impl MonitorService {
         let n_shards = svc.shards.len();
         let mut report = Vec::with_capacity(n_shards);
         for shard in 0..n_shards {
-            let name = shard_blob_name(shard);
-            let (decoded, outcome) = match store.load_blob_checked(&name) {
-                BlobStatus::Ok(payload) => {
-                    let slots = svc.shards[shard].lock().slots();
-                    match decode_shard_payload(&payload, slots, &cfg) {
-                        Some(pair) => (Some(pair), ShardRecovery::Restored),
-                        // A fingerprint-valid blob that does not decode is
-                        // damage the CRC missed (or a layout bug): treat it
-                        // exactly like corruption.
-                        None => {
-                            let _ = store.quarantine_blob(&name);
-                            (None, ShardRecovery::RebuiltCorrupt)
-                        }
-                    }
-                }
-                BlobStatus::Missing => (None, ShardRecovery::RebuiltMissing),
-                BlobStatus::Stale => (None, ShardRecovery::RebuiltStale),
-                BlobStatus::Corrupt => {
-                    let _ = store.quarantine_blob(&name);
-                    (None, ShardRecovery::RebuiltCorrupt)
-                }
-            };
+            let slots = svc.shards[shard].lock().slots();
+            let (decoded, outcome) = recover_shard(&store, shard, slots, &cfg);
             report.push(outcome);
             let Some(decoded) = decoded else {
                 continue; // fresh state is already in place
@@ -1277,6 +1235,32 @@ impl MonitorService {
 /// Blob name for one shard's checkpoint.
 fn shard_blob_name(shard: usize) -> String {
     format!("monitor-shard-{shard:03}")
+}
+
+/// Load and decode one shard's blob: the one recovery rule supervised
+/// restarts and [`MonitorService::resume_resilient`] share. A damaged blob
+/// (bad CRC, torn frame) and an intact one that does not decode (damage the
+/// CRC missed, or a layout bug) are both quarantined to a `.corrupt`
+/// sidecar; a missing or foreign blob stays where it is.
+fn recover_shard(
+    store: &CheckpointStore,
+    shard: usize,
+    slots: usize,
+    cfg: &MonitorConfig,
+) -> (Option<Records>, ShardRecovery) {
+    let name = shard_blob_name(shard);
+    match store.load_blob_checked(&name) {
+        BlobStatus::Ok(payload) => {
+            if let Some(decoded) = decode_shard_payload(&payload, slots, cfg) {
+                return (Some(decoded), ShardRecovery::Restored);
+            }
+        }
+        BlobStatus::Corrupt => {}
+        BlobStatus::Missing => return (None, ShardRecovery::RebuiltMissing),
+        BlobStatus::Stale => return (None, ShardRecovery::RebuiltStale),
+    }
+    let _ = store.quarantine_blob(&name);
+    (None, ShardRecovery::RebuiltCorrupt)
 }
 
 /// Bytes one slot (link state + sequence-gate counters) occupies in a
@@ -1571,7 +1555,7 @@ mod tests {
         drive(&svc, n, 0..10);
         svc.checkpoint(&store).unwrap();
         // Different config → different fingerprint → miss.
-        let other = MonitorConfig { mask_slack: 9, ..cfg };
+        let other = MonitorConfig { reorder_window: 5, ..cfg };
         let store2 = CheckpointStore::new(&dir, monitor_fingerprint(&other, n)).unwrap();
         assert!(MonitorService::resume(other, &links(n, 2), &store2).is_none());
         // Delete one shard blob → miss.
@@ -1942,7 +1926,6 @@ mod tests {
         let cfg = MonitorConfig {
             shards: 2,
             max_shard_batch: 4,
-            degraded_hold: 3,
             ..MonitorConfig::default()
         };
         let svc = MonitorService::new(cfg, &links(n, 2));
@@ -2024,6 +2007,51 @@ mod tests {
         // Next clean pass clears the quarantine.
         drive(&svc, n, 11..12);
         assert_eq!(svc.quarantined_shards(), 0);
+    }
+
+    /// A supervised restart follows the resume rule: a shard blob whose CRC
+    /// holds but whose payload does not decode is quarantined to a
+    /// `.corrupt` sidecar, not left in place for the next restart to trip
+    /// over, and the shard rebuilds from scratch.
+    #[test]
+    fn supervised_restart_quarantines_an_undecodable_blob() {
+        let n = 30;
+        let cfg = MonitorConfig { shards: 3, ..MonitorConfig::default() };
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("monitor-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, monitor_fingerprint(&cfg, n)).unwrap();
+        let svc = MonitorService::new(cfg, &links(n, 2));
+        drive(&svc, n, 0..20);
+        svc.checkpoint(&store).unwrap();
+        // Store shard 1's payload back with one slot too many: a valid CRC
+        // under the right fingerprint, so only the decoder can object.
+        let name = shard_blob_name(1);
+        let mut bad = store.load_blob(&name).unwrap();
+        let slots = svc.shards[1].lock().slots();
+        bad[..8].copy_from_slice(&(slots as u64 + 1).to_le_bytes());
+        store.store_blob(&name, &bad).unwrap();
+        assert!(decode_shard_payload(&bad, slots, &cfg).is_none());
+        svc.set_store(store);
+        svc.arm_panic(1, svc.batches_ingested(), 2);
+        let report = drive(&svc, n, 20..21);
+        assert_eq!(report.restarts, 1);
+        assert_eq!(svc.quarantined_shards(), 0);
+        assert!(dir.join("blob-monitor-shard-001.blob.corrupt").exists());
+        assert!(!dir.join("blob-monitor-shard-001.blob").exists(), "undecodable blob must be moved aside");
+        // Shard 1 rebuilt from scratch; the others kept going.
+        assert_eq!(svc.verdict(1).round, 0, "shard 1 rebuilt from scratch");
+        assert_eq!(svc.verdict(0).round, 21);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The trace's recovery tokens are `ShardRecovery`'s discriminants.
+    #[test]
+    fn recovery_tokens_name_their_outcome() {
+        use ShardRecovery::*;
+        for r in [Restored, RebuiltMissing, RebuiltStale, RebuiltCorrupt] {
+            assert_eq!(ixp_obs::trace::recovery_name(r as u64), format!("{r:?}"));
+        }
     }
 
     #[test]

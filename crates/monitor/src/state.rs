@@ -59,6 +59,11 @@ pub(crate) const WINDOW_ROUNDS: u64 = HealthConfig::DEFAULT.window_rounds(ROUND)
 /// the paper's 30-minute minimum = 6 rounds.
 pub(crate) const MIN_GAP_ROUNDS: u64 = HealthConfig::DEFAULT.min_gap_rounds(ROUND) as u64;
 
+/// The causal mask's slack: a path change at round `c` masks upshifts in
+/// `[c, c + MASK_SLACK_ROUNDS]`. The batch assessor's 30-minute
+/// `AssessConfig::mask_slack` on the 5-minute round = 6.
+pub const MASK_SLACK_ROUNDS: u64 = SimDuration::from_mins(30).as_micros() / ROUND.as_micros();
+
 /// One ingested measurement round for one link.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MonitorSample {
@@ -260,7 +265,7 @@ impl LinkHot {
 
         let verdict = online_step(&cfg.online, &mut self.det, &mut cold.det, s.far_ms);
         let masked =
-            verdict == OnlineVerdict::UpshiftAlarm && cold.record_alarm(round, cfg.mask_slack);
+            verdict == OnlineVerdict::UpshiftAlarm && cold.record_alarm(round);
 
         self.w_rounds += 1;
         let health_before = self.prev_health;
@@ -567,14 +572,14 @@ impl LinkCold {
     }
 
     /// Book an upshift alarm at `round` and return whether the causal mask
-    /// applies: a change at `c` taints `[c, c + slack]`.
-    fn record_alarm(&mut self, round: u64, slack: u64) -> bool {
+    /// applies: a change at `c` taints `[c, c + MASK_SLACK_ROUNDS]`.
+    fn record_alarm(&mut self, round: u64) -> bool {
         self.alarms += 1;
         self.last_alarm_round = round;
         let since_change =
             (self.last_change_round != u64::MAX).then(|| round - self.last_change_round);
         self.last_alarm_gap = since_change.unwrap_or(u64::MAX);
-        let masked = since_change.is_some_and(|gap| gap <= slack);
+        let masked = since_change.is_some_and(|gap| gap <= MASK_SLACK_ROUNDS);
         if masked {
             self.masked_alarms += 1;
         }

@@ -183,15 +183,6 @@ impl ProbeLedger {
             self.quarantined.clone_from(&other.quarantined);
         }
     }
-
-    /// Answered fraction of sent probes (`1.0` when nothing was sent).
-    pub fn answer_rate(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.answered as f64 / self.sent as f64
-        }
-    }
 }
 
 /// The hot-path recorder for one link's campaign: the probe ledger's
@@ -313,7 +304,6 @@ mod tests {
         assert_eq!((a.sent, a.answered, a.rate_limited, a.timed_out), (2, 1, 1, 1));
         assert_eq!(a.health.as_deref(), Some("gappy"));
         assert_eq!(a.path_changes, 2);
-        assert_eq!(a.answer_rate(), 0.5);
     }
 
     #[test]

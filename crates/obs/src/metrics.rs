@@ -207,7 +207,7 @@ impl MetricSheet {
     }
 
     /// Fold a per-link ledger in.
-    pub fn merge_ledger(&mut self, key: &str, l: &ProbeLedger) {
+    fn merge_ledger(&mut self, key: &str, l: &ProbeLedger) {
         self.ledgers.entry(key.to_string()).or_default().merge(l);
     }
 

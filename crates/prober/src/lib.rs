@@ -3,7 +3,6 @@
 //! The measurement front-end the study runs on its Ark vantage points,
 //! reimplemented against `ixp-simnet`:
 //!
-//! - [`ping`](crate::ping::ping) — ICMP echo trains with summary statistics;
 //! - [`traceroute`](crate::traceroute::traceroute) — TTL-incrementing path
 //!   discovery with retries, pacing, and a gap limit (the bdrmap input
 //!   primitive);
@@ -22,7 +21,6 @@
 
 pub mod fingerprint;
 pub mod loss;
-pub mod ping;
 pub mod rr;
 pub mod testutil;
 pub mod traceroute;
@@ -30,7 +28,6 @@ pub mod tslp;
 
 pub use fingerprint::{fingerprint, spot_check_symmetry, transitions, FP_UNKNOWN};
 pub use loss::{loss_batch, LossBatch, LossConfig};
-pub use ping::{ping, ping_stats, PingReply, PingStats};
 pub use rr::{record_route_symmetry, symmetry_votes, Symmetry};
 pub use traceroute::{traceroute, Hop, Traceroute, TracerouteConfig};
 pub use tslp::{tslp_probe, tslp_round, TslpConfig, TslpSample, TslpTarget};
@@ -39,7 +36,6 @@ pub use tslp::{tslp_probe, tslp_round, TslpConfig, TslpSample, TslpTarget};
 pub mod prelude {
     pub use crate::fingerprint::{fingerprint, spot_check_symmetry, transitions, FP_UNKNOWN};
     pub use crate::loss::{loss_batch, LossBatch, LossConfig};
-    pub use crate::ping::{ping, ping_stats, PingReply, PingStats};
     pub use crate::rr::{record_route_symmetry, symmetry_votes, Symmetry};
     pub use crate::traceroute::{traceroute, Hop, Traceroute, TracerouteConfig};
     pub use crate::tslp::{tslp_probe, tslp_round, TslpConfig, TslpSample, TslpTarget};

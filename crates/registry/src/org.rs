@@ -3,26 +3,19 @@
 //! bdrmap needs "a list of sibling ASes of the VP's AS", built by a
 //! "semi-manual process seeded with CAIDA's AS-to-organization mapping" (§4).
 //! This module is that mapping: organizations own sets of ASes; two ASes are
-//! siblings when one organization owns both. The semi-manual curation step is
-//! modeled by [`OrgDb::add_manual_sibling`] / [`OrgDb::remove_spurious_sibling`] —
-//! explicit overrides layered on the org-derived base, exactly the paper's
-//! "manually add missing siblings and remove spurious ones".
+//! siblings when one organization owns both. The synthetic substrate's
+//! organization data is already correct, so there is no manual curation step
+//! to layer on top of it.
 
 use ixp_simnet::prelude::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
-/// AS-to-organization mapping plus curated sibling overrides.
+/// AS-to-organization mapping.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct OrgDb {
     org_of: HashMap<u32, String>,
     members: HashMap<String, Vec<u32>>,
-    added: HashSet<(u32, u32)>,
-    removed: HashSet<(u32, u32)>,
-}
-
-fn key(a: Asn, b: Asn) -> (u32, u32) {
-    (a.0.min(b.0), a.0.max(b.0))
 }
 
 impl OrgDb {
@@ -47,33 +40,14 @@ impl OrgDb {
     }
 
     /// ASes owned by `org`.
-    pub fn members_of(&self, org: &str) -> Vec<Asn> {
+    fn members_of(&self, org: &str) -> Vec<Asn> {
         self.members.get(org).map(|v| v.iter().map(|&a| Asn(a)).collect()).unwrap_or_default()
     }
 
-    /// Manual curation: force `a` and `b` to be siblings.
-    pub fn add_manual_sibling(&mut self, a: Asn, b: Asn) {
-        self.removed.remove(&key(a, b));
-        self.added.insert(key(a, b));
-    }
-
-    /// Manual curation: suppress a spurious org-derived sibling pair.
-    pub fn remove_spurious_sibling(&mut self, a: Asn, b: Asn) {
-        self.added.remove(&key(a, b));
-        self.removed.insert(key(a, b));
-    }
-
-    /// Are `a` and `b` siblings after curation?
+    /// Are `a` and `b` siblings: distinct ASes one organization owns?
     pub fn are_siblings(&self, a: Asn, b: Asn) -> bool {
         if a == b {
             return false;
-        }
-        let k = key(a, b);
-        if self.removed.contains(&k) {
-            return false;
-        }
-        if self.added.contains(&k) {
-            return true;
         }
         match (self.org_of(a), self.org_of(b)) {
             (Some(x), Some(y)) => x == y,
@@ -81,49 +55,26 @@ impl OrgDb {
         }
     }
 
-    /// Sibling list of `asn` (the bdrmap input), after curation.
+    /// Sibling list of `asn` (the bdrmap input).
     pub fn siblings_of(&self, asn: Asn) -> Vec<Asn> {
-        let mut out: Vec<Asn> = Vec::new();
-        if let Some(org) = self.org_of(asn) {
-            for m in self.members_of(org) {
-                if m != asn && self.are_siblings(asn, m) {
-                    out.push(m);
-                }
-            }
-        }
-        for &(a, b) in &self.added {
-            let other = if a == asn.0 {
-                Some(Asn(b))
-            } else if b == asn.0 {
-                Some(Asn(a))
-            } else {
-                None
-            };
-            if let Some(o) = other {
-                if !out.contains(&o) {
-                    out.push(o);
-                }
-            }
-        }
+        let mut out: Vec<Asn> = match self.org_of(asn) {
+            Some(org) => self.members_of(org).into_iter().filter(|&m| m != asn).collect(),
+            None => Vec::new(),
+        };
         out.sort();
         out
     }
 
-    /// All curated sibling pairs as `(min, max)` ASN tuples — the input
-    /// format [`crate::relationships::infer_relationships`] takes.
+    /// All sibling pairs as `(min, max)` ASN tuples — the input format
+    /// [`crate::relationships::infer_relationships`] takes.
     pub fn sibling_pairs(&self) -> HashSet<(u32, u32)> {
         let mut pairs = HashSet::new();
         for members in self.members.values() {
             for (i, &a) in members.iter().enumerate() {
                 for &b in &members[i + 1..] {
-                    if self.are_siblings(Asn(a), Asn(b)) {
-                        pairs.insert((a.min(b), a.max(b)));
-                    }
+                    pairs.insert((a.min(b), a.max(b)));
                 }
             }
-        }
-        for &k in &self.added {
-            pairs.insert(k);
         }
         pairs
     }
@@ -146,24 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_add_and_remove() {
-        let mut db = OrgDb::new();
-        db.assign(Asn(1), "org-a");
-        db.assign(Asn(2), "org-a");
-        db.assign(Asn(3), "org-b");
-        // Spurious org data: 1 and 2 are actually unrelated.
-        db.remove_spurious_sibling(Asn(1), Asn(2));
-        assert!(!db.are_siblings(Asn(1), Asn(2)));
-        // Missing sibling: 1 and 3 are the same company in reality.
-        db.add_manual_sibling(Asn(1), Asn(3));
-        assert!(db.are_siblings(Asn(1), Asn(3)));
-        assert_eq!(db.siblings_of(Asn(1)), vec![Asn(3)]);
-        // Re-adding overrides a removal.
-        db.add_manual_sibling(Asn(1), Asn(2));
-        assert!(db.are_siblings(Asn(1), Asn(2)));
-    }
-
-    #[test]
     fn reassignment_moves_membership() {
         let mut db = OrgDb::new();
         db.assign(Asn(10), "x");
@@ -179,12 +112,11 @@ mod tests {
         db.assign(Asn(1), "a");
         db.assign(Asn(2), "a");
         db.assign(Asn(3), "a");
-        db.remove_spurious_sibling(Asn(2), Asn(3));
-        db.add_manual_sibling(Asn(7), Asn(9));
+        db.assign(Asn(7), "b");
         let pairs = db.sibling_pairs();
         assert!(pairs.contains(&(1, 2)));
         assert!(pairs.contains(&(1, 3)));
-        assert!(!pairs.contains(&(2, 3)));
-        assert!(pairs.contains(&(7, 9)));
+        assert!(pairs.contains(&(2, 3)));
+        assert!(!pairs.contains(&(1, 7)));
     }
 }

@@ -35,7 +35,7 @@ pub enum Relationship {
 
 impl Relationship {
     /// The relationship as seen from the other side.
-    pub fn invert(self) -> Relationship {
+    fn invert(self) -> Relationship {
         match self {
             Relationship::CustomerOf => Relationship::ProviderOf,
             Relationship::ProviderOf => Relationship::CustomerOf,

@@ -170,7 +170,7 @@ impl<T: Clone> Schedule<T> {
     }
 
     /// The schedule's only value, when it never changes.
-    pub fn constant_value(&self) -> Option<&T> {
+    fn constant_value(&self) -> Option<&T> {
         match self.entries.as_slice() {
             [(_, v)] => Some(v),
             _ => None,
@@ -315,11 +315,6 @@ impl Link {
         &mut self.cfg.up
     }
 
-    /// Mutable access to the buffer-size schedule.
-    pub fn buffer_mut(&mut self) -> &mut Schedule<f64> {
-        &mut self.cfg.buffer_bytes
-    }
-
     /// A queue state anchored at the epoch for `dir` — the starting point of
     /// any independent integration of this link's queue trajectory.
     ///
@@ -335,7 +330,7 @@ impl Link {
     }
 
     /// Is the link up at `t`?
-    pub fn is_up(&self, t: SimTime) -> bool {
+    fn is_up(&self, t: SimTime) -> bool {
         *self.cfg.up.at(t)
     }
 
@@ -393,7 +388,7 @@ impl Link {
     }
 
     /// Loss probability a packet faces crossing `dir` at `t`.
-    pub fn loss_probability(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> f64 {
+    fn loss_probability(&self, dir: Dir, st: &mut LinkQueueState, t: SimTime) -> f64 {
         self.advance(dir, st, t);
         let cap = self.capacity_at(t).max(1.0);
         let overload = if st.queue_bytes >= *self.cfg.buffer_bytes.at(t) * 0.999 && st.last_offered_bps > cap {
@@ -556,7 +551,7 @@ mod tests {
                 l.capacity_mut().step(SimTime(1000), 1e8);
             }),
             ("stepped buffer", |l| {
-                l.buffer_mut().step(SimTime(1000), 1e3);
+                l.cfg.buffer_bytes.step(SimTime(1000), 1e3);
             }),
             ("peak at 0.8 cap", |l| l.set_load(Dir::AtoB, Arc::new(ConstantLoad(8e8)))),
             ("down for good", |l| *l.up_mut() = Schedule::constant(false)),

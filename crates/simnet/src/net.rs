@@ -755,20 +755,14 @@ impl Network {
     }
 
     /// First interface address of a node (probe source address).
-    pub fn primary_addr(&self, node: NodeId) -> Ipv4 {
+    fn primary_addr(&self, node: NodeId) -> Ipv4 {
         self.nodes[node.0 as usize].ifaces.first().map(|i| i.addr).expect("node has no interface")
     }
 
     /// Ground-truth node path from `from` toward `dst` (following forwarding
-    /// tables, ignoring delays/drops). For validation and tests. Evaluates
-    /// routing as of `SimTime::ZERO`; use [`Network::truth_path_at`] to see
-    /// the path after mid-campaign routing events.
-    pub fn truth_path(&self, from: NodeId, dst: Ipv4) -> Option<Vec<NodeId>> {
-        self.truth_path_at(from, dst, SimTime::ZERO)
-    }
-
-    /// Ground-truth node path from `from` toward `dst` under the forwarding
-    /// state in effect at `t` (static tables plus any routing-event overlays).
+    /// tables, ignoring delays/drops) under the forwarding state in effect at
+    /// `t` (static tables plus any routing-event overlays). For validation
+    /// and tests.
     pub fn truth_path_at(&self, from: NodeId, dst: Ipv4, t: SimTime) -> Option<Vec<NodeId>> {
         let mut path = vec![from];
         let mut cur = from;
@@ -1439,7 +1433,7 @@ mod tests {
     #[test]
     fn truth_path_follows_routes() {
         let (net, vp, _, _, tgt_addr) = line_topology();
-        let p = net.truth_path(vp, tgt_addr).unwrap();
+        let p = net.truth_path_at(vp, tgt_addr, SimTime::ZERO).unwrap();
         assert_eq!(p, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
@@ -1487,8 +1481,8 @@ mod tests {
             .send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(tgt_addr, 2), flip + SimDuration::from_secs(1))
             .unwrap();
         assert_eq!(after.responder, Ipv4::new(10, 0, 4, 2), "{after:?}");
-        // truth_path_at sees the same swap; truth_path stays on the t=0 view.
-        let p0 = net.truth_path(vp, tgt_addr).unwrap();
+        // truth_path_at sees the same swap.
+        let p0 = net.truth_path_at(vp, tgt_addr, SimTime::ZERO).unwrap();
         let p1 = net.truth_path_at(vp, tgt_addr, flip + SimDuration::from_secs(1)).unwrap();
         assert_eq!(p0, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(p1, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);

@@ -81,16 +81,6 @@ pub trait SlowPath: Send + Sync {
     fn extra_delay(&self, t: SimTime) -> SimDuration;
 }
 
-/// No slow path: responses cost only the base generation delay.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoSlowPath;
-
-impl SlowPath for NoSlowPath {
-    fn extra_delay(&self, _t: SimTime) -> SimDuration {
-        SimDuration::ZERO
-    }
-}
-
 /// ICMP behaviour knobs for one node.
 #[derive(Clone)]
 pub struct IcmpConfig {

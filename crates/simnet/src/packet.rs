@@ -200,11 +200,6 @@ impl RecordRoute {
             self.hops.push(addr);
         }
     }
-
-    /// True once all nine slots are used.
-    pub fn is_full(&self) -> bool {
-        self.hops.len() >= RECORD_ROUTE_SLOTS
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +235,6 @@ mod tests {
             rr.record(Ipv4(i));
         }
         assert_eq!(rr.hops.len(), RECORD_ROUTE_SLOTS);
-        assert!(rr.is_full());
         assert_eq!(rr.hops[8], Ipv4(8));
     }
 

@@ -74,10 +74,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
-    /// Whole seconds (truncated).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / MICROS_PER_SEC
-    }
 
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
@@ -312,7 +308,7 @@ impl Date {
 
     /// Days since 1970-01-01 (may be negative), via Howard Hinnant's
     /// `days_from_civil` algorithm.
-    pub fn days_from_civil_epoch(self) -> i64 {
+    fn days_from_civil_epoch(self) -> i64 {
         let y = if self.month <= 2 { self.year - 1 } else { self.year } as i64;
         let era = if y >= 0 { y } else { y - 399 } / 400;
         let yoe = y - era * 400; // [0, 399]
@@ -324,7 +320,7 @@ impl Date {
     }
 
     /// Inverse of [`Date::days_from_civil_epoch`].
-    pub fn from_days_from_civil_epoch(z: i64) -> Date {
+    fn from_days_from_civil_epoch(z: i64) -> Date {
         let z = z + 719468;
         let era = if z >= 0 { z } else { z - 146096 } / 146097;
         let doe = z - era * 146097; // [0, 146096]
@@ -351,12 +347,12 @@ impl fmt::Debug for Date {
 }
 
 /// True for Gregorian leap years (2016 is one; the campaign includes 29 Feb 2016).
-pub fn is_leap_year(year: i32) -> bool {
+fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 /// Number of days in the given month.
-pub fn days_in_month(year: i32, month: u32) -> u32 {
+fn days_in_month(year: i32, month: u32) -> u32 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -427,7 +423,7 @@ mod tests {
     #[test]
     fn duration_arithmetic_and_display() {
         let d = SimDuration::from_hours(2) + SimDuration::from_mins(14);
-        assert_eq!(d.as_secs(), 2 * 3600 + 14 * 60);
+        assert_eq!(d, SimDuration::from_secs(2 * 3600 + 14 * 60));
         assert_eq!(format!("{d}"), "2h14m00s");
         assert_eq!(format!("{}", SimDuration::from_millis(17)), "17.000ms");
         assert_eq!(format!("{}", SimDuration::from_days(3)), "3d00h00m");

@@ -58,18 +58,13 @@ impl Confusion {
 /// Queueing case studies and generic congested links: yes. The KNET slow-
 /// ICMP case: the paper *also* labels it congested from the measurements
 /// (the technique cannot tell the difference — that is the point of §6.2.1),
-/// so it counts as a true positive for the *detector*, while
-/// [`cause_is_queueing`] records that the underlying cause differs.
+/// so it counts as a true positive for the *detector*, although the
+/// underlying cause is slow ICMP generation, not queueing.
 pub fn truth_expects_congested(kind: &TruthKind) -> bool {
     match kind {
         TruthKind::CaseStudy { .. } | TruthKind::GenericCongested { .. } => true,
         TruthKind::Healthy | TruthKind::Noisy { .. } | TruthKind::Transit => false,
     }
-}
-
-/// Is the underlying cause actual link queueing (vs slow ICMP generation)?
-pub fn cause_is_queueing(kind: &TruthKind) -> bool {
-    !matches!(kind, TruthKind::CaseStudy { scenario: "GIXA-KNET" })
 }
 
 /// Score a study's congested verdicts against ground truth.
@@ -120,7 +115,7 @@ pub struct CaseComparison {
 }
 
 /// Paper-reported waveform values per scenario (§6.2).
-pub fn paper_values(scenario: &str) -> Option<(f64, f64, bool)> {
+fn paper_values(scenario: &str) -> Option<(f64, f64, bool)> {
     match scenario {
         // (A_w ms, Δt_UD seconds, sustained)
         "GIXA-GHANATEL" => Some((27.9, 20.0 * 3600.0, true)),
@@ -227,8 +222,6 @@ mod tests {
     #[test]
     fn truth_expectations() {
         assert!(truth_expects_congested(&TruthKind::CaseStudy { scenario: "GIXA-KNET" }));
-        assert!(!cause_is_queueing(&TruthKind::CaseStudy { scenario: "GIXA-KNET" }));
-        assert!(cause_is_queueing(&TruthKind::CaseStudy { scenario: "GIXA-GHANATEL" }));
         assert!(!truth_expects_congested(&TruthKind::Noisy { scale_ms: 20.0 }));
         assert!(!truth_expects_congested(&TruthKind::Transit));
     }

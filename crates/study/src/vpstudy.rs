@@ -21,7 +21,9 @@ use ixp_topology::{build_vp, paper_directory, TruthKind, VpSpec};
 use serde::{Deserialize, Serialize};
 use tslp_core::campaign::{campaign_fingerprint, measure_link_with, stream_vp_links_rec, CampaignConfig};
 use tslp_core::checkpoint::CheckpointStore;
-use tslp_core::detect::{assess_at_thresholds_masked_with, record_assessment, AssessConfig, Assessment};
+use tslp_core::detect::{
+    assess_at_thresholds_masked_with, record_assessment, record_health, AssessConfig, Assessment,
+};
 use tslp_core::health::{classify_link, LinkHealth};
 use tslp_core::lossanalysis::{measure_loss_series, split_by_events, LossCampaignConfig};
 use tslp_core::series::LinkSeries;
@@ -436,7 +438,8 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
         let key = LinkKey::new(l.near.0, l.far.0);
         // Measurement-integrity mask: classify the series once, thread the
         // gap/outage intervals through every threshold's assessment.
-        let mask = tslp_core::health::classify_link_rec(series, &cfg.assess.health, rec, key);
+        let mask = classify_link(series, &cfg.assess.health);
+        record_health(rec, key, &mask);
         // One segmentation serves the Table 1 sweep and the headline
         // verdict; a configured threshold off the Table 1 grid is assessed
         // as one extra threshold over it.

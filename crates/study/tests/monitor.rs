@@ -23,7 +23,7 @@
 use ixp_chgpt::online_events;
 use ixp_monitor::{
     masked_online_events, monitor_fingerprint, LinkDesc, LinkState, MaskOutcome, MonitorConfig,
-    MonitorSample, MonitorService,
+    MonitorSample, MonitorService, MASK_SLACK_ROUNDS,
 };
 use ixp_prober::tslp::{TslpSample, TslpTarget};
 use ixp_simnet::fault::{Fault, FaultPlan};
@@ -183,7 +183,7 @@ fn streaming_reproduces_online_events_across_fault_corpus() {
 fn masking_agrees_with_batch_reference_and_fingerprint_record() {
     let corpus = fault_corpus();
     let cfg = MonitorConfig::default();
-    let slack = cfg.mask_slack as usize;
+    let slack = MASK_SLACK_ROUNDS as usize;
     let mut total_masked = 0usize;
     for (li, series) in corpus.iter().enumerate() {
         let events = masked_online_events(&series.far_ms, &series.path_fp, &cfg);
@@ -326,11 +326,11 @@ fn live_recorder_is_invisible_and_explains_every_alarm() {
             TraceKind::MaskApplied => {
                 masks[e.link as usize] += 1;
                 assert!(
-                    e.b <= cfg.mask_slack,
+                    e.b <= MASK_SLACK_ROUNDS,
                     "link {}: mask applied {} rounds after change, slack {}",
                     e.link,
                     e.b,
-                    cfg.mask_slack
+                    MASK_SLACK_ROUNDS
                 );
             }
             _ => {}
@@ -348,10 +348,10 @@ fn live_recorder_is_invisible_and_explains_every_alarm() {
             assert!(ev.level_before_ms.is_finite(), "link {id}: evidence level not finite");
             match ev.mask {
                 MaskOutcome::Applied { rounds_since_change } => {
-                    assert!(rounds_since_change <= cfg.mask_slack, "link {id}")
+                    assert!(rounds_since_change <= MASK_SLACK_ROUNDS, "link {id}")
                 }
                 MaskOutcome::Rejected { rounds_since_change } => {
-                    assert!(rounds_since_change > cfg.mask_slack, "link {id}")
+                    assert!(rounds_since_change > MASK_SLACK_ROUNDS, "link {id}")
                 }
                 MaskOutcome::NotConsidered => {}
             }

@@ -75,7 +75,7 @@ impl ContinentSpec {
 
     /// Expected link count for this shape (exact for `max_links_per_member
     /// == 1`, a close estimate otherwise).
-    pub fn expected_links(&self) -> u32 {
+    fn expected_links(&self) -> u32 {
         (self.ixps as u64
             * self.members_per_ixp as u64
             * (1 + self.max_links_per_member as u64)

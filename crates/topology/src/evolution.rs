@@ -1,31 +1,17 @@
-//! Membership evolution and AS-level routing dynamics.
+//! Membership evolution.
 //!
-//! Two layers live here:
+//! §6.1 documents heavy churn: GIXA's neighbor count drops 13 → 8 → 7 as
+//! non-registered members are disconnected, while Liquid Telecom's neighbor
+//! set grows from 244 to 1,215. [`windows_from_schedule`] produces, for a
+//! target alive-count schedule, a deterministic set of `(join, leave)`
+//! windows whose alive count matches every checkpoint exactly.
 //!
-//! 1. **Membership churn** — §6.1 documents heavy churn: GIXA's neighbor
-//!    count drops 13 → 8 → 7 as non-registered members are disconnected,
-//!    while Liquid Telecom's neighbor set grows from 244 to 1,215.
-//!    [`windows_from_schedule`] produces, for a target alive-count schedule,
-//!    a deterministic set of `(join, leave)` windows whose alive count
-//!    matches every checkpoint exactly.
-//!
-//! 2. **Gao–Rexford routing** — [`AsGraph`] holds the AS-level business
-//!    relationships and computes the canonical valley-free route tables
-//!    (customer > peer > provider, then shortest AS path, then lowest
-//!    next-hop ASN). Routing events ([`AsEvent`]) re-converge the tables
-//!    *incrementally* ([`AsGraph::apply_event`]) — only the destination
-//!    trees a withdrawn link or prefix actually touched are rebuilt — and
-//!    [`compile_delta`] lowers the table diff onto a simulated network as
-//!    `simnet::fault::Fault` routing events, which is how mid-campaign
-//!    re-convergence reaches the forwarding plane deterministically.
+//! Routing events (a transit shutdown, a link removed from an IXP) reach the
+//! forwarding plane as `simnet::fault::Fault` plans, not through this module.
 
 use crate::spec::CountAt;
-use ixp_simnet::fault::Fault;
-use ixp_simnet::ip::Prefix;
-use ixp_simnet::node::{Asn, IfaceId, NodeId};
 use ixp_simnet::rng::HashNoise;
 use ixp_simnet::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One entity's lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,391 +96,14 @@ pub fn windows_from_schedule(
     entities
 }
 
-/// Count how many of `windows` are alive at `t`.
-pub fn alive_count(windows: &[Lifetime], t: SimTime) -> usize {
-    windows.iter().filter(|w| w.alive_at(t)).count()
-}
-
-// ---------------------------------------------------------------------------
-// Gao–Rexford AS-level routing
-// ---------------------------------------------------------------------------
-
-/// Business relationship on an AS-level link.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
-pub enum Rel {
-    /// The first AS is the provider of the second.
-    ProviderCustomer,
-    /// Settlement-free peering.
-    Peer,
-}
-
-/// How a route was learned, in Gao–Rexford preference order (customer
-/// routes are most preferred, provider routes least).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
-pub enum RouteKind {
-    /// Learned from a customer (exported to everyone).
-    Customer,
-    /// Learned from a peer (exported only to customers).
-    Peer,
-    /// Learned from a provider (exported only to customers).
-    Provider,
-}
-
-/// One AS's best route toward a destination AS.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AsRoute {
-    /// Next-hop AS.
-    pub next: Asn,
-    /// Full AS path, `[next, …, dst]`.
-    pub path: Vec<Asn>,
-    /// How the route was learned.
-    pub kind: RouteKind,
-}
-
-/// Per-destination route trees: `table[dst][as] = best route of `as` toward
-/// `dst``. The destination itself carries no entry.
-pub type RouteTable = BTreeMap<Asn, BTreeMap<Asn, AsRoute>>;
-
-/// A routing event against the AS graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AsEvent {
-    /// `dst` stops announcing its prefix.
-    Withdraw {
-        /// The withdrawing origin.
-        dst: Asn,
-    },
-    /// `dst` (re-)announces its prefix.
-    Announce {
-        /// The announcing origin.
-        dst: Asn,
-    },
-    /// The AS-level adjacency between `a` and `b` goes away.
-    LinkDown {
-        /// One endpoint.
-        a: Asn,
-        /// The other endpoint.
-        b: Asn,
-    },
-    /// A new adjacency between `a` and `b` with relationship `rel`
-    /// (`ProviderCustomer` means `a` provides transit to `b`).
-    LinkUp {
-        /// One endpoint (the provider when `rel` is `ProviderCustomer`).
-        a: Asn,
-        /// The other endpoint.
-        b: Asn,
-        /// The business relationship.
-        rel: Rel,
-    },
-    /// The relationship of the existing `a`–`b` adjacency changes (a policy
-    /// flip: e.g. a paid transit contract renegotiated into peering).
-    PolicyFlip {
-        /// One endpoint (the provider when `rel` is `ProviderCustomer`).
-        a: Asn,
-        /// The other endpoint.
-        b: Asn,
-        /// The new relationship.
-        rel: Rel,
-    },
-}
-
-/// The AS-level relationship graph plus the set of announced origins.
-///
-/// All containers are ordered (`BTreeSet`/`BTreeMap`) so every computation
-/// is deterministic regardless of insertion order.
-#[derive(Clone, Debug, Default)]
-pub struct AsGraph {
-    /// `(provider, customer)` transit edges.
-    p2c: BTreeSet<(Asn, Asn)>,
-    /// Peering edges, normalized to `(min, max)`.
-    peers: BTreeSet<(Asn, Asn)>,
-    /// Origins currently announcing a prefix.
-    announced: BTreeSet<Asn>,
-}
-
-impl AsGraph {
-    /// An empty graph.
-    pub fn new() -> AsGraph {
-        AsGraph::default()
-    }
-
-    /// Add an adjacency (`ProviderCustomer`: `a` provides to `b`).
-    pub fn add_link(&mut self, a: Asn, b: Asn, rel: Rel) {
-        match rel {
-            Rel::ProviderCustomer => {
-                self.p2c.insert((a, b));
-            }
-            Rel::Peer => {
-                self.peers.insert((a.min(b), a.max(b)));
-            }
-        }
-    }
-
-    /// Remove the `a`–`b` adjacency, whatever its relationship.
-    pub fn remove_link(&mut self, a: Asn, b: Asn) {
-        self.p2c.remove(&(a, b));
-        self.p2c.remove(&(b, a));
-        self.peers.remove(&(a.min(b), a.max(b)));
-    }
-
-    /// Mark `dst` as announcing a prefix.
-    pub fn announce(&mut self, dst: Asn) {
-        self.announced.insert(dst);
-    }
-
-    /// Stop announcing.
-    pub fn withdraw(&mut self, dst: Asn) {
-        self.announced.remove(&dst);
-    }
-
-    /// Every AS appearing in the graph.
-    fn ases(&self) -> BTreeSet<Asn> {
-        let mut s = BTreeSet::new();
-        for &(a, b) in &self.p2c {
-            s.insert(a);
-            s.insert(b);
-        }
-        for &(a, b) in &self.peers {
-            s.insert(a);
-            s.insert(b);
-        }
-        s.extend(self.announced.iter().copied());
-        s
-    }
-
-    fn providers_of(&self, x: Asn) -> impl Iterator<Item = Asn> + '_ {
-        self.p2c.iter().filter(move |&&(_, c)| c == x).map(|&(p, _)| p)
-    }
-
-    fn customers_of(&self, x: Asn) -> impl Iterator<Item = Asn> + '_ {
-        self.p2c.range((x, Asn(0))..=(x, Asn(u32::MAX))).map(|&(_, c)| c)
-    }
-
-    fn peers_of(&self, x: Asn) -> impl Iterator<Item = Asn> + '_ {
-        self.peers
-            .iter()
-            .filter_map(move |&(a, b)| if a == x { Some(b) } else if b == x { Some(a) } else { None })
-    }
-
-    /// From-scratch Gao–Rexford route tables for every announced origin.
-    pub fn compute(&self) -> RouteTable {
-        self.announced.iter().map(|&d| (d, self.compute_dest(d))).collect()
-    }
-
-    /// The canonical valley-free route tree toward `d`: the classic
-    /// three-phase propagation. Customer routes climb provider edges
-    /// breadth-first from the origin; peer routes cross one peering edge off
-    /// a customer route (or the origin); provider routes descend
-    /// customer edges from every AS that has any better route. Preference at
-    /// each AS: customer > peer > provider, then shortest AS path, then
-    /// lowest next-hop ASN — all ties broken deterministically.
-    fn compute_dest(&self, d: Asn) -> BTreeMap<Asn, AsRoute> {
-        let mut routes: BTreeMap<Asn, AsRoute> = BTreeMap::new();
-
-        // Phase 1 — customer routes: BFS up customer→provider edges.
-        let mut frontier: Vec<Asn> = vec![d];
-        while !frontier.is_empty() {
-            // For each provider of a frontier AS, the best same-layer
-            // candidate is the lowest next-hop ASN (layers fix path length).
-            let mut layer: BTreeMap<Asn, Asn> = BTreeMap::new(); // provider → next
-            for &x in &frontier {
-                for p in self.providers_of(x) {
-                    if p == d || routes.contains_key(&p) {
-                        continue;
-                    }
-                    let e = layer.entry(p).or_insert(x);
-                    if x < *e {
-                        *e = x;
-                    }
-                }
-            }
-            frontier = layer.keys().copied().collect();
-            for (p, next) in layer {
-                let mut path = vec![next];
-                if next != d {
-                    path.extend(routes[&next].path.iter().copied());
-                }
-                routes.insert(p, AsRoute { next, path, kind: RouteKind::Customer });
-            }
-        }
-
-        // Phase 2 — peer routes: one peering hop off the origin or a
-        // customer route. Computed against the phase-1 snapshot only (peer
-        // routes are never exported to peers).
-        let mut peer_layer: BTreeMap<Asn, AsRoute> = BTreeMap::new();
-        for u in self.ases() {
-            if u == d || routes.contains_key(&u) {
-                continue;
-            }
-            let mut best: Option<AsRoute> = None;
-            for v in self.peers_of(u) {
-                let tail: Option<Vec<Asn>> = if v == d {
-                    Some(Vec::new())
-                } else {
-                    routes.get(&v).filter(|r| r.kind == RouteKind::Customer).map(|r| r.path.clone())
-                };
-                if let Some(tail) = tail {
-                    let mut path = vec![v];
-                    path.extend(tail);
-                    let cand = AsRoute { next: v, path, kind: RouteKind::Peer };
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| (cand.path.len(), cand.next) < (b.path.len(), b.next))
-                    {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some(b) = best {
-                peer_layer.insert(u, b);
-            }
-        }
-        routes.extend(peer_layer);
-
-        // Phase 3 — provider routes: breadth-first descent of
-        // provider→customer edges from every routed AS (and the origin),
-        // bucketed by total path length so shorter provider paths win and
-        // same-length ties resolve to the lowest next-hop ASN.
-        let mut buckets: BTreeMap<usize, BTreeSet<Asn>> = BTreeMap::new();
-        buckets.entry(0).or_default().insert(d);
-        for (&u, r) in &routes {
-            buckets.entry(r.path.len()).or_default().insert(u);
-        }
-        while let Some((&dist, _)) = buckets.iter().next() {
-            let layer = buckets.remove(&dist).expect("bucket just observed");
-            let mut assigned: BTreeMap<Asn, Asn> = BTreeMap::new(); // customer → next
-            for &u in &layer {
-                for c in self.customers_of(u) {
-                    if c == d || routes.contains_key(&c) {
-                        continue;
-                    }
-                    let e = assigned.entry(c).or_insert(u);
-                    if u < *e {
-                        *e = u;
-                    }
-                }
-            }
-            for (c, next) in assigned {
-                let mut path = vec![next];
-                if next != d {
-                    path.extend(routes[&next].path.iter().copied());
-                }
-                let len = path.len();
-                routes.insert(c, AsRoute { next, path, kind: RouteKind::Provider });
-                buckets.entry(len).or_default().insert(c);
-            }
-        }
-
-        routes
-    }
-
-    /// Apply one routing event, updating `table` incrementally. Returns the
-    /// destinations whose trees were recomputed (or dropped).
-    ///
-    /// Scope of the recompute, per event kind:
-    /// - `Withdraw` drops one tree, `Announce` computes one tree — exact.
-    /// - `LinkDown` rebuilds only the trees whose paths traverse the dead
-    ///   edge (every used edge appears as some AS's next-hop pair, so the
-    ///   next-hop scan is a complete usage test).
-    /// - `LinkUp`/`PolicyFlip` rebuild every announced tree: a new or
-    ///   re-classified edge can open a preferred valley-free path toward
-    ///   *any* destination, so no cheaper sound filter exists without
-    ///   storing the full set of rejected candidate routes.
-    pub fn apply_event(&mut self, table: &mut RouteTable, ev: AsEvent) -> Vec<Asn> {
-        match ev {
-            AsEvent::Withdraw { dst } => {
-                self.withdraw(dst);
-                table.remove(&dst);
-                vec![dst]
-            }
-            AsEvent::Announce { dst } => {
-                self.announce(dst);
-                table.insert(dst, self.compute_dest(dst));
-                vec![dst]
-            }
-            AsEvent::LinkDown { a, b } => {
-                self.remove_link(a, b);
-                let uses_edge = |tree: &BTreeMap<Asn, AsRoute>| {
-                    tree.iter().any(|(&u, r)| (u == a && r.next == b) || (u == b && r.next == a))
-                };
-                let dirty: Vec<Asn> =
-                    table.iter().filter(|(_, tree)| uses_edge(tree)).map(|(&d, _)| d).collect();
-                for &d in &dirty {
-                    table.insert(d, self.compute_dest(d));
-                }
-                dirty
-            }
-            AsEvent::LinkUp { a, b, rel } => {
-                self.add_link(a, b, rel);
-                self.recompute_all(table)
-            }
-            AsEvent::PolicyFlip { a, b, rel } => {
-                self.remove_link(a, b);
-                self.add_link(a, b, rel);
-                self.recompute_all(table)
-            }
-        }
-    }
-
-    fn recompute_all(&self, table: &mut RouteTable) -> Vec<Asn> {
-        let dirty: Vec<Asn> = self.announced.iter().copied().collect();
-        for &d in &dirty {
-            table.insert(d, self.compute_dest(d));
-        }
-        dirty
-    }
-}
-
-/// Lower a route-table diff onto the forwarding plane as scheduled
-/// [`Fault`] routing events taking effect at `at`.
-///
-/// The mapping closures tie AS-level names to the simulated substrate:
-/// `prefix_of(dst)` is the prefix a destination AS announces, `node_of(a)`
-/// the router carrying AS `a`'s table, and `iface_toward(a, b)` AS `a`'s
-/// egress interface toward neighbor `b`. Any of them may return `None` to
-/// skip ASes/edges with no concrete embedding (e.g. aggregated stubs).
-///
-/// Diff semantics, per `(dst, as)` pair: a lost route becomes a permanent
-/// [`Fault::PrefixWithdraw`], a gained or next-hop-changed route becomes a
-/// permanent [`Fault::RouteFlip`] onto the new egress. Kind-only or
-/// tail-only changes (same next hop) compile to nothing — forwarding is
-/// unchanged.
-pub fn compile_delta(
-    before: &RouteTable,
-    after: &RouteTable,
-    at: SimTime,
-    prefix_of: impl Fn(Asn) -> Option<Prefix>,
-    node_of: impl Fn(Asn) -> Option<NodeId>,
-    iface_toward: impl Fn(Asn, Asn) -> Option<IfaceId>,
-) -> Vec<Fault> {
-    let mut out = Vec::new();
-    let empty = BTreeMap::new();
-    let dsts: BTreeSet<Asn> = before.keys().chain(after.keys()).copied().collect();
-    for dst in dsts {
-        let Some(prefix) = prefix_of(dst) else { continue };
-        let old = before.get(&dst).unwrap_or(&empty);
-        let new = after.get(&dst).unwrap_or(&empty);
-        let ases: BTreeSet<Asn> = old.keys().chain(new.keys()).copied().collect();
-        for a in ases {
-            let Some(node) = node_of(a) else { continue };
-            match (old.get(&a), new.get(&a)) {
-                (Some(_), None) => {
-                    out.push(Fault::PrefixWithdraw { node, prefix, from: at, until: None });
-                }
-                (o, Some(n)) if o.map(|r| r.next) != Some(n.next) => {
-                    if let Some(via) = iface_toward(a, n.next) {
-                        out.push(Fault::RouteFlip { node, prefix, via, from: at, until: None });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Count how many of `windows` are alive at `t`.
+    pub(super) fn alive_count(windows: &[Lifetime], t: SimTime) -> usize {
+        windows.iter().filter(|w| w.alive_at(t)).count()
+    }
 
     fn d(y: i32, m: u32, day: u32) -> SimTime {
         SimTime::from_date(y, m, day)
@@ -599,202 +208,8 @@ mod tests {
 }
 
 #[cfg(test)]
-mod gao_rexford_tests {
-    use super::*;
-
-    /// The paper's GIXA shape in miniature:
-    ///
-    /// ```text
-    ///        AS100 (upstream transit)
-    ///        /               \
-    ///   AS10 (host) ——peer—— AS20 (GHANATEL-like)
-    ///        \
-    ///       AS30 (customer, announces)
-    /// ```
-    /// AS20 also announces; AS100 reaches it directly as provider.
-    fn gixa() -> AsGraph {
-        let mut g = AsGraph::new();
-        g.add_link(Asn(100), Asn(10), Rel::ProviderCustomer);
-        g.add_link(Asn(100), Asn(20), Rel::ProviderCustomer);
-        g.add_link(Asn(10), Asn(20), Rel::Peer);
-        g.add_link(Asn(10), Asn(30), Rel::ProviderCustomer);
-        g.announce(Asn(20));
-        g.announce(Asn(30));
-        g
-    }
-
-    #[test]
-    fn preference_order_customer_peer_provider() {
-        let t = gixa().compute();
-        // AS10 reaches AS20 over the peering, not via the upstream.
-        let r = &t[&Asn(20)][&Asn(10)];
-        assert_eq!(r.next, Asn(20));
-        assert_eq!(r.kind, RouteKind::Peer);
-        // AS10 reaches AS30 as a customer route.
-        assert_eq!(t[&Asn(30)][&Asn(10)].kind, RouteKind::Customer);
-        // AS100 reaches AS30 through its customer AS10 (valley-free).
-        let r = &t[&Asn(30)][&Asn(100)];
-        assert_eq!(r.path, vec![Asn(10), Asn(30)]);
-        assert_eq!(r.kind, RouteKind::Customer);
-        // AS20's peer route to AS30? AS10 only exports customer routes to
-        // peers — AS30 *is* a customer route, so the peering carries it.
-        let r = &t[&Asn(30)][&Asn(20)];
-        assert_eq!(r.path, vec![Asn(10), Asn(30)]);
-        assert_eq!(r.kind, RouteKind::Peer);
-        // AS30 reaches AS20 via its provider AS10 (which uses the peering).
-        let r = &t[&Asn(20)][&Asn(30)];
-        assert_eq!(r.path, vec![Asn(10), Asn(20)]);
-        assert_eq!(r.kind, RouteKind::Provider);
-    }
-
-    #[test]
-    fn no_valley_paths() {
-        // A peer-learned route must never be exported to a provider: AS100
-        // must NOT reach AS20 through AS10's peering — it has the direct
-        // customer edge.
-        let t = gixa().compute();
-        assert_eq!(t[&Asn(20)][&Asn(100)].path, vec![Asn(20)]);
-        // Remove the direct edge: AS100 now has NO route to AS20 via AS10
-        // (10's route is peer-learned, not exportable upward).
-        let mut g = gixa();
-        let mut t = g.compute();
-        let dirty = g.apply_event(&mut t, AsEvent::LinkDown { a: Asn(100), b: Asn(20) });
-        assert!(dirty.contains(&Asn(20)));
-        assert!(!t[&Asn(20)].contains_key(&Asn(100)), "{:?}", t[&Asn(20)].get(&Asn(100)));
-    }
-
-    /// Every event kind: incremental recompute must equal a from-scratch
-    /// rebuild of the whole table.
-    #[test]
-    fn incremental_matches_scratch_for_every_event_kind() {
-        let events = [
-            AsEvent::Withdraw { dst: Asn(20) },
-            AsEvent::Announce { dst: Asn(100) },
-            AsEvent::LinkDown { a: Asn(10), b: Asn(20) },
-            AsEvent::LinkDown { a: Asn(100), b: Asn(10) },
-            AsEvent::LinkUp { a: Asn(20), b: Asn(30), rel: Rel::Peer },
-            AsEvent::LinkUp { a: Asn(20), b: Asn(30), rel: Rel::ProviderCustomer },
-            AsEvent::PolicyFlip { a: Asn(100), b: Asn(10), rel: Rel::Peer },
-            AsEvent::PolicyFlip { a: Asn(10), b: Asn(20), rel: Rel::ProviderCustomer },
-        ];
-        for ev in events {
-            let mut g = gixa();
-            let mut t = g.compute();
-            g.apply_event(&mut t, ev);
-            assert_eq!(t, g.compute(), "incremental ≠ scratch after {ev:?}");
-        }
-    }
-
-    #[test]
-    fn incremental_matches_scratch_through_event_sequences() {
-        // A convergence storm: chained events, checked at every step.
-        let seq = [
-            AsEvent::Withdraw { dst: Asn(20) },
-            AsEvent::LinkDown { a: Asn(10), b: Asn(20) },
-            AsEvent::Announce { dst: Asn(20) },
-            AsEvent::LinkUp { a: Asn(10), b: Asn(20), rel: Rel::ProviderCustomer },
-            AsEvent::PolicyFlip { a: Asn(10), b: Asn(20), rel: Rel::Peer },
-            AsEvent::LinkDown { a: Asn(100), b: Asn(20) },
-            AsEvent::Withdraw { dst: Asn(30) },
-            AsEvent::Announce { dst: Asn(30) },
-        ];
-        let mut g = gixa();
-        let mut t = g.compute();
-        for (i, ev) in seq.into_iter().enumerate() {
-            g.apply_event(&mut t, ev);
-            assert_eq!(t, g.compute(), "divergence after step {i}: {ev:?}");
-        }
-    }
-
-    #[test]
-    fn route_tables_pinned_before_and_after_withdrawal() {
-        let mut g = gixa();
-        let mut t = g.compute();
-        // Before: everyone routes to AS30.
-        assert_eq!(t[&Asn(30)].len(), 3);
-        g.apply_event(&mut t, AsEvent::Withdraw { dst: Asn(30) });
-        assert!(!t.contains_key(&Asn(30)));
-        // The other tree is untouched — withdrawal is exact-scope.
-        assert_eq!(t[&Asn(20)], gixa().compute()[&Asn(20)]);
-    }
-
-    #[test]
-    fn link_down_rebuilds_only_affected_trees() {
-        let mut g = gixa();
-        let mut t = g.compute();
-        // AS100–AS20 carries only the AS20 tree (AS30's paths avoid it).
-        let dirty = g.apply_event(&mut t, AsEvent::LinkDown { a: Asn(100), b: Asn(20) });
-        assert_eq!(dirty, vec![Asn(20)]);
-    }
-
-    #[test]
-    fn deterministic_tiebreak_prefers_lowest_next_hop() {
-        // Two equal-length customer paths toward AS1: via AS2 and via AS3.
-        let mut g = AsGraph::new();
-        g.add_link(Asn(2), Asn(1), Rel::ProviderCustomer);
-        g.add_link(Asn(3), Asn(1), Rel::ProviderCustomer);
-        g.add_link(Asn(9), Asn(2), Rel::ProviderCustomer);
-        g.add_link(Asn(9), Asn(3), Rel::ProviderCustomer);
-        g.announce(Asn(1));
-        let t = g.compute();
-        assert_eq!(t[&Asn(1)][&Asn(9)].next, Asn(2));
-        assert_eq!(t[&Asn(1)][&Asn(9)].path, vec![Asn(2), Asn(1)]);
-    }
-
-    #[test]
-    fn compile_delta_lowers_diff_to_faults() {
-        let mut g = gixa();
-        let before = g.compute();
-        let mut after = before.clone();
-        g.apply_event(&mut after, AsEvent::LinkDown { a: Asn(10), b: Asn(20) });
-        let at = SimTime::from_date(2016, 6, 15);
-        let prefix: Prefix = "41.242.0.0/22".parse().unwrap();
-        let faults = compile_delta(
-            &before,
-            &after,
-            at,
-            |d| if d == Asn(20) { Some(prefix) } else { None },
-            |a| Some(NodeId(a.0)),
-            |_a, b| Some(IfaceId(b.0 as u16)),
-        );
-        // AS10 held a peer route to AS20 over the dead edge: it flips onto
-        // its provider AS100. Other ASes kept their next hops.
-        assert_eq!(faults.len(), 1);
-        match &faults[0] {
-            Fault::RouteFlip { node, prefix: p, via, from, until } => {
-                assert_eq!(*node, NodeId(10));
-                assert_eq!(*p, prefix);
-                assert_eq!(*via, IfaceId(100));
-                assert_eq!(*from, at);
-                assert_eq!(*until, None);
-            }
-            other => panic!("unexpected fault {other:?}"),
-        }
-    }
-
-    #[test]
-    fn compile_delta_emits_withdraw_for_lost_routes() {
-        let mut g = gixa();
-        let before = g.compute();
-        let mut after = before.clone();
-        g.apply_event(&mut after, AsEvent::Withdraw { dst: Asn(30) });
-        let prefix: Prefix = "197.149.0.0/24".parse().unwrap();
-        let faults = compile_delta(
-            &before,
-            &after,
-            SimTime::from_date(2016, 8, 6),
-            |d| if d == Asn(30) { Some(prefix) } else { None },
-            |a| Some(NodeId(a.0)),
-            |_, b| Some(IfaceId(b.0 as u16)),
-        );
-        // All three routed ASes lose the prefix.
-        assert_eq!(faults.len(), 3);
-        assert!(faults.iter().all(|f| matches!(f, Fault::PrefixWithdraw { until: None, .. })));
-    }
-}
-
-#[cfg(test)]
 mod proptests {
+    use super::tests::alive_count;
     use super::*;
     use proptest::prelude::*;
 

@@ -22,9 +22,6 @@ pub mod spec;
 
 pub use build::{build_vp, TruthKind, TruthLink, VpSubstrate};
 pub use continent::{build_continent, Continent, ContinentSpec, MemberLink};
-pub use evolution::{
-    alive_count, compile_delta, windows_from_schedule, AsEvent, AsGraph, AsRoute, Lifetime, Rel, RouteKind,
-    RouteTable,
-};
+pub use evolution::{windows_from_schedule, Lifetime};
 pub use ixps::{build_directory, ixp_lans, paper_directory};
 pub use spec::{paper_vps, CountAt, NoisySpec, SpecialLink, VpSetting, VpSpec};

@@ -44,11 +44,6 @@ impl PhasedLoad {
             Err(i) => Some(&self.phases[i - 1].1),
         }
     }
-
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl OfferedLoad for PhasedLoad {
@@ -75,7 +70,7 @@ mod tests {
         assert_eq!(p.bps(SimTime::from_date(2016, 6, 14)), 1e8);
         assert_eq!(p.bps(SimTime::from_date(2016, 6, 15)), 2e7);
         assert_eq!(p.bps(SimTime::from_date(2017, 1, 1)), 2e7);
-        assert_eq!(p.phase_count(), 2);
+        assert_eq!(p.phases.len(), 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod dates {
     use ixp_simnet::time::SimTime;
 
     /// Latency campaign end (27/03/2017).
-    pub fn campaign_end() -> SimTime {
+    pub(super) fn campaign_end() -> SimTime {
         SimTime::from_date(2017, 3, 27)
     }
     /// Loss-rate campaign start (19/07/2016).
@@ -62,7 +62,7 @@ pub mod dates {
         SimTime::from_date(2016, 8, 6)
     }
     /// bdrmap first sees the GIXA–KNET link (29/06/2016).
-    pub fn knet_link_up() -> SimTime {
+    pub(super) fn knet_link_up() -> SimTime {
         SimTime::from_date(2016, 6, 29)
     }
     /// GIXA–KNET far-side elevation begins (06/08/2016).
@@ -78,7 +78,7 @@ pub mod dates {
         SimTime::from_date(2016, 4, 28)
     }
     /// A far-future instant (open-ended windows).
-    pub fn far_future() -> SimTime {
+    pub(super) fn far_future() -> SimTime {
         SimTime::from_date(2030, 1, 1)
     }
 }
@@ -170,7 +170,7 @@ impl RoutingEvent {
     /// raises the link, withdrawal lowers it. Reconfigurations leave the
     /// data plane up — their effect is control-plane only, expressed by
     /// [`RoutingEvent::compile`].
-    pub fn apply_to_up(&self, up: &mut Schedule<bool>) {
+    fn apply_to_up(&self, up: &mut Schedule<bool>) {
         match self.kind {
             RoutingEventKind::LinkProvisioned => {
                 up.step(self.at, true);
@@ -199,7 +199,7 @@ impl RoutingEvent {
 }
 
 /// Build a link's up/down schedule from its routing events.
-pub fn up_schedule(initially_up: bool, events: &[RoutingEvent]) -> Schedule<bool> {
+fn up_schedule(initially_up: bool, events: &[RoutingEvent]) -> Schedule<bool> {
     let mut up = Schedule::constant(initially_up);
     for e in events {
         e.apply_to_up(&mut up);
@@ -211,7 +211,7 @@ pub fn up_schedule(initially_up: bool, events: &[RoutingEvent]) -> Schedule<bool
 /// (15/06/2016, §6.2.1). The session bounce briefly blackholes the far
 /// prefix — the "latency probes to the far end were unsuccessful" blip at
 /// the phase boundary.
-pub fn ghanatel_transit_shutdown() -> RoutingEvent {
+fn ghanatel_transit_shutdown() -> RoutingEvent {
     RoutingEvent {
         name: "GHANATEL transit shutdown",
         at: dates::ghanatel_phase2_start(),
@@ -222,7 +222,7 @@ pub fn ghanatel_transit_shutdown() -> RoutingEvent {
 /// The GIXA–GHANATEL link is removed (06/08/2016, §6.2.1): the prefix is
 /// withdrawn for good and far probes go unanswered for the rest of the
 /// campaign.
-pub fn ghanatel_link_removal() -> RoutingEvent {
+fn ghanatel_link_removal() -> RoutingEvent {
     RoutingEvent {
         name: "GIXA-GHANATEL link removal",
         at: dates::ghanatel_link_down(),
@@ -232,7 +232,7 @@ pub fn ghanatel_link_removal() -> RoutingEvent {
 
 /// The GIXA–KNET link is provisioned (29/06/2016): bdrmap first sees the
 /// interconnect and probing begins.
-pub fn knet_link_provisioned() -> RoutingEvent {
+fn knet_link_provisioned() -> RoutingEvent {
     RoutingEvent {
         name: "GIXA-KNET link provisioned",
         at: dates::knet_link_up(),
@@ -253,8 +253,8 @@ pub struct LinkScenario {
     /// Optional ICMP slow-path model to install on the far router.
     pub far_slow_path: Option<Arc<dyn SlowPath>>,
     /// Documented routing events on this link, in time order. They drive
-    /// the `cfg.up` schedule (via [`up_schedule`]) and compile into
-    /// control-plane faults (via [`RoutingEvent::compile`]).
+    /// the `cfg.up` schedule and compile into control-plane faults (via
+    /// [`RoutingEvent::compile`]).
     pub routing_events: Vec<RoutingEvent>,
     /// Ground truth for validation.
     pub truth: GroundTruth,

@@ -162,31 +162,30 @@ impl<S: SlowPath> SlowPath for WindowedSlowPath<S> {
     }
 }
 
-/// Fraction of five-minute samples over `[from, to)` during which `sp` is
-/// elevated above `threshold` — a quick occupancy metric used in tests and
-/// calibration.
-pub fn elevated_fraction(sp: &dyn SlowPath, from: SimTime, to: SimTime, threshold: SimDuration) -> f64 {
-    let step = 5 * 60 * 1_000_000u64;
-    let mut total = 0u64;
-    let mut hot = 0u64;
-    let mut t = from;
-    while t < to {
-        total += 1;
-        if sp.extra_delay(t) > threshold {
-            hot += 1;
-        }
-        t += SimDuration::from_micros(step);
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hot as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of five-minute samples over `[from, to)` during which `sp` is
+    /// elevated above `threshold`.
+    fn elevated_fraction(sp: &dyn SlowPath, from: SimTime, to: SimTime, threshold: SimDuration) -> f64 {
+        let step = 5 * 60 * 1_000_000u64;
+        let mut total = 0u64;
+        let mut hot = 0u64;
+        let mut t = from;
+        while t < to {
+            total += 1;
+            if sp.extra_delay(t) > threshold {
+                hot += 1;
+            }
+            t += SimDuration::from_micros(step);
+        }
+        if total == 0 {
+            0.0
+        } else {
+            hot as f64 / total as f64
+        }
+    }
 
     #[test]
     fn knet_shape_afternoon_plateau_midnight_dip() {

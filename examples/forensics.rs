@@ -17,7 +17,7 @@
 
 use african_ixp_congestion::monitor::{
     monitor_fingerprint, LinkDesc, MaskOutcome, MonitorConfig, MonitorSample, MonitorService,
-    ServiceMode, ShardRecovery,
+    ServiceMode, ShardRecovery, MASK_SLACK_ROUNDS,
 };
 use african_ixp_congestion::obs::{
     parse_dump, recovery_name, FlightRecorder, MetricsRegistry, ModeTransition, ResumeSummary,
@@ -233,7 +233,7 @@ fn main() {
                 MaskOutcome::Rejected { rounds_since_change } => format!(
                     "mask rejected: route change was {rounds_since_change} rounds earlier \
                      (> slack {})",
-                    cfg.mask_slack
+                    MASK_SLACK_ROUNDS
                 ),
             };
             println!(
@@ -254,14 +254,14 @@ fn main() {
     let masked = svc.verdict(MASKED);
     assert!(masked.masked_alarms >= 1, "the route-coincident step must be masked");
     assert!(
-        matches!(masked.evidence.mask, MaskOutcome::Applied { rounds_since_change } if rounds_since_change <= cfg.mask_slack),
+        matches!(masked.evidence.mask, MaskOutcome::Applied { rounds_since_change } if rounds_since_change <= MASK_SLACK_ROUNDS),
         "masked link evidence: {:?}",
         masked.evidence.mask
     );
     let rejected = svc.verdict(REJECTED);
     assert!(rejected.elevated && rejected.masked_alarms == 0, "the stale route change must not mask");
     assert!(
-        matches!(rejected.evidence.mask, MaskOutcome::Rejected { rounds_since_change } if rounds_since_change > cfg.mask_slack),
+        matches!(rejected.evidence.mask, MaskOutcome::Rejected { rounds_since_change } if rounds_since_change > MASK_SLACK_ROUNDS),
         "rejected link evidence: {:?}",
         rejected.evidence.mask
     );
