@@ -69,38 +69,6 @@ pub fn resolve_aliases(
     clusters
 }
 
-/// MIDAR-style monotonic bound test (MBT): interleave `rounds` probes to
-/// `x` and `y` and check that every consecutive IP-ID pair is in sequence
-/// for a single shared counter. Stricter than one Ally round — MIDAR's
-/// insight is that longer interleavings drive the false-alias probability
-/// toward zero, because two independent counters must stay accidentally
-/// interleaved the whole time.
-///
-/// Returns `Some(fraction_in_sequence)` (1.0 = perfect alias evidence), or
-/// `None` if any probe went unanswered.
-pub fn mbt_test(
-    net: &Network,
-    ctx: &mut ProbeCtx,
-    from: NodeId,
-    x: Ipv4,
-    y: Ipv4,
-    rounds: usize,
-    t0: SimTime,
-) -> Option<f64> {
-    assert!(rounds >= 2, "MBT needs at least two rounds");
-    let mut ids = Vec::with_capacity(rounds * 2);
-    let mut t = t0;
-    for _ in 0..rounds {
-        ids.push(ping_id(net, ctx, from, x, t)?);
-        t += SimDuration::from_millis(15);
-        ids.push(ping_id(net, ctx, from, y, t)?);
-        t += SimDuration::from_millis(15);
-    }
-    let pairs = ids.len() - 1;
-    let ok = ids.windows(2).filter(|w| in_sequence(w[0], w[1])).count();
-    Some(ok as f64 / pairs as f64)
-}
-
 /// Build an address → cluster-index map from resolved clusters.
 pub fn cluster_index(clusters: &[Vec<Ipv4>]) -> HashMap<Ipv4, usize> {
     let mut m = HashMap::new();
@@ -174,28 +142,6 @@ mod tests {
         net.node_mut(NodeId(2)).icmp.responsive = false;
         let mut ctx = net.probe_ctx(0);
         assert_eq!(ally_test(&net, &mut ctx, vp, a, Ipv4::new(10, 0, 2, 2), SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn mbt_confirms_aliases_and_rejects_strangers() {
-        let (net, vp, [a, b, c, _]) = multi_iface_topology();
-        let mut ctx = net.probe_ctx(0);
-        let alias = mbt_test(&net, &mut ctx, vp, a, b, 8, SimTime::ZERO).unwrap();
-        assert!(alias >= 0.99, "alias MBT score {alias}");
-        // Desynchronize and compare across routers: the interleaving breaks.
-        for i in 0..700u64 {
-            let _ = net.send_probe(&mut ctx, vp, ProbeSpec::echo(c), SimTime(10_000_000 + i * 10_000));
-        }
-        let stranger = mbt_test(&net, &mut ctx, vp, a, c, 8, SimTime(60_000_000)).unwrap();
-        assert!(stranger < 0.9, "stranger MBT score {stranger}");
-    }
-
-    #[test]
-    fn mbt_unresponsive_is_none() {
-        let (mut net, vp, [a, _, c, _]) = multi_iface_topology();
-        net.node_mut(NodeId(3)).icmp.responsive = false;
-        let mut ctx = net.probe_ctx(0);
-        assert_eq!(mbt_test(&net, &mut ctx, vp, a, c, 4, SimTime::ZERO), None);
     }
 
     #[test]

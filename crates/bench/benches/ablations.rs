@@ -82,11 +82,11 @@ fn ablation_detector_kind(c: &mut Criterion) {
         b.iter(|| detect_window_shifts(&series, &cfg).len())
     });
     g.bench_function("online_page_cusum", |b| {
-        b.iter(|| online_events(&series, OnlineConfig::default()).len())
+        b.iter(|| online_events(&series).len())
     });
     let cusum = detect_change_points(&series, &DetectorConfig::default()).len();
     let window = detect_window_shifts(&series, &WindowConfig { half_window: 12, threshold: 10.0 }).len();
-    let online = online_events(&series, OnlineConfig::default()).len();
+    let online = online_events(&series).len();
     eprintln!(
         "[ablation] detections over 14 days (14 true events = 28 shifts): cusum={cusum} window={window} online-events={online}"
     );

@@ -73,7 +73,7 @@ enum Arm {
 
 impl Arm {
     fn fresh(arm: usize, cfg: &MonitorConfig) -> Arm {
-        let states = || (0..LINKS).map(|_| LinkState::with_config(cfg)).collect();
+        let states = || (0..LINKS).map(|_| LinkState::new()).collect();
         match arm {
             0 => Arm::Push(states()),
             1 => Arm::Gated(states()),
@@ -90,7 +90,7 @@ impl Arm {
             Arm::Push(states) => {
                 for batch in day {
                     for &(id, _, s) in batch {
-                        states[id as usize].push(&s, cfg);
+                        states[id as usize].push(&s);
                     }
                 }
             }

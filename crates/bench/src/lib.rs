@@ -81,6 +81,7 @@ pub fn detect_corpus(n_links: usize, months: usize) -> Vec<Vec<f64>> {
 /// The pre-refactor §5.2 detector, frozen for baseline pricing.
 pub mod seed_detector {
     use super::DetectorConfig;
+    use ixp_chgpt::segment::MAX_WINDOW;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -181,7 +182,7 @@ pub mod seed_detector {
             let seed = cfg.seed ^ ((lo as u64) << 32) ^ hi as u64;
             let (split, confidence) = cusum_bootstrap(data, cfg.bootstrap_iters, seed);
             if confidence < cfg.confidence {
-                if cfg.max_window > 0 && len > cfg.max_window {
+                if len > MAX_WINDOW {
                     let mid = lo + len / 2;
                     stack.push((lo, mid));
                     stack.push((mid, hi));

@@ -39,13 +39,10 @@ pub mod window;
 
 pub use cusum::{cusum_bootstrap, cusum_peak, spread_reaches, CusumResult};
 pub use events::{baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent};
-pub use online::{
-    elevation_estimate, online_events, online_step, OnlineCold, OnlineConfig, OnlineHot,
-    OnlineVerdict,
-};
+pub use online::{elevation_estimate, online_events, online_step, OnlineCold, OnlineHot, OnlineVerdict};
 pub use rank::rank_transform;
 pub use scratch::DetectorScratch;
-pub use segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment};
+pub use segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment, MAX_WINDOW};
 pub use window::{detect_window_shifts, WindowConfig};
 
 /// Common imports.
@@ -54,7 +51,7 @@ pub mod prelude {
     pub use crate::events::{
         baseline_level, event_stats, extract_events, sanitize_events, EventStats, ShiftEvent,
     };
-    pub use crate::online::{online_events, OnlineConfig, OnlineVerdict};
+    pub use crate::online::{online_events, OnlineVerdict};
     pub use crate::rank::rank_transform;
     pub use crate::scratch::DetectorScratch;
     pub use crate::segment::{detect_change_points, level_segments, segments, DetectorConfig, Segment};

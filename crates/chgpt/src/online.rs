@@ -11,35 +11,27 @@
 //!   S⁻ ← max(0, S⁻ + (μ − x − κ))     (downshift detector)
 //! ```
 //!
-//! with reference level `μ` (the running baseline), slack `κ` (half the
-//! shift magnitude worth caring about) and alarm threshold `h`. Alarms fire
-//! one sample at a time, with O(1) state per link — the shape a production
-//! IXP monitor would deploy. The `ablation_detectors` bench compares it to
-//! the retrospective pipeline.
+//! with reference level `μ` (the running baseline), slack `κ` ([`KAPPA`],
+//! half the shift magnitude worth caring about) and alarm threshold `h`
+//! ([`H`]). The paper fixes the shift worth caring about (10 ms), so these
+//! are constants, not settings. Alarms fire one sample at a time, with O(1)
+//! state per link — the shape a production IXP monitor would deploy. The
+//! `ablation_detectors` bench compares it to the retrospective pipeline.
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration for the online detector.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OnlineConfig {
-    /// Slack per sample, same units as the series (half the target shift
-    /// magnitude is the classic choice: 5 for the paper's 10 ms threshold).
-    pub kappa: f64,
-    /// Alarm threshold on the cumulative statistic. Larger = fewer false
-    /// alarms, slower detection. A good default is `5 × kappa`.
-    pub h: f64,
-    /// Samples of warm-up used to seed the baseline estimate.
-    pub warmup: usize,
-    /// Exponential baseline adaptation rate once out of an alarm (per
-    /// sample). Keeps `μ` tracking slow drifts without chasing shifts.
-    pub baseline_gain: f64,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        OnlineConfig { kappa: 5.0, h: 25.0, warmup: 12, baseline_gain: 0.005 }
-    }
-}
+/// Slack per sample, same units as the series: half the target shift
+/// magnitude, 5 for the paper's 10 ms threshold.
+pub const KAPPA: f64 = 5.0;
+/// Alarm threshold on the cumulative statistic, `5 × KAPPA`. Larger means
+/// fewer false alarms and slower detection.
+pub const H: f64 = 25.0;
+/// Samples of warm-up used to seed the baseline estimate (one hour of
+/// 5-minute rounds).
+pub const WARMUP: usize = 12;
+/// Exponential baseline adaptation rate once out of an alarm (per sample).
+/// Keeps `μ` tracking slow drifts without chasing shifts.
+pub const BASELINE_GAIN: f64 = 0.005;
 
 /// What one sample did to the detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,7 +58,7 @@ pub enum OnlineVerdict {
 /// state; [`OnlineCold`] holds what only warm-up, elevated periods and gaps
 /// touch.
 ///
-/// A private flag caches `warmup_seen < cfg.warmup`, so a quiet sample
+/// A private flag caches `warmup_seen < WARMUP`, so a quiet sample
 /// never reads the cold half: build a fresh pair with [`OnlineHot::new`]
 /// and [`OnlineCold::default`], or a resumed one with
 /// [`OnlineHot::restore`], which establish it.
@@ -83,23 +75,23 @@ pub struct OnlineHot {
 }
 
 impl OnlineHot {
-    /// The hot half of a fresh detector under `cfg`.
-    pub fn new(cfg: &OnlineConfig) -> OnlineHot {
-        OnlineHot { baseline: 0.0, s_up: 0.0, warming: cfg.warmup > 0, elevated: false }
+    /// The hot half of a fresh detector.
+    pub fn new() -> OnlineHot {
+        OnlineHot { baseline: 0.0, s_up: 0.0, warming: WARMUP > 0, elevated: false }
     }
 
     /// The hot half of a resumed detector — its saved baseline, upshift
-    /// statistic and elevated flag — to run beside `cold` under `cfg`. The
-    /// warm-up flag is derived from `cold.warmup_seen`, so the pair
-    /// continues bit-identically to one that never stopped.
-    pub fn restore(
-        cfg: &OnlineConfig,
-        baseline: f64,
-        s_up: f64,
-        elevated: bool,
-        cold: &OnlineCold,
-    ) -> OnlineHot {
-        OnlineHot { baseline, s_up, warming: cold.warmup_seen < cfg.warmup, elevated }
+    /// statistic and elevated flag — to run beside `cold`. The warm-up flag
+    /// is derived from `cold.warmup_seen`, so the pair continues
+    /// bit-identically to one that never stopped.
+    pub fn restore(baseline: f64, s_up: f64, elevated: bool, cold: &OnlineCold) -> OnlineHot {
+        OnlineHot { baseline, s_up, warming: cold.warmup_seen < WARMUP, elevated }
+    }
+}
+
+impl Default for OnlineHot {
+    fn default() -> Self {
+        OnlineHot::new()
     }
 }
 
@@ -133,12 +125,7 @@ pub struct OnlineCold {
 /// garbage bend its baseline. Zero is a legitimate sample; it is not
 /// subnormal. A quiet sample after warm-up reads and writes `hot` alone.
 #[inline(always)]
-pub fn online_step(
-    cfg: &OnlineConfig,
-    hot: &mut OnlineHot,
-    cold: &mut OnlineCold,
-    x: f64,
-) -> OnlineVerdict {
+pub fn online_step(hot: &mut OnlineHot, cold: &mut OnlineCold, x: f64) -> OnlineVerdict {
     if !x.is_finite() || x.is_subnormal() {
         cold.gaps += 1;
         return OnlineVerdict::Gap;
@@ -147,16 +134,16 @@ pub fn online_step(
         cold.warmup_seen += 1;
         cold.warmup_sum += x;
         hot.baseline = cold.warmup_sum / cold.warmup_seen as f64;
-        hot.warming = cold.warmup_seen < cfg.warmup;
+        hot.warming = cold.warmup_seen < WARMUP;
         return OnlineVerdict::Warmup;
     }
     if hot.elevated {
-        return elevated_step(cfg, hot, cold, x);
+        return elevated_step(hot, cold, x);
     }
     // Quiet regime: adapt the baseline slowly, watch for upshifts.
-    hot.baseline += cfg.baseline_gain * (x - hot.baseline);
-    hot.s_up = (hot.s_up + (x - hot.baseline - cfg.kappa)).max(0.0);
-    if hot.s_up > cfg.h {
+    hot.baseline += BASELINE_GAIN * (x - hot.baseline);
+    hot.s_up = (hot.s_up + (x - hot.baseline - KAPPA)).max(0.0);
+    if hot.s_up > H {
         hot.elevated = true;
         cold.level_before = hot.baseline;
         hot.s_up = 0.0;
@@ -170,16 +157,11 @@ pub fn online_step(
 
 /// One sample inside an elevated period: look for the downshift back
 /// toward the remembered level.
-fn elevated_step(
-    cfg: &OnlineConfig,
-    hot: &mut OnlineHot,
-    cold: &mut OnlineCold,
-    x: f64,
-) -> OnlineVerdict {
+fn elevated_step(hot: &mut OnlineHot, cold: &mut OnlineCold, x: f64) -> OnlineVerdict {
     cold.elevated_sum += x;
     cold.elevated_n += 1;
-    cold.s_down = (cold.s_down + (elevated_mean(hot, cold) - x - cfg.kappa)).max(0.0);
-    if cold.s_down > cfg.h && x < elevated_mean(hot, cold) {
+    cold.s_down = (cold.s_down + (elevated_mean(hot, cold) - x - KAPPA)).max(0.0);
+    if cold.s_down > H && x < elevated_mean(hot, cold) {
         hot.elevated = false;
         cold.s_down = 0.0;
         hot.s_up = 0.0;
@@ -212,12 +194,12 @@ pub fn elevation_estimate(hot: &OnlineHot, cold: &OnlineCold) -> f64 {
 
 /// Run the detector over a whole series, returning `(upshift, downshift)`
 /// sample indices — the offline-compatible view used by tests and benches.
-pub fn online_events(series: &[f64], cfg: OnlineConfig) -> Vec<(usize, usize)> {
-    let (mut hot, mut cold) = (OnlineHot::new(&cfg), OnlineCold::default());
+pub fn online_events(series: &[f64]) -> Vec<(usize, usize)> {
+    let (mut hot, mut cold) = (OnlineHot::new(), OnlineCold::default());
     let mut out = Vec::new();
     let mut open: Option<usize> = None;
     for (i, &x) in series.iter().enumerate() {
-        match online_step(&cfg, &mut hot, &mut cold, x) {
+        match online_step(&mut hot, &mut cold, x) {
             OnlineVerdict::UpshiftAlarm => open = Some(i),
             OnlineVerdict::DownshiftAlarm => {
                 if let Some(s) = open.take() {
@@ -237,14 +219,14 @@ pub fn online_events(series: &[f64], cfg: OnlineConfig) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
 
-    /// A fresh detector under the default config, as its two halves.
+    /// A fresh detector, as its two halves.
     pub(super) fn fresh() -> (OnlineHot, OnlineCold) {
-        (OnlineHot::new(&OnlineConfig::default()), OnlineCold::default())
+        (OnlineHot::new(), OnlineCold::default())
     }
 
     /// Feed one sample to a pair from [`fresh`].
     pub(super) fn push(det: &mut (OnlineHot, OnlineCold), x: f64) -> OnlineVerdict {
-        online_step(&OnlineConfig::default(), &mut det.0, &mut det.1, x)
+        online_step(&mut det.0, &mut det.1, x)
     }
 
     fn step_series(pattern: &[(usize, f64)], noise_amp: f64) -> Vec<f64> {
@@ -262,7 +244,7 @@ mod tests {
     #[test]
     fn detects_single_event() {
         let s = step_series(&[(200, 2.0), (60, 25.0), (200, 2.0)], 1.0);
-        let ev = online_events(&s, OnlineConfig::default());
+        let ev = online_events(&s);
         assert_eq!(ev.len(), 1, "{ev:?}");
         let (up, down) = ev[0];
         assert!((198..=215).contains(&up), "up at {up}");
@@ -272,7 +254,7 @@ mod tests {
     #[test]
     fn quiet_series_no_alarms() {
         let s = step_series(&[(2000, 3.0)], 1.5);
-        assert!(online_events(&s, OnlineConfig::default()).is_empty());
+        assert!(online_events(&s).is_empty());
     }
 
     #[test]
@@ -282,7 +264,7 @@ mod tests {
         for _ in 0..5 {
             s.extend(step_series(&[(100, 2.0), (50, 20.0), (138, 2.0)], 0.8));
         }
-        let ev = online_events(&s, OnlineConfig::default());
+        let ev = online_events(&s);
         assert_eq!(ev.len(), 5, "{ev:?}");
         for (i, (up, down)) in ev.iter().enumerate() {
             assert!((i * 288 + 95..i * 288 + 120).contains(up), "event {i} up {up}");
@@ -322,7 +304,7 @@ mod tests {
     #[test]
     fn trailing_open_event_closed_at_end() {
         let s = step_series(&[(100, 2.0), (100, 30.0)], 0.5);
-        let ev = online_events(&s, OnlineConfig::default());
+        let ev = online_events(&s);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].1, s.len());
     }
@@ -349,8 +331,8 @@ mod tests {
         for i in (0..gappy.len()).step_by(17) {
             gappy.insert(i, f64::NAN);
         }
-        let ev_clean = online_events(&clean, OnlineConfig::default());
-        let ev_gappy = online_events(&gappy, OnlineConfig::default());
+        let ev_clean = online_events(&clean);
+        let ev_gappy = online_events(&gappy);
         // Same number of events, same finite-sample ordering.
         assert_eq!(ev_clean.len(), ev_gappy.len());
     }
@@ -360,7 +342,6 @@ mod tests {
     /// warm-up, in a quiet stretch or inside an elevated period.
     #[test]
     fn snapshot_restore_bit_identical() {
-        let cfg = OnlineConfig::default();
         let s = step_series(&[(150, 2.0), (60, 25.0), (150, 2.0)], 1.0);
         for cut in [5, 100, 170] {
             let mut straight = fresh();
@@ -368,7 +349,7 @@ mod tests {
                 push(&mut straight, x);
             }
             let (h, cold) = straight;
-            let hot = OnlineHot::restore(&cfg, h.baseline, h.s_up, h.elevated, &cold);
+            let hot = OnlineHot::restore(h.baseline, h.s_up, h.elevated, &cold);
             let mut resumed = (hot, cold);
             assert_eq!(resumed, straight, "cut {cut}");
             for &x in &s[cut..] {
@@ -389,7 +370,7 @@ mod proptests {
         /// Events are well-formed and ordered for arbitrary finite series.
         #[test]
         fn events_well_formed(series in proptest::collection::vec(0.0f64..100.0, 20..600)) {
-            let ev = online_events(&series, OnlineConfig::default());
+            let ev = online_events(&series);
             for w in ev.windows(2) {
                 prop_assert!(w[0].1 <= w[1].0);
             }
@@ -403,7 +384,7 @@ mod proptests {
         #[test]
         fn planted_step_caught(at in 60usize..200, mag in 15.0f64..80.0) {
             let series: Vec<f64> = (0..400).map(|i| if i < at { 2.0 } else { 2.0 + mag }).collect();
-            let ev = online_events(&series, OnlineConfig::default());
+            let ev = online_events(&series);
             prop_assert!(!ev.is_empty());
             let delay = ev[0].0 as i64 - at as i64;
             prop_assert!((0..=10).contains(&delay), "alarm delay {delay}");
@@ -422,8 +403,7 @@ mod proptests {
         ) {
             const JUNK: [f64; 5] =
                 [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-310, -4.9e-324];
-            let cfg = OnlineConfig::default();
-
+    
             // Build the interleaved series: insert junk at (clamped) clean
             // positions, keeping the clean subsequence order intact.
             let mut inserts: Vec<(usize, f64)> = junk_at
@@ -476,8 +456,8 @@ mod proptests {
 
             // The event stream, projected back to clean positions, is
             // exactly the clean event stream.
-            let ev_clean = online_events(&clean, cfg);
-            let ev_mixed: Vec<(usize, usize)> = online_events(&mixed, cfg)
+            let ev_clean = online_events(&clean);
+            let ev_mixed: Vec<(usize, usize)> = online_events(&mixed)
                 .into_iter()
                 .map(|(up, down)| (clean_before[up], clean_before[down]))
                 .collect();

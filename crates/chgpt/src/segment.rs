@@ -13,6 +13,15 @@ use crate::scratch::DetectorScratch;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Windows longer than this are *forcibly descended* (split in half,
+/// without recording a change point) even when no significant change is
+/// found at the top. A year-long series of stationary diurnal bumps has no
+/// whole-series mean shift — the permutation null (a random walk of the
+/// full length) beats the periodic signal's CUSUM range — so retrospective
+/// segmentation must work at a window scale where one event is a mean
+/// shift: one day of 5-minute samples.
+pub const MAX_WINDOW: usize = 288;
+
 /// Detector configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -29,14 +38,6 @@ pub struct DetectorConfig {
     /// shift of this magnitude (same units as the series). Set to 0 to
     /// disable the shortcut.
     pub magnitude_gate: f64,
-    /// Windows longer than this are *forcibly descended* (split in half,
-    /// without recording a change point) even when no significant change is
-    /// found at the top. A year-long series of stationary diurnal bumps has
-    /// no whole-series mean shift — the permutation null (a random walk of
-    /// the full length) beats the periodic signal's CUSUM range — so
-    /// retrospective segmentation must work at a window scale where one
-    /// event is a mean shift. Default: one day of 5-minute samples.
-    pub max_window: usize,
     /// RNG seed for the bootstrap.
     pub seed: u64,
     /// Disable the bootstrap's sequential early exit and always run every
@@ -55,7 +56,6 @@ impl Default for DetectorConfig {
             confidence: 0.95,
             min_segment: 6,
             magnitude_gate: 0.0,
-            max_window: 288,
             seed: 0x1234_5678,
             exact_confidence: false,
         }
@@ -260,7 +260,7 @@ fn walk(
         let children = if r.confidence < cfg.confidence {
             // No whole-window shift; descend into halves (no change point
             // recorded) so window-scale structure stays visible.
-            if cfg.max_window == 0 || len <= cfg.max_window {
+            if len <= MAX_WINDOW {
                 continue;
             }
             let mid = lo + len / 2;

@@ -12,7 +12,7 @@ use ixp_chgpt::prelude::*;
 
 /// The pre-refactor detector, kept as the ground truth.
 mod seed {
-    use ixp_chgpt::segment::{DetectorConfig, Segment};
+    use ixp_chgpt::segment::{DetectorConfig, Segment, MAX_WINDOW};
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -129,7 +129,7 @@ mod seed {
             let seed = cfg.seed ^ ((lo as u64) << 32) ^ hi as u64;
             let (split, _, confidence) = cusum_bootstrap(data, cfg.bootstrap_iters, seed);
             if confidence < cfg.confidence {
-                if cfg.max_window > 0 && len > cfg.max_window {
+                if len > MAX_WINDOW {
                     let mid = lo + len / 2;
                     stack.push((lo, mid));
                     stack.push((mid, hi));

@@ -8,7 +8,9 @@
 //! could possibly clear the smallest Table 1 threshold get the full
 //! five-minute campaign. Links screened out keep their coarse series — which
 //! the detector handles like any other series and (by construction of the
-//! excursion gate) can never flag. Disable screening to run paper-exact.
+//! excursion gate) can never flag. [`CampaignConfig::exact`] runs
+//! paper-exact, with no screen. The per-round probing policy is the
+//! prober's own [`TslpConfig`].
 
 use crate::checkpoint::CheckpointStore;
 use crate::series::{LinkSeries, SeriesConfig};
@@ -31,15 +33,15 @@ pub fn link_key(target: &TslpTarget) -> LinkKey {
 }
 
 /// Screening-pass settings.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Screening {
     /// Coarse sampling interval.
     pub interval: SimDuration,
     /// Excursion gate, in ms: the full campaign runs only when at least four
     /// coarse far samples sit more than this far above the coarse series
     /// median ([`far_excursions`]). Must stay below the smallest threshold
-    /// swept. The name predates the excursion count; it stays because it is
-    /// serialized and bound into [`campaign_fingerprint`].
+    /// swept. The name predates the excursion count; its value is bound into
+    /// [`campaign_fingerprint`].
     pub spread_gate_ms: f64,
 }
 
@@ -50,7 +52,7 @@ impl Default for Screening {
 }
 
 /// Campaign settings.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// First round.
     pub start: SimTime,
@@ -59,7 +61,7 @@ pub struct CampaignConfig {
     /// Full-fidelity round interval (the paper's 5 minutes).
     pub interval: SimDuration,
     /// Per-round probing policy.
-    pub tslp: TslpProbing,
+    pub tslp: TslpConfig,
     /// Optional screening pass; `None` = paper-exact probing for all links.
     pub screening: Option<Screening>,
     /// Worker threads for the [`stream_vp_links`] fan-out: `0` = one per
@@ -69,42 +71,6 @@ pub struct CampaignConfig {
     pub threads: usize,
 }
 
-/// Serializable subset of [`TslpConfig`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct TslpProbing {
-    /// Attempts per end per round.
-    pub attempts: u32,
-    /// Probe pacing.
-    pub pacing: SimDuration,
-    /// Extra wait before each retry, for outwaiting ICMP rate limiters
-    /// (`ZERO` = legacy back-to-back retries).
-    pub retry_backoff: SimDuration,
-    /// Deterministic jitter on the backoff, as a fraction of it.
-    pub retry_jitter: f64,
-}
-
-impl Default for TslpProbing {
-    fn default() -> Self {
-        TslpProbing {
-            attempts: 2,
-            pacing: SimDuration::from_millis(10),
-            retry_backoff: SimDuration::ZERO,
-            retry_jitter: 0.0,
-        }
-    }
-}
-
-impl From<TslpProbing> for TslpConfig {
-    fn from(p: TslpProbing) -> TslpConfig {
-        TslpConfig {
-            attempts: p.attempts,
-            pacing: p.pacing,
-            retry_backoff: p.retry_backoff,
-            retry_jitter: p.retry_jitter,
-        }
-    }
-}
-
 impl CampaignConfig {
     /// The paper's campaign over `[start, end)` with screening enabled.
     pub fn paper(start: SimTime, end: SimTime) -> CampaignConfig {
@@ -112,7 +78,7 @@ impl CampaignConfig {
             start,
             end,
             interval: SimDuration::from_mins(5),
-            tslp: TslpProbing::default(),
+            tslp: TslpConfig::default(),
             screening: Some(Screening::default()),
             threads: 0,
         }
@@ -172,7 +138,6 @@ fn probe_link<P: Recorder>(
     cfg: &CampaignConfig,
     prec: &P,
 ) -> (LinkSeries, bool, u64) {
-    let tslp: TslpConfig = cfg.tslp.into();
     // Rebase the caller's ctx onto this target's identity: the series is a
     // pure function of (net, vp, target, cfg), independent of which worker
     // thread runs it, in what order, or what the ctx measured before — the
@@ -191,7 +156,7 @@ fn probe_link<P: Recorder>(
     let mut rounds = 0u64;
     if let Some(sc) = cfg.screening {
         let coarse_grid = SeriesConfig { start: cfg.start, interval: sc.interval };
-        let coarse = run_grid(net, ctx, vp, target, &tslp, (coarse_grid, cfg.end), prec);
+        let coarse = run_grid(net, ctx, vp, target, &cfg.tslp, (coarse_grid, cfg.end), prec);
         rounds += coarse.len() as u64;
         // A link stays screened out only when the coarse pass saw fewer
         // than a handful of samples elevated past the smallest threshold —
@@ -204,7 +169,7 @@ fn probe_link<P: Recorder>(
         ctx.reset_queue_state(net);
     }
     let grid = SeriesConfig { start: cfg.start, interval: cfg.interval };
-    let full = run_grid(net, ctx, vp, target, &tslp, (grid, cfg.end), prec);
+    let full = run_grid(net, ctx, vp, target, &cfg.tslp, (grid, cfg.end), prec);
     rounds += full.len() as u64;
     (full, false, rounds)
 }
@@ -1050,5 +1015,15 @@ mod tests {
         let cfg2 = CampaignConfig::exact(SimTime::ZERO, SimTime::from_date(2016, 1, 8));
         assert_ne!(campaign_fingerprint(&cfg), campaign_fingerprint(&cfg2));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Series checkpoints are bound to this fingerprint: a value moving
+    /// here means every stored campaign checkpoint stops replaying, so no
+    /// refactor of the config may move it.
+    #[test]
+    fn campaign_fingerprint_is_pinned() {
+        let (start, end) = (SimTime::from_date(2016, 3, 1), SimTime::from_date(2016, 4, 1));
+        assert_eq!(campaign_fingerprint(&CampaignConfig::paper(start, end)), 11_729_450_269_725_295_100);
+        assert_eq!(campaign_fingerprint(&CampaignConfig::exact(start, end)), 9_650_140_965_040_494_285);
     }
 }

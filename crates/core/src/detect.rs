@@ -18,7 +18,7 @@
 //! [`assess_at_thresholds_masked_with`] runs the Table 1 sweep over a single
 //! segmentation. Both take a [`HealthReport`] from [`crate::health`] and
 //! attribute level shifts that begin or end inside (or within
-//! [`AssessConfig::mask_slack`] of) a far-side gap/outage interval — or
+//! [`MASK_SLACK`] of) a far-side gap/outage interval — or
 //! within slack of a fingerprinted **path change** (a routing event
 //! re-converged the forwarding path under the measurement) — to
 //! **measurement artifacts** instead of congestion: they land in
@@ -39,7 +39,48 @@ use ixp_obs::{LinkEvent, LinkKey, Recorder, TraceEvent, TraceKind};
 use ixp_simnet::time::{SimDuration, SimTime, MICROS_PER_DAY};
 use serde::{Deserialize, Serialize};
 
-/// Assessment tuning (defaults = the paper's choices).
+/// Minimum shift duration: the paper's 30 minutes.
+const MIN_EVENT: SimDuration = SimDuration::from_mins(30);
+
+/// Merge events separated by gaps up to this long before measuring widths
+/// (the §5.2 "sanitization").
+const SANITIZE_GAP: SimDuration = SimDuration::from_mins(30);
+
+/// Baseline quantile for the reference level.
+const BASELINE_QUANTILE: f64 = 0.10;
+
+/// A diurnal verdict needs events on at least this many distinct days.
+const MIN_EVENT_DAYS: usize = 7;
+
+/// Significance level for the Rayleigh test on event onset times-of-day.
+/// "Recurring diurnal pattern" requires rejecting onset-uniformity at this
+/// level: `exp(−n·R²) < α`, with `R` the circular mean resultant length
+/// over `n` events. A waveform rising at a consistent hour every day
+/// rejects immediately; sporadic level shifts (R ≈ 1/√n) essentially never
+/// do.
+const DIURNAL_ALPHA: f64 = 1e-3;
+
+/// Far series must be at least this complete for a clean verdict.
+const MIN_VALIDITY: f64 = 0.25;
+
+/// A near-side event overlapping this fraction of far events (in time)
+/// disqualifies the link ("congestion was not at the targeted link").
+const NEAR_OVERLAP_LIMIT: f64 = 0.3;
+
+/// Events continuing into the last this-many days of valid data make the
+/// congestion *sustained*.
+const SUSTAIN_TAIL: SimDuration = SimDuration::from_days(10);
+
+/// A level shift beginning or ending within this long of a gap/outage
+/// boundary (or of a path change) is attributed to it (a measurement
+/// artifact), not to congestion. Matches the 30-minute minimum event
+/// duration: the detector cannot place a boundary more precisely than that
+/// anyway. The resident monitor's causal mask uses the same slack.
+pub const MASK_SLACK: SimDuration = SimDuration::from_mins(30);
+
+/// Assessment tuning (defaults = the paper's choices). The paper's fixed
+/// parameters — 30-minute minimum events and mask slack, the diurnal test,
+/// the near-side overlap limit — are constants of this module.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AssessConfig {
     /// Level-shift detector settings.
@@ -47,37 +88,8 @@ pub struct AssessConfig {
     /// Magnitude threshold in ms for labeling "potentially congested"
     /// (the paper settles on 10 ms after the Table 1 sensitivity study).
     pub threshold_ms: f64,
-    /// Minimum shift duration (30 minutes).
-    pub min_event: SimDuration,
-    /// Merge events separated by gaps up to this long before measuring
-    /// widths (the §5.2 "sanitization").
-    pub sanitize_gap: SimDuration,
-    /// Baseline quantile for the reference level.
-    pub baseline_quantile: f64,
-    /// A diurnal verdict needs events on at least this many distinct days.
-    pub min_event_days: usize,
-    /// Significance level for the Rayleigh test on event onset
-    /// times-of-day. "Recurring diurnal pattern" requires rejecting
-    /// onset-uniformity at this level: `exp(−n·R²) < α`, with `R` the
-    /// circular mean resultant length over `n` events. A waveform rising at
-    /// a consistent hour every day rejects immediately; sporadic level
-    /// shifts (R ≈ 1/√n) essentially never do.
-    pub diurnal_alpha: f64,
-    /// Far series must be at least this complete for a clean verdict.
-    pub min_validity: f64,
-    /// A near-side event overlapping this fraction of far events (in time)
-    /// disqualifies the link ("congestion was not at the targeted link").
-    pub near_overlap_limit: f64,
-    /// Events continuing into the last this-many days of valid data make
-    /// the congestion *sustained*.
-    pub sustain_tail: SimDuration,
     /// Health classification thresholds for the masked assessment.
     pub health: crate::health::HealthConfig,
-    /// A level shift beginning or ending within this long of a gap/outage
-    /// boundary is attributed to the gap (a measurement artifact), not to
-    /// congestion. Matches the 30-minute minimum event duration: the
-    /// detector cannot place a boundary more precisely than that anyway.
-    pub mask_slack: SimDuration,
 }
 
 impl Default for AssessConfig {
@@ -85,16 +97,7 @@ impl Default for AssessConfig {
         AssessConfig {
             detector: DetectorConfig { magnitude_gate: 4.0, ..DetectorConfig::default() },
             threshold_ms: 10.0,
-            min_event: SimDuration::from_mins(30),
-            sanitize_gap: SimDuration::from_mins(30),
-            baseline_quantile: 0.10,
-            min_event_days: 7,
-            diurnal_alpha: 1e-3,
-            min_validity: 0.25,
-            near_overlap_limit: 0.3,
-            sustain_tail: SimDuration::from_days(10),
             health: crate::health::HealthConfig::default(),
-            mask_slack: SimDuration::from_mins(30),
         }
     }
 }
@@ -267,7 +270,7 @@ fn segment(
 ) -> Option<Segmentation> {
     let (far, far_idx) = series.far_clean();
     let far_validity = series.far_validity();
-    let min_len = samples_for(cfg.min_event, series.cfg.interval);
+    let min_len = samples_for(MIN_EVENT, series.cfg.interval);
     if far.len() < 2 * cfg.detector.min_segment.max(min_len) {
         return None;
     }
@@ -276,7 +279,7 @@ fn segment(
         magnitude_gate,
         ..cfg.detector.clone()
     };
-    let (segs, baseline) = scratch.segment_series(&far, &det, cfg.baseline_quantile);
+    let (segs, baseline) = scratch.segment_series(&far, &det, BASELINE_QUANTILE);
     let segs = segs.to_vec();
     Some(Segmentation { far, far_idx, segs, baseline, det, min_len, far_validity })
 }
@@ -299,7 +302,7 @@ pub fn assess_link(
     scratch: &mut DetectorScratch,
 ) -> Assessment {
     let pre = segment(series, cfg, cfg.detector.magnitude_gate, scratch);
-    assess_core(series, cfg, cfg.threshold_ms, pre.as_ref(), mask, &mut None, scratch)
+    assess_core(series, cfg.threshold_ms, pre.as_ref(), mask, &mut None, scratch)
 }
 
 /// [`assess_link`] at several thresholds — the Table 1 sensitivity sweep.
@@ -320,7 +323,7 @@ pub fn assess_at_thresholds_masked_with(
     let mut near = None;
     thresholds_ms
         .iter()
-        .map(|&t| (t, assess_core(series, cfg, t, pre.as_ref(), mask, &mut near, scratch)))
+        .map(|&t| (t, assess_core(series, t, pre.as_ref(), mask, &mut near, scratch)))
         .collect()
 }
 
@@ -385,13 +388,12 @@ pub fn record_health<R: Recorder>(rec: &R, key: LinkKey, rep: &HealthReport) {
 }
 
 /// The threshold-dependent half of the assessment, shared by every entry
-/// point. `threshold_ms` overrides `cfg.threshold_ms` (the segmentation
-/// carries its own detector settings). A clean `mask` (no gaps, near gaps
+/// point, at `threshold_ms` (the segmentation carries its own detector
+/// settings). A clean `mask` (no gaps, near gaps
 /// or path changes) masks nothing and leaves the verdict trusted. `near`
 /// caches the near side across the thresholds of one call (start `None`).
 fn assess_core(
     series: &LinkSeries,
-    cfg: &AssessConfig,
     threshold_ms: f64,
     pre: Option<&Segmentation>,
     mask: &HealthReport,
@@ -404,7 +406,7 @@ fn assess_core(
     let Segmentation { far, far_idx, segs, baseline, min_len, far_validity, .. } = pre;
     let (min_len, far_validity, baseline) = (*min_len, *far_validity, *baseline);
     let raw_events = extract_events(segs, baseline, threshold_ms, min_len);
-    let gap = samples_for(cfg.sanitize_gap, series.cfg.interval);
+    let gap = samples_for(SANITIZE_GAP, series.cfg.interval);
     let mut events = sanitize_events(&raw_events, gap);
 
     // Partition events whose boundaries touch a far gap/outage or a
@@ -412,7 +414,7 @@ fn assess_core(
     // starts or ends where measurement broke — or where routing swapped the
     // path under the ladder — is evidence about the measurement, not about
     // the queue. Events on a stable, fully answered path are untouched.
-    let slack = samples_for(cfg.mask_slack, series.cfg.interval);
+    let slack = samples_for(MASK_SLACK, series.cfg.interval);
     let mut artifact_raw: Vec<ShiftEvent> = Vec::new();
     let mut artifact_causes: Vec<ArtifactCause> = Vec::new();
     let masks_ran = !mask.gaps.is_empty() || !mask.path_changes.is_empty();
@@ -456,7 +458,7 @@ fn assess_core(
     // Near-side guard, extended under a mask: far events spending too much
     // of their span inside near-side measurement gaps cannot exonerate the
     // near series, so they veto the link just like coincident near shifts.
-    let mut guard = near_guard(series, &events, pre, cfg, threshold_ms, near, scratch);
+    let mut guard = near_guard(series, &events, pre, threshold_ms, near, scratch);
     if guard != NearGuard::CoincidentShifts && !mask.near_gaps.is_empty() && flagged {
         let spans: Vec<(usize, usize)> = events
             .iter()
@@ -464,14 +466,14 @@ fn assess_core(
             .collect();
         let total: usize = spans.iter().map(|(a, b)| b - a).sum();
         let covered = gap_overlap(&spans, &mask.near_gaps, slack);
-        if total > 0 && covered as f64 / total as f64 > cfg.near_overlap_limit {
+        if total > 0 && covered as f64 / total as f64 > NEAR_OVERLAP_LIMIT {
             guard = NearGuard::CoincidentGaps;
         }
     }
     let near_guard = guard;
 
     // Diurnal classification over the *timed* events.
-    let diurnal = flagged && near_guard == NearGuard::Clean && is_diurnal(&timed, cfg);
+    let diurnal = flagged && near_guard == NearGuard::Clean && is_diurnal(&timed);
 
     // Waveform stats from sanitized events.
     let st = event_stats(&events, far.len());
@@ -490,7 +492,7 @@ fn assess_core(
     } else {
         let last_valid = far_idx.last().map(|&i| series.timestamp(i)).unwrap_or(series.cfg.start);
         let last_event_end = timed.last().map(|e| e.end).unwrap_or(series.cfg.start);
-        Some(last_valid.saturating_since(last_event_end) <= cfg.sustain_tail)
+        Some(last_valid.saturating_since(last_event_end) <= SUSTAIN_TAIL)
     };
 
     // An untrusted series cannot support a congestion verdict. AddrUnstable
@@ -504,7 +506,7 @@ fn assess_core(
     let health = mask.overall;
     let trusted = match health {
         LinkHealth::AddrUnstable => false,
-        LinkHealth::Silent => mask.far_validity >= cfg.min_validity,
+        LinkHealth::Silent => mask.far_validity >= MIN_VALIDITY,
         _ => true,
     };
 
@@ -602,7 +604,6 @@ fn near_guard(
     series: &LinkSeries,
     far_events: &[ShiftEvent],
     far: &Segmentation,
-    cfg: &AssessConfig,
     threshold_ms: f64,
     near: &mut Option<NearSide>,
     scratch: &mut DetectorScratch,
@@ -619,7 +620,7 @@ fn near_guard(
         return NearGuard::Clean;
     }
     let (segs, base) = segmented.get_or_insert_with(|| {
-        let (segs, base) = scratch.segment_series(near, det, cfg.baseline_quantile);
+        let (segs, base) = scratch.segment_series(near, det, BASELINE_QUANTILE);
         (segs.to_vec(), base)
     });
     let near_events = extract_events(segs, *base, threshold_ms, det.min_segment);
@@ -643,7 +644,7 @@ fn near_guard(
             }
         }
     }
-    if far_total > 0 && overlap as f64 / far_total as f64 > cfg.near_overlap_limit {
+    if far_total > 0 && overlap as f64 / far_total as f64 > NEAR_OVERLAP_LIMIT {
         NearGuard::CoincidentShifts
     } else {
         NearGuard::Clean
@@ -662,7 +663,7 @@ fn near_guard(
 /// thousand links are screened. Unlike a fold-coverage contrast, the test
 /// works equally for sustained congestion and for a two-month transient
 /// episode inside a 13-month series.
-fn is_diurnal(events: &[TimedEvent], cfg: &AssessConfig) -> bool {
+fn is_diurnal(events: &[TimedEvent]) -> bool {
     if events.is_empty() {
         return false;
     }
@@ -675,13 +676,13 @@ fn is_diurnal(events: &[TimedEvent], cfg: &AssessConfig) -> bool {
         sx += theta.cos();
         sy += theta.sin();
     }
-    if days.len() < cfg.min_event_days {
+    if days.len() < MIN_EVENT_DAYS {
         return false;
     }
     let n = events.len() as f64;
     let r = (sx * sx + sy * sy).sqrt() / n;
     let p_uniform = (-n * r * r).exp();
-    p_uniform < cfg.diurnal_alpha
+    p_uniform < DIURNAL_ALPHA
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod series;
 
 pub use campaign::{
     far_excursions, link_key, measure_link, measure_link_in, measure_link_with, resolve_threads,
-    stream_vp_links, stream_vp_links_rec, CampaignConfig, Screening, TslpProbing, WorkerFailure,
+    stream_vp_links, stream_vp_links_rec, CampaignConfig, Screening, WorkerFailure,
 };
 pub use checkpoint::{BlobStatus, CheckpointStore};
 pub use detect::{

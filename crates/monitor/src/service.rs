@@ -54,7 +54,7 @@
 //! only events touch (warm-up, elevated-period and gap state, alarm and
 //! path-change evidence, the gate's counters and its 288-byte reorder
 //! buffer, which exists only while samples are parked). The detector's
-//! configuration is read from the service config, not copied per link. A
+//! parameters are constants ([`ixp_chgpt::online`]), not copied per link. A
 //! 1-byte published health label per link completes the slab; the index
 //! holds a 32-byte hot and an 88-byte cold record; the reused batch
 //! buffers — the service's per-shard partition lists and each slab's dirty
@@ -80,7 +80,7 @@ use crate::state::{
     GateCold, LinkCold, LinkHot, MonitorSample, MASK_SLACK_ROUNDS, MIN_GAP_ROUNDS, PARKED_LEN,
     WINDOW_ROUNDS,
 };
-use ixp_chgpt::{OnlineConfig, OnlineVerdict};
+use ixp_chgpt::online::{self, OnlineVerdict};
 use ixp_obs::{FlightRecorder, NoopRecorder, RateMeter, Recorder, TraceEvent, TraceKind, NO_LINK};
 use ixp_simnet::rng::mix;
 use parking_lot::Mutex;
@@ -97,8 +97,6 @@ use tslp_core::{BlobStatus, CheckpointStore, HealthConfig, LinkHealth};
 /// 5-minute round.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MonitorConfig {
-    /// Online detector configuration (shared by every link).
-    pub online: OnlineConfig,
     /// Number of state/index shards.
     pub shards: usize,
     /// Ingest worker threads (0 = all cores, 1 = sequential).
@@ -123,7 +121,6 @@ const DEGRADED_HOLD: u64 = 3;
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            online: OnlineConfig::default(),
             shards: 16,
             threads: 1,
             reorder_window: 4,
@@ -234,11 +231,12 @@ pub struct LinkDesc {
 }
 
 /// Fingerprint binding checkpoints to one monitor deployment: configuration
-/// (detector, shard layout, admission control), the health thresholds and
-/// link count. The shedding seed and the mask slack are constants; they
-/// keep their places in the mix so v4 checkpoints still resume. Thread
-/// count and the Degraded-mode hold are deliberately excluded — the link
-/// state does not depend on them. The magic word is versioned with the
+/// (shard layout, admission control), the detector's parameters, the
+/// health thresholds and link count. The shedding seed, the detector's four
+/// parameters and the mask slack are constants; they keep their places in
+/// the mix so v4 checkpoints still resume. Thread count and the
+/// Degraded-mode hold are deliberately excluded — the link state does not
+/// depend on them. The magic word is versioned with the
 /// checkpoint payload layout: v4 blobs store each gate as its five counters
 /// and move parked samples into a per-shard trailer (v3 wrote eight slots,
 /// mostly empty, per gate), so v3 deployments read as a miss, never a
@@ -252,10 +250,10 @@ pub fn monitor_fingerprint(cfg: &MonitorConfig, n_links: usize) -> u64 {
         cfg.reorder_window,
         cfg.max_shard_batch as u64,
         SHED_SEED,
-        cfg.online.kappa.to_bits(),
-        cfg.online.h.to_bits(),
-        cfg.online.warmup as u64,
-        cfg.online.baseline_gain.to_bits(),
+        online::KAPPA.to_bits(),
+        online::H.to_bits(),
+        online::WARMUP as u64,
+        online::BASELINE_GAIN.to_bits(),
         cfg.shards as u64,
         MASK_SLACK_ROUNDS,
         WINDOW_ROUNDS,
@@ -289,9 +287,9 @@ type Records = (Vec<LinkHot>, Vec<LinkCold>);
 
 impl ShardSlab {
     /// `slots` fresh links.
-    fn fresh(slots: usize, cfg: &MonitorConfig) -> ShardSlab {
+    fn fresh(slots: usize) -> ShardSlab {
         ShardSlab {
-            hot: vec![LinkHot::new(cfg); slots],
+            hot: vec![LinkHot::new(); slots],
             cold: vec![LinkCold::new(); slots],
             labels: vec![LinkHealth::Clean; slots],
             dirty: Vec::new(),
@@ -454,7 +452,7 @@ impl MonitorService {
         let ixp_of: Vec<u32> = links.iter().map(|l| l.ixp).collect();
         let n_ixps = ixp_of.iter().copied().max().map_or(1, |m| m as usize + 1);
         let slabs = (0..shards)
-            .map(|s| Mutex::new(ShardSlab::fresh(n / shards + usize::from(s < n % shards), &cfg)))
+            .map(|s| Mutex::new(ShardSlab::fresh(n / shards + usize::from(s < n % shards))))
             .collect();
         MonitorService {
             cfg,
@@ -899,7 +897,7 @@ impl MonitorService {
                     let (h, c) = (&mut hot[slot], &mut cold[slot]);
                     let mut moved = false;
                     let d = h.admit(c, seq, s, cfg.reorder_window, &mut |h, c, smp| {
-                        moved |= h.push(c, &smp, cfg).evidence_moved;
+                        moved |= h.push(c, &smp).evidence_moved;
                     });
                     totals.delivered += u64::from(d.delivered);
                     totals.duplicates += u64::from(d.duplicates);
@@ -920,7 +918,7 @@ impl MonitorService {
                     let (h, c) = (&mut hot[slot], &mut cold[slot]);
                     let mut moved = false;
                     let mut deliver = |h: &mut LinkHot, c: &mut LinkCold, smp: MonitorSample| {
-                        let up = h.push(c, &smp, cfg);
+                        let up = h.push(c, &smp);
                         moved |= up.evidence_moved;
                         // One predictable single-byte test per delivery,
                         // untaken on quiet samples. The rare path reads
@@ -980,7 +978,7 @@ impl MonitorService {
         };
         match restored {
             Some(decoded) => slab.replace(decoded),
-            None => *slab = ShardSlab::fresh(slots, &self.cfg),
+            None => *slab = ShardSlab::fresh(slots),
         }
         drop(store);
         // publish() maintains the elevated aggregates on transitions, so
@@ -1315,7 +1313,7 @@ fn decode_shard_payload(
     let mut cold = Vec::with_capacity(count);
     for slot in payload[8..trailer].chunks_exact(SHARD_SLOT_LEN) {
         let (link, gate) = slot.split_at(LinkHot::ENCODED_LEN);
-        let (mut h, mut c) = LinkHot::decode(link, cfg)?;
+        let (mut h, mut c) = LinkHot::decode(link)?;
         (h.next_seq, c.gate) = GateCold::decode(gate)?;
         hot.push(h);
         cold.push(c);
@@ -1595,10 +1593,10 @@ mod tests {
             let cfg = MonitorConfig { threads, ..MonitorConfig::default() };
             let svc = MonitorService::new(cfg, &links(n, 3));
             let report = drive(&svc, n, 0..200);
-            let mut bare: Vec<LinkState> = (0..n).map(|_| LinkState::with_config(&cfg)).collect();
+            let mut bare: Vec<LinkState> = (0..n).map(|_| LinkState::new()).collect();
             for r in 0..200 {
                 for (id, st) in bare.iter_mut().enumerate() {
-                    st.push(&sample(id as u32, r), &cfg);
+                    st.push(&sample(id as u32, r));
                 }
             }
             let mut want = Vec::new();

@@ -10,10 +10,12 @@
 //! positions with no skip bookkeeping.
 //!
 //! Masking follows the batch rule from `assess_link`, made causal: a
-//! path change at round `c` taints upshifts in `[c, c + slack]`. The batch
-//! assessor can also mask an upshift *before* the change (it sees the whole
-//! series); a resident monitor cannot know the future, so the backward half
-//! of the window is deliberately absent — the equivalence suite pins the
+//! path change at round `c` taints upshifts in `[c, c + slack]`, with the
+//! batch assessor's own [`MASK_SLACK`] counted in rounds
+//! ([`MASK_SLACK_ROUNDS`]). The batch assessor can also mask an upshift
+//! *before* the change (it sees the whole series); a resident monitor
+//! cannot know the future, so the backward half of the window is
+//! deliberately absent — the equivalence suite pins the
 //! causal rule on both the streaming and batch sides.
 //!
 //! Health is read with the batch ladder itself, [`HealthConfig::label`]
@@ -41,11 +43,15 @@
 //! service keeps each in its own per-shard array, so a steady-state sample
 //! streams one line; [`LinkState`] owns one pair of the same records and
 //! runs the same code, for tests, benches and batch reference views.
+//! Neither reads a configuration per sample: the detector's parameters are
+//! the constants of [`ixp_chgpt::online`], and only the gate's reorder
+//! window comes from [`MonitorConfig`].
 
 use crate::index::{ColdVerdict, HotVerdict, MaskOutcome, VerdictEvidence};
 use crate::service::{MonitorConfig, SeqStats};
 use ixp_chgpt::{elevation_estimate, online_step, OnlineCold, OnlineHot, OnlineVerdict};
 use ixp_simnet::time::SimDuration;
+use tslp_core::detect::MASK_SLACK;
 use tslp_core::health::{HealthConfig, WindowEvidence};
 use tslp_core::LinkHealth;
 
@@ -61,8 +67,8 @@ pub(crate) const MIN_GAP_ROUNDS: u64 = HealthConfig::DEFAULT.min_gap_rounds(ROUN
 
 /// The causal mask's slack: a path change at round `c` masks upshifts in
 /// `[c, c + MASK_SLACK_ROUNDS]`. The batch assessor's 30-minute
-/// `AssessConfig::mask_slack` on the 5-minute round = 6.
-pub const MASK_SLACK_ROUNDS: u64 = SimDuration::from_mins(30).as_micros() / ROUND.as_micros();
+/// [`MASK_SLACK`] on the 5-minute round = 6.
+pub const MASK_SLACK_ROUNDS: u64 = MASK_SLACK.as_micros() / ROUND.as_micros();
 
 /// One ingested measurement round for one link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -201,12 +207,12 @@ pub(crate) struct LinkCold {
 
 impl LinkHot {
     /// The hot record of a fresh link.
-    pub(crate) fn new(cfg: &MonitorConfig) -> LinkHot {
+    pub(crate) fn new() -> LinkHot {
         LinkHot {
             next_seq: 0,
             rounds: 0,
             last_fp: 0,
-            det: OnlineHot::new(&cfg.online),
+            det: OnlineHot::new(),
             cur_loss_run: 0,
             w_rounds: 0,
             w_answered: 0,
@@ -218,15 +224,9 @@ impl LinkHot {
         }
     }
 
-    /// Ingest one round. `cfg` must be the same configuration every call
-    /// (the service guarantees this; mixing configs is a logic error).
+    /// Ingest one round.
     #[inline(always)]
-    pub(crate) fn push(
-        &mut self,
-        cold: &mut LinkCold,
-        s: &MonitorSample,
-        cfg: &MonitorConfig,
-    ) -> LinkUpdate {
+    pub(crate) fn push(&mut self, cold: &mut LinkCold, s: &MonitorSample) -> LinkUpdate {
         let round = self.rounds;
         self.rounds += 1;
 
@@ -263,7 +263,7 @@ impl LinkHot {
             self.cur_loss_run = self.cur_loss_run.saturating_add(1);
         }
 
-        let verdict = online_step(&cfg.online, &mut self.det, &mut cold.det, s.far_ms);
+        let verdict = online_step(&mut self.det, &mut cold.det, s.far_ms);
         let masked =
             verdict == OnlineVerdict::UpshiftAlarm && cold.record_alarm(round);
 
@@ -444,8 +444,8 @@ impl LinkHot {
 
     /// Fixed-layout encode of the link for checkpointing: 27 u64
     /// little-endian words, the gate excluded (see [`GateCold::encode_into`]).
-    /// The detector config is not serialized — it is rebuilt from the
-    /// service config, which the checkpoint fingerprint binds.
+    /// The detector's parameters are not serialized: they are constants,
+    /// which the checkpoint fingerprint binds.
     pub(crate) fn encode_into(&self, cold: &LinkCold, out: &mut Vec<u8>) {
         let (h, c) = (&self.det, &cold.det);
         let words: [u64; 27] = [
@@ -492,7 +492,7 @@ impl LinkHot {
     /// flag other than 0 or 1, an unknown health code, or a last-change or
     /// last-alarm round that is neither `u64::MAX` (never) nor below the
     /// rounds ingested (the next alarm would subtract past zero).
-    pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<(LinkHot, LinkCold)> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<(LinkHot, LinkCold)> {
         if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
@@ -510,7 +510,6 @@ impl LinkHot {
             gaps: words[9],
         };
         let det_hot = OnlineHot::restore(
-            &cfg.online,
             f64::from_bits(words[0]),
             f64::from_bits(words[3]),
             words[5] != 0,
@@ -605,16 +604,9 @@ impl Default for LinkState {
 }
 
 impl LinkState {
-    /// Fresh state under the default [`MonitorConfig`]. A service running
-    /// any other detector warm-up builds through
-    /// [`LinkState::with_config`] instead.
+    /// Fresh state.
     pub fn new() -> LinkState {
-        LinkState::with_config(&MonitorConfig::default())
-    }
-
-    /// Fresh state for a service configuration.
-    pub fn with_config(cfg: &MonitorConfig) -> LinkState {
-        LinkState { hot: LinkHot::new(cfg), cold: LinkCold::new() }
+        LinkState { hot: LinkHot::new(), cold: LinkCold::new() }
     }
 
     /// The state held in a service slab's two records (tests compare it
@@ -670,11 +662,10 @@ impl LinkState {
         self.hot.verdict_evidence(&self.cold)
     }
 
-    /// Ingest one round, bypassing the link's gate. `cfg` must be the same
-    /// configuration every call (mixing configs is a logic error).
+    /// Ingest one round, bypassing the link's gate.
     #[inline(always)]
-    pub fn push(&mut self, s: &MonitorSample, cfg: &MonitorConfig) -> LinkUpdate {
-        self.hot.push(&mut self.cold, s, cfg)
+    pub fn push(&mut self, s: &MonitorSample) -> LinkUpdate {
+        self.hot.push(&mut self.cold, s)
     }
 
     /// Admit one `(seq, sample)` arrival through the link's own sequence
@@ -704,7 +695,7 @@ impl LinkState {
     #[inline]
     pub fn admit(&mut self, seq: u64, s: MonitorSample, cfg: &MonitorConfig) -> AdmitDelta {
         self.hot.admit(&mut self.cold, seq, s, cfg.reorder_window, &mut |hot, cold, smp| {
-            hot.push(cold, &smp, cfg);
+            hot.push(cold, &smp);
         })
     }
 
@@ -727,8 +718,8 @@ impl LinkState {
 
     /// Decode a state previously written by [`LinkState::encode_into`].
     #[cfg(test)]
-    pub(crate) fn decode(bytes: &[u8], cfg: &MonitorConfig) -> Option<LinkState> {
-        let (hot, cold) = LinkHot::decode(bytes, cfg)?;
+    pub(crate) fn decode(bytes: &[u8]) -> Option<LinkState> {
+        let (hot, cold) = LinkHot::decode(bytes)?;
         Some(LinkState { hot, cold })
     }
 }
@@ -1042,12 +1033,8 @@ pub(crate) const PARKED_LEN: usize = 5 * 8;
 /// [`ixp_chgpt::online_events`] on `far_ms` (the equivalence suite asserts
 /// this); the masked flag applies the same causal path-change rule the
 /// resident service applies sample-by-sample.
-pub fn masked_online_events(
-    far_ms: &[f64],
-    path_fp: &[u64],
-    cfg: &MonitorConfig,
-) -> Vec<MonitorEvent> {
-    let mut st = LinkState::with_config(cfg);
+pub fn masked_online_events(far_ms: &[f64], path_fp: &[u64]) -> Vec<MonitorEvent> {
+    let mut st = LinkState::new();
     let mut out = Vec::new();
     let mut open: Option<(usize, bool)> = None;
     for (i, &x) in far_ms.iter().enumerate() {
@@ -1056,7 +1043,7 @@ pub fn masked_online_events(
             path_fp: path_fp.get(i).copied().unwrap_or(0),
             far_addr_ok: true,
         };
-        match st.push(&s, cfg) {
+        match st.push(&s) {
             LinkUpdate { verdict: OnlineVerdict::UpshiftAlarm, masked, .. } => {
                 open = Some((i, masked));
             }
@@ -1099,9 +1086,8 @@ mod tests {
         for i in (13..series.len()).step_by(41) {
             series[i] = f64::NAN;
         }
-        let cfg = MonitorConfig::default();
-        let batch = online_events(&series, cfg.online);
-        let streamed: Vec<(usize, usize)> = masked_online_events(&series, &vec![0; series.len()], &cfg)
+        let batch = online_events(&series);
+        let streamed: Vec<(usize, usize)> = masked_online_events(&series, &vec![0; series.len()])
             .into_iter()
             .map(|e| (e.up, e.down))
             .collect();
@@ -1116,13 +1102,12 @@ mod tests {
         for f in fp[300..].iter_mut() {
             *f = 0xBB;
         }
-        let cfg = MonitorConfig::default();
-        let ev = masked_online_events(&series, &fp, &cfg);
+        let ev = masked_online_events(&series, &fp);
         assert_eq!(ev.len(), 1);
         assert!(ev[0].masked, "{ev:?}");
 
         // Same shift on a stable path: genuine.
-        let stable = masked_online_events(&series, &vec![0xAAu64; series.len()], &cfg);
+        let stable = masked_online_events(&series, &vec![0xAAu64; series.len()]);
         assert_eq!(stable.len(), 1);
         assert!(!stable[0].masked);
     }
@@ -1135,7 +1120,7 @@ mod tests {
         for f in fp[200..].iter_mut() {
             *f = 0xBB;
         }
-        let ev = masked_online_events(&series, &fp, &MonitorConfig::default());
+        let ev = masked_online_events(&series, &fp);
         assert_eq!(ev.len(), 1);
         assert!(!ev[0].masked, "{ev:?}");
     }
@@ -1146,61 +1131,59 @@ mod tests {
         // Rate-limiter shape: fingerprint known only every 3rd round, but
         // always the same when known.
         let fp: Vec<u64> = (0..series.len()).map(|i| if i % 3 == 0 { 0xAA } else { 0 }).collect();
-        let mut st = LinkState::with_config(&MonitorConfig::default());
-        let cfg = MonitorConfig::default();
+        let mut st = LinkState::new();
         for (i, &x) in series.iter().enumerate() {
-            st.push(&MonitorSample { far_ms: x, path_fp: fp[i], far_addr_ok: true }, &cfg);
+            st.push(&MonitorSample { far_ms: x, path_fp: fp[i], far_addr_ok: true });
         }
         assert_eq!(st.path_changes(), 0);
     }
 
     #[test]
     fn health_ladder_matches_batch_precedence() {
-        let cfg = MonitorConfig::default();
         // Clean link.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for _ in 0..600 {
-            st.push(&MonitorSample::answered(2.0, 0xAA), &cfg);
+            st.push(&MonitorSample::answered(2.0, 0xAA));
         }
         assert_eq!(st.health(), LinkHealth::Clean);
 
         // Rate-limiter shape: every third round answered.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for i in 0..600u64 {
             let s = if i % 3 == 0 {
                 MonitorSample::answered(2.0, 0xAA)
             } else {
                 MonitorSample::lost()
             };
-            st.push(&s, &cfg);
+            st.push(&s);
         }
         assert_eq!(st.health(), LinkHealth::RateLimited);
 
         // One long bounded gap in an otherwise clean window.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for i in 0..280u64 {
             let s = if (60..90).contains(&i) { MonitorSample::lost() } else { MonitorSample::answered(2.0, 0xAA) };
-            st.push(&s, &cfg);
+            st.push(&s);
         }
         assert_eq!(st.health(), LinkHealth::Gappy);
 
         // Wrong source address on most answers.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for _ in 0..200 {
-            st.push(&MonitorSample { far_ms: 2.0, path_fp: 0xAA, far_addr_ok: false }, &cfg);
+            st.push(&MonitorSample { far_ms: 2.0, path_fp: 0xAA, far_addr_ok: false });
         }
         assert_eq!(st.health(), LinkHealth::AddrUnstable);
 
         // Dead link: Silent beats everything.
-        let mut st = LinkState::with_config(&cfg);
-        st.push(&MonitorSample::answered(2.0, 0xAA), &cfg);
+        let mut st = LinkState::new();
+        st.push(&MonitorSample::answered(2.0, 0xAA));
         for _ in 0..(WINDOW_ROUNDS / 2) {
-            st.push(&MonitorSample::lost(), &cfg);
+            st.push(&MonitorSample::lost());
         }
         assert_eq!(st.health(), LinkHealth::Silent);
 
         // Path change outranks gap evidence.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for i in 0..280u64 {
             let fp = if i < 100 { 0xAA } else { 0xBB };
             let s = if (150..190).contains(&i) {
@@ -1208,7 +1191,7 @@ mod tests {
             } else {
                 MonitorSample::answered(2.0, fp)
             };
-            st.push(&s, &cfg);
+            st.push(&s);
         }
         assert_eq!(st.health(), LinkHealth::PathChange);
     }
@@ -1224,7 +1207,7 @@ mod tests {
 
     impl Gated {
         fn new() -> Gated {
-            let hot = LinkHot::new(&MonitorConfig::default());
+            let hot = LinkHot::new();
             Gated { hot, cold: LinkCold::new(), out: Vec::new() }
         }
 
@@ -1537,8 +1520,8 @@ mod tests {
             let cfg = MonitorConfig { reorder_window: window, ..MonitorConfig::default() };
             let mut model = GateModel::new(window);
             let mut g = Gated::new();
-            let mut gated = LinkState::with_config(&cfg);
-            let mut pushed = LinkState::with_config(&cfg);
+            let mut gated = LinkState::new();
+            let mut pushed = LinkState::new();
             let mut state = 0x9E37_79B9u64;
             for i in 0..2 * series.len() as u64 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1563,7 +1546,7 @@ mod tests {
                 assert_eq!(g.out[before..], released, "window {window} arrival {i}");
                 assert_eq!(gated.admit(seq, s, &cfg), expect);
                 for smp in &want {
-                    pushed.push(smp, &cfg);
+                    pushed.push(smp);
                 }
             }
             let (st, t) = (g.stats(), model.totals);
@@ -1585,19 +1568,18 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_is_exact() {
-        let cfg = MonitorConfig::default();
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         let series = noisy_step(&[(300, 2.0), (50, 24.0)], 1.0);
         for (i, &x) in series.iter().enumerate() {
             let fp = if i < 200 { 0xAA } else { 0xBB };
-            st.push(&MonitorSample { far_ms: if i % 7 == 0 { f64::NAN } else { x }, path_fp: fp, far_addr_ok: i % 11 != 0 }, &cfg);
+            st.push(&MonitorSample { far_ms: if i % 7 == 0 { f64::NAN } else { x }, path_fp: fp, far_addr_ok: i % 11 != 0 });
         }
         let mut buf = Vec::new();
         st.encode_into(&mut buf);
         assert_eq!(buf.len(), LinkState::ENCODED_LEN);
         // A checkpoint slot is the link state plus the gate's counters.
         assert_eq!(LinkState::ENCODED_LEN + GateCold::ENCODED_LEN, 256);
-        let back = LinkState::decode(&buf, &cfg).unwrap();
+        let back = LinkState::decode(&buf).unwrap();
         // Continuing both must stay in lockstep (state equality via re-encode).
         let mut buf2 = Vec::new();
         back.encode_into(&mut buf2);
@@ -1605,10 +1587,10 @@ mod tests {
         let mut a = st.clone();
         let mut b = back;
         for &x in &series[..100] {
-            let ua = a.push(&MonitorSample::answered(x, 0xBB), &cfg);
-            let ub = b.push(&MonitorSample::answered(x, 0xBB), &cfg);
+            let ua = a.push(&MonitorSample::answered(x, 0xBB));
+            let ub = b.push(&MonitorSample::answered(x, 0xBB));
             assert_eq!(ua, ub);
         }
-        assert!(LinkState::decode(&buf[..buf.len() - 1], &cfg).is_none());
+        assert!(LinkState::decode(&buf[..buf.len() - 1]).is_none());
     }
 }

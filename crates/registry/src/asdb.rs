@@ -83,11 +83,6 @@ impl AsDb {
     pub fn iter(&self) -> impl Iterator<Item = &AsRecord> {
         self.records.values()
     }
-
-    /// All ASes registered in `country`.
-    pub fn in_country<'a>(&'a self, country: &'a str) -> impl Iterator<Item = &'a AsRecord> {
-        self.records.values().filter(move |r| r.country == country)
-    }
 }
 
 #[cfg(test)]
@@ -114,17 +109,6 @@ mod tests {
         db.insert(rec(33786, "KNET", "GH", AsKind::Content));
         assert_eq!(db.name_of(Asn(33786)), "KNET");
         assert_eq!(db.name_of(Asn(12345)), "AS12345");
-    }
-
-    #[test]
-    fn country_filter() {
-        let mut db = AsDb::new();
-        db.insert(rec(30997, "GIXA", "GH", AsKind::IxpOperator));
-        db.insert(rec(29614, "GHANATEL", "GH", AsKind::Access));
-        db.insert(rec(30844, "LIQUID", "KE", AsKind::Transit));
-        let gh: Vec<_> = db.in_country("GH").map(|r| r.asn).collect();
-        assert_eq!(gh.len(), 2);
-        assert!(gh.contains(&Asn(30997)));
     }
 
     #[test]

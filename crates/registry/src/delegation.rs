@@ -10,7 +10,6 @@
 
 use ixp_simnet::prelude::{Asn, Ipv4, Prefix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Address blocks administered by the synthetic registry (AfriNIC's v4 pools).
 pub const REGISTRY_BLOCKS: [(u8, u8); 6] = [(41, 8), (102, 8), (105, 8), (154, 8), (196, 8), (197, 8)];
@@ -44,7 +43,6 @@ pub enum DelegationStatus {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AddressRegistry {
     delegations: Vec<Delegation>,
-    by_asn: HashMap<u32, Vec<usize>>,
     /// Next free /16 index within each top-level block.
     cursor: usize,
     /// Allocation cursor *within* the current /16, in units of /24.
@@ -60,7 +58,7 @@ impl Default for AddressRegistry {
 impl AddressRegistry {
     /// Fresh, empty registry.
     pub fn new() -> AddressRegistry {
-        AddressRegistry { delegations: Vec::new(), by_asn: HashMap::new(), cursor: 0, sub_cursor: 0 }
+        AddressRegistry { delegations: Vec::new(), cursor: 0, sub_cursor: 0 }
     }
 
     /// Total /16 pool size across all registry blocks.
@@ -98,23 +96,13 @@ impl AddressRegistry {
             self.cursor += 1;
             self.sub_cursor = 0;
         }
-        let idx = self.delegations.len();
         self.delegations.push(Delegation { prefix, asn, country: country.to_string(), date, status });
-        self.by_asn.entry(asn.0).or_default().push(idx);
         prefix
     }
 
     /// All delegations, in allocation order.
     pub fn delegations(&self) -> &[Delegation] {
         &self.delegations
-    }
-
-    /// Prefixes delegated to `asn`.
-    pub fn prefixes_of(&self, asn: Asn) -> Vec<Prefix> {
-        self.by_asn
-            .get(&asn.0)
-            .map(|idxs| idxs.iter().map(|&i| self.delegations[i].prefix).collect())
-            .unwrap_or_default()
     }
 
     /// The delegation covering `addr`, if any.
@@ -166,16 +154,6 @@ mod tests {
             );
             got.push(p);
         }
-    }
-
-    #[test]
-    fn per_asn_lookup() {
-        let mut reg = AddressRegistry::new();
-        let a = reg.allocate(Asn(30997), "GH", 20050101, 24, DelegationStatus::Assigned);
-        let b = reg.allocate(Asn(30997), "GH", 20100101, 24, DelegationStatus::Assigned);
-        reg.allocate(Asn(29614), "GH", 20000101, 20, DelegationStatus::Allocated);
-        assert_eq!(reg.prefixes_of(Asn(30997)), vec![a, b]);
-        assert_eq!(reg.prefixes_of(Asn(99999)), Vec::new());
     }
 
     #[test]

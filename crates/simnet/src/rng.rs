@@ -4,11 +4,7 @@
 //! *pure function* of `(seed, entity, time-bin / packet-uid)` so that the
 //! whole year-long campaign is reproducible bit-for-bit and queue state can
 //! be queried lazily without replaying history. We use SplitMix64 as the
-//! mixing function; sequential RNG needs use `rand::rngs::SmallRng` seeded
-//! from the same material.
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+//! mixing function.
 
 /// SplitMix64 finalizer: a high-quality 64→64-bit mixing function.
 #[inline]
@@ -80,12 +76,6 @@ impl HashNoise {
     #[inline]
     pub fn chance(&self, stream: u64, key: u64, p: f64) -> bool {
         self.unit_f64(stream, key) < p
-    }
-
-    /// Derive a sequential RNG for `(stream, key)` — for uses that genuinely
-    /// need a stream (e.g. topology generation), not random access.
-    pub fn small_rng(&self, stream: u64, key: u64) -> SmallRng {
-        SmallRng::seed_from_u64(self.u64(stream, key))
     }
 
     /// Derive a child noise source with an independent seed.
@@ -175,16 +165,5 @@ mod tests {
         let n = HashNoise::new(9);
         assert_ne!(n.u64(1, 100), n.u64(2, 100));
         assert_ne!(n.child(1, 0).seed(), n.child(1, 1).seed());
-    }
-
-    #[test]
-    fn small_rng_is_reproducible() {
-        use rand::Rng;
-        let n = HashNoise::new(5);
-        let a: u64 = n.small_rng(6, 1).gen();
-        let b: u64 = n.small_rng(6, 1).gen();
-        let c: u64 = n.small_rng(6, 2).gen();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -41,8 +41,6 @@ pub struct VpStudyConfig {
     pub max_links: Option<usize>,
     /// Override the campaign window (None = the spec's measurement window).
     pub window: Option<(SimTime, SimTime)>,
-    /// Disable the screening pass (paper-exact probing).
-    pub exact_probing: bool,
     /// Run record-route symmetry checks for diurnal candidates.
     pub with_rr: bool,
     /// Run loss campaigns for links with repeated congestion events.
@@ -69,7 +67,6 @@ impl Default for VpStudyConfig {
             seed: 0xAF12_2017,
             max_links: None,
             window: None,
-            exact_probing: false,
             with_rr: true,
             with_loss: true,
             keep_series: true,
@@ -345,11 +342,7 @@ pub fn run_vp_study_rec<R: Recorder + Sync>(spec: &VpSpec, cfg: &VpStudyConfig, 
     if let Some(cap) = cfg.max_links {
         discovered.truncate(cap);
     }
-    let mut campaign = if cfg.exact_probing {
-        CampaignConfig::exact(start, end)
-    } else {
-        CampaignConfig::paper(start, end)
-    };
+    let mut campaign = CampaignConfig::paper(start, end);
     campaign.threads = cfg.threads;
 
     let truth_of = |near: Ipv4, far: Ipv4| -> Option<TruthKind> {

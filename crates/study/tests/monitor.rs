@@ -134,21 +134,20 @@ fn fault_corpus() -> Vec<LinkSeries> {
 fn streaming_reproduces_online_events_across_fault_corpus() {
     let corpus = fault_corpus();
     assert!(corpus.len() >= 8, "VP4 corpus unexpectedly small: {}", corpus.len());
-    let cfg = MonitorConfig::default();
     let mut total_events = 0usize;
     let mut total_gaps = 0usize;
     let mut total_changes = 0usize;
     for (li, series) in corpus.iter().enumerate() {
         // The batch view on the raw far series.
-        let batch = online_events(&series.far_ms, cfg.online);
+        let batch = online_events(&series.far_ms);
 
         // The streaming view: one LinkState pushed sample-by-sample.
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         let mut streamed: Vec<(usize, usize)> = Vec::new();
         let mut open: Option<usize> = None;
         for (i, &x) in series.far_ms.iter().enumerate() {
             let s = MonitorSample { far_ms: x, path_fp: series.path_fp[i], far_addr_ok: true };
-            let up = st.push(&s, &cfg);
+            let up = st.push(&s);
             assert_eq!(up.round as usize, i, "link {li}: rounds must track series indices");
             match up.verdict {
                 ixp_chgpt::OnlineVerdict::UpshiftAlarm => open = Some(i),
@@ -182,14 +181,13 @@ fn streaming_reproduces_online_events_across_fault_corpus() {
 #[test]
 fn masking_agrees_with_batch_reference_and_fingerprint_record() {
     let corpus = fault_corpus();
-    let cfg = MonitorConfig::default();
     let slack = MASK_SLACK_ROUNDS as usize;
     let mut total_masked = 0usize;
     for (li, series) in corpus.iter().enumerate() {
-        let events = masked_online_events(&series.far_ms, &series.path_fp, &cfg);
+        let events = masked_online_events(&series.far_ms, &series.path_fp);
         // The (up, down) pairs are exactly the unmasked batch view.
         let plain: Vec<(usize, usize)> = events.iter().map(|e| (e.up, e.down)).collect();
-        assert_eq!(plain, online_events(&series.far_ms, cfg.online), "link {li}");
+        assert_eq!(plain, online_events(&series.far_ms), "link {li}");
         // Masked flags must agree with the series' own change record under
         // the causal rule: change at c masks upshifts in [c, c + slack].
         let changes = series.path_change_rounds();
@@ -429,7 +427,7 @@ fn thousand_link_continent_monitor_smoke() {
         assert_eq!(v.round as usize, rounds);
         // The live verdict must agree with the batch view of the same data.
         let batch_open =
-            online_events(far, cfg.online).last().is_some_and(|&(_, down)| down == far.len());
+            online_events(far).last().is_some_and(|&(_, down)| down == far.len());
         assert_eq!(
             v.elevated, batch_open,
             "link {li}: live elevation disagrees with online_events"
@@ -527,7 +525,6 @@ fn random_window(d: &mut Draw) -> Vec<TslpSample> {
 /// address consistency, runs clipped at window edges).
 #[test]
 fn batch_and_live_health_agree_on_one_full_window() {
-    let cfg = MonitorConfig::default();
     let hcfg = HealthConfig::default();
     let grid = SeriesConfig::five_minute(SimTime::from_date(2016, 3, 1));
     let mut d = Draw(0x4EA1_7412);
@@ -535,14 +532,11 @@ fn batch_and_live_health_agree_on_one_full_window() {
     for w in 0..6_000 {
         let samples = random_window(&mut d);
         let mut series = LinkSeries::new(grid);
-        let mut st = LinkState::with_config(&cfg);
+        let mut st = LinkState::new();
         for s in &samples {
             series.push(s);
             let far_ms = series.far_ms[series.len() - 1];
-            st.push(
-                &MonitorSample { far_ms, path_fp: s.path_fp, far_addr_ok: s.far_addr_ok },
-                &cfg,
-            );
+            st.push(&MonitorSample { far_ms, path_fp: s.path_fp, far_addr_ok: s.far_addr_ok });
         }
         let batch = classify_link(&series, &hcfg).windows;
         assert_eq!(batch.len(), 1);

@@ -209,7 +209,6 @@ fn run_plan(plan: &Plan, threads: usize) -> Run {
         shards: SHARDS,
         max_shard_batch: plan.cap,
         reorder_window: plan.reorder_window,
-        ..MonitorConfig::default()
     };
     let dir = scratch_dir(plan, threads);
     let _ = std::fs::remove_dir_all(&dir);

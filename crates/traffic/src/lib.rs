@@ -10,7 +10,7 @@
 //! - [`slowpath`] — delay that is *not* queueing: diurnal ICMP slow paths
 //!   (the KNET mechanism) and sporadic non-diurnal level shifts;
 //! - [`scenarios`] — the calibrated paper case studies (GIXA–GHANATEL,
-//!   GIXA–KNET, QCELL–NETPAGE) plus healthy/noisy link generators, each with
+//!   GIXA–KNET, QCELL–NETPAGE) plus the healthy link generator, each with
 //!   machine-readable ground truth.
 
 #![warn(missing_docs)]

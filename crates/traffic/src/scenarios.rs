@@ -1,6 +1,7 @@
 //! The paper's case studies, calibrated: GIXA–GHANATEL, GIXA–KNET,
-//! QCELL–NETPAGE, plus generators for the boring and the merely-noisy links
-//! that make up the rest of the substrate.
+//! QCELL–NETPAGE, plus the generator for the healthy links that make up the
+//! rest of the substrate (the topology builder installs nuisance shifts on
+//! some of their routers).
 //!
 //! Each [`LinkScenario`] bundles everything a topology builder needs to
 //! instantiate one interdomain link — capacity/buffer/up schedules, offered
@@ -24,7 +25,7 @@
 
 use crate::phased::PhasedLoad;
 use crate::profile::{DiurnalLoad, Shape};
-use crate::slowpath::{DiurnalSlowPath, RandomShifts, WindowedSlowPath};
+use crate::slowpath::{DiurnalSlowPath, WindowedSlowPath};
 use ixp_simnet::fault::Fault;
 use ixp_simnet::ip::Prefix;
 use ixp_simnet::link::{LinkConfig, OfferedLoad, Schedule};
@@ -92,8 +93,6 @@ pub enum Cause {
     /// Far router generates ICMP slowly under diurnal control-plane load
     /// (the KNET ambiguity).
     SlowIcmpGeneration,
-    /// Sporadic non-diurnal level shifts (routing changes etc.).
-    RoutingNoise,
     /// Nothing: a healthy link.
     None,
 }
@@ -560,17 +559,6 @@ pub fn healthy_link(capacity_bps: f64, mean_util: f64, noise: HashNoise) -> Link
     }
 }
 
-/// A link with non-diurnal level shifts (Table 1's "flagged, no diurnal
-/// pattern" population): healthy queues, but the far router exhibits
-/// sporadic multi-hour RTT elevations from routing/maintenance events.
-pub fn noisy_link(capacity_bps: f64, noise: HashNoise) -> LinkScenario {
-    let mut s = healthy_link(capacity_bps, 0.3, noise.child(5, 1));
-    s.name = "noisy";
-    s.far_slow_path = Some(Arc::new(RandomShifts::nuisance(noise.child(5, 2))));
-    s.truth = GroundTruth { cause: Cause::RoutingNoise, sustained: false, phases: Vec::new() };
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,13 +693,6 @@ mod tests {
         assert!(s.load_forward.peak_bps() < 0.8e9);
         assert!(s.load_reverse.peak_bps() < 0.8e9);
         assert_eq!(s.truth.cause, Cause::None);
-    }
-
-    #[test]
-    fn noisy_has_slow_path_and_truth() {
-        let s = noisy_link(1e9, noise());
-        assert!(s.far_slow_path.is_some());
-        assert_eq!(s.truth.cause, Cause::RoutingNoise);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! monitor deployed at the VP should raise alarms for the same episodes the
 //! retrospective analysis finds.
 
-use african_ixp_congestion::chgpt::online::{online_events, OnlineConfig};
+use african_ixp_congestion::chgpt::online::online_events;
 use african_ixp_congestion::simnet::prelude::*;
 use african_ixp_congestion::study::prelude::*;
 use african_ixp_congestion::topology::paper_vps;
@@ -25,7 +25,7 @@ fn netpage_series() -> (african_ixp_congestion::tslp::series::LinkSeries, usize)
 fn online_matches_offline_on_netpage() {
     let (series, offline_count) = netpage_series();
     let (far, _) = series.far_clean();
-    let online = online_events(&far, OnlineConfig::default());
+    let online = online_events(&far);
     assert!(offline_count > 10, "offline found {offline_count}");
     // The streaming detector sees the same daily episodes, within a
     // tolerance for merged/split edges.
@@ -46,7 +46,7 @@ fn online_quiet_after_upgrade() {
         SimTime::from_date(2016, 5, 20),
     );
     let (far, _) = post.far_clean();
-    let events = online_events(&far, OnlineConfig::default());
+    let events = online_events(&far);
     assert!(events.is_empty(), "post-upgrade alarms: {events:?}");
 }
 
@@ -54,7 +54,7 @@ fn online_quiet_after_upgrade() {
 fn online_detector_flags_events_promptly() {
     let (series, _) = netpage_series();
     let (far, idx) = series.far_clean();
-    let events = online_events(&far, OnlineConfig::default());
+    let events = online_events(&far);
     assert!(!events.is_empty());
     // Every alarm lands during phase 1 (before the upgrade) and inside the
     // loaded part of the day; the bulk fire at the ~09:00 episode onsets
