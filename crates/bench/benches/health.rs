@@ -4,17 +4,17 @@
 //! every link of every campaign, so it must be nearly free — the gate is
 //! <5% overhead.
 //!
-//! Each pair runs the corpus once through the worker pool, and each worker
-//! times both arms back to back on its link, the first arm alternating with
-//! link and pair, so the two arms share whatever else the host is doing.
-//! After a warm-up pair, the median over [`PAIRS`] pairs of
+//! The arms are timed by the shared protocol of `ixp_bench::paired`: each
+//! pass runs the corpus once through the worker pool, and each worker runs
+//! both arms back to back on its link. The median over passes of
 //! `(masked − unmasked) / unmasked` is written as `overhead_pct` to
 //! `target/bench-records/health.json`; the `bench-gate` binary gates it
-//! against `BENCH_health.json`. Per-arm rates split each pair's wall clock
+//! against `BENCH_health.json`. Per-arm rates split each pass's wall clock
 //! by the arms' shares of its per-link time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ixp_bench::detect_corpus;
+use ixp_bench::paired::{self, Overhead, PASSES};
 use ixp_bench::record::Record;
 use ixp_chgpt::DetectorScratch;
 use ixp_obs::NoopRecorder;
@@ -27,8 +27,6 @@ use tslp_core::series::{LinkSeries, SeriesConfig};
 
 const LINKS: usize = 16;
 const MONTHS: usize = 13;
-/// Timed pairs (odd, so the median is one pair's reading).
-const PAIRS: usize = 11;
 
 /// Lift the far-value corpus into full `LinkSeries`, with a quiet near side
 /// and campaign-realistic measurement damage: a quarter of the links get
@@ -81,11 +79,11 @@ fn health_corpus() -> Vec<LinkSeries> {
         .collect()
 }
 
-/// One pair: every corpus link through both arms — the unmasked
-/// assessment, and health classification plus the masked assessment — the
-/// first arm alternating with `pair + link`. Returns the pair's wall clock
-/// split by the arms' shares of its per-link time, `[unmasked, masked]`.
-fn pair(corpus: &[LinkSeries], cfg: &AssessConfig, pair: usize) -> [f64; 2] {
+/// One pass: every corpus link through both arms — the unmasked
+/// assessment (arm 0), and health classification plus the masked
+/// assessment (arm 1). Returns the pass's wall clock split by the arms'
+/// shares of its per-link time.
+fn pass(corpus: &[LinkSeries], cfg: &AssessConfig, pass: usize) -> [f64; 2] {
     let clean = HealthReport::clean();
     let wall = Instant::now();
     let per_link = pool_try_map(
@@ -93,28 +91,22 @@ fn pair(corpus: &[LinkSeries], cfg: &AssessConfig, pair: usize) -> [f64; 2] {
         corpus,
         DetectorScratch::new,
         |sc, k, s| {
-            let mut ns = [0.0f64; 2];
-            let order = if (pair + k).is_multiple_of(2) { [false, true] } else { [true, false] };
-            for masked in order {
-                let t = Instant::now();
-                black_box(if masked {
+            paired::time_item(pass, k, |arm| {
+                black_box(if arm == 1 {
                     let mask = classify_link(s, &cfg.health);
                     let a = assess_link(s, cfg, &mask, sc);
                     a.events.len() + a.artifacts.len()
                 } else {
                     assess_link(s, cfg, &clean, sc).events.len()
                 });
-                ns[usize::from(masked)] = t.elapsed().as_nanos() as f64;
-            }
-            ns
+            })
         },
         &NoopRecorder,
         "pool",
         |i, _| i.to_string(),
     );
     let wall_ns = wall.elapsed().as_nanos() as f64;
-    let arms =
-        per_link.into_iter().map(Result::unwrap).fold([0.0; 2], |a, n| [a[0] + n[0], a[1] + n[1]]);
+    let arms = per_link.into_iter().map(Result::unwrap).fold([0.0; 2], paired::add);
     arms.map(|ns| wall_ns * ns / (arms[0] + arms[1]))
 }
 
@@ -123,33 +115,29 @@ fn health_overhead(_c: &mut Criterion) {
     let samples = corpus[0].len();
     let cfg = AssessConfig::default();
 
-    pair(&corpus, &cfg, 0); // warm-up
-    let pairs: [[f64; 2]; PAIRS] = std::array::from_fn(|p| pair(&corpus, &cfg, p + 1));
-    let median = |mut s: [f64; PAIRS]| {
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s[PAIRS / 2]
-    };
-    let overhead_pct = median(pairs.map(|[plain, masked]| masked / plain - 1.0)) * 100.0;
-    let [plain_ns, masked_ns] = [0, 1].map(|arm| median(pairs.map(|p| p[arm])));
+    let passes = paired::passes(|p| pass(&corpus, &cfg, p));
+    let overhead = Overhead::of(passes.iter().map(|[plain, masked]| masked / plain - 1.0));
+    let [plain_ns, masked_ns] = [0, 1].map(|arm| paired::median(passes.iter().map(|p| p[arm])));
 
     let rate = |pass_ns: f64| LINKS as f64 * 1e9 / pass_ns;
     eprintln!(
-        "[health] unmasked {:.0} ns/link ({:.2} links/s), classify+masked {:.0} ns/link ({:.2} links/s): {overhead_pct:+.2}% overhead (median of {PAIRS} pairs)",
+        "[health] unmasked {:.0} ns/link ({:.2} links/s), classify+masked {:.0} ns/link ({:.2} links/s): {:+.2}% overhead (IQR {:.2}, {PASSES} passes)",
         plain_ns / LINKS as f64,
         rate(plain_ns),
         masked_ns / LINKS as f64,
         rate(masked_ns),
+        overhead.pct,
+        overhead.iqr_pct,
     );
 
     let mut rec = Record::new("health");
     rec.regime("links", LINKS as u64)
         .regime("months", MONTHS as u64)
         .regime("samples_per_link", samples as u64)
-        .regime("threads", 0)
-        .regime("pairs", PAIRS as u64);
+        .regime("threads", 0);
     rec.metric("masked.links_per_sec", "links/s", rate(masked_ns))
-        .metric("unmasked.links_per_sec", "links/s", rate(plain_ns))
-        .metric("overhead_pct", "%", overhead_pct);
+        .metric("unmasked.links_per_sec", "links/s", rate(plain_ns));
+    overhead.write(&mut rec);
     rec.write_fresh();
 }
 

@@ -20,6 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ixp_bench::record::Record;
+use ixp_bench::{monitor_sample, CONGESTED_EVERY, DAY_ROUNDS};
 use ixp_monitor::{
     LinkDesc, MonitorConfig, MonitorSample, MonitorService, COLD_RECORD_BYTES, HOT_RECORD_BYTES,
 };
@@ -27,33 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-const ROUNDS: usize = 288;
-const CONGESTED_EVERY: u32 = 50; // 2% of links carry the plateau
 const THREADS: usize = 0; // one ingest worker per available CPU
-
-/// Deterministic per-(link, round) noise: splitmix64 on the pair.
-fn mix(link: u32, round: u32) -> u64 {
-    let mut z = ((link as u64) << 32 | round as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Synthesize round `r` for link `id` into a sample: ~10 ms base RTT, a
-/// +14 ms business-hours plateau on congested links, 0.5% probe loss, and
-/// a mid-day path flip on every 97th link (exercising the masking path).
-fn sample_at(id: u32, r: usize) -> MonitorSample {
-    let h = mix(id, r as u32);
-    if h.is_multiple_of(200) {
-        return MonitorSample::lost();
-    }
-    let hour = (r % 288) as f64 * 5.0 / 60.0;
-    let plateau = id.is_multiple_of(CONGESTED_EVERY) && (9.0..17.0).contains(&hour);
-    let jitter = ((h >> 8) % 1000) as f64 / 1000.0; // 0..1 ms
-    let far_ms = 10.0 + jitter + if plateau { 14.0 } else { 0.0 };
-    let flip = id.is_multiple_of(97) && hour >= 12.0;
-    MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
-}
 
 /// One scaling point: run a full day of rounds through a fresh service
 /// while `readers` dashboard threads poll the index, and report
@@ -85,10 +60,10 @@ fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
             })
             .collect();
         let t0 = Instant::now();
-        for r in 0..ROUNDS {
+        for r in 0..DAY_ROUNDS {
             for slot in batch.iter_mut() {
                 slot.1 = r as u64;
-                slot.2 = sample_at(slot.0, r);
+                slot.2 = monitor_sample(slot.0, r);
             }
             svc.ingest_sequenced(&batch);
         }
@@ -98,7 +73,7 @@ fn scaling_point(links: u32, readers: usize) -> (f64, f64, f64, f64, u64) {
     });
 
     let rss = ixp_obs::peak_rss_mb().unwrap_or(f64::NAN);
-    let samples = links as u64 * ROUNDS as u64;
+    let samples = links as u64 * DAY_ROUNDS as u64;
     assert_eq!(svc.samples_ingested(), samples);
     let v0 = svc.verdict(0); // link 0 is congested: the plateau must alarm
     assert!(v0.alarms >= 1, "congested link never alarmed: {v0:?}");
@@ -121,7 +96,7 @@ fn monitor_ingest(c: &mut Criterion) {
         b.iter(|| {
             for slot in batch.iter_mut() {
                 slot.1 = round as u64;
-                slot.2 = sample_at(slot.0, round % ROUNDS);
+                slot.2 = monitor_sample(slot.0, round % DAY_ROUNDS);
             }
             round += 1;
             svc.ingest_sequenced(&batch)
@@ -132,7 +107,7 @@ fn monitor_ingest(c: &mut Criterion) {
     // ---- Section 2: links-scaling curve with dashboard readers. ----
     let readers = 2usize;
     let mut rec = Record::new("monitor");
-    rec.regime("rounds_per_link", ROUNDS as u64)
+    rec.regime("rounds_per_link", DAY_ROUNDS as u64)
         .regime("reader_threads", readers as u64)
         .regime("threads", THREADS as u64);
     // Informational: what each link holds in its shard's two record arrays.

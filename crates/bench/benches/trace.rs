@@ -1,18 +1,21 @@
 //! Flight-recorder overhead (DESIGN.md §5.19): live tracing promises to
 //! cost under 3% over the uninstrumented path in steady state, on both
-//! pipelines. This bench prices the promise twice: a continent-scale
-//! monitor day (sequenced ingest with and without an attached
+//! pipelines. This bench prices the promise twice: a 1k-link monitor
+//! (sequenced ingest with and without an attached
 //! [`ixp_obs::FlightRecorder`]) and the batch assessment corpus (masked
 //! assessment through a tracing recorder vs [`ixp_obs::NoopRecorder`]).
-//! Both comparisons interleave the two arms on one warm service and keep
-//! each arm's minimum observed round, so machine noise — which only adds
-//! time — divides out. The measured overheads land in
-//! `target/bench-records/trace.json`; the `bench-gate` binary holds the
-//! worse of the two under 3%.
+//! Each pass of the shared protocol of `ixp_bench::paired` runs both: two
+//! days of round batches through one warm service, two consecutive rounds
+//! per item, one with the recorder attached; then each corpus link
+//! through both recorders. The per-pass
+//! statistic is the worse of the two pipelines' overheads, and its median
+//! over passes lands in `target/bench-records/trace.json` as
+//! `overhead_pct`, which the `bench-gate` binary holds under 3%.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ixp_bench::paired::{self, Overhead, PASSES};
 use ixp_bench::record::Record;
-use ixp_bench::detect_corpus;
+use ixp_bench::{detect_corpus, monitor_sample, DAY_ROUNDS};
 use ixp_chgpt::DetectorScratch;
 use ixp_monitor::{LinkDesc, MonitorConfig, MonitorSample, MonitorService};
 use ixp_obs::{FlightRecorder, LinkKey, NoopRecorder, Recorder};
@@ -29,106 +32,43 @@ use tslp_core::series::{LinkSeries, SeriesConfig};
 // regime is the stronger claim — and it measures reproducibly, where
 // DRAM-bound rounds inherit every neighbor's bandwidth spikes.
 const LINKS: u32 = 1_000;
-const DAY_ROUNDS: usize = 288;
-const CONGESTED_EVERY: u32 = 50;
 const BATCH_LINKS: usize = 8;
 const BATCH_MONTHS: usize = 3;
 const THREADS: usize = 0; // the monitor arm: one ingest worker per CPU
 
-/// Deterministic per-(link, round) noise (same synth day as the
-/// resilience bench, so the rates line up across BENCH files).
-fn mix(link: u32, round: u32) -> u64 {
-    let mut z = ((link as u64) << 32 | round as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn sample_at(id: u32, r: usize) -> MonitorSample {
-    let h = mix(id, r as u32);
-    if h.is_multiple_of(200) {
-        return MonitorSample::lost();
-    }
-    let hour = (r % DAY_ROUNDS) as f64 * 5.0 / 60.0;
-    let plateau = id.is_multiple_of(CONGESTED_EVERY) && (9.0..17.0).contains(&hour);
-    let jitter = ((h >> 8) % 1000) as f64 / 1000.0;
-    let far_ms = 10.0 + jitter + if plateau { 14.0 } else { 0.0 };
-    let flip = id.is_multiple_of(97) && hour >= 12.0;
-    MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
-}
-
-/// A long-lived service under measurement: one service, built once and
-/// warmed, serves BOTH arms — the traced arm attaches the (shared, warm)
-/// recorder for the day and detaches it after. Same detector state, same
-/// pages, same allocator layout for every measurement; the only varying
-/// quantity is the tracing path itself. (Tracing never alters detector
-/// state, so alternating arms on one service is sound — that is the
-/// bit-identical contract this bench prices.)
-struct WarmMonitor {
+/// One long-lived service serving both arms, so both meet the same
+/// detector state, pages and allocator layout; the traced arm attaches the
+/// (shared, warm) recorder for its batch and detaches it after. Tracing
+/// never alters detector state — the contract this bench prices.
+struct Monitor {
     svc: MonitorService,
     fl: Arc<FlightRecorder>,
-    batch: std::cell::RefCell<Vec<(u32, u64, MonitorSample)>>,
-    day: std::cell::Cell<u64>,
+    batches: [Vec<(u32, u64, MonitorSample)>; 2],
+    round: u64,
 }
 
-impl WarmMonitor {
-    fn new() -> WarmMonitor {
+impl Monitor {
+    fn new() -> Monitor {
         let descs: Vec<LinkDesc> = (0..LINKS).map(|i| LinkDesc { ixp: i % 8 }).collect();
         let cfg = MonitorConfig { shards: 32, threads: THREADS, ..MonitorConfig::default() };
         let svc = MonitorService::new(cfg, &descs);
         let fl = Arc::new(FlightRecorder::new(cfg.shards, 4096));
-        let batch = (0..LINKS).map(|id| (id, 0, MonitorSample::lost())).collect();
-        WarmMonitor {
-            svc,
-            fl,
-            batch: std::cell::RefCell::new(batch),
-            day: std::cell::Cell::new(0),
-        }
+        let batches = [(); 2].map(|()| (0..LINKS).map(|id| (id, 0, MonitorSample::lost())).collect());
+        Monitor { svc, fl, batches, round: 0 }
     }
 
-    /// Ingest `days` synthetic days (sequence numbers keep advancing, the
-    /// daily congestion pattern repeats — detectors stay in steady state),
-    /// alternating the recorder per DAY and timing every round
-    /// individually. Returns `(base_min_ns, live_min_ns)` per round.
-    ///
-    /// Two noise defenses compose here. Minimum-of-rounds: preemption,
-    /// interrupts, and noisy neighbors only ever ADD time, so each arm's
-    /// fastest round over thousands estimates its noise-free cost. Day
-    /// alternation: every day replays the identical daily sample pattern,
-    /// so both arms minimize over the same round contents, interleaved
-    /// closely enough that neither monopolizes a quiet stretch of the
-    /// machine.
-    fn paired_days(&self, days: usize) -> (f64, f64) {
-        let mut base_min = f64::INFINITY;
-        let mut live_min = f64::INFINITY;
-        for d in 0..days {
-            let traced = d % 2 == 1;
-            if traced {
-                self.svc.attach_flight_recorder(Arc::clone(&self.fl));
+    /// Fill both batches with the next two rounds: sequence numbers keep
+    /// advancing and the daily congestion pattern repeats, so detectors
+    /// stay in steady state.
+    fn next_rounds(&mut self) {
+        for batch in &mut self.batches {
+            let r = self.round as usize % DAY_ROUNDS;
+            for slot in batch.iter_mut() {
+                slot.1 = self.round;
+                slot.2 = monitor_sample(slot.0, r);
             }
-            let day = self.day.get();
-            self.day.set(day + 1);
-            let mut batch = self.batch.borrow_mut();
-            for r in 0..DAY_ROUNDS {
-                for slot in batch.iter_mut() {
-                    slot.1 = day * DAY_ROUNDS as u64 + r as u64;
-                    slot.2 = sample_at(slot.0, r);
-                }
-                let t = std::time::Instant::now();
-                black_box(self.svc.ingest_sequenced(&batch));
-                let ns = t.elapsed().as_nanos() as f64;
-                if traced {
-                    live_min = live_min.min(ns);
-                } else {
-                    base_min = base_min.min(ns);
-                }
-            }
-            drop(batch);
-            if traced {
-                self.svc.detach_flight_recorder();
-            }
+            self.round += 1;
         }
-        (base_min, live_min)
     }
 }
 
@@ -148,82 +88,58 @@ fn batch_corpus() -> Vec<LinkSeries> {
         .collect()
 }
 
-/// One masked-assessment pass over the corpus through `rec`.
-fn run_batch<R: Recorder>(corpus: &[LinkSeries], rec: &R) {
-    let cfg = AssessConfig::default();
-    let hcfg = HealthConfig::default();
-    let mut scratch = DetectorScratch::new();
-    for (i, s) in corpus.iter().enumerate() {
-        let mask = classify_link(s, &hcfg);
-        let a = assess_link(s, &cfg, &mask, &mut scratch);
-        record_assessment(rec, LinkKey::new(i as u32, i as u32), &a);
-        black_box(a.congested);
-    }
-}
-
-/// Paired rotating-order rounds; returns `(base_min_ns, overhead_pct)`.
-///
-/// The estimator is min/min: scheduler preemption, interrupts, and noisy
-/// neighbors only ever ADD time, so the fastest observed round of each arm
-/// is the best estimate of its noise-free cost, and their ratio the best
-/// estimate of the true overhead. (Median-of-ratios was tried first and
-/// carries whole-run bias on shared machines — a few percent, larger than
-/// the quantity under measurement.)
-fn paired(base: impl Fn(), live: impl Fn(), rounds: usize) -> (f64, f64) {
-    base();
-    live();
-    let time = |f: &dyn Fn()| {
-        let t = std::time::Instant::now();
-        f();
-        t.elapsed().as_nanos() as f64
-    };
-    let mut base_min = f64::INFINITY;
-    let mut live_min = f64::INFINITY;
-    for r in 0..rounds {
-        if r % 2 == 0 {
-            base_min = base_min.min(time(&base));
-            live_min = live_min.min(time(&live));
-        } else {
-            live_min = live_min.min(time(&live));
-            base_min = base_min.min(time(&base));
-        }
-    }
-    (base_min, (live_min / base_min - 1.0) * 100.0)
+/// The masked assessment of one corpus link through `rec`.
+fn assess<R: Recorder>(i: usize, s: &LinkSeries, rec: &R, scratch: &mut DetectorScratch) {
+    let mask = classify_link(s, &HealthConfig::default());
+    let a = assess_link(s, &AssessConfig::default(), &mask, scratch);
+    record_assessment(rec, LinkKey::new(i as u32, i as u32), &a);
+    black_box(a.congested);
 }
 
 fn trace_overhead(_c: &mut Criterion) {
-    let warm = WarmMonitor::new();
-    warm.paired_days(2); // warm caches, allocator, and detector state
-    // Three independent measurement blocks; keep the cleanest one (lowest
-    // ratio). Within a block the arms interleave by day, so uncorrelated
-    // noise cancels — but a sustained slowdown can still land arm-
-    // correlated by luck and inflate a whole block's ratio. Noise only
-    // ever ADDS time, so the block with the smallest ratio is the one the
-    // machine disturbed least, and the best estimate of the true cost.
-    let mut base_min = f64::INFINITY;
-    let mut mon_pct = f64::INFINITY;
-    for _ in 0..3 {
-        let (b, l) = warm.paired_days(6);
-        let pct = (l / b - 1.0) * 100.0;
-        if pct < mon_pct {
-            mon_pct = pct;
-            base_min = b;
-        }
-    }
-    let mon_ns = base_min * DAY_ROUNDS as f64;
-    let mon_sps = LINKS as f64 * 1e9 / base_min;
-    eprintln!("[trace] monitor untraced {mon_ns:>12.0} ns/day ({mon_sps:.0} samples/s)");
-    eprintln!("[trace] monitor traced   overhead {mon_pct:+.2}%");
-
+    let mut mon = Monitor::new();
     let corpus = batch_corpus();
-    let noop = NoopRecorder;
     let fl = FlightRecorder::new(1, 4096);
-    let (batch_ns, batch_pct) =
-        paired(|| run_batch(&corpus, &noop), || run_batch(&corpus, &fl), 17);
-    eprintln!("[trace] batch uninstrumented {batch_ns:>12.0} ns/pass");
-    eprintln!("[trace] batch traced         overhead {batch_pct:+.2}%");
+    let mut scratch = DetectorScratch::new();
 
-    let overhead_pct = mon_pct.max(batch_pct);
+    // Per pass: `[untraced, traced]` ns of the monitor days, then
+    // `[noop, traced]` ns of the batch corpus.
+    let passes = paired::passes(|p| {
+        let mut days = [0.0; 2];
+        for item in 0..DAY_ROUNDS {
+            // Two consecutive rounds per item, the earlier to the arm
+            // that runs first: a day's worth of rounds per arm and pass.
+            mon.next_rounds();
+            let mut k = 0;
+            let ns = paired::time_item(p, item, |arm| {
+                if arm == 1 {
+                    mon.svc.attach_flight_recorder(Arc::clone(&mon.fl));
+                }
+                black_box(mon.svc.ingest_sequenced(&mon.batches[k]));
+                k += 1;
+                if arm == 1 {
+                    mon.svc.detach_flight_recorder();
+                }
+            });
+            days = paired::add(days, ns);
+        }
+        let batch = paired::time_pass::<2>(p, corpus.len(), |arm, i| match arm {
+            0 => assess(i, &corpus[i], &NoopRecorder, &mut scratch),
+            _ => assess(i, &corpus[i], &fl, &mut scratch),
+        });
+        [days, batch]
+    });
+    let ratio = |[base, live]: [f64; 2]| live / base - 1.0;
+    let monitor = Overhead::of(passes.iter().map(|p| ratio(p[0])));
+    let batch = Overhead::of(passes.iter().map(|p| ratio(p[1])));
+    let overhead = Overhead::of(passes.iter().map(|p| ratio(p[0]).max(ratio(p[1]))));
+    let day_ns = paired::median(passes.iter().map(|p| p[0][0]));
+    let mon_sps = (LINKS as usize * DAY_ROUNDS) as f64 * 1e9 / day_ns;
+    eprintln!("[trace] monitor untraced {day_ns:>12.0} ns/day ({mon_sps:.0} samples/s)");
+    eprintln!("[trace] monitor traced   overhead {:+.2}% (IQR {:.2})", monitor.pct, monitor.iqr_pct);
+    eprintln!("[trace] batch traced     overhead {:+.2}% (IQR {:.2})", batch.pct, batch.iqr_pct);
+    eprintln!("[trace] worse of the two {:+.2}% (IQR {:.2}, {PASSES} passes)", overhead.pct, overhead.iqr_pct);
+
     let mut rec = Record::new("trace");
     rec.regime("links", LINKS as u64)
         .regime("rounds_per_link", DAY_ROUNDS as u64)
@@ -231,9 +147,9 @@ fn trace_overhead(_c: &mut Criterion) {
         .regime("batch_links", BATCH_LINKS as u64)
         .regime("batch_months", BATCH_MONTHS as u64);
     rec.metric("monitor.samples_per_sec", "samples/s", mon_sps)
-        .metric("monitor.overhead_pct", "%", mon_pct)
-        .metric("batch.overhead_pct", "%", batch_pct)
-        .metric("overhead_pct", "%", overhead_pct);
+        .metric("monitor.overhead_pct", "%", monitor.pct)
+        .metric("batch.overhead_pct", "%", batch.pct);
+    overhead.write(&mut rec);
     rec.write_fresh();
 }
 

@@ -11,8 +11,10 @@
 //! untraced, each from its own tree. Per workload and end-to-end metric of
 //! `BENCHMARK.json` it prints the median change/parent ratio, how many
 //! pairs the change won, and the parent's interquartile range — the
-//! numbers a claimed gain has to beat. `perfbench` is only run, never
-//! edited.
+//! numbers a claimed gain has to beat. A metric whose parent IQR exceeds
+//! its `bound` times the parent's median prints as unresolved: its spread
+//! alone could cross the bound. `perfbench` and `BENCHMARK.json` are only
+//! read, never edited.
 
 use serde::Deserialize;
 use std::collections::BTreeMap;
@@ -77,6 +79,9 @@ struct Named {
 struct EndToEnd {
     name: String,
     better: String,
+    /// The relative change the benchmark allows before it calls a
+    /// regression.
+    bound: f64,
 }
 
 /// perfbench's last output line.
@@ -173,10 +178,17 @@ impl Summary {
         };
         gain > self.parent_iqr
     }
+
+    /// The parent's own runs spread wider than `bound` (its IQR over its
+    /// median), so the pairs cannot tell a change within the bound from
+    /// noise.
+    fn unresolved(&self, bound: f64) -> bool {
+        self.parent_iqr > bound * self.parent_median.abs()
+    }
 }
 
 /// First quartile, median and third quartile, linearly interpolated.
-fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+pub(crate) fn quartiles(values: &[f64]) -> (f64, f64, f64) {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     let at = |q: f64| {
@@ -302,7 +314,13 @@ pub fn run(root: &Path, args: &AbArgs) -> Result<bool, String> {
                 s.parent_median,
                 s.parent_iqr,
                 s.change_median,
-                if s.clears_iqr(higher) { ", gain exceeds the parent's IQR" } else { "" },
+                if s.unresolved(e.bound) {
+                    format!(", unresolved: the parent's IQR exceeds {} of its median", e.bound)
+                } else if s.clears_iqr(higher) {
+                    ", gain exceeds the parent's IQR".to_string()
+                } else {
+                    String::new()
+                },
             );
         }
     }
@@ -345,6 +363,19 @@ mod tests {
         assert_eq!(Summary::of(&parent, &change, false).wins, 1);
         let clear = Summary::of(&parent, &[20.0, 21.0, 22.0, 23.0], true);
         assert!(clear.clears_iqr(true) && !clear.clears_iqr(false));
+    }
+
+    #[test]
+    fn a_parent_spread_wider_than_the_bound_is_unresolved() {
+        // `monitor_live` `setup_s` in ms: the parent alone spans 3.2–8.1.
+        let parent = [3.2, 4.4, 8.1, 5.0, 3.6, 7.0];
+        let s = Summary::of(&parent, &[7.0, 8.7, 4.1, 4.4, 8.0, 5.2], false);
+        assert!(s.parent_iqr / s.parent_median > 0.25);
+        assert!(s.unresolved(0.25));
+        assert!(!s.unresolved(0.8), "a bound wider than the spread resolves");
+        // A steady parent resolves at the same bound.
+        let steady = Summary::of(&[10.0, 10.2, 9.9, 10.1], &[10.5, 10.4, 10.6, 10.3], false);
+        assert!(!steady.unresolved(0.25));
     }
 
     #[test]

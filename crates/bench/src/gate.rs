@@ -90,6 +90,9 @@ pub(crate) struct Judgement {
     value: Option<f64>,
     /// The committed value (regression bounds only).
     committed: Option<f64>,
+    /// The interquartile range over passes the fresh record gives beside an
+    /// overhead (`<name>_iqr_pct` for `<name>_pct`), shown, never judged.
+    iqr: Option<f64>,
     outcome: Outcome,
 }
 
@@ -106,7 +109,10 @@ impl Judgement {
     /// The one line `bench-gate` prints for this bound.
     pub(crate) fn line(&self, force: bool) -> String {
         let b = &self.bound;
-        let value = self.value.map_or("missing".to_string(), |v| v.to_string());
+        let mut value = self.value.map_or("missing".to_string(), |v| v.to_string());
+        if let Some(iqr) = self.iqr {
+            value += &format!(", IQR {iqr}");
+        }
         let kind = if b.forceable { "forceable" } else { "hard" };
         let test = match (b.check, self.committed) {
             (Check::Ceiling(c), _) => format!("ceiling < {c}"),
@@ -145,7 +151,8 @@ pub(crate) fn judge(bench: &str, fresh: &Record, committed: Option<&Record>) -> 
                 }
                 _ => Outcome::Pass,
             };
-            Judgement { bound, value, committed, outcome }
+            let iqr = bound.metric.strip_suffix("_pct").and_then(|m| fresh.value(&format!("{m}_iqr_pct")));
+            Judgement { bound, value, committed, iqr, outcome }
         })
         .collect()
 }

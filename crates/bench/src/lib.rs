@@ -1,18 +1,23 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Holds the synthetic detection corpus used by the `detect` bench plus a
-//! frozen copy of the **seed** change-point detector (the implementation as
-//! it stood before the allocation-free/early-exit engine), so the bench can
-//! price the speedup against the true pre-change baseline rather than
-//! against the new code's own allocating wrappers. The gated benches write
+//! Holds the synthetic monitor day ([`monitor_sample`]) the monitor,
+//! resilience and trace benches ingest, and the synthetic detection corpus
+//! used by the `detect` bench plus a frozen copy of the **seed**
+//! change-point detector (the implementation as it stood before the
+//! allocation-free/early-exit engine), so the bench can price the speedup
+//! against the true pre-change baseline rather than against the new code's
+//! own allocating wrappers. The gated benches write
 //! one [`record::Record`] each, which the `bench-gate` binary judges
-//! against the committed `BENCH_<bench>.json` with [`gate`]; `bench-gate
-//! ab` ([`ab`]) runs A/B pairs of the repository benchmark.
+//! against the committed `BENCH_<bench>.json` with [`gate`]; the four
+//! overhead gates time their arms through [`paired`]; `bench-gate ab`
+//! ([`ab`]) runs A/B pairs of the repository benchmark.
 
 use ixp_chgpt::segment::DetectorConfig;
+use ixp_monitor::MonitorSample;
 
 pub mod ab;
 pub mod gate;
+pub mod paired;
 pub mod record;
 
 /// Deterministic uniform noise in [-0.5, 0.5) from an avalanche hash.
@@ -76,6 +81,35 @@ fn synth_link(kind: usize, seed: u64, months: usize) -> Vec<f64> {
 pub fn detect_corpus(n_links: usize, months: usize) -> Vec<Vec<f64>> {
     const MIX: [usize; 8] = [0, 3, 0, 1, 0, 3, 0, 2];
     (0..n_links).map(|k| synth_link(MIX[k % MIX.len()], k as u64 * 7919, months)).collect()
+}
+
+/// Five-minute rounds in one synthetic monitor day.
+pub const DAY_ROUNDS: usize = 288;
+
+/// Every `CONGESTED_EVERY`th link of the synthetic monitor day carries the
+/// business-hours plateau (2% of links).
+pub const CONGESTED_EVERY: u32 = 50;
+
+/// Round `r` of link `id` in the synthetic day the monitor, resilience and
+/// trace benches ingest: ~10 ms base RTT, up to 1 ms of per-(link, round)
+/// jitter, a +14 ms business-hours plateau on congested links, 0.5% loss,
+/// and a mid-day path flip on every 97th link (the masking path).
+#[inline]
+pub fn monitor_sample(id: u32, r: usize) -> MonitorSample {
+    // splitmix64 on the (link, round) pair.
+    let mut h = (u64::from(id) << 32 | u64::from(r as u32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    if h.is_multiple_of(200) {
+        return MonitorSample::lost();
+    }
+    let hour = (r % DAY_ROUNDS) as f64 * 5.0 / 60.0;
+    let plateau = id.is_multiple_of(CONGESTED_EVERY) && (9.0..17.0).contains(&hour);
+    let jitter = ((h >> 8) % 1000) as f64 / 1000.0;
+    let far_ms = 10.0 + jitter + if plateau { 14.0 } else { 0.0 };
+    let flip = id.is_multiple_of(97) && hour >= 12.0;
+    MonitorSample { far_ms, path_fp: if flip { 2 } else { 1 }, far_addr_ok: true }
 }
 
 /// The pre-refactor §5.2 detector, frozen for baseline pricing.

@@ -19,9 +19,9 @@
 //!   rounds; long runs become [`GapInterval`]s (bounded gaps or a trailing
 //!   outage), the signature of link flaps, maintenance windows, and ACL
 //!   pushes;
-//! - **scattered loss + inter-arrival evidence** — many short, spread-out
-//!   loss runs with semi-regular answered spacing are the signature of a
-//!   token-bucket ICMP rate limiter, not of queueing;
+//! - **scattered loss** — many short, spread-out loss runs (lost rounds
+//!   outside any gap) are the signature of a token-bucket ICMP rate
+//!   limiter, not of queueing;
 //! - **address consistency** — far responses arriving from an unexpected
 //!   source (loopback-sourced routers, path changes under the measurement).
 
@@ -256,12 +256,6 @@ pub struct HealthReport {
     pub far_validity: f64,
     /// Fraction of answered far rounds from the expected address.
     pub addr_consistency: f64,
-    /// Longest far loss run, in rounds.
-    pub longest_loss_run: usize,
-    /// Fraction of gap-exempt rounds lost to scattered (short-run) loss.
-    pub scattered_loss: f64,
-    /// Mean spacing of answered far rounds, in rounds (1.0 = every round).
-    pub mean_interarrival: f64,
     /// Round indices where the TTL-ladder path fingerprint changed
     /// ([`LinkSeries::path_change_rounds`]), ascending.
     pub path_changes: Vec<usize>,
@@ -277,9 +271,6 @@ impl HealthReport {
             near_gaps: Vec::new(),
             far_validity: 0.0,
             addr_consistency: 1.0,
-            longest_loss_run: 0,
-            scattered_loss: 0.0,
-            mean_interarrival: f64::INFINITY,
             path_changes: Vec::new(),
         }
     }
@@ -315,17 +306,14 @@ impl HealthReport {
 }
 
 /// Collect maximal runs of non-finite samples at least `min_run` long.
-fn loss_runs(values: &[f64], min_run: usize) -> (Vec<GapInterval>, usize) {
+fn loss_runs(values: &[f64], min_run: usize) -> Vec<GapInterval> {
     let mut gaps = Vec::new();
-    let mut longest = 0usize;
     let mut run_start: Option<usize> = None;
     for (i, v) in values.iter().enumerate() {
         match (run_start, v.is_finite()) {
             (None, false) => run_start = Some(i),
             (Some(s), true) => {
-                let len = i - s;
-                longest = longest.max(len);
-                if len >= min_run {
+                if i - s >= min_run {
                     gaps.push(GapInterval { start: s, end: i, kind: GapKind::Gap });
                 }
                 run_start = None;
@@ -334,13 +322,11 @@ fn loss_runs(values: &[f64], min_run: usize) -> (Vec<GapInterval>, usize) {
         }
     }
     if let Some(s) = run_start {
-        let len = values.len() - s;
-        longest = longest.max(len);
-        if len >= min_run {
+        if values.len() - s >= min_run {
             gaps.push(GapInterval { start: s, end: values.len(), kind: GapKind::Outage });
         }
     }
-    (gaps, longest)
+    gaps
 }
 
 /// Classify one link's measurement health: every window and the whole
@@ -352,8 +338,8 @@ pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
     }
     let interval = series.cfg.interval;
     let min_run = cfg.min_gap_rounds(interval);
-    let (gaps, longest) = loss_runs(&series.far_ms, min_run);
-    let (near_gaps, _) = loss_runs(&series.near_ms, min_run);
+    let gaps = loss_runs(&series.far_ms, min_run);
+    let near_gaps = loss_runs(&series.near_ms, min_run);
 
     let answered = series.far_ms.iter().filter(|v| v.is_finite()).count();
     let far_validity = answered as f64 / n as f64;
@@ -362,10 +348,6 @@ pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
     let gap_rounds: usize = gaps.iter().map(|g| g.len()).sum();
     let outage_rounds: usize =
         gaps.iter().filter(|g| g.kind == GapKind::Outage).map(|g| g.len()).sum();
-    let scattered = (n - answered).saturating_sub(gap_rounds);
-    let outside = n - gap_rounds;
-    let scattered_loss = if outside > 0 { scattered as f64 / outside as f64 } else { 0.0 };
-    let mean_interarrival = if answered > 0 { n as f64 / answered as f64 } else { f64::INFINITY };
 
     // Per-window labels. Address mismatches are only counted series-wide
     // (LinkSeries does not keep per-round responder records), so windows
@@ -406,9 +388,6 @@ pub fn classify_link(series: &LinkSeries, cfg: &HealthConfig) -> HealthReport {
         near_gaps,
         far_validity,
         addr_consistency,
-        longest_loss_run: longest,
-        scattered_loss,
-        mean_interarrival,
         path_changes,
     }
 }
@@ -464,7 +443,6 @@ mod tests {
         assert_eq!(h.overall, LinkHealth::Gappy);
         assert_eq!(h.gaps.len(), 1, "{:?}", h.gaps);
         assert_eq!(h.gaps[0], GapInterval { start: 328, end: 364, kind: GapKind::Gap });
-        assert_eq!(h.longest_loss_run, 36);
         // Day 2's window is gappy, the rest clean (the blip is too short).
         assert_eq!(h.windows[1], LinkHealth::Gappy);
         assert_eq!(h.windows[3], LinkHealth::Clean);
@@ -490,8 +468,6 @@ mod tests {
         let h = classify_link(&s, &HealthConfig::default());
         assert_eq!(h.overall, LinkHealth::RateLimited);
         assert!(h.gaps.is_empty(), "short runs must not become gaps");
-        assert!((h.scattered_loss - 2.0 / 3.0).abs() < 1e-9);
-        assert!((h.mean_interarrival - 3.0).abs() < 1e-9);
     }
 
     #[test]
