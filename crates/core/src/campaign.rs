@@ -141,9 +141,9 @@ fn probe_link<P: Recorder>(
     // Rebase the caller's ctx onto this target's identity: the series is a
     // pure function of (net, vp, target, cfg), independent of which worker
     // thread runs it, in what order, or what the ctx measured before — the
-    // ordering guarantee the campaign pool relies on. Rebasing is O(1); a
-    // worker reuses one ctx across every link it claims instead of
-    // rebuilding O(links + nodes) of state per link.
+    // ordering guarantee the campaign pool relies on. Rebasing costs what
+    // the previous target touched, and a worker reuses one ctx (and its
+    // compiled walks) across every link it claims.
     ctx.rebase(
         net,
         mix(&[
@@ -188,9 +188,9 @@ pub fn measure_link(
 
 /// [`measure_link`] reusing a caller-owned [`ProbeCtx`]. The context is
 /// rebased onto the target's probe-id stream first, so the series is
-/// bit-identical to a fresh-context measurement; what's saved is the
-/// O(links + nodes) per-link context rebuild — the per-worker reuse pattern
-/// every campaign pool runs.
+/// bit-identical to a fresh-context measurement; what's saved is a fresh
+/// context's allocations and compiled walks per link — the per-worker reuse
+/// pattern every campaign pool runs.
 pub fn measure_link_in(
     net: &Network,
     ctx: &mut ProbeCtx,

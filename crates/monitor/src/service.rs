@@ -868,8 +868,15 @@ impl MonitorService {
         // moved its evidence (`LinkUpdate::evidence_moved`) or its health
         // label differs from the one last published. Checking the label
         // once per item, after every delivery it released, is enough: the
-        // label is a function of the hot record alone.
-        let mut mark = |h: &LinkHot, slot: usize, moved: bool| {
+        // label is a function of the hot record alone. A quiet arrival
+        // (`LinkHot::quiet_arrival`) that moved nothing on a Clean link
+        // past the window's first rounds cannot leave Clean
+        // (`LinkHot::stays_clean`), so its label is not recomputed.
+        let mut mark = |h: &LinkHot, slot: usize, moved: bool, quiet: bool| {
+            if quiet && !moved && h.stays_clean(labels[slot]) {
+                debug_assert_eq!(h.health(), LinkHealth::Clean);
+                return;
+            }
             let health = h.health();
             if moved || health != labels[slot] {
                 labels[slot] = health;
@@ -895,6 +902,7 @@ impl MonitorService {
                     }
                     let slot = slot as usize;
                     let (h, c) = (&mut hot[slot], &mut cold[slot]);
+                    let quiet = h.quiet_arrival(seq, &s);
                     let mut moved = false;
                     let d = h.admit(c, seq, s, cfg.reorder_window, &mut |h, c, smp| {
                         moved |= h.push(c, &smp).evidence_moved;
@@ -904,7 +912,7 @@ impl MonitorService {
                     totals.stale += u64::from(d.stale);
                     totals.reordered += u64::from(d.reordered);
                     totals.dropped += d.dropped;
-                    mark(h, slot, moved);
+                    mark(h, slot, moved, quiet);
                 }
             }
             Some(fl) => {
@@ -916,6 +924,7 @@ impl MonitorService {
                     let id = || link_id(slot, shard, n_shards);
                     let slot = slot as usize;
                     let (h, c) = (&mut hot[slot], &mut cold[slot]);
+                    let quiet = h.quiet_arrival(seq, &s);
                     let mut moved = false;
                     let mut deliver = |h: &mut LinkHot, c: &mut LinkCold, smp: MonitorSample| {
                         let up = h.push(c, &smp);
@@ -941,7 +950,7 @@ impl MonitorService {
                     totals.stale += u64::from(d.stale);
                     totals.reordered += u64::from(d.reordered);
                     totals.dropped += d.dropped;
-                    mark(h, slot, moved);
+                    mark(h, slot, moved, quiet);
                 }
             }
         }
@@ -2092,6 +2101,47 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The ingest loop's label skip is exact. Driven arrival by arrival
+    /// through the mixed traffic (losses, gaps, address flips, path
+    /// changes, window rollovers, late, replayed and withheld samples),
+    /// every arrival the skip rule passes over already holds the label
+    /// `LinkHot::health` computes, and the service, which skips the same
+    /// arrivals, publishes the same labels after every round.
+    #[test]
+    fn skipped_labels_equal_health() {
+        let n = 120;
+        let cfg = MonitorConfig { threads: 1, shards: 5, ..MonitorConfig::default() };
+        let svc = MonitorService::new(cfg, &links(n, 3));
+        let mut refs = vec![(LinkHot::new(), LinkCold::new(), LinkHealth::Clean); n];
+        let (mut skipped, mut young, mut seen) = (0u64, 0u64, [false; 6]);
+        for g in 0..900 {
+            let round = mixed_round(n, g);
+            for &(id, seq, s) in &round {
+                let (h, c, label) = &mut refs[id as usize];
+                let quiet = h.quiet_arrival(seq, &s);
+                let mut moved = false;
+                h.admit(c, seq, s, cfg.reorder_window, &mut |h, c, smp| {
+                    moved |= h.push(c, &smp).evidence_moved;
+                });
+                if quiet && !moved && h.stays_clean(*label) {
+                    assert_eq!(h.health(), *label, "round {g}, link {id}");
+                    skipped += 1;
+                } else {
+                    // A Clean link early in its window must recompute.
+                    young += u64::from(quiet && !moved && *label == LinkHealth::Clean);
+                    *label = h.health();
+                }
+                seen[*label as usize] = true;
+            }
+            svc.ingest_sequenced(&round);
+            for (id, (.., label)) in refs.iter().enumerate() {
+                assert_eq!(svc.verdict(id as u32).health, *label, "round {g}, link {id}");
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "{seen:?}");
+        assert!(skipped > 0 && young > 0, "{skipped} skipped, {young} young");
     }
 
     /// The whole verdict a link's state implies, built field by field — the

@@ -306,6 +306,32 @@ impl LinkHot {
         self.window_label()
     }
 
+    /// True when admitting `s` at `seq` takes the in-order fast path of
+    /// [`LinkHot::admit`] (exactly `s` is delivered) with an answered
+    /// sample from the expected address: the only arrival after which
+    /// [`LinkHot::stays_clean`] may skip the label. Read before admission.
+    #[inline]
+    pub(crate) fn quiet_arrival(&self, seq: u64, s: &MonitorSample) -> bool {
+        self.in_order(seq) && s.far_ms.is_finite() && s.far_addr_ok
+    }
+
+    /// After a [`LinkHot::quiet_arrival`] whose push moved no evidence, true
+    /// when [`LinkHot::health`] was `label` = `Clean` before the push and so
+    /// still is, without computing it.
+    ///
+    /// Exact: with more than [`MIN_GAP_ROUNDS`] rounds now in the window,
+    /// the push neither rolled the window over nor moved `health` off the
+    /// committed label, so `Clean` was this window's own label: no path
+    /// change, no gap rounds, an open loss run shorter than a gap. An
+    /// answered, address-consistent push with no fingerprint change raises
+    /// validity and address consistency, closes that loss run, keeps gap
+    /// rounds and path changes at 0 and lowers the scattered-loss ratio,
+    /// so no rung of [`HealthConfig::label`] above `Clean` can fire.
+    #[inline]
+    pub(crate) fn stays_clean(&self, label: LinkHealth) -> bool {
+        label == LinkHealth::Clean && u64::from(self.w_rounds) > MIN_GAP_ROUNDS
+    }
+
     /// The health class committed at the last window boundary — an O(1)
     /// field read, unlike [`LinkHot::health`], which recomputes the live
     /// label. The tracing path compares this across a push to report

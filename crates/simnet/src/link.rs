@@ -237,7 +237,8 @@ impl Default for LinkConfig {
 ///
 /// The link itself is immutable during probing: configuration and offered
 /// loads are shared, and every query takes the caller's [`LinkQueueState`]
-/// for the direction it crosses (a `ProbeCtx` holds one per link direction).
+/// for the direction it crosses (a `ProbeCtx` holds one per link direction
+/// its walks step through [`Link::transit`]).
 pub struct Link {
     /// Arena id.
     pub id: LinkId,

@@ -44,6 +44,8 @@ use crate::node::{Asn, IfaceId, Node, NodeId, NodeKind, NodeScratch, NoResponse}
 use crate::packet::{Packet, PacketKind, ProbeId, PROBE_SIZE_BYTES};
 use crate::rng::{mix, splitmix64, streams, HashNoise};
 use crate::time::{SimDuration, SimTime};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -375,30 +377,23 @@ impl Walk {
 ///
 /// - the probe-id allocator (ids are `base + counter`, so distinct contexts
 ///   draw from disjoint id spaces and per-packet noise streams never collide),
-/// - one lazy [`LinkQueueState`] per link direction — queue occupancy is a
-///   pure function of time, so each context integrates its own copy and any
-///   two contexts agree wherever their queries overlap,
-/// - one [`NodeScratch`] per node (IP-ID counters, ICMP rate-limiter
-///   buckets) — one context models one measurement session's view,
-/// - a per-node route memo caching `(node, dst) → {owned, egress}`: whether
-///   `dst` is one of the node's own addresses, and the longest-prefix-match
-///   egress toward it.
+/// - a lazy [`LinkQueueState`] per link direction a walk stepped through
+///   [`Link::transit`] (a hop with a [`Link::constant_transit`] delay never
+///   creates one) — queue occupancy is a pure function of time, so any two
+///   contexts agree wherever their queries overlap,
+/// - a [`NodeScratch`] per node that answered (IP-ID counter, ICMP
+///   rate-limiter bucket) — one context models one measurement session's
+///   view,
+/// - a route memo caching `(node, dst) → {owned, egress}` for each pair a
+///   walk resolved, so a hop costs one memo probe — no scan of a border
+///   router's hundreds of interfaces, no forwarding-table search. Both
+///   answers are pure functions of `(node, dst)`.
 ///
-/// The memo is a dense array indexed by node id, two direct-mapped slots per
-/// node — a probe walk resolves at most two destinations per node (the
-/// probe's target on the forward leg, the prober's address on the return
-/// leg), so two slots give the same hit rate the old `HashMap<(node, dst), …>`
-/// memo had, with no hashing and O(nodes) memory. Each slot packs both
-/// answers into one `u32` (egress id in the low 16 bits, "no route" and
-/// "owned" flags above), so a hop costs one memo probe — no scan of a border
-/// router's hundreds of interfaces, no forwarding-table search. Replacement
-/// policy cannot affect results: ownership and longest-prefix match are pure
-/// functions of `(node, dst)`, so every fill writes the same value a hit
-/// would have read.
-///
-/// Together with the caller-owned queue and node state, this makes the walk
-/// write nothing shared: every store a probe makes lands in its own context,
-/// so concurrent workers never contend for a cache line of the substrate.
+/// Each is an `IdTable` holding only what the walks touched since it was
+/// last cleared, every entry created fresh on first touch: a context costs
+/// a handful of entries per TSLP target, never O(links + nodes). Every
+/// store a probe makes lands in its own context, so concurrent workers
+/// never contend for a cache line of the substrate.
 ///
 /// On top of the memo sits a small cache of **compiled walks**: a probe's
 /// whole round trip — forward hops, responder, return hops — resolved once
@@ -409,35 +404,26 @@ impl Walk {
 /// into it, so a campaign's steady state allocates nothing.
 ///
 /// A context is glued to the network's mutation epochs: topology or scenario
-/// changes on the `Network` invalidate the route memo or rewind the queue
-/// states, respectively, at the context's next use ([`ProbeCtx::sync`]).
-/// Compiled walks are stamped with both epochs and recompiled when either
-/// moves. Epochs are drawn from one process-wide counter, so a stamp names
-/// one state of one network and never matches another network's.
-///
-/// Invalidation is generation-stamped, never eager: each per-link and
-/// per-node entry carries the generation it was initialized under, and an
-/// entry whose stamp trails the context's current generation is rebuilt on
-/// first touch. That makes [`ProbeCtx::rebase`] — reusing one context for a
-/// new measurement stream, the per-worker pattern the campaign pool uses —
-/// O(1) instead of O(links + nodes), which is the difference between a
-/// campaign that scales linearly in links and one that scales quadratically
-/// (every per-link context rebuild walking every link in a 100k-link
-/// substrate).
-#[derive(Clone, Debug)]
+/// changes on the `Network` clear the route memo or the queue states,
+/// respectively, at the context's next use ([`ProbeCtx::sync`]). Compiled
+/// walks are stamped with both epochs and recompiled when either moves.
+/// Epochs are drawn from one process-wide counter, so a stamp names one
+/// state of one network and never matches another network's.
+/// [`ProbeCtx::rebase`], the campaign pool's per-link reuse, clears the
+/// tables at the cost of what the previous stream touched.
+#[derive(Clone, Debug, Default)]
 pub struct ProbeCtx {
     base: u64,
+    /// Probe ids handed out so far.
     next: u64,
     topo_epoch: u64,
     scenario_epoch: u64,
-    /// Current generation per state family; entries stamped below these are
-    /// stale and lazily refreshed on access.
-    queue_gen: u32,
-    scratch_gen: u32,
-    route_gen: u32,
-    queues: Vec<(u32, [LinkQueueState; 2])>,
-    scratch: Vec<(u32, NodeScratch)>,
-    routes: Vec<(u32, [(Ipv4, u32); 2])>,
+    /// Queue states, keyed by `link << 1 | dir`.
+    queues: IdTable<LinkQueueState>,
+    /// Responder state, keyed by node id.
+    scratch: IdTable<NodeScratch>,
+    /// Route memo, keyed by `node << 32 | dst`.
+    routes: IdTable<Resolved>,
     /// Compiled walks, `2 * WALK_SETS` slots once the first probe is sent.
     walks: Vec<Walk>,
     /// Step every probe hop by hop, bypassing compiled walks, so tests can
@@ -446,103 +432,86 @@ pub struct ProbeCtx {
     stepped_only: bool,
 }
 
-/// Route-memo slot holding nothing yet. No resolution encodes to it: a
-/// filled slot never sets a bit above [`MEMO_OWNED`].
-const MEMO_EMPTY: u32 = u32::MAX;
-/// Route-memo flag: the node has no route for the destination. The low 16
-/// bits hold the egress [`IfaceId`] otherwise — `Node::add_iface` refuses a
-/// 65,537th interface, so every id fits.
-const MEMO_NO_ROUTE: u32 = 1 << 16;
-/// Route-memo flag: the destination address is one of the node's own.
-const MEMO_OWNED: u32 = 1 << 17;
+/// Hashes a `u64` id by one multiply with an odd constant, folding the
+/// product's high half into its low half so that ids differing only in
+/// their high word (one destination's memo keys) still spread out.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
+    }
+}
+
+/// Probing state for the ids (link directions, nodes, memo keys) a
+/// context's walks touched since the table was last cleared.
+#[derive(Clone, Debug)]
+struct IdTable<T>(HashMap<u64, T, BuildHasherDefault<IdHasher>>);
+
+impl<T> Default for IdTable<T> {
+    fn default() -> IdTable<T> {
+        IdTable(HashMap::default())
+    }
+}
+
+impl<T> IdTable<T> {
+    /// The entry for `id`, created by `fresh` on first touch.
+    #[inline]
+    fn get_or(&mut self, id: u64, fresh: impl FnOnce() -> T) -> &mut T {
+        self.0.entry(id).or_insert_with(fresh)
+    }
+
+    /// Drop every entry. A table whose capacity far exceeds what its last
+    /// use filled (a wide traceroute sweep, then per-link rebases) shrinks,
+    /// so a clear costs about what the use before it touched; the few
+    /// dozen entries of one TSLP target never reallocate.
+    fn clear(&mut self) {
+        let used = self.0.len().max(32);
+        self.0.clear();
+        if self.0.capacity() > 4 * used {
+            self.0.shrink_to(2 * used);
+        }
+    }
+}
 
 /// One `(node, dst)` resolution: does the node own `dst`, and where would it
 /// forward a packet for `dst`?
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct Resolved {
     owned: bool,
     egress: Option<IfaceId>,
 }
 
-impl Resolved {
-    #[inline]
-    fn encode(self) -> u32 {
-        let route = self.egress.map_or(MEMO_NO_ROUTE, |i| i.0 as u32);
-        if self.owned {
-            route | MEMO_OWNED
-        } else {
-            route
-        }
-    }
-
-    #[inline]
-    fn decode(v: u32) -> Resolved {
-        Resolved {
-            owned: v & MEMO_OWNED != 0,
-            egress: (v & MEMO_NO_ROUTE == 0).then_some(IfaceId(v as u16)),
-        }
-    }
-}
-
-impl Default for ProbeCtx {
-    /// The default-stream context: probe ids 1, 2, 3, …, the same stream as
-    /// [`Network::probe_ctx`]`(0)`, synced to a network at its first use.
-    fn default() -> ProbeCtx {
-        ProbeCtx {
-            base: 0,
-            next: 1,
-            topo_epoch: 0,
-            scenario_epoch: 0,
-            queue_gen: 1,
-            scratch_gen: 1,
-            route_gen: 1,
-            queues: Vec::new(),
-            scratch: Vec::new(),
-            routes: Vec::new(),
-            walks: Vec::new(),
-            #[cfg(test)]
-            stepped_only: false,
-        }
-    }
-}
-
 impl ProbeCtx {
     /// Allocate a fresh probe id from this context's id space.
     fn alloc_probe_id(&mut self) -> ProbeId {
-        let id = ProbeId(self.base.wrapping_add(self.next));
         self.next += 1;
-        id
+        ProbeId(self.base.wrapping_add(self.next))
     }
 
     /// Bring the context up to date with `net`: a topology change (nodes,
     /// links, routes, ICMP config) clears the route memo; a scenario change
-    /// (link loads, capacity schedules, queue rewinds) rewinds the queue
-    /// states to the epoch. New links/nodes get fresh state lazily.
+    /// (link loads, capacity schedules, queue rewinds) clears the queue
+    /// states, which restart at the epoch on their next crossing.
     pub fn sync(&mut self, net: &Network) {
         if self.topo_epoch != net.topo_epoch {
             self.topo_epoch = net.topo_epoch;
-            self.route_gen += 1;
+            self.routes.clear();
         }
         if self.scenario_epoch != net.scenario_epoch {
             self.scenario_epoch = net.scenario_epoch;
-            self.queue_gen += 1;
-        }
-        // Growth initializes entries as current (stamp = generation): a
-        // brand-new context pays the eager fill exactly once; every later
-        // invalidation is a generation bump with lazy per-entry refresh.
-        while self.queues.len() < net.links.len() {
-            let l = &net.links[self.queues.len()];
-            self.queues.push((
-                self.queue_gen,
-                [l.fresh_queue_state(Dir::AtoB), l.fresh_queue_state(Dir::BtoA)],
-            ));
-        }
-        while self.scratch.len() < net.nodes.len() {
-            let n = &net.nodes[self.scratch.len()];
-            self.scratch.push((self.scratch_gen, n.fresh_scratch()));
-        }
-        if self.routes.len() < net.nodes.len() {
-            self.routes.resize(net.nodes.len(), (self.route_gen, [(Ipv4(0), MEMO_EMPTY); 2]));
+            self.queues.clear();
         }
     }
 
@@ -551,25 +520,22 @@ impl ProbeCtx {
     /// a time range an earlier pass advanced through (full-fidelity probing
     /// after screening) must rewind first or it reads stale queue state.
     pub fn reset_queue_state(&mut self, net: &Network) {
-        self.queue_gen += 1;
+        self.queues.clear();
         self.sync(net);
     }
 
     /// Reuse this context as if freshly built by [`Network::probe_ctx`] for
     /// `stream` — same probe-id space, same fresh queue/scratch/memo state,
-    /// bit-identical probing — in O(1): every entry family is invalidated by
-    /// a generation bump and refreshed lazily on first touch. A pool worker
-    /// measuring thousands of links rebases one context per link instead of
-    /// rebuilding O(links + nodes) state each time. Compiled walks survive:
-    /// they are functions of the substrate alone, stamped with its epochs.
+    /// bit-identical probing — by clearing its tables, at the cost of what
+    /// the previous stream touched. A pool worker measuring thousands of
+    /// links rebases one context per link. Compiled walks survive: they are
+    /// functions of the substrate alone, stamped with its epochs.
     pub fn rebase(&mut self, net: &Network, stream: u64) {
         self.base = if stream == 0 { 0 } else { splitmix64(stream) };
-        self.next = 1;
-        self.queue_gen += 1;
-        self.scratch_gen += 1;
-        self.route_gen += 1;
-        self.topo_epoch = net.topo_epoch;
-        self.scenario_epoch = net.scenario_epoch;
+        self.next = 0;
+        self.queues.clear();
+        self.scratch.clear();
+        self.routes.clear();
         self.sync(net);
     }
 }
@@ -635,13 +601,8 @@ impl Network {
     /// is hashed into a high-entropy base so contexts for different streams
     /// never collide in per-packet noise.
     pub fn probe_ctx(&self, stream: u64) -> ProbeCtx {
-        let mut ctx = ProbeCtx {
-            base: if stream == 0 { 0 } else { splitmix64(stream) },
-            ..ProbeCtx::default()
-        };
-        ctx.topo_epoch = self.topo_epoch;
-        ctx.scenario_epoch = self.scenario_epoch;
-        ctx.sync(self);
+        let mut ctx = ProbeCtx::default();
+        ctx.rebase(self, stream);
         ctx
     }
 
@@ -793,21 +754,8 @@ impl Network {
         if !node.fwd_dyn.is_empty() {
             return Resolved { owned: node.owns_addr(dst), egress: node.next_hop_at(dst, now) };
         }
-        let entry = &mut ctx.routes[cur.0 as usize];
-        if entry.0 != ctx.route_gen {
-            *entry = (ctx.route_gen, [(Ipv4(0), MEMO_EMPTY); 2]);
-        }
-        let memo = &mut entry.1;
-        if memo[0].1 != MEMO_EMPTY && memo[0].0 == dst {
-            Resolved::decode(memo[0].1)
-        } else if memo[1].1 != MEMO_EMPTY && memo[1].0 == dst {
-            Resolved::decode(memo[1].1)
-        } else {
-            let r = Resolved { owned: node.owns_addr(dst), egress: node.next_hop(dst) };
-            memo[1] = memo[0];
-            memo[0] = (dst, r.encode());
-            r
-        }
+        let key = u64::from(cur.0) << 32 | u64::from(dst.0);
+        *ctx.routes.get_or(key, || Resolved { owned: node.owns_addr(dst), egress: node.next_hop(dst) })
     }
 
     /// Carry a `size`-byte packet across `link` in `dir` at `now`, against
@@ -822,15 +770,9 @@ impl Network {
         size: u32,
         key: impl Fn() -> u64,
     ) -> TransitResult {
-        let link = &self.links[link.0 as usize];
-        let qentry = &mut ctx.queues[link.id.0 as usize];
-        if qentry.0 != ctx.queue_gen {
-            *qentry = (
-                ctx.queue_gen,
-                [link.fresh_queue_state(Dir::AtoB), link.fresh_queue_state(Dir::BtoA)],
-            );
-        }
-        link.transit(dir, &mut qentry.1[dir.index()], now, size, key)
+        let l = &self.links[link.0 as usize];
+        let st = ctx.queues.get_or(u64::from(link.0) << 1 | dir.index() as u64, || l.fresh_queue_state(dir));
+        l.transit(dir, st, now, size, key)
     }
 
     /// Charge `node`'s generation of the response to probe `probe`, arriving
@@ -845,11 +787,7 @@ impl Network {
     ) -> Result<(u16, SimTime), ProbeError> {
         let gen_key = mix(&[probe.0, 0xabcd]);
         let responder = &self.nodes[node.0 as usize];
-        let sentry = &mut ctx.scratch[node.0 as usize];
-        if sentry.0 != ctx.scratch_gen {
-            *sentry = (ctx.scratch_gen, responder.fresh_scratch());
-        }
-        let scratch = &mut sentry.1;
+        let scratch = ctx.scratch.get_or(node.0.into(), || responder.fresh_scratch());
         let gen_delay = responder
             .icmp_response_delay(scratch, now, &self.noise, gen_key)
             .map_err(ProbeError::Silent)?;
@@ -1411,8 +1349,8 @@ mod tests {
         let (net, vp, _, _, tgt_addr) = line_topology();
         // Through r1: its own address, a far host, and an unrouted address,
         // each probed twice (the second walk hits the memo), alternating
-        // with the prober's address on every return leg, so r1's two memo
-        // slots keep evicting each other.
+        // with the prober's address on every return leg, so r1's memo holds
+        // several destinations at once.
         let dsts = [Ipv4::new(10, 0, 0, 1), tgt_addr, Ipv4::new(8, 8, 8, 8)];
         let mut shared = net.probe_ctx(7);
         for i in 0..18u64 {
@@ -1673,6 +1611,64 @@ mod tests {
             probe_rounds(&net, &mut ctx, &specs(vp), 20, later),
             probe_rounds(&net, &mut net.probe_ctx(9), &specs(vp), 20, later)
         );
+    }
+
+    #[test]
+    fn context_holds_only_what_its_walks_touch() {
+        use std::collections::BTreeSet;
+        fn ids<T>(table: &IdTable<T>, shift: u32) -> BTreeSet<u64> {
+            table.0.keys().map(|k| k >> shift).collect()
+        }
+        // `loaded_line()` (its r1→r2 link queues) with 300 members behind r2
+        // over idle links, member i at 10.1.0.2 + (i << 8).
+        let (mut net, vp, _) = loaded_line();
+        let r2 = NodeId(2);
+        let members: Vec<Ipv4> = (0..300u32)
+            .map(|i| {
+                let m = net.add_node(NodeKind::Router, Asn(300 + i), format!("m{i}"));
+                let near = Ipv4(0x0a01_0001 + (i << 8));
+                net.connect_idle(r2, near, m, Ipv4(near.0 + 1), LinkConfig::default());
+                net.add_route(r2, Prefix::new(near, 24), net.node(r2).iface_by_addr(near).unwrap());
+                net.add_route(m, Prefix::DEFAULT, IfaceId(0));
+                Ipv4(near.0 + 1)
+            })
+            .collect();
+        // A bdrmap-style sweep on the same context touches every member.
+        let mut ctx = net.probe_ctx(1);
+        for (i, &dst) in members.iter().enumerate() {
+            for ttl in 1..=4 {
+                let _ = net.send_probe(&mut ctx, vp, ProbeSpec::ttl_limited(dst, ttl), SimTime(i as u64 * 1_000_000));
+            }
+        }
+        let swept = ctx.routes.0.len();
+        assert!(swept > 2 * members.len(), "{swept}");
+
+        for (k, &dst) in members.iter().step_by(37).enumerate() {
+            let stream = 100 + k as u64;
+            ctx.rebase(&net, stream);
+            assert!(ctx.queues.0.is_empty() && ctx.scratch.0.is_empty() && ctx.routes.0.is_empty(), "target {k}");
+            let specs = [2, 3].map(|ttl| (vp, ProbeSpec::ttl_limited(dst, ttl)));
+            let got = probe_rounds(&net, &mut ctx, &specs, 24, SimTime::ZERO);
+            assert_eq!(got, probe_rounds(&net, &mut net.probe_ctx(stream), &specs, 24, SimTime::ZERO), "target {k}");
+
+            // What this target's compiled walks step, resolve and hear from.
+            let (mut stepped, mut resolved, mut answered) = (BTreeSet::new(), BTreeSet::from([vp.0.into()]), BTreeSet::new());
+            for w in ctx.walks.iter().filter(|w| w.key.is_some_and(|key| key.dst == dst)) {
+                for hop in &w.hops {
+                    if hop.delay.is_none() {
+                        stepped.insert(u64::from(hop.link.0) << 1 | hop.dir.index() as u64);
+                    }
+                    resolved.insert(net.link(hop.link).arrival_end(hop.dir).0 .0.into());
+                }
+                answered.extend(w.fwd_end.responder().ok().map(|r| u64::from(r.0 .0)));
+            }
+            assert!(!stepped.is_empty(), "target {k} crosses the queueing link");
+            assert!(ids(&ctx.queues, 0).is_subset(&stepped), "target {k}: {stepped:?}");
+            assert!(ids(&ctx.routes, 32).is_subset(&resolved), "target {k}: {resolved:?}");
+            assert!(ids(&ctx.scratch, 0).is_subset(&answered), "target {k}: {answered:?}");
+        }
+        // The sweep's memo was given back once per-target use settled.
+        assert!(ctx.routes.0.capacity() < swept, "{} >= {swept}", ctx.routes.0.capacity());
     }
 
     #[test]

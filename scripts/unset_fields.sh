@@ -12,7 +12,9 @@
 #     struct's own defaults do not count as a use);
 #   - an assignment `.field = value` (or `+=` and friends) to any value,
 #     where `.field.sub = value` counts for `field` too, so a field name
-#     shared with another struct counts for both.
+#     shared with another struct counts for both;
+#   - a mutating method call on the field, `.field.push(`, `.extend(`,
+#     `.insert(`, `.retain(` or `.clear(`, which sets a collection field.
 #
 # Fields nothing sets are printed as `file:line  Struct.field`, one per
 # line, followed by a count. Such a field holds one value in every run: a
@@ -142,6 +144,14 @@ awk '
         m = split(f, path, ".")
         for (k = 1; k <= m; k++) assigned[path[k]] = 1
       }
+      line = substr(line, RSTART + RLENGTH)
+    }
+    # `a.field.push(v)` and the other mutating calls set `field`.
+    line = $0
+    while (match(line, /\.[a-z_][a-z0-9_]*\.(push|extend|insert|retain|clear)\(/)) {
+      f = substr(line, RSTART + 1, RLENGTH - 1)
+      sub(/\..*$/, "", f)
+      assigned[f] = 1
       line = substr(line, RSTART + RLENGTH)
     }
   }
